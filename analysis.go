@@ -75,10 +75,11 @@ func CrossoverRatio(tree Tree, q, maxRatio int) (delta float64, ok bool, err err
 // GE2BND+BND2BD task graph of an m×n matrix (m ≥ n) at tile size nb,
 // alongside the critical paths of the two stages built separately, all
 // in modeled flops (the only time base the stages share). fused ≤
-// ge2bnd + bnd2bd always holds, strictly so for nondegenerate shapes;
-// the margin is the chase prefix that hides under stage 1 — see
+// ge2bnd + bnd2bd always holds, strictly so where the chase is cut into
+// steps short enough to start before stage 1 ends; the margin is the
+// chase prefix that hides under stage 1 — see
 // internal/critpath.MeasurePipeline for why it is structurally small.
-// window follows Options.BND2BDWindow semantics (0 selects the default).
+// window follows Options.BND2BDWindow semantics (0 derives the cut).
 func PipelineCriticalPath(tree Tree, m, n, nb, window int) (fused, ge2bnd, bnd2bd float64, err error) {
 	if m < n || n < 1 || nb < 1 {
 		return 0, 0, 0, fmt.Errorf("bidiag: need m ≥ n ≥ 1 and nb ≥ 1, got m=%d n=%d nb=%d", m, n, nb)

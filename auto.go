@@ -13,7 +13,7 @@ import (
 // Validate returns a copy of o with defaults applied and every knob
 // checked: the tile size and worker count resolve their zero values,
 // the tree, algorithm and BND2BD selectors must be known constants, and
-// the wavefront window must be non-negative. It is the ONE validation
+// the BND2BD cut width must be non-negative. It is the ONE validation
 // path — every entry point (the one-shot calls, the Service, and the
 // planner's own output) goes through it, so a Validate-clean Options is
 // executable everywhere. A nil receiver validates the defaults.
@@ -36,6 +36,29 @@ func (o *Options) Validate() (Options, error) {
 		return v, fmt.Errorf("bidiag: unknown BND2BD mode %d", int(v.BND2BD))
 	}
 	return v, nil
+}
+
+// ErrNonFinite is returned (wrapped, with the offending position) by
+// every entry point whose input matrix holds a NaN or an infinity. Such
+// an entry would spread through whole blocks of reflector applications
+// and surface much later, if at all, as a failure of the bidiagonal QR
+// iteration to converge.
+var ErrNonFinite = errors.New("bidiag: matrix has a non-finite entry")
+
+// CheckFinite is the input-side companion of Options.Validate: one pass
+// over the matrix that returns an error wrapping ErrNonFinite for the
+// first NaN or ±Inf entry, nil otherwise. GE2BND, SingularValues, SVD
+// and Service.Submit call it before doing any work.
+func (d *Dense) CheckFinite() error {
+	m := d.inner
+	for j := 0; j < m.Cols; j++ {
+		for i, v := range m.Data[j*m.LD : j*m.LD+m.Rows] {
+			if v-v != 0 { // NaN or ±Inf
+				return fmt.Errorf("%w: a(%d,%d) = %v", ErrNonFinite, i, j, v)
+			}
+		}
+	}
+	return nil
 }
 
 // ParseTree converts a tree name to its Tree constant. Both the Go

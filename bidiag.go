@@ -18,13 +18,13 @@
 // Every QR/LQ panel reduction is driven by a configurable reduction tree
 // (FlatTS, FlatTT, Greedy, or the adaptive Auto tree of the paper), and
 // both reduction stages execute as task graphs on the same data-flow
-// runtime: GE2BND as tiled QR/LQ kernels, and BND2BD as a pipelined
-// diagonal wavefront of bulge-chase segments (Options.BND2BD selects the
-// sequential reference instead), so the full pipeline — not just the
-// first stage — scales with Options.Workers.
+// runtime: GE2BND as tiled QR/LQ kernels, and BND2BD as caravans of
+// blocked Householder bulge-chase sweeps (Options.BND2BD selects the
+// sequential reference instead), pipelined across Options.Workers once
+// the band is long enough for that to pay.
 //
 // Setting Options.Fused goes one step further for SingularValues: the
-// GE2BND kernels and the BND2BD chase segments are emitted into ONE task
+// GE2BND kernels and the BND2BD chase tasks are emitted into ONE task
 // graph (internal/pipeline) with cross-stage dependencies, so the bulge
 // chase starts on the leading band columns while the trailing stage-1
 // updates are still running — no barrier, no intermediate band
@@ -135,19 +135,21 @@ func (t Tree) kind() (trees.Kind, error) {
 
 // BND2BD selects the implementation of the pipeline's second stage, the
 // band-to-bidiagonal bulge chase. Both implementations apply the same
-// Givens rotations in a sequentially consistent order, so their results
-// are bitwise-identical; the switch exists to force the single-threaded
-// reference (as a baseline or oracle) and to pin the pipeline in tests.
+// Householder reflectors in a sequentially consistent order, so their
+// results are bitwise-identical; the switch exists to force the
+// single-threaded reference (as a baseline or oracle) and to pin the
+// task graph in tests.
 type BND2BD int
 
 const (
-	// BND2BDAuto (the default) runs the pipelined task-graph reduction on
+	// BND2BDAuto (the default) runs the task-graph reduction on
 	// Options.Workers workers — the same pool that executes GE2BND.
 	BND2BDAuto BND2BD = iota
-	// BND2BDPipelined forces the pipelined task-graph reduction.
+	// BND2BDPipelined forces the task-graph reduction.
 	BND2BDPipelined
 	// BND2BDSequential forces the single-threaded reference reduction
-	// (band.Reduce), the numerical oracle of the pipelined path.
+	// (band.Reduce, no task graph), the numerical oracle of the
+	// task-graph path.
 	BND2BDSequential
 )
 
@@ -223,17 +225,19 @@ type Options struct {
 	// for tile-scale operands; it rarely needs changing.
 	Gemm GemmBlock
 	// BND2BD selects the second-stage (band→bidiagonal) implementation:
-	// the pipelined task-graph reduction by default, or the sequential
-	// reference. The two are bitwise-identical.
+	// the task-graph reduction by default, or the sequential reference.
+	// The two are bitwise-identical.
 	BND2BD BND2BD
-	// BND2BDWindow is the column width of the wavefront windows the
-	// pipelined BND2BD stage is cut into (both staged and fused).
-	// 0 selects the default (about n/16, clamped to [32, 512]); narrower
-	// windows deepen the pipeline at the cost of more, finer tasks.
-	// Negative values are rejected.
+	// BND2BDWindow is the width in columns at which the BND2BD chase is
+	// cut into tasks (both staged and fused), rounded down to whole
+	// NB-blocks and at least one: a task advances its sweeps by that
+	// many columns. 0 derives the cut from the task size that outweighs
+	// scheduling and from the band's length — short steps where the
+	// sweeps are long enough to pipeline, whole sweeps where they are
+	// not. The result never depends on it. Negative values are rejected.
 	BND2BDWindow int
 	// Fused executes SingularValues as ONE fused task graph: the BND2BD
-	// chase segments are emitted into the same DAG as the GE2BND kernels,
+	// chase tasks are emitted into the same DAG as the GE2BND kernels,
 	// with cross-stage dependencies instead of a barrier, so the bulge
 	// chase overlaps the trailing stage-1 updates. The result is
 	// bitwise-identical to the staged path, which stays available (the
@@ -361,8 +365,8 @@ func (b *Band) At(i, j int) float64 { return b.b.At(i, j) }
 
 // SingularValues finishes the pipeline on the band: BND2BD bulge chasing
 // followed by the bidiagonal QR iteration. The BND2BD stage runs as a
-// pipelined task graph (a stage-2 pipeline.Plan on the pool executor)
-// with the worker count and wavefront window the band was produced with,
+// task graph (a stage-2 pipeline.Plan on the pool executor) with the
+// worker count and cut width the band was produced with,
 // unless the producing Options forced the sequential reference; either
 // way the outcome is bitwise-identical.
 func (b *Band) SingularValues() ([]float64, error) {
@@ -446,11 +450,20 @@ func distPlan(d *DistOptions, opts Options, m, n int) (dist.Grid, int, error) {
 	return grid, wpn, grid.Validate()
 }
 
-// prepare is the shared prologue of every public entry point: option
-// validation (Validate is the one consolidated checking path), planner
-// resolution of Options.Auto, reduction-tree resolution, the implicit
-// transpose of wide inputs (m < n), and the empty-matrix check.
+// prepare is the shared prologue of every public entry point: the
+// non-finite input check, then resolve.
 func prepare(a *Dense, o *Options) (opts Options, src *nla.Matrix, treeKind trees.Kind, transposed bool, err error) {
+	if err := a.CheckFinite(); err != nil {
+		return opts, nil, 0, false, err
+	}
+	return resolve(a, o)
+}
+
+// resolve lowers an admitted input: option validation (Validate is the
+// one consolidated checking path), planner resolution of Options.Auto,
+// reduction-tree resolution, the implicit transpose of wide inputs
+// (m < n), and the empty-matrix check.
+func resolve(a *Dense, o *Options) (opts Options, src *nla.Matrix, treeKind trees.Kind, transposed bool, err error) {
 	opts, err = o.Validate()
 	if err != nil {
 		return opts, nil, 0, false, err

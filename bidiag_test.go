@@ -1,6 +1,8 @@
 package bidiag
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -255,7 +257,7 @@ func TestOptionsDefaults(t *testing.T) {
 // TestBND2BDWindowOption pins the satellite knob: a negative window is
 // rejected by every entry point, and any positive window yields bitwise
 // the same singular values as the default (the window moves task
-// boundaries, never rotations).
+// boundaries, never reflectors).
 func TestBND2BDWindowOption(t *testing.T) {
 	a := randomDense(31, 70, 50)
 	if _, err := GE2BND(a, &Options{BND2BDWindow: -3}); err == nil {
@@ -318,7 +320,9 @@ func TestInvalidTreeRejected(t *testing.T) {
 }
 
 func TestPipelineCriticalPath(t *testing.T) {
-	fused, s1, s2, err := PipelineCriticalPath(Greedy, 256, 256, 32, 0)
+	// An explicit cut width: the derived granularity chases a band this
+	// short in whole-sweep steps, which start when stage 1 is over.
+	fused, s1, s2, err := PipelineCriticalPath(Greedy, 256, 256, 32, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,5 +340,33 @@ func TestPipelineCriticalPath(t *testing.T) {
 	}
 	if _, _, _, err := PipelineCriticalPath(Greedy, 256, 256, 32, -1); err == nil {
 		t.Fatalf("negative window must be rejected")
+	}
+}
+
+// TestNonFiniteInputRejected pins the input contract: a NaN or an
+// infinity anywhere in the matrix is refused up front with ErrNonFinite
+// by every entry point, tall or wide, instead of running the pipeline
+// and failing late in the bidiagonal QR iteration.
+func TestNonFiniteInputRejected(t *testing.T) {
+	svc := NewService(&ServiceConfig{Workers: 2})
+	defer svc.Close()
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, shape := range [][2]int{{40, 24}, {24, 40}, {1, 1}} {
+			a := randomDense(41, shape[0], shape[1])
+			if err := a.CheckFinite(); err != nil {
+				t.Fatalf("finite matrix rejected: %v", err)
+			}
+			a.Set(shape[0]-1, shape[1]/2, bad)
+			opts := &Options{NB: 8, Workers: 2}
+			_, errBand := GE2BND(a, opts)
+			_, errVals := SingularValues(a, opts)
+			_, errSVD := SVD(a, opts)
+			_, errJob := svc.Do(context.Background(), JobRequest{Kind: JobSingularValues, A: a, Opts: opts})
+			for name, err := range map[string]error{"GE2BND": errBand, "SingularValues": errVals, "SVD": errSVD, "Service.Do": errJob} {
+				if !errors.Is(err, ErrNonFinite) {
+					t.Errorf("%s on %dx%d with %v: err = %v, want ErrNonFinite", name, shape[0], shape[1], bad, err)
+				}
+			}
+		}
 	}
 }

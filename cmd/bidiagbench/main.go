@@ -31,12 +31,13 @@
 // shape, nb, workers, wall time, GFLOP/s and (for distributed runs) the
 // communication statistics — as a machine-readable file, the format the
 // BENCH_*.json performance trajectory is tracked in. With -stage bnd2bd
-// the timed run is the pipelined second stage instead: an n×n band of
-// bandwidth -ku reduced to bidiagonal form on the task runtime, rated
-// against the data-independent rotation-flop model. With -stage full the
+// the timed run is the second stage instead: an n×n band of bandwidth
+// -ku reduced to bidiagonal form on the task runtime (and, for
+// comparison, by band.Reduce with no graph), rated against the
+// data-independent Householder flop model. With -stage full the
 // timed run is the fused end-to-end pipeline (Options.Fused): GE2BND and
 // BND2BD in one task graph plus the bidiagonal QR iteration, rated
-// against the sum of the GE2BND flop count and the BND2BD rotation-flop
+// against the sum of the GE2BND flop count and the BND2BD flop
 // model (-staged times the barrier path instead, for comparison). With
 // -stage batch the timed run is serving throughput: -jobs ragged small
 // matrices (dimensions in [n/2, n]) through one bidiag.Service,
@@ -177,6 +178,14 @@ type perfResult struct {
 	Fused       bool    `json:"fused,omitempty"` // full-pipeline runs: fused vs staged
 	WallSeconds float64 `json:"wall_seconds"`    // best of Reps
 	GFlops      float64 `json:"gflops,omitempty"`
+
+	// Graph-vs-no-graph figures of a -stage bnd2bd run; zero otherwise.
+	// BuildSeconds is the graph construction inside WallSeconds,
+	// SeqSeconds the same reduction by band.Reduce (one thread, no
+	// graph), UsPerTask the mean work per task (SeqSeconds / Tasks).
+	BuildSeconds float64 `json:"build_seconds,omitempty"`
+	SeqSeconds   float64 `json:"seq_seconds,omitempty"`
+	UsPerTask    float64 `json:"us_per_task,omitempty"`
 
 	// Batch-throughput statistics (-stage batch); zero otherwise.
 	// JobsPerSec is the gang-batched concurrent throughput, the tracked
@@ -462,11 +471,12 @@ func writeResult(res perfResult, jsonPath string) error {
 	return nil
 }
 
-// runPerfBND2BD times the pipelined second stage on a random n×n band of
+// runPerfBND2BD times the second stage on a random n×n band of
 // bandwidth ku (the shape GE2BND emits for nb = ku): graph build +
-// execution on `workers` workers, best of reps, rated against the
-// rotation-flop model so the GFLOP/s figure is comparable across
-// machines and commits.
+// execution on `workers` workers and, for comparison, band.Reduce with
+// no graph on one thread, each best of reps, rated against the
+// Householder flop model (band.ModelFlops) so the GFLOP/s figure is
+// comparable across machines and commits.
 func runPerfBND2BD(n, ku, workers, reps int, jsonPath string) error {
 	if reps < 1 {
 		reps = 1
@@ -476,12 +486,13 @@ func runPerfBND2BD(n, ku, workers, reps int, jsonPath string) error {
 	res := perfResult{
 		Experiment: "bnd2bd", M: n, N: n, KU: ku, Workers: workers, Reps: reps,
 	}
-	best := time.Duration(1<<63 - 1)
-	var flops float64
+	const never = time.Duration(1<<63 - 1)
+	best, bestBuild, bestSeq := never, never, never
 	for r := 0; r < reps; r++ {
 		start := time.Now()
 		g := sched.NewGraph()
 		finish := band.BuildReduceGraph(g, b, 0)
+		build := time.Since(start)
 		var runErr error
 		if workers > 1 {
 			runErr = g.RunParallel(workers)
@@ -497,15 +508,23 @@ func runPerfBND2BD(n, ku, workers, reps int, jsonPath string) error {
 			return fmt.Errorf("bnd2bd: result not bidiagonal")
 		}
 		if wall < best {
-			best = wall
+			best, bestBuild = wall, build
 		}
 		res.Tasks = len(g.Tasks)
-		flops = g.Summary().TotalFlops // identical to band.ModelFlops(n, ku)
+
+		start = time.Now()
+		band.Reduce(b)
+		bestSeq = min(bestSeq, time.Since(start))
 	}
 	res.WallSeconds = best.Seconds()
-	res.GFlops = flops / 1e9 / res.WallSeconds
-	fmt.Printf("BND2BD n=%d ku=%d workers=%d: %.3fs  %.2f GFLOP/s  (%d tasks, best of %d)\n",
-		n, ku, workers, res.WallSeconds, res.GFlops, res.Tasks, reps)
+	res.BuildSeconds = bestBuild.Seconds()
+	res.SeqSeconds = bestSeq.Seconds()
+	res.GFlops = band.ModelFlops(n, ku) / 1e9 / res.WallSeconds
+	if res.Tasks > 0 {
+		res.UsPerTask = res.SeqSeconds * 1e6 / float64(res.Tasks)
+	}
+	fmt.Printf("BND2BD n=%d ku=%d workers=%d: %.3fs  %.2f GFLOP/s  (%d tasks of %.0f µs, build %.4fs, no graph %.3fs, best of %d)\n",
+		n, ku, workers, res.WallSeconds, res.GFlops, res.Tasks, res.UsPerTask, res.BuildSeconds, res.SeqSeconds, reps)
 	return writeResult(res, jsonPath)
 }
 
@@ -513,7 +532,7 @@ func runPerfBND2BD(n, ku, workers, reps int, jsonPath string) error {
 // (GE2BND + BND2BD + BD2VAL) through the public API — fused into one
 // task graph by default, or staged behind a barrier with -staged — and
 // rates it against the modeled flops of both reduction stages (the
-// GE2BND operation count plus the BND2BD rotation model; the closing QR
+// GE2BND operation count plus the BND2BD Householder model; the closing QR
 // iteration rides along in the wall time as it does for every user).
 func runPerfFull(m, n, nb, workers, window, reps int, fused bool, jsonPath string) error {
 	if reps < 1 {

@@ -211,8 +211,12 @@ func (s *clusterServer) handleValues(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
 		return
 	}
-	if req.M <= 0 || req.N <= 0 || len(req.Data) != req.M*req.N {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("invalid %dx%d matrix with %d elements", req.M, req.N, len(req.Data)))
+	d, err := req.Dense()
+	if err == nil {
+		err = d.CheckFinite()
+	}
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err)
 		return
 	}
 	// The cluster head does not transpose wide inputs the way

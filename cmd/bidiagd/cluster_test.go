@@ -110,6 +110,18 @@ func TestClusterHTTPSurface(t *testing.T) {
 		t.Fatalf("wide matrix in cluster mode: %v, want 400", err)
 	}
 
+	// So is a non-finite entry, in the only spellings JSON has for one.
+	for _, body := range []string{`{"m":1,"n":1,"data":[NaN]}`, `{"m":1,"n":1,"data":[1e999]}`} {
+		resp, err := http.Post(ts.URL+"/v1/singular-values", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s in cluster mode: status %d, want 400", body, resp.StatusCode)
+		}
+	}
+
 	health, err := cl.Healthz(context.Background())
 	if err != nil {
 		t.Fatal(err)

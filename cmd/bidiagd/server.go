@@ -236,18 +236,7 @@ func (s *server) handleJob(w http.ResponseWriter, r *http.Request, kind bidiag.J
 	begin := time.Now()
 	res, err := s.svc.Do(r.Context(), bidiag.JobRequest{Kind: kind, A: a, Opts: opts, Trace: trace})
 	if err != nil {
-		switch {
-		case errors.Is(err, bidiag.ErrOverloaded):
-			w.Header().Set("Retry-After", "1")
-			httpError(w, http.StatusTooManyRequests, err)
-		case errors.Is(err, bidiag.ErrServiceClosed):
-			httpError(w, http.StatusServiceUnavailable, err)
-		case r.Context().Err() != nil:
-			// The client went away; nothing useful to write.
-			log.Printf("job cancelled: %v", err)
-		default:
-			httpError(w, http.StatusInternalServerError, err)
-		}
+		writeJobError(w, r, err)
 		return
 	}
 	ms := float64(time.Since(begin)) / float64(time.Millisecond)
@@ -263,6 +252,24 @@ func (s *server) handleJob(w http.ResponseWriter, r *http.Request, kind bidiag.J
 		return
 	}
 	writeJSON(w, http.StatusOK, httpapi.ValuesResponse{S: res.Values, CacheHit: res.CacheHit, Ms: ms, JobID: jobID})
+}
+
+// writeJobError maps a failed Service.Do to its HTTP status.
+func writeJobError(w http.ResponseWriter, r *http.Request, err error) {
+	switch {
+	case errors.Is(err, bidiag.ErrOverloaded):
+		w.Header().Set("Retry-After", "1")
+		httpError(w, http.StatusTooManyRequests, err)
+	case errors.Is(err, bidiag.ErrServiceClosed):
+		httpError(w, http.StatusServiceUnavailable, err)
+	case errors.Is(err, bidiag.ErrNonFinite):
+		httpError(w, http.StatusBadRequest, err)
+	case r.Context().Err() != nil:
+		// The client went away; nothing useful to write.
+		log.Printf("job cancelled: %v", err)
+	default:
+		httpError(w, http.StatusInternalServerError, err)
+	}
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

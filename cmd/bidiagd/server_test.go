@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -127,13 +126,43 @@ func TestBadRequests(t *testing.T) {
 			t.Fatalf("%s: error carries no server message: %v", tc.name, err)
 		}
 	}
-	resp, err := http.Post(ts.URL+"/v1/svd", "application/json", bytes.NewReader([]byte("{not json")))
-	if err != nil {
-		t.Fatal(err)
+	// Malformed JSON, and the only spellings of a non-finite entry a JSON
+	// body has: all refused at the door.
+	for _, body := range []string{
+		"{not json",
+		`{"m":1,"n":1,"data":[NaN]}`,
+		`{"m":1,"n":1,"data":[1e999]}`,
+		`{"m":1,"n":1,"data":[-Infinity]}`,
+	} {
+		for _, path := range []string{"/v1/svd", "/v1/singular-values"} {
+			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%s %s: status %d, want 400", path, body, resp.StatusCode)
+			}
+		}
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed JSON: status %d, want 400", resp.StatusCode)
+}
+
+// A non-finite matrix that reaches the service is the client's error:
+// 400 carrying the library's ErrNonFinite message, not a late 500. JSON
+// cannot spell such an entry, so the job is submitted directly and its
+// error handed to the handler's status mapping.
+func TestNonFiniteMatrixIs400(t *testing.T) {
+	_, svc := testServer(t)
+	a := bidiag.NewDense(2, 2)
+	a.Set(1, 1, math.Inf(1))
+	_, err := svc.Do(context.Background(), bidiag.JobRequest{Kind: bidiag.JobSingularValues, A: a})
+	if !errors.Is(err, bidiag.ErrNonFinite) {
+		t.Fatalf("service err = %v, want ErrNonFinite", err)
+	}
+	rec := httptest.NewRecorder()
+	writeJobError(rec, httptest.NewRequest(http.MethodPost, "/v1/singular-values", nil), err)
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "non-finite") {
+		t.Fatalf("status %d body %s, want 400 naming the non-finite entry", rec.Code, rec.Body)
 	}
 }
 

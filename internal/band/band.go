@@ -1,14 +1,13 @@
 // Package band implements upper-band matrix storage and the BND2BD stage
-// of the singular value pipeline: the Givens-rotation bulge-chasing
-// reduction from band-bidiagonal form (the output of the tiled GE2BND
-// algorithms) to proper bidiagonal form. It substitutes for the PLASMA
-// band-reduction kernels used in the paper's experiments.
+// of the singular value pipeline: the blocked Householder bulge chase
+// from band-bidiagonal form (the output of the tiled GE2BND algorithms)
+// to proper bidiagonal form, after the PLASMA band-reduction kernels the
+// paper's experiments run (reduce.go describes the algorithm).
 //
-// Two implementations share the same rotation kernels and produce
-// bitwise-identical results: Reduce, the single-threaded sweep-major
-// reference, and the pipelined decomposition of the sweeps into caravan
-// chase segments over fixed-width column windows, executed as a
-// diagonal-wavefront task graph on the internal/sched runtime (see
+// One round kernel serves two bitwise-identical forms: Reduce, the
+// single-threaded sweep-major reference with no task graph, and the
+// grouping of the same rounds into caravan tasks over ku-block column
+// windows, executed as a task graph on the internal/sched runtime (see
 // parallel.go for the decomposition and the ordering argument).
 // BuildReduceGraph exposes the staged DAG for executors, simulators and
 // critical-path analysis — in production it runs behind the
@@ -26,7 +25,7 @@ import (
 
 // Matrix is an n×n upper-band matrix with KU stored superdiagonals:
 // element (i, j) may be nonzero only when 0 ≤ j−i ≤ KU. Storage is by
-// diagonals so the bulge-chasing sweeps access memory contiguously.
+// diagonals; the reduction works on a private column-major copy.
 type Matrix struct {
 	N, KU int
 	// diags[s][i] holds element (i, i+s) for 0 ≤ s ≤ KU, 0 ≤ i < N−s.

@@ -192,3 +192,100 @@ func TestReduceNormProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// denseChase is the bulge chase of reduce.go written against a dense
+// n×n matrix with the scalar reflector routines of internal/nla: no band
+// indexing, no blocking into Dot4/Axpy4/Gaxpy4 calls, no assembly. It
+// returns the bidiagonal it leaves.
+func denseChase(b *Matrix) (d, e []float64) {
+	n, ku := b.N, b.KU
+	a := b.ToDense()
+	block := func(r0, rows, c0, cols int) *nla.Matrix {
+		return &nla.Matrix{Rows: rows, Cols: cols, LD: a.LD, Data: a.Data[r0+c0*a.LD:]}
+	}
+	for i := 0; ku >= 2 && i < n-2; i++ {
+		var tauL float64
+		var vl []float64
+		for c0, p0 := i+1, i; c0 < n; c0, p0 = c0+ku, c0 {
+			k := min(ku, n-c0)
+			if c0 > i+1 {
+				nla.ApplyReflectorLeft(tauL, vl, block(p0, ku, c0, k))
+			}
+			u := make([]float64, k)
+			for j := range u {
+				u[j] = a.At(p0, c0+j)
+				a.Set(p0, c0+j, 0)
+			}
+			beta, tauR := nla.Larfg(u[0], u[1:])
+			a.Set(p0, c0, beta)
+			nla.ApplyReflectorRight(tauR, u[1:], block(p0+1, c0+k-p0-1, c0, k))
+			col := a.Data[c0+c0*a.LD : c0+c0*a.LD+k]
+			col[0], tauL = nla.Larfg(col[0], col[1:])
+			vl = append([]float64(nil), col[1:]...)
+			clear(col[1:])
+			if k > 1 {
+				nla.ApplyReflectorLeft(tauL, vl, block(c0, k, c0+1, k-1))
+			}
+		}
+	}
+	d, e = make([]float64, n), make([]float64, max(n-1, 0))
+	for i := range d {
+		d[i] = a.At(i, i)
+		if i < n-1 {
+			e[i] = a.At(i, i+1)
+		}
+	}
+	return d, e
+}
+
+// The blocked band kernels must compute what the dense scalar chase
+// computes, entry by entry, to rounding — and leave nothing outside the
+// bidiagonal. The scalar chase is the same code with and without the
+// AVX2 primitives, so passing on the default and on the BIDIAG_NOASM=1
+// CI leg bounds the distance between the two builds as well.
+func TestReduceMatchesDenseChase(t *testing.T) {
+	for _, cfg := range [][2]int{{5, 2}, {9, 8}, {40, 3}, {64, 7}, {100, 32}, {130, 64}, {97, 96}} {
+		n, ku := cfg[0], cfg[1]
+		b := randomBand(int64(n*ku), n, ku)
+		wantD, wantE := denseChase(b)
+		gotD, gotE := Reduce(b).Bidiagonal()
+		tol := 64 * float64(n) * 0x1p-52 * b.FrobeniusNorm()
+		for i := range wantD {
+			if math.Abs(gotD[i]-wantD[i]) > tol {
+				t.Fatalf("n=%d ku=%d: d[%d] = %v, dense chase %v", n, ku, i, gotD[i], wantD[i])
+			}
+		}
+		for i := range wantE {
+			if math.Abs(gotE[i]-wantE[i]) > tol {
+				t.Fatalf("n=%d ku=%d: e[%d] = %v, dense chase %v", n, ku, i, gotE[i], wantE[i])
+			}
+		}
+	}
+}
+
+// Scaling the band by a power of two scales every reflector's beta and
+// leaves its tau and v alone, so the reduction commutes with it exactly:
+// no intermediate squares an entry. 2^±498 ≈ 1e±150.
+func TestReduceScalesExactly(t *testing.T) {
+	b := randomBand(77, 90, 12)
+	wantD, wantE := Reduce(b).Bidiagonal()
+	for _, exp := range []int{498, -498} {
+		s := b.Clone()
+		for _, diag := range s.diags {
+			for i := range diag {
+				diag[i] = math.Ldexp(diag[i], exp)
+			}
+		}
+		gotD, gotE := Reduce(s).Bidiagonal()
+		for i := range wantD {
+			if gotD[i] != math.Ldexp(wantD[i], exp) {
+				t.Fatalf("2^%d: d[%d] = %v, want %v", exp, i, gotD[i], math.Ldexp(wantD[i], exp))
+			}
+		}
+		for i := range wantE {
+			if gotE[i] != math.Ldexp(wantE[i], exp) {
+				t.Fatalf("2^%d: e[%d] = %v, want %v", exp, i, gotE[i], math.Ldexp(wantE[i], exp))
+			}
+		}
+	}
+}

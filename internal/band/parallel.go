@@ -8,287 +8,247 @@ import (
 	"github.com/tiled-la/bidiag/internal/sched"
 )
 
-// This file implements the pipelined parallel BND2BD of the companion
-// report (Faverge, Langou, Robert, Dongarra, arXiv:1611.06892): the same
-// Givens-rotation bulge chase as Reduce, decomposed into chase-segment
-// tasks and executed on the internal/sched data-flow runtime, so the
-// second stage of the singular value pipeline scales with the same worker
-// pool that runs GE2BND.
+// This file is the task-graph form of the BND2BD stage: the rounds of
+// reduce.go grouped into tasks and submitted to the internal/sched
+// data-flow runtime, so the second stage of the singular value pipeline
+// runs on the same worker pool (or shared runtime, gang graph, simulator,
+// owner-compute executor) as GE2BND.
 //
-// Decomposition. Eliminating superdiagonal kb is a series of sweeps;
-// sweep i is a sequence of rounds: round 0 annihilates (i, i+kb), round
-// r ≥ 1 chases the bulge at column c = i + r·kb. Define a round's
-// position p = i + (r+1)·kb; the round touches only columns
-// [p−kb−1, min(p, n−1)]. Consecutive sweeps are grouped into caravans of
-// `sweeps` bulges travelling together, and each caravan's chase is cut
-// into segments at fixed column boundaries w·window, SKEWED left by
-// kb+2 columns per successive sweep: segment w of a caravan runs, for
-// each sweep i0+l, the rounds with position in
+// Decomposition. Consecutive sweeps are grouped into caravans of S
+// sweeps, and a caravan advances in steps of G rounds: task (caravan
+// starting at sweep i0, step t) runs, for l = 0 … S−1 in this order, the
+// rounds
 //
-//	[w·window − l·(kb+2), (w+1)·window − l·(kb+2)).
+//	[t·G − l, (t+1)·G − l)
 //
-// Each segment is one task; it declares a read-write access on every
-// fixed-width column window its rounds touch, and tasks are submitted in
-// sweep order (kb descending, caravan ascending, segment ascending).
+// of sweep i0+l that exist (rounds below 0 or past the sweep's last one
+// do not): each later sweep of a caravan is skewed back by one round.
+// Tasks are submitted caravan by caravan, step by step — sweep order.
 //
-// Dependences. The sched runtime orders any two tasks that share a
-// window by submission order. This yields the diagonal-wavefront
-// pipeline of the Schwarz/Lang scheme: segment w+1 of a caravan waits
-// for segment w (the bulges it carries), caravan j+1 enters a window
-// region only after caravan j has left it (sweep s+1 may enter a band
-// window only after sweep s has left it), and the elimination of
-// superdiagonal kb−1 starts in the top-left corner while the elimination
-// of kb is still draining to the bottom-right.
+// Dependences. Round r of sweep i reads and writes band entries only in
+// the columns [c0, c0+k) of its block column c0 = i+1+r·ku, and hands
+// one left reflector to round r+1 of its sweep (work.vl, work.tauL). A
+// task declares a read-write access on the window handle of every
+// ku-block column between the first and the last column its rounds
+// touch, and on one handle per caravan that stands for the caravan's
+// reflectors in flight. The sched runtime orders two tasks that share a
+// handle by submission order, so
 //
-// Bitwise identity. The result is bitwise-identical to Reduce, not
-// merely close, because every pair of rotations that touch a common
-// element executes in the same relative order as in the sequential
-// sweep-major reference:
+//	(a) rounds r and r+1 of a sweep are ordered (same task, or two
+//	    steps of one caravan), and
+//	(b) two rounds whose block columns overlap are ordered whenever
+//	    they sit in different tasks.
 //
-//   - two rounds share an element only if their positions are within
-//     kb+1 of each other;
-//   - inside a segment, sweeps run in ascending order (sweep-major
-//     within the cut), matching the sequential order directly;
-//   - for segments w < w' of the same caravan (w executes first), an op
-//     of a later sweep l' > l in segment w sits at position
-//     p' < (w+1)·window − l'·(kb+2), while an op of the earlier sweep l
-//     in segment w' sits at p ≥ (w+1)·window − l·(kb+2), so
-//     p − p' > (l'−l)·(kb+2) − 1 ≥ kb+2: the skew guarantees the pair
-//     cannot conflict, and every conflicting pair already runs in sweep
-//     order;
-//   - any two tasks of different caravans (or different eliminations)
-//     that share a column share a window and are therefore ordered by a
-//     graph edge in submission (= sequential sweep) order; tasks with no
-//     common window touch disjoint columns.
+// Bitwise identity. Every engine runs each round with the same kernel
+// on the same block, so the result equals Reduce's bit for bit as soon
+// as any two rounds with common data run in Reduce's order, sweep i
+// before sweep i' > i. Write c0, c0' for their block columns.
 //
-// Each rotation therefore sees exactly the operand bits it sees in
-// Reduce, and phantom rounds (a sweep whose annihilated element was
-// already zero, so no bulge is in flight) write nothing at all.
+//   - Band entries are common only if the block columns overlap,
+//     |c0' − c0| < ku. In different tasks (b) orders the pair by
+//     submission, which is sweep order except between steps of one
+//     caravan, where step t holds rounds of late sweeps and a later step
+//     rounds of early ones. For such a pair — round r' of sweep i0+l' in
+//     step t, round r of sweep i0+l, l < l', in a later step —
+//     r' < (t+1)·G − l' and r ≥ (t+1)·G − l, so r − r' > l'−l and
+//     c0 − c0' ≥ 2·ku − 1: nothing in common. Inside a task sweeps run
+//     in ascending order. (The one-round skew is exactly what the chase
+//     needs: round r of sweep i+1 overlaps round r+1 of sweep i in one
+//     column and must follow it, and is free of round r+2.)
+//   - The reflector generated on block column c0 occupies tauL[c0] and
+//     vl(c0, c0+k); two reflectors share a slot only if their block
+//     columns overlap, so writers are ordered as above. The reader,
+//     round r+1 of sweep i, has block column c0+ku; a later sweep's
+//     round writing an overlapping slot has c0' > c0 − ku + 1. If
+//     c0' > c0 it overlaps the reader's block column and is ordered
+//     after it directly; otherwise i' ≥ i+2 and round r of sweep i+1,
+//     at block column c0+1, overlaps both, so the writer follows it and
+//     it follows the reader. Across steps of one caravan the distance
+//     2·ku − 1 above already keeps the slots apart.
+//
+// Granularity. A task has to outweigh its dispatch, and a second worker
+// has to return more in overlap than it costs in moving the band from
+// cache to cache; see granularity.
 
-const (
-	// minWindow/maxWindow bound the cut width chosen by DefaultWindow.
-	minWindow = 32
-	maxWindow = 512
-	// maxCaravan caps the sweeps per caravan so small-bandwidth
-	// eliminations still pipeline across a handful of tasks.
-	maxCaravan = 64
-)
+// taskFlops is the modeled size of a full task, S·G rounds of 16·ku²
+// flops. The round kernels measure 6 GF/s (portable) to 11 GF/s (AVX2)
+// on ku = 64 blocks, so 2¹⁹ flops are 50–90 µs, two orders of magnitude
+// above the 0.5–1 µs per task the sched worker loop costs on an empty
+// graph (benchmark metric sched.empty_ns_per_task_wN): ku = 64 gives
+// caravans of 3 sweeps × 3 rounds.
+const taskFlops = 1 << 19
 
-// DefaultWindow returns the column width of the wavefront windows (and
-// segment cuts) used by the pipelined reduction of an n×n band: about
-// n/16, clamped to [32, 512]. Narrower windows deepen the pipeline (more
-// concurrency) at the cost of more, finer tasks; the width is
-// independent of the bandwidth (caravans adapt to it instead).
-func DefaultWindow(n int) int {
-	w := n / 16
-	if w < minWindow {
-		w = minWindow
-	}
-	if w > maxWindow {
-		w = maxWindow
-	}
-	return w
-}
+// minOverlap is the modeled parallelism below which the chase is not
+// pipelined. A caravan's successor trails it by its span of G+S rounds
+// and sweeps average half the longest one, so about perSweep/(2·(G+S))
+// tasks can run at once. Each hand-over between workers moves the task's
+// columns between their caches, about as many bytes as the task has
+// flops. Measured on two cores with 2 MiB of L2 each at ku = 64: with
+// n ≤ 1536 (modeled overlap ≤ 2) two workers take 1.1–1.25× the
+// one-thread time however the tasks are cut, from n = 2048 (2.7) on they
+// take 0.5–0.65×.
+const minOverlap = 2.5
 
-// segment is one task of the pipelined reduction: sweeps [i0, i0+sweeps)
-// of the elimination of superdiagonal kb, advanced through the rounds
-// whose positions fall in the skewed cut [a − l·skew, b − l·skew) for
-// sweep i0+l.
-type segment struct {
-	kb, i0, sweeps, a, b, skew int
-}
-
-// roundsIn returns the rounds of sweep (kb, i) whose uncapped position
-// i + (r+1)·kb lies in [a, b), clamped to the rounds that exist
-// (rlo > rhi when the cut holds none). The truncated integer division is
-// exact for the in-range cuts; out-of-range cuts only need the emptiness
-// to be preserved.
-func roundsIn(i, kb, a, b, n int) (rlo, rhi int) {
-	rlo = (a - i + kb - 1) / kb
-	rlo--
-	if rlo < 0 {
-		rlo = 0
-	}
-	rhi = (b - i + kb - 1) / kb
-	rhi -= 2
-	if rmax := (n - 1 - i) / kb; rhi > rmax {
-		rhi = rmax
-	}
-	return rlo, rhi
-}
-
-// runSegment executes the segment's rounds sweep-major: for each sweep of
-// the caravan in ascending order, the rounds falling in its skewed cut.
-// Rounds past the end of the band do not exist (roundsIn clamps them) and
-// rounds whose bulge never materialized are no-ops.
-func (w *work) runSegment(seg segment) {
-	for l := 0; l < seg.sweeps; l++ {
-		i := seg.i0 + l
-		rlo, rhi := roundsIn(i, seg.kb, seg.a-l*seg.skew, seg.b-l*seg.skew, w.n)
-		if rlo > rhi {
-			continue
-		}
-		if rlo == 0 {
-			w.annihilate(seg.kb, i)
-			rlo = 1
-		}
-		for r := rlo; r <= rhi; r++ {
-			w.chaseRound(seg.kb, i, r)
-		}
-	}
-}
-
-// span returns the inclusive column range the segment's rounds touch and
-// their modeled flop count (6 flops per rotated element pair, rotations
-// counted whether or not the data makes them trivial — the model is
-// data-independent, so simulated and measured graphs agree). ok is false
-// when the segment contains no rounds.
-func (seg segment) span(n int) (lo, hi int, flops float64, ok bool) {
-	lo, hi = n, -1
-	for l := 0; l < seg.sweeps; l++ {
-		i := seg.i0 + l
-		if i+seg.kb >= n {
-			break
-		}
-		rlo, rhi := roundsIn(i, seg.kb, seg.a-l*seg.skew, seg.b-l*seg.skew, n)
-		if rlo > rhi {
-			continue
-		}
-		if rlo == 0 {
-			// Annihilation: columns (i+kb−1, i+kb), rows [c−1−kb, c].
-			c := i + seg.kb
-			cnt := min(n-1, c) - max(0, c-1-seg.kb) + 1
-			flops += 6 * float64(cnt)
-			lo = min(lo, c-1)
-			hi = max(hi, c)
-			rlo = 1
-		}
-		if rlo > rhi {
-			continue
-		}
-		lo = min(lo, i+rlo*seg.kb-1)
-		hi = max(hi, min(n-1, i+rhi*seg.kb+seg.kb))
-		// Interior rounds (c+kb ≤ n−1): a (kb+2)-column row rotation plus
-		// a (kb+2)-row spill rotation each.
-		rint := (n - 1 - seg.kb - i) / seg.kb
-		if nFull := min(rhi, rint) - rlo + 1; nFull > 0 {
-			flops += float64(nFull) * 12 * float64(seg.kb+2)
-		}
-		// At most one round truncates at the matrix edge (rmax = rint+1)
-		// and has no spill.
-		for r := max(rlo, rint+1); r <= rhi; r++ {
-			c := i + r*seg.kb
-			flops += 6 * float64(n-c+1)
-		}
-	}
-	if hi < 0 {
-		return 0, 0, 0, false
-	}
-	return lo, hi, flops, true
-}
-
-// WindowWidth resolves the wavefront window parameter: a positive value
-// is used as given — clamped to n, since one window already covers the
-// whole band and an unclamped width would overflow the window count for
-// absurd inputs — and anything else selects DefaultWindow(n).
-func WindowWidth(n, window int) int {
+// granularity returns the caravan size S (sweeps) and step length G
+// (rounds) of the reduction of an n×n band with ku ≥ 1 superdiagonals.
+// S·G rounds reach taskFlops. window > 0 is a cut width in columns and
+// fixes G at window/ku, at least one round. Otherwise the caravan is
+// square, which minimizes its span G+S, when the sweeps are long enough
+// to overlap minOverlap of them, and G is the whole sweep when they are
+// not: the graph is then a chain of S-sweep tasks, which costs a second
+// worker nothing.
+func granularity(n, ku, window int) (s, g int) {
+	rounds := math.Ceil(taskFlops / roundFlops(ku, ku))
+	sweepsFor := func(g int) int { return int(math.Ceil(rounds / float64(g))) }
+	perSweep := (n-2)/ku + 1 // rounds of the longest sweep
 	if window > 0 {
-		if n > 0 && window > n {
-			return n
+		g = window / ku
+	} else {
+		g = int(math.Ceil(math.Sqrt(rounds)))
+		if overlap(perSweep, sweepsFor(g), g) < minOverlap {
+			g = perSweep
 		}
-		return window
 	}
-	return DefaultWindow(n)
+	g = max(min(g, perSweep), 1)
+	return sweepsFor(g), g
 }
 
-// NewWindowHandles registers the per-window data handles of a BND2BD
+// overlap is the model behind minOverlap: sweeps of perSweep/2 rounds on
+// average, caravans s+g rounds apart.
+func overlap(perSweep, s, g int) float64 { return float64(perSweep) / float64(2*(s+g)) }
+
+// Overlap returns the modeled number of chase tasks that can run at once
+// in the reduction of an n×n band with ku superdiagonals (window follows
+// Options.BND2BDWindow): at least 1, and exactly 1 when the steps are
+// whole sweeps.
+func Overlap(n, ku, window int) float64 {
+	ku = WindowWidth(n, ku) // ku as the reduction clamps it
+	s, g := granularity(n, ku, window)
+	return max(overlap((n-2)/ku+1, s, g), 1)
+}
+
+// WindowWidth returns the width in columns of the window handles of the
+// reduction of an n×n band with ku superdiagonals: one ku-block.
+func WindowWidth(n, ku int) int { return max(min(ku, n-1), 1) }
+
+// NewWindowHandles registers the column-window data handles of a BND2BD
 // reduction of an n×n band with ku superdiagonals on g and returns them
-// (nil for n = 0). window must already be resolved via WindowWidth. The
-// fused pipeline (internal/pipeline) creates the handles first, submits
-// its band-fill adapter tasks against them, and only then appends the
-// chase segments, so the sched runtime orders every segment after the
-// adapters that populate the columns it touches.
-func NewWindowHandles(g *sched.Graph, n, ku, window int) []*sched.Handle {
+// (nil for n = 0); handle j covers columns [j·w, (j+1)·w) for
+// w = WindowWidth(n, ku). The fused pipeline (internal/pipeline) creates
+// the handles first, submits its band-fill adapter tasks against them,
+// and only then appends the chase tasks, so the sched runtime orders
+// every chase task after the adapters that populate the columns it
+// touches.
+func NewWindowHandles(g *sched.Graph, n, ku int) []*sched.Handle {
 	if n <= 0 {
 		return nil
 	}
-	nwin := (n + window - 1) / window
-	handles := make([]*sched.Handle, nwin)
-	// A window never holds more than its in-band columns; clamp the size
-	// model so an absurdly wide user window cannot overflow the int32
-	// handle size (the distributed comm accounting sums these).
-	cols := min(window, n)
-	winBytes64 := int64(cols) * int64(ku+3) * 8
-	if winBytes64 > math.MaxInt32 {
-		winBytes64 = math.MaxInt32
-	}
-	winBytes := int32(winBytes64)
+	width := WindowWidth(n, ku)
+	handles := make([]*sched.Handle, (n+width-1)/width)
+	// The size model is the window's share of the work array.
+	bytes := int32(min(8*width*(3*width+1), math.MaxInt32))
 	for i := range handles {
-		handles[i] = g.NewHandle(winBytes, 0)
+		handles[i] = g.NewHandle(bytes, 0)
 	}
 	return handles
 }
 
-// BuildReduceGraph appends the pipelined BND2BD task DAG for b onto g and
-// returns the finisher that extracts the bidiagonal result once the
-// graph has been executed (by any sched engine: RunSequential,
-// RunParallel, or a simulator ignoring the closures). window ≤ 0 selects
-// DefaultWindow. The input matrix is not modified; the tasks share one
-// private working copy of the band.
+// BuildReduceGraph appends the BND2BD task DAG for b onto g and returns
+// the finisher that extracts the bidiagonal result once the graph has
+// been executed (by any sched engine: RunSequential, RunParallel, or a
+// simulator ignoring the closures). window follows
+// Options.BND2BDWindow. The input matrix is not modified; the tasks
+// share one private working copy of the band.
 func BuildReduceGraph(g *sched.Graph, b *Matrix, window int) (finish func() *Matrix) {
-	window = WindowWidth(b.N, window)
-	return buildSegments(g, newWork(b), window, NewWindowHandles(g, b.N, b.KU, window))
+	t := &Target{w: newWorkFrom(b)}
+	return t.BuildSegments(g, window, NewWindowHandles(g, b.N, b.KU))
 }
 
-// buildSegments emits the chase-segment tasks of the reduction over w
-// onto g, declaring read-write accesses on the given pre-registered
-// window handles, and returns the bidiagonal finisher. It is shared by
-// the staged entry point (BuildReduceGraph) and the fused one
-// (Target.BuildSegments).
-func buildSegments(g *sched.Graph, w *work, window int, handles []*sched.Handle) (finish func() *Matrix) {
-	n := w.n
-	var accs []sched.Access
-	for kb := w.ku; kb >= 2; kb-- {
-		skew := kb + 2
-		caravan := window / skew
-		if caravan < 1 {
-			caravan = 1
-		}
-		if caravan > maxCaravan {
-			caravan = maxCaravan
-		}
-		for i0 := 0; i0+kb < n; i0 += caravan {
-			sweeps := min(caravan, n-kb-i0)
-			// Cut range: the head's first round sits at position i0+kb;
-			// the last sweep's cuts are shifted right by its skew, and its
-			// final (capped) round has uncapped position < n+kb.
-			wFirst := (i0 + kb) / window
-			wLast := (n + kb + (sweeps-1)*skew) / window
-			for cut := wFirst; cut <= wLast; cut++ {
-				seg := segment{kb: kb, i0: i0, sweeps: sweeps, a: cut * window, b: (cut + 1) * window, skew: skew}
-				lo, hi, flops, ok := seg.span(n)
-				if !ok {
-					continue
-				}
-				accs = accs[:0]
-				for win := lo / window; win <= hi/window; win++ {
-					accs = append(accs, sched.RW(handles[win]))
-				}
-				g.AddTask(kernels.BRDSEGKind, 0, flops, flops,
-					func(*nla.Workspace) { w.runSegment(seg) }, accs...).
-					SetCoords(kb, i0, cut)
-			}
+// segment is one task: step t of the caravan of sweeps [i0, i0+s), g
+// rounds long.
+type segment struct {
+	i0, s, t, g int
+}
+
+// rounds returns the rounds of the segment's l-th sweep that exist
+// (rlo > rhi when there are none).
+func (seg segment) rounds(w *work, l int) (rlo, rhi int) {
+	rlo = max(seg.t*seg.g-l, 0)
+	rhi = min((seg.t+1)*seg.g-l-1, w.lastRound(seg.i0+l))
+	return rlo, rhi
+}
+
+// run executes the segment's rounds, sweep-major.
+func (w *work) run(seg segment, ws *nla.Workspace) {
+	mark := ws.Mark()
+	scratch := ws.ScratchVec(w.scratchElems())
+	for l := 0; l < seg.s; l++ {
+		rlo, rhi := seg.rounds(w, l)
+		for r := rlo; r <= rhi; r++ {
+			w.round(seg.i0+l, r, scratch)
 		}
 	}
-	return w.extract
+	ws.Release(mark)
 }
 
-// ReduceParallel performs BND2BD as a pipelined task graph on `workers`
-// workers (window ≤ 0 selects DefaultWindow). The result is
-// bitwise-identical to Reduce for every input — the graph's dependences
-// order all conflicting rotations exactly as the sequential sweeps do —
-// so either implementation can serve as the other's oracle. A recovered
-// kernel panic is returned as the error; the partial band is not.
+// span returns the inclusive range of band columns the segment's rounds
+// touch and their modeled flop count. ok is false when the segment
+// holds no round.
+func (seg segment) span(w *work) (lo, hi int, flops float64, ok bool) {
+	lo, hi = w.n, -1
+	for l := 0; l < seg.s; l++ {
+		i := seg.i0 + l
+		rlo, rhi := seg.rounds(w, l)
+		if rlo > rhi {
+			continue
+		}
+		lo = min(lo, i+1+rlo*w.ku)
+		hi = max(hi, min(i+(rhi+1)*w.ku, w.n-1))
+		flops += sweepFlops(w.n, w.ku, i, rlo, rhi)
+	}
+	return lo, hi, flops, hi >= 0
+}
+
+// buildSegments emits the tasks of the reduction over w onto g,
+// declaring read-write accesses on the given window handles.
+func buildSegments(g *sched.Graph, w *work, window int, handles []*sched.Handle) {
+	nsweeps := w.sweeps()
+	if nsweeps == 0 {
+		return
+	}
+	g.NeedScratch(w.scratchElems())
+	S, G := granularity(w.n, w.ku, window)
+	width := WindowWidth(w.n, w.ku)
+	var accs []sched.Access
+	for i0 := 0; i0 < nsweeps; i0 += S {
+		s := min(S, nsweeps-i0)
+		// The caravan's reflectors in flight, one per sweep.
+		inflight := g.NewHandle(int32(8*s*w.ku), 0)
+		// The caravan's last sweep finishes last: it starts s−1 rounds
+		// behind and sweeps lose at most one round per ku rows.
+		steps := (w.lastRound(i0+s-1)+s-1)/G + 1
+		for t := 0; t < steps; t++ {
+			seg := segment{i0: i0, s: s, t: t, g: G}
+			lo, hi, flops, ok := seg.span(w)
+			if !ok {
+				continue
+			}
+			accs = append(accs[:0], sched.RW(inflight))
+			for win := lo / width; win <= hi/width; win++ {
+				accs = append(accs, sched.RW(handles[win]))
+			}
+			g.AddTask(kernels.BRDSEGKind, 0, flops, flops,
+				func(ws *nla.Workspace) { w.run(seg, ws) }, accs...).
+				SetCoords(i0, s, t)
+		}
+	}
+}
+
+// ReduceParallel performs BND2BD as a task graph on `workers` workers
+// (window follows Options.BND2BDWindow). The result is bitwise-identical
+// to Reduce for every input — see the file comment — so either can serve
+// as the other's oracle. A recovered kernel panic is returned as the
+// error; the partial band is not.
 func ReduceParallel(b *Matrix, workers, window int) (*Matrix, error) {
 	g := sched.NewGraph()
 	finish := BuildReduceGraph(g, b, window)
@@ -302,13 +262,4 @@ func ReduceParallel(b *Matrix, workers, window int) (*Matrix, error) {
 		return nil, err
 	}
 	return finish(), nil
-}
-
-// ModelFlops returns the modeled flop count of reducing an n×n band with
-// ku superdiagonals (the sum of the task model in span): the figure
-// GFLOP/s rates of the BND2BD stage are quoted against.
-func ModelFlops(n, ku int) float64 {
-	g := sched.NewGraph()
-	BuildReduceGraph(g, New(n, ku), 0)
-	return g.Summary().TotalFlops
 }

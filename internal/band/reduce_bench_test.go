@@ -5,11 +5,11 @@ import (
 	"testing"
 )
 
-// BenchmarkBND2BD is the acceptance benchmark of the pipelined second
-// stage: an n=4096, KU=64 band — the shape GE2BND emits for a 4096²
-// matrix at nb=64 — reduced by the sequential reference and by the
-// pipelined task graph at several worker counts. The GFLOP/s metric uses
-// the data-independent rotation model (ModelFlops), so rates are directly
+// BenchmarkBND2BD is the acceptance benchmark of the second stage: an
+// n=4096, KU=64 band — the shape GE2BND emits for a 4096² matrix at
+// nb=64 — reduced by the sequential reference and by the task graph at
+// several worker counts. The GFLOP/s metric uses the data-independent
+// Householder flop model (ModelFlops), so rates are directly
 // comparable across commits and machines; cmd/bidiagbench -stage bnd2bd
 // emits the same figure as a BENCH_*.json trajectory record.
 func BenchmarkBND2BD(b *testing.B) {
@@ -37,7 +37,7 @@ func BenchmarkBND2BD(b *testing.B) {
 	}
 }
 
-// BenchmarkReduceSegments measures the pipelined graph at a laptop-sized
+// BenchmarkReduceSegments measures the task graph at a laptop-sized
 // shape so quick -bench runs see both implementations without the
 // acceptance benchmark's multi-second iterations.
 func BenchmarkReduceSegments(b *testing.B) {

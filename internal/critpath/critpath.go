@@ -196,15 +196,16 @@ func Theorem1Ratio(alpha, beta float64, q int) float64 {
 	return MeasureBidiag(trees.Greedy, p, q) / MeasureRBidiag(trees.Greedy, p, q)
 }
 
-// MeasureBND2BD builds the pipelined BND2BD DAG of an n×n band with ku
-// superdiagonals (window ≤ 0: the default width) and returns its measured
-// critical path and total work, both in modeled rotation flops — the
-// second-stage counterpart of the Section IV GE2BND measurements. The
-// Table I nb³/3 unit does not apply to chase segments, whose cost depends
-// on kb and window, so the natural unit here is the flop model itself;
-// work/cp bounds the speedup of the pipelined stage on unbounded
-// resources, and with a single window (window ≥ n) the DAG degenerates to
-// a chain with cp = work.
+// MeasureBND2BD builds the BND2BD DAG of an n×n band with ku
+// superdiagonals (window ≤ 0: the derived granularity) and returns its
+// measured critical path and total work, both in modeled Householder
+// flops — the second-stage counterpart of the Section IV GE2BND
+// measurements. The Table I nb³/3 unit does not apply to chase tasks,
+// whose cost depends on ku and the cut, so the natural unit here is the
+// flop model itself; work/cp bounds the speedup of the stage on unbounded
+// resources. Where a step spans the whole sweep — one window, or the
+// derived granularity on a band too short to pipeline — the DAG is a
+// chain with cp = work.
 func MeasureBND2BD(n, ku, window int) (cp, work float64) {
 	g := sched.NewGraph()
 	band.BuildReduceGraph(g, band.New(n, ku), window)
@@ -219,14 +220,16 @@ func MeasureBND2BD(n, ku, window int) (cp, work float64) {
 // additionally serializes the stages behind a barrier. All three lengths
 // are in modeled flops: the per-task flop counts are the only time base
 // the two stages share (Table I's nb³/3 unit does not apply to chase
-// segments). The cross-stage adapters carry zero flops, so
+// tasks). The cross-stage adapters carry zero flops, so
 //
 //	fused ≤ ge2bnd + bnd2bd
 //
 // always holds (every fused path is a stage-1 path, an adapter and a
-// stage-2 path laid end to end), and the inequality is strict for every
-// nondegenerate shape — square ones in particular — because the head of
-// the bulge chase runs while stage 1 is still working. The saving is,
+// stage-2 path laid end to end), and the inequality is strict wherever
+// the chase is cut into steps shorter than a sweep (an explicit window,
+// or the derived granularity from n ≈ 2000 on), because the head of the
+// bulge chase then runs while stage 1 is still working; whole-sweep steps
+// need the band end and start when stage 1 is over. The saving is,
 // however, bounded by the chase prefix ahead of the band's end: each
 // sweep drains its bulge off the band end, so consecutive sweeps are
 // serialized there, and the band end is finalized by the very last
@@ -237,7 +240,7 @@ func MeasureBND2BD(n, ku, window int) (cp, work float64) {
 // The fusion's larger practical win is throughput, not path length: the
 // barrier and the intermediate band materialization disappear, and
 // stage-2 work fills stage-1 stragglers on a finite worker pool.
-// window ≤ 0 selects the default wavefront width.
+// window ≤ 0 selects the derived granularity.
 func MeasurePipeline(tree trees.Kind, m, n, nb, window int) (fused, ge2bnd, bnd2bd float64) {
 	if m < n {
 		panic("critpath: MeasurePipeline requires m ≥ n")

@@ -23,11 +23,11 @@ const (
 	LACPYKind
 	// LASETKind zeroes a tile. Zero weight, like LACPYKind.
 	LASETKind
-	// BRDSEGKind is one chase segment of the pipelined BND2BD band
-	// reduction (internal/band): a caravan of Givens bulge chases advanced
-	// across one column window. It is not a Table I kernel — its cost is
-	// data-size dependent, so each task carries its own modeled weight and
-	// the table entry is 0.
+	// BRDSEGKind is one task of the BND2BD band reduction
+	// (internal/band): a caravan of Householder bulge-chase sweeps
+	// advanced through a few rounds. It is not a Table I kernel — its
+	// cost is data-size dependent, so each task carries its own modeled
+	// weight and the table entry is 0.
 	BRDSEGKind
 	// BANDCPKind drains the band region of a finished stage-1 tile into
 	// the working storage of the second stage (the cross-stage adapter of

@@ -19,9 +19,9 @@
 //	         diagonal (and first-superdiagonal) tile's band region into
 //	         the second stage's working storage (band.Target) the moment
 //	         the last stage-1 task writing it retires;
-//	BND2BD   the bulge-chase segments of the pipelined band reduction
-//	         (band.Target.BuildSegments), reading the same per-window
-//	         handles the adapters write.
+//	BND2BD   the caravan tasks of the Householder bulge chase
+//	         (band.Target.BuildSegments), reading the same ku-block
+//	         column-window handles the adapters write.
 //
 // An Executor is anything that can run a sched.Graph to completion:
 //
@@ -51,22 +51,26 @@
 // and reduces it as a separate graph (bidiag.Options.Fused = false keeps
 // this path as the oracle). With Spec.Fused = true the Plan carries all
 // three stages and there is no barrier and no intermediate band.Matrix
-// round-trip: bulge-chase sweeps over band columns [c, c+w) become
-// runnable as soon as the stage-1 tasks finalizing those diagonal and
-// superdiagonal tiles retire, which overlaps the chase wavefront with
+// round-trip: a chase task over band columns [c, c+w) becomes runnable
+// as soon as the stage-1 tasks finalizing those diagonal and
+// superdiagonal tiles retire, which overlaps the head of the chase with
 // the trailing stage-1 updates — the pipelining opportunity the paper's
 // critical-path analysis exposes. The adapters carry zero weight and
 // zero flops, so critpath.MeasurePipeline reports a fused critical path
-// never longer than cp(GE2BND) + cp(BND2BD), and strictly shorter for
-// every nondegenerate shape (square ones in particular). The
-// critical-path saving is bounded by the chase prefix ahead of the band
-// end — every sweep drains off the band end, which stage 1 finalizes
-// last — so the fusion's main practical win is throughput: no barrier,
-// no band round-trip, and stage-2 work filling stage-1 stragglers on a
-// finite pool (see critpath.MeasurePipeline for the full argument).
+// never longer than cp(GE2BND) + cp(BND2BD), and strictly shorter
+// wherever the chase is cut into steps shorter than a sweep — an explicit
+// Spec.Window, or the derived granularity on bands long enough to
+// pipeline (internal/band); a short band is chased in whole-sweep
+// tasks, which need the band end and so start when stage 1 is over. The
+// critical-path saving is in any case bounded by the chase prefix ahead
+// of the band end — every sweep drains off the band end, which stage 1
+// finalizes last — so the fusion's main practical win is throughput: no
+// barrier, no band round-trip, and stage-2 work filling stage-1
+// stragglers on a finite pool (see critpath.MeasurePipeline for the
+// full argument).
 //
 // Fusion changes the schedule, never the arithmetic: the adapters write
-// exactly the values ExtractBand would have copied, and the chase
-// segments run under the same window dependences as the staged graph,
-// so fused and staged singular values are bitwise-identical.
+// exactly the values ExtractBand would have copied, and the chase tasks
+// run under the same window dependences as the staged graph, so fused
+// and staged singular values are bitwise-identical.
 package pipeline

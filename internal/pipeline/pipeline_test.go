@@ -166,7 +166,7 @@ func TestStageAccounting(t *testing.T) {
 func TestBuildSimulationOnly(t *testing.T) {
 	sh := core.ShapeOf(256, 256, 32)
 	cfg := core.Config{Tree: trees.Greedy}
-	fused := Build(Spec{Shape: sh, Config: cfg, Fused: true})
+	fused := Build(Spec{Shape: sh, Config: cfg, Fused: true, Window: 64})
 	if fused.Tiles != nil {
 		t.Fatalf("simulation-only build materialized tiles")
 	}
@@ -176,14 +176,11 @@ func TestBuildSimulationOnly(t *testing.T) {
 	core.BuildBidiag(g1, sh, nil, cfg)
 	cp1 := g1.CriticalPath(sched.FlopsTime)
 	g2 := sched.NewGraph()
-	band.BuildReduceGraph(g2, band.New(256, 32), 0)
+	band.BuildReduceGraph(g2, band.New(256, 32), 64)
 	cp2 := g2.CriticalPath(sched.FlopsTime)
 
 	if cpFused <= 0 || cp1 <= 0 || cp2 <= 0 {
 		t.Fatalf("degenerate critical paths: fused=%v ge2bnd=%v bnd2bd=%v", cpFused, cp1, cp2)
-	}
-	if cpFused > cp1+cp2 {
-		t.Fatalf("fused cp %v exceeds staged sum %v", cpFused, cp1+cp2)
 	}
 	if cpFused >= cp1+cp2 {
 		t.Fatalf("square shape should overlap: fused cp %v not below staged sum %v", cpFused, cp1+cp2)

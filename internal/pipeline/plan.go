@@ -12,8 +12,9 @@ import (
 )
 
 // Spec describes the reduction plan to build. The zero Window selects
-// band.DefaultWindow; Data may be nil for simulation-only builds (the
-// graph then carries weights and dependences but no kernels).
+// the BND2BD stage's derived granularity; Data may be nil for
+// simulation-only builds (the graph then carries weights and dependences
+// but no kernels).
 type Spec struct {
 	// Graph, when non-nil, receives the plan's tasks instead of a fresh
 	// graph. Several independent plans built into ONE graph execute as a
@@ -31,10 +32,10 @@ type Spec struct {
 	Config core.Config
 	// RBidiag selects R-BIDIAG (QR first) instead of direct BIDIAG.
 	RBidiag bool
-	// Fused appends the BANDCP adapters and the BND2BD chase segments to
+	// Fused appends the BANDCP adapters and the BND2BD chase tasks to
 	// the same graph, removing the inter-stage barrier.
 	Fused bool
-	// Window is the BND2BD wavefront window width (≤ 0: default).
+	// Window is the BND2BD cut width in columns (≤ 0: derived).
 	Window int
 }
 
@@ -66,7 +67,7 @@ type Plan struct {
 
 // Build constructs the plan's task graph: the GE2BND stage always, plus —
 // when spec.Fused — the cross-stage adapters and the BND2BD chase
-// segments, all in one sched.Graph so dependence inference spans the
+// tasks, all in one sched.Graph so dependence inference spans the
 // stage boundary.
 func Build(spec Spec) *Plan {
 	g := spec.Graph
@@ -90,20 +91,19 @@ func Build(spec Spec) *Plan {
 
 	n := min(rsh.M, rsh.N)
 	target := band.NewTarget(n, rsh.NB)
-	width := band.WindowWidth(n, spec.Window)
-	win := band.NewWindowHandles(g, n, target.KU(), width)
+	win := band.NewWindowHandles(g, n, target.KU())
 	mark := len(g.Tasks)
-	buildAdapters(g, tap, target, win, width, n)
+	buildAdapters(g, tap, target, win, band.WindowWidth(n, target.KU()), n)
 	p.Stages = append(p.Stages, Stage{Name: "BANDCP", Tasks: len(g.Tasks) - mark})
 	mark = len(g.Tasks)
-	p.finish = target.BuildSegments(g, width, win)
+	p.finish = target.BuildSegments(g, spec.Window, win)
 	p.Stages = append(p.Stages, Stage{Name: "BND2BD", Tasks: len(g.Tasks) - mark})
 	return p
 }
 
-// BuildBND2BD returns a stage-2-only plan: the pipelined bulge-chase
-// reduction of an existing band matrix (window ≤ 0: default width). The
-// input is not modified.
+// BuildBND2BD returns a stage-2-only plan: the task-graph bulge-chase
+// reduction of an existing band matrix (window ≤ 0: derived granularity).
+// The input is not modified.
 func BuildBND2BD(b *band.Matrix, window int) *Plan {
 	g := sched.NewGraph()
 	finish := band.BuildReduceGraph(g, b, window)
@@ -147,7 +147,7 @@ func (p *Plan) Bidiagonal() *band.Matrix {
 // (so it becomes runnable when the last stage-1 writer of those regions
 // retires, not when the whole stage drains) and writes the band columns
 // it covers into the second stage's working storage, declaring
-// write accesses on the column-window handles the chase segments read.
+// write accesses on the column-window handles the chase tasks read.
 func buildAdapters(g *sched.Graph, tap *core.BandTap, target *band.Target, win []*sched.Handle, width, n int) {
 	sh := tap.Shape
 	nb := sh.NB

@@ -1,6 +1,6 @@
 // Package plan selects concrete execution configurations — tile size,
-// reduction tree, BND2BD window, fused vs staged, BIDIAG vs R-BIDIAG —
-// for the tiled bidiagonalization pipeline, combining the paper's
+// reduction tree, fused vs staged, BIDIAG vs R-BIDIAG — for the tiled
+// bidiagonalization pipeline, combining the paper's
 // critical-path machinery with measured execution feedback.
 //
 // # Model-seeded pricing
@@ -9,8 +9,10 @@
 // candidate set for a given (m, n, workers, kind) problem: tile sizes
 // from the machine model's cache-blocking sweet spot filtered to the
 // matrix, the tree shapes the paper compares (AUTO, FLATTS, GREEDY),
-// wavefront windows, fusion, and — for tall shapes passing Chan's
-// 3m ≥ 5n rule — R-bidiagonalization. Each candidate's stage-1 cost
+// fusion, and — for tall shapes passing Chan's 3m ≥ 5n rule —
+// R-bidiagonalization. The BND2BD cut width is not a plan dimension: the
+// band package derives it, and a caller's pin is carried through
+// unchanged (profiles persisted with a window still load). Each candidate's stage-1 cost
 // comes from building its real task DAG simulation-only (pipeline.Build
 // with nil data, exactly as critpath.MeasurePipeline does) and
 // list-scheduling it on `workers` virtual cores (sched.SimulateFixed)
@@ -19,9 +21,10 @@
 // The seed rates come from the calibrated machine model
 // (machine.Miriel: peak × per-kernel efficiency); the per-task overhead
 // keeps tiny tiles from looking free. The bulge-chase stage is priced
-// in closed form (its DAG is Θ(n²/window) tasks — too large to build
-// per candidate): memory-bound work 6·n²·nb over the BRDSEG rate times
-// the window-limited wavefront parallelism. Staged plans price as
+// in closed form: band.ModelFlops (about 8·n²·nb Householder flops)
+// over the BRDSEG rate times the number of chase tasks that can run at
+// once (band.Overlap, bounded by the n/nb rounds of a sweep and by the
+// worker count). Staged plans price as
 // stage-1 + stage-2 (the barrier); fused plans price as overlap,
 // max(T1, T2) plus a residual quarter of the shorter stage for the
 // fill and drain. Shapes whose stage-1 DAG would itself blow the

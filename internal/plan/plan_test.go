@@ -1,9 +1,12 @@
 package plan
 
 import (
+	"math"
 	"testing"
 	"time"
 
+	"github.com/tiled-la/bidiag/internal/band"
+	"github.com/tiled-la/bidiag/internal/kernels"
 	"github.com/tiled-la/bidiag/internal/nla"
 	"github.com/tiled-la/bidiag/internal/trees"
 )
@@ -34,6 +37,15 @@ func TestEnumerateHonorsPins(t *testing.T) {
 	for _, c := range Enumerate(winReq) {
 		if c.Window != 96 {
 			t.Fatalf("pinned window=96, got candidate %s", c)
+		}
+	}
+	// The cut width is not a plan dimension: unpinned, every candidate
+	// leaves it to the band package, whatever the shape and worker count.
+	for _, req := range []Request{base, {M: 4096, N: 4096, Workers: 8, Kind: KindValues}} {
+		for _, c := range Enumerate(req) {
+			if c.Window != 0 {
+				t.Fatalf("unpinned window, got candidate %s", c)
+			}
 		}
 	}
 
@@ -233,5 +245,27 @@ func TestKindPricing(t *testing.T) {
 				t.Fatalf("%s priced a fused plan: %s", kind, c.Config)
 			}
 		}
+	}
+}
+
+// TestStage2Pricing pins the closed-form chase price: the Householder
+// flop model over the BRDSEG rate, sped up by extra workers only where
+// the band is long enough to pipeline.
+func TestStage2Pricing(t *testing.T) {
+	rates := SeedRates()
+	price := func(n, workers int) float64 {
+		p := &pricer{req: Request{M: n, N: n, Workers: workers, Kind: KindValues}.normalized(),
+			rates: rates, s1: map[Config]Candidate{}, s2: map[Config]Candidate{}}
+		return p.stage2(Config{NB: 64}).Cost
+	}
+	want := band.ModelFlops(768, 64) / rates.PerKind[kernels.BRDSEGKind]
+	if got := price(768, 1); math.Abs(got-want) > 1e-12*want {
+		t.Fatalf("stage2(768², 1 worker) = %g, want flops/rate = %g", got, want)
+	}
+	if one, eight := price(768, 1), price(768, 8); eight != one {
+		t.Fatalf("a 12-round band cannot pipeline: 8 workers priced %g, 1 worker %g", eight, one)
+	}
+	if one, eight := price(8192, 1), price(8192, 8); eight >= one/2 {
+		t.Fatalf("a 128-round band pipelines: 8 workers priced %g, 1 worker %g", eight, one)
 	}
 }

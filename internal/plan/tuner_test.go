@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"github.com/tiled-la/bidiag/internal/trees"
 )
 
 func testReq() Request {
@@ -266,5 +268,29 @@ func TestRestoreDropsInvalidConfigs(t *testing.T) {
 	tn.restore(st)
 	if len(tn.profiles) != 0 {
 		t.Fatal("invalid persisted config survived restore")
+	}
+}
+
+// TestRestoreKeepsWindowedProfiles checks profiles persisted while the
+// planner still enumerated BND2BD windows keep loading: the window is
+// carried as a pin of that candidate, not rejected.
+func TestRestoreKeepsWindowedProfiles(t *testing.T) {
+	st := State{Version: StateVersion, Profiles: []ProfileState{{
+		Key: Key{Kind: KindValues, RowsBucket: 10, ColsBucket: 10, Workers: 4},
+		M:   1024, N: 1024, Promoted: 1,
+		Candidates: []CandidateState{
+			{Config: Config{NB: 64, Tree: trees.Greedy}, Samples: 3, GFlops: 10},
+			{Config: Config{NB: 64, Tree: trees.Greedy, Window: 64, Fused: true}, Samples: 3, GFlops: 12},
+		},
+	}}}
+	tn := NewTuner(TunerConfig{MinSamples: 3})
+	tn.restore(st)
+	if len(tn.profiles) != 1 {
+		t.Fatal("a persisted profile with a non-zero window was dropped")
+	}
+	for _, p := range tn.profiles {
+		if len(p.cands) != 2 || p.cands[1].cfg.Window != 64 {
+			t.Fatalf("window not restored: %+v", p.cands)
+		}
 	}
 }

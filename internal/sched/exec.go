@@ -153,7 +153,13 @@ func (g *Graph) RunParallelCtx(ctx context.Context, workers int) error {
 						}
 					}
 				}
-				cond.Broadcast()
+				// This worker takes one ready task itself on its next
+				// turn; sleepers are woken only for work beyond that (or
+				// to exit). Waking them for a lone successor makes a
+				// chain-like graph hop between cores on every task.
+				if len(ready) > 1 || remaining == 0 || stopped {
+					cond.Broadcast()
+				}
 				mu.Unlock()
 			}
 		}(w)

@@ -349,10 +349,14 @@ func (s *Service) request(req JobRequest) (serve.Request, error) {
 	if req.Opts != nil {
 		raw = *req.Opts
 	}
-	// Validate options eagerly so Submit fails fast, then again inside
-	// Build (prepare is cheap and keeps the closure self-contained).
+	// Validate options and input eagerly so Submit fails fast; Build
+	// resolves the options again (cheap, and keeps the closure
+	// self-contained) but does not rescan the matrix.
 	opts, err := raw.Validate()
 	if err != nil {
+		return serve.Request{}, err
+	}
+	if err := req.A.CheckFinite(); err != nil {
 		return serve.Request{}, err
 	}
 	if opts.Distributed != nil {
@@ -461,7 +465,7 @@ func (s *Service) planRequest(req JobRequest, raw, opts Options) (plan.Request, 
 // finish.
 func buildSingularValuesJob(a *Dense, o *Options) func(g *sched.Graph) (func() (any, error), error) {
 	return func(g *sched.Graph) (func() (any, error), error) {
-		opts, src, treeKind, _, err := prepare(a, o)
+		opts, src, treeKind, _, err := resolve(a, o)
 		if err != nil {
 			return nil, err
 		}
@@ -492,7 +496,7 @@ func buildSingularValuesJob(a *Dense, o *Options) func(g *sched.Graph) (func() (
 // application of the recorded reflectors, exactly as SVD does.
 func buildSVDJob(a *Dense, o *Options) func(g *sched.Graph) (func() (any, error), error) {
 	return func(g *sched.Graph) (func() (any, error), error) {
-		opts, src, treeKind, transposed, err := prepare(a, o)
+		opts, src, treeKind, transposed, err := resolve(a, o)
 		if err != nil {
 			return nil, err
 		}

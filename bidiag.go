@@ -567,8 +567,7 @@ func SingularValues(a *Dense, o *Options) ([]float64, error) {
 
 // SingularValuesCtx is SingularValues under a context: a cancelled ctx
 // stops scheduling new kernel tasks promptly (in-flight tiles finish)
-// and returns ctx.Err(). Distributed runs honor cancellation at
-// admission only.
+// and returns ctx.Err(), on every engine.
 func SingularValuesCtx(ctx context.Context, a *Dense, o *Options) ([]float64, error) {
 	opts, src, treeKind, _, err := prepare(a, o)
 	if err != nil {

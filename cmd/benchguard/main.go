@@ -7,10 +7,12 @@
 //	benchguard -ref BENCH_ge2bnd_1024.json -new out/BENCH_ge2bnd_1024.json
 //	benchguard -ref BENCH_bnd2bd_4096.json -new out/BENCH_bnd2bd_4096.json -tol 0.25
 //	benchguard -ref BENCH_kernels_apply.json -new out/BENCH_kernels_apply.json
+//	benchguard -ref BENCH_sched.json -new out/BENCH_sched.json
 //
-// Records with a kernels array (bidiagbench -stage apply) are gated
-// entry by entry as well as on the aggregate rate, so one kernel
-// regressing cannot hide behind the others improving.
+// Records with a kernels array (bidiagbench -stage apply) or a sched
+// array (-stage sched) are gated entry by entry as well as on the
+// aggregate rate, so one kernel or one dispatch case regressing cannot
+// hide behind the others improving.
 //
 // Improvements always pass; the checked-in record is only refreshed
 // deliberately, so the trajectory of committed numbers changes only on
@@ -43,12 +45,15 @@ type record struct {
 	WallSeconds float64 `json:"wall_seconds"`
 	GFlops      float64 `json:"gflops"`
 	JobsPerSec  float64 `json:"jobs_per_sec"`
+	TasksPerSec float64 `json:"tasks_per_sec"`
 
-	// Kernels carries the per-kernel rates of a -stage apply record.
-	// Each reference entry is matched to the fresh record by name and
-	// gated with the same tolerance as the headline rate, so one kernel
+	// Kernels carries the per-kernel rates of a -stage apply record,
+	// Sched the per-case dispatch costs of a -stage sched record. Each
+	// reference entry is matched to the fresh record by name and gated
+	// with the same tolerance as the headline rate, so one entry
 	// regressing cannot hide behind the aggregate.
 	Kernels []kernelRate `json:"kernels"`
+	Sched   []schedCost  `json:"sched"`
 
 	// Reconcile carries the model-vs-measured telemetry bidiagbench
 	// attaches to shared-memory records, CommFit and CommReconcile the
@@ -67,13 +72,46 @@ type kernelRate struct {
 	GFlops float64 `json:"gflops"`
 }
 
+// schedCost mirrors one entry of a -stage sched record's sched array.
+type schedCost struct {
+	Case      string  `json:"case"`
+	NsPerTask float64 `json:"ns_per_task"`
+}
+
 // rate returns the record's guarded figure: throughput records (batch
-// runs) track jobs/s, compute records GFLOP/s.
+// runs) track jobs/s, scheduler records tasks/s, compute records GFLOP/s.
 func (r record) rate() (float64, string) {
 	if r.JobsPerSec > 0 {
 		return r.JobsPerSec, "jobs/s"
 	}
+	if r.TasksPerSec > 0 {
+		return r.TasksPerSec, "tasks/s"
+	}
 	return r.GFlops, "GFLOP/s"
+}
+
+// entry is one named per-entry figure of a record, as a rate (higher is
+// better) so every kind of entry is gated the same way.
+type entry struct {
+	name, unit string
+	rate       float64
+}
+
+// entries lists the record's per-kernel and per-case figures. A dispatch
+// cost becomes the tasks one worker loop gets through per microsecond.
+func (r record) entries() []entry {
+	var es []entry
+	for _, k := range r.Kernels {
+		es = append(es, entry{k.Kernel, "GFLOP/s", k.GFlops})
+	}
+	for _, c := range r.Sched {
+		rate := 0.0
+		if c.NsPerTask > 0 {
+			rate = 1e3 / c.NsPerTask
+		}
+		es = append(es, entry{c.Case, "tasks/µs", rate})
+	}
+	return es
 }
 
 func load(path string) (record, error) {
@@ -85,8 +123,8 @@ func load(path string) (record, error) {
 	if err := json.Unmarshal(blob, &r); err != nil {
 		return r, fmt.Errorf("%s: %w", path, err)
 	}
-	if r.GFlops <= 0 && r.JobsPerSec <= 0 {
-		return r, fmt.Errorf("%s: missing or non-positive gflops / jobs_per_sec", path)
+	if rate, _ := r.rate(); rate <= 0 {
+		return r, fmt.Errorf("%s: missing or non-positive gflops / jobs_per_sec / tasks_per_sec", path)
 	}
 	// Parsed for forward compatibility, never compared.
 	r.Reconcile, r.CommFit, r.CommReconcile = nil, nil, nil
@@ -159,31 +197,32 @@ func main() {
 			unit, 100*(1-ratio), 100**tol)
 		failed = true
 	}
-	// Per-kernel gates of an apply record: every kernel the reference
-	// tracks must be present in the fresh record and within tolerance.
-	newKernels := map[string]kernelRate{}
-	for _, k := range got.Kernels {
-		newKernels[k.Kernel] = k
+	// Per-entry gates of an apply or sched record: every entry the
+	// reference tracks must be present in the fresh record and within
+	// tolerance.
+	fresh := map[string]entry{}
+	for _, e := range got.entries() {
+		fresh[e.name] = e
 	}
-	for _, rk := range ref.Kernels {
-		nk, ok := newKernels[rk.Kernel]
+	for _, re := range ref.entries() {
+		ne, ok := fresh[re.name]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "benchguard: kernel %s in reference but missing from new record\n", rk.Kernel)
+			fmt.Fprintf(os.Stderr, "benchguard: %s in reference but missing from new record\n", re.name)
 			failed = true
 			continue
 		}
-		if rk.GFlops <= 0 || nk.GFlops <= 0 {
-			fmt.Fprintf(os.Stderr, "benchguard: kernel %s has non-positive gflops (ref %.2f, new %.2f)\n",
-				rk.Kernel, rk.GFlops, nk.GFlops)
+		if re.rate <= 0 || ne.rate <= 0 {
+			fmt.Fprintf(os.Stderr, "benchguard: %s has a non-positive rate (ref %.2f, new %.2f)\n",
+				re.name, re.rate, ne.rate)
 			failed = true
 			continue
 		}
-		kr := nk.GFlops / rk.GFlops
-		fmt.Printf("  %-6s: %.2f GFLOP/s vs reference %.2f (%.0f%%)\n",
-			rk.Kernel, nk.GFlops, rk.GFlops, 100*kr)
-		if kr < 1-*tol {
-			fmt.Fprintf(os.Stderr, "benchguard: kernel %s regressed %.0f%% (> %.0f%% allowed)\n",
-				rk.Kernel, 100*(1-kr), 100**tol)
+		er := ne.rate / re.rate
+		fmt.Printf("  %-18s: %.2f %s vs reference %.2f (%.0f%%)\n",
+			re.name, ne.rate, re.unit, re.rate, 100*er)
+		if er < 1-*tol {
+			fmt.Fprintf(os.Stderr, "benchguard: %s regressed %.0f%% (> %.0f%% allowed)\n",
+				re.name, 100*(1-er), 100**tol)
 			failed = true
 		}
 	}

@@ -14,6 +14,7 @@
 //	bidiagbench -stage full -m 1024 -nb 64 -workers 4 -json BENCH_full.json
 //	bidiagbench -stage batch -n 256 -jobs 64 -workers 4 -json BENCH_batch.json
 //	bidiagbench -stage apply -nb 64 -reps 3 -json BENCH_kernels_apply.json
+//	bidiagbench -stage sched -reps 5 -json BENCH_sched.json
 //	bidiagbench -list
 //
 // Experiments: table1, fig2a..fig2f, fig3a..fig3f, fig4a..fig4f,
@@ -47,7 +48,11 @@
 // isolation (UNMQR, TSMQR, UNMLQ, TSMLQ at tile size -nb, the compact-WY
 // hot path the AVX2 micro-kernels accelerate): each is rated in GFLOP/s
 // and recorded in the kernels array of the JSON record, which
-// cmd/benchguard gates entry by entry.
+// cmd/benchguard gates entry by entry. With -stage sched the timed run
+// is the shared-memory worker loop itself: graphs of 100 000 no-op tasks,
+// independent and chained, at 1, 2 and 4 workers, through RunParallel and
+// through one long-lived sched.Runtime, each rated in ns per task in the
+// sched array of the record, which benchguard gates case by case.
 package main
 
 import (
@@ -210,6 +215,12 @@ type perfResult struct {
 	// every other stage. benchguard compares entries by name.
 	Kernels []kernelRate `json:"kernels,omitempty"`
 
+	// Sched are the per-case dispatch costs of a -stage sched run and
+	// TasksPerSec their aggregate, the record's guarded rate; zero for
+	// every other stage. benchguard compares entries by case.
+	Sched       []schedCost `json:"sched,omitempty"`
+	TasksPerSec float64     `json:"tasks_per_sec,omitempty"`
+
 	// Reconcile is the model-vs-measured report of one extra traced rep
 	// (shared-memory ge2bnd runs only): the simulated makespan of the
 	// same DAG converted to seconds at the measured kernel rate, next to
@@ -347,6 +358,87 @@ type kernelRate struct {
 	Kernel      string  `json:"kernel"`
 	GFlops      float64 `json:"gflops"`
 	WallSeconds float64 `json:"wall_seconds"`
+}
+
+// schedCost is one entry of a -stage sched record: the best wall time per
+// task of one graph shape on one worker count through one entry point.
+type schedCost struct {
+	Case      string  `json:"case"` // shape/entry/wN, e.g. chain/runtime/w4
+	NsPerTask float64 `json:"ns_per_task"`
+}
+
+// schedTasks is the size of the -stage sched graphs: enough tasks that
+// starting and winding down a pool vanish in the per-task figure.
+const schedTasks = 100_000
+
+// runPerfSched times the shared-memory worker loop on no-op tasks, so the
+// figure is dispatch cost alone: independent tasks time the ready-queue
+// hand-off, a dependent chain times the path from a completion to its
+// successor starting. "run" pays for a pool per graph (RunParallel),
+// "runtime" submits to one that stays up, as the serving layer does.
+func runPerfSched(reps int, jsonPath string) error {
+	if reps < 1 {
+		reps = 1
+	}
+	noop := func(*nla.Workspace) {}
+	build := func(chain bool) *sched.Graph {
+		g := sched.NewGraph()
+		h := g.NewHandle(8, 0)
+		for i := 0; i < schedTasks; i++ {
+			if chain {
+				g.AddTask(kernels.LACPYKind, 0, 1, 0, noop, sched.RW(h))
+			} else {
+				g.AddTask(kernels.LACPYKind, 0, 1, 0, noop)
+			}
+		}
+		return g
+	}
+	workerCounts := []int{1, 2, 4}
+	res := perfResult{Experiment: "sched", Workers: workerCounts[len(workerCounts)-1], Tasks: schedTasks, Reps: reps}
+	var total time.Duration
+	for _, shape := range []string{"empty", "chain"} {
+		g := build(shape == "chain")
+		for _, workers := range workerCounts {
+			rt := sched.NewRuntime(workers)
+			entries := []struct {
+				name string
+				run  func() error
+			}{
+				{"run", func() error { return g.RunParallel(workers) }},
+				{"runtime", func() error {
+					h, err := rt.Submit(context.Background(), g, sched.JobOptions{})
+					if err != nil {
+						return err
+					}
+					return h.Wait()
+				}},
+			}
+			for _, e := range entries {
+				best := time.Duration(1<<63 - 1)
+				for r := 0; r < reps; r++ {
+					start := time.Now()
+					if err := e.run(); err != nil {
+						rt.Close()
+						return err
+					}
+					best = min(best, time.Since(start))
+				}
+				total += best
+				c := schedCost{
+					Case:      fmt.Sprintf("%s/%s/w%d", shape, e.name, workers),
+					NsPerTask: float64(best.Nanoseconds()) / schedTasks,
+				}
+				res.Sched = append(res.Sched, c)
+				fmt.Printf("  %-18s %7.1f ns/task\n", c.Case, c.NsPerTask)
+			}
+			rt.Close()
+		}
+	}
+	res.WallSeconds = total.Seconds()
+	res.TasksPerSec = float64(len(res.Sched)) * schedTasks / total.Seconds()
+	fmt.Printf("sched: %d cases of %d tasks, %.2f Mtasks/s overall (best of %d)\n",
+		len(res.Sched), schedTasks, res.TasksPerSec/1e6, reps)
+	return writeResult(res, jsonPath)
 }
 
 // runPerfApply rates the four Householder-apply kernels in isolation at
@@ -718,7 +810,7 @@ func main() {
 	nFlag := flag.Int("n", 0, "columns for the timed run (default: m)")
 	nbFlag := flag.Int("nb", 64, "tile size for the timed run")
 	kuFlag := flag.Int("ku", 64, "band width for a -stage bnd2bd timed run")
-	stage := flag.String("stage", "ge2bnd", "timed-run stage: ge2bnd, bnd2bd, full (fused end-to-end pipeline), batch (service throughput), or apply (isolated Householder-apply kernel rates)")
+	stage := flag.String("stage", "ge2bnd", "timed-run stage: ge2bnd, bnd2bd, full (fused end-to-end pipeline), batch (service throughput), apply (isolated Householder-apply kernel rates), or sched (worker-loop dispatch cost)")
 	jobsFlag := flag.Int("jobs", 64, "workload size for a -stage batch timed run")
 	gateFlag := flag.Bool("gate", false, "-stage batch: fail unless batched throughput beats sequential")
 	windowFlag := flag.Int("window", 0, "BND2BD wavefront window for -stage full (0: default)")
@@ -745,6 +837,8 @@ func main() {
 		switch *stage {
 		case "apply":
 			err = runPerfApply(*nbFlag, *repsFlag, *jsonOut)
+		case "sched":
+			err = runPerfSched(*repsFlag, *jsonOut)
 		case "full":
 			m, n := *mFlag, *nFlag
 			if m <= 0 {
@@ -788,7 +882,7 @@ func main() {
 			}
 			err = runPerf(m, n, *nbFlag, *workersFlag, *nodes, gr, gc, *repsFlag, *jsonOut)
 		default:
-			fmt.Fprintf(os.Stderr, "unknown -stage %q; want ge2bnd, bnd2bd, full, batch or apply\n", *stage)
+			fmt.Fprintf(os.Stderr, "unknown -stage %q; want ge2bnd, bnd2bd, full, batch, apply or sched\n", *stage)
 			os.Exit(2)
 		}
 		if err != nil {

@@ -78,6 +78,9 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// QueueCap.
 	gauge("bidiagd_queue_capacity", "Total admission capacity across both queues.", float64(2*st.QueueCap))
 	gauge("bidiagd_workspace_bytes", "Total scratch-arena footprint of the pool's workers.", float64(st.WorkspaceBytes))
+	gauge("bidiagd_sched_ready_tasks", "Runnable, undispatched tasks across all in-flight jobs.", float64(st.SchedReadyTasks))
+	counter("bidiagd_sched_worker_idle_seconds_total", "Cumulative time the pool's workers slept waiting for work.", st.SchedWorkerIdle.Seconds())
+	counter("bidiagd_sched_wakeups_total", "Sleeping workers woken by the scheduler.", float64(st.SchedWakeups))
 	gauge("bidiagd_cache_entries", "Entries in the result cache.", float64(st.CacheEntries))
 	gauge("bidiagd_cache_bytes", "Bytes held by the result cache.", float64(st.CacheBytes))
 	gauge("bidiagd_cache_capacity_bytes", "Result cache budget.", float64(st.CacheCap))
@@ -171,6 +174,11 @@ func (s *server) snapshot() map[string]any {
 		"cache_entries":   st.CacheEntries,
 		"cache_bytes":     st.CacheBytes,
 		"workspace_bytes": st.WorkspaceBytes,
+		"sched": map[string]any{
+			"ready_tasks":         st.SchedReadyTasks,
+			"worker_idle_seconds": st.SchedWorkerIdle.Seconds(),
+			"wakeups":             st.SchedWakeups,
+		},
 		"plan_decisions": map[string]any{
 			"model":   pc.Model,
 			"explore": pc.Explore,

@@ -188,7 +188,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 	if stats["jobs_done"].(float64) < 1 {
 		t.Fatalf("stats: %v", stats)
 	}
-	for _, key := range []string{"queue_depth", "jobs_per_second", "latency_p50_ms", "latency_p99_ms", "cache_hit_rate", "workspace_bytes"} {
+	for _, key := range []string{"queue_depth", "jobs_per_second", "latency_p50_ms", "latency_p99_ms", "cache_hit_rate", "workspace_bytes", "sched"} {
 		if _, ok := stats[key]; !ok {
 			t.Fatalf("stats missing %q: %v", key, stats)
 		}
@@ -228,6 +228,9 @@ func TestPrometheusMetrics(t *testing.T) {
 		"bidiagd_job_latency_seconds_count 1",
 		"# TYPE bidiagd_job_queue_wait_seconds histogram",
 		"bidiagd_workspace_bytes",
+		"# TYPE bidiagd_sched_ready_tasks gauge",
+		"# TYPE bidiagd_sched_worker_idle_seconds_total counter",
+		"# TYPE bidiagd_sched_wakeups_total counter",
 		"bidiagd_cache_misses_total 1",
 		"bidiagd_uptime_seconds",
 	} {

@@ -6,10 +6,13 @@
 //
 // # Execution models
 //
-// Execute runs all nodes as goroutine pools inside one process and is
-// the reference for communication accounting: its CommCount/CommVolume
-// equal sched.SimulateDistributed's prediction for the same graph and
-// grid by construction.
+// There is one engine, the distributed-memory worker loop (nodeEngine):
+// one rank's ready heap, workers, NIC and receiver. It is a different
+// loop from the shared-memory sched.Runtime for one reason — a rank
+// cannot see its peers' dependence counters, so it keeps its own and
+// decrements them when frames arrive: payload frames for remote
+// read-after-write edges, payload-free ordering frames for remote
+// WAR/WAW edges.
 //
 // ExecuteNode is the SPMD entry point for one rank of a multi-process
 // run: every process builds the identical graph over its own full input
@@ -17,6 +20,17 @@
 // through the configured Transport. With Gather set, non-root ranks
 // stream their owned output tiles to rank 0 so the root holds the full
 // factorized matrix.
+//
+// Execute (ExecuteCtx) is Grid.Nodes() of those ranks in one process
+// over one transport and ONE graph, their results summed. It is the
+// reference for communication accounting: its CommCount/CommVolume
+// equal sched.SimulateDistributed's prediction for the same graph and
+// grid by construction. Sharing an address space changes one thing: a
+// frame's data is already in place when the frame arrives, so the
+// receiving rank accounts the frame and takes its enables but does not
+// restore the payload (rewriting those bytes would race the producer
+// rank's own readers). Cancelling the context, or any rank failing,
+// stops dispatch on every rank.
 //
 // # Transports
 //
@@ -73,7 +87,9 @@
 // one OpSend event per frame its NIC hands to the transport (ring index
 // rank·wpn+wpn) and one OpRecv event per frame its receiver acts on
 // after dedup (ring index rank·wpn+wpn+1), carrying peer rank, wire and
-// payload bytes, and the outbox queue wait. Self-sends never touch a
+// payload bytes, and the outbox queue wait. Execute's ranks share one
+// tracer, where those indices are the next rank's worker rings, so a
+// traced Execute records task events only. Self-sends never touch a
 // wire and are excluded, so per-rank send-event byte sums equal the
 // transport's WireStats counters exactly. With no tracer attached the
 // frame paths stay on the pre-telemetry fast path behind a single flag

@@ -2,7 +2,9 @@ package dist
 
 import (
 	"container/heap"
+	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,35 +59,61 @@ type NodeOptions struct {
 	StallTimeout time.Duration
 }
 
-// nodeEngine is the per-process twin of engine: one rank's ready heap,
-// worker pool and NIC, with remote dependencies crossing a real wire in
-// both directions. Where the in-process engine only ships data edges
-// (cross-node ordering edges degenerate to local enables under one
-// address space), this engine must also ship ordering frames — a WAR/WAW
-// edge whose endpoints live in different processes has no shared counter
-// to decrement. Ordering frames carry no payload and are excluded from
-// the communication accounting, which therefore still matches
+// nodeEngine is the distributed-memory worker loop: one rank's ready
+// heap, worker pool and NIC. It differs from the shared-memory loop
+// (sched.Runtime) for one reason: a rank cannot see its peers' dependence
+// counters, so it keeps its own and feeds them from frames. A remote
+// read-after-write edge arrives as a payload frame, and a remote WAR/WAW
+// edge — which has no shared counter to decrement either — as a
+// payload-free ordering frame. Ordering frames are excluded from the
+// communication accounting, which therefore matches
 // sched.SimulateDistributed exactly.
+//
+// ExecuteNode runs one engine per process; Execute runs Grid.Nodes() of
+// them in one process over one graph.
 type nodeEngine struct {
 	g     *sched.Graph
 	tr    Transport
 	rank  int32
 	nodes int32
-	nd    *execNode
+	wpn   int
+	opt   NodeOptions
+
+	// sameAddressSpace is set when every rank of the job runs in this
+	// process over this one graph (Execute): a frame's data is then already
+	// in place when the frame arrives, and restoring it would rewrite bytes
+	// the producer rank's own readers may be reading. The frame is still
+	// shipped, accounted and used for its enables. This is the only branch
+	// on where the peers live.
+	sameAddressSpace bool
 
 	// ws is the transport's optional wire accounting, asserted once at
-	// setup. links is its optional per-link telemetry. When the graph
-	// carries a tracer, nicRing and recvRing are this rank's comm-event
-	// rings (indices rank·wpn+wpn and rank·wpn+wpn+1, just past the
-	// worker rings) and origin its time base. trackComm is the single
-	// flag the frame paths check: false keeps them byte-for-byte on the
-	// pre-telemetry fast path.
+	// setup. links is its optional per-link telemetry. nicRing and
+	// recvRing are this rank's comm-event rings and origin their time
+	// base, set by ExecuteNode when the graph carries a tracer. trackComm
+	// is the single flag the frame paths check: false keeps them
+	// byte-for-byte on the pre-telemetry fast path.
 	ws        WireStatser
 	links     *LinkStats
 	nicRing   *obs.Ring
 	recvRing  *obs.Ring
 	origin    time.Time
 	trackComm bool
+
+	// mu guards the ready heap — runnable tasks owned by this rank,
+	// highest bottom-level priority first — and busy.
+	mu    sync.Mutex
+	cond  *sync.Cond
+	ready sched.ReadyHeap
+	busy  time.Duration
+
+	// The outbox is drained by a single sender goroutine, the rank's NIC.
+	// outEnq parallels it with enqueue timestamps when trackComm is set.
+	outMu     sync.Mutex
+	outCond   *sync.Cond
+	outbox    []Message
+	outEnq    []time.Time
+	outClosed bool
 
 	preds     []int32
 	statMu    sync.Mutex
@@ -95,8 +123,18 @@ type nodeEngine struct {
 	finished  bool
 	res       Result
 
-	stop     chan struct{} // closed on failure or after the job drains
+	// stop is closed when the job is over on this rank — on failure, or
+	// once the NIC has drained — and releases the watchdog and the gather
+	// wait. The receiver outlives a failure: it exits on drained, closed
+	// only after the NIC has drained, and discards frames in between so
+	// a peer's send never blocks on this rank's inbox.
+	stop     chan struct{}
 	stopOnce sync.Once
+	drained  chan struct{}
+	// seen and gathered are the receiver's dedup sets: data/ordering
+	// frames by producer, gather frames by sender rank.
+	seen     map[int32]bool
+	gathered map[int32]bool
 	// gatherOK is closed once every peer's gather frame arrived (rank 0
 	// only). The payloads are buffered in gathers and restored by the
 	// main goroutine after the local workers have quiesced — restoring
@@ -118,42 +156,69 @@ type nodeEngine struct {
 // address space.
 //
 // The returned Result carries this rank's share of the communication:
-// summing CommCount/CommVolume over all ranks reproduces the in-process
-// executor's figures and the SimulateDistributed prediction.
+// summing CommCount/CommVolume over all ranks reproduces the
+// SimulateDistributed prediction.
 func ExecuteNode(g *sched.Graph, opt NodeOptions) (*Result, error) {
 	if err := opt.Grid.Validate(); err != nil {
 		return nil, err
 	}
-	n := opt.Grid.Nodes()
-	if opt.Rank < 0 || opt.Rank >= n {
+	if opt.Rank < 0 || opt.Rank >= opt.Grid.Nodes() {
 		return nil, fmt.Errorf("dist: rank %d outside %s grid", opt.Rank, opt.Grid)
 	}
 	if opt.Transport == nil {
 		return nil, fmt.Errorf("dist: ExecuteNode requires a transport")
 	}
-	wpn := opt.WorkersPerNode
-	if wpn < 1 {
-		wpn = 1
+	if err := checkOwners(g); err != nil {
+		return nil, err
 	}
-	for _, t := range g.Tasks {
-		if t.Node < 0 {
-			return nil, fmt.Errorf("dist: task %d has negative owner %d", t.ID, t.Node)
-		}
+	g.ComputeBottomLevels(sched.WeightTime)
+	e := newNodeEngine(g, opt)
+	if tr := g.Tracer; tr != nil {
+		// This rank's comm rings sit just past its worker rings. Ranks
+		// sharing one tracer (Execute) get none: rank r's would alias rank
+		// r+1's worker rings.
+		e.origin = tr.Origin()
+		e.nicRing = tr.Ring(opt.Rank*e.wpn + e.wpn)
+		e.recvRing = tr.Ring(opt.Rank*e.wpn + e.wpn + 1)
+		e.trackComm = true
 	}
+	return e.run(context.Background())
+}
 
+// newNodeEngine sets up one rank over a validated graph whose bottom
+// levels are already computed.
+func newNodeEngine(g *sched.Graph, opt NodeOptions) *nodeEngine {
 	e := &nodeEngine{
-		g:     g,
-		tr:    opt.Transport,
-		rank:  int32(opt.Rank),
-		nodes: int32(n),
-		preds: make([]int32, len(g.Tasks)),
-		sent:  map[int64]struct{}{},
-		stop:  make(chan struct{}),
+		g:        g,
+		tr:       opt.Transport,
+		rank:     int32(opt.Rank),
+		nodes:    int32(opt.Grid.Nodes()),
+		wpn:      max(opt.WorkersPerNode, 1),
+		opt:      opt,
+		preds:    make([]int32, len(g.Tasks)),
+		sent:     map[int64]struct{}{},
+		stop:     make(chan struct{}),
+		drained:  make(chan struct{}),
+		seen:     map[int32]bool{},
+		gathered: map[int32]bool{},
 	}
-	e.res = Result{Nodes: n, WorkersPerNode: wpn, NodeBusy: make([]time.Duration, n), NodeRecv: make([]int, n)}
-	e.nd = &execNode{id: e.rank}
-	e.nd.cond = sync.NewCond(&e.nd.mu)
-	e.nd.outCond = sync.NewCond(&e.nd.outMu)
+	e.cond = sync.NewCond(&e.mu)
+	e.outCond = sync.NewCond(&e.outMu)
+	if ws, ok := e.tr.(WireStatser); ok {
+		e.ws = ws
+	}
+	if ls, ok := e.tr.(LinkStatser); ok {
+		e.links = ls.Links()
+		e.trackComm = e.links != nil
+	}
+	return e
+}
+
+// run executes this rank's tasks to completion, failure, or the
+// cancellation of ctx, and returns the rank's result.
+func (e *nodeEngine) run(ctx context.Context) (*Result, error) {
+	n, opt := int(e.nodes), e.opt
+	e.res = Result{Nodes: n, WorkersPerNode: e.wpn, NodeBusy: make([]time.Duration, n)}
 	if opt.Gather && e.rank == 0 {
 		e.gatherOK = make(chan struct{})
 		e.gathers = map[int32][]byte{}
@@ -161,9 +226,8 @@ func ExecuteNode(g *sched.Graph, opt NodeOptions) (*Result, error) {
 			close(e.gatherOK)
 		}
 	}
-
 	local := 0
-	for _, t := range g.Tasks {
+	for _, t := range e.g.Tasks {
 		if e.nodeOf(t) == e.rank {
 			local++
 		}
@@ -172,38 +236,26 @@ func ExecuteNode(g *sched.Graph, opt NodeOptions) (*Result, error) {
 		}
 	}
 	e.remaining = local
-	g.ComputeBottomLevels(sched.WeightTime)
-
 	var wireBase int64
-	if ws, ok := e.tr.(WireStatser); ok {
-		e.ws = ws
-		_, wireBase, _ = ws.WireStats()
+	if e.ws != nil {
+		_, wireBase, _ = e.ws.WireStats()
 	}
-	if ls, ok := e.tr.(LinkStatser); ok {
-		e.links = ls.Links()
-	}
-	if tr := g.Tracer; tr != nil {
-		e.origin = tr.Origin()
-		e.nicRing = tr.Ring(opt.Rank*wpn + wpn)
-		e.recvRing = tr.Ring(opt.Rank*wpn + wpn + 1)
-	}
-	e.trackComm = e.nicRing != nil || e.links != nil
 
 	// Seed the ready heap and the finished flag before any goroutine
 	// starts: a persistent mesh can already hold buffered frames for this
 	// job (staggered back-to-back cluster jobs), so the receiver may call
 	// enable() — mutating preds and pushing onto the ready heap —
 	// immediately, and would race these otherwise-unsynchronized writes.
-	for _, t := range g.Tasks {
+	for _, t := range e.g.Tasks {
 		if e.preds[t.ID] == 0 && e.nodeOf(t) == e.rank {
-			heap.Push(&e.nd.ready, t)
+			heap.Push(&e.ready, t)
 		}
 	}
-	if e.remaining == 0 {
-		e.finished = true
-	}
+	e.finished = e.remaining == 0
 
 	start := time.Now()
+	stopWatch := context.AfterFunc(ctx, func() { e.fail(context.Cause(ctx)) })
+	defer stopWatch()
 	var receivers, senders, workers sync.WaitGroup
 	receivers.Add(1)
 	go e.receiver(&receivers)
@@ -212,9 +264,11 @@ func ExecuteNode(g *sched.Graph, opt NodeOptions) (*Result, error) {
 	if opt.StallTimeout > 0 {
 		go e.watchdog(opt.StallTimeout)
 	}
-	for w := 0; w < wpn; w++ {
+	for w := 0; w < e.wpn; w++ {
 		workers.Add(1)
-		go e.worker(int(e.rank)*wpn+w, &workers)
+		// Global worker index rank*wpn+local, so a traced run lays out one
+		// lane per physical worker across all ranks.
+		go e.worker(int(e.rank)*e.wpn+w, &workers)
 	}
 	workers.Wait()
 
@@ -241,23 +295,24 @@ func ExecuteNode(g *sched.Graph, opt NodeOptions) (*Result, error) {
 		}
 	}
 
-	e.nd.outMu.Lock()
-	e.nd.outClosed = true
-	e.nd.outCond.Broadcast()
-	e.nd.outMu.Unlock()
+	e.outMu.Lock()
+	e.outClosed = true
+	e.outCond.Broadcast()
+	e.outMu.Unlock()
 	senders.Wait()
-	e.stopNow() // receiver exits; transport stays open for the next job
+	e.stopNow()
+	close(e.drained) // receiver exits; transport stays open for the next job
 	receivers.Wait()
-	if e.err != nil {
-		return nil, e.err
+	if err := e.currentErr(); err != nil {
+		return nil, err
 	}
 
 	e.res.Wall = time.Since(start)
 	e.res.TasksRun = local
-	e.res.NodeBusy[e.rank] = e.nd.busy
-	e.res.Busy = e.nd.busy
+	e.res.NodeBusy[e.rank] = e.busy
+	e.res.Busy = e.busy
 	if e.res.Wall > 0 {
-		e.res.Utilization = float64(e.res.Busy) / (float64(wpn) * float64(e.res.Wall))
+		e.res.Utilization = float64(e.res.Busy) / (float64(e.wpn) * float64(e.res.Wall))
 	}
 	if e.ws != nil {
 		frames, wire, _ := e.ws.WireStats()
@@ -277,8 +332,8 @@ func (e *nodeEngine) currentErr() error {
 	return e.err
 }
 
-// fail records the first fatal error, wakes the workers and stops the
-// receiver.
+// fail records the first fatal error, wakes the workers so they exit
+// after their in-flight task, and ends the job on this rank.
 func (e *nodeEngine) fail(err error) {
 	e.statMu.Lock()
 	if e.err == nil {
@@ -286,37 +341,40 @@ func (e *nodeEngine) fail(err error) {
 	}
 	e.finished = true
 	e.statMu.Unlock()
-	e.nd.mu.Lock()
-	e.nd.cond.Broadcast()
-	e.nd.mu.Unlock()
+	e.mu.Lock()
+	e.cond.Broadcast()
+	e.mu.Unlock()
 	e.stopNow()
 }
 
 func (e *nodeEngine) worker(id int, wg *sync.WaitGroup) {
 	defer wg.Done()
+	// One max-sized arena per worker: the rank's steady state allocates
+	// nothing.
 	ws := e.g.NewWorkspace()
-	nd := e.nd
 	for {
-		nd.mu.Lock()
-		for len(nd.ready) == 0 && !e.isFinished() {
-			nd.cond.Wait()
+		e.mu.Lock()
+		for len(e.ready) == 0 && !e.isFinished() {
+			e.cond.Wait()
 		}
-		if len(nd.ready) == 0 || e.currentErr() != nil {
-			nd.mu.Unlock()
+		if len(e.ready) == 0 || e.currentErr() != nil {
+			e.mu.Unlock()
 			return
 		}
-		t := heap.Pop(&nd.ready).(*sched.Task)
-		nd.mu.Unlock()
+		t := heap.Pop(&e.ready).(*sched.Task)
+		e.mu.Unlock()
 
 		begin := time.Now()
 		if err := e.g.RunTask(t, ws, id); err != nil {
+			// A panicking kernel strands every consumer of its output;
+			// fail the rank instead of killing the process.
 			e.fail(fmt.Errorf("dist: rank %d: %w", e.rank, err))
 			return
 		}
 		d := time.Since(begin)
-		nd.mu.Lock()
-		nd.busy += d
-		nd.mu.Unlock()
+		e.mu.Lock()
+		e.busy += d
+		e.mu.Unlock()
 
 		e.complete(t)
 	}
@@ -326,6 +384,15 @@ func (e *nodeEngine) isFinished() bool {
 	e.statMu.Lock()
 	defer e.statMu.Unlock()
 	return e.finished
+}
+
+// outMsg accumulates the frame for one destination rank during completion
+// processing.
+type outMsg struct {
+	dest    int32
+	bytes   int32 // first data edge's volume, the figure the simulator charges
+	handles []*sched.Handle
+	enable  []int32
 }
 
 // complete propagates a finished local task: enable local successors,
@@ -361,14 +428,7 @@ func (e *nodeEngine) complete(t *sched.Task) {
 				m.bytes = bytes
 			}
 			for _, h := range t.EdgeHandles(i) {
-				known := false
-				for _, seen := range m.handles {
-					if seen == h {
-						known = true
-						break
-					}
-				}
-				if !known {
+				if !slices.Contains(m.handles, h) {
 					m.handles = append(m.handles, h)
 				}
 			}
@@ -410,9 +470,9 @@ func (e *nodeEngine) complete(t *sched.Task) {
 	}
 	e.statMu.Unlock()
 	if fin {
-		e.nd.mu.Lock()
-		e.nd.cond.Broadcast()
-		e.nd.mu.Unlock()
+		e.mu.Lock()
+		e.cond.Broadcast()
+		e.mu.Unlock()
 	}
 }
 
@@ -431,37 +491,37 @@ func (e *nodeEngine) ship(msg Message) {
 		}
 		e.statMu.Unlock()
 	}
-	nd := e.nd
-	nd.outMu.Lock()
-	nd.outbox = append(nd.outbox, msg)
+	e.outMu.Lock()
+	e.outbox = append(e.outbox, msg)
 	if e.trackComm {
-		nd.outEnq = append(nd.outEnq, time.Now())
+		e.outEnq = append(e.outEnq, time.Now())
 	}
-	nd.outCond.Signal()
-	nd.outMu.Unlock()
+	e.outCond.Signal()
+	e.outMu.Unlock()
 }
 
-// sender is this rank's NIC: frames drain in FIFO order, one at a time.
+// sender is this rank's NIC: frames drain in FIFO order through the
+// transport, one at a time, serializing the rank's sends exactly as the
+// simulator's nicFree clock does.
 func (e *nodeEngine) sender(wg *sync.WaitGroup) {
 	defer wg.Done()
-	nd := e.nd
 	for {
-		nd.outMu.Lock()
-		for len(nd.outbox) == 0 && !nd.outClosed {
-			nd.outCond.Wait()
+		e.outMu.Lock()
+		for len(e.outbox) == 0 && !e.outClosed {
+			e.outCond.Wait()
 		}
-		if len(nd.outbox) == 0 {
-			nd.outMu.Unlock()
+		if len(e.outbox) == 0 {
+			e.outMu.Unlock()
 			return
 		}
-		msg := nd.outbox[0]
-		nd.outbox = nd.outbox[1:]
+		msg := e.outbox[0]
+		e.outbox = e.outbox[1:]
 		var enq time.Time
 		if e.trackComm {
-			enq = nd.outEnq[0]
-			nd.outEnq = nd.outEnq[1:]
+			enq = e.outEnq[0]
+			e.outEnq = e.outEnq[1:]
 		}
-		nd.outMu.Unlock()
+		e.outMu.Unlock()
 		if err := e.send(msg, enq); err != nil {
 			e.fail(fmt.Errorf("dist: rank %d transport send: %w", e.rank, err))
 			return
@@ -526,12 +586,10 @@ func (e *nodeEngine) recordRecv(msg Message, arrive time.Duration) {
 	})
 }
 
-// receiver consumes this rank's frame stream: restore payloads into the
-// local replicas, then release the tasks each frame enables. It exits on
-// e.stop rather than transport close, so a persistent mesh survives the
-// job. Duplicate frames (a faulty or retrying transport) are ignored —
-// restoring stale bytes after later local writes would corrupt data, and
-// double enables would corrupt the dependence counters.
+// receiver consumes this rank's frame stream until the NIC has drained
+// (e.drained) rather than until transport close, so a persistent mesh
+// survives the job. After a failure it keeps consuming and discards:
+// a peer's NIC must never block on this rank's inbox.
 func (e *nodeEngine) receiver(wg *sync.WaitGroup) {
 	defer wg.Done()
 	ch := e.tr.Recv(e.rank)
@@ -539,60 +597,69 @@ func (e *nodeEngine) receiver(wg *sync.WaitGroup) {
 		e.fail(fmt.Errorf("dist: transport has no receive stream for rank %d", e.rank))
 		return
 	}
-	seen := map[int32]bool{}     // data/ordering frames, by producer
-	gathered := map[int32]bool{} // gather frames, by sender rank
-	defer func() {
-		if r := recover(); r != nil {
-			e.fail(fmt.Errorf("dist: rank %d receive: %v", e.rank, r))
-		}
-	}()
 	for {
 		select {
 		case msg, ok := <-ch:
 			if !ok {
 				return
 			}
-			var arrive time.Duration
-			if e.recvRing != nil {
-				arrive = time.Since(e.origin)
+			if e.currentErr() != nil {
+				continue
 			}
-			e.progress.Add(1)
-			switch {
-			case msg.Producer == ProducerError:
-				e.recordRecv(msg, arrive)
-				e.fail(fmt.Errorf("dist: rank %d failed: %s", msg.From, msg.Payload))
-				return
-			case msg.Producer == ProducerGather:
-				if e.gathers == nil || gathered[msg.From] {
-					continue
-				}
-				gathered[msg.From] = true
-				e.gathers[msg.From] = msg.Payload
-				e.recordRecv(msg, arrive)
-				if len(gathered) == int(e.nodes)-1 {
-					close(e.gatherOK)
-				}
-			case msg.Producer == ProducerControl:
-				e.fail(fmt.Errorf("dist: rank %d received a control frame mid-job", e.rank))
-				return
-			case msg.Producer < 0 || int(msg.Producer) >= len(e.g.Tasks):
-				e.fail(fmt.Errorf("dist: rank %d received frame from unknown producer %d", e.rank, msg.Producer))
-				return
-			default:
-				if seen[msg.Producer] {
-					continue
-				}
-				seen[msg.Producer] = true
-				if err := e.deliver(msg); err != nil {
-					e.fail(err)
-					return
-				}
-				e.recordRecv(msg, arrive)
+			if err := e.receive(msg); err != nil {
+				e.fail(err)
 			}
-		case <-e.stop:
+		case <-e.drained:
 			return
 		}
 	}
+}
+
+// receive acts on one arriving frame: restore payloads into the local
+// replicas, then release the tasks the frame enables. Duplicate frames (a
+// faulty or retrying transport) are ignored — restoring stale bytes after
+// later local writes would corrupt data, and double enables would corrupt
+// the dependence counters.
+func (e *nodeEngine) receive(msg Message) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("dist: rank %d receive: %v", e.rank, r)
+		}
+	}()
+	var arrive time.Duration
+	if e.recvRing != nil {
+		arrive = time.Since(e.origin)
+	}
+	e.progress.Add(1)
+	switch {
+	case msg.Producer == ProducerError:
+		e.recordRecv(msg, arrive)
+		return fmt.Errorf("dist: rank %d failed: %s", msg.From, msg.Payload)
+	case msg.Producer == ProducerGather:
+		if e.gathers == nil || e.gathered[msg.From] {
+			return nil
+		}
+		e.gathered[msg.From] = true
+		e.gathers[msg.From] = msg.Payload
+		e.recordRecv(msg, arrive)
+		if len(e.gathered) == int(e.nodes)-1 {
+			close(e.gatherOK)
+		}
+	case msg.Producer == ProducerControl:
+		return fmt.Errorf("dist: rank %d received a control frame mid-job", e.rank)
+	case msg.Producer < 0 || int(msg.Producer) >= len(e.g.Tasks):
+		return fmt.Errorf("dist: rank %d received frame from unknown producer %d", e.rank, msg.Producer)
+	default:
+		if e.seen[msg.Producer] {
+			return nil
+		}
+		e.seen[msg.Producer] = true
+		if err := e.deliver(msg); err != nil {
+			return err
+		}
+		e.recordRecv(msg, arrive)
+	}
+	return nil
 }
 
 // deliver restores a data frame's payload and releases the enabled
@@ -601,30 +668,24 @@ func (e *nodeEngine) receiver(wg *sync.WaitGroup) {
 // first-seen order — both sides derive it from the same graph, so no
 // metadata travels on the wire.
 func (e *nodeEngine) deliver(msg Message) error {
-	t := e.g.Tasks[msg.Producer]
-	rest := msg.Payload
-	var restored []*sched.Handle
-	for i, s := range t.Succs() {
-		if e.nodeOf(s) != e.rank || t.EdgeBytes(i) == 0 {
-			continue
-		}
-		for _, h := range t.EdgeHandles(i) {
-			known := false
-			for _, seen := range restored {
-				if seen == h {
-					known = true
-					break
-				}
-			}
-			if known {
+	if !e.sameAddressSpace {
+		t := e.g.Tasks[msg.Producer]
+		rest := msg.Payload
+		var restored []*sched.Handle
+		for i, s := range t.Succs() {
+			if e.nodeOf(s) != e.rank || t.EdgeBytes(i) == 0 {
 				continue
 			}
-			restored = append(restored, h)
-			rest = rest[h.Restore(rest):]
+			for _, h := range t.EdgeHandles(i) {
+				if !slices.Contains(restored, h) {
+					restored = append(restored, h)
+					rest = rest[h.Restore(rest):]
+				}
+			}
 		}
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("dist: rank %d: frame from task %d has %d unconsumed payload bytes", e.rank, msg.Producer, len(rest))
+		if len(rest) != 0 {
+			return fmt.Errorf("dist: rank %d: frame from task %d has %d unconsumed payload bytes", e.rank, msg.Producer, len(rest))
+		}
 	}
 	for _, id := range msg.Enable {
 		if id < 0 || int(id) >= len(e.g.Tasks) {
@@ -645,10 +706,10 @@ func (e *nodeEngine) enable(s *sched.Task) {
 	if !ready || e.nodeOf(s) != e.rank {
 		return
 	}
-	e.nd.mu.Lock()
-	heap.Push(&e.nd.ready, s)
-	e.nd.cond.Signal()
-	e.nd.mu.Unlock()
+	e.mu.Lock()
+	heap.Push(&e.ready, s)
+	e.cond.Signal()
+	e.mu.Unlock()
 }
 
 // gatherPayload concatenates the final snapshots of every datum whose

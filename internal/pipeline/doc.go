@@ -26,11 +26,19 @@
 // An Executor is anything that can run a sched.Graph to completion:
 //
 //	Sequential    submission order, the numerical reference;
-//	Pool          a private shared-memory worker pool (sched.RunParallel);
+//	Pool          a private shared-memory worker pool (sched.RunParallel:
+//	              a sched.Runtime that lives for one graph);
 //	Shared        one job among many on a process-wide sched.Runtime —
 //	              the serving engine behind internal/serve;
-//	OwnerCompute  the distributed owner-compute engine (dist.Execute)
+//	OwnerCompute  the distributed owner-compute engine (dist.ExecuteCtx)
 //	              over a block-cyclic node grid.
+//
+// Underneath there are two worker loops, one per memory model. Pool and
+// Shared are the same loop, sched.Runtime, differing only in who owns the
+// pool: shared dependence counters, one lock. OwnerCompute is the other,
+// dist's per-rank engine, run once per grid node in this process: each
+// rank has its own counters and learns of remote completions from frames,
+// exactly as a rank of the TCP cluster does.
 //
 // Every executor yields bitwise-identical results on the same Plan: all
 // conflicting accesses are ordered by graph edges, so each datum sees

@@ -49,9 +49,10 @@ func (Sequential) Execute(ctx context.Context, g *sched.Graph) (*Report, error) 
 	return &Report{Executor: "sequential", Tasks: len(g.Tasks)}, nil
 }
 
-// Pool executes the graph on a private shared-memory worker pool with
-// bottom-level priority scheduling. Workers ≤ 1 degenerates to the
-// sequential order (same result either way).
+// Pool executes the graph on a private shared-memory worker pool — a
+// sched.Runtime that lives for this one graph — with bottom-level
+// priority scheduling. Workers ≤ 1 degenerates to the sequential order
+// (same result either way).
 type Pool struct {
 	Workers int
 }
@@ -101,8 +102,7 @@ func (s Shared) Execute(ctx context.Context, g *sched.Graph) (*Report, error) {
 // OwnerCompute executes the graph on a grid of in-process
 // distributed-memory nodes: every task runs on the node owning its
 // output tile and cross-node data dependencies travel as explicit
-// messages (dist.Execute). Cancellation is honored at admission only —
-// a distributed run, once launched, always drains its messages.
+// messages (dist.ExecuteCtx).
 type OwnerCompute struct {
 	Grid           dist.Grid
 	WorkersPerNode int
@@ -116,10 +116,7 @@ func (OwnerCompute) Name() string { return "owner-compute" }
 
 // Execute implements Executor.
 func (d OwnerCompute) Execute(ctx context.Context, g *sched.Graph) (*Report, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	res, err := dist.Execute(g, dist.Options{Grid: d.Grid, WorkersPerNode: d.WorkersPerNode, Transport: d.Transport})
+	res, err := dist.ExecuteCtx(ctx, g, dist.Options{Grid: d.Grid, WorkersPerNode: d.WorkersPerNode, Transport: d.Transport})
 	if err != nil {
 		return nil, err
 	}

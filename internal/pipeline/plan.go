@@ -123,8 +123,7 @@ func Run(p *Plan, ex Executor) (*Report, error) {
 }
 
 // RunCtx is Run under a context: a cancelled ctx stops the execution
-// (promptly on the shared-memory engines, at admission on the
-// distributed engine) and returns ctx.Err().
+// promptly (in-flight tasks finish) and returns ctx.Err().
 func RunCtx(ctx context.Context, p *Plan, ex Executor) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()

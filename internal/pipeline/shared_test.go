@@ -1,15 +1,11 @@
 package pipeline
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"github.com/tiled-la/bidiag/internal/dist"
-	"github.com/tiled-la/bidiag/internal/kernels"
 	"github.com/tiled-la/bidiag/internal/nla"
 	"github.com/tiled-la/bidiag/internal/sched"
 )
@@ -93,50 +89,6 @@ func TestGangGraphParity(t *testing.T) {
 					t.Fatalf("%s gang member %d: superdiagonal %d differs bitwise", ex.Name(), i, k)
 				}
 			}
-		}
-	}
-}
-
-// TestRunSurfacesPanic pins the serving-layer contract: a panicking
-// kernel comes out of pipeline.Run as an error naming the kernel kind,
-// on every shared-memory engine.
-func TestRunSurfacesPanic(t *testing.T) {
-	rt := sched.NewRuntime(2)
-	defer rt.Close()
-	for _, ex := range []Executor{Sequential{}, Pool{Workers: 2}, Shared{Runtime: rt}} {
-		g := sched.NewGraph()
-		h := g.NewHandle(8, 0)
-		g.AddTask(kernels.TSQRTKind, 0, 1, 1, func(*nla.Workspace) { panic("bad tile") }, sched.RW(h))
-		_, err := Run(&Plan{Graph: g}, ex)
-		if err == nil || !strings.Contains(err.Error(), "TSQRT") || !strings.Contains(err.Error(), "bad tile") {
-			t.Fatalf("%s: Run = %v, want panic error naming TSQRT", ex.Name(), err)
-		}
-	}
-}
-
-// TestRunCtxCancelled pins prompt cancellation through RunCtx on the
-// shared-memory engines and admission-time rejection on owner-compute.
-func TestRunCtxCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	rt := sched.NewRuntime(2)
-	defer rt.Close()
-	for _, ex := range []Executor{
-		Sequential{},
-		Pool{Workers: 2},
-		Shared{Runtime: rt},
-		OwnerCompute{Grid: dist.Grid{R: 1, C: 1}, WorkersPerNode: 1},
-	} {
-		g := sched.NewGraph()
-		h := g.NewHandle(8, 0)
-		ran := false
-		g.AddTask(kernels.GEQRTKind, 0, 1, 1, func(*nla.Workspace) { ran = true }, sched.RW(h))
-		_, err := RunCtx(ctx, &Plan{Graph: g}, ex)
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("%s: RunCtx = %v, want context.Canceled", ex.Name(), err)
-		}
-		if ran {
-			t.Fatalf("%s: task ran under a cancelled context", ex.Name())
 		}
 	}
 }

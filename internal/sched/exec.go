@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"context"
 	"fmt"
-	"sync"
 
 	"github.com/tiled-la/bidiag/internal/nla"
 )
@@ -49,10 +48,10 @@ func (g *Graph) RunSequentialCtx(ctx context.Context) error {
 	return nil
 }
 
-// RunParallel executes the graph on a pool of `workers` goroutines,
-// dispatching ready tasks in order of decreasing bottom-level priority
-// (ties broken by submission order). The data dependencies guarantee that
-// the floating-point result is identical to RunSequential: every pair of
+// RunParallel executes the graph on `workers` goroutines, dispatching
+// ready tasks in order of decreasing bottom-level priority (ties broken by
+// submission order). The data dependencies guarantee that the
+// floating-point result is identical to RunSequential: every pair of
 // conflicting accesses to a handle is ordered by an edge, so each datum
 // sees the same sequence of kernels regardless of the schedule.
 //
@@ -63,118 +62,18 @@ func (g *Graph) RunParallel(workers int) error {
 	return g.RunParallelCtx(context.Background(), workers)
 }
 
-// RunParallelCtx is RunParallel under a context: when ctx is cancelled the
-// pool stops dispatching new tasks, waits for in-flight tasks to finish,
-// and returns ctx.Err().
+// RunParallelCtx is RunParallel under a context: when ctx is cancelled
+// dispatch stops, in-flight tasks finish, and ctx.Err() is returned. The
+// run is a one-job Runtime, so the one-shot pool and the serving pool are
+// the same worker loop.
 func (g *Graph) RunParallelCtx(ctx context.Context, workers int) error {
-	if workers < 1 {
-		workers = 1
-	}
-	// Fast path: an already-cancelled context runs nothing at all (the
-	// watcher below only guarantees promptness, not a zero-task start).
-	if err := ctx.Err(); err != nil {
+	rt := NewRuntime(workers)
+	defer rt.Close()
+	h, err := rt.Submit(ctx, g, JobOptions{})
+	if err != nil {
 		return err
 	}
-	g.resetExecState()
-	g.ComputeBottomLevels(WeightTime)
-
-	var (
-		mu        sync.Mutex
-		cond      = sync.NewCond(&mu)
-		ready     taskHeap
-		remaining = len(g.Tasks)
-		firstErr  error
-		stopped   bool
-	)
-	// stop abandons all undispatched work, recording the first cause.
-	// Callers hold mu.
-	stop := func(err error) {
-		if !stopped {
-			stopped = true
-			firstErr = err
-			ready = ready[:0]
-			cond.Broadcast()
-		}
-	}
-	for _, t := range g.Tasks {
-		if t.npred == 0 {
-			ready = append(ready, t)
-		}
-	}
-	heap.Init(&ready)
-
-	var watchDone chan struct{}
-	if ctx.Done() != nil {
-		watchDone = make(chan struct{})
-		go func() {
-			select {
-			case <-ctx.Done():
-				mu.Lock()
-				stop(ctx.Err())
-				mu.Unlock()
-			case <-watchDone:
-			}
-		}()
-	}
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			// One max-sized arena per worker: tasks run one at a time on a
-			// worker, so they may use the whole workspace and the pool's
-			// steady state allocates nothing.
-			ws := g.NewWorkspace()
-			for {
-				mu.Lock()
-				for len(ready) == 0 && remaining > 0 && !stopped {
-					cond.Wait()
-				}
-				if remaining == 0 || stopped {
-					mu.Unlock()
-					return
-				}
-				t := heap.Pop(&ready).(*Task)
-				mu.Unlock()
-
-				err := g.RunTask(t, ws, worker)
-
-				mu.Lock()
-				remaining--
-				if err != nil {
-					stop(err)
-				}
-				if !stopped {
-					for _, s := range t.succs {
-						s.npred--
-						if s.npred == 0 {
-							heap.Push(&ready, s)
-						}
-					}
-				}
-				// This worker takes one ready task itself on its next
-				// turn; sleepers are woken only for work beyond that (or
-				// to exit). Waking them for a lone successor makes a
-				// chain-like graph hop between cores on every task.
-				if len(ready) > 1 || remaining == 0 || stopped {
-					cond.Broadcast()
-				}
-				mu.Unlock()
-			}
-		}(w)
-	}
-	wg.Wait()
-	// The watcher writes firstErr under mu; read it the same way. A
-	// cancellation that lands after the last task completed may be
-	// reported or not — either is a faithful outcome.
-	mu.Lock()
-	err := firstErr
-	mu.Unlock()
-	if watchDone != nil {
-		close(watchDone)
-	}
-	return err
+	return h.Wait()
 }
 
 // WeightTime values a task at its Table I weight; it is the default
@@ -247,7 +146,7 @@ func (g *Graph) SimulateFixed(workers int, timeOf func(*Task) float64) SimResult
 	g.resetExecState()
 	g.ComputeBottomLevels(timeOf)
 
-	var ready taskHeap
+	var ready ReadyHeap
 	for _, t := range g.Tasks {
 		if t.npred == 0 {
 			ready = append(ready, t)
@@ -289,20 +188,22 @@ func (g *Graph) SimulateFixed(workers int, timeOf func(*Task) float64) SimResult
 	return SimResult{Makespan: now, BusyTime: busy, Utilization: util, Tasks: done}
 }
 
-// taskHeap is a max-heap on (prio, -ID): higher bottom level first, earlier
-// submission breaking ties for determinism.
-type taskHeap []*Task
+// ReadyHeap is the ready queue of every executor and simulator, in this
+// package and in internal/dist: a max-heap (container/heap) on (prio, -ID)
+// — higher bottom level first, earlier submission breaking ties for
+// determinism.
+type ReadyHeap []*Task
 
-func (h taskHeap) Len() int { return len(h) }
-func (h taskHeap) Less(i, j int) bool {
+func (h ReadyHeap) Len() int { return len(h) }
+func (h ReadyHeap) Less(i, j int) bool {
 	if h[i].prio != h[j].prio {
 		return h[i].prio > h[j].prio
 	}
 	return h[i].ID < h[j].ID
 }
-func (h taskHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *taskHeap) Push(x any)   { *h = append(*h, x.(*Task)) }
-func (h *taskHeap) Pop() any {
+func (h ReadyHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *ReadyHeap) Push(x any)   { *h = append(*h, x.(*Task)) }
+func (h *ReadyHeap) Pop() any {
 	old := *h
 	n := len(old)
 	t := old[n-1]

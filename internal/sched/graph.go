@@ -2,19 +2,25 @@
 // It plays the role PaRSEC plays for DPLASMA in the reproduced paper: an
 // algorithm is submitted as a sequence of tasks with declared data
 // accesses, dependencies are inferred superscalar-style (RAW, WAR, WAW) at
-// sub-tile granularity, and the resulting DAG can be executed or analyzed
-// by several engines:
+// sub-tile granularity, and the resulting DAG can be executed or analyzed:
 //
 //   - RunSequential: program order, the numerical reference.
-//   - RunParallel:   a goroutine worker pool with priority scheduling.
+//   - Runtime:       the shared-memory worker loop — a pool that runs many
+//     graphs at once, bottom-level priority within a graph and weighted
+//     fair share across them. RunParallel is a Runtime with one job.
 //   - CriticalPath:  longest weighted path (unbounded resources), used to
 //     validate the paper's Section IV formulas.
 //   - SimulateFixed: event-driven list scheduling on P virtual cores.
 //   - SimulateDistributed: multi-node list scheduling with a bandwidth/
 //     latency communication model (see simdist.go).
-//   - dist.Execute (internal/dist): real owner-compute execution on N
-//     in-process nodes, cross-node dependencies satisfied by explicit
-//     messages over a pluggable transport.
+//
+// There are two worker loops in the repository, one per memory model, as
+// the paper runs every variant on one dataflow runtime. Runtime is the
+// shared-memory one: every worker decrements the same dependence counters
+// under one lock. The distributed-memory one is internal/dist's per-rank
+// engine (dist.ExecuteNode, and dist.Execute for N ranks in one process):
+// a rank cannot see its peers' counters, so it keeps its own and feeds
+// them from frames. Both order their ready queues with ReadyHeap.
 //
 // Tasks are deliberately compact (a few pointers and scalars) so that
 // graphs with tens of millions of tasks — the paper's largest distributed

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"github.com/tiled-la/bidiag/internal/nla"
 )
@@ -13,8 +14,9 @@ import (
 // ErrRuntimeClosed is returned by Runtime.Submit after Close.
 var ErrRuntimeClosed = errors.New("sched: runtime closed")
 
-// Runtime is a process-wide worker pool that executes MANY task graphs
-// concurrently — the serving counterpart of RunParallel's one-shot pool.
+// Runtime is the shared-memory worker loop: a pool that executes MANY task
+// graphs concurrently. RunParallel is a Runtime with one job; the serving
+// layer keeps one for the life of the process.
 // Each Submit admits one graph as a job with its own ready heap; the
 // shared workers pick across jobs by weighted fair share (smallest virtual
 // time first) and within a job by bottom-level priority, so several small
@@ -43,6 +45,11 @@ type Runtime struct {
 	closed  bool
 	wg      sync.WaitGroup
 
+	ready    int           // ready tasks across all jobs
+	sleeping int           // workers in cond.Wait that no wake-up has been issued for
+	wakeups  int64         // wake-ups issued
+	idle     time.Duration // total time workers spent in cond.Wait
+
 	// wsBytes[w] is worker w's current arena size in bytes, maintained
 	// with atomic stores so WorkspaceBytes can be scraped without
 	// touching rt.mu.
@@ -63,7 +70,7 @@ type JobHandle struct {
 	g   *Graph
 	ctx context.Context
 
-	ready    taskHeap
+	ready    ReadyHeap
 	inflight int // dispatched, not yet finished
 	undone   int // not yet finished (dispatched or not)
 	vtime    float64
@@ -101,6 +108,37 @@ func (rt *Runtime) WorkspaceBytes() int64 {
 		n += atomic.LoadInt64(&rt.wsBytes[w])
 	}
 	return n
+}
+
+// RuntimeStats is a snapshot of the worker loop's own counters.
+type RuntimeStats struct {
+	// Ready is the number of runnable, undispatched tasks across all jobs.
+	Ready int
+	// Idle is the cumulative time workers have spent asleep waiting for
+	// work, measured around cond.Wait only (a worker asleep right now is
+	// counted when it wakes).
+	Idle time.Duration
+	// Wakeups counts the sleeping workers woken so far.
+	Wakeups int64
+}
+
+// Stats returns the worker loop's counters.
+func (rt *Runtime) Stats() RuntimeStats {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	return RuntimeStats{Ready: rt.ready, Idle: rt.idle, Wakeups: rt.wakeups}
+}
+
+// wakeLocked wakes up to n sleeping workers (n ≤ 0 wakes none). It is the
+// only place the pool signals its condition variable, so Stats().Wakeups
+// counts every wake-up. Callers hold rt.mu.
+func (rt *Runtime) wakeLocked(n int) {
+	n = max(0, min(n, rt.sleeping))
+	rt.sleeping -= n
+	rt.wakeups += int64(n)
+	for ; n > 0; n-- {
+		rt.cond.Signal()
+	}
 }
 
 // InFlight returns the number of admitted, unfinished jobs.
@@ -156,7 +194,8 @@ func (rt *Runtime) Submit(ctx context.Context, g *Graph, opt JobOptions) (*JobHa
 		}
 	}
 	rt.jobs = append(rt.jobs, h)
-	rt.cond.Broadcast()
+	rt.ready += len(h.ready)
+	rt.wakeLocked(len(h.ready))
 	rt.mu.Unlock()
 
 	if ctx.Done() != nil {
@@ -207,6 +246,7 @@ func (h *JobHandle) stopLocked(err error) {
 	h.stopped = true
 	h.err = err
 	h.undone -= len(h.ready)
+	h.rt.ready -= len(h.ready)
 	h.ready = h.ready[:0]
 }
 
@@ -223,10 +263,10 @@ func (h *JobHandle) finishedLocked() bool {
 // finishIfDoneLocked retires the job when no work remains: all tasks
 // finished, or the job is stopped and its in-flight tasks drained.
 func (rt *Runtime) finishIfDoneLocked(h *JobHandle) {
-	if h.finishedLocked() {
-		return
-	}
 	if h.undone > 0 && !(h.stopped && h.inflight == 0) {
+		return // the per-completion case: two counter reads
+	}
+	if h.finishedLocked() {
 		return
 	}
 	for i, j := range rt.jobs {
@@ -236,7 +276,10 @@ func (rt *Runtime) finishIfDoneLocked(h *JobHandle) {
 		}
 	}
 	close(h.done)
-	rt.cond.Broadcast()
+	if rt.closed {
+		// Workers exit once the pool is closed and the last job retires.
+		rt.wakeLocked(rt.workers)
+	}
 }
 
 // stickySlack is how far (in virtual time, i.e. weighted task pickups) a
@@ -282,13 +325,19 @@ func (rt *Runtime) worker(id int) {
 			if h != nil || (rt.closed && len(rt.jobs) == 0) {
 				break
 			}
+			// The only clock reads in the loop: a worker with work to do
+			// never gets here.
+			rt.sleeping++
+			asleep := time.Now()
 			rt.cond.Wait()
+			rt.idle += time.Since(asleep)
 		}
 		if h == nil {
 			rt.mu.Unlock()
 			return
 		}
 		t := heap.Pop(&h.ready).(*Task)
+		rt.ready--
 		h.inflight++
 		h.vtime += 1 / h.weight
 		last = h
@@ -319,11 +368,16 @@ func (rt *Runtime) worker(id int) {
 				s.npred--
 				if s.npred == 0 {
 					heap.Push(&h.ready, s)
+					rt.ready++
 				}
 			}
 		}
 		rt.finishIfDoneLocked(h)
-		rt.cond.Broadcast()
+		// This worker takes one ready task itself on its next turn; sleepers
+		// are woken only for work beyond that. Waking one for a lone
+		// successor makes a chain-like graph hop between cores on every
+		// task.
+		rt.wakeLocked(rt.ready - 1)
 		rt.mu.Unlock()
 	}
 }
@@ -334,7 +388,7 @@ func (rt *Runtime) worker(id int) {
 func (rt *Runtime) Close() {
 	rt.mu.Lock()
 	rt.closed = true
-	rt.cond.Broadcast()
+	rt.wakeLocked(rt.workers)
 	rt.mu.Unlock()
 	rt.wg.Wait()
 }

@@ -3,7 +3,6 @@ package sched
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -68,59 +67,6 @@ func TestRuntimeManyGraphsInterleave(t *testing.T) {
 	}
 }
 
-func TestRuntimePanicIsolation(t *testing.T) {
-	rt := NewRuntime(2)
-	defer rt.Close()
-
-	bad := NewGraph()
-	h := bad.NewHandle(8, 0)
-	bad.AddTask(kernels.GEQRTKind, 0, 1, 1, func(*nla.Workspace) {}, RW(h))
-	bad.AddTask(kernels.TSQRTKind, 0, 1, 1, func(*nla.Workspace) {
-		panic("singular tile")
-	}, RW(h))
-	ran := false
-	bad.AddTask(kernels.GEQRTKind, 0, 1, 1, func(*nla.Workspace) { ran = true }, RW(h))
-
-	var mu sync.Mutex
-	var goodTrace []int
-	good := seqGraph(10, &mu, &goodTrace)
-
-	hb, err := rt.Submit(context.Background(), bad, JobOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hg, err := rt.Submit(context.Background(), good, JobOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := hg.Wait(); err != nil {
-		t.Fatalf("healthy job failed: %v", err)
-	}
-	err = hb.Wait()
-	if err == nil {
-		t.Fatal("panicking job reported success")
-	}
-	if !strings.Contains(err.Error(), "TSQRT") || !strings.Contains(err.Error(), "singular tile") {
-		t.Fatalf("panic error should name the kernel kind and cause, got %v", err)
-	}
-	if ran {
-		t.Fatal("task downstream of the panic ran")
-	}
-	if len(goodTrace) != 10 {
-		t.Fatalf("healthy job ran %d tasks, want 10", len(goodTrace))
-	}
-
-	// The runtime survives: a fresh job still executes.
-	var after []int
-	ha, err := rt.Submit(context.Background(), seqGraph(3, &mu, &after), JobOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ha.Wait(); err != nil || len(after) != 3 {
-		t.Fatalf("post-panic job: err=%v ran=%d", err, len(after))
-	}
-}
-
 // gatedGraph builds gate → chain: the first task blocks until release is
 // closed, so a test can cancel mid-graph deterministically.
 func gatedGraph(n int, release chan struct{}, executed *atomic.Int32) *Graph {
@@ -136,36 +82,6 @@ func gatedGraph(n int, release chan struct{}, executed *atomic.Int32) *Graph {
 		}, RW(h))
 	}
 	return g
-}
-
-func TestRuntimeCancelMidGraph(t *testing.T) {
-	rt := NewRuntime(2)
-	defer rt.Close()
-
-	release := make(chan struct{})
-	var executed atomic.Int32
-	g := gatedGraph(50, release, &executed)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	h, err := rt.Submit(ctx, g, JobOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cancel()
-	for !h.Stopped() { // wait until the cancellation is observed …
-		runtime.Gosched()
-	}
-	close(release) // … then let the in-flight gate task finish
-	err = h.Wait() // must return promptly with ctx.Err()
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("Wait = %v, want context.Canceled", err)
-	}
-	if n := executed.Load(); n >= 50 {
-		t.Fatalf("cancelled job executed all %d tasks", n)
-	}
-	if n := rt.InFlight(); n != 0 {
-		t.Fatalf("in-flight after cancel = %d, want 0", n)
-	}
 }
 
 func TestRuntimeSubmitCancelledCtx(t *testing.T) {
@@ -330,6 +246,118 @@ func TestRuntimeWeightedFairShare(t *testing.T) {
 	}
 }
 
+// TestRuntimeChainWakesNobody pins the wake-up rule: a completion that
+// readies one successor leaves the sleepers asleep, because the finishing
+// worker takes that task itself. Without the rule a chain hops between
+// cores on every task and this count is in the thousands.
+func TestRuntimeChainWakesNobody(t *testing.T) {
+	const workers = 4
+	rt := NewRuntime(workers)
+	defer rt.Close()
+	g := chainGraph(10_000)
+	h, err := rt.Submit(context.Background(), g, JobOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	st := rt.Stats()
+	// At most the Submit's wake-up for the head of the chain, with slack
+	// for a worker that had not gone to sleep yet.
+	if st.Wakeups > workers {
+		t.Fatalf("10 000-task chain issued %d wake-ups, want ≤ %d", st.Wakeups, workers)
+	}
+	if st.Ready != 0 {
+		t.Fatalf("ready tasks after the job drained = %d, want 0", st.Ready)
+	}
+}
+
+// TestRuntimeFanOutReachesAllWorkers is the other half of the rule: ready
+// work beyond the finishing worker's own next task does wake sleepers.
+// The four children rendezvous, so the job only finishes if four workers
+// run them at the same time.
+func TestRuntimeFanOutReachesAllWorkers(t *testing.T) {
+	const workers = 4
+	rt := NewRuntime(workers)
+	defer rt.Close()
+	g := NewGraph()
+	root := g.NewHandle(8, 0)
+	g.AddTask(kernels.GEQRTKind, 0, 1, 1, func(*nla.Workspace) {}, RW(root))
+	var rendezvous sync.WaitGroup
+	rendezvous.Add(workers)
+	for i := 0; i < workers; i++ {
+		g.AddTask(kernels.UNMQRKind, 0, 1, 1, func(*nla.Workspace) {
+			rendezvous.Done()
+			rendezvous.Wait()
+		}, R(root), RW(g.NewHandle(8, 0)))
+	}
+	h, err := rt.Submit(context.Background(), g, JobOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-h.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatalf("fan-out never ran on all %d workers at once (stats %+v)", workers, rt.Stats())
+	}
+	if err := h.Wait(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRuntimeStatsIdle checks that time asleep is counted: idle time is
+// added when a sleeper wakes, so keep submitting one-task jobs until a
+// worker has been caught asleep by one of them.
+func TestRuntimeStatsIdle(t *testing.T) {
+	rt := NewRuntime(2)
+	defer rt.Close()
+	deadline := time.Now().Add(10 * time.Second)
+	for rt.Stats().Idle <= 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("no idle time recorded: %+v", rt.Stats())
+		}
+		h, err := rt.Submit(context.Background(), chainGraph(1), JobOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st := rt.Stats(); st.Wakeups < 1 {
+		t.Fatalf("idle time %v without a wake-up: %+v", st.Idle, st)
+	}
+}
+
+// TestRuntimeDispatchNoAllocPerTask pins the loop's hot path with its
+// counters in place: a job costs a handful of allocations, a task none,
+// so a 2001-task chain allocates what a 1-task chain does. Stats itself
+// allocates nothing either.
+func TestRuntimeDispatchNoAllocPerTask(t *testing.T) {
+	rt := NewRuntime(2)
+	defer rt.Close()
+	perJob := func(g *Graph) float64 {
+		return testing.AllocsPerRun(20, func() {
+			h, err := rt.Submit(context.Background(), g, JobOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := h.Wait(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long := perJob(chainGraph(1)), perJob(chainGraph(2001))
+	if long > short {
+		t.Fatalf("2001-task job allocates %v, 1-task job %v: dispatch allocates per task", long, short)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { rt.Stats() }); allocs != 0 {
+		t.Fatalf("Stats allocates %v allocs/op, want 0", allocs)
+	}
+}
+
 func TestRunSequentialPanicRecovered(t *testing.T) {
 	g := NewGraph()
 	h := g.NewHandle(8, 0)
@@ -337,63 +365,6 @@ func TestRunSequentialPanicRecovered(t *testing.T) {
 	err := g.RunSequential()
 	if err == nil || !strings.Contains(err.Error(), "UNMQR") {
 		t.Fatalf("RunSequential = %v, want error naming the kernel", err)
-	}
-}
-
-func TestRunParallelPanicRecovered(t *testing.T) {
-	g := NewGraph()
-	var ran atomic.Int32
-	for i := 0; i < 32; i++ {
-		h := g.NewHandle(8, 0)
-		i := i
-		g.AddTask(kernels.UNMQRKind, 0, 1, 1, func(*nla.Workspace) {
-			if i == 7 {
-				panic(fmt.Sprintf("tile %d", i))
-			}
-			ran.Add(1)
-		}, RW(h))
-	}
-	err := g.RunParallel(4)
-	if err == nil || !strings.Contains(err.Error(), "UNMQR") {
-		t.Fatalf("RunParallel = %v, want error naming the kernel", err)
-	}
-	// The graph stays executable afterwards (reset works) — and the panic
-	// deterministically recurs.
-	if err := g.RunParallel(2); err == nil {
-		t.Fatal("second run should fail again")
-	}
-}
-
-func TestRunParallelCtxCancel(t *testing.T) {
-	started := make(chan struct{})
-	release := make(chan struct{})
-	var executed atomic.Int32
-	g := NewGraph()
-	h := g.NewHandle(8, 0)
-	g.AddTask(kernels.GEQRTKind, 0, 1, 1, func(*nla.Workspace) {
-		close(started)
-		<-release
-		executed.Add(1)
-	}, RW(h))
-	for i := 1; i < 100; i++ {
-		g.AddTask(kernels.GEQRTKind, 0, 1, 1, func(*nla.Workspace) {
-			executed.Add(1)
-		}, RW(h))
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- g.RunParallelCtx(ctx, 2) }()
-	<-started // the gate task is in flight; nothing else can progress
-	cancel()
-	// Give the cancellation watcher ample time to clear the ready queue
-	// while the gate task still blocks all progress, then release it.
-	time.Sleep(50 * time.Millisecond)
-	close(release)
-	if err := <-done; !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunParallelCtx = %v, want context.Canceled", err)
-	}
-	if n := executed.Load(); n >= 100 {
-		t.Fatalf("cancelled run executed all %d tasks", n)
 	}
 }
 

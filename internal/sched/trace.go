@@ -27,7 +27,7 @@ func (g *Graph) SimulateFixedTrace(workers int, timeOf func(*Task) float64) (Sim
 	g.resetExecState()
 	g.ComputeBottomLevels(timeOf)
 
-	var ready taskHeap
+	var ready ReadyHeap
 	for _, t := range g.Tasks {
 		if t.npred == 0 {
 			ready = append(ready, t)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/tiled-la/bidiag/internal/obs"
+	"github.com/tiled-la/bidiag/internal/sched"
 )
 
 // metrics aggregates the service counters. Latency and queue wait live in
@@ -98,6 +99,10 @@ type Stats struct {
 	// WorkspaceBytes is the total scratch-arena footprint of the pool's
 	// workers.
 	WorkspaceBytes int64
+
+	// Sched is the shared worker loop's own view: ready tasks across all
+	// jobs, cumulative worker sleep time, wake-ups issued.
+	Sched sched.RuntimeStats
 
 	// Latency and QueueWait are the full bucketed distributions (seconds)
 	// of job latency (enqueue to completion, cache hits included) and

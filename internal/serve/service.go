@@ -313,6 +313,7 @@ func (s *Service) Stats() Stats {
 	}
 	s.met.mu.Unlock()
 	st.WorkspaceBytes = s.rt.WorkspaceBytes()
+	st.Sched = s.rt.Stats()
 	st.Latency = s.met.lat.Snapshot()
 	st.QueueWait = s.met.qwait.Snapshot()
 	st.P50 = time.Duration(st.Latency.Quantile(0.50) * float64(time.Second))

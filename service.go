@@ -86,6 +86,13 @@ type ServiceStats struct {
 	// WorkspaceBytes is the total scratch-arena footprint of the shared
 	// pool's workers.
 	WorkspaceBytes int64
+	// SchedReadyTasks is the number of runnable, undispatched tasks across
+	// all in-flight jobs; SchedWorkerIdle the cumulative time the pool's
+	// workers have slept waiting for work; SchedWakeups the sleeping
+	// workers woken so far. All three come from the worker loop itself.
+	SchedReadyTasks int
+	SchedWorkerIdle time.Duration
+	SchedWakeups    int64
 	// TraceDropped counts trace-ring events lost across every traced job
 	// whose rings overflowed (ServiceConfig.TraceEventCap below the
 	// job's task count).
@@ -290,11 +297,14 @@ func (s *Service) Stats() ServiceStats {
 		GangBatches: st.GangBatches, GangJobs: st.GangJobs,
 		CacheHits: st.CacheHits, CacheMisses: st.CacheMisses,
 		CacheEntries: st.CacheEntries, CacheBytes: st.CacheBytes, CacheCap: st.CacheCap,
-		WorkspaceBytes: st.WorkspaceBytes,
-		TraceDropped:   st.TraceDropped,
-		Latency:        toHistogramStats(st.Latency),
-		QueueWait:      toHistogramStats(st.QueueWait),
-		P50:            st.P50, P99: st.P99,
+		WorkspaceBytes:  st.WorkspaceBytes,
+		SchedReadyTasks: st.Sched.Ready,
+		SchedWorkerIdle: st.Sched.Idle,
+		SchedWakeups:    st.Sched.Wakeups,
+		TraceDropped:    st.TraceDropped,
+		Latency:         toHistogramStats(st.Latency),
+		QueueWait:       toHistogramStats(st.QueueWait),
+		P50:             st.P50, P99: st.P99,
 	}
 }
 

@@ -41,7 +41,7 @@ func SVD(a *Dense, o *Options) (*SVDResult, error) {
 
 // SVDCtx is SVD under a context: a cancelled ctx stops scheduling new
 // reduction tasks promptly (in-flight tiles finish) and returns
-// ctx.Err(). Distributed runs honor cancellation at admission only.
+// ctx.Err(), on every engine.
 func SVDCtx(ctx context.Context, a *Dense, o *Options) (*SVDResult, error) {
 	opts, src, treeKind, transposed, err := prepare(a, o)
 	if err != nil {

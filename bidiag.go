@@ -241,9 +241,10 @@ type Options struct {
 	// with cross-stage dependencies instead of a barrier, so the bulge
 	// chase overlaps the trailing stage-1 updates. The result is
 	// bitwise-identical to the staged path, which stays available (the
-	// default) as the oracle. Ignored by GE2BND and SVD — their results
-	// are a first-stage artifact — and ineffective under
-	// BND2BD = BND2BDSequential, which forces the staged reference.
+	// default) as the oracle. Ignored by GE2BND, whose result is a
+	// first-stage artifact, and by SVD, whose logged chase does not run
+	// as a task graph yet; ineffective under BND2BD = BND2BDSequential,
+	// which forces the staged reference.
 	Fused bool
 }
 

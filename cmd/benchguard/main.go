@@ -8,6 +8,7 @@
 //	benchguard -ref BENCH_bnd2bd_4096.json -new out/BENCH_bnd2bd_4096.json -tol 0.25
 //	benchguard -ref BENCH_kernels_apply.json -new out/BENCH_kernels_apply.json
 //	benchguard -ref BENCH_sched.json -new out/BENCH_sched.json
+//	benchguard -ref BENCH_svd_1024.json -new out/BENCH_svd_1024.json
 //
 // Records with a kernels array (bidiagbench -stage apply) or a sched
 // array (-stage sched) are gated entry by entry as well as on the
@@ -54,6 +55,13 @@ type record struct {
 	// regressing cannot hide behind the aggregate.
 	Kernels []kernelRate `json:"kernels"`
 	Sched   []schedCost  `json:"sched"`
+
+	// Stages is the per-stage ledger (seconds) of a -stage svd record and
+	// ValuesSeconds the SingularValues time it is compared with. They
+	// must be complete for the record to be valid; only the headline
+	// rate is gated, the short stages are too noisy to gate one by one.
+	Stages        map[string]float64 `json:"stages"`
+	ValuesSeconds float64            `json:"values_seconds"`
 
 	// Reconcile carries the model-vs-measured telemetry bidiagbench
 	// attaches to shared-memory records, CommFit and CommReconcile the
@@ -126,10 +134,23 @@ func load(path string) (record, error) {
 	if rate, _ := r.rate(); rate <= 0 {
 		return r, fmt.Errorf("%s: missing or non-positive gflops / jobs_per_sec / tasks_per_sec", path)
 	}
+	if r.Experiment == "svd" {
+		for _, stage := range svdStages {
+			if r.Stages[stage] <= 0 {
+				return r, fmt.Errorf("%s: svd record without a positive stages.%s", path, stage)
+			}
+		}
+		if r.ValuesSeconds <= 0 {
+			return r, fmt.Errorf("%s: svd record without values_seconds", path)
+		}
+	}
 	// Parsed for forward compatibility, never compared.
 	r.Reconcile, r.CommFit, r.CommReconcile = nil, nil, nil
 	return r, nil
 }
+
+// svdStages are the stages a -stage svd record must account for.
+var svdStages = []string{"ge2bnd_rec", "extract", "bnd2bd_logged", "form_qp", "bdsqr_vectors", "back_apply"}
 
 func main() {
 	refPath := flag.String("ref", "", "checked-in reference BENCH_*.json")

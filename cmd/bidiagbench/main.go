@@ -15,6 +15,7 @@
 //	bidiagbench -stage batch -n 256 -jobs 64 -workers 4 -json BENCH_batch.json
 //	bidiagbench -stage apply -nb 64 -reps 3 -json BENCH_kernels_apply.json
 //	bidiagbench -stage sched -reps 5 -json BENCH_sched.json
+//	bidiagbench -stage svd -n 1024 -nb 64 -workers 2 -json BENCH_svd_1024.json
 //	bidiagbench -list
 //
 // Experiments: table1, fig2a..fig2f, fig3a..fig3f, fig4a..fig4f,
@@ -52,7 +53,12 @@
 // is the shared-memory worker loop itself: graphs of 100 000 no-op tasks,
 // independent and chained, at 1, 2 and 4 workers, through RunParallel and
 // through one long-lived sched.Runtime, each rated in ns per task in the
-// sched array of the record, which benchguard gates case by case.
+// sched array of the record, which benchguard gates case by case. With
+// -stage svd the timed run is bidiag.SVD on a random n×n matrix: the
+// record carries the wall time, the seconds of each stage of the vector
+// path (taken by running the same stages one by one), the ratio to
+// bidiag.SingularValues on the same input, and the residual and
+// orthogonality of the result in units of n·ε.
 package main
 
 import (
@@ -72,12 +78,15 @@ import (
 	"github.com/tiled-la/bidiag"
 	"github.com/tiled-la/bidiag/internal/band"
 	"github.com/tiled-la/bidiag/internal/baseline"
+	"github.com/tiled-la/bidiag/internal/core"
 	"github.com/tiled-la/bidiag/internal/critpath"
 	"github.com/tiled-la/bidiag/internal/experiments"
 	"github.com/tiled-la/bidiag/internal/kernels"
 	"github.com/tiled-la/bidiag/internal/machine"
 	"github.com/tiled-la/bidiag/internal/nla"
+	"github.com/tiled-la/bidiag/internal/pipeline"
 	"github.com/tiled-la/bidiag/internal/sched"
+	"github.com/tiled-la/bidiag/internal/tile"
 	"github.com/tiled-la/bidiag/internal/trees"
 )
 
@@ -210,6 +219,18 @@ type perfResult struct {
 	CommVolume     float64 `json:"comm_volume_bytes,omitempty"`
 	PayloadBytes   int64   `json:"payload_bytes,omitempty"`
 	UtilizationPct float64 `json:"utilization_pct,omitempty"`
+
+	// Figures of a -stage svd run; zero otherwise. Stages holds the
+	// seconds of each stage of the vector path run one by one,
+	// ValuesSeconds the best bidiag.SingularValues time on the same
+	// input and ValuesRatio = WallSeconds / ValuesSeconds; the last three
+	// are ‖A−UΣVᵀ‖_F/‖A‖_F, max|UᵀU−I| and max|VᵀV−I| in units of n·ε.
+	Stages        *svdStages `json:"stages,omitempty"`
+	ValuesSeconds float64    `json:"values_seconds,omitempty"`
+	ValuesRatio   float64    `json:"values_ratio,omitempty"`
+	ResidualEps   float64    `json:"residual_eps,omitempty"`
+	OrthUEps      float64    `json:"orth_u_eps,omitempty"`
+	OrthVEps      float64    `json:"orth_v_eps,omitempty"`
 
 	// Kernels are the per-kernel rates of a -stage apply run; nil for
 	// every other stage. benchguard compares entries by name.
@@ -677,6 +698,156 @@ func runPerfFull(m, n, nb, workers, window, reps int, fused bool, jsonPath strin
 	return writeResult(res, jsonPath)
 }
 
+// svdStages is the per-stage ledger of a -stage svd record, in seconds:
+// the recording GE2BND graph (tiling and graph build included), band
+// extraction, the logged BND2BD chase, forming Q₂ and P₂ from the log,
+// the bidiagonal QR iteration with its rotations applied, and the
+// recorded stage-1 reflectors applied to both factors.
+type svdStages struct {
+	GE2BNDRec    float64 `json:"ge2bnd_rec"`
+	Extract      float64 `json:"extract"`
+	BND2BDLogged float64 `json:"bnd2bd_logged"`
+	FormQP       float64 `json:"form_qp"`
+	BdsqrVectors float64 `json:"bdsqr_vectors"`
+	BackApply    float64 `json:"back_apply"`
+}
+
+func (s svdStages) total() float64 {
+	return s.GE2BNDRec + s.Extract + s.BND2BDLogged + s.FormQP + s.BdsqrVectors + s.BackApply
+}
+
+// svdStagesOnce runs the stages of bidiag.SVD one by one on the square
+// matrix a, as svd.go composes them, and times each.
+func svdStagesOnce(a *nla.Matrix, nb, workers int) (svdStages, error) {
+	var st svdStages
+	lap := func(dst *float64, start time.Time) time.Time {
+		now := time.Now()
+		*dst = now.Sub(start).Seconds()
+		return now
+	}
+	t := time.Now()
+	rec := &core.Recorder{}
+	plan := pipeline.Build(pipeline.Spec{
+		Shape:  core.ShapeOf(a.Rows, a.Cols, nb),
+		Data:   tile.FromDense(a, nb),
+		Config: core.Config{Tree: trees.Auto, Gamma: 2, Cores: workers, Recorder: rec},
+	})
+	if _, err := pipeline.Run(plan, pipeline.Pool{Workers: workers}); err != nil {
+		return st, err
+	}
+	t = lap(&st.GE2BNDRec, t)
+	b := plan.Tiles.ExtractBand(plan.Tiles.NB)
+	t = lap(&st.Extract, t)
+	bd, log := band.ReduceLogged(b)
+	t = lap(&st.BND2BDLogged, t)
+	q, p, err := core.FormQP(log, workers)
+	if err != nil {
+		return st, err
+	}
+	t = lap(&st.FormQP, t)
+	d, e := bd.Bidiagonal()
+	if _, err := core.BidiagonalVectors(d, e, q, p, workers); err != nil {
+		return st, err
+	}
+	t = lap(&st.BdsqrVectors, t)
+	if _, err := rec.ApplyLeftAll(q, workers); err != nil {
+		return st, err
+	}
+	if _, err := rec.ApplyRightAllT(p, workers); err != nil {
+		return st, err
+	}
+	lap(&st.BackApply, t)
+	return st, nil
+}
+
+// svdModelFlops is the data-independent flop model an SVD record's
+// GFLOP/s is quoted against: GE2BND, the chase, 4n³ for Q₂ and P₂, 12n³
+// for the rotations (two sweeps per singular value, 6 flops per rotated
+// element, both sides) and 8n³ for the two back-transforms.
+func svdModelFlops(n, nb int) float64 {
+	n3 := float64(n) * float64(n) * float64(n)
+	return baseline.PaperFlops(n, n) + band.ModelFlops(n, nb) + 24*n3
+}
+
+// runPerfSVD times bidiag.SVD on a random n×n matrix (best of reps) and,
+// on the same input, bidiag.SingularValues and the stages of the vector
+// path one by one (the ledger of the fastest staged pass is kept).
+func runPerfSVD(n, nb, workers, reps int, jsonPath string) error {
+	if reps < 1 {
+		reps = 1
+	}
+	rng := rand.New(rand.NewSource(42))
+	a := bidiag.NewDense(n, n)
+	inner := nla.NewMatrix(n, n)
+	for j := 0; j < n; j++ {
+		for i := 0; i < n; i++ {
+			v := rng.NormFloat64()
+			a.Set(i, j, v)
+			inner.Set(i, j, v)
+		}
+	}
+	opts := &bidiag.Options{NB: nb, Workers: workers, Algorithm: bidiag.Bidiag}
+	res := perfResult{
+		Experiment: "svd", M: n, N: n, NB: nb, Workers: workers,
+		Tree: opts.Tree.String(), Algorithm: opts.Algorithm.String(), Reps: reps,
+	}
+	const never = time.Duration(1<<63 - 1)
+	best, bestValues := never, never
+	var out *bidiag.SVDResult
+	for r := 0; r < reps; r++ {
+		start := time.Now()
+		sv, err := bidiag.SVD(a, opts)
+		if err != nil {
+			return err
+		}
+		best, out = min(best, time.Since(start)), sv
+
+		start = time.Now()
+		if _, err := bidiag.SingularValues(a, opts); err != nil {
+			return err
+		}
+		bestValues = min(bestValues, time.Since(start))
+
+		st, err := svdStagesOnce(inner, nb, workers)
+		if err != nil {
+			return err
+		}
+		if res.Stages == nil || st.total() < res.Stages.total() {
+			res.Stages = &st
+		}
+	}
+	res.WallSeconds = best.Seconds()
+	res.GFlops = svdModelFlops(n, nb) / 1e9 / res.WallSeconds
+	res.ValuesSeconds = bestValues.Seconds()
+	res.ValuesRatio = res.WallSeconds / res.ValuesSeconds
+
+	// Accuracy of the last result, in n·ε.
+	u, us, v := nla.NewMatrix(n, n), nla.NewMatrix(n, n), nla.NewMatrix(n, n)
+	for j := 0; j < n; j++ {
+		for i := 0; i < n; i++ {
+			u.Set(i, j, out.U.At(i, j))
+			us.Set(i, j, out.U.At(i, j)*out.S[j])
+			v.Set(i, j, out.V.At(i, j))
+		}
+	}
+	resid := nla.MulABT(us, v)
+	for i, x := range inner.Data {
+		resid.Data[i] -= x
+	}
+	ne := float64(n) * 0x1p-52
+	res.ResidualEps = resid.FrobeniusNorm() / inner.FrobeniusNorm() / ne
+	res.OrthUEps = nla.OrthogonalityError(u) / ne
+	res.OrthVEps = nla.OrthogonalityError(v) / ne
+
+	st := res.Stages
+	fmt.Printf("SVD %dx%d nb=%d workers=%d: %.3fs  %.2f GFLOP/s  = %.2f× SingularValues (%.3fs)  (best of %d)\n",
+		n, n, nb, workers, res.WallSeconds, res.GFlops, res.ValuesRatio, res.ValuesSeconds, reps)
+	fmt.Printf("stages: ge2bnd_rec %.4f  extract %.4f  bnd2bd_logged %.4f  form_qp %.4f  bdsqr_vectors %.4f  back_apply %.4f  (sum %.3fs)\n",
+		st.GE2BNDRec, st.Extract, st.BND2BDLogged, st.FormQP, st.BdsqrVectors, st.BackApply, st.total())
+	fmt.Printf("accuracy: residual %.2f  |UᵀU−I| %.2f  |VᵀV−I| %.2f  n·ε\n", res.ResidualEps, res.OrthUEps, res.OrthVEps)
+	return writeResult(res, jsonPath)
+}
+
 // runPerfBatch measures serving throughput over a ragged small-matrix
 // workload: `jobs` random matrices with dimensions in [n/2, n], all
 // submitted to one bidiag.Service. Two modes run on identically sized
@@ -810,7 +981,7 @@ func main() {
 	nFlag := flag.Int("n", 0, "columns for the timed run (default: m)")
 	nbFlag := flag.Int("nb", 64, "tile size for the timed run")
 	kuFlag := flag.Int("ku", 64, "band width for a -stage bnd2bd timed run")
-	stage := flag.String("stage", "ge2bnd", "timed-run stage: ge2bnd, bnd2bd, full (fused end-to-end pipeline), batch (service throughput), apply (isolated Householder-apply kernel rates), or sched (worker-loop dispatch cost)")
+	stage := flag.String("stage", "ge2bnd", "timed-run stage: ge2bnd, bnd2bd, full (fused end-to-end pipeline), svd (bidiag.SVD with its per-stage ledger), batch (service throughput), apply (isolated Householder-apply kernel rates), or sched (worker-loop dispatch cost)")
 	jobsFlag := flag.Int("jobs", 64, "workload size for a -stage batch timed run")
 	gateFlag := flag.Bool("gate", false, "-stage batch: fail unless batched throughput beats sequential")
 	windowFlag := flag.Int("window", 0, "BND2BD wavefront window for -stage full (0: default)")
@@ -848,6 +1019,15 @@ func main() {
 				n = m
 			}
 			err = runPerfFull(m, n, *nbFlag, *workersFlag, *windowFlag, *repsFlag, !*staged, *jsonOut)
+		case "svd":
+			n := *nFlag
+			if n <= 0 {
+				n = *mFlag
+			}
+			if n <= 0 {
+				n = 1024
+			}
+			err = runPerfSVD(n, *nbFlag, *workersFlag, *repsFlag, *jsonOut)
 		case "batch":
 			n := *nFlag
 			if n <= 0 {
@@ -882,7 +1062,7 @@ func main() {
 			}
 			err = runPerf(m, n, *nbFlag, *workersFlag, *nodes, gr, gc, *repsFlag, *jsonOut)
 		default:
-			fmt.Fprintf(os.Stderr, "unknown -stage %q; want ge2bnd, bnd2bd, full, batch, apply or sched\n", *stage)
+			fmt.Fprintf(os.Stderr, "unknown -stage %q; want ge2bnd, bnd2bd, full, svd, batch, apply or sched\n", *stage)
 			os.Exit(2)
 		}
 		if err != nil {

@@ -74,6 +74,9 @@ type work struct {
 	// tail of v; v(0) = 1 is implicit). Reflectors of different sweeps
 	// in flight at once occupy different rows: see parallel.go.
 	vl, tauL []float64
+	// log, when non-nil, receives both reflectors of every round (see
+	// log.go); the band arithmetic is the same either way.
+	log *Log
 }
 
 func newWork(n, ku int) *work {
@@ -161,7 +164,7 @@ func (w *work) round(i, r int, scratch []float64) {
 		w.a[row+j*stride] = 0
 	}
 	u[0] = 1
-	w.applyRight(tauR, u, scratch[ku:], p0+1, c0+k-p0-1, c0)
+	applyRight(w.a, w.at(p0+1, c0), stride, c0+k-p0-1, tauR, u, scratch[ku:])
 
 	// Left reflector from the first column of the diagonal block.
 	d := w.at(c0, c0)
@@ -171,6 +174,10 @@ func (w *work) round(i, r int, scratch []float64) {
 	copy(vt, x)
 	clear(x)
 	w.applyLeft(w.tauL[c0], vt, c0, c0+1, k-1)
+
+	if w.log != nil {
+		w.log.put(i, r, w.tauL[c0], vt, tauR, u)
+	}
 }
 
 // applyLeft overwrites the block of rows [r0, r0+1+len(vt)) and columns
@@ -203,16 +210,16 @@ func (w *work) applyLeft(tau float64, vt []float64, r0, c, k int) {
 	}
 }
 
-// applyRight overwrites the block of rows [r0, r0+m) and columns
-// [c, c+len(u)) with block·H, H = I − tau·u·uᵀ (u(0) = 1 stored). t is
-// scratch for the m-vector block·u.
-func (w *work) applyRight(tau float64, u, t []float64, r0, m, c int) {
+// applyRight overwrites the m×len(u) block whose columns start at a[o],
+// a[o+stride], … with block·H, H = I − tau·u·uᵀ (u(0) = 1 stored). t is
+// scratch for the m-vector block·u. The chase calls it on blocks of the
+// band array, the reflector log on row panels of a dense matrix.
+func applyRight(a []float64, o, stride, m int, tau float64, u, t []float64) {
 	if tau == 0 {
 		return
 	}
-	a, k, stride := w.a, len(u), w.ld-1
+	k := len(u)
 	t = t[:m]
-	o := w.at(r0, c)
 	col := func(j int) []float64 { return a[o+j*stride : o+j*stride+m] }
 	copy(t, col(0))
 	j := 1

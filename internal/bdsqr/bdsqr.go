@@ -1,8 +1,11 @@
-// Package bdsqr implements the BD2VAL stage: singular values of a real
-// upper-bidiagonal matrix by the implicit QR iteration of Demmel and
-// Kahan, as in LAPACK xBDSQR (values-only path). It combines shifted
-// forward sweeps with the zero-shift sweep that guarantees high relative
-// accuracy when the shift would be negligible.
+// Package bdsqr implements the BD2VAL stage: the singular value
+// decomposition of a real upper-bidiagonal matrix by the implicit QR
+// iteration of Demmel and Kahan, as in LAPACK xBDSQR. It combines shifted
+// sweeps with the zero-shift sweep that guarantees high relative accuracy
+// when the shift would be negligible. SingularValues runs the iteration
+// for the values alone; SVD runs the same iteration and hands every plane
+// rotation it performs to the caller, who accumulates the singular
+// vectors from them (rot.go).
 package bdsqr
 
 import (
@@ -23,7 +26,7 @@ func SingularValues(d, e []float64) ([]float64, error) {
 	}
 	dd := append([]float64(nil), d...)
 	ee := append([]float64(nil), e...)
-	if err := compute(dd, ee); err != nil {
+	if err := compute(dd, ee, nil); err != nil {
 		return nil, err
 	}
 	for i := range dd {
@@ -34,7 +37,9 @@ func SingularValues(d, e []float64) ([]float64, error) {
 }
 
 // compute reduces (d, e) until every superdiagonal entry is negligible.
-func compute(d, e []float64) error {
+// A non-nil out receives the rotations; the arithmetic on d and e does
+// not depend on it.
+func compute(d, e []float64, out *stream) error {
 	n := len(d)
 	if n <= 1 {
 		return nil
@@ -80,9 +85,17 @@ func compute(d, e []float64) error {
 			if d[i] == 0 || math.Abs(d[i]) <= thresh*tol {
 				d[i] = 0
 				if i < m {
-					rotateZeroDiagonalDown(d, e, i, m)
+					l, err := out.left(i+1, i, 1, 0, m-i)
+					if err != nil {
+						return err
+					}
+					rotateZeroDiagonalDown(d, e, i, m, l)
 				} else {
-					rotateZeroDiagonalUp(d, e, lo, m)
+					r, err := out.right(m-1, m, -1, 0, m-lo)
+					if err != nil {
+						return err
+					}
+					rotateZeroDiagonalUp(d, e, lo, m, r)
 				}
 				zeroed = true
 				break
@@ -139,15 +152,25 @@ func compute(d, e []float64) error {
 				shift = 0
 			}
 		}
+		// A forward sweep rotates the planes (lo, lo+1) … (m−1, m) in
+		// this order, a backward sweep (m, m−1) … (lo+1, lo).
+		p, q, step := lo, lo+1, 1
+		if !forward {
+			p, q, step = m, m-1, -1
+		}
+		l, r, err := out.sweep(p, q, step, m-lo)
+		if err != nil {
+			return err
+		}
 		switch {
 		case shift == 0 && forward:
-			zeroShiftSweep(d, e, lo, m)
+			zeroShiftSweep(d, e, lo, m, l, r)
 		case shift == 0:
-			zeroShiftSweepBackward(d, e, lo, m)
+			zeroShiftSweepBackward(d, e, lo, m, l, r)
 		case forward:
-			shiftedSweep(d, e, lo, m, shift)
+			shiftedSweep(d, e, lo, m, shift, l, r)
 		default:
-			shiftedSweepBackward(d, e, lo, m, shift)
+			shiftedSweepBackward(d, e, lo, m, shift, l, r)
 		}
 	}
 	return fmt.Errorf("bdsqr: QR iteration did not converge")
@@ -155,8 +178,9 @@ func compute(d, e []float64) error {
 
 // rotateZeroDiagonalDown annihilates e[i] when d[i] == 0 by a sequence of
 // left rotations pushing the entry down and out (dbdsqr's zero-diagonal
-// handling, forward direction).
-func rotateZeroDiagonalDown(d, e []float64, i, m int) {
+// handling, forward direction): rows j = i+1 … m are each rotated against
+// row i.
+func rotateZeroDiagonalDown(d, e []float64, i, m int, left *Run) {
 	f := e[i]
 	e[i] = 0
 	for j := i + 1; j <= m; j++ {
@@ -166,13 +190,14 @@ func rotateZeroDiagonalDown(d, e []float64, i, m int) {
 			f = -s * e[j]
 			e[j] = c * e[j]
 		}
-		_ = c
+		left.set(j-i-1, c, s)
 	}
 }
 
 // rotateZeroDiagonalUp annihilates e[m−1] when d[m] == 0 by right
-// rotations pushing the entry up and out.
-func rotateZeroDiagonalUp(d, e []float64, lo, m int) {
+// rotations pushing the entry up and out: columns j = m−1 … lo are each
+// rotated against column m.
+func rotateZeroDiagonalUp(d, e []float64, lo, m int, right *Run) {
 	f := e[m-1]
 	e[m-1] = 0
 	for j := m - 1; j >= lo; j-- {
@@ -182,12 +207,15 @@ func rotateZeroDiagonalUp(d, e []float64, lo, m int) {
 			f = -s * e[j-1]
 			e[j-1] = c * e[j-1]
 		}
+		right.set(m-1-j, c, s)
 	}
 }
 
 // zeroShiftSweep is the Demmel–Kahan implicit zero-shift QR sweep on the
-// block d[lo..m], e[lo..m−1] (LAPACK dbdsqr, forward direction).
-func zeroShiftSweep(d, e []float64, lo, m int) {
+// block d[lo..m], e[lo..m−1] (LAPACK dbdsqr, forward direction). In a
+// forward sweep the first rotation of a step acts on columns (right), the
+// second on rows (left); a backward sweep has them the other way round.
+func zeroShiftSweep(d, e []float64, lo, m int, left, right *Run) {
 	cs, oldcs := 1.0, 1.0
 	var sn, oldsn, r float64
 	for i := lo; i < m; i++ {
@@ -196,6 +224,8 @@ func zeroShiftSweep(d, e []float64, lo, m int) {
 			e[i-1] = oldsn * r
 		}
 		oldcs, oldsn, d[i] = lartg(oldcs*r, d[i+1]*sn)
+		right.set(i-lo, cs, sn)
+		left.set(i-lo, oldcs, oldsn)
 	}
 	h := d[m] * cs
 	d[m] = h * oldcs
@@ -204,7 +234,7 @@ func zeroShiftSweep(d, e []float64, lo, m int) {
 
 // shiftedSweep is the standard implicitly shifted QR sweep (LAPACK dbdsqr,
 // forward direction).
-func shiftedSweep(d, e []float64, lo, m int, shift float64) {
+func shiftedSweep(d, e []float64, lo, m int, shift float64, left, right *Run) {
 	f := (math.Abs(d[lo]) - shift) * (math.Copysign(1, d[lo]) + shift/d[lo])
 	g := e[lo]
 	for i := lo; i < m; i++ {
@@ -224,13 +254,15 @@ func shiftedSweep(d, e []float64, lo, m int, shift float64) {
 			g = sinl * e[i+1]
 			e[i+1] = cosl * e[i+1]
 		}
+		right.set(i-lo, cosr, sinr)
+		left.set(i-lo, cosl, sinl)
 	}
 	e[m-1] = f
 }
 
 // zeroShiftSweepBackward is the Demmel–Kahan zero-shift sweep chasing from
 // the bottom of the block to the top (LAPACK dbdsqr, backward direction).
-func zeroShiftSweepBackward(d, e []float64, lo, m int) {
+func zeroShiftSweepBackward(d, e []float64, lo, m int, left, right *Run) {
 	cs, oldcs := 1.0, 1.0
 	var sn, oldsn, r float64
 	for i := m; i > lo; i-- {
@@ -239,6 +271,8 @@ func zeroShiftSweepBackward(d, e []float64, lo, m int) {
 			e[i] = oldsn * r
 		}
 		oldcs, oldsn, d[i] = lartg(oldcs*r, d[i-1]*sn)
+		left.set(m-i, cs, sn)
+		right.set(m-i, oldcs, oldsn)
 	}
 	h := d[lo] * cs
 	d[lo] = h * oldcs
@@ -247,7 +281,7 @@ func zeroShiftSweepBackward(d, e []float64, lo, m int) {
 
 // shiftedSweepBackward is the implicitly shifted QR sweep in the backward
 // direction (LAPACK dbdsqr).
-func shiftedSweepBackward(d, e []float64, lo, m int, shift float64) {
+func shiftedSweepBackward(d, e []float64, lo, m int, shift float64, left, right *Run) {
 	f := (math.Abs(d[m]) - shift) * (math.Copysign(1, d[m]) + shift/d[m])
 	g := e[m-1]
 	for i := m; i > lo; i-- {
@@ -267,6 +301,8 @@ func shiftedSweepBackward(d, e []float64, lo, m int, shift float64) {
 			g = sinl * e[i-2]
 			e[i-2] = cosl * e[i-2]
 		}
+		left.set(m-i, cosr, sinr)
+		right.set(m-i, cosl, sinl)
 	}
 	e[lo] = f
 }

@@ -75,15 +75,11 @@ func (r *Recorder) newStage(sh Shape) *RecStage {
 // the executor parallelism.
 func (r *Recorder) ApplyLeftAll(ub *nla.Matrix, workers int) (*nla.Matrix, error) {
 	// Later stages act on smaller (R-factor) spaces: apply them first,
-	// then embed into the preceding stage's row space.
+	// then embed into the top block of the preceding stage's row space.
 	cur := ub
 	for i := len(r.Stages) - 1; i >= 0; i-- {
 		st := r.Stages[i]
-		c := tile.New(st.Sh.M, cur.Cols, st.Sh.NB)
-		// Embed into the top block.
-		dense := c.ToDense()
-		nla.CopyInto(dense.View(0, 0, cur.Rows, cur.Cols), cur)
-		c = tile.FromDense(dense, st.Sh.NB)
+		c := tile.FromDenseRows(cur, st.Sh.M, st.Sh.NB)
 		if err := st.applyLeft(c, workers, r.Blocking); err != nil {
 			return nil, err
 		}
@@ -95,22 +91,57 @@ func (r *Recorder) ApplyLeftAll(ub *nla.Matrix, workers int) (*nla.Matrix, error
 // ApplyRightAll computes vbt·F_Lᵀ···F_1ᵀ across all stages; vbt is
 // k×n with n the column count of the last stage's matrix.
 func (r *Recorder) ApplyRightAll(vbt *nla.Matrix, workers int) (*nla.Matrix, error) {
-	// Right transforms act on the column space, which every stage shares
-	// (the R copy keeps the full column count), so stages chain directly
-	// in reverse.
-	cur := vbt
-	for i := len(r.Stages) - 1; i >= 0; i-- {
-		st := r.Stages[i]
-		if len(st.right) == 0 {
-			continue
-		}
-		c := tile.FromDense(cur, st.Sh.NB)
-		if err := st.applyRight(c, workers, r.Blocking); err != nil {
-			return nil, err
-		}
-		cur = c.ToDense()
+	nb := r.rightNB()
+	if nb == 0 {
+		return vbt, nil
 	}
-	return cur, nil
+	c := tile.FromDense(vbt, nb)
+	if err := r.applyRightAll(c, workers); err != nil {
+		return nil, err
+	}
+	return c.ToDense(), nil
+}
+
+// ApplyRightAllT is ApplyRightAll on the transposed operand: vb is n×k
+// and the result is F_1···F_L·vb, so vectors stored as columns go in and
+// come out without a transposed copy on either side.
+func (r *Recorder) ApplyRightAllT(vb *nla.Matrix, workers int) (*nla.Matrix, error) {
+	nb := r.rightNB()
+	if nb == 0 {
+		return vb, nil
+	}
+	c := tile.FromDenseT(vb, nb)
+	if err := r.applyRightAll(c, workers); err != nil {
+		return nil, err
+	}
+	return c.ToDenseT(), nil
+}
+
+// rightNB returns the tile size of the stages that have a right product,
+// 0 when none has one (a single-column input). The stages of one
+// Recorder share it, like the column count.
+func (r *Recorder) rightNB() int {
+	for _, st := range r.Stages {
+		if len(st.right) > 0 {
+			return st.Sh.NB
+		}
+	}
+	return 0
+}
+
+// applyRightAll applies every stage's right product to the tiled k×n
+// operand. Right transforms act on the column space, which every stage
+// shares (the R copy keeps the full column count), so stages chain
+// directly in reverse on the same tiles.
+func (r *Recorder) applyRightAll(c *tile.Matrix, workers int) error {
+	for i := len(r.Stages) - 1; i >= 0; i-- {
+		if st := r.Stages[i]; len(st.right) > 0 {
+			if err := st.applyRight(c, workers, r.Blocking); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // applyLeft applies the stage's left product (no-trans, reverse order) to

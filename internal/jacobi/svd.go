@@ -14,10 +14,10 @@ import (
 // columns in U; callers needing a complete basis must orthogonalize those
 // separately.
 //
-// In this repository the routine serves as the band-SVD stage when
-// singular vectors are requested: the GE2BND output is an n×n band matrix,
-// small relative to the original problem, and the tiled reflectors map its
-// vectors back to the full space (see internal/core/record.go).
+// In this repository the routine is a test oracle: slow (O(n³) per sweep,
+// sequential) but independent of everything the pipeline is built from.
+// The vector path (GE2BND, logged BND2BD, bdsqr with vectors) is checked
+// against it; nothing in production calls it.
 func SVD(a *nla.Matrix) (u *nla.Matrix, s []float64, v *nla.Matrix) {
 	if a.Rows < a.Cols {
 		panic("jacobi: SVD requires m ≥ n")

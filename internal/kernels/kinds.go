@@ -35,13 +35,22 @@ const (
 	// without flops and carries zero critical-path weight, so fusing the
 	// stages never lengthens the modeled critical path by itself.
 	BANDCPKind
-	numKinds
+	// BRDQPKind forms one row panel of Q₂ or P₂, the accumulated
+	// transformations of the BND2BD stage, by streaming the reflector
+	// log of the chase over it (internal/core/vectors.go). Like BRDSEG
+	// its cost depends on the data size and rides on the task.
+	BRDQPKind
+	// BDROTKind applies one batch of the bidiagonal QR iteration's plane
+	// rotations to one row panel of the singular vectors.
+	BDROTKind
+	// NumKinds sizes tables indexed by Kind.
+	NumKinds
 )
 
 var kindNames = [...]string{
 	"GEQRT", "UNMQR", "TSQRT", "TSMQR", "TTQRT", "TTMQR",
 	"GELQT", "UNMLQ", "TSLQT", "TSMLQ", "TTLQT", "TTMLQ",
-	"LACPY", "LASET", "BRDSEG", "BANDCP",
+	"LACPY", "LASET", "BRDSEG", "BANDCP", "BRDQP", "BDROT",
 }
 
 func (k Kind) String() string {
@@ -52,10 +61,10 @@ func (k Kind) String() string {
 }
 
 // tableI holds the kernel costs of Table I in units of nb³/3 flops.
-var tableI = [numKinds]float64{
+var tableI = [NumKinds]float64{
 	GEQRTKind: 4, UNMQRKind: 6, TSQRTKind: 6, TSMQRKind: 12, TTQRTKind: 2, TTMQRKind: 6,
 	GELQTKind: 4, UNMLQKind: 6, TSLQTKind: 6, TSMLQKind: 12, TTLQTKind: 2, TTMLQKind: 6,
-	LACPYKind: 0, LASETKind: 0, BRDSEGKind: 0, BANDCPKind: 0,
+	LACPYKind: 0, LASETKind: 0, BRDSEGKind: 0, BANDCPKind: 0, BRDQPKind: 0, BDROTKind: 0,
 }
 
 // Weight returns the Table I critical-path weight of kernel k, in units of

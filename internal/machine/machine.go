@@ -26,7 +26,7 @@ type Model struct {
 	// PeakPerCore is the practical per-core GEMM rate in flop/s.
 	PeakPerCore float64
 	// Eff maps each kernel to its fraction of PeakPerCore.
-	Eff [16]float64
+	Eff [kernels.NumKinds]float64
 	// NetBandwidth is the node NIC bandwidth in bytes/s.
 	NetBandwidth float64
 	// NetLatency is the per-message latency in seconds.

@@ -7,7 +7,9 @@ package nla
 // Both decompose into the same three 4-way register-blocked vector
 // bundles — Dot4, Axpy4 and Gaxpy4 — whose inner loops run in AVX2+FMA
 // assembly (apply_amd64.s) behind the same useAVX2 / BIDIAG_NOASM
-// dispatch as dgemm8x4asm. Kernel choice is a per-process constant
+// dispatch as dgemm8x4asm. RotSeq, the plane-rotation sweep the
+// singular-vector accumulation spends its time in, sits behind the same
+// dispatch. Kernel choice is a per-process constant
 // decided at init, so every worker of a run takes the same path and the
 // bitwise parity contract of sequential/parallel/distributed execution
 // is preserved.
@@ -103,6 +105,46 @@ func gaxpy4go(a0, a1, a2, a3 float64, x0, x1, x2, x3, y []float64) {
 	x3 = x3[:len(y)]
 	for i := range y {
 		y[i] += a0*x0[i] + a1*x1[i] + a2*x2[i] + a3*x3[i]
+	}
+}
+
+// RotSeq applies the k = len(c) plane rotations (c[t], s[t]) to
+// consecutive columns of an m-row column-major block: with x_t the m
+// elements from a[base+t·stride],
+//
+//	x_t ← c[t]·x_t + s[t]·x_{t+1},   x_{t+1} ← c[t]·x_{t+1} − s[t]·x_t
+//
+// for t = 0 … k−1 in order — one sweep of a bidiagonal QR iteration
+// folded into a matrix of vectors (dlasr with a variable pivot). stride
+// is the distance between neighbouring columns and may be negative: a
+// backward sweep walks the columns downwards. The running column stays
+// in registers between rotations, so a sweep loads and stores every
+// element once.
+func RotSeq(m int, a []float64, base, stride int, c, s []float64) {
+	k := len(c)
+	if m == 0 || k == 0 {
+		return
+	}
+	_ = a[min(base, base+k*stride) : max(base, base+k*stride)+m] // the k+1 columns lie inside a
+	if useAVX2 {
+		rotseqasm(m, k, &a[base], 8*stride, &c[0], &s[:k][0])
+		return
+	}
+	rotseqgo(m, a, base, stride, c, s)
+}
+
+// rotseqgo is the portable RotSeq: one pass over two columns per
+// rotation.
+func rotseqgo(m int, a []float64, base, stride int, c, s []float64) {
+	for t, ct := range c {
+		st := s[t]
+		x := a[base+t*stride:][:m]
+		y := a[base+(t+1)*stride:][:m]
+		for i, xi := range x {
+			yi := y[i]
+			x[i] = ct*xi + st*yi
+			y[i] = ct*yi - st*xi
+		}
 	}
 }
 

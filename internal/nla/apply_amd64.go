@@ -12,3 +12,6 @@ func axpy4asm(n int, a0, a1, a2, a3 float64, x, y0, y1, y2, y3 *float64)
 
 //go:noescape
 func gaxpy4asm(n int, a0, a1, a2, a3 float64, x0, x1, x2, x3, y *float64)
+
+//go:noescape
+func rotseqasm(m, k int, a *float64, stride int, c, s *float64)

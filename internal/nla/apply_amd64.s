@@ -1,7 +1,8 @@
 // AVX2+FMA micro-kernels for the Householder-apply primitives: 4-way
 // register-blocked dot products and scaled-column updates over shared
 // streams. Main loops run 8 doubles per iteration (two YMM halves), a
-// 4-wide block and a scalar FMA loop mop up the tail. Only used after
+// 4-wide block and a scalar FMA loop mop up the tail. rotseqasm, the
+// plane-rotation sweep, closes the file. Only used after
 // gemm_amd64.go has verified AVX2, FMA and OS YMM-state support.
 
 #include "textflag.h"
@@ -284,5 +285,132 @@ gaxpy4scalar:
 	JNZ  gaxpy4scalar
 
 gaxpy4done:
+	VZEROUPPER
+	RET
+
+// func rotseqasm(m, k int, a *float64, stride int, c, s *float64)
+// k plane rotations on consecutive columns of an m-row block: with x_t
+// the column at a + t·stride (stride in bytes, possibly negative),
+//	x_t ← c[t]·x_t + s[t]·x_{t+1},   x_{t+1} ← c[t]·x_{t+1} − s[t]·x_t
+// for t = 0 … k−1 in order. Rows are taken 16, then 4, then 1 at a time;
+// for each group of rows the running column x_{t+1} stays in registers
+// from one rotation to the next, so every element is loaded and stored
+// once per sweep. Both products with x_{t+1}'s old value are formed
+// before the FMAs that fold in the running column, which keeps the
+// loop-carried dependence to one FMA per rotation. Requires m, k ≥ 1.
+TEXT ·rotseqasm(SB), NOSPLIT, $0-48
+	MOVQ m+0(FP), CX
+	MOVQ k+8(FP), R12
+	MOVQ a+16(FP), SI
+	MOVQ stride+24(FP), R13
+	MOVQ c+32(FP), R8
+	MOVQ s+40(FP), R9
+
+rotrows16:
+	CMPQ CX, $16
+	JLT  rotrows4
+	MOVQ SI, DI
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+	XORQ AX, AX
+	MOVQ R12, DX
+
+rotloop16:
+	VBROADCASTSD (R8)(AX*1), Y12
+	VBROADCASTSD (R9)(AX*1), Y13
+	LEAQ (DI)(R13*1), BX
+	VMOVUPD (BX), Y4
+	VMOVUPD 32(BX), Y5
+	VMOVUPD 64(BX), Y6
+	VMOVUPD 96(BX), Y7
+	VMULPD Y13, Y4, Y8
+	VMULPD Y13, Y5, Y9
+	VMULPD Y13, Y6, Y10
+	VMULPD Y13, Y7, Y11
+	VMULPD Y12, Y4, Y4
+	VMULPD Y12, Y5, Y5
+	VMULPD Y12, Y6, Y6
+	VMULPD Y12, Y7, Y7
+	VFMADD231PD Y12, Y0, Y8
+	VFMADD231PD Y12, Y1, Y9
+	VFMADD231PD Y12, Y2, Y10
+	VFMADD231PD Y12, Y3, Y11
+	VFNMADD213PD Y4, Y13, Y0
+	VFNMADD213PD Y5, Y13, Y1
+	VFNMADD213PD Y6, Y13, Y2
+	VFNMADD213PD Y7, Y13, Y3
+	VMOVUPD Y8, (DI)
+	VMOVUPD Y9, 32(DI)
+	VMOVUPD Y10, 64(DI)
+	VMOVUPD Y11, 96(DI)
+	MOVQ BX, DI
+	ADDQ $8, AX
+	DECQ DX
+	JNZ  rotloop16
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ $128, SI
+	SUBQ $16, CX
+	JMP  rotrows16
+
+rotrows4:
+	CMPQ CX, $4
+	JLT  rotrows1
+	MOVQ SI, DI
+	VMOVUPD (DI), Y0
+	XORQ AX, AX
+	MOVQ R12, DX
+
+rotloop4:
+	VBROADCASTSD (R8)(AX*1), Y12
+	VBROADCASTSD (R9)(AX*1), Y13
+	LEAQ (DI)(R13*1), BX
+	VMOVUPD (BX), Y4
+	VMULPD Y13, Y4, Y8
+	VMULPD Y12, Y4, Y4
+	VFMADD231PD Y12, Y0, Y8
+	VFNMADD213PD Y4, Y13, Y0
+	VMOVUPD Y8, (DI)
+	MOVQ BX, DI
+	ADDQ $8, AX
+	DECQ DX
+	JNZ  rotloop4
+	VMOVUPD Y0, (DI)
+	ADDQ $32, SI
+	SUBQ $4, CX
+	JMP  rotrows4
+
+rotrows1:
+	TESTQ CX, CX
+	JZ    rotdone
+	MOVQ SI, DI
+	VMOVSD (DI), X0
+	XORQ AX, AX
+	MOVQ R12, DX
+
+rotloop1:
+	VMOVSD (R8)(AX*1), X12
+	VMOVSD (R9)(AX*1), X13
+	LEAQ (DI)(R13*1), BX
+	VMOVSD (BX), X4
+	VMULSD X13, X4, X8
+	VMULSD X12, X4, X4
+	VFMADD231SD X12, X0, X8
+	VFNMADD213SD X4, X13, X0
+	VMOVSD X8, (DI)
+	MOVQ BX, DI
+	ADDQ $8, AX
+	DECQ DX
+	JNZ  rotloop1
+	VMOVSD X0, (DI)
+	ADDQ $8, SI
+	DECQ CX
+	JMP  rotrows1
+
+rotdone:
 	VZEROUPPER
 	RET

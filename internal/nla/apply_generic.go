@@ -16,3 +16,7 @@ func axpy4asm(n int, a0, a1, a2, a3 float64, x, y0, y1, y2, y3 *float64) {
 func gaxpy4asm(n int, a0, a1, a2, a3 float64, x0, x1, x2, x3, y *float64) {
 	panic("nla: assembly micro-kernel not available on this architecture")
 }
+
+func rotseqasm(m, k int, a *float64, stride int, c, s *float64) {
+	panic("nla: assembly micro-kernel not available on this architecture")
+}

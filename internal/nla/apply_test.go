@@ -85,6 +85,57 @@ func TestGaxpy4MatchesFallback(t *testing.T) {
 	}
 }
 
+// refRotSeq is the definition of RotSeq, one element at a time.
+func refRotSeq(m int, a []float64, base, stride int, c, s []float64) {
+	for t := range c {
+		for i := 0; i < m; i++ {
+			x, y := a[base+t*stride+i], a[base+(t+1)*stride+i]
+			a[base+t*stride+i] = c[t]*x + s[t]*y
+			a[base+(t+1)*stride+i] = c[t]*y - s[t]*x
+		}
+	}
+}
+
+// TestRotSeqMatchesFallback fuzzes the rotation sweep over row counts
+// that hit the 16-, 4- and 1-row paths and their mixes, sweep lengths
+// from none to longer than the block is tall, padded leading dimensions
+// and both walking directions, against the portable form and the
+// definition. The rotations are exact (c² + s² = 1), so the columns keep
+// their scale and the FMA contractions differ in the last bits only.
+func TestRotSeqMatchesFallback(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	for _, m := range []int{0, 1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 20, 31, 32, 35, 64, 100} {
+		for _, k := range []int{0, 1, 2, 3, 9, 40} {
+			for _, pad := range []int{0, 3} {
+				for _, down := range []bool{false, true} {
+					ld := m + pad
+					a := randVec(rng, ld*(k+1)+1)
+					c, s := make([]float64, k), make([]float64, k)
+					for i := range c {
+						c[i], s[i] = math.Sincos(2 * math.Pi * rng.Float64())
+					}
+					base, stride := 0, ld
+					if down {
+						base, stride = k*ld, -ld
+					}
+					got := append([]float64(nil), a...)
+					portable := append([]float64(nil), a...)
+					want := append([]float64(nil), a...)
+					RotSeq(m, got, base, stride, c, s)
+					rotseqgo(m, portable, base, stride, c, s)
+					refRotSeq(m, want, base, stride, c, s)
+					for i := range want {
+						if !relClose(got[i], want[i], float64(k)) || portable[i] != want[i] {
+							t.Fatalf("m=%d k=%d ld=%d down=%v: a[%d] dispatch %g, portable %g, definition %g",
+								m, k, ld, down, i, got[i], portable[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // randUpperT fills a k×k upper-triangular matrix (strict lower left as
 // written garbage to catch reads outside the triangle).
 func randUpperT(rng *rand.Rand, k int) *Matrix {
@@ -256,6 +307,7 @@ func TestApplyPrimitivesZeroAlloc(t *testing.T) {
 		sink += s0 + s1 + s2 + s3
 		Axpy4(0.5, -1, 2, 0, x, y0, y1, y2, y3)
 		Gaxpy4(0.5, -1, 2, 0, y0, y1, y2, y3, x)
+		RotSeq(n/4, x, 0, n/4, y0[:3], y1[:3])
 	}); a != 0 {
 		t.Fatalf("vector primitives allocate: %v allocs/op", a)
 	}
@@ -297,5 +349,32 @@ func BenchmarkDot4(b *testing.B) {
 			}
 			_ = sink
 		})
+	}
+}
+
+// BenchmarkRotSeq times one sweep of 255 rotations over a 256-column
+// block of the given height, dispatch path against the portable one, and
+// reports the cost per rotated element pair.
+func BenchmarkRotSeq(b *testing.B) {
+	rng := rand.New(rand.NewSource(49))
+	const k = 255
+	c, s := make([]float64, k), make([]float64, k)
+	for i := range c {
+		c[i], s[i] = math.Sincos(2 * math.Pi * rng.Float64())
+	}
+	for _, m := range []int{16, 64, 256} {
+		ld := m + 8
+		a := randVec(rng, ld*(k+1))
+		for _, impl := range []struct {
+			name string
+			f    func(m int, a []float64, base, stride int, c, s []float64)
+		}{{"dispatch", RotSeq}, {"portable", rotseqgo}} {
+			b.Run(fmt.Sprintf("m=%d/%s", m, impl.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					impl.f(m, a, 0, ld, c, s)
+				}
+				b.ReportMetric(b.Elapsed().Seconds()*1e9/float64(b.N)/float64(m*k), "ns/elem-rot")
+			})
+		}
 	}
 }

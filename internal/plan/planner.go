@@ -136,7 +136,7 @@ func (c Config) String() string {
 // seconds. The nb/(nb+40) cache-blocking ramp of the machine model is
 // applied on top during pricing.
 type Rates struct {
-	PerKind      [16]float64
+	PerKind      [kernels.NumKinds]float64
 	TaskOverhead float64
 }
 

@@ -72,10 +72,33 @@ func (t *Matrix) Set(i, j int, v float64) {
 
 // FromDense converts a dense matrix into tiled layout.
 func FromDense(d *nla.Matrix, nb int) *Matrix {
-	t := New(d.Rows, d.Cols, nb)
+	return FromDenseRows(d, d.Rows, nb)
+}
+
+// FromDenseRows returns the tiled m×d.Cols matrix [d; 0]: d in the top
+// rows, zeros below (m ≥ d.Rows).
+func FromDenseRows(d *nla.Matrix, m, nb int) *Matrix {
+	t := New(m, d.Cols, nb)
+	for j := 0; j < t.Q; j++ {
+		for i := 0; i < t.P && i*nb < d.Rows; i++ {
+			rows := min(t.RowsOf(i), d.Rows-i*nb)
+			nla.CopyInto(t.Tile(i, j).View(0, 0, rows, t.ColsOf(j)), d.View(i*nb, j*nb, rows, t.ColsOf(j)))
+		}
+	}
+	return t
+}
+
+// FromDenseT converts the transpose of a dense matrix into tiled layout.
+func FromDenseT(d *nla.Matrix, nb int) *Matrix {
+	t := New(d.Cols, d.Rows, nb)
 	for j := 0; j < t.Q; j++ {
 		for i := 0; i < t.P; i++ {
-			nla.CopyInto(t.Tile(i, j), d.View(i*nb, j*nb, t.RowsOf(i), t.ColsOf(j)))
+			tl := t.Tile(i, j)
+			for c := 0; c < tl.Cols; c++ {
+				for r := 0; r < tl.Rows; r++ {
+					tl.Data[r+c*tl.LD] = d.Data[(j*nb+c)+(i*nb+r)*d.LD]
+				}
+			}
 		}
 	}
 	return t
@@ -87,6 +110,22 @@ func (t *Matrix) ToDense() *nla.Matrix {
 	for j := 0; j < t.Q; j++ {
 		for i := 0; i < t.P; i++ {
 			nla.CopyInto(d.View(i*t.NB, j*t.NB, t.RowsOf(i), t.ColsOf(j)), t.Tile(i, j))
+		}
+	}
+	return d
+}
+
+// ToDenseT converts the transpose of t to a dense matrix.
+func (t *Matrix) ToDenseT() *nla.Matrix {
+	d := nla.NewMatrix(t.N, t.M)
+	for j := 0; j < t.Q; j++ {
+		for i := 0; i < t.P; i++ {
+			tl := t.Tile(i, j)
+			for r := 0; r < tl.Rows; r++ {
+				for c := 0; c < tl.Cols; c++ {
+					d.Data[(j*t.NB+c)+(i*t.NB+r)*d.LD] = tl.Data[r+c*tl.LD]
+				}
+			}
 		}
 	}
 	return d

@@ -45,6 +45,33 @@ func TestDenseRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEmbeddedAndTransposedConversions pins the converters the
+// back-transform builds its operands with against the plain ones.
+func TestEmbeddedAndTransposedConversions(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for _, dims := range [][3]int{{10, 7, 3}, {8, 8, 4}, {5, 12, 5}, {1, 1, 4}, {13, 2, 4}} {
+		d := nla.RandomMatrix(rng, dims[0], dims[1])
+		nb := dims[2]
+		if !Equal(FromDenseT(d, nb), FromDense(d.Transpose(), nb), 0) {
+			t.Fatalf("FromDenseT differs from tiling the transpose for %v", dims)
+		}
+		back := FromDense(d, nb).ToDenseT()
+		want := d.Transpose()
+		for i := range want.Data {
+			if back.Data[i] != want.Data[i] {
+				t.Fatalf("ToDenseT differs from the transpose for %v", dims)
+			}
+		}
+		for _, m := range []int{d.Rows, d.Rows + 1, d.Rows + 2*nb + 1} {
+			padded := nla.NewMatrix(m, d.Cols)
+			nla.CopyInto(padded.View(0, 0, d.Rows, d.Cols), d)
+			if !Equal(FromDenseRows(d, m, nb), FromDense(padded, nb), 0) {
+				t.Fatalf("FromDenseRows(%d) differs from tiling [d; 0] for %v", m, dims)
+			}
+		}
+	}
+}
+
 func TestAtSetElementwise(t *testing.T) {
 	m := New(10, 10, 3)
 	m.Set(7, 8, 2.5)

@@ -13,7 +13,6 @@ import (
 	"github.com/tiled-la/bidiag/internal/band"
 	"github.com/tiled-la/bidiag/internal/bdsqr"
 	"github.com/tiled-la/bidiag/internal/core"
-	"github.com/tiled-la/bidiag/internal/jacobi"
 	"github.com/tiled-la/bidiag/internal/obs"
 	"github.com/tiled-la/bidiag/internal/pipeline"
 	"github.com/tiled-la/bidiag/internal/plan"
@@ -132,7 +131,10 @@ type JobKind int
 const (
 	// JobSingularValues computes the singular values (SingularValues).
 	JobSingularValues JobKind = iota
-	// JobSVD computes the thin SVD with singular vectors (SVD).
+	// JobSVD computes the thin SVD with singular vectors (SVD): the
+	// recorded GE2BND graph runs on the shared pool like a values job,
+	// the logged BND2BD chase, the bidiagonal iteration with vectors and
+	// the back-transform follow when it has drained.
 	JobSVD
 )
 
@@ -147,9 +149,11 @@ type JobRequest struct {
 	// points, with two differences: Options.Distributed must be nil
 	// (service jobs run on the shared in-process pool), and
 	// Options.Workers does NOT size a pool — the service's shared
-	// workers do — but still parameterizes the AUTO tree and the
-	// reflector application of JobSVD, so it remains part of the result's
-	// cache identity. All other fields (NB, Tree, Algorithm, Gamma,
+	// workers do — but still parameterizes the AUTO tree and, for
+	// JobSVD, the stages after the GE2BND graph (the panel tasks that
+	// form Q₂ and P₂ and fold the bidiagonal rotations in, and the
+	// reflector application), so it remains part of the result's cache
+	// identity. All other fields (NB, Tree, Algorithm, Gamma,
 	// Gemm, BND2BD, BND2BDWindow) are honored per job; Fused is ignored
 	// (the service fuses whenever BND2BD allows it — the fused and
 	// staged paths are bitwise-identical). Options.Auto defers the
@@ -502,8 +506,9 @@ func buildSingularValuesJob(a *Dense, o *Options) func(g *sched.Graph) (func() (
 }
 
 // buildSVDJob emits the vector-bearing decomposition: the recorded
-// GE2BND graph, then — in finish — the dense band SVD and the
-// application of the recorded reflectors, exactly as SVD does.
+// GE2BND graph, then — in finish — everything SVD does after it (the
+// logged chase, the bidiagonal iteration with vectors, the recorded
+// reflectors), through the same finishSVD.
 func buildSVDJob(a *Dense, o *Options) func(g *sched.Graph) (func() (any, error), error) {
 	return func(g *sched.Graph) (func() (any, error), error) {
 		opts, src, treeKind, transposed, err := resolve(a, o)
@@ -515,21 +520,11 @@ func buildSVDJob(a *Dense, o *Options) func(g *sched.Graph) (func() (any, error)
 		spec.Graph = g
 		plan := pipeline.Build(spec)
 		finish := func() (any, error) {
-			bandDense := plan.Tiles.ExtractBand(plan.Tiles.NB).ToDense()
-			ub, sv, vb := jacobi.SVD(bandDense)
-			u, err := rec.ApplyLeftAll(ub, opts.Workers)
+			res, err := finishSVD(plan, rec, opts, transposed)
 			if err != nil {
 				return nil, err
 			}
-			vt, err := rec.ApplyRightAll(vb.Transpose(), opts.Workers)
-			if err != nil {
-				return nil, err
-			}
-			v := vt.Transpose()
-			if transposed {
-				u, v = v, u
-			}
-			return &SVDResult{U: &Dense{inner: u}, S: sv, V: &Dense{inner: v}}, nil
+			return res, nil
 		}
 		return finish, nil
 	}

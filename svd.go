@@ -3,8 +3,8 @@ package bidiag
 import (
 	"context"
 
+	"github.com/tiled-la/bidiag/internal/band"
 	"github.com/tiled-la/bidiag/internal/core"
-	"github.com/tiled-la/bidiag/internal/jacobi"
 	"github.com/tiled-la/bidiag/internal/pipeline"
 )
 
@@ -21,20 +21,25 @@ type SVDResult struct {
 	Dist *DistStats
 }
 
-// SVD computes the thin singular value decomposition using the tiled
-// reduction: GE2BND with transformation recording, a dense SVD of the
-// small band factor, and application of the recorded tiled reflectors to
-// map the band's singular vectors back to the full space.
+// SVD computes the thin singular value decomposition by the paper's
+// three-stage pipeline, made vector-bearing:
 //
-// Computing singular vectors on top of the two-stage reduction is the
-// extension the paper lists as future work; here the band factor (n×n,
-// bandwidth NB+1) is resolved by one-sided Jacobi, so the reduction's
-// second stage (BND2BD) is bypassed when vectors are requested — the
-// trade-off Section II describes for multi-step methods.
+//  1. GE2BND with transformation recording: A = Q₁·[B; 0]·P₁ᵀ, B the n×n
+//     band factor, the tiled reflectors of Q₁ and P₁ kept beside it;
+//  2. BND2BD logging its reflectors: B = Q₂·B_bd·P₂ᵀ (the sequential
+//     Householder bulge chase; Q₂ and P₂ are formed from the log in row
+//     panels on the worker pool);
+//  3. the bidiagonal QR iteration with vectors: B_bd = U_bd·Σ·V_bdᵀ, its
+//     plane rotations folded into Q₂ and P₂ panel by panel;
 //
-// The decomposition requires a numerically full-rank A for the U columns
-// associated with the smallest singular values to be reliable.
-// Options.Fused is ignored here: there is no BND2BD stage to fuse.
+// and the recorded stage-1 reflectors map Q₂·U_bd and P₂·V_bd back to the
+// full space. U and V are products of orthogonal transformations whatever
+// the rank of A, and S is bitwise what SingularValues returns for the same
+// Options. Computing singular vectors on top of the two-stage reduction
+// is the extension the paper lists as future work.
+//
+// Options.BND2BD, BND2BDWindow and Fused do not apply: the logged chase
+// does not run as a task graph yet.
 func SVD(a *Dense, o *Options) (*SVDResult, error) {
 	return SVDCtx(context.Background(), a, o)
 }
@@ -57,31 +62,46 @@ func SVDCtx(ctx context.Context, a *Dense, o *Options) (*SVDResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	ds := distStatsOf(rep)
 	if err := ctx.Err(); err != nil {
 		// A cancellation that lands after the graph drained still spares
-		// the dense band SVD and the reflector application.
+		// stages 2 and 3 and the reflector application.
+		return nil, err
+	}
+	res, err := finishSVD(plan, rec, opts, transposed)
+	if err != nil {
+		return nil, err
+	}
+	res.Dist = distStatsOf(rep)
+	return res, nil
+}
+
+// finishSVD turns an executed recording GE2BND plan into the
+// decomposition: stages 2 and 3 on the band factor, then the recorded
+// reflectors.
+func finishSVD(plan *pipeline.Plan, rec *core.Recorder, opts Options, transposed bool) (*SVDResult, error) {
+	bd, log := band.ReduceLogged(plan.Tiles.ExtractBand(plan.Tiles.NB))
+	ub, vb, err := core.FormQP(log, opts.Workers)
+	if err != nil {
+		return nil, err
+	}
+	d, e := bd.Bidiagonal()
+	s, err := core.BidiagonalVectors(d, e, ub, vb, opts.Workers)
+	if err != nil {
 		return nil, err
 	}
 
-	// Dense SVD of the small band factor.
-	bandDense := plan.Tiles.ExtractBand(plan.Tiles.NB).ToDense()
-	ub, s, vb := jacobi.SVD(bandDense)
-
 	// Map the band vectors back through the recorded reflectors:
-	// U = E₁ᵀ···E_Kᵀ·[U_b; 0] and Vᵀ = V_bᵀ·F_Lᵀ···F₁ᵀ.
+	// U = E₁ᵀ···E_Kᵀ·[U_b; 0] and V = F₁···F_L·V_b.
 	u, err := rec.ApplyLeftAll(ub, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
-	vt, err := rec.ApplyRightAll(vb.Transpose(), opts.Workers)
+	v, err := rec.ApplyRightAllT(vb, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
-	v := vt.Transpose()
-
 	if transposed {
 		u, v = v, u
 	}
-	return &SVDResult{U: &Dense{inner: u}, S: s, V: &Dense{inner: v}, Dist: ds}, nil
+	return &SVDResult{U: &Dense{inner: u}, S: s, V: &Dense{inner: v}}, nil
 }

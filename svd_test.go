@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"github.com/tiled-la/bidiag/internal/jacobi"
 	"github.com/tiled-la/bidiag/internal/nla"
 )
 
@@ -63,18 +62,31 @@ func TestSVDReconstruction(t *testing.T) {
 	}
 }
 
+// TestSVDValuesMatchPipeline: SVD runs the values pipeline's own stages
+// (the same chase arithmetic, the same QR iteration), so its S is bitwise
+// what SingularValues returns — under the sequential BND2BD reference and,
+// because the task-graph chase is bitwise equal to it, by default too.
 func TestSVDValuesMatchPipeline(t *testing.T) {
-	a := randomDense(7, 60, 30)
-	r, err := SVD(a, &Options{NB: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sv, err := SingularValues(a, &Options{NB: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := jacobi.MaxRelDiff(r.S, sv); diff > 1e-12 {
-		t.Fatalf("SVD and SingularValues disagree by %g", diff)
+	for _, shape := range [][2]int{{60, 30}, {70, 70}, {20, 45}} {
+		a := randomDense(7, shape[0], shape[1])
+		for _, mode := range []BND2BD{BND2BDSequential, BND2BDAuto} {
+			for _, alg := range []Algorithm{Bidiag, RBidiag} {
+				opts := &Options{NB: 8, BND2BD: mode, Algorithm: alg}
+				r, err := SVD(a, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sv, err := SingularValues(a, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range sv {
+					if math.Float64bits(r.S[i]) != math.Float64bits(sv[i]) {
+						t.Fatalf("%v %v %v: S[%d] = %v, SingularValues gives %v", shape, mode, alg, i, r.S[i], sv[i])
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -117,25 +129,37 @@ func TestSVDSingleColumn(t *testing.T) {
 	}
 }
 
+// TestSVDAcrossWorkersDeterministic: S, U and V do not depend on the
+// worker count by a single bit — stage 1 by the parity contract of the
+// task graph, stages 2 and 3 because their row-panel cut depends on the
+// shape alone.
 func TestSVDAcrossWorkersDeterministic(t *testing.T) {
-	a := randomDense(10, 40, 24)
-	r1, err := SVD(a, &Options{NB: 8, Workers: 1, Tree: Greedy, Algorithm: Bidiag})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r4, err := SVD(a, &Options{NB: 8, Workers: 4, Tree: Greedy, Algorithm: Bidiag})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range r1.S {
-		if r1.S[i] != r4.S[i] {
-			t.Fatalf("singular values depend on worker count")
+	// 280 columns make two row panels per factor.
+	for _, shape := range [][2]int{{40, 24}, {280, 280}} {
+		a := randomDense(10, shape[0], shape[1])
+		ref, err := SVD(a, &Options{NB: 8, Workers: 1, Tree: Greedy, Algorithm: Bidiag})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for j := 0; j < r1.U.Cols(); j++ {
-		for i := 0; i < r1.U.Rows(); i++ {
-			if r1.U.At(i, j) != r4.U.At(i, j) {
-				t.Fatalf("U depends on worker count")
+		for _, workers := range []int{2, 4} {
+			r, err := SVD(a, &Options{NB: 8, Workers: workers, Tree: Greedy, Algorithm: Bidiag})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range ref.S {
+				if ref.S[i] != r.S[i] {
+					t.Fatalf("%v: singular values depend on worker count", shape)
+				}
+			}
+			for i := range ref.U.inner.Data {
+				if ref.U.inner.Data[i] != r.U.inner.Data[i] {
+					t.Fatalf("%v: U depends on worker count (%d workers)", shape, workers)
+				}
+			}
+			for i := range ref.V.inner.Data {
+				if ref.V.inner.Data[i] != r.V.inner.Data[i] {
+					t.Fatalf("%v: V depends on worker count (%d workers)", shape, workers)
+				}
 			}
 		}
 	}

@@ -732,6 +732,7 @@ func svdStagesOnce(a *nla.Matrix, nb, workers int) (svdStages, error) {
 		Data:   tile.FromDense(a, nb),
 		Config: core.Config{Tree: trees.Auto, Gamma: 2, Cores: workers, Recorder: rec},
 	})
+	workers = core.SVDWorkers(a.Rows, a.Cols, workers) // trees above, execution below
 	if _, err := pipeline.Run(plan, pipeline.Pool{Workers: workers}); err != nil {
 		return st, err
 	}

@@ -37,6 +37,41 @@ const panelBytes = 512 << 10
 // nla.RotSeq keeps in registers.
 const stripRows = 16
 
+// svdSerialWork is the size of a decomposition, as m·n² of its m×n
+// input (m ≥ n), up to which SVDWorkers keeps it on one worker.
+//
+// Every graph of a 256² call is 2–8 ms of work and each one wakes the
+// second thread. On the 2-vCPU box the kernel runs both threads on ONE
+// CPU for about the first second of parallel work in a process, and again
+// whenever something has displaced one of them (per call: 30 ms of
+// run-queue wait in /proc/self/task/*/schedstat, the other CPU idle);
+// there they trade the CPU at every task boundary. A 256² call measured
+// 43 ms in that state, 28 ms once the threads were spread, and 35–40 ms
+// on one worker (35 with trees built for one core, 40 with the trees
+// built for two that SVD keeps so that S stays bitwise SingularValues');
+// 128² 6.7 / 5.0 / 6.3 ms. Up to 256² the second worker buys 20–30% at
+// best, costs 10–25% at worst, and which of the two a call gets changes
+// from one second to the next — the benchmark's ops/s on 256² spread by
+// how long the first state happened to last. At 384² (82 against 94 ms)
+// and 512² (147 against 205) the pool pays. The cut-over sits between
+// 256³ = 2²⁴ and 384³ ≈ 2²⁵·⁸.
+const svdSerialWork = 1 << 25
+
+// SVDWorkers returns the number of workers the stages of the vector path
+// run on for an m×n input when the caller allows workers: one for a
+// decomposition of at most svdSerialWork, whose graphs then run on the
+// calling goroutine, and workers otherwise. The choice concerns execution
+// only — trees, panel cuts and results do not depend on it.
+func SVDWorkers(m, n, workers int) int {
+	if m < n {
+		m, n = n, m
+	}
+	if float64(m)*float64(n)*float64(n) <= svdSerialWork {
+		return 1
+	}
+	return workers
+}
+
 // panelRows returns the panel height for matrices with n columns.
 func panelRows(n int) int {
 	// Multiples of 8 rows keep panel columns on cache-line boundaries.

@@ -129,3 +129,23 @@ func BenchmarkBidiagonalVectors(b *testing.B) {
 		}
 	}
 }
+
+// TestSVDWorkers pins the cut-over of the vector path: the benchmark's
+// 256² call and the service's small jobs stay on the caller, 384² and a
+// tall-skinny input keep the pool, either orientation counts the same.
+func TestSVDWorkers(t *testing.T) {
+	for _, c := range []struct{ m, n, workers, want int }{
+		{128, 128, 2, 1},
+		{256, 256, 8, 1},
+		{1024, 128, 4, 1},
+		{384, 384, 2, 2},
+		{512, 512, 4, 4},
+		{8192, 256, 2, 2},
+		{256, 8192, 2, 2},
+		{4096, 4096, 1, 1},
+	} {
+		if got := SVDWorkers(c.m, c.n, c.workers); got != c.want {
+			t.Errorf("SVDWorkers(%d, %d, %d) = %d, want %d", c.m, c.n, c.workers, got, c.want)
+		}
+	}
+}

@@ -508,7 +508,9 @@ func buildSingularValuesJob(a *Dense, o *Options) func(g *sched.Graph) (func() (
 // buildSVDJob emits the vector-bearing decomposition: the recorded
 // GE2BND graph, then — in finish — everything SVD does after it (the
 // logged chase, the bidiagonal iteration with vectors, the recorded
-// reflectors), through the same finishSVD.
+// reflectors), through the same finishSVD. finish runs beside the
+// service's pool, not on it: a small job (core.SVDWorkers) does it on the
+// goroutine it is called from instead of starting workers of its own.
 func buildSVDJob(a *Dense, o *Options) func(g *sched.Graph) (func() (any, error), error) {
 	return func(g *sched.Graph) (func() (any, error), error) {
 		opts, src, treeKind, transposed, err := resolve(a, o)
@@ -519,8 +521,9 @@ func buildSVDJob(a *Dense, o *Options) func(g *sched.Graph) (func() (any, error)
 		spec := buildSpec(src, opts, treeKind, rec, false)
 		spec.Graph = g
 		plan := pipeline.Build(spec)
+		workers := core.SVDWorkers(src.Rows, src.Cols, opts.Workers)
 		finish := func() (any, error) {
-			res, err := finishSVD(plan, rec, opts, transposed)
+			res, err := finishSVD(plan, rec, workers, transposed)
 			if err != nil {
 				return nil, err
 			}

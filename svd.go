@@ -39,7 +39,10 @@ type SVDResult struct {
 // is the extension the paper lists as future work.
 //
 // Options.BND2BD, BND2BDWindow and Fused do not apply: the logged chase
-// does not run as a task graph yet.
+// does not run as a task graph yet. Options.Workers is an upper bound:
+// an input too small for a second thread to pay (core.SVDWorkers; 256²
+// is, 384² is not) is decomposed on the calling goroutine, with the same
+// trees and therefore the same bits as on any other worker count.
 func SVD(a *Dense, o *Options) (*SVDResult, error) {
 	return SVDCtx(context.Background(), a, o)
 }
@@ -58,6 +61,12 @@ func SVDCtx(ctx context.Context, a *Dense, o *Options) (*SVDResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The plan keeps opts.Workers for its trees; only the execution of a
+	// small input is narrowed.
+	workers := core.SVDWorkers(src.Rows, src.Cols, opts.Workers)
+	if opts.Distributed == nil {
+		ex = pipeline.Pool{Workers: workers}
+	}
 	rep, err := pipeline.RunCtx(ctx, plan, ex)
 	if err != nil {
 		return nil, err
@@ -67,7 +76,7 @@ func SVDCtx(ctx context.Context, a *Dense, o *Options) (*SVDResult, error) {
 		// stages 2 and 3 and the reflector application.
 		return nil, err
 	}
-	res, err := finishSVD(plan, rec, opts, transposed)
+	res, err := finishSVD(plan, rec, workers, transposed)
 	if err != nil {
 		return nil, err
 	}
@@ -77,26 +86,26 @@ func SVDCtx(ctx context.Context, a *Dense, o *Options) (*SVDResult, error) {
 
 // finishSVD turns an executed recording GE2BND plan into the
 // decomposition: stages 2 and 3 on the band factor, then the recorded
-// reflectors.
-func finishSVD(plan *pipeline.Plan, rec *core.Recorder, opts Options, transposed bool) (*SVDResult, error) {
+// reflectors, their panel and tile graphs on workers workers.
+func finishSVD(plan *pipeline.Plan, rec *core.Recorder, workers int, transposed bool) (*SVDResult, error) {
 	bd, log := band.ReduceLogged(plan.Tiles.ExtractBand(plan.Tiles.NB))
-	ub, vb, err := core.FormQP(log, opts.Workers)
+	ub, vb, err := core.FormQP(log, workers)
 	if err != nil {
 		return nil, err
 	}
 	d, e := bd.Bidiagonal()
-	s, err := core.BidiagonalVectors(d, e, ub, vb, opts.Workers)
+	s, err := core.BidiagonalVectors(d, e, ub, vb, workers)
 	if err != nil {
 		return nil, err
 	}
 
 	// Map the band vectors back through the recorded reflectors:
 	// U = E₁ᵀ···E_Kᵀ·[U_b; 0] and V = F₁···F_L·V_b.
-	u, err := rec.ApplyLeftAll(ub, opts.Workers)
+	u, err := rec.ApplyLeftAll(ub, workers)
 	if err != nil {
 		return nil, err
 	}
-	v, err := rec.ApplyRightAllT(vb, opts.Workers)
+	v, err := rec.ApplyRightAllT(vb, workers)
 	if err != nil {
 		return nil, err
 	}

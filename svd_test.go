@@ -134,8 +134,10 @@ func TestSVDSingleColumn(t *testing.T) {
 // task graph, stages 2 and 3 because their row-panel cut depends on the
 // shape alone.
 func TestSVDAcrossWorkersDeterministic(t *testing.T) {
-	// 280 columns make two row panels per factor.
-	for _, shape := range [][2]int{{40, 24}, {280, 280}} {
+	// 40×24 stays on the calling goroutine whatever Workers says
+	// (core.SVDWorkers); 336² is past that cut-over and its 336 columns
+	// make two row panels per factor.
+	for _, shape := range [][2]int{{40, 24}, {336, 336}} {
 		a := randomDense(10, shape[0], shape[1])
 		ref, err := SVD(a, &Options{NB: 8, Workers: 1, Tree: Greedy, Algorithm: Bidiag})
 		if err != nil {

@@ -2,7 +2,9 @@
 // bidiagrouter, which serves the same surface). It mirrors the
 // bidiag.Service entry points — SingularValues, SVD, Stats — over the
 // wire types of package httpapi, with typed errors for the daemon's
-// backpressure (429) and validation (400) responses.
+// backpressure (429) and validation (400) responses. Jobs and their
+// answers travel as binary frames (httpapi.BinaryMediaType), so a matrix
+// costs 8 bytes an element each way and arrives bit for bit.
 package client
 
 import (
@@ -104,8 +106,7 @@ func (c *Client) SVD(ctx context.Context, a *bidiag.Dense, opts *httpapi.Options
 
 // PostValues submits a wire-form job to POST /v1/singular-values. With
 // trace set, the job's timeline is recorded and the response's JobID
-// keys Trace. This is the entry the router uses: it forwards the
-// already-decoded wire job without round-tripping through Dense.
+// keys Trace.
 func (c *Client) PostValues(ctx context.Context, job httpapi.Job, trace bool) (*httpapi.ValuesResponse, error) {
 	var out httpapi.ValuesResponse
 	if err := c.postJob(ctx, "/v1/singular-values", job, trace, &out); err != nil {
@@ -168,8 +169,11 @@ func (c *Client) Trace(ctx context.Context, jobID string) ([]byte, error) {
 	return io.ReadAll(resp.Body)
 }
 
+// postJob sends the job, and reads the answer, as one binary frame each
+// (httpapi.BinaryMediaType): the matrix and the factors cross the wire
+// as raw float64 words. Errors stay JSON.
 func (c *Client) postJob(ctx context.Context, path string, job httpapi.Job, trace bool, out any) error {
-	blob, err := json.Marshal(job)
+	blob, err := httpapi.EncodeJob(job)
 	if err != nil {
 		return err
 	}
@@ -181,7 +185,7 @@ func (c *Client) postJob(ctx context.Context, path string, job httpapi.Job, trac
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", httpapi.BinaryMediaType)
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		return err
@@ -190,7 +194,10 @@ func (c *Client) postJob(ctx context.Context, path string, job httpapi.Job, trac
 	if resp.StatusCode != http.StatusOK {
 		return decodeError(resp)
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	if err := httpapi.DecodeResponse(resp.Body, resp.ContentLength, out); err != nil {
+		return fmt.Errorf("bidiag client: decode response: %w", err)
+	}
+	return nil
 }
 
 func (c *Client) getJSON(ctx context.Context, path string, out any) error {

@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
@@ -199,23 +198,17 @@ func clusterJobOptions(o *httpapi.Options, m, n, wpn int) (cluster.JobOptions, e
 	return job, nil
 }
 
+// handleValues runs one job over the mesh. ?trace=1 gathers a
+// distributed trace: every rank records its task and comm events, the
+// head clock-aligns the merge, and the response's job_id keys
+// GET /debug/trace/{job_id}.
 func (s *clusterServer) handleValues(w http.ResponseWriter, r *http.Request) {
-	var req httpapi.Job
-	body := http.MaxBytesReader(w, r.Body, s.maxBody)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			httpError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", tooBig.Limit))
-			return
-		}
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	req, status, err := httpapi.ReadRequest(w, r, s.maxBody)
+	if err != nil {
+		httpError(w, status, err)
 		return
 	}
-	d, err := req.Dense()
-	if err == nil {
-		err = d.CheckFinite()
-	}
-	if err != nil {
+	if err := req.A.CheckFinite(); err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -231,24 +224,10 @@ func (s *clusterServer) handleValues(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	// ?trace=1 gathers a distributed trace: every rank records its task
-	// and comm events, the head clock-aligns the merge, and the
-	// response's job_id keys GET /debug/trace/{job_id}.
-	switch strings.ToLower(r.URL.Query().Get("trace")) {
-	case "", "0", "false":
-	case "1", "true", "yes":
-		opt.Trace = true
-	default:
-		httpError(w, http.StatusBadRequest, fmt.Errorf("invalid trace value %q", r.URL.Query().Get("trace")))
-		return
-	}
-	a := nla.NewMatrix(req.M, req.N)
-	for j := 0; j < req.N; j++ {
-		copy(a.Data[j*a.LD:j*a.LD+req.M], req.Data[j*req.M:(j+1)*req.M])
-	}
+	opt.Trace = req.Trace
 
 	begin := time.Now()
-	jr, err := s.head.Run(a, opt)
+	jr, err := s.head.Run(nla.FromColMajor(req.M, req.N, req.M, req.Data), opt)
 	if err != nil {
 		s.jobsFailed.Add(1)
 		httpError(w, http.StatusInternalServerError, err)
@@ -262,7 +241,7 @@ func (s *clusterServer) handleValues(w http.ResponseWriter, r *http.Request) {
 		s.traceDropped.Add(jr.Trace.DroppedTotal())
 	}
 	ms := float64(time.Since(begin)) / float64(time.Millisecond)
-	writeJSON(w, http.StatusOK, httpapi.ValuesResponse{S: jr.Values, Ms: ms, JobID: jobID})
+	writeResult(w, req, httpapi.ValuesResponse{S: jr.Values, Ms: ms, JobID: jobID})
 }
 
 // handleTrace serves a gathered multi-rank trace: Chrome-tracing JSON by

@@ -110,8 +110,9 @@ func TestClusterHTTPSurface(t *testing.T) {
 		t.Fatalf("wide matrix in cluster mode: %v, want 400", err)
 	}
 
-	// So is a non-finite entry, in the only spellings JSON has for one.
-	for _, body := range []string{`{"m":1,"n":1,"data":[NaN]}`, `{"m":1,"n":1,"data":[1e999]}`} {
+	// So is a non-finite entry, in the only spellings JSON has for one —
+	// and a shape whose element count wraps an int to the empty data's 0.
+	for _, body := range []string{`{"m":1,"n":1,"data":[NaN]}`, `{"m":1,"n":1,"data":[1e999]}`, `{"m":4294967296,"n":4294967296,"data":[]}`} {
 		resp, err := http.Post(ts.URL+"/v1/singular-values", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -120,6 +121,22 @@ func TestClusterHTTPSurface(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%s in cluster mode: status %d, want 400", body, resp.StatusCode)
 		}
+	}
+
+	// A binary body can spell one outright; the head refuses it the same.
+	if _, err := cl.PostValues(context.Background(), httpapi.Job{Matrix: httpapi.Matrix{M: 1, N: 1, Data: []float64{math.NaN()}}}, false); !errors.Is(err, client.ErrBadRequest) || !strings.Contains(err.Error(), "non-finite") {
+		t.Fatalf("NaN in a binary body in cluster mode: %v, want 400 naming the non-finite entry", err)
+	}
+	// The JSON codec stays served: same values as the client's frames got.
+	resp, err := http.Post(ts.URL+"/v1/singular-values", "", strings.NewReader(`{"m":3,"n":2,"data":[1,0,0,0,2,0],"options":{"nb":1}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var viaJSON httpapi.ValuesResponse
+	err = json.NewDecoder(resp.Body).Decode(&viaJSON)
+	resp.Body.Close()
+	if err != nil || len(viaJSON.S) != 2 || viaJSON.S[0] != out.S[0] || viaJSON.S[1] != out.S[1] {
+		t.Fatalf("cluster JSON answer %+v (%v), binary answer %v", viaJSON, err, out.S)
 	}
 
 	health, err := cl.Healthz(context.Background())
@@ -133,7 +150,7 @@ func TestClusterHTTPSurface(t *testing.T) {
 	text := getText(t, ts.URL+"/metrics")
 	for _, want := range []string{
 		"bidiagd_cluster_nodes 2",
-		`bidiagd_cluster_jobs_total{result="done"} 1`,
+		`bidiagd_cluster_jobs_total{result="done"} 2`,
 		"bidiagd_cluster_comm_bytes_total",
 		"bidiagd_trace_dropped_events_total",
 	} {

@@ -12,6 +12,9 @@
 //	                           lets the plan autotuner choose the configuration.
 //	                           (?trace=1 records the job's task timeline and
 //	                           returns a job_id keying /debug/trace/{job_id})
+//	                           Both also take, and then answer with, a binary
+//	                           frame under Content-Type application/x-bidiag-matrix
+//	                           (raw float64 words; layout in package httpapi).
 //	GET  /healthz              liveness + uptime
 //	GET  /metrics              Prometheus text exposition: job/latency/queue-wait
 //	                           histograms, queue and cache gauges, outcome and

@@ -7,7 +7,6 @@ import (
 	"log"
 	"net/http"
 	"net/http/pprof"
-	"strings"
 	"sync"
 	"time"
 
@@ -30,7 +29,11 @@ type server struct {
 	maxBody int64
 }
 
-// defaultMaxBody admits matrices up to roughly 1500² in JSON form.
+// defaultMaxBody is 32 MiB. The binary codec spends 8 bytes on an
+// element and about 50 on the job's header, so it admits 2048×2047
+// (2048² is one header too many); JSON spends about 20 bytes on a
+// full-precision element — some 1.6 million of them, roughly 1300² —
+// and as few as 2 on one that prints short.
 const defaultMaxBody = 32 << 20
 
 // newMux wires the daemon's routes. maxBody ≤ 0 selects defaultMaxBody.
@@ -205,61 +208,41 @@ func (s *server) handleSVD(w http.ResponseWriter, r *http.Request) {
 	s.handleJob(w, r, bidiag.JobSVD)
 }
 
+// handleJob runs one job. ?trace=1 records the per-task timeline: the
+// job runs solo, bypasses the cache, and the response's job_id keys
+// GET /debug/trace/{job_id}.
 func (s *server) handleJob(w http.ResponseWriter, r *http.Request, kind bidiag.JobKind) {
-	var req httpapi.Job
-	body := http.MaxBytesReader(w, r.Body, s.maxBody)
-	dec := json.NewDecoder(body)
-	if err := dec.Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			httpError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes (-max-body-mb raises the cap)", tooBig.Limit))
-			return
-		}
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
-		return
-	}
-	a, err := req.Dense()
+	req, status, err := httpapi.ReadRequest(w, r, s.maxBody)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	opts, err := req.Options.ToOptions()
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	// ?trace=1 records the per-task timeline: the job runs solo,
-	// bypasses the cache, and the response's job_id keys
-	// GET /debug/trace/{job_id}.
-	trace := false
-	switch strings.ToLower(r.URL.Query().Get("trace")) {
-	case "", "0", "false":
-	case "1", "true", "yes":
-		trace = true
-	default:
-		httpError(w, http.StatusBadRequest, fmt.Errorf("invalid trace value %q", r.URL.Query().Get("trace")))
+		httpError(w, status, err)
 		return
 	}
 	begin := time.Now()
-	res, err := s.svc.Do(r.Context(), bidiag.JobRequest{Kind: kind, A: a, Opts: opts, Trace: trace})
+	res, err := s.svc.Do(r.Context(), bidiag.JobRequest{Kind: kind, A: req.A, Opts: req.Opts, Trace: req.Trace})
 	if err != nil {
 		writeJobError(w, r, err)
 		return
 	}
 	ms := float64(time.Since(begin)) / float64(time.Millisecond)
 	jobID := ""
-	if trace && len(res.Timeline) > 0 {
+	if req.Trace && len(res.Timeline) > 0 {
 		jobID = s.traces.put(res.Timeline)
 	}
 	if kind == bidiag.JobSVD {
-		writeJSON(w, http.StatusOK, httpapi.SVDResponse{
+		writeResult(w, req, httpapi.SVDResponse{
 			U: httpapi.FromDense(res.SVD.U), S: res.SVD.S, V: httpapi.FromDense(res.SVD.V),
 			CacheHit: res.CacheHit, Ms: ms, JobID: jobID,
 		})
 		return
 	}
-	writeJSON(w, http.StatusOK, httpapi.ValuesResponse{S: res.Values, CacheHit: res.CacheHit, Ms: ms, JobID: jobID})
+	writeResult(w, req, httpapi.ValuesResponse{S: res.Values, CacheHit: res.CacheHit, Ms: ms, JobID: jobID})
+}
+
+// writeResult answers a finished job in the codec its request came in.
+func writeResult(w http.ResponseWriter, req *httpapi.Request, v any) {
+	if err := httpapi.WriteResponse(w, req.Binary, v); err != nil {
+		log.Printf("write response: %v", err)
+	}
 }
 
 // writeJobError maps a failed Service.Do to its HTTP status.

@@ -133,6 +133,9 @@ func TestBadRequests(t *testing.T) {
 		`{"m":1,"n":1,"data":[NaN]}`,
 		`{"m":1,"n":1,"data":[1e999]}`,
 		`{"m":1,"n":1,"data":[-Infinity]}`,
+		// 2³²·2³² wraps to 0 = len(data): this body used to pass the shape
+		// check and panic in the solver, dropping the connection.
+		`{"m":4294967296,"n":4294967296,"data":[]}`,
 	} {
 		for _, path := range []string{"/v1/svd", "/v1/singular-values"} {
 			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
@@ -147,23 +150,102 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
-// A non-finite matrix that reaches the service is the client's error:
-// 400 carrying the library's ErrNonFinite message, not a late 500. JSON
-// cannot spell such an entry, so the job is submitted directly and its
-// error handed to the handler's status mapping.
+// A non-finite matrix is the client's error: 400 carrying the library's
+// ErrNonFinite message, not a late 500. JSON cannot spell such an entry;
+// a binary body can, so this goes through the whole stack.
 func TestNonFiniteMatrixIs400(t *testing.T) {
-	_, svc := testServer(t)
-	a := bidiag.NewDense(2, 2)
-	a.Set(1, 1, math.Inf(1))
-	_, err := svc.Do(context.Background(), bidiag.JobRequest{Kind: bidiag.JobSingularValues, A: a})
-	if !errors.Is(err, bidiag.ErrNonFinite) {
-		t.Fatalf("service err = %v, want ErrNonFinite", err)
+	ts, _ := testServer(t)
+	cl := client.New(ts.URL)
+	for _, bad := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		job := httpapi.Job{Matrix: httpapi.Matrix{M: 2, N: 2, Data: []float64{1, 0, 0, bad}}}
+		for _, post := range []func() error{
+			func() error { _, err := cl.PostValues(context.Background(), job, false); return err },
+			func() error { _, err := cl.PostSVD(context.Background(), job, false); return err },
+		} {
+			err := post()
+			var apiErr *client.APIError
+			if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest || !strings.Contains(apiErr.Message, "non-finite") {
+				t.Fatalf("entry %v: %v, want 400 naming the non-finite entry", bad, err)
+			}
+		}
 	}
-	rec := httptest.NewRecorder()
-	writeJobError(rec, httptest.NewRequest(http.MethodPost, "/v1/singular-values", nil), err)
-	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "non-finite") {
-		t.Fatalf("status %d body %s, want 400 naming the non-finite entry", rec.Code, rec.Body)
+}
+
+// TestCodecsAgreeBitwise posts the same matrix as a JSON body (raw, as
+// curl would) and through the client's binary frames, in both orders: S,
+// U and V agree bit for bit, and whichever comes second is a cache hit —
+// the cache key is over the matrix content, not over the wire bytes.
+func TestCodecsAgreeBitwise(t *testing.T) {
+	ts, _ := testServer(t)
+	cl := client.New(ts.URL)
+	matrix := func(seed float64) httpapi.Matrix {
+		m := httpapi.Matrix{M: 24, N: 16, Data: make([]float64, 24*16)}
+		for i := range m.Data {
+			m.Data[i] = math.Sin(seed+float64(i)*0.7) * math.Ldexp(1, i%9-4)
+		}
+		m.Data[5], m.Data[6], m.Data[7] = math.Copysign(0, -1), 5e-324, 1.0000000000000002
+		return m
 	}
+	postJSON := func(path string, job httpapi.Job, out any) {
+		t.Helper()
+		blob, err := json.Marshal(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+path, "", strings.NewReader(string(blob)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/json" {
+			t.Fatalf("JSON post: status %d, Content-Type %q", resp.StatusCode, resp.Header.Get("Content-Type"))
+		}
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	same := func(what string, a, b []float64) {
+		t.Helper()
+		if len(a) != len(b) || len(a) == 0 {
+			t.Fatalf("%s: %d vs %d elements", what, len(a), len(b))
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				t.Fatalf("%s[%d]: JSON %x, binary %x", what, i, math.Float64bits(a[i]), math.Float64bits(b[i]))
+			}
+		}
+	}
+
+	// JSON first, binary second.
+	job := httpapi.Job{Matrix: matrix(1), Options: &httpapi.Options{NB: 8}}
+	var viaJSON httpapi.SVDResponse
+	postJSON("/v1/svd", job, &viaJSON)
+	viaClient, err := cl.PostSVD(context.Background(), job, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if viaJSON.CacheHit || !viaClient.CacheHit {
+		t.Fatalf("cache_hit: JSON first %v, binary second %v; want false, true", viaJSON.CacheHit, viaClient.CacheHit)
+	}
+	if viaClient.U.M != 24 || viaClient.U.N != 16 || viaClient.V.M != 16 || viaClient.V.N != 16 {
+		t.Fatalf("factor shapes: U %dx%d, V %dx%d", viaClient.U.M, viaClient.U.N, viaClient.V.M, viaClient.V.N)
+	}
+	same("s", viaJSON.S, viaClient.S)
+	same("u", viaJSON.U.Data, viaClient.U.Data)
+	same("v", viaJSON.V.Data, viaClient.V.Data)
+
+	// Binary first, JSON second, on the values endpoint with no options.
+	job = httpapi.Job{Matrix: matrix(2)}
+	first, err := cl.PostValues(context.Background(), job, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var second httpapi.ValuesResponse
+	postJSON("/v1/singular-values", job, &second)
+	if first.CacheHit || !second.CacheHit {
+		t.Fatalf("cache_hit: binary first %v, JSON second %v; want false, true", first.CacheHit, second.CacheHit)
+	}
+	same("s", second.S, first.S)
 }
 
 func TestHealthzAndMetrics(t *testing.T) {

@@ -13,7 +13,10 @@
 //	GET  /metrics              bidiagrouter_requests_total{backend,result},
 //	                           bidiagrouter_backend_healthy
 //
-// A backend that cannot be dialed fails over to the next backend on the
+// The router reads each body once, in either codec of package httpapi,
+// to validate and hash it; what it forwards is the bytes and Content-Type
+// it received, and what it relays is the backend's status and bytes. A
+// backend that cannot be dialed fails over to the next backend on the
 // ring (the job provably never started, so the retry is safe); served
 // errors, including 429 backpressure, are relayed to the client
 // unchanged.

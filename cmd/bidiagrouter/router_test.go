@@ -1,13 +1,16 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -87,13 +90,13 @@ func fakeBackend(t *testing.T, id float64) (*httptest.Server, *atomic.Int64) {
 		w.Write([]byte(`{"status":"ok"}`))
 	})
 	mux.HandleFunc("POST /v1/singular-values", func(w http.ResponseWriter, r *http.Request) {
-		var job httpapi.Job
-		if err := json.NewDecoder(r.Body).Decode(&job); err != nil {
-			w.WriteHeader(http.StatusBadRequest)
+		req, status, err := httpapi.ReadRequest(w, r, 1<<20)
+		if err != nil {
+			w.WriteHeader(status)
 			return
 		}
 		served.Add(1)
-		json.NewEncoder(w).Encode(httpapi.ValuesResponse{S: []float64{id}})
+		httpapi.WriteResponse(w, req.Binary, httpapi.ValuesResponse{S: []float64{id}})
 	})
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
@@ -274,8 +277,91 @@ func TestRouterBadRequestShortCircuits(t *testing.T) {
 	if !errors.Is(err, client.ErrBadRequest) {
 		t.Fatalf("bogus options: %v, want 400", err)
 	}
+	// A shape whose element count wraps an int to the empty data's 0 used
+	// to pass validation and panic in CacheKey.
+	resp, err := http.Post(ts.URL+"/v1/singular-values", "", strings.NewReader(`{"m":4294967296,"n":4294967296,"data":[]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("overflowing shape: status %d, want 400", resp.StatusCode)
+	}
 	if served.Load() != 0 {
 		t.Fatalf("bad requests reached a backend %d times", served.Load())
+	}
+}
+
+// TestRouterForwardsBytesUntouched: the backend receives the body the
+// router received — same bytes, same Content-Type, same query — in
+// either codec, and the client receives the backend's answer the same
+// way: status, headers and bytes.
+func TestRouterForwardsBytesUntouched(t *testing.T) {
+	type post struct {
+		uri, contentType string
+		body             []byte
+	}
+	var mu sync.Mutex
+	var got []post
+	answer := []byte("\x00any bytes at all\xff")
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		mu.Lock()
+		got = append(got, post{r.URL.RequestURI(), r.Header.Get("Content-Type"), body})
+		mu.Unlock()
+		w.Header().Set("Content-Type", "application/x-test")
+		w.Header().Set("Retry-After", "7")
+		w.WriteHeader(http.StatusAccepted)
+		w.Write(answer)
+	}))
+	t.Cleanup(backend.Close)
+	rt := newRouter([]string{backend.URL}, 64, 32<<20)
+	ts := httptest.NewServer(rt.mux())
+	t.Cleanup(ts.Close)
+
+	job := httpapi.Job{Matrix: httpapi.Matrix{M: 2, N: 2, Data: []float64{1, 2, 3, 4}}, Options: &httpapi.Options{NB: 1}}
+	frame, err := httpapi.EncodeJob(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err := json.Marshal(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent := []post{
+		{"/v1/singular-values", httpapi.BinaryMediaType, frame},
+		{"/v1/svd?trace=1", "application/x-www-form-urlencoded", text},
+		{"/v1/singular-values?trace=0", "", text},
+	}
+	for _, p := range sent {
+		req, err := http.NewRequest(http.MethodPost, ts.URL+p.uri, bytes.NewReader(p.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.contentType != "" {
+			req.Header.Set("Content-Type", p.contentType)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted || resp.Header.Get("Content-Type") != "application/x-test" ||
+			resp.Header.Get("Retry-After") != "7" || !bytes.Equal(body, answer) {
+			t.Fatalf("%s: relayed %d %q %q, want the backend's answer untouched", p.uri, resp.StatusCode, resp.Header.Get("Content-Type"), body)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(got) != len(sent) {
+		t.Fatalf("backend saw %d posts, want %d", len(got), len(sent))
+	}
+	for i, p := range sent {
+		if got[i].uri != p.uri || got[i].contentType != p.contentType || !bytes.Equal(got[i].body, p.body) {
+			t.Fatalf("post %d reached the backend as %s %q (%d bytes), sent %s %q (%d bytes)",
+				i, got[i].uri, got[i].contentType, len(got[i].body), p.uri, p.contentType, len(p.body))
+		}
 	}
 }
 

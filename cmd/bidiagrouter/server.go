@@ -1,10 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"strings"
@@ -107,41 +108,25 @@ func (rt *router) mux() *http.ServeMux {
 	return mux
 }
 
-// route decodes the job once (the router must see the matrix to hash
-// it), picks the key's backend, and forwards through the shared client,
-// failing over along the ring only when a backend was unreachable.
+// route reads the job once — the router must see the matrix to validate
+// and hash it — keeping the bytes as they arrived, picks the key's
+// backend, and forwards those bytes, failing over along the ring only
+// when a backend was unreachable.
 func (rt *router) route(w http.ResponseWriter, r *http.Request, kind bidiag.JobKind) {
-	var job httpapi.Job
-	body := http.MaxBytesReader(w, r.Body, rt.maxBody)
-	if err := json.NewDecoder(body).Decode(&job); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", tooBig.Limit))
-			return
-		}
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
-		return
+	var raw bytes.Buffer
+	if n := r.ContentLength; n > 0 && n <= rt.maxBody {
+		raw.Grow(int(n))
 	}
-	a, err := job.Dense()
+	r.Body = struct {
+		io.Reader
+		io.Closer
+	}{io.TeeReader(r.Body, &raw), r.Body}
+	req, status, err := httpapi.ReadRequest(w, r, rt.maxBody)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, status, err)
 		return
 	}
-	opts, err := job.Options.ToOptions()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	trace := false
-	switch strings.ToLower(r.URL.Query().Get("trace")) {
-	case "", "0", "false":
-	case "1", "true", "yes":
-		trace = true
-	default:
-		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid trace value %q", r.URL.Query().Get("trace")))
-		return
-	}
-	key := bidiag.CacheKey(kind, a, opts)
+	key := bidiag.CacheKey(kind, req.A, req.Opts)
 
 	// Walk the ring: the key's owner first, then — only on connect
 	// failure — the rest in ring order. Unhealthy backends are skipped
@@ -161,7 +146,7 @@ func (rt *router) route(w http.ResponseWriter, r *http.Request, kind bidiag.JobK
 			if len(tried) > 1 {
 				b.retried.Add(1)
 			}
-			if rt.forward(w, r.Context(), b, kind, job, trace) {
+			if rt.forward(w, r, b, raw.Bytes()) {
 				return
 			}
 			b.healthy.Store(false) // dial failed; the prober will restore it
@@ -170,41 +155,38 @@ func (rt *router) route(w http.ResponseWriter, r *http.Request, kind bidiag.JobK
 	writeError(w, http.StatusBadGateway, fmt.Errorf("no backend reachable for this job (tried %s)", strings.Join(tried, ", ")))
 }
 
-// forward sends the job to one backend and relays the outcome. It
-// returns false only for unreachable backends (the one retryable case);
-// everything served — success or error — is written and final.
-func (rt *router) forward(w http.ResponseWriter, ctx context.Context, b *backend, kind bidiag.JobKind, job httpapi.Job, trace bool) bool {
+// forward posts the request's body, as received and under its
+// Content-Type, to the same path and query on one backend, and relays
+// the answer — status, codec and bytes — untouched. It returns false
+// only for unreachable backends (the one retryable case); everything
+// served, success or error, is written and final.
+func (rt *router) forward(w http.ResponseWriter, r *http.Request, b *backend, body []byte) bool {
 	begin := time.Now()
-	var out any
-	var err error
-	if kind == bidiag.JobSVD {
-		out, err = b.cl.PostSVD(ctx, job, trace)
-	} else {
-		out, err = b.cl.PostValues(ctx, job, trace)
-	}
-	b.latency.Observe(time.Since(begin).Seconds())
+	defer func() { b.latency.Observe(time.Since(begin).Seconds()) }()
+	var resp *http.Response
+	out, err := http.NewRequestWithContext(r.Context(), http.MethodPost, b.url+r.URL.RequestURI(), bytes.NewReader(body))
 	if err == nil {
-		b.routed.Add(1)
-		writeJSON(w, http.StatusOK, out)
-		return true
+		out.Header["Content-Type"] = r.Header["Content-Type"]
+		resp, err = http.DefaultClient.Do(out)
 	}
-	if client.IsUnreachable(err) && ctx.Err() == nil {
+	if err != nil {
 		b.failed.Add(1)
-		log.Printf("backend %s unreachable: %v", b.url, err)
-		return false
-	}
-	var apiErr *client.APIError
-	if errors.As(err, &apiErr) {
-		// Relay the backend's verdict — status and message — unchanged.
-		b.routed.Add(1)
-		if apiErr.Status == http.StatusTooManyRequests {
-			w.Header().Set("Retry-After", "1")
+		if client.IsUnreachable(err) && r.Context().Err() == nil {
+			log.Printf("backend %s unreachable: %v", b.url, err)
+			return false
 		}
-		writeError(w, apiErr.Status, errors.New(apiErr.Message))
+		writeError(w, http.StatusBadGateway, fmt.Errorf("backend %s: %v", b.url, err))
 		return true
 	}
-	b.failed.Add(1)
-	writeError(w, http.StatusBadGateway, fmt.Errorf("backend %s: %v", b.url, err))
+	defer resp.Body.Close()
+	b.routed.Add(1)
+	for _, h := range []string{"Content-Type", "Content-Length", "Retry-After"} {
+		w.Header()[h] = resp.Header[h]
+	}
+	w.WriteHeader(resp.StatusCode)
+	if _, err := io.Copy(w, resp.Body); err != nil {
+		log.Printf("relay response of %s: %v", b.url, err)
+	}
 	return true
 }
 

@@ -13,13 +13,48 @@
 //
 // Both POST endpoints accept ?trace=1 to record the job's per-task
 // timeline; the response's job_id then keys /debug/trace/{job_id}.
-// Errors are returned as an ErrorResponse body with a non-2xx status:
-// 400 for malformed requests, 413 for oversized bodies, 429 (with
-// Retry-After) when the daemon's admission queues are full, 503 when it
-// is shutting down.
+// Errors are returned as a JSON ErrorResponse body with a non-2xx
+// status: 400 for malformed requests, 413 for oversized bodies, 429
+// (with Retry-After) when the daemon's admission queues are full, 503
+// when it is shutting down.
 //
 // The JSON forms here are pinned by golden-request tests: changing a
 // field or tag is a wire-protocol break and needs a new version prefix.
+//
+// # Binary bodies
+//
+// A POST whose Content-Type is application/x-bidiag-matrix
+// (BinaryMediaType) carries the same job as one frame, and its 200
+// response is a frame of the same media type; every other Content-Type
+// (none, curl's form default, application/json) is the JSON codec both
+// ways. That is the whole rule: no Accept negotiation, no option. Both
+// codecs go through the same validation (ReadRequest), and a matrix
+// yields the same result bits — and the same cache entry — whichever
+// way it arrived. A frame is
+//
+//	offset  size   field
+//	0       4      magic "BDM1"
+//	4       4      H, the header length: uint32 little-endian, at most 4096
+//	8       H      header: one JSON object
+//	8+H     8·K    payload: K IEEE-754 float64 words, little-endian
+//
+// with nothing after the payload. The header is the JSON form with each
+// array replaced by its size, and the payload holds those arrays:
+//
+//	request   {"m":M,"n":N,"options":{..}}       M·N words, column-major:
+//	                                             word i+j·M is element (i,j)
+//	values    {"s":K,"cache_hit":..,"ms":..}     the K singular values
+//	svd       {"u":{"m":..,"n":..},"s":K,        U column-major, then the K
+//	           "v":{"m":..,"n":..},..}           values, then V column-major
+//
+// "options" is the Options object of the JSON form, with the same
+// meaning when absent or null ("planner decides") and when {}; "job_id"
+// appears in a response header as it does in JSON. A request should
+// carry a Content-Length: the size its header declares is checked
+// against it and against the daemon's body cap before the matrix is
+// allocated (without one the matrix grows as bytes arrive). NaN and ±Inf
+// words are representable here, unlike in JSON; they are refused with
+// 400 like any non-finite input.
 package httpapi
 
 import (
@@ -115,11 +150,12 @@ func (o *Options) ToOptions() (*bidiag.Options, error) {
 
 // Dense validates the wire matrix and lifts it to a bidiag.Dense.
 func (m Matrix) Dense() (*bidiag.Dense, error) {
-	if m.M <= 0 || m.N <= 0 {
-		return nil, fmt.Errorf("invalid shape %dx%d", m.M, m.N)
+	n, err := shapeSize(m.M, m.N)
+	if err != nil {
+		return nil, err
 	}
-	if len(m.Data) != m.M*m.N {
-		return nil, fmt.Errorf("shape %dx%d needs %d elements, got %d", m.M, m.N, m.M*m.N, len(m.Data))
+	if len(m.Data) != n {
+		return nil, fmt.Errorf("shape %dx%d needs %d elements, got %d", m.M, m.N, n, len(m.Data))
 	}
 	return bidiag.NewDenseFromColMajor(m.M, m.N, m.Data)
 }

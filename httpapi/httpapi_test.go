@@ -154,8 +154,15 @@ func TestCacheKeyStable(t *testing.T) {
 	if k2 := bidiag.CacheKey(bidiag.JobSingularValues, a, nil); k2 != k1 {
 		t.Fatal("key not deterministic")
 	}
-	if len(k1) != 64 {
-		t.Fatalf("key %q is not a sha256 hex digest", k1)
+	// Golden digests: the router hashes with its build of CacheKey and the
+	// daemon caches with its own, so the function may never drift. These
+	// were taken before the per-element loop became a bulk column hash.
+	if want := "353433f2d3539f72544034f713d82ac9b19e5f542e8861e18e4590959149b97f"; k1 != want {
+		t.Fatalf("values key = %s, want %s", k1, want)
+	}
+	if k, want := bidiag.CacheKey(bidiag.JobSVD, a, &bidiag.Options{NB: 32, Auto: true}),
+		"a7ae05755b356ef5da2ab1f2a6c30cf19cb907a8e3ec9f2d25c58cc10310f836"; k != want {
+		t.Fatalf("svd key = %s, want %s", k, want)
 	}
 	if bidiag.CacheKey(bidiag.JobSingularValues, b, nil) == k1 {
 		t.Fatal("key ignores matrix content")

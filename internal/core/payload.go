@@ -73,10 +73,9 @@ func regionPayload(t *nla.Matrix, region int) func() []byte {
 				}
 			}
 		default: // regWhole
+			buf = buf[:8*t.Rows*t.Cols]
 			for j := 0; j < t.Cols; j++ {
-				for i := 0; i < t.Rows; i++ {
-					put(t.At(i, j))
-				}
+				nla.PutFloat64sLE(buf[8*j*t.Rows:], t.Data[j*t.LD:j*t.LD+t.Rows])
 			}
 		}
 		return buf
@@ -118,9 +117,8 @@ func regionRestore(t *nla.Matrix, region int) func([]byte) int {
 			}
 		default: // regWhole
 			for j := 0; j < t.Cols; j++ {
-				for i := 0; i < t.Rows; i++ {
-					t.Set(i, j, get())
-				}
+				nla.Float64sFromLE(t.Data[j*t.LD:j*t.LD+t.Rows], buf[off:])
+				off += 8 * t.Rows
 			}
 		}
 		return off

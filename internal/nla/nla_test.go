@@ -366,3 +366,21 @@ func diffMax(a, b *Matrix) float64 {
 	}
 	return mx
 }
+
+// The little-endian float64 codec is bit-exact both ways and writes the
+// byte order every wire format in the tree documents.
+func TestFloat64sLE(t *testing.T) {
+	src := []float64{1, math.Copysign(0, -1), 5e-324, math.Inf(-1), math.Float64frombits(0x7ff8000000000abc)}
+	buf := make([]byte, 8*len(src)+3)
+	PutFloat64sLE(buf, src)
+	if got := buf[:8]; string(got) != "\x00\x00\x00\x00\x00\x00\xf0\x3f" {
+		t.Fatalf("1.0 encoded as % x", got)
+	}
+	dst := make([]float64, len(src))
+	Float64sFromLE(dst, buf)
+	for i := range src {
+		if math.Float64bits(dst[i]) != math.Float64bits(src[i]) {
+			t.Fatalf("element %d: %x round-tripped to %x", i, math.Float64bits(src[i]), math.Float64bits(dst[i]))
+		}
+	}
+}

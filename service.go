@@ -7,12 +7,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"time"
 
 	"github.com/tiled-la/bidiag/internal/band"
 	"github.com/tiled-la/bidiag/internal/bdsqr"
 	"github.com/tiled-la/bidiag/internal/core"
+	"github.com/tiled-la/bidiag/internal/nla"
 	"github.com/tiled-la/bidiag/internal/obs"
 	"github.com/tiled-la/bidiag/internal/pipeline"
 	"github.com/tiled-la/bidiag/internal/plan"
@@ -562,12 +562,11 @@ func cacheKey(kind JobKind, a *Dense, opts Options) string {
 	w(uint64(kind))
 	w(uint64(a.Rows()))
 	w(uint64(a.Cols()))
-	// One hasher write per column, not per element.
-	col := make([]byte, 8*a.Rows())
-	for j := 0; j < a.Cols(); j++ {
-		for i := 0; i < a.Rows(); i++ {
-			binary.LittleEndian.PutUint64(col[8*i:], math.Float64bits(a.At(i, j)))
-		}
+	// One bulk conversion and one hasher write per contiguous column.
+	m := a.inner
+	col := make([]byte, 8*m.Rows)
+	for j := 0; j < m.Cols; j++ {
+		nla.PutFloat64sLE(col, m.Data[j*m.LD:j*m.LD+m.Rows])
 		h.Write(col)
 	}
 	w(uint64(opts.NB))

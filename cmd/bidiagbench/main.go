@@ -13,7 +13,7 @@
 //	bidiagbench -stage bnd2bd -n 4096 -ku 64 -workers 8 -json BENCH_bnd2bd.json
 //	bidiagbench -stage full -m 1024 -nb 64 -workers 4 -json BENCH_full.json
 //	bidiagbench -stage batch -n 256 -jobs 64 -workers 4 -json BENCH_batch.json
-//	bidiagbench -stage apply -nb 64 -reps 3 -json BENCH_kernels_apply.json
+//	bidiagbench -stage apply -nb 64 -reps 9 -json BENCH_kernels_apply.json
 //	bidiagbench -stage sched -reps 5 -json BENCH_sched.json
 //	bidiagbench -stage svd -n 1024 -nb 64 -workers 2 -json BENCH_svd_1024.json
 //	bidiagbench -list
@@ -45,11 +45,12 @@
 // matrices (dimensions in [n/2, n]) through one bidiag.Service,
 // gang-batched concurrent submission rated in jobs/s (plus client p50/p99
 // latency) against one-call-at-a-time submission on the same pool. With
-// -stage apply the timed run is the four Householder-apply kernels in
-// isolation (UNMQR, TSMQR, UNMLQ, TSMLQ at tile size -nb, the compact-WY
-// hot path the AVX2 micro-kernels accelerate): each is rated in GFLOP/s
-// and recorded in the kernels array of the JSON record, which
-// cmd/benchguard gates entry by entry. With -stage sched the timed run
+// -stage apply the timed run is the twelve stage-1 tile kernels in
+// isolation (the six factor kernels GEQRT … TTLQT and the six applies
+// UNMQR … TTMLQ at tile size -nb, all on the AVX2 micro-kernels): each
+// is rated in GFLOP/s — a factor kernel with its input restored while the
+// clock is stopped — and recorded in the kernels array of the JSON
+// record, which cmd/benchguard gates entry by entry. With -stage sched the timed run
 // is the shared-memory worker loop itself: graphs of 100 000 no-op tasks,
 // independent and chained, at 1, 2 and 4 workers, through RunParallel and
 // through one long-lived sched.Runtime, each rated in ns per task in the
@@ -462,95 +463,62 @@ func runPerfSched(reps int, jsonPath string) error {
 	return writeResult(res, jsonPath)
 }
 
-// runPerfApply rates the four Householder-apply kernels in isolation at
-// tile size nb: the same steady-state loop the package benchmarks run
-// (factored reflectors applied to random trailing tiles with a warm
-// workspace), best rate of reps kept per kernel. The record's top-level
-// GFLOP/s is the flop-weighted aggregate — total apply flops over the
+// runPerfApply rates the twelve stage-1 tile kernels in isolation at
+// tile size nb — the six factor kernels and the six applies — in the
+// steady state the executors run them in (a warm workspace of exactly
+// ScratchSize elements), best rate of reps kept per kernel. A rep times
+// every kernel in turn, so a kernel's reps are spread over the whole run
+// and a busy spell on a shared box cannot cover all of them. A factor
+// kernel destroys its input, so its tiles are restored before every call
+// with the clock stopped: only the kernel is timed. The record's
+// top-level GFLOP/s is the flop-weighted aggregate — total flops over the
 // summed best per-call times — so the headline figure moves only when
 // the kernels themselves do.
 func runPerfApply(nb, reps int, jsonPath string) error {
 	if reps < 1 {
 		reps = 1
 	}
-	rng := rand.New(rand.NewSource(42))
-	mk := func() *nla.Matrix { return nla.RandomMatrix(rng, nb, nb) }
-	tau := make([]float64, nb)
-
-	// UNMQR / TSMQR: column reflectors from GEQRT / TSQRT.
-	aq := mk()
-	tq := nla.NewMatrix(nb, nb)
-	kernels.GEQRT(aq, tq, tau, nil)
-	cq := mk()
-
-	ats1, ats2 := mk(), mk()
-	for j := 0; j < nb; j++ {
-		for i := j + 1; i < nb; i++ {
-			ats1.Set(i, j, 0)
-		}
+	cases := kernels.BenchCases(rand.New(rand.NewSource(42)), nb)
+	wss := make([]*nla.Workspace, len(cases))
+	best := make([]time.Duration, len(cases))
+	for i, tc := range cases {
+		wss[i] = nla.NewWorkspace(kernels.ScratchSize(tc.Kind, nb, nb, nb))
+		tc.Invoke(wss[i]) // warm
+		best[i] = time.Duration(1<<63 - 1)
 	}
-	tts := nla.NewMatrix(nb, nb)
-	kernels.TSQRT(ats1, ats2, tts, tau, nil)
-	cts1, cts2 := mk(), mk()
-
-	// UNMLQ / TSMLQ: row reflectors from GELQT / TSLQT.
-	al := mk()
-	tl := nla.NewMatrix(nb, nb)
-	kernels.GELQT(al, tl, tau, nil)
-	cl := mk()
-
-	atl1, atl2 := mk(), mk()
-	for j := 0; j < nb; j++ {
-		for i := 0; i < j; i++ {
-			atl1.Set(i, j, 0)
+	// Enough iterations per rep that the timer resolution is noise.
+	iters := func(tc kernels.BenchCase) int { return int(5e7/tc.Flops) + 1 }
+	for r := 0; r < reps; r++ {
+		for i, tc := range cases {
+			var wall time.Duration
+			for it := iters(tc); it > 0; it-- {
+				if tc.Restore != nil {
+					tc.Restore()
+				}
+				start := time.Now()
+				tc.Run(wss[i])
+				wall += time.Since(start)
+			}
+			best[i] = min(best[i], wall)
 		}
-	}
-	ttl := nla.NewMatrix(nb, nb)
-	kernels.TSLQT(atl1, atl2, ttl, tau, nil)
-	ctl1, ctl2 := mk(), mk()
-
-	cases := []struct {
-		kind  kernels.Kind
-		flops float64
-		run   func(ws *nla.Workspace)
-	}{
-		{kernels.UNMQRKind, kernels.FlopsUNMQR(nb, nb, nb),
-			func(ws *nla.Workspace) { kernels.UNMQR(true, nb, aq, tq, cq, ws) }},
-		{kernels.TSMQRKind, kernels.FlopsTSMQR(nb, nb, nb),
-			func(ws *nla.Workspace) { kernels.TSMQR(true, nb, ats2, tts, cts1, cts2, ws) }},
-		{kernels.UNMLQKind, kernels.FlopsUNMLQ(nb, nb, nb),
-			func(ws *nla.Workspace) { kernels.UNMLQ(true, nb, al, tl, cl, ws) }},
-		{kernels.TSMLQKind, kernels.FlopsTSMLQ(nb, nb, nb),
-			func(ws *nla.Workspace) { kernels.TSMLQ(true, nb, atl2, ttl, ctl1, ctl2, ws) }},
 	}
 
 	res := perfResult{
 		Experiment: "apply", M: nb, N: nb, NB: nb, Workers: 1, Reps: reps,
 	}
 	var totalFlops, totalSecs float64
-	for _, tc := range cases {
-		ws := nla.NewWorkspace(kernels.ScratchSize(tc.kind, nb, nb, nb))
-		tc.run(ws) // warm
-		// Enough iterations per rep that the timer resolution is noise.
-		iters := int(5e7/tc.flops) + 1
-		best := time.Duration(1<<63 - 1)
-		for r := 0; r < reps; r++ {
-			start := time.Now()
-			for i := 0; i < iters; i++ {
-				tc.run(ws)
-			}
-			if wall := time.Since(start); wall < best {
-				best = wall
-			}
+	for i, tc := range cases {
+		if wss[i].Grows() != 0 {
+			return fmt.Errorf("%s: a workspace of ScratchSize elements grew", tc.Kind)
 		}
-		perCall := best.Seconds() / float64(iters)
+		perCall := best[i].Seconds() / float64(iters(tc))
 		kr := kernelRate{
-			Kernel:      tc.kind.String(),
-			GFlops:      tc.flops / 1e9 / perCall,
+			Kernel:      tc.Kind.String(),
+			GFlops:      tc.Flops / 1e9 / perCall,
 			WallSeconds: perCall,
 		}
 		res.Kernels = append(res.Kernels, kr)
-		totalFlops += tc.flops
+		totalFlops += tc.Flops
 		totalSecs += perCall
 		fmt.Printf("%-6s nb=%d: %8.2f GFLOP/s  (%.1f µs/call, best of %d)\n",
 			kr.Kernel, nb, kr.GFlops, 1e6*perCall, reps)
@@ -982,7 +950,7 @@ func main() {
 	nFlag := flag.Int("n", 0, "columns for the timed run (default: m)")
 	nbFlag := flag.Int("nb", 64, "tile size for the timed run")
 	kuFlag := flag.Int("ku", 64, "band width for a -stage bnd2bd timed run")
-	stage := flag.String("stage", "ge2bnd", "timed-run stage: ge2bnd, bnd2bd, full (fused end-to-end pipeline), svd (bidiag.SVD with its per-stage ledger), batch (service throughput), apply (isolated Householder-apply kernel rates), or sched (worker-loop dispatch cost)")
+	stage := flag.String("stage", "ge2bnd", "timed-run stage: ge2bnd, bnd2bd, full (fused end-to-end pipeline), svd (bidiag.SVD with its per-stage ledger), batch (service throughput), apply (isolated rates of the twelve stage-1 tile kernels), or sched (worker-loop dispatch cost)")
 	jobsFlag := flag.Int("jobs", 64, "workload size for a -stage batch timed run")
 	gateFlag := flag.Bool("gate", false, "-stage batch: fail unless batched throughput beats sequential")
 	windowFlag := flag.Int("window", 0, "BND2BD wavefront window for -stage full (0: default)")

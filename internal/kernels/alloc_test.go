@@ -7,142 +7,51 @@ import (
 	"github.com/tiled-la/bidiag/internal/nla"
 )
 
-type kernelCase struct {
-	kind Kind
-	run  func(ws *nla.Workspace)
-}
-
-// kernelCases builds one steady-state invocation per QR/LQ kernel at tile
-// size nb; factor kernels restore their inputs so repeated runs stay
-// numerically sane.
-func kernelCases(nb int) []kernelCase {
-	rng := rand.New(rand.NewSource(3))
-
-	mk := func() *nla.Matrix { return nla.RandomMatrix(rng, nb, nb) }
-	tri := func() *nla.Matrix {
-		m := mk()
-		for j := 0; j < nb; j++ {
-			for i := j + 1; i < nb; i++ {
-				m.Set(i, j, 0)
-			}
-		}
-		return m
-	}
-	ltri := func() *nla.Matrix { return tri().Transpose() }
-
-	tm := nla.NewMatrix(nb, nb)
-	tau := make([]float64, nb)
-
-	return []kernelCase{
-		{GEQRTKind, func() func(*nla.Workspace) {
-			a, orig := mk(), nla.NewMatrix(nb, nb)
-			nla.CopyInto(orig, a)
-			return func(ws *nla.Workspace) {
-				nla.CopyInto(a, orig)
-				GEQRT(a, tm, tau, ws)
-			}
-		}()},
-		{UNMQRKind, func() func(*nla.Workspace) {
-			a := mk()
-			GEQRT(a, tm, tau, nil)
-			c := mk()
-			return func(ws *nla.Workspace) { UNMQR(true, nb, a, tm, c, ws) }
-		}()},
-		{TSQRTKind, func() func(*nla.Workspace) {
-			a1, a2 := tri(), mk()
-			o1, o2 := a1.Clone(), a2.Clone()
-			return func(ws *nla.Workspace) {
-				nla.CopyInto(a1, o1)
-				nla.CopyInto(a2, o2)
-				TSQRT(a1, a2, tm, tau, ws)
-			}
-		}()},
-		{TSMQRKind, func() func(*nla.Workspace) {
-			a1, a2 := tri(), mk()
-			TSQRT(a1, a2, tm, tau, nil)
-			c1, c2 := mk(), mk()
-			return func(ws *nla.Workspace) { TSMQR(true, nb, a2, tm, c1, c2, ws) }
-		}()},
-		{TTQRTKind, func() func(*nla.Workspace) {
-			a1, a2 := tri(), tri()
-			o1, o2 := a1.Clone(), a2.Clone()
-			return func(ws *nla.Workspace) {
-				nla.CopyInto(a1, o1)
-				nla.CopyInto(a2, o2)
-				TTQRT(a1, a2, tm, tau, ws)
-			}
-		}()},
-		{TTMQRKind, func() func(*nla.Workspace) {
-			a1, a2 := tri(), tri()
-			TTQRT(a1, a2, tm, tau, nil)
-			c1, c2 := mk(), mk()
-			return func(ws *nla.Workspace) { TTMQR(true, nb, a2, tm, c1, c2, ws) }
-		}()},
-		{GELQTKind, func() func(*nla.Workspace) {
-			a, orig := mk(), nla.NewMatrix(nb, nb)
-			nla.CopyInto(orig, a)
-			return func(ws *nla.Workspace) {
-				nla.CopyInto(a, orig)
-				GELQT(a, tm, tau, ws)
-			}
-		}()},
-		{UNMLQKind, func() func(*nla.Workspace) {
-			a := mk()
-			GELQT(a, tm, tau, nil)
-			c := mk()
-			return func(ws *nla.Workspace) { UNMLQ(true, nb, a, tm, c, ws) }
-		}()},
-		{TSLQTKind, func() func(*nla.Workspace) {
-			a1, a2 := ltri(), mk()
-			o1, o2 := a1.Clone(), a2.Clone()
-			return func(ws *nla.Workspace) {
-				nla.CopyInto(a1, o1)
-				nla.CopyInto(a2, o2)
-				TSLQT(a1, a2, tm, tau, ws)
-			}
-		}()},
-		{TSMLQKind, func() func(*nla.Workspace) {
-			a1, a2 := ltri(), mk()
-			TSLQT(a1, a2, tm, tau, nil)
-			c1, c2 := mk(), mk()
-			return func(ws *nla.Workspace) { TSMLQ(true, nb, a2, tm, c1, c2, ws) }
-		}()},
-		{TTLQTKind, func() func(*nla.Workspace) {
-			a1, a2 := ltri(), ltri()
-			o1, o2 := a1.Clone(), a2.Clone()
-			return func(ws *nla.Workspace) {
-				nla.CopyInto(a1, o1)
-				nla.CopyInto(a2, o2)
-				TTLQT(a1, a2, tm, tau, ws)
-			}
-		}()},
-		{TTMLQKind, func() func(*nla.Workspace) {
-			a1, a2 := ltri(), ltri()
-			TTLQT(a1, a2, tm, tau, nil)
-			c1, c2 := mk(), mk()
-			return func(ws *nla.Workspace) { TTMLQ(true, nb, a2, tm, c1, c2, ws) }
-		}()},
-	}
-
-}
+// kernelCases is BenchCases on a fixed seed.
+func kernelCases(nb int) []BenchCase { return BenchCases(rand.New(rand.NewSource(3)), nb) }
 
 // The executors hand every worker one warm, max-sized workspace; with that
 // in place no kernel may allocate on the hot path. These tests pin the
-// contract: AllocsPerRun == 0 for every QR/LQ kernel once the workspace
-// supplied by ScratchSize is warm, and the workspace never grows.
+// contract: AllocsPerRun == 0 for every QR/LQ kernel, factor and apply,
+// run from a workspace of exactly ScratchSize elements — which therefore
+// never grows, and whose capacity is still ScratchSize afterwards.
 func TestKernelsZeroAlloc(t *testing.T) {
 	const nb = 48
 	for _, tc := range kernelCases(nb) {
-		t.Run(tc.kind.String(), func(t *testing.T) {
-			ws := nla.NewWorkspace(ScratchSize(tc.kind, nb, nb, nb))
-			tc.run(ws) // warm
-			if n := testing.AllocsPerRun(10, func() { tc.run(ws) }); n != 0 {
-				t.Fatalf("%s allocated %v times per run with a warm workspace", tc.kind, n)
+		t.Run(tc.Kind.String(), func(t *testing.T) {
+			size := ScratchSize(tc.Kind, nb, nb, nb)
+			ws := nla.NewWorkspace(size)
+			tc.Invoke(ws) // warm
+			if n := testing.AllocsPerRun(10, func() { tc.Invoke(ws) }); n != 0 {
+				t.Fatalf("%s allocated %v times per run with a warm workspace", tc.Kind, n)
 			}
-			if ws.Grows() != 0 {
-				t.Fatalf("%s: workspace sized by ScratchSize grew %d times", tc.kind, ws.Grows())
+			if ws.Grows() != 0 || ws.Cap() != size {
+				t.Fatalf("%s: workspace of ScratchSize = %d elements grew %d times to %d",
+					tc.Kind, size, ws.Grows(), ws.Cap())
 			}
 		})
+	}
+}
+
+// The factor kernels check out a vector or two, never a panel: at most
+// m+n elements whatever the tile shape, which on full tiles is far below
+// every apply kernel's W panel — a factor task does not set
+// Graph.ScratchElems.
+func TestFactorScratchIsVectors(t *testing.T) {
+	factors := []Kind{GEQRTKind, TSQRTKind, TTQRTKind, GELQTKind, TSLQTKind, TTLQTKind}
+	applies := []Kind{UNMQRKind, TSMQRKind, TTMQRKind, UNMLQKind, TSMLQKind, TTMLQKind}
+	for _, dims := range [][2]int{{1, 1}, {3, 64}, {64, 3}, {64, 64}, {65, 128}, {128, 65}} {
+		m, n := dims[0], dims[1]
+		for _, f := range factors {
+			if got := ScratchSize(f, m, n, 0); got > m+n {
+				t.Errorf("%s %dx%d: scratch %d > m+n", f, m, n, got)
+			}
+			for _, a := range applies {
+				if m == n && m > 2 && ScratchSize(f, m, n, 0) >= ScratchSize(a, m, n, n) {
+					t.Errorf("%s needs as much scratch as %s on %dx%d tiles", f, a, m, n)
+				}
+			}
+		}
 	}
 }
 
@@ -159,8 +68,8 @@ func TestApplyKernelsZeroAllocNoTrans(t *testing.T) {
 	a := mk()
 	GEQRT(a, tm, tau, nil)
 	c := mk()
-	cases := []kernelCase{
-		{UNMQRKind, func(ws *nla.Workspace) { UNMQR(false, nb, a, tm, c, ws) }},
+	cases := []BenchCase{
+		{Kind: UNMQRKind, Run: func(ws *nla.Workspace) { UNMQR(false, nb, a, tm, c, ws) }},
 	}
 	a1, a2 := mk(), mk()
 	for j := 0; j < nb; j++ {
@@ -171,17 +80,17 @@ func TestApplyKernelsZeroAllocNoTrans(t *testing.T) {
 	tm2 := nla.NewMatrix(nb, nb)
 	TSQRT(a1, a2, tm2, tau, nil)
 	c1, c2 := mk(), mk()
-	cases = append(cases, kernelCase{TSMQRKind, func(ws *nla.Workspace) { TSMQR(false, nb, a2, tm2, c1, c2, ws) }})
+	cases = append(cases, BenchCase{Kind: TSMQRKind, Run: func(ws *nla.Workspace) { TSMQR(false, nb, a2, tm2, c1, c2, ws) }})
 
 	for _, tc := range cases {
-		t.Run(tc.kind.String()+"/notrans", func(t *testing.T) {
-			ws := nla.NewWorkspace(ScratchSize(tc.kind, nb, nb, nb))
-			tc.run(ws) // warm
-			if n := testing.AllocsPerRun(10, func() { tc.run(ws) }); n != 0 {
-				t.Fatalf("%s allocated %v times per run with a warm workspace", tc.kind, n)
+		t.Run(tc.Kind.String()+"/notrans", func(t *testing.T) {
+			ws := nla.NewWorkspace(ScratchSize(tc.Kind, nb, nb, nb))
+			tc.Run(ws) // warm
+			if n := testing.AllocsPerRun(10, func() { tc.Run(ws) }); n != 0 {
+				t.Fatalf("%s allocated %v times per run with a warm workspace", tc.Kind, n)
 			}
 			if ws.Grows() != 0 {
-				t.Fatalf("%s: workspace sized by ScratchSize grew %d times", tc.kind, ws.Grows())
+				t.Fatalf("%s: workspace sized by ScratchSize grew %d times", tc.Kind, ws.Grows())
 			}
 		})
 	}
@@ -193,12 +102,12 @@ func TestApplyKernelsZeroAllocNoTrans(t *testing.T) {
 func BenchmarkKernels(b *testing.B) {
 	const nb = 128
 	for _, tc := range kernelCases(nb) {
-		ws := nla.NewWorkspace(ScratchSize(tc.kind, nb, nb, nb))
-		tc.run(ws) // warm
-		b.Run(tc.kind.String(), func(b *testing.B) {
+		ws := nla.NewWorkspace(ScratchSize(tc.Kind, nb, nb, nb))
+		tc.Invoke(ws) // warm
+		b.Run(tc.Kind.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				tc.run(ws)
+				tc.Invoke(ws)
 			}
 		})
 	}

@@ -2,127 +2,63 @@ package kernels
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
+	"time"
 
 	"github.com/tiled-la/bidiag/internal/nla"
 )
 
-// The apply kernels (UNMQR on the panel column, TSMQR on every trailing
-// tile) dominate stage-1 time, so their measured rates seed the plan
-// autotuner's cost model. These benchmarks isolate each across the tile
-// sizes the planner enumerates and report GFLOP/s, the unit the model's
-// rate table (internal/plan.SeedRates) is expressed in.
+// Stage 1 is these twelve kernels and nothing else: the applies (TSMQR on
+// every trailing tile, UNMQR on the panel row) carry most of the flops,
+// the factor kernels sit on the critical path of every tree. Their
+// measured rates seed the plan autotuner's cost model, so each is
+// benchmarked in isolation across the tile sizes the planner enumerates
+// and reported in GFLOP/s, the unit of the model's rate table
+// (internal/plan.SeedRates). `bidiagbench -stage apply` takes the same
+// measurement into BENCH_kernels_apply.json.
 
 var applyNBs = []int{32, 48, 64, 96, 128}
 
-// BenchmarkUNMQR applies a factored tile's reflectors to one nb×nb
-// trailing tile: Qᵀ·C, the per-panel-column update.
-func BenchmarkUNMQR(b *testing.B) {
+// benchKernel rates one kernel at every size in applyNBs with a warm
+// workspace of ScratchSize elements. A factor kernel's input is restored
+// before each call outside the timed region: the GFLOP/s figure is the
+// kernel alone, while ns/op includes the restoring copy.
+func benchKernel(b *testing.B, kind Kind) {
 	for _, nb := range applyNBs {
 		b.Run(fmt.Sprintf("nb=%d", nb), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(7))
-			a := nla.RandomMatrix(rng, nb, nb)
-			tm := nla.NewMatrix(nb, nb)
-			tau := make([]float64, nb)
-			GEQRT(a, tm, tau, nil)
-			c := nla.RandomMatrix(rng, nb, nb)
-			ws := nla.NewWorkspace(ScratchSize(UNMQRKind, nb, nb, nb))
-			UNMQR(true, nb, a, tm, c, ws) // warm
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				UNMQR(true, nb, a, tm, c, ws)
-			}
-			flops := FlopsUNMQR(nb, nb, nb)
-			b.ReportMetric(flops*float64(b.N)/1e9/b.Elapsed().Seconds(), "GFLOP/s")
-		})
-	}
-}
-
-// BenchmarkTSMQR applies a TSQRT coupling's reflectors to a stacked pair
-// of trailing tiles — the kernel the trailing-matrix update spends
-// almost all its time in.
-func BenchmarkTSMQR(b *testing.B) {
-	for _, nb := range applyNBs {
-		b.Run(fmt.Sprintf("nb=%d", nb), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(7))
-			a1 := nla.RandomMatrix(rng, nb, nb)
-			for j := 0; j < nb; j++ {
-				for i := j + 1; i < nb; i++ {
-					a1.Set(i, j, 0)
+			var tc BenchCase
+			for _, c := range kernelCases(nb) {
+				if c.Kind == kind {
+					tc = c
 				}
 			}
-			a2 := nla.RandomMatrix(rng, nb, nb)
-			tm := nla.NewMatrix(nb, nb)
-			tau := make([]float64, nb)
-			TSQRT(a1, a2, tm, tau, nil)
-			c1 := nla.RandomMatrix(rng, nb, nb)
-			c2 := nla.RandomMatrix(rng, nb, nb)
-			ws := nla.NewWorkspace(ScratchSize(TSMQRKind, nb, nb, nb))
-			TSMQR(true, nb, a2, tm, c1, c2, ws) // warm
+			ws := nla.NewWorkspace(ScratchSize(kind, nb, nb, nb))
+			tc.Invoke(ws) // warm
 			b.ReportAllocs()
 			b.ResetTimer()
+			var busy time.Duration
 			for i := 0; i < b.N; i++ {
-				TSMQR(true, nb, a2, tm, c1, c2, ws)
-			}
-			flops := FlopsTSMQR(nb, nb, nb)
-			b.ReportMetric(flops*float64(b.N)/1e9/b.Elapsed().Seconds(), "GFLOP/s")
-		})
-	}
-}
-
-// BenchmarkUNMLQ applies a row-factored tile's reflectors to one nb×nb
-// trailing tile from the right: C·P, the LQ per-panel-row update.
-func BenchmarkUNMLQ(b *testing.B) {
-	for _, nb := range applyNBs {
-		b.Run(fmt.Sprintf("nb=%d", nb), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(7))
-			a := nla.RandomMatrix(rng, nb, nb)
-			tm := nla.NewMatrix(nb, nb)
-			tau := make([]float64, nb)
-			GELQT(a, tm, tau, nil)
-			c := nla.RandomMatrix(rng, nb, nb)
-			ws := nla.NewWorkspace(ScratchSize(UNMLQKind, nb, nb, nb))
-			UNMLQ(true, nb, a, tm, c, ws) // warm
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				UNMLQ(true, nb, a, tm, c, ws)
-			}
-			flops := FlopsUNMLQ(nb, nb, nb)
-			b.ReportMetric(flops*float64(b.N)/1e9/b.Elapsed().Seconds(), "GFLOP/s")
-		})
-	}
-}
-
-// BenchmarkTSMLQ applies a TSLQT coupling's reflectors to a side-by-side
-// pair of trailing tiles — the LQ trailing-update workhorse.
-func BenchmarkTSMLQ(b *testing.B) {
-	for _, nb := range applyNBs {
-		b.Run(fmt.Sprintf("nb=%d", nb), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(7))
-			a1 := nla.RandomMatrix(rng, nb, nb)
-			for j := 0; j < nb; j++ {
-				for i := 0; i < j; i++ {
-					a1.Set(i, j, 0)
+				if tc.Restore != nil {
+					tc.Restore()
 				}
+				start := time.Now()
+				tc.Run(ws)
+				busy += time.Since(start)
 			}
-			a2 := nla.RandomMatrix(rng, nb, nb)
-			tm := nla.NewMatrix(nb, nb)
-			tau := make([]float64, nb)
-			TSLQT(a1, a2, tm, tau, nil)
-			c1 := nla.RandomMatrix(rng, nb, nb)
-			c2 := nla.RandomMatrix(rng, nb, nb)
-			ws := nla.NewWorkspace(ScratchSize(TSMLQKind, nb, nb, nb))
-			TSMLQ(true, nb, a2, tm, c1, c2, ws) // warm
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				TSMLQ(true, nb, a2, tm, c1, c2, ws)
-			}
-			flops := FlopsTSMLQ(nb, nb, nb)
-			b.ReportMetric(flops*float64(b.N)/1e9/b.Elapsed().Seconds(), "GFLOP/s")
+			b.ReportMetric(tc.Flops*float64(b.N)/1e9/busy.Seconds(), "GFLOP/s")
 		})
 	}
 }
+
+func BenchmarkGEQRT(b *testing.B) { benchKernel(b, GEQRTKind) }
+func BenchmarkUNMQR(b *testing.B) { benchKernel(b, UNMQRKind) }
+func BenchmarkTSQRT(b *testing.B) { benchKernel(b, TSQRTKind) }
+func BenchmarkTSMQR(b *testing.B) { benchKernel(b, TSMQRKind) }
+func BenchmarkTTQRT(b *testing.B) { benchKernel(b, TTQRTKind) }
+func BenchmarkTTMQR(b *testing.B) { benchKernel(b, TTMQRKind) }
+func BenchmarkGELQT(b *testing.B) { benchKernel(b, GELQTKind) }
+func BenchmarkUNMLQ(b *testing.B) { benchKernel(b, UNMLQKind) }
+func BenchmarkTSLQT(b *testing.B) { benchKernel(b, TSLQTKind) }
+func BenchmarkTSMLQ(b *testing.B) { benchKernel(b, TSMLQKind) }
+func BenchmarkTTLQT(b *testing.B) { benchKernel(b, TTLQTKind) }
+func BenchmarkTTMLQ(b *testing.B) { benchKernel(b, TTMLQKind) }

@@ -46,17 +46,17 @@
 // requirement of each kernel are:
 //
 //	kernel  weight  scratch (float64s, nb×nb tiles)
-//	GEQRT     4     nb                        staged T column
+//	GEQRT     4     nb                        one sweep's sums: VᵀV column | w
 //	UNMQR     6     nb² + max(gemm pack, nb²) W panel; tail GEMMs (m>k) or Tᵀ staging
-//	TSQRT     6     nb                        staged T column
+//	TSQRT     6     nb                        one sweep's sums
 //	TSMQR    12     nb² + max(gemm pack, nb²) W panel + packed V2/C2 panels or Tᵀ staging
-//	TTQRT     2     nb                        staged T column
+//	TTQRT     2     nb                        one sweep's sums
 //	TTMQR     6     nb² + nb²                 W panel + Tᵀ staging (trapezoidal V2, no GEMM)
-//	GELQT     4     2·nb                      reflector row + staged T column
+//	GELQT     4     2·nb                      gathered reflector row + the sweep's y
 //	UNMLQ     6     nb² + gemm pack           W panel (tail GEMMs when n>k)
-//	TSLQT     6     3·nb                      two staged rows + T column
+//	TSLQT     6     2·nb                      gathered reflector row + the sweep's y
 //	TSMLQ    12     nb² + gemm pack           W panel + packed C2/V2 panels
-//	TTLQT     2     3·nb                      two staged rows + T column
+//	TTLQT     2     2·nb                      gathered reflector row + the sweep's y
 //	TTMLQ     6     nb²                       W panel (trapezoidal V2, no GEMM)
 //	LACPY     0     —
 //	LASET     0     —
@@ -67,6 +67,41 @@
 // same workspace. "Tᵀ staging" is the k×k checkout of nla.TrmvApplyWS,
 // taken only by the left-apply kernels' no-trans (apply Q, not Qᵀ)
 // variant; the right applies of the LQ family read T in place.
+//
+// # Factor kernels
+//
+// The six factor kernels are two loops (factor.go). factorQR (GEQRT,
+// TSQRT, TTQRT) generates reflector j with nla.Larfg on column j and then
+// takes the inner products of its tail with every other column, four
+// columns to an nla.Dot4 so the tail streams once per group. One sweep
+// gives both halves of the step: the sums left of j are column j of VᵀV,
+// which becomes column j of T by accumulating along T's columns with
+// nla.Gaxpy4 (dlarft's triangular product, unit stride, T's strict lower
+// part never read); the sums right of j are the w of the trailing update
+// C −= v·wᵀ, applied four columns to an nla.Axpy4. factorLQ (GELQT, TSLQT,
+// TTLQT) is the transpose dual on the same column-major tiles and walks a
+// row exactly twice per reflector: row i is gathered for Larfg and
+// scattered back. After that one Gaxpy4 sweep y = A₂·v over every row
+// plays the dot sweep's part — rows above i are T's column, rows below are
+// w — and the rank-1 update A₂ −= w·vᵀ is again Axpy4 along columns.
+//
+// GE, TS and TT differ only in which rows (columns) of the tile carry a
+// reflector's tail — below the diagonal of the factored tile, all of the
+// second tile, or the second tile down to its diagonal — and the sweeps
+// never touch what lies outside: the triangle a TT kernel leaves alone
+// holds another kernel's vectors. A group of fewer than four columns
+// repeats its last column (Dot4) or pads with zero coefficients
+// (Gaxpy4); only the Axpy4 update has a one-column remainder loop. The
+// only branch on a data value is tau == 0 (H = I: the step is skipped
+// and T's column is zero). TTMQR and TTMLQ run the same sweeps, one per
+// reflector, on the trapezoidal V2.
+//
+// The scalar kernels these replaced — one Dot/Axpy per column, one dot
+// per entry of T, the LQ family gathering and scattering every trailing
+// row — are kept in reference_test.go, and every factor kernel is
+// compared with its reference on R or L, the vector tails, tau and all of
+// T to 16·n·ε over every pair of tile dimensions in {1, 2, 3, 4, 5, 7,
+// 17, 64, 65}, trapezoids, zero tails and padded views included.
 //
 // # Vectorized apply path
 //
@@ -80,7 +115,8 @@
 // operation sequence. The dispatch is decided once per process, and
 // both paths use data-independent control flow (no skips on zero
 // coefficients), so sequential, parallel and distributed runs stay
-// bitwise identical to each other on either path. The TS kernels'
+// bitwise identical to each other on either path. The factor kernels
+// sit on the same three primitives and the same dispatch. The TS kernels'
 // dense V2 half additionally runs through the packed GEMM micro-kernel
 // (internal/nla/gemm_amd64.s), which shares the same dispatch.
 package kernels

@@ -11,54 +11,11 @@ import (
 // Q = Pᵀ. tau receives the k = min(m,n) scalar factors, t the k×k upper
 // triangular factor.
 func GELQT(a, t *nla.Matrix, tau []float64, ws *nla.Workspace) {
-	m, n := a.Rows, a.Cols
-	k := min(m, n)
+	k := min(a.Rows, a.Cols)
 	if len(tau) < k || t.Rows < k || t.Cols < k {
 		panic("kernels: GELQT: workspace too small")
 	}
-	ws, mark := grab(ws)
-	row := ws.ScratchVec(n) // scratch for the current reflector row
-	tri := ws.ScratchVec(k)
-	for i := 0; i < k; i++ {
-		// Generate H_i from row i right of the diagonal.
-		tail := row[:n-i-1]
-		for c := i + 1; c < n; c++ {
-			tail[c-i-1] = a.Data[i+c*a.LD]
-		}
-		beta, ti := nla.Larfg(a.Data[i+i*a.LD], tail)
-		a.Data[i+i*a.LD] = beta
-		for c := i + 1; c < n; c++ {
-			a.Data[i+c*a.LD] = tail[c-i-1]
-		}
-		tau[i] = ti
-		// Apply H_i from the right to rows i+1..m-1.
-		if ti != 0 {
-			for ii := i + 1; ii < m; ii++ {
-				w := a.Data[ii+i*a.LD]
-				for c := i + 1; c < n; c++ {
-					w += a.Data[ii+c*a.LD] * tail[c-i-1]
-				}
-				w *= ti
-				a.Data[ii+i*a.LD] -= w
-				for c := i + 1; c < n; c++ {
-					a.Data[ii+c*a.LD] -= w * tail[c-i-1]
-				}
-			}
-		}
-		// T(0:i, i) = -tau_i * T(0:i,0:i) * (Ṽ(:,0:i)ᵀ v_i): for l < i the
-		// overlap is the unit of v_l against v_i's entry at column l... the
-		// unit of v_i sits at column i, so z_l = V(l,i)·1 + Σ_{c>i} V(l,c)V(i,c).
-		for l := 0; l < i; l++ {
-			s := a.Data[l+i*a.LD]
-			for c := i + 1; c < n; c++ {
-				s += a.Data[l+c*a.LD] * a.Data[i+c*a.LD]
-			}
-			t.Data[l+i*t.LD] = s
-		}
-		scaleTriColumn(t, i, -ti, tri)
-		t.Data[i+i*t.LD] = ti
-	}
-	ws.Release(mark)
+	factorLQ(geShape, a, a, t, k, tau, ws)
 }
 
 // UNMLQ overwrites c (m×n) with c·P (trans=true, the factorization update
@@ -136,49 +93,10 @@ func UNMLQ(trans bool, k int, v, t, c *nla.Matrix, ws *nla.Workspace) {
 // tile that receives the row-reflector tails: v_i = [e_i, a2(i,:)].
 func TSLQT(a1, a2, t *nla.Matrix, tau []float64, ws *nla.Workspace) {
 	m := a1.Rows
-	n := a2.Cols
 	if a1.Cols < m || a2.Rows != m || len(tau) < m || t.Rows < m || t.Cols < m {
 		panic("kernels: TSLQT: shape mismatch")
 	}
-	ws, mark := grab(ws)
-	rowi := ws.ScratchVec(n)
-	rowii := ws.ScratchVec(n)
-	tri := ws.ScratchVec(m)
-	for i := 0; i < m; i++ {
-		for c := 0; c < n; c++ {
-			rowi[c] = a2.Data[i+c*a2.LD]
-		}
-		beta, ti := nla.Larfg(a1.Data[i+i*a1.LD], rowi)
-		a1.Data[i+i*a1.LD] = beta
-		for c := 0; c < n; c++ {
-			a2.Data[i+c*a2.LD] = rowi[c]
-		}
-		tau[i] = ti
-		if ti != 0 {
-			for ii := i + 1; ii < m; ii++ {
-				for c := 0; c < n; c++ {
-					rowii[c] = a2.Data[ii+c*a2.LD]
-				}
-				w := a1.Data[ii+i*a1.LD] + nla.Dot(rowi, rowii)
-				w *= ti
-				a1.Data[ii+i*a1.LD] -= w
-				for c := 0; c < n; c++ {
-					a2.Data[ii+c*a2.LD] = rowii[c] - w*rowi[c]
-				}
-			}
-		}
-		// Unit parts are orthogonal for l < i: z_l = a2(l,:)·a2(i,:).
-		for l := 0; l < i; l++ {
-			var s float64
-			for c := 0; c < n; c++ {
-				s += a2.Data[l+c*a2.LD] * rowi[c]
-			}
-			t.Data[l+i*t.LD] = s
-		}
-		scaleTriColumn(t, i, -ti, tri)
-		t.Data[i+i*t.LD] = ti
-	}
-	ws.Release(mark)
+	factorLQ(tsShape, a1, a2, t, m, tau, ws)
 }
 
 // TSMLQ applies the TSLQT transformation (k reflectors, tails v2, factor t)
@@ -217,50 +135,10 @@ func TSMLQ(trans bool, k int, v2, t, c1, c2 *nla.Matrix, ws *nla.Workspace) {
 // 0..min(i+1,n2)-1 of a2.
 func TTLQT(a1, a2, t *nla.Matrix, tau []float64, ws *nla.Workspace) {
 	k := a1.Rows
-	n2 := a2.Cols
 	if a2.Rows != k || len(tau) < k || t.Rows < k || t.Cols < k {
 		panic("kernels: TTLQT: shape mismatch")
 	}
-	ws, mark := grab(ws)
-	rowi := ws.ScratchVec(n2)
-	rowii := ws.ScratchVec(n2)
-	tri := ws.ScratchVec(k)
-	for i := 0; i < k; i++ {
-		r2 := min(i+1, n2)
-		for c := 0; c < r2; c++ {
-			rowi[c] = a2.Data[i+c*a2.LD]
-		}
-		beta, ti := nla.Larfg(a1.Data[i+i*a1.LD], rowi[:r2])
-		a1.Data[i+i*a1.LD] = beta
-		for c := 0; c < r2; c++ {
-			a2.Data[i+c*a2.LD] = rowi[c]
-		}
-		tau[i] = ti
-		if ti != 0 {
-			for ii := i + 1; ii < k; ii++ {
-				for c := 0; c < r2; c++ {
-					rowii[c] = a2.Data[ii+c*a2.LD]
-				}
-				w := a1.Data[ii+i*a1.LD] + nla.Dot(rowi[:r2], rowii[:r2])
-				w *= ti
-				a1.Data[ii+i*a1.LD] -= w
-				for c := 0; c < r2; c++ {
-					a2.Data[ii+c*a2.LD] = rowii[c] - w*rowi[c]
-				}
-			}
-		}
-		for l := 0; l < i; l++ {
-			rl := min(l+1, n2)
-			var s float64
-			for c := 0; c < rl; c++ {
-				s += a2.Data[l+c*a2.LD] * rowi[c]
-			}
-			t.Data[l+i*t.LD] = s
-		}
-		scaleTriColumn(t, i, -ti, tri)
-		t.Data[i+i*t.LD] = ti
-	}
-	ws.Release(mark)
+	factorLQ(ttShape, a1, a2, t, k, tau, ws)
 }
 
 // TTMLQ applies the TTLQT transformation to the tile pair [C1, C2] from the
@@ -272,41 +150,26 @@ func TTMLQ(trans bool, k int, v2, t, c1, c2 *nla.Matrix, ws *nla.Workspace) {
 	if c2.Rows != m || v2.Cols != n2 || v2.Rows < k || c1.Cols < k {
 		panic("kernels: TTMLQ: shape mismatch")
 	}
+	// Dual of TTMQR: W = C1(:,0:k) + C2·V2ᵀ; W ← W·op(T); C1(:,0:k) −= W;
+	// C2 −= W·V2, with V2 lower trapezoidal — reflector trow reaches
+	// columns 0..min(trow+1,n2)−1 of C2 only, whatever values it holds
+	// there — so column trow of W is one gathered sweep over those
+	// columns and the update one scattered sweep back, row trow of V2
+	// the strided coefficient vector of both.
 	ws, mark := grab(ws)
 	w := ws.Scratch(m, k)
+	nla.CopyInto(w, c1.View(0, 0, m, k))
 	for trow := 0; trow < k; trow++ {
-		r2 := min(trow+1, n2)
-		wc := w.Data[trow*w.LD : trow*w.LD+m]
-		copy(wc, c1.Data[trow*c1.LD:trow*c1.LD+m])
-		for j := 0; j < r2; j++ {
-			vt := v2.Data[trow+j*v2.LD]
-			if vt == 0 {
-				continue
-			}
-			cc := c2.Data[j*c2.LD : j*c2.LD+m]
-			for i := range wc {
-				wc[i] += vt * cc[i]
-			}
-		}
+		gaxpyCols(v2.Data[trow:], v2.LD, c2, 0, min(trow+1, n2), fullCols, w.Data[trow*w.LD:][:m])
 	}
 	nla.TrmvApplyRight(trans, t, w)
 	for trow := 0; trow < k; trow++ {
-		r2 := min(trow+1, n2)
-		wc := w.Data[trow*w.LD : trow*w.LD+m]
-		cc := c1.Data[trow*c1.LD : trow*c1.LD+m]
-		for i := range wc {
-			cc[i] -= wc[i]
+		wc := w.Data[trow*w.LD:][:m]
+		cc := c1.Data[trow*c1.LD:][:m]
+		for i, x := range wc {
+			cc[i] -= x
 		}
-		for j := 0; j < r2; j++ {
-			vt := v2.Data[trow+j*v2.LD]
-			if vt == 0 {
-				continue
-			}
-			cj := c2.Data[j*c2.LD : j*c2.LD+m]
-			for i := range wc {
-				cj[i] -= wc[i] * vt
-			}
-		}
+		axpyCols(v2.Data[trow:], v2.LD, wc, c2, 0, 0, min(trow+1, n2))
 	}
 	ws.Release(mark)
 }

@@ -13,43 +13,11 @@ import (
 // ws provides scratch (ScratchSize(GEQRTKind, m, n, 0) elements); nil
 // falls back to a throwaway workspace.
 func GEQRT(a, t *nla.Matrix, tau []float64, ws *nla.Workspace) {
-	m, n := a.Rows, a.Cols
-	k := min(m, n)
+	k := min(a.Rows, a.Cols)
 	if len(tau) < k || t.Rows < k || t.Cols < k {
 		panic("kernels: GEQRT: workspace too small")
 	}
-	ws, mark := grab(ws)
-	tri := ws.ScratchVec(k)
-	for j := 0; j < k; j++ {
-		// Generate H_j from column j below the diagonal.
-		col := a.Data[j+j*a.LD:]
-		beta, tj := nla.Larfg(col[0], col[1:m-j])
-		a.Data[j+j*a.LD] = beta
-		tau[j] = tj
-		// Apply H_j to the trailing columns j+1..n-1.
-		if tj != 0 {
-			v := a.Data[j+1+j*a.LD : m+j*a.LD] // tail of v_j, length m-j-1
-			for jj := j + 1; jj < n; jj++ {
-				c := a.Data[j+jj*a.LD : m+jj*a.LD]
-				w := c[0] + nla.Dot(v, c[1:])
-				w *= tj
-				c[0] -= w
-				nla.Axpy(-w, v, c[1:])
-			}
-		}
-		// T(0:j, j) = -tau_j * T(0:j,0:j) * (V(:,0:j)ᵀ v_j); T(j,j) = tau_j.
-		for i := 0; i < j; i++ {
-			// z_i = V(:,i)ᵀ v_j over rows j..m-1: V(j,i)·1 + Σ_{r>j} V(r,i)·v_j(r).
-			s := a.Data[j+i*a.LD]
-			for r := j + 1; r < m; r++ {
-				s += a.Data[r+i*a.LD] * a.Data[r+j*a.LD]
-			}
-			t.Data[i+j*t.LD] = s
-		}
-		scaleTriColumn(t, j, -tj, tri)
-		t.Data[j+j*t.LD] = tj
-	}
-	ws.Release(mark)
+	factorQR(geShape, a, a, t, k, tau, ws)
 }
 
 // UNMQR overwrites c (m×n) with Qᵀ·c (trans=true) or Q·c (trans=false),
@@ -149,56 +117,10 @@ func UNMQR(trans bool, k int, v, t, c *nla.Matrix, ws *nla.Workspace) {
 // factor. The reflectors have an implicit identity top: v_j = [e_j; a2(:,j)].
 func TSQRT(a1, a2, t *nla.Matrix, tau []float64, ws *nla.Workspace) {
 	n := a1.Cols
-	m := a2.Rows
 	if a1.Rows < n || a2.Cols != n || len(tau) < n || t.Rows < n || t.Cols < n {
 		panic("kernels: TSQRT: shape mismatch")
 	}
-	ws, mark := grab(ws)
-	tri := ws.ScratchVec(n)
-	for j := 0; j < n; j++ {
-		colj := a2.Data[j*a2.LD : j*a2.LD+m]
-		beta, tj := nla.Larfg(a1.Data[j+j*a1.LD], colj)
-		a1.Data[j+j*a1.LD] = beta
-		tau[j] = tj
-		if tj != 0 {
-			for jj := j + 1; jj < n; jj++ {
-				cc := a2.Data[jj*a2.LD : jj*a2.LD+m]
-				w := a1.Data[j+jj*a1.LD] + nla.Dot(colj, cc)
-				w *= tj
-				a1.Data[j+jj*a1.LD] -= w
-				nla.Axpy(-w, colj, cc)
-			}
-		}
-		// T(0:j, j) = -tau_j * T(0:j,0:j) * (A2(:,0:j)ᵀ a2(:,j)): the unit
-		// tops are orthogonal for i < j so only the dense parts contribute.
-		for i := 0; i < j; i++ {
-			t.Data[i+j*t.LD] = nla.Dot(a2.Data[i*a2.LD:i*a2.LD+m], colj)
-		}
-		scaleTriColumn(t, j, -tj, tri)
-		t.Data[j+j*t.LD] = tj
-	}
-	ws.Release(mark)
-}
-
-// scaleTriColumn overwrites t(0:j, j) with alpha * T(0:j,0:j) * t(0:j, j)
-// for upper-triangular T. Entry i reads original entries l ≥ i, so the
-// column is staged once through the caller's scratch before the
-// triangular product.
-func scaleTriColumn(t *nla.Matrix, j int, alpha float64, scratch []float64) {
-	if j == 0 {
-		return
-	}
-	orig := scratch[:j]
-	for l := 0; l < j; l++ {
-		orig[l] = t.Data[l+j*t.LD]
-	}
-	for i := 0; i < j; i++ {
-		var s float64
-		for l := i; l < j; l++ {
-			s += t.Data[i+l*t.LD] * orig[l]
-		}
-		t.Data[i+j*t.LD] = alpha * s
-	}
+	factorQR(tsShape, a1, a2, t, n, tau, ws)
 }
 
 // TSMQR applies the TSQRT transformation (k reflectors, vector tails v2,
@@ -239,35 +161,10 @@ func TSMQR(trans bool, k int, v2, t, c1, c2 *nla.Matrix, ws *nla.Workspace) {
 // a2, which is what makes the TT kernels cheaper than TS (Table I).
 func TTQRT(a1, a2, t *nla.Matrix, tau []float64, ws *nla.Workspace) {
 	k := a1.Cols
-	m2 := a2.Rows
 	if a2.Cols != k || len(tau) < k || t.Rows < k || t.Cols < k {
 		panic("kernels: TTQRT: shape mismatch")
 	}
-	ws, mark := grab(ws)
-	tri := ws.ScratchVec(k)
-	for j := 0; j < k; j++ {
-		r2 := min(j+1, m2)
-		colj := a2.Data[j*a2.LD : j*a2.LD+r2]
-		beta, tj := nla.Larfg(a1.Data[j+j*a1.LD], colj)
-		a1.Data[j+j*a1.LD] = beta
-		tau[j] = tj
-		if tj != 0 {
-			for jj := j + 1; jj < k; jj++ {
-				cc := a2.Data[jj*a2.LD : jj*a2.LD+r2]
-				w := a1.Data[j+jj*a1.LD] + nla.Dot(colj, cc)
-				w *= tj
-				a1.Data[j+jj*a1.LD] -= w
-				nla.Axpy(-w, colj, cc)
-			}
-		}
-		for i := 0; i < j; i++ {
-			ri := min(i+1, m2)
-			t.Data[i+j*t.LD] = nla.Dot(a2.Data[i*a2.LD:i*a2.LD+ri], a2.Data[j*a2.LD:j*a2.LD+ri])
-		}
-		scaleTriColumn(t, j, -tj, tri)
-		t.Data[j+j*t.LD] = tj
-	}
-	ws.Release(mark)
+	factorQR(ttShape, a1, a2, t, k, tau, ws)
 }
 
 // TTMQR applies the TTQRT transformation to the tile pair [C1; C2] from the
@@ -279,27 +176,33 @@ func TTMQR(trans bool, k int, v2, t, c1, c2 *nla.Matrix, ws *nla.Workspace) {
 	if c2.Cols != n || v2.Rows != m2 || v2.Cols < k || c1.Rows < k {
 		panic("kernels: TTMQR: shape mismatch")
 	}
+	// The TSMQR recipe — W = C1(0:k,:) + V2ᵀ·C2; W ← op(T)·W;
+	// C1(0:k,:) −= W; C2 −= V2·W — with V2 upper trapezoidal: reflector
+	// tcol reaches rows 0..min(tcol+1,m2)−1 of C2 only, so both products
+	// are the factor kernels' column sweeps, one per reflector, with row
+	// tcol of W as the strided result and coefficient vector.
 	ws, mark := grab(ws)
 	w := ws.Scratch(k, n)
+	for tcol := 0; tcol < k; tcol++ {
+		vc := v2.Data[tcol*v2.LD:][:min(tcol+1, m2)]
+		dotCols(vc, c2, 0, 0, n, fullCols, w.Data[tcol:], w.LD)
+	}
 	for j := 0; j < n; j++ {
-		c2c := c2.Data[j*c2.LD:]
 		wc := w.Data[j*w.LD : j*w.LD+k]
-		c1c := c1.Data[j*c1.LD:]
-		for tcol := 0; tcol < k; tcol++ {
-			r2 := min(tcol+1, m2)
-			wc[tcol] = c1c[tcol] + nla.Dot(v2.Data[tcol*v2.LD:tcol*v2.LD+r2], c2c[:r2])
+		for tcol, x := range c1.Data[j*c1.LD:][:k] {
+			wc[tcol] += x
 		}
 	}
 	nla.TrmvApplyWS(trans, t, w, ws)
 	for j := 0; j < n; j++ {
-		wc := w.Data[j*w.LD : j*w.LD+k]
-		c1c := c1.Data[j*c1.LD:]
-		c2c := c2.Data[j*c2.LD:]
-		for tcol := 0; tcol < k; tcol++ {
-			c1c[tcol] -= wc[tcol]
-			r2 := min(tcol+1, m2)
-			nla.Axpy(-wc[tcol], v2.Data[tcol*v2.LD:tcol*v2.LD+r2], c2c[:r2])
+		c1c := c1.Data[j*c1.LD:][:k]
+		for tcol, x := range w.Data[j*w.LD:][:k] {
+			c1c[tcol] -= x
 		}
+	}
+	for tcol := 0; tcol < k; tcol++ {
+		vc := v2.Data[tcol*v2.LD:][:min(tcol+1, m2)]
+		axpyCols(w.Data[tcol:], w.LD, vc, c2, 0, 0, n)
 	}
 	ws.Release(mark)
 }

@@ -31,7 +31,7 @@ import (
 func ScratchSizeFor(kind Kind, m, n, k int, bl nla.Blocking) int {
 	switch kind {
 	case GEQRTKind:
-		return min(m, n)
+		return n
 	case UNMQRKind:
 		return k*n + max(
 			nla.GemmScratchFor(bl, k, n, m-k),
@@ -51,21 +51,21 @@ func ScratchSizeFor(kind Kind, m, n, k int, bl nla.Blocking) int {
 	case TTMQRKind:
 		return k*n + nla.TrmvApplyScratch(k)
 	case GELQTKind:
-		return n + min(m, n)
+		return n + m
 	case UNMLQKind:
 		return m*k + max(
 			nla.GemmScratchFor(bl, m, k, n-k),
 			nla.GemmScratchFor(bl, m, n-k, k),
 		)
 	case TSLQTKind:
-		return 2*n + m
+		return n + m
 	case TSMLQKind:
 		return m*k + max(
 			nla.GemmScratchFor(bl, m, k, n),
 			nla.GemmScratchFor(bl, m, n, k),
 		)
 	case TTLQTKind:
-		return 2*n + m
+		return n + m
 	case TTMLQKind:
 		return m * k
 	}

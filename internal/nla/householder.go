@@ -40,22 +40,48 @@ func Larfg(alpha float64, x []float64) (beta, tau float64) {
 	return beta, tau
 }
 
-// nrm2 returns the Euclidean norm of x with dnrm2-style scaling.
+// nrm2 returns the Euclidean norm of x. The plain sum of squares is good
+// to rounding whenever it lands in [2⁻⁹⁰⁰, 2⁹⁰⁰]: nothing overflowed, and
+// a square that underflowed is below 2⁻¹²² of the sum. Only outside that
+// range — all zeros, entries around 2^±498 as in the scaled accuracy
+// cases, subnormals, the columns Larfg's rescaling loop exists for — is
+// the vector walked again, scaled by the power of two that brings its
+// largest entry near one. A power of two commutes with every rounding of
+// the sum, so nrm2(2ᵏ·x) = 2ᵏ·nrm2(x) exactly on either path and across
+// them, as it did with dnrm2's running scale.
 func nrm2(x []float64) float64 {
-	scale, ssq := 0.0, 1.0
-	for _, v := range x {
-		if v == 0 {
-			continue
-		}
-		av := math.Abs(v)
-		if scale < av {
-			ssq = 1 + ssq*(scale/av)*(scale/av)
-			scale = av
-		} else {
-			ssq += (av / scale) * (av / scale)
-		}
+	ssq := sumSquares(x, 1)
+	if ssq >= 0x1p-900 && ssq <= 0x1p900 {
+		return math.Sqrt(ssq)
 	}
-	return scale * math.Sqrt(ssq)
+	var amax float64
+	for _, v := range x {
+		amax = max(amax, math.Abs(v)) // NaN if any entry is
+	}
+	if amax == 0 || math.IsNaN(amax) || math.IsInf(amax, 0) {
+		return amax
+	}
+	_, k := math.Frexp(amax)
+	k = max(k, -1000) // 2^−k must be a float64; subnormals end up near 2⁻⁷⁴
+	return math.Ldexp(math.Sqrt(sumSquares(x, math.Ldexp(1, -k))), k)
+}
+
+// sumSquares returns Σ (f·x_i)² over four interleaved partial sums.
+func sumSquares(x []float64, f float64) float64 {
+	var s0, s1, s2, s3 float64
+	i := 0
+	for ; i+4 <= len(x); i += 4 {
+		a, b, c, d := f*x[i], f*x[i+1], f*x[i+2], f*x[i+3]
+		s0 += a * a
+		s1 += b * b
+		s2 += c * c
+		s3 += d * d
+	}
+	for ; i < len(x); i++ {
+		a := f * x[i]
+		s0 += a * a
+	}
+	return (s0 + s1) + (s2 + s3)
 }
 
 // lapy2 returns sqrt(x²+y²) without unnecessary overflow (dlapy2).

@@ -384,3 +384,91 @@ func TestFloat64sLE(t *testing.T) {
 		}
 	}
 }
+
+// dnrm2 is the reference norm: one compare and two divisions per element,
+// no intermediate overflow or underflow at any magnitude.
+func dnrm2(x []float64) float64 {
+	scale, ssq := 0.0, 1.0
+	for _, v := range x {
+		if v == 0 {
+			continue
+		}
+		av := math.Abs(v)
+		if scale < av {
+			ssq = 1 + ssq*(scale/av)*(scale/av)
+			scale = av
+		} else {
+			ssq += (av / scale) * (av / scale)
+		}
+	}
+	return scale * math.Sqrt(ssq)
+}
+
+// nrm2 takes a plain sum of squares and walks the vector again, scaled,
+// only when that sum is outside a safe range. Both must give the norm at
+// every magnitude Larfg is handed — the 2^±498 scalings of the accuracy
+// suite, subnormal columns (what Larfg's rescaling loop is for), zeros,
+// mixtures whose small entries' squares underflow — and the two must
+// commute with a power-of-two scaling bit for bit, which
+// band.TestReduceScalesExactly relies on.
+func TestNrm2AcrossMagnitudes(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	base := make([]float64, 67)
+	for i := range base {
+		base[i] = 2*rng.Float64() - 1
+	}
+	want := nrm2(base)
+	if ref := dnrm2(base); math.Abs(want-ref) > 4*0x1p-52*ref {
+		t.Fatalf("nrm2 = %g, dnrm2 gives %g", want, ref)
+	}
+	for _, e := range []int{498, -498, 449, -449, 451, -451, 1020 - 67, -950, -1022, -1060} {
+		x := make([]float64, len(base))
+		for i, v := range base {
+			x[i] = math.Ldexp(v, e)
+		}
+		got, ref := nrm2(x), dnrm2(x)
+		if math.Abs(got-ref) > 4*0x1p-52*ref {
+			t.Errorf("scale 2^%d: nrm2 = %g, dnrm2 gives %g", e, got, ref)
+		}
+		// While the scaled entries stay normal the scaling is exact, and
+		// so must the norm's be; further down they are rounded.
+		if e > -960 && got != math.Ldexp(want, e) {
+			t.Errorf("scale 2^%d: nrm2 = %g, want exactly %g", e, got, math.Ldexp(want, e))
+		}
+	}
+	if got := nrm2(make([]float64, 9)); got != 0 {
+		t.Errorf("nrm2 of zeros = %g", got)
+	}
+	if got := nrm2(nil); got != 0 {
+		t.Errorf("nrm2 of nothing = %g", got)
+	}
+	// Entries of order one among entries whose squares underflow, and
+	// huge entries among ordinary ones.
+	if got := nrm2([]float64{0x1p-600, 3, 0x1p-600, 4, 0, 0x1p-1070}); got != 5 {
+		t.Errorf("nrm2 with underflowing squares = %g, want 5", got)
+	}
+	if got, ref := nrm2([]float64{3 * 0x1p600, 1, 4 * 0x1p600, -1, 1}), 5*0x1p600; got != ref {
+		t.Errorf("nrm2 with overflowing squares = %g, want %g", got, ref)
+	}
+	if got := nrm2([]float64{0x1p-1074, 0, 0x1p-1074}); math.Abs(got-math.Sqrt2*0x1p-1074) > 0x1p-1074 {
+		t.Errorf("nrm2 of the smallest subnormals = %g", got)
+	}
+	if got := nrm2([]float64{1, math.NaN(), 2}); !math.IsNaN(got) {
+		t.Errorf("nrm2 with a NaN = %g", got)
+	}
+	if got := nrm2([]float64{1, math.Inf(-1), 2}); !math.IsInf(got, 1) {
+		t.Errorf("nrm2 with an infinity = %g", got)
+	}
+	// Larfg on a 2^-1060 column: the rescaling loop must still run and
+	// still annihilate.
+	tiny := make([]float64, len(base))
+	for i, v := range base {
+		tiny[i] = math.Ldexp(v, -1060)
+	}
+	alpha := math.Ldexp(0.5, -1060)
+	norm := math.Hypot(alpha, dnrm2(tiny))
+	beta, tau := Larfg(alpha, tiny)
+	if tau <= 1 || tau > 2 || math.Abs(math.Abs(beta)-norm) > 0x1p-1070 {
+		t.Errorf("Larfg on a subnormal column: beta = %g (norm %g), tau = %g", beta, norm, tau)
+	}
+}

@@ -10,14 +10,35 @@ import (
 	"github.com/tiled-la/bidiag/internal/trees"
 )
 
+// ErrInvalidOptions matches (errors.Is) every error Options.Validate
+// returns: the caller's options, not the input or the machine, are at
+// fault (bidiagd answers 400).
+var ErrInvalidOptions = errors.New("bidiag: invalid options")
+
+// invalidOptions marks a Validate error without rewording it.
+type invalidOptions struct{ error }
+
+func (invalidOptions) Is(target error) bool { return target == ErrInvalidOptions }
+
 // Validate returns a copy of o with defaults applied and every knob
 // checked: the tile size and worker count resolve their zero values,
-// the tree, algorithm and BND2BD selectors must be known constants, and
-// the BND2BD cut width must be non-negative. It is the ONE validation
-// path — every entry point (the one-shot calls, the Service, and the
-// planner's own output) goes through it, so a Validate-clean Options is
-// executable everywhere. A nil receiver validates the defaults.
+// the tree, algorithm and BND2BD selectors must be known constants, the
+// BND2BD cut width must be non-negative, and a Distributed run takes
+// neither Auto nor a Tree (it has no planner, and its trees are the
+// paper's hierarchical ones). It is the ONE validation
+// path — every entry point (the one-shot calls, the Service on a pool or
+// on a mesh, and the planner's own output) goes through it, so a
+// Validate-clean Options is executable everywhere. A nil receiver
+// validates the defaults. Its errors match ErrInvalidOptions.
 func (o *Options) Validate() (Options, error) {
+	v, err := o.validate()
+	if err != nil {
+		return v, invalidOptions{err}
+	}
+	return v, nil
+}
+
+func (o *Options) validate() (Options, error) {
 	v, err := o.withDefaults()
 	if err != nil {
 		return v, err
@@ -34,6 +55,14 @@ func (o *Options) Validate() (Options, error) {
 	case BND2BDAuto, BND2BDPipelined, BND2BDSequential:
 	default:
 		return v, fmt.Errorf("bidiag: unknown BND2BD mode %d", int(v.BND2BD))
+	}
+	if v.Distributed != nil {
+		if v.Auto {
+			return v, errors.New("bidiag: Options.Auto cannot plan distributed execution; set the knobs explicitly")
+		}
+		if v.Tree != Auto {
+			return v, fmt.Errorf("bidiag: distributed execution runs the hierarchical trees; Options.Tree = %v cannot be honoured", v.Tree)
+		}
 	}
 	return v, nil
 }
@@ -124,9 +153,7 @@ func AutoPlan(m, n int, o *Options) (Options, error) {
 	if o != nil {
 		raw = *o
 	}
-	if raw.Distributed != nil {
-		return Options{}, errors.New("bidiag: Options.Auto cannot plan distributed execution; set the knobs explicitly")
-	}
+	raw.Auto = true // what the caller is asking for; Validate refuses it a Distributed run
 	opts, err := raw.Validate()
 	if err != nil {
 		return opts, err

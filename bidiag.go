@@ -217,8 +217,8 @@ type Options struct {
 	Gamma int
 	// Distributed, when non-nil, executes the reduction on a grid of
 	// in-process distributed-memory nodes instead of the shared-memory
-	// worker pool. Tree is then superseded by the paper's hierarchical
-	// distributed trees.
+	// worker pool, with the paper's hierarchical distributed trees: Tree
+	// must then be left at Auto, and Options.Auto unset.
 	Distributed *DistOptions
 	// Gemm tunes the cache blocking of the packed GEMM micro-kernel the
 	// tile kernels bottom out in. The zero value selects defaults tuned
@@ -423,15 +423,17 @@ func GE2BND(a *Dense, o *Options) (*Band, error) {
 	}, nil
 }
 
-// distPlan resolves the node grid and per-node worker count of a
-// distributed run.
-func distPlan(d *DistOptions, opts Options, m, n int) (dist.Grid, int, error) {
+// gridJob resolves Options.Distributed for an m×n (m ≥ n) input into the
+// owner-compute job every rank builds its graph from: the node grid, the
+// per-node worker count and the options that shape the trees.
+func gridJob(opts Options, m, n int) (pipeline.GridJob, error) {
+	d := opts.Distributed
 	var grid dist.Grid
 	switch {
 	case d.GridRows > 0 && d.GridCols > 0:
 		grid = dist.Grid{R: d.GridRows, C: d.GridCols}
 	case d.GridRows != 0 || d.GridCols != 0:
-		return dist.Grid{}, 0, fmt.Errorf("bidiag: invalid grid %dx%d; both dimensions must be positive (or zero to derive one)",
+		return pipeline.GridJob{}, fmt.Errorf("bidiag: invalid grid %dx%d; both dimensions must be positive (or zero to derive one)",
 			d.GridRows, d.GridCols)
 	default:
 		nodes := d.Nodes
@@ -448,7 +450,15 @@ func distPlan(d *DistOptions, opts Options, m, n int) (dist.Grid, int, error) {
 	if wpn <= 0 {
 		wpn = max(1, opts.Workers/grid.Nodes())
 	}
-	return grid, wpn, grid.Validate()
+	return pipeline.GridJob{
+		NB: opts.NB, RBidiag: useRBidiag(opts, m, n),
+		Grid: grid, WPN: wpn, Gamma: opts.Gamma, Gemm: nla.Blocking(opts.Gemm),
+	}, grid.Validate()
+}
+
+// useRBidiag applies Options.Algorithm to an m×n (m ≥ n) input.
+func useRBidiag(opts Options, m, n int) bool {
+	return opts.Algorithm == RBidiag || (opts.Algorithm == AutoAlgorithm && 3*m >= 5*n)
 }
 
 // prepare is the shared prologue of every public entry point: the
@@ -492,27 +502,33 @@ func resolve(a *Dense, o *Options) (opts Options, src *nla.Matrix, treeKind tree
 	return opts, src, treeKind, transposed, nil
 }
 
-// buildSpec resolves opts into the shared-memory pipeline Spec — the
-// geometry, tiled data, tree configuration and fusion choice of one
-// reduction. The service layer reuses it to pack several jobs into one
-// gang graph (via Spec.Graph), which is why it is separate from
-// executor selection.
-func buildSpec(src *nla.Matrix, opts Options, treeKind trees.Kind, rec *core.Recorder, fuse bool) pipeline.Spec {
-	m, n := src.Rows, src.Cols
-	useR := opts.Algorithm == RBidiag ||
-		(opts.Algorithm == AutoAlgorithm && 3*m >= 5*n)
+// buildSpec resolves opts into the pipeline Spec — the geometry, tiled
+// data, tree configuration and fusion choice of one reduction: the
+// shared-memory trees, or with a grid job (Options.Distributed, resolved
+// by gridJob) the distributed ones. The service layer reuses it to pack
+// several jobs into one gang graph (via Spec.Graph), which is why it is
+// separate from executor selection.
+func buildSpec(src *nla.Matrix, opts Options, treeKind trees.Kind, gj *pipeline.GridJob, rec *core.Recorder, fuse bool) pipeline.Spec {
 	blocking := nla.Blocking(opts.Gemm)
 	if rec != nil {
 		rec.Blocking = blocking
 	}
-	return pipeline.Spec{
-		Shape:   core.ShapeOf(m, n, opts.NB),
-		Data:    tile.FromDense(src, opts.NB),
-		Config:  core.Config{Tree: treeKind, Gamma: opts.Gamma, Cores: opts.Workers, Recorder: rec, Blocking: blocking},
-		RBidiag: useR,
-		Fused:   fuse,
-		Window:  opts.BND2BDWindow,
+	var spec pipeline.Spec
+	if gj != nil {
+		spec = gj.Spec(src)
+	} else {
+		m, n := src.Rows, src.Cols
+		spec = pipeline.Spec{
+			Shape:   core.ShapeOf(m, n, opts.NB),
+			Data:    tile.FromDense(src, opts.NB),
+			Config:  core.Config{Tree: treeKind, Gamma: opts.Gamma, Cores: opts.Workers, Blocking: blocking},
+			RBidiag: useRBidiag(opts, m, n),
+		}
 	}
+	spec.Config.Recorder = rec
+	spec.Fused = fuse
+	spec.Window = opts.BND2BDWindow
+	return spec
 }
 
 // buildPlan resolves opts into a pipeline Plan and the Executor that
@@ -520,22 +536,15 @@ func buildSpec(src *nla.Matrix, opts Options, treeKind trees.Kind, rec *core.Rec
 // plan carries the BND2BD stage in the same graph (SingularValues'
 // fused path); the shape and engine logic are identical either way.
 func buildPlan(src *nla.Matrix, opts Options, treeKind trees.Kind, rec *core.Recorder, fuse bool) (*pipeline.Plan, pipeline.Executor, error) {
-	spec := buildSpec(src, opts, treeKind, rec, fuse)
-	var ex pipeline.Executor = pipeline.Pool{Workers: opts.Workers}
-	if d := opts.Distributed; d != nil {
-		grid, wpn, err := distPlan(d, opts, src.Rows, src.Cols)
-		if err != nil {
-			return nil, nil, err
-		}
-		tc := dist.AutoDefaults(spec.Shape, grid, wpn)
-		tc.Gamma = opts.Gamma
-		cfg := tc.Configure()
-		cfg.Recorder = rec
-		cfg.Blocking = nla.Blocking(opts.Gemm)
-		spec.Config = cfg
-		ex = pipeline.OwnerCompute{Grid: grid, WorkersPerNode: wpn}
+	if opts.Distributed == nil {
+		return pipeline.Build(buildSpec(src, opts, treeKind, nil, rec, fuse)), pipeline.Pool{Workers: opts.Workers}, nil
 	}
-	return pipeline.Build(spec), ex, nil
+	gj, err := gridJob(opts, src.Rows, src.Cols)
+	if err != nil {
+		return nil, nil, err
+	}
+	return pipeline.Build(buildSpec(src, opts, treeKind, &gj, rec, fuse)),
+		pipeline.OwnerCompute{Grid: gj.Grid, WorkersPerNode: gj.WPN}, nil
 }
 
 // distStatsOf converts an executor report's distributed statistics into
@@ -582,9 +591,16 @@ func SingularValuesCtx(ctx context.Context, a *Dense, o *Options) ([]float64, er
 	if _, err := pipeline.RunCtx(ctx, plan, ex); err != nil {
 		return nil, err
 	}
+	return finishValues(ctx, plan, opts, fuse)
+}
+
+// finishValues turns an executed plan into singular values, the one
+// finish every values path shares (the one-shot call, a service job on
+// the pool, a service job on the mesh): a fused plan holds the
+// bidiagonal already; a staged one extracts the band and goes through
+// the stage-2 dispatch every Band uses.
+func finishValues(ctx context.Context, plan *pipeline.Plan, opts Options, fuse bool) ([]float64, error) {
 	if !fuse {
-		// Staged: extract the band and finish through the same stage-2
-		// dispatch every Band uses.
 		b := &Band{
 			b:       plan.Tiles.ExtractBand(plan.Tiles.NB),
 			workers: opts.Workers,

@@ -152,7 +152,7 @@ func (c *Client) Healthz(ctx context.Context) (map[string]any, error) {
 }
 
 // Trace fetches a traced job's timeline as the raw Chrome-tracing JSON
-// array served by /debug/trace/{id}.
+// document served by /debug/trace/{id}.
 func (c *Client) Trace(ctx context.Context, jobID string) ([]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/debug/trace/"+url.PathEscape(jobID), nil)
 	if err != nil {

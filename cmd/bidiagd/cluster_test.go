@@ -4,15 +4,17 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
+	"github.com/tiled-la/bidiag"
 	"github.com/tiled-la/bidiag/client"
 	"github.com/tiled-la/bidiag/httpapi"
 	"github.com/tiled-la/bidiag/internal/cluster"
@@ -35,26 +37,52 @@ func TestParseGrid(t *testing.T) {
 	}
 }
 
-func TestClusterJobOptions(t *testing.T) {
-	// Chan's rule: 192x64 prefers rbidiag, 96x96 does not.
-	job, err := clusterJobOptions(nil, 192, 64, 2)
-	if err != nil || !job.RBidiag || job.NB != 64 || job.WorkersPerNode != 2 {
-		t.Fatalf("tall default: %+v %v", job, err)
+// testMesh boots a 2x1 mesh the way bidiagd does — rank 1 serving peer
+// jobs and the telemetry half of the mux, rank 0 the daemon's full mux over a Service
+// attached to the head, two workers a rank — and returns both servers.
+// head and peer are the two ranks' transports (the same one for an
+// in-process mesh); the cleanup shuts the mesh down and fails the test
+// if the peer did not exit cleanly.
+func testMesh(t *testing.T, head, peer dist.Transport) (hs, ps *httptest.Server) {
+	t.Helper()
+	cfg := cluster.Config{Grid: dist.Grid{R: 2, C: 1}, StallTimeout: 30 * time.Second}
+	pm, hm := &mesh{cfg: cfg}, &mesh{cfg: cfg}
+	pm.cfg.Rank, pm.cfg.Transport, hm.cfg.Transport = 1, peer, head
+	peerErr := make(chan error, 1)
+	go func() { peerErr <- cluster.ServePeer(pm.cfg) }()
+	var err error
+	if hm.head, err = cluster.NewHead(hm.cfg); err != nil {
+		t.Fatal(err)
 	}
-	job, err = clusterJobOptions(nil, 96, 96, 1)
-	if err != nil || job.RBidiag {
-		t.Fatalf("square default: %+v %v", job, err)
+	svc := bidiag.NewService(&bidiag.ServiceConfig{Workers: 2, Mesh: hm.head})
+	hs = httptest.NewServer(newMux(svc, hm, time.Now(), 0))
+	ps = httptest.NewServer(newMux(nil, pm, time.Now(), 0))
+	t.Cleanup(func() {
+		hs.Close()
+		ps.Close()
+		svc.Close()
+		if err := hm.head.Close(); err != nil {
+			t.Errorf("head close: %v", err)
+		}
+		if err := <-peerErr; err != nil {
+			t.Errorf("peer: %v", err)
+		}
+		head.Close()
+		if peer != head {
+			peer.Close()
+		}
+	})
+	return hs, ps
+}
+
+// tcpMesh is testMesh over a real 2-rank loopback-TCP mesh.
+func tcpMesh(t *testing.T) (hs, ps *httptest.Server) {
+	t.Helper()
+	trs, err := dist.LoopbackTCPMesh(2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	job, err = clusterJobOptions(&httpapi.Options{NB: 16, Algorithm: "rbidiag", Workers: 3}, 96, 96, 1)
-	if err != nil || !job.RBidiag || job.NB != 16 || job.WorkersPerNode != 3 {
-		t.Fatalf("explicit: %+v %v", job, err)
-	}
-	if _, err := clusterJobOptions(&httpapi.Options{Tree: "greedy"}, 96, 96, 1); err == nil {
-		t.Fatal("unsupported tree knob accepted")
-	}
-	if _, err := clusterJobOptions(&httpapi.Options{Algorithm: "bogus"}, 96, 96, 1); err == nil {
-		t.Fatal("bogus algorithm accepted")
-	}
+	return testMesh(t, trs[0], trs[1])
 }
 
 // TestClusterHTTPSurface runs the head's HTTP handlers against an
@@ -62,27 +90,8 @@ func TestClusterJobOptions(t *testing.T) {
 // values endpoint against the single-process daemon, plus the 501 SVD
 // stub and the health/metrics documents.
 func TestClusterHTTPSurface(t *testing.T) {
-	grid := dist.Grid{R: 2, C: 1}
-	tr := dist.NewChanTransport(grid.Nodes())
-	defer tr.Close()
-	var peerWG sync.WaitGroup
-	peerWG.Add(1)
-	var peerErr error
-	go func() {
-		defer peerWG.Done()
-		peerErr = cluster.ServePeer(cluster.Config{Grid: grid, Transport: tr, Rank: 1, StallTimeout: 30 * time.Second})
-	}()
-	head, err := cluster.NewHead(cluster.Config{Grid: grid, Transport: tr, Rank: 0, StallTimeout: 30 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := &clusterServer{
-		head: head, wpn: 2, nodes: 2, grid: grid, tr: tr,
-		start: time.Now(), maxBody: defaultMaxBody,
-		traces: newClusterTraceStore(traceStoreCap),
-	}
-	ts := httptest.NewServer(h.mux())
-	defer ts.Close()
+	tr := dist.NewChanTransport(2)
+	ts, _ := testMesh(t, tr, tr)
 	cl := client.New(ts.URL)
 
 	out, err := cl.PostValues(context.Background(), httpapi.Job{Matrix: diag212, Options: &httpapi.Options{NB: 1}}, false)
@@ -102,12 +111,10 @@ func TestClusterHTTPSurface(t *testing.T) {
 	if _, err := cl.PostValues(context.Background(), httpapi.Job{Matrix: diag212, Options: &httpapi.Options{Auto: true}}, false); !errors.Is(err, client.ErrBadRequest) {
 		t.Fatalf("auto knob in cluster mode: %v, want 400", err)
 	}
-	// A wide matrix is a client error — cluster mode has no transpose
-	// path — and must be a 400 like the other validation failures, not
-	// a 500 from the head.
+	// A wide matrix runs through its transpose, as on one process.
 	wide := httpapi.Job{Matrix: httpapi.Matrix{M: 2, N: 3, Data: []float64{1, 2, 3, 4, 5, 6}}}
-	if _, err := cl.PostValues(context.Background(), wide, false); !errors.Is(err, client.ErrBadRequest) {
-		t.Fatalf("wide matrix in cluster mode: %v, want 400", err)
+	if got, err := cl.PostValues(context.Background(), wide, false); err != nil || len(got.S) != 2 {
+		t.Fatalf("wide matrix in cluster mode: %v %v, want two singular values", got, err)
 	}
 
 	// So is a non-finite entry, in the only spellings JSON has for one —
@@ -150,7 +157,7 @@ func TestClusterHTTPSurface(t *testing.T) {
 	text := getText(t, ts.URL+"/metrics")
 	for _, want := range []string{
 		"bidiagd_cluster_nodes 2",
-		`bidiagd_cluster_jobs_total{result="done"} 2`,
+		`bidiagd_jobs_total{result="done"} 3`,
 		"bidiagd_cluster_comm_bytes_total",
 		"bidiagd_trace_dropped_events_total",
 	} {
@@ -162,14 +169,6 @@ func TestClusterHTTPSurface(t *testing.T) {
 	// ChanTransport has no links, so this surface simply omits them.
 	if strings.Contains(text, "bidiagd_cluster_wire_bytes_total") {
 		t.Fatalf("removed global wire counter still exported:\n%s", text)
-	}
-
-	if err := head.Close(); err != nil {
-		t.Fatal(err)
-	}
-	peerWG.Wait()
-	if peerErr != nil {
-		t.Fatalf("peer: %v", peerErr)
 	}
 }
 
@@ -193,37 +192,7 @@ func getText(t *testing.T, url string) string {
 // and flow arrows, ?format=raw round-trips through ParseMergedTrace, and
 // both ranks' /metrics expose their ends of the per-link wire series.
 func TestClusterTraceHTTP(t *testing.T) {
-	grid := dist.Grid{R: 2, C: 1}
-	trs, err := dist.LoopbackTCPMesh(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		for _, tr := range trs {
-			tr.Close()
-		}
-	}()
-	var peerWG sync.WaitGroup
-	peerWG.Add(1)
-	var peerErr error
-	go func() {
-		defer peerWG.Done()
-		peerErr = cluster.ServePeer(cluster.Config{Grid: grid, Transport: trs[1], Rank: 1, StallTimeout: 30 * time.Second})
-	}()
-	head, err := cluster.NewHead(cluster.Config{Grid: grid, Transport: trs[0], Rank: 0, StallTimeout: 30 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := &clusterServer{
-		head: head, wpn: 2, nodes: 2, grid: grid, tr: trs[0],
-		start: time.Now(), maxBody: defaultMaxBody,
-		traces: newClusterTraceStore(traceStoreCap),
-	}
-	ts := httptest.NewServer(h.mux())
-	defer ts.Close()
-	peer := &peerServer{rank: 1, nodes: 2, grid: grid, tr: trs[1], start: time.Now()}
-	pts := httptest.NewServer(peer.mux())
-	defer pts.Close()
+	ts, pts := tcpMesh(t)
 	cl := client.New(ts.URL)
 
 	out, err := cl.PostValues(context.Background(), httpapi.Job{Matrix: diag212, Options: &httpapi.Options{NB: 1}}, true)
@@ -333,30 +302,134 @@ func TestClusterTraceHTTP(t *testing.T) {
 		t.Fatalf("peer healthz: %v %v", ph, err)
 	}
 	ph.Body.Close()
-
-	if err := head.Close(); err != nil {
-		t.Fatal(err)
-	}
-	peerWG.Wait()
-	if peerErr != nil {
-		t.Fatalf("peer: %v", peerErr)
-	}
 }
 
-// TestClusterTraceStoreEviction mirrors the single-process store test
-// for the merged-trace store.
-func TestClusterTraceStoreEviction(t *testing.T) {
-	store := newClusterTraceStore(2)
-	mt := &cluster.MergedTrace{Ranks: 2, WPN: 1}
-	id1 := store.put(mt)
-	id2 := store.put(mt)
-	id3 := store.put(mt)
-	if _, ok := store.get(id1); ok {
-		t.Fatal("oldest trace not evicted")
+// TestClusterIsTheOneService pins what the head gained by serving through
+// the one Service, over a real 2-rank loopback-TCP mesh: the result
+// cache, wide inputs, the /debug surface, the service's own metrics
+// beside the mesh's, the one error mapping — and values that are
+// bitwise the in-process Options.Distributed run of the same grid.
+func TestClusterIsTheOneService(t *testing.T) {
+	ts, _ := tcpMesh(t)
+	cl := client.New(ts.URL)
+	ctx := context.Background()
+
+	const m, n, nb = 96, 40, 16
+	rng := rand.New(rand.NewSource(7))
+	tall := httpapi.Matrix{M: m, N: n, Data: make([]float64, m*n)}
+	wide := httpapi.Matrix{M: n, N: m, Data: make([]float64, m*n)}
+	for j := 0; j < n; j++ {
+		for i := 0; i < m; i++ {
+			v := rng.NormFloat64()
+			tall.Data[i+j*m], wide.Data[j+i*n] = v, v
+		}
 	}
-	for _, id := range []string{id2, id3} {
-		if _, ok := store.get(id); !ok {
-			t.Fatalf("trace %s missing", id)
+	a, err := tall.Dense()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, alg := range []string{"bidiag", "rbidiag"} {
+		algorithm, err := bidiag.ParseAlgorithm(alg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := bidiag.SingularValues(a, &bidiag.Options{NB: nb, Algorithm: algorithm,
+			Distributed: &bidiag.DistOptions{GridRows: 2, GridCols: 1, WorkersPerNode: 2}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := &httpapi.Options{NB: nb, Algorithm: alg}
+		first, err := cl.PostValues(ctx, httpapi.Job{Matrix: tall, Options: opts}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first.CacheHit || len(first.S) != len(want) {
+			t.Fatalf("%s: first answer %+v", alg, first)
+		}
+		for i := range want {
+			if first.S[i] != want[i] {
+				t.Fatalf("%s: value %d over the mesh %v, in-process distributed %v", alg, i, first.S[i], want[i])
+			}
+		}
+		again, err := cl.PostValues(ctx, httpapi.Job{Matrix: tall, Options: opts}, false)
+		if err != nil || !again.CacheHit {
+			t.Fatalf("%s: repeated POST %+v (%v), want a cache hit", alg, again, err)
+		}
+		// The transpose is a different matrix to the cache and the same
+		// problem to the mesh.
+		tr, err := cl.PostValues(ctx, httpapi.Job{Matrix: wide, Options: opts}, false)
+		if err != nil || tr.CacheHit {
+			t.Fatalf("%s: wide input %+v (%v)", alg, tr, err)
+		}
+		for i := range want {
+			if tr.S[i] != want[i] {
+				t.Fatalf("%s: value %d of the wide input %v, of its transpose %v", alg, i, tr.S[i], want[i])
+			}
+		}
+	}
+	// No options at all: the library defaults, not the planner.
+	if out, err := cl.PostValues(ctx, httpapi.Job{Matrix: diag212}, false); err != nil || len(out.S) != 2 {
+		t.Fatalf("options-free job: %+v %v", out, err)
+	}
+	// Concurrent requests queue on the one mesh and all come back.
+	burst := make(chan error, 4)
+	for k := 0; k < cap(burst); k++ {
+		go func(k int) {
+			scaled := httpapi.Matrix{M: 3, N: 2, Data: []float64{float64(k + 3), 0, 0, 0, 1, 0}}
+			out, err := cl.PostValues(ctx, httpapi.Job{Matrix: scaled, Options: &httpapi.Options{NB: 1}}, false)
+			if err == nil && (len(out.S) != 2 || out.S[0] != float64(k+3)) {
+				err = fmt.Errorf("job %d: s = %v", k, out.S)
+			}
+			burst <- err
+		}(k)
+	}
+	for k := 0; k < cap(burst); k++ {
+		if err := <-burst; err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for _, tc := range []struct {
+		path, body string
+		status     int
+	}{
+		{"/v1/svd", `{"m":3,"n":2,"data":[1,0,0,0,2,0]}`, http.StatusNotImplemented},
+		{"/v1/singular-values", `{"m":3,"n":2,"data":[1,0,0,0,2,0],"options":{"tree":"greedy"}}`, http.StatusBadRequest},
+		{"/v1/singular-values", `{"m":3,"n":2,"data":[1,0,0,0,2,0],"options":{"auto":true}}`, http.StatusBadRequest},
+		{"/v1/singular-values", `{"m":3,"n":2,"data":[1,0,0,0,2,0],"options":{"window":-1}}`, http.StatusBadRequest},
+		{"/v1/singular-values", `{"m":1,"n":1,"data":[1e999]}`, http.StatusBadRequest},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.status {
+			t.Fatalf("%s %s: status %d, want %d", tc.path, tc.body, resp.StatusCode, tc.status)
+		}
+	}
+	for _, path := range []string{"/debug/vars", "/debug/pprof/cmdline", "/debug/plans"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s on the head: status %d", path, resp.StatusCode)
+		}
+	}
+	text := getText(t, ts.URL+"/metrics")
+	for _, want := range []string{
+		`bidiagd_jobs_total{result="done"} 11`,
+		`bidiagd_cache_hits_total 2`,
+		`bidiagd_job_latency_seconds_bucket{le="+Inf"} 11`,
+		`bidiagd_queue_depth{queue="solo"} 0`,
+		"bidiagd_cluster_nodes 2",
+		`bidiagd_link_sent_frames_total{from="0",to="1"}`,
+		`bidiagd_clock_rtt_seconds{peer="1"}`,
+	} {
+		if !strings.Contains(text, want) {
+			t.Fatalf("head metrics missing %q in:\n%s", want, text)
 		}
 	}
 }

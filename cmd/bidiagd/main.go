@@ -32,6 +32,21 @@
 // fails only the offending request.
 //
 //	bidiagd -addr :8097 -workers 8 -cache-mb 128
+//
+// Cluster mode (-node, -peers, optionally -grid and -stall) is the same
+// daemon over a TCP mesh of processes, one per node of the process grid:
+//
+//	bidiagd -node 1 -peers hostA:9390,hostB:9390 -addr :8098
+//	bidiagd -node 0 -peers hostA:9390,hostB:9390 -addr :8097 -workers 4
+//
+// Rank 0 serves every endpoint above through the same Service, whose jobs
+// run across the mesh (the Options.Distributed graph of the grid, -workers
+// a rank): same queue, 429, cache, cancellation until a job is announced,
+// /debug surface and metrics, plus bidiagd_cluster_*, bidiagd_link_* and
+// bidiagd_clock_* series and mode/rank/nodes/grid in /healthz. A mesh has
+// no planner and no vectors: "tree" and "auto" are 400, an options-free
+// request runs the library defaults, /v1/svd is 501. The other ranks
+// compute, and serve /healthz and /metrics only.
 package main
 
 import (
@@ -50,6 +65,13 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+func run() error {
 	addr := flag.String("addr", ":8097", "listen address")
 	workers := flag.Int("workers", 0, "shared pool size (0: GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "admission queue depth (0: default 256)")
@@ -68,23 +90,29 @@ func main() {
 	stall := flag.Duration("stall", 2*time.Minute, "cluster mode: fail a job when no task progresses for this long (0 disables)")
 	flag.Parse()
 
+	// Cluster mode: every rank joins the mesh; ranks other than 0 compute
+	// until the head shuts them down, rank 0 carries on as the daemon with
+	// its service attached to the mesh.
+	var m *mesh
 	if *node >= 0 || *peers != "" {
 		if *node < 0 || *peers == "" {
-			fmt.Fprintln(os.Stderr, "cluster mode needs both -node and -peers")
-			os.Exit(1)
+			return errors.New("cluster mode needs both -node and -peers")
 		}
-		if err := runCluster(*node, *peers, *gridSpec, *addr, *workers, *stall, *maxBodyMB<<20); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		var err error
+		if m, err = joinMesh(*node, *peers, *gridSpec, *stall); err != nil {
+			return err
 		}
-		return
+		defer m.close()
+		if *node != 0 {
+			return m.servePeer(*addr)
+		}
 	}
 
 	cacheBytes := int64(*cacheMB) << 20
 	if *cacheMB < 0 {
 		cacheBytes = -1
 	}
-	svc := bidiag.NewService(&bidiag.ServiceConfig{
+	cfg := &bidiag.ServiceConfig{
 		Workers:     *workers,
 		QueueDepth:  *queue,
 		MaxInFlight: *inflight,
@@ -96,12 +124,16 @@ func main() {
 		PlanProfiles:   *profiles,
 		PlanMinSamples: *planSamples,
 		TraceEventCap:  *traceCap,
-	})
+	}
+	if m != nil {
+		cfg.Mesh = m.head
+	}
+	svc := bidiag.NewService(cfg)
 	defer svc.Close()
 
 	srv := &http.Server{
 		Addr:              *addr,
-		Handler:           newMux(svc, time.Now(), *maxBodyMB<<20),
+		Handler:           newMux(svc, m, time.Now(), *maxBodyMB<<20),
 		ReadHeaderTimeout: 10 * time.Second,
 		// Bounds a slow-body client; responses (and job execution) are
 		// not under this clock, only reading the request.
@@ -124,8 +156,8 @@ func main() {
 		}
 	case err := <-errc:
 		if !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 	}
+	return nil
 }

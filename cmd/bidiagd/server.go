@@ -12,14 +12,18 @@ import (
 
 	"github.com/tiled-la/bidiag"
 	"github.com/tiled-la/bidiag/httpapi"
+	"github.com/tiled-la/bidiag/internal/cluster"
 	"github.com/tiled-la/bidiag/internal/obs"
 )
 
-// server is the daemon's HTTP surface over one bidiag.Service. Every
+// server is the daemon's HTTP surface over one bidiag.Service, in both
+// modes: on a cluster head the service runs its jobs over the mesh and
+// the health and metrics documents carry the mesh's series too. Every
 // server owns its metrics and trace store outright — two servers in one
 // process (as in tests) never share or shadow each other's figures.
 type server struct {
-	svc    *bidiag.Service
+	svc    *bidiag.Service // nil on a compute rank of a mesh
+	mesh   *mesh           // nil in single-process mode
 	start  time.Time
 	traces *traceStore
 	// maxBody bounds a request body in bytes: admission queues bound how
@@ -36,17 +40,23 @@ type server struct {
 // and as few as 2 on one that prints short.
 const defaultMaxBody = 32 << 20
 
-// newMux wires the daemon's routes. maxBody ≤ 0 selects defaultMaxBody.
-func newMux(svc *bidiag.Service, start time.Time, maxBody int64) *http.ServeMux {
+// newMux wires the daemon's routes over svc, which runs on m when m is
+// non-nil. A compute rank of a mesh has no service (svc nil) and serves
+// liveness and metrics only — its work arrives over the mesh. maxBody ≤ 0
+// selects defaultMaxBody.
+func newMux(svc *bidiag.Service, m *mesh, start time.Time, maxBody int64) *http.ServeMux {
 	if maxBody <= 0 {
 		maxBody = defaultMaxBody
 	}
-	s := &server{svc: svc, start: start, maxBody: maxBody, traces: newTraceStore(traceStoreCap)}
+	s := &server{svc: svc, mesh: m, start: start, maxBody: maxBody, traces: newTraceStore(traceStoreCap)}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/singular-values", s.handleSingularValues)
-	mux.HandleFunc("POST /v1/svd", s.handleSVD)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	if svc == nil {
+		return mux
+	}
+	mux.HandleFunc("POST /v1/singular-values", func(w http.ResponseWriter, r *http.Request) { s.handleJob(w, r, bidiag.JobSingularValues) })
+	mux.HandleFunc("POST /v1/svd", func(w http.ResponseWriter, r *http.Request) { s.handleJob(w, r, bidiag.JobSVD) })
 	mux.HandleFunc("GET /debug/vars", s.handleVars)
 	mux.HandleFunc("GET /debug/plans", s.handlePlans)
 	mux.HandleFunc("GET /debug/trace/{id}", s.handleTrace)
@@ -62,13 +72,24 @@ func newMux(svc *bidiag.Service, start time.Time, maxBody int64) *http.ServeMux 
 // rebuilt per scrape over ONE Stats snapshot, so every series in a
 // response is drawn from the same instant.
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	st := s.svc.Stats()
 	reg := obs.NewRegistry()
-	uptime := time.Since(s.start).Seconds()
+	reg.Gauge("bidiagd_uptime_seconds", "Seconds since the daemon started.", func() float64 { return time.Since(s.start).Seconds() })
+	if m := s.mesh; m != nil {
+		reg.Gauge("bidiagd_cluster_nodes", "Processes in the mesh.", func() float64 { return float64(m.cfg.Grid.Nodes()) })
+		registerLinkMetrics(reg, m.cfg.Transport)
+	}
+	if s.svc != nil {
+		s.registerService(reg)
+	}
+	reg.ServeHTTP(w, r)
+}
+
+// registerService adds the service's series to a scrape.
+func (s *server) registerService(reg *obs.Registry) {
+	st := s.svc.Stats()
 	gauge := func(name, help string, v float64) { reg.Gauge(name, help, func() float64 { return v }) }
 	counter := func(name, help string, v float64) { reg.Counter(name, help, func() float64 { return v }) }
 
-	gauge("bidiagd_uptime_seconds", "Seconds since the daemon started.", uptime)
 	gauge("bidiagd_workers", "Shared pool size.", float64(st.Workers))
 	gauge("bidiagd_inflight_jobs", "Jobs currently executing.", float64(st.InFlight))
 	reg.LabeledGauge("bidiagd_queue_depth", "Instantaneous admission-queue depth.", func() []obs.LabeledValue {
@@ -98,7 +119,12 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("bidiagd_gang_jobs_total", "Member jobs carried by gang graphs.", float64(st.GangJobs))
 	counter("bidiagd_cache_hits_total", "Result-cache hits.", float64(st.CacheHits))
 	counter("bidiagd_cache_misses_total", "Result-cache misses.", float64(st.CacheMisses))
-	counter("bidiagd_trace_dropped_events_total", "Trace-ring events dropped by traced jobs whose rings overflowed (-trace-event-cap).", float64(st.TraceDropped))
+	traceDropped := float64(st.TraceDropped)
+	if s.mesh != nil {
+		traceDropped += float64(s.mesh.head.TraceDropped())
+		counter("bidiagd_cluster_comm_bytes_total", "Modeled communication volume sent by the head (matches SimulateDistributed).", float64(s.mesh.head.CommBytes()))
+	}
+	counter("bidiagd_trace_dropped_events_total", "Trace-ring events dropped by traced jobs whose rings overflowed (-trace-event-cap).", traceDropped)
 	reg.Histogram("bidiagd_job_latency_seconds", "Job latency, enqueue to completion (cache hits included).", func() obs.HistogramSnapshot {
 		return obs.HistogramSnapshot{Bounds: st.Latency.Bounds, Counts: st.Latency.Counts, Sum: st.Latency.Sum, Count: st.Latency.Count}
 	})
@@ -116,7 +142,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("bidiagd_plan_promotions_total", "Plan profiles promoted to a measured winner.", float64(pc.Promotions))
 	counter("bidiagd_plan_profiles_loaded_total", "Plan profiles restored from disk at startup.", float64(pc.Loaded))
 	gauge("bidiagd_plan_profiles", "Shape-bucket plan profiles currently held.", float64(pc.Profiles))
-	reg.ServeHTTP(w, r)
 }
 
 // handlePlans serves the autotuner's profile document: every shape
@@ -193,23 +218,22 @@ func (s *server) snapshot() map[string]any {
 }
 
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	doc := map[string]any{
 		"status":         "ok",
 		"uptime_seconds": time.Since(s.start).Seconds(),
-		"workers":        s.svc.Stats().Workers,
-	})
+	}
+	if s.svc != nil {
+		doc["workers"] = s.svc.Stats().Workers
+	}
+	if m := s.mesh; m != nil {
+		doc["mode"], doc["rank"], doc["nodes"], doc["grid"] = "cluster", m.cfg.Rank, m.cfg.Grid.Nodes(), m.cfg.Grid.String()
+	}
+	writeJSON(w, http.StatusOK, doc)
 }
 
-func (s *server) handleSingularValues(w http.ResponseWriter, r *http.Request) {
-	s.handleJob(w, r, bidiag.JobSingularValues)
-}
-
-func (s *server) handleSVD(w http.ResponseWriter, r *http.Request) {
-	s.handleJob(w, r, bidiag.JobSVD)
-}
-
-// handleJob runs one job. ?trace=1 records the per-task timeline: the
-// job runs solo, bypasses the cache, and the response's job_id keys
+// handleJob runs one job. ?trace=1 records its execution — every task,
+// and on a mesh every rank's tasks and frames: the job runs solo,
+// bypasses the cache, and the response's job_id keys
 // GET /debug/trace/{job_id}.
 func (s *server) handleJob(w http.ResponseWriter, r *http.Request, kind bidiag.JobKind) {
 	req, status, err := httpapi.ReadRequest(w, r, s.maxBody)
@@ -217,16 +241,22 @@ func (s *server) handleJob(w http.ResponseWriter, r *http.Request, kind bidiag.J
 		httpError(w, status, err)
 		return
 	}
+	opts := req.Opts
+	if s.mesh != nil && req.Options == nil {
+		// "The daemon decides" is the planner on one process; a mesh has
+		// none, and runs the library defaults.
+		opts = nil
+	}
 	begin := time.Now()
-	res, err := s.svc.Do(r.Context(), bidiag.JobRequest{Kind: kind, A: req.A, Opts: req.Opts, Trace: req.Trace})
+	res, err := s.svc.Do(r.Context(), bidiag.JobRequest{Kind: kind, A: req.A, Opts: opts, Trace: req.Trace})
 	if err != nil {
 		writeJobError(w, r, err)
 		return
 	}
 	ms := float64(time.Since(begin)) / float64(time.Millisecond)
 	jobID := ""
-	if req.Trace && len(res.Timeline) > 0 {
-		jobID = s.traces.put(res.Timeline)
+	if res.Trace != nil {
+		jobID = s.traces.put(res.Trace)
 	}
 	if kind == bidiag.JobSVD {
 		writeResult(w, req, httpapi.SVDResponse{
@@ -253,8 +283,10 @@ func writeJobError(w http.ResponseWriter, r *http.Request, err error) {
 		httpError(w, http.StatusTooManyRequests, err)
 	case errors.Is(err, bidiag.ErrServiceClosed):
 		httpError(w, http.StatusServiceUnavailable, err)
-	case errors.Is(err, bidiag.ErrNonFinite):
+	case errors.Is(err, bidiag.ErrNonFinite), errors.Is(err, bidiag.ErrInvalidOptions):
 		httpError(w, http.StatusBadRequest, err)
+	case errors.Is(err, bidiag.ErrMeshValuesOnly):
+		httpError(w, http.StatusNotImplemented, err)
 	case r.Context().Err() != nil:
 		// The client went away; nothing useful to write.
 		log.Printf("job cancelled: %v", err)
@@ -275,28 +307,28 @@ func httpError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, httpapi.ErrorResponse{Error: err.Error()})
 }
 
-// traceStoreCap bounds how many finished job timelines a server retains
-// for /debug/trace: old entries are evicted FIFO, so a long-lived daemon
+// traceStoreCap bounds how many finished job traces a server retains for
+// /debug/trace: old entries are evicted FIFO, so a long-lived daemon
 // holds at most the most recent traced jobs.
 const traceStoreCap = 64
 
-// traceStore retains the timelines of recently traced jobs, keyed by the
+// traceStore retains the traces of recently traced jobs, keyed by the
 // job ID returned in the POST response.
 type traceStore struct {
 	mu    sync.Mutex
 	next  uint64
 	cap   int
 	order []string
-	byID  map[string][]bidiag.TaskSpan
+	byID  map[string]*cluster.MergedTrace
 }
 
 func newTraceStore(cap int) *traceStore {
-	return &traceStore{cap: cap, byID: make(map[string][]bidiag.TaskSpan)}
+	return &traceStore{cap: cap, byID: make(map[string]*cluster.MergedTrace)}
 }
 
-// put stores a timeline and returns its job ID, evicting the oldest
-// entry once the store is full.
-func (ts *traceStore) put(spans []bidiag.TaskSpan) string {
+// put stores a trace and returns its job ID, evicting the oldest entry
+// once the store is full.
+func (ts *traceStore) put(tr *cluster.MergedTrace) string {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	ts.next++
@@ -306,51 +338,39 @@ func (ts *traceStore) put(spans []bidiag.TaskSpan) string {
 		ts.order = ts.order[1:]
 	}
 	ts.order = append(ts.order, id)
-	ts.byID[id] = spans
+	ts.byID[id] = tr
 	return id
 }
 
-func (ts *traceStore) get(id string) ([]bidiag.TaskSpan, bool) {
+func (ts *traceStore) get(id string) (*cluster.MergedTrace, bool) {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	spans, ok := ts.byID[id]
-	return spans, ok
+	tr, ok := ts.byID[id]
+	return tr, ok
 }
 
-// chromeEvent is one complete ("X"-phase) slice in the Chrome-tracing
-// JSON array format, the shape chrome://tracing and Perfetto ingest.
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat"`
-	Ph   string         `json:"ph"`
-	TS   float64        `json:"ts"`  // microseconds
-	Dur  float64        `json:"dur"` // microseconds
-	PID  int            `json:"pid"`
-	TID  int            `json:"tid"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-// handleTrace renders a stored timeline as a Chrome-tracing JSON array:
-// load it in Perfetto (ui.perfetto.dev) or chrome://tracing, one track
-// per worker.
+// handleTrace serves a stored trace: Chrome-tracing JSON by default —
+// load it in Perfetto (ui.perfetto.dev) or chrome://tracing: one process
+// lane per rank, one track per worker, flow arrows send→recv — or, with
+// ?format=raw, the events themselves (cmd/trace -cluster reads them).
 func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	spans, ok := s.traces.get(id)
+	tr, ok := s.traces.get(id)
 	if !ok {
 		httpError(w, http.StatusNotFound, fmt.Errorf("no trace for job %q (traces are kept for the last %d traced jobs)", id, traceStoreCap))
 		return
 	}
-	events := make([]chromeEvent, len(spans))
-	for i, sp := range spans {
-		events[i] = chromeEvent{
-			Name: sp.Kernel,
-			Cat:  "task",
-			Ph:   "X",
-			TS:   float64(sp.Start) / float64(time.Microsecond),
-			Dur:  float64(sp.End-sp.Start) / float64(time.Microsecond),
-			TID:  sp.Worker,
-			Args: map[string]any{"i": sp.I, "j": sp.J, "k": sp.K, "flops": sp.Flops},
-		}
+	render := tr.WriteChrome
+	switch format := r.URL.Query().Get("format"); format {
+	case "", "chrome":
+	case "raw":
+		render = tr.WriteJSON
+	default:
+		httpError(w, http.StatusBadRequest, fmt.Errorf("unknown trace format %q (want chrome or raw)", format))
+		return
 	}
-	writeJSON(w, http.StatusOK, events)
+	w.Header().Set("Content-Type", "application/json")
+	if err := render(w); err != nil {
+		log.Printf("write trace %s: %v", id, err)
+	}
 }

@@ -16,12 +16,13 @@ import (
 	"github.com/tiled-la/bidiag"
 	"github.com/tiled-la/bidiag/client"
 	"github.com/tiled-la/bidiag/httpapi"
+	"github.com/tiled-la/bidiag/internal/cluster"
 )
 
 func testServer(t *testing.T) (*httptest.Server, *bidiag.Service) {
 	t.Helper()
 	svc := bidiag.NewService(&bidiag.ServiceConfig{Workers: 2})
-	ts := httptest.NewServer(newMux(svc, time.Now(), 0))
+	ts := httptest.NewServer(newMux(svc, nil, time.Now(), 0))
 	t.Cleanup(func() { ts.Close(); svc.Close() })
 	return ts, svc
 }
@@ -367,17 +368,64 @@ func TestTraceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var events []chromeEvent
-	if err := json.Unmarshal(blob, &events); err != nil {
+	// The one renderer: a pool job is the one-rank case of a mesh trace —
+	// metadata naming the lanes, then one complete ("X") slice per task.
+	var doc struct {
+		TraceEvents []struct {
+			Name string  `json:"name"`
+			Ph   string  `json:"ph"`
+			TS   float64 `json:"ts"`
+			Dur  float64 `json:"dur"`
+			PID  int     `json:"pid"`
+			TID  int     `json:"tid"`
+		} `json:"traceEvents"`
+		Meta struct {
+			Ranks int `json:"ranks"`
+			WPN   int `json:"wpn"`
+		} `json:"metadata"`
+	}
+	if err := json.Unmarshal(blob, &doc); err != nil {
 		t.Fatal(err)
 	}
-	if len(events) == 0 {
+	if doc.Meta.Ranks != 1 || doc.Meta.WPN != 2 {
+		t.Fatalf("trace metadata %+v, want one rank of the pool's two workers", doc.Meta)
+	}
+	tasks := 0
+	for i, e := range doc.TraceEvents {
+		switch e.Ph {
+		case "X":
+			tasks++
+			if e.Name == "" || e.Dur < 0 || e.TS < 0 || e.PID != 0 || e.TID < 0 || e.TID > 1 {
+				t.Fatalf("event %d malformed: %+v", i, e)
+			}
+		case "M":
+		default:
+			t.Fatalf("event %d: phase %q in a one-process trace", i, e.Ph)
+		}
+	}
+	if tasks == 0 {
 		t.Fatal("empty trace")
 	}
-	for i, e := range events {
-		if e.Ph != "X" || e.Name == "" || e.Dur < 0 || e.TS < 0 {
-			t.Fatalf("event %d malformed: %+v", i, e)
-		}
+	// The raw form is served in this mode too, and names no frames.
+	resp, err := http.Get(ts.URL + "/debug/trace/" + out.JobID + "?format=raw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw struct {
+		Ranks  int `json:"ranks"`
+		Events []struct {
+			Op int `json:"op"`
+		} `json:"events"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&raw)
+	resp.Body.Close()
+	if err != nil || raw.Ranks != 1 || len(raw.Events) != tasks {
+		t.Fatalf("raw trace: %v, %d ranks, %d events for %d rendered tasks", err, raw.Ranks, len(raw.Events), tasks)
+	}
+	if resp, err := http.Get(ts.URL + "/debug/trace/" + out.JobID + "?format=bogus"); err != nil || resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("bogus format: %v %v", resp, err)
+	} else {
+		resp.Body.Close()
 	}
 
 	// Unknown IDs 404; untraced jobs get no job_id.
@@ -399,7 +447,7 @@ func TestTraceRoundTrip(t *testing.T) {
 // events are counted in the service stats and the Prometheus surface.
 func TestTraceEventCapOverflow(t *testing.T) {
 	svc := bidiag.NewService(&bidiag.ServiceConfig{Workers: 2, TraceEventCap: 1})
-	ts := httptest.NewServer(newMux(svc, time.Now(), 0))
+	ts := httptest.NewServer(newMux(svc, nil, time.Now(), 0))
 	t.Cleanup(func() { ts.Close(); svc.Close() })
 	cl := client.New(ts.URL)
 
@@ -432,9 +480,9 @@ func TestTraceEventCapOverflow(t *testing.T) {
 // TestTraceStoreEviction pins the FIFO bound on retained traces.
 func TestTraceStoreEviction(t *testing.T) {
 	store := newTraceStore(2)
-	id1 := store.put([]bidiag.TaskSpan{{Kernel: "GEQRT"}})
-	id2 := store.put([]bidiag.TaskSpan{{Kernel: "TSQRT"}})
-	id3 := store.put([]bidiag.TaskSpan{{Kernel: "TSMQR"}})
+	id1 := store.put(&cluster.MergedTrace{})
+	id2 := store.put(&cluster.MergedTrace{})
+	id3 := store.put(&cluster.MergedTrace{})
 	if _, ok := store.get(id1); ok {
 		t.Fatal("oldest trace should have been evicted")
 	}
@@ -464,7 +512,7 @@ func TestPprofEndpoints(t *testing.T) {
 // 413, not an allocation.
 func TestBodyTooLarge(t *testing.T) {
 	svc := bidiag.NewService(&bidiag.ServiceConfig{Workers: 1})
-	ts := httptest.NewServer(newMux(svc, time.Now(), 1<<10)) // 1 KiB cap
+	ts := httptest.NewServer(newMux(svc, nil, time.Now(), 1<<10)) // 1 KiB cap
 	t.Cleanup(func() { ts.Close(); svc.Close() })
 	cl := client.New(ts.URL)
 
@@ -549,7 +597,7 @@ func TestPlanProfilesSurviveRestart(t *testing.T) {
 	cfg := &bidiag.ServiceConfig{Workers: 2, PlanProfiles: path, PlanMinSamples: 1}
 
 	svc1 := bidiag.NewService(cfg)
-	ts1 := httptest.NewServer(newMux(svc1, time.Now(), 0))
+	ts1 := httptest.NewServer(newMux(svc1, nil, time.Now(), 0))
 	cl1 := client.New(ts1.URL)
 	// Distinct matrices in one shape bucket: cache hits skip execution,
 	// and only executed jobs feed the tuner.
@@ -569,7 +617,7 @@ func TestPlanProfilesSurviveRestart(t *testing.T) {
 	svc1.Close()
 
 	svc2 := bidiag.NewService(cfg)
-	ts2 := httptest.NewServer(newMux(svc2, time.Now(), 0))
+	ts2 := httptest.NewServer(newMux(svc2, nil, time.Now(), 0))
 	defer func() { ts2.Close(); svc2.Close() }()
 	if svc2.PlanCounters().Loaded == 0 {
 		t.Fatal("restart did not load persisted profiles")

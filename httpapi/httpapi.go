@@ -9,7 +9,7 @@
 //	POST /v1/svd               Job  -> SVDResponse
 //	GET  /healthz                   -> daemon liveness document
 //	GET  /metrics                   -> Prometheus text exposition
-//	GET  /debug/trace/{job_id}      -> Chrome-tracing JSON array
+//	GET  /debug/trace/{job_id}      -> Chrome-tracing JSON (?format=raw: the events)
 //
 // Both POST endpoints accept ?trace=1 to record the job's per-task
 // timeline; the response's job_id then keys /debug/trace/{job_id}.
@@ -71,9 +71,11 @@ type Matrix struct {
 	Data []float64 `json:"data"`
 }
 
-// Options is the wire subset of bidiag.Options a job may set. The
-// daemon runs shared-memory only, so there is no distributed knob.
-// String fields use the same spellings the CLI flags accept.
+// Options is the wire subset of bidiag.Options a job may set. Where a job
+// runs is the daemon's business, not the request's — its pool, or with
+// -node/-peers its mesh, which refuses tree and auto — so there is no
+// distributed knob. String fields use the same spellings the CLI flags
+// accept.
 type Options struct {
 	NB        int    `json:"nb,omitempty"`
 	Tree      string `json:"tree,omitempty"`      // auto | flatts | flattt | greedy

@@ -1,37 +1,39 @@
-// Package cluster runs GE2BND singular-value jobs across a mesh of
-// processes, one rank per grid node, over a persistent dist.Transport.
+// Package cluster runs GE2BND graphs across a mesh of processes, one rank
+// per grid node, over a persistent dist.Transport.
 //
-// The model is SPMD with a head: rank 0 (the Head) accepts jobs, ships
-// each one — problem spec plus the full input matrix — to every peer as
-// an out-of-band control frame, and all ranks then build the identical
-// task graph over their own replica and run their owned share through
-// dist.ExecuteNode. The end-of-job gather leaves rank 0 holding the
-// complete band result, bitwise-identical to a sequential run; the head
-// finishes the job locally (band reduction + bidiagonal QR iteration)
-// and returns the singular values.
+// The model is SPMD with a head: rank 0 (the Head) hands out one Job per
+// reduction, a pipeline.Executor. Executing it ships the job — the
+// resolved pipeline.GridJob plus the full input matrix — to every peer as
+// an out-of-band control frame; every rank then builds the identical task
+// graph over its own replica (pipeline.GridJob.Spec, the same function
+// the head's caller built its graph with) and runs its owned share
+// through dist.ExecuteNode. The end-of-job gather leaves rank 0 holding
+// the complete band result, bitwise-identical to a sequential run. What
+// happens to it next — the bulge chase, the bidiagonal iteration, the
+// result cache — is the caller's business: bidiag.Service runs a mesh job
+// through the same admission, finish and cache path as every other job.
 //
 // Jobs are serialized: one at a time across the whole mesh, enforced by
-// the Head's mutex. The frame-quiescence property of dist.ExecuteNode
-// (every frame of job J is consumed before J completes on each rank)
-// makes the serialized reuse of one mesh safe without any extra barrier.
+// the Head's mutex and closed by a barrier — every peer reports the end
+// of its executor in a control frame, and the head holds the mesh until
+// all have. dist.ExecuteNode consumes every frame of job J before J
+// completes on a rank, but a rank goes on reading for a moment after
+// that, and must not be handed a frame of job J+1 meanwhile.
 package cluster
 
 import (
-	"encoding/binary"
-	"encoding/json"
+	"context"
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"github.com/tiled-la/bidiag/internal/band"
-	"github.com/tiled-la/bidiag/internal/bdsqr"
-	"github.com/tiled-la/bidiag/internal/core"
 	"github.com/tiled-la/bidiag/internal/dist"
 	"github.com/tiled-la/bidiag/internal/nla"
 	"github.com/tiled-la/bidiag/internal/obs"
+	"github.com/tiled-la/bidiag/internal/pipeline"
 	"github.com/tiled-la/bidiag/internal/sched"
-	"github.com/tiled-la/bidiag/internal/tile"
 )
 
 // Config describes one rank's attachment to the mesh.
@@ -64,17 +66,12 @@ func (c *Config) validate() error {
 // jobSpec is the control-frame header: everything a peer needs to build
 // the same graph the head builds. The matrix data follows it raw.
 type jobSpec struct {
-	Op      string `json:"op"` // "job" or "shutdown"
-	M       int    `json:"m,omitempty"`
-	N       int    `json:"n,omitempty"`
-	NB      int    `json:"nb,omitempty"`
-	RBidiag bool   `json:"rbidiag,omitempty"`
-	// WPN is the workers-per-node every rank must use: the tree
-	// configuration derives from the core count, so it is part of the
-	// SPMD contract, not a local tuning knob.
-	WPN   int `json:"wpn"`
-	GridR int `json:"gridR"`
-	GridC int `json:"gridC"`
+	Op string `json:"op"` // "job" or "shutdown"
+	M  int    `json:"m,omitempty"`
+	N  int    `json:"n,omitempty"`
+	// Plan is the head's resolved job, whole: every field shapes the graph
+	// or the arithmetic, so every rank must run exactly these values.
+	Plan pipeline.GridJob `json:"plan"`
 	// Trace asks every rank to attach an obs.Tracer and ship its events
 	// back to the head after the job; Seq is the head's job sequence
 	// number, echoed in each trace frame so a stale frame left over from
@@ -88,78 +85,69 @@ const (
 	opShutdown = "shutdown"
 )
 
-// encodeJob frames a spec and (for jobs) the column-major matrix data:
-// u32 JSON length | JSON | float64 little-endian data.
+// encodeJob frames a job's spec and its column-major matrix data:
+// u32 JSON length | JSON | float64 little-endian data. (A shutdown is the
+// header alone.)
 func encodeJob(spec jobSpec, a *nla.Matrix) ([]byte, error) {
-	hdr, err := json.Marshal(spec)
+	buf, err := frameHeader(spec, 8*a.Rows*a.Cols)
 	if err != nil {
 		return nil, err
 	}
-	buf := binary.LittleEndian.AppendUint32(nil, uint32(len(hdr)))
-	buf = append(buf, hdr...)
-	if a != nil {
-		for j := 0; j < a.Cols; j++ {
-			for i := 0; i < a.Rows; i++ {
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(a.At(i, j)))
-			}
-		}
+	hl := len(buf)
+	buf = buf[:cap(buf)]
+	for j := 0; j < a.Cols; j++ {
+		nla.PutFloat64sLE(buf[hl+8*j*a.Rows:], a.Data[j*a.LD:j*a.LD+a.Rows])
 	}
 	return buf, nil
 }
 
-// decodeJob is the inverse of encodeJob.
+// decodeJob is the inverse of encodeJob; every length in the frame is
+// checked before it sizes anything.
 func decodeJob(payload []byte) (jobSpec, *nla.Matrix, error) {
 	var spec jobSpec
-	if len(payload) < 4 {
-		return spec, nil, fmt.Errorf("cluster: control frame too short (%d bytes)", len(payload))
+	rest, err := splitFrame(payload, &spec)
+	if err != nil || spec.Op == opShutdown {
+		return spec, nil, err
 	}
-	hl := binary.LittleEndian.Uint32(payload)
-	// The sum must be computed in uint64: 4+hl in uint32 wraps for
-	// hl >= 0xFFFFFFFC and a corrupt frame would pass the check.
-	if uint64(hl)+4 > uint64(len(payload)) {
-		return spec, nil, fmt.Errorf("cluster: control header length %d exceeds frame", hl)
-	}
-	end := 4 + int(hl)
-	if err := json.Unmarshal(payload[4:end], &spec); err != nil {
-		return spec, nil, fmt.Errorf("cluster: control header: %w", err)
-	}
-	rest := payload[end:]
 	if spec.Op != opJob {
-		return spec, nil, nil
+		return spec, nil, fmt.Errorf("cluster: unknown control op %q", spec.Op)
 	}
-	if spec.M <= 0 || spec.N <= 0 || spec.NB <= 0 {
-		return spec, nil, fmt.Errorf("cluster: invalid job shape %dx%d nb %d", spec.M, spec.N, spec.NB)
+	m, n := spec.M, spec.N
+	if m <= 0 || n <= 0 || spec.Plan.NB <= 0 || spec.Plan.WPN <= 0 {
+		return spec, nil, fmt.Errorf("cluster: invalid job %dx%d nb %d wpn %d", m, n, spec.Plan.NB, spec.Plan.WPN)
 	}
-	if want := 8 * spec.M * spec.N; len(rest) != want {
-		return spec, nil, fmt.Errorf("cluster: job carries %d data bytes, want %d", len(rest), want)
+	// 8·m·n must not wrap: m = 2³¹, n = 2³⁰ multiplies to 0 in an int and
+	// would match an empty data segment (the rule of httpapi.shapeSize).
+	if m > math.MaxInt/8/n || len(rest) != 8*m*n {
+		return spec, nil, fmt.Errorf("cluster: job %dx%d carries %d data bytes", m, n, len(rest))
 	}
-	a := nla.NewMatrix(spec.M, spec.N)
-	for j := 0; j < spec.N; j++ {
-		for i := 0; i < spec.M; i++ {
-			a.Data[i+j*a.LD] = math.Float64frombits(binary.LittleEndian.Uint64(rest))
-			rest = rest[8:]
-		}
+	a := nla.NewMatrix(m, n)
+	for j := 0; j < n; j++ {
+		nla.Float64sFromLE(a.Data[j*a.LD:j*a.LD+m], rest[8*j*m:])
 	}
 	return spec, a, nil
 }
 
-// buildJob constructs the SPMD graph for a spec over a local matrix copy
-// and returns the graph plus the tile matrix that will hold the band
-// result.
-func buildJob(spec jobSpec, a *nla.Matrix, grid dist.Grid) (*sched.Graph, *tile.Matrix) {
-	sh := core.ShapeOf(spec.M, spec.N, spec.NB)
-	cfg := dist.AutoDefaults(sh, grid, spec.WPN).Configure()
-	g := sched.NewGraph()
-	data := tile.FromDense(a, spec.NB)
-	if spec.RBidiag {
-		_, r, _ := core.BuildRBidiag(g, sh, data, cfg)
-		return g, r
-	}
-	core.BuildBidiag(g, sh, data, cfg)
-	return g, data
+// execute runs this rank's share of g over its end of the mesh.
+func (c Config) execute(g *sched.Graph, dx *demux, wpn int) (*dist.Result, error) {
+	return dist.ExecuteNode(g, dist.NodeOptions{
+		Grid:           c.Grid,
+		WorkersPerNode: wpn,
+		Transport:      dx,
+		Rank:           c.Rank,
+		Gather:         true,
+		StallTimeout:   c.StallTimeout,
+	})
 }
 
-// Head is rank 0's job front end. Safe for concurrent use; jobs execute
+// tracerFor attaches a tracer to g. Ring indices in dist.ExecuteNode are
+// global (rank·wpn+w, then NIC and receiver), so it spans them all.
+func (c Config) tracerFor(g *sched.Graph, wpn int) *obs.Tracer {
+	g.Tracer = obs.NewTracer(c.Rank*wpn+wpn+2, 4*len(g.Tasks)+64)
+	return g.Tracer
+}
+
+// Head is rank 0's end of the mesh. Safe for concurrent use; jobs execute
 // one at a time.
 type Head struct {
 	cfg Config
@@ -167,6 +155,9 @@ type Head struct {
 
 	mu  sync.Mutex
 	seq int64 // last issued job sequence number (under mu)
+
+	commBytes    atomic.Int64
+	traceDropped atomic.Int64
 }
 
 // NewHead attaches a Head to rank 0 of the mesh.
@@ -180,89 +171,72 @@ func NewHead(cfg Config) (*Head, error) {
 	return &Head{cfg: cfg, dx: newDemux(cfg.Transport, 0)}, nil
 }
 
-// JobOptions selects the algorithm for one job.
-type JobOptions struct {
-	// NB is the tile size (required).
-	NB int
-	// RBidiag routes the job through QR + R-bidiagonalization.
-	RBidiag bool
-	// WorkersPerNode is each rank's pool size (default 1). It is part of
-	// the job spec: the tree autotuning depends on it, so every rank
-	// must use the same value.
-	WorkersPerNode int
-	// Trace collects a distributed trace of the job: every rank records
-	// task and comm events, ships them to the head afterwards, and the
-	// JobResult carries the clock-aligned merge. Costs memory on every
-	// rank plus one trace frame per peer; results stay bitwise-identical.
-	Trace bool
-}
+// Grid returns the mesh's process grid.
+func (h *Head) Grid() dist.Grid { return h.cfg.Grid }
 
-// JobResult is everything one cluster job produces on the head.
-type JobResult struct {
-	// Values are the singular values of the input.
-	Values []float64
-	// Exec is rank 0's execution result (communication accounting, wire
-	// stats for the executor's own frames).
-	Exec *dist.Result
-	// Trace is the clock-aligned multi-rank trace, nil unless
-	// JobOptions.Trace was set.
+// CommBytes is the modeled communication volume the head has sent over
+// the mesh's lifetime (it matches sched.SimulateDistributed job by job);
+// TraceDropped the trace-ring events lost across its traced jobs.
+func (h *Head) CommBytes() int64    { return h.commBytes.Load() }
+func (h *Head) TraceDropped() int64 { return h.traceDropped.Load() }
+
+// Job is one reduction on the mesh, a pipeline.Executor good for a
+// single Execute: the graph it is handed must be the one
+// pipeline.Build(plan.Spec(a)) emits, because that is what the announced
+// peers build.
+type Job struct {
+	h     *Head
+	a     *nla.Matrix
+	plan  pipeline.GridJob
+	trace bool
+
+	// Trace is the clock-aligned multi-rank trace of a traced job, set by
+	// a successful Execute: every rank records task and comm events and
+	// ships them to the head afterwards. Tracing costs memory on every
+	// rank plus one frame per peer; results stay bitwise-identical.
 	Trace *MergedTrace
 }
 
-// SingularValues runs one GE2BND job across the mesh and returns the
-// singular values of a, plus rank 0's execution result (communication
-// accounting, wire stats).
-func (h *Head) SingularValues(a *nla.Matrix, opt JobOptions) ([]float64, *dist.Result, error) {
-	r, err := h.Run(a, opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	return r.Values, r.Exec, nil
+// Job prepares the reduction of a (m ≥ n) under plan, whose Grid must be
+// the mesh's.
+func (h *Head) Job(a *nla.Matrix, plan pipeline.GridJob, trace bool) *Job {
+	return &Job{h: h, a: a, plan: plan, trace: trace}
 }
 
-// Run runs one GE2BND job across the mesh. With opt.Trace set it also
-// gathers every rank's trace ring, aligns peer timestamps onto the
-// head's clock using the transport's handshake offsets, and returns the
-// merged trace in the result.
-func (h *Head) Run(a *nla.Matrix, opt JobOptions) (*JobResult, error) {
-	if a == nil || a.Rows <= 0 || a.Cols <= 0 {
-		return nil, fmt.Errorf("cluster: empty matrix")
-	}
-	if a.Rows < a.Cols {
-		return nil, fmt.Errorf("cluster: require m >= n (got %dx%d); factor the transpose", a.Rows, a.Cols)
-	}
-	if opt.NB <= 0 {
-		return nil, fmt.Errorf("cluster: job requires a tile size")
-	}
-	wpn := opt.WorkersPerNode
-	if wpn < 1 {
-		wpn = 1
-	}
+// Name implements pipeline.Executor.
+func (*Job) Name() string { return "mesh" }
 
+// Execute implements pipeline.Executor: it waits for the mesh, announces
+// the job and runs rank 0's share of g, returning once the gather has
+// left the complete result in g's tiles. ctx is honoured until the
+// announcement goes out; after that the job runs to its end on every
+// rank, because an SPMD job cannot be abandoned on one of them.
+func (j *Job) Execute(ctx context.Context, g *sched.Graph) (*pipeline.Report, error) {
+	h, wpn := j.h, j.plan.WPN
+	if j.plan.Grid != h.cfg.Grid {
+		return nil, fmt.Errorf("cluster: job for grid %s on a %s mesh", j.plan.Grid, h.cfg.Grid)
+	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.seq++
-	spec := jobSpec{
-		Op: opJob, M: a.Rows, N: a.Cols, NB: opt.NB, RBidiag: opt.RBidiag,
-		WPN: wpn, GridR: h.cfg.Grid.R, GridC: h.cfg.Grid.C,
-		Trace: opt.Trace, Seq: h.seq,
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	payload, err := encodeJob(spec, a)
+	h.seq++
+	spec := jobSpec{Op: opJob, M: j.a.Rows, N: j.a.Cols, Plan: j.plan, Trace: j.trace, Seq: h.seq}
+	payload, err := encodeJob(spec, j.a)
 	if err != nil {
 		return nil, err
 	}
 
-	// Traced jobs build the graph before announcing so the tracer exists
-	// when the announcement sends happen and they can be recorded as
-	// OpSend events on the head's NIC lane (the peers cannot record the
-	// matching recv — their tracers are created by the announcement).
-	g, out := buildJob(spec, a, h.cfg.Grid)
+	// The tracer exists before the announcement so the announcement sends
+	// are recorded as OpSend events on the head's NIC lane (the peers
+	// cannot record the matching recv — their tracers are created by the
+	// announcement).
 	var tr *obs.Tracer
-	if opt.Trace {
-		tr = obs.NewTracer(wpn+2, 4*len(g.Tasks)+64)
-		g.Tracer = tr
+	if j.trace {
+		tr = h.cfg.tracerFor(g, wpn)
 	}
-	wireF0, wireB0, wireP0 := h.dx.WireStats()
+	mark := wireMark(h.dx)
 
 	for peer := 1; peer < h.cfg.Grid.Nodes(); peer++ {
 		msg := dist.Message{From: 0, To: int32(peer), Producer: dist.ProducerControl, Payload: payload}
@@ -282,85 +256,73 @@ func (h *Head) Run(a *nla.Matrix, opt JobOptions) (*JobResult, error) {
 		}
 	}
 
-	res, err := dist.ExecuteNode(g, dist.NodeOptions{
-		Grid:           h.cfg.Grid,
-		WorkersPerNode: wpn,
-		Transport:      h.dx,
-		Rank:           0,
-		Gather:         true,
-		StallTimeout:   h.cfg.StallTimeout,
-	})
+	res, err := h.cfg.execute(g, h.dx, wpn)
 	if err != nil {
 		return nil, err
 	}
+	h.commBytes.Add(int64(res.CommVolume))
 
-	result := &JobResult{Exec: res}
-	if opt.Trace {
-		wireF1, wireB1, wireP1 := h.dx.WireStats()
-		headWire := WireDelta{
-			Rank: 0, Frames: wireF1 - wireF0,
-			WireBytes: wireB1 - wireB0, PayloadBytes: wireP1 - wireP0,
-		}
-		peers, err := h.gatherTraces(spec.Seq)
-		if err != nil {
-			return nil, err
-		}
+	// Every peer's end-of-job frame is in before the mesh is released to
+	// the next job: no rank is still reading this one's job plane.
+	frames, err := h.gatherTraces([]traceFrame{traceFrameOf(spec.Seq, 0, wpn, tr, h.dx, mark)})
+	if err != nil {
+		return nil, err
+	}
+	if tr != nil {
 		var clock []ClockInfo
 		for _, cs := range h.dx.ClockSyncs() {
 			clock = append(clock, ClockInfo{
 				Rank: int(cs.Peer), OffsetNanos: int64(cs.Offset), RTTNanos: int64(cs.RTT),
 			})
 		}
-		result.Trace = mergeTraces(h.cfg.Grid, wpn, tr.Origin(), tr.Events(),
-			tr.Dropped(), headWire, peers, clock)
+		j.Trace = mergeTraces(h.cfg.Grid, frames, clock)
+		h.traceDropped.Add(j.Trace.DroppedTotal())
 	}
-
-	d, e := band.Reduce(out.ExtractBand(out.NB)).Bidiagonal()
-	sv, err := bdsqr.SingularValues(d, e)
-	if err != nil {
-		return nil, err
-	}
-	result.Values = sv
-	return result, nil
+	return &pipeline.Report{
+		Executor: "mesh",
+		Tasks:    res.TasksRun,
+		Dist:     res,
+		GridRows: h.cfg.Grid.R,
+		GridCols: h.cfg.Grid.C,
+	}, nil
 }
 
-// gatherTraces collects one trace control frame from every peer on the
-// head's control plane, discarding stale frames whose sequence number
-// does not match the job just run.
-func (h *Head) gatherTraces(seq int64) ([]traceFrame, error) {
-	want := h.cfg.Grid.Nodes() - 1
+// gatherTraces appends every peer's end-of-job frame to the head's own,
+// discarding stale frames whose sequence number does not match the job
+// just run.
+func (h *Head) gatherTraces(frames []traceFrame) ([]traceFrame, error) {
+	want := h.cfg.Grid.Nodes()
 	timeout := h.cfg.StallTimeout
 	if timeout <= 0 {
 		timeout = 30 * time.Second
 	}
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
-	peers := make([]traceFrame, 0, want)
-	for len(peers) < want {
+	for len(frames) < want {
 		select {
 		case msg, ok := <-h.dx.ctrl:
 			if !ok {
-				return nil, fmt.Errorf("cluster: mesh closed while gathering traces (%d/%d)", len(peers), want)
+				return nil, fmt.Errorf("cluster: mesh closed before every rank finished the job (%d/%d)", len(frames), want)
 			}
 			tf, err := decodeTraceFrame(msg.Payload)
 			if err != nil {
 				return nil, err
 			}
-			if tf.Seq != seq {
+			if tf.Seq != frames[0].Seq {
 				continue // stale frame from an aborted earlier traced job
 			}
-			peers = append(peers, tf)
+			frames = append(frames, tf)
 		case <-timer.C:
-			return nil, fmt.Errorf("cluster: timed out gathering traces (%d/%d after %v)", len(peers), want, timeout)
+			return nil, fmt.Errorf("cluster: timed out waiting for every rank to finish the job (%d/%d after %v)", len(frames), want, timeout)
 		}
 	}
-	return peers, nil
+	return frames, nil
 }
 
 // Close shuts the peers down (they return from ServePeer). The transport
 // stays open; its owner closes it.
 func (h *Head) Close() error {
-	payload, err := encodeJob(jobSpec{Op: opShutdown}, nil)
+	payload, err := frameHeader(jobSpec{Op: opShutdown}, 0)
 	if err != nil {
 		return err
 	}
@@ -394,6 +356,9 @@ func ServePeer(cfg Config) error {
 			return nil // mesh closed
 		}
 		spec, a, err := decodeJob(msg.Payload)
+		if err == nil && spec.Op == opJob && spec.Plan.Grid != cfg.Grid {
+			err = fmt.Errorf("cluster: rank %d on grid %s got a job for grid %s", cfg.Rank, cfg.Grid, spec.Plan.Grid)
+		}
 		if err != nil {
 			// A malformed announcement fails this job for the whole
 			// mesh: tell the head rather than letting it stall out.
@@ -403,53 +368,22 @@ func ServePeer(cfg Config) error {
 		if spec.Op == opShutdown {
 			return nil
 		}
-		if spec.GridR != cfg.Grid.R || spec.GridC != cfg.Grid.C {
-			err := fmt.Errorf("cluster: rank %d on grid %s got a job for grid %dx%d", cfg.Rank, cfg.Grid, spec.GridR, spec.GridC)
-			dx.Send(dist.Message{From: int32(cfg.Rank), To: 0, Producer: dist.ProducerError, Payload: []byte(err.Error())})
-			return err
-		}
-		g, _ := buildJob(spec, a, cfg.Grid)
+		wpn := spec.Plan.WPN
+		g := pipeline.Build(spec.Plan.Spec(a)).Graph
 		var tr *obs.Tracer
-		var wireF0, wireB0, wireP0 int64
 		if spec.Trace {
-			// Ring indices in dist.ExecuteNode are global (rank·wpn+w,
-			// then NIC and receiver), so the tracer spans them all.
-			tr = obs.NewTracer(cfg.Rank*spec.WPN+spec.WPN+2, 4*len(g.Tasks)+64)
-			g.Tracer = tr
-			wireF0, wireB0, wireP0 = dx.WireStats()
+			tr = cfg.tracerFor(g, wpn)
 		}
-		if _, err := dist.ExecuteNode(g, dist.NodeOptions{
-			Grid:           cfg.Grid,
-			WorkersPerNode: spec.WPN,
-			Transport:      dx,
-			Rank:           cfg.Rank,
-			Gather:         true,
-			StallTimeout:   cfg.StallTimeout,
-		}); err != nil {
+		mark := wireMark(dx)
+		if _, err := cfg.execute(g, dx, wpn); err != nil {
 			return err
 		}
-		if spec.Trace {
-			// The wire delta is snapshotted before the trace frame itself
-			// goes out, so the frame is excluded from both the delta and
-			// the events and per-rank send-event byte sums stay equal to
-			// the counters.
-			wireF1, wireB1, wireP1 := dx.WireStats()
-			tf := traceFrame{
-				Seq: spec.Seq, Rank: cfg.Rank, WPN: spec.WPN,
-				OriginUnixNano: tr.Origin().UnixNano(),
-				Dropped:        tr.Dropped(),
-				WireFrames:     wireF1 - wireF0,
-				WireBytes:      wireB1 - wireB0,
-				PayloadBytes:   wireP1 - wireP0,
-				Events:         tr.Events(),
-			}
-			payload, err := encodeTraceFrame(tf)
-			if err != nil {
-				return fmt.Errorf("cluster: rank %d encoding trace frame: %w", cfg.Rank, err)
-			}
-			if err := dx.Send(dist.Message{From: int32(cfg.Rank), To: 0, Producer: dist.ProducerControl, Payload: payload}); err != nil {
-				return fmt.Errorf("cluster: rank %d sending trace frame: %w", cfg.Rank, err)
-			}
+		payload, err := frameHeader(traceFrameOf(spec.Seq, cfg.Rank, wpn, tr, dx, mark), 0)
+		if err != nil {
+			return fmt.Errorf("cluster: rank %d encoding its end-of-job frame: %w", cfg.Rank, err)
+		}
+		if err := dx.Send(dist.Message{From: int32(cfg.Rank), To: 0, Producer: dist.ProducerControl, Payload: payload}); err != nil {
+			return fmt.Errorf("cluster: rank %d sending its end-of-job frame: %w", cfg.Rank, err)
 		}
 	}
 }

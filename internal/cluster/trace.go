@@ -13,11 +13,16 @@ import (
 	"github.com/tiled-la/bidiag/internal/obs"
 )
 
-// traceFrame is the post-job control frame a peer ships to the head
-// after a traced job: its collected events, tracer origin, ring drops,
-// and the wire-stat deltas measured over exactly the frames its events
-// describe. Seq echoes the job's sequence number so the head can discard
-// a stale frame left over from an aborted earlier job.
+// traceFrame is the post-job control frame every peer ships to the head
+// once its executor has returned. It is the end-of-job barrier: a rank's
+// receiver keeps reading the job plane until its NIC has drained, which
+// is after its gather went out, so without it the head could start job
+// J+1 and land J+1's first frames in a peer's job-J receiver. After a
+// traced job it also carries the rank's trace: its collected events,
+// tracer origin, ring drops, and the wire-stat deltas measured over
+// exactly the frames its events describe. Seq echoes the job's sequence
+// number so the head can discard a stale frame left over from an aborted
+// earlier job.
 type traceFrame struct {
 	Op             string      `json:"op"` // opTrace
 	Seq            int64       `json:"seq"`
@@ -28,35 +33,71 @@ type traceFrame struct {
 	WireFrames     int64       `json:"wire_frames"`
 	WireBytes      int64       `json:"wire_bytes"`
 	PayloadBytes   int64       `json:"payload_bytes"`
-	Events         []obs.Event `json:"events"`
+	Events         []obs.Event `json:"events,omitempty"`
 }
 
 const opTrace = "trace"
 
-// encodeTraceFrame frames a trace gather like every other control frame:
-// u32 JSON length | JSON. There is no raw data segment.
-func encodeTraceFrame(tf traceFrame) ([]byte, error) {
-	tf.Op = opTrace
-	hdr, err := json.Marshal(tf)
+// frameHeader starts a control frame — u32 JSON length | JSON — with room
+// for extra bytes of raw data after the header.
+func frameHeader(hdr any, extra int) ([]byte, error) {
+	js, err := json.Marshal(hdr)
 	if err != nil {
 		return nil, err
 	}
-	buf := binary.LittleEndian.AppendUint32(nil, uint32(len(hdr)))
-	return append(buf, hdr...), nil
+	buf := make([]byte, 4+len(js), 4+len(js)+extra)
+	binary.LittleEndian.PutUint32(buf, uint32(len(js)))
+	copy(buf[4:], js)
+	return buf, nil
 }
 
-// decodeTraceFrame parses a trace gather control frame.
-func decodeTraceFrame(payload []byte) (traceFrame, error) {
-	var tf traceFrame
+// splitFrame parses a control frame's JSON header into hdr and returns
+// the raw data after it. The payload comes off the wire: the header
+// length is checked before it slices anything.
+func splitFrame(payload []byte, hdr any) (rest []byte, err error) {
 	if len(payload) < 4 {
-		return tf, fmt.Errorf("cluster: trace frame too short (%d bytes)", len(payload))
+		return nil, fmt.Errorf("cluster: control frame too short (%d bytes)", len(payload))
 	}
 	hl := binary.LittleEndian.Uint32(payload)
+	// The sum must be computed in uint64: 4+hl in uint32 wraps for
+	// hl >= 0xFFFFFFFC and a corrupt frame would pass the check.
 	if uint64(hl)+4 > uint64(len(payload)) {
-		return tf, fmt.Errorf("cluster: trace header length %d exceeds frame", hl)
+		return nil, fmt.Errorf("cluster: control header length %d exceeds frame", hl)
 	}
-	if err := json.Unmarshal(payload[4:4+int(hl)], &tf); err != nil {
-		return tf, fmt.Errorf("cluster: trace header: %w", err)
+	end := 4 + int(hl)
+	if err := json.Unmarshal(payload[4:end], hdr); err != nil {
+		return nil, fmt.Errorf("cluster: control header: %w", err)
+	}
+	return payload[end:], nil
+}
+
+// traceFrameOf closes one rank's job; tr is nil when it was not traced.
+// A traced frame holds the tracer's events and the wire counters'
+// advance since the mark taken (wireMark) before the first frame the
+// events describe. A peer takes it before the frame itself goes out, so
+// that frame is in neither the delta nor the events and per-rank
+// send-event byte sums stay equal to the counters.
+func traceFrameOf(seq int64, rank, wpn int, tr *obs.Tracer, dx *demux, mark [3]int64) traceFrame {
+	tf := traceFrame{Op: opTrace, Seq: seq, Rank: rank, WPN: wpn}
+	if tr != nil {
+		frames, wire, payload := dx.WireStats()
+		tf.OriginUnixNano, tf.Dropped, tf.Events = tr.Origin().UnixNano(), tr.Dropped(), tr.Events()
+		tf.WireFrames, tf.WireBytes, tf.PayloadBytes = frames-mark[0], wire-mark[1], payload-mark[2]
+	}
+	return tf
+}
+
+func wireMark(dx *demux) [3]int64 {
+	frames, wire, payload := dx.WireStats()
+	return [3]int64{frames, wire, payload}
+}
+
+// decodeTraceFrame parses a trace gather control frame (a header with no
+// data after it).
+func decodeTraceFrame(payload []byte) (traceFrame, error) {
+	var tf traceFrame
+	if _, err := splitFrame(payload, &tf); err != nil {
+		return tf, err
 	}
 	if tf.Op != opTrace {
 		return tf, fmt.Errorf("cluster: expected a trace frame, got op %q", tf.Op)
@@ -126,33 +167,28 @@ func ParseMergedTrace(r io.Reader) (*MergedTrace, error) {
 	return &mt, nil
 }
 
-// mergeTraces aligns every rank's events onto the head's clock. For a
-// peer event recorded at peer-clock instant origin_p + Start, the
-// head-clock instant is that minus the head-measured offset to the peer
-// (offset = peerClock − headClock), re-expressed as an offset from the
-// head's own tracer origin.
-func mergeTraces(grid dist.Grid, wpn int, headOrigin time.Time, headEvents []obs.Event,
-	headDropped int64, headWire WireDelta, peers []traceFrame, clock []ClockInfo) *MergedTrace {
-	n := grid.Nodes()
+// mergeTraces aligns every rank's events onto the head's clock; frames[0]
+// is the head's own. For a peer event recorded at peer-clock instant
+// origin_p + Start, the head-clock instant is that minus the
+// head-measured offset to the peer (offset = peerClock − headClock),
+// re-expressed as an offset from the head's own tracer origin.
+func mergeTraces(grid dist.Grid, frames []traceFrame, clock []ClockInfo) *MergedTrace {
+	n, head := grid.Nodes(), frames[0]
 	mt := &MergedTrace{
 		Grid:           grid.String(),
 		Ranks:          n,
-		WPN:            wpn,
-		OriginUnixNano: headOrigin.UnixNano(),
+		WPN:            head.WPN,
+		OriginUnixNano: head.OriginUnixNano,
 		Dropped:        make([]int64, n),
 		Clock:          clock,
 		Wire:           make([]WireDelta, 0, n),
 	}
-	mt.Events = append(mt.Events, headEvents...)
-	mt.Dropped[0] = headDropped
-	mt.Wire = append(mt.Wire, headWire)
-
 	offsets := make(map[int]int64, len(clock))
 	for _, c := range clock {
 		offsets[c.Rank] = c.OffsetNanos
 	}
-	for _, tf := range peers {
-		shift := time.Duration(tf.OriginUnixNano - headOrigin.UnixNano() - offsets[tf.Rank])
+	for _, tf := range frames {
+		shift := time.Duration(tf.OriginUnixNano - head.OriginUnixNano - offsets[tf.Rank])
 		for _, ev := range tf.Events {
 			ev.Start += shift
 			ev.End += shift
@@ -232,20 +268,19 @@ func (mt *MergedTrace) WriteChrome(w io.Writer) error {
 			Name: "process_name", Ph: "M", PID: r,
 			Args: map[string]any{"name": fmt.Sprintf("rank %d", r)},
 		})
-		for wk := 0; wk < mt.WPN; wk++ {
+		for tid := 0; tid <= mt.WPN+1; tid++ {
+			name := fmt.Sprintf("worker %d", tid)
+			switch tid {
+			case mt.WPN:
+				name = "nic"
+			case mt.WPN + 1:
+				name = "recv"
+			}
 			events = append(events, chromeEv{
-				Name: "thread_name", Ph: "M", PID: r, TID: wk,
-				Args: map[string]any{"name": fmt.Sprintf("worker %d", wk)},
+				Name: "thread_name", Ph: "M", PID: r, TID: tid,
+				Args: map[string]any{"name": name},
 			})
 		}
-		events = append(events, chromeEv{
-			Name: "thread_name", Ph: "M", PID: r, TID: mt.WPN,
-			Args: map[string]any{"name": "nic"},
-		})
-		events = append(events, chromeEv{
-			Name: "thread_name", Ph: "M", PID: r, TID: mt.WPN + 1,
-			Args: map[string]any{"name": "recv"},
-		})
 	}
 
 	sends := map[commFlowKey]obs.Event{}
@@ -261,28 +296,20 @@ func (mt *MergedTrace) WriteChrome(w io.Writer) error {
 				PID: pid, TID: tid,
 				Args: map[string]any{"id": ev.ID, "flops": ev.Flops},
 			})
-		case obs.OpSend:
-			sends[commFlowKey{from: ev.Node, to: ev.Peer, id: ev.ID}] = ev
+		case obs.OpSend, obs.OpRecv:
+			name, key, flows := "send→", commFlowKey{from: ev.Node, to: ev.Peer, id: ev.ID}, sends
+			if ev.Op == obs.OpRecv {
+				name, key, flows = "recv←", commFlowKey{from: ev.Peer, to: ev.Node, id: ev.ID}, recvs
+			}
+			flows[key] = ev
 			events = append(events, chromeEv{
-				Name: fmt.Sprintf("send→%d %s", ev.Peer, frameName(ev.ID)),
+				Name: fmt.Sprintf("%s%d %s", name, ev.Peer, frameName(ev.ID)),
 				Cat:  "comm", Ph: "X",
 				TS: us(ev.Start), Dur: float64(ev.End-ev.Start) / 1e3,
 				PID: pid, TID: tid,
 				Args: map[string]any{
 					"producer": ev.ID, "wire_bytes": ev.WireBytes,
 					"payload_bytes": ev.PayloadBytes, "queue_wait_us": float64(ev.Wait) / 1e3,
-				},
-			})
-		case obs.OpRecv:
-			recvs[commFlowKey{from: ev.Peer, to: ev.Node, id: ev.ID}] = ev
-			events = append(events, chromeEv{
-				Name: fmt.Sprintf("recv←%d %s", ev.Peer, frameName(ev.ID)),
-				Cat:  "comm", Ph: "X",
-				TS: us(ev.Start), Dur: float64(ev.End-ev.Start) / 1e3,
-				PID: pid, TID: tid,
-				Args: map[string]any{
-					"producer": ev.ID, "wire_bytes": ev.WireBytes,
-					"payload_bytes": ev.PayloadBytes,
 				},
 			})
 		}

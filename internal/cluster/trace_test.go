@@ -11,6 +11,7 @@ import (
 	"github.com/tiled-la/bidiag/internal/dist"
 	"github.com/tiled-la/bidiag/internal/nla"
 	"github.com/tiled-la/bidiag/internal/obs"
+	"github.com/tiled-la/bidiag/internal/pipeline"
 )
 
 // TestTraceFrameCodec round-trips the trace gather control frame.
@@ -23,7 +24,8 @@ func TestTraceFrameCodec(t *testing.T) {
 				Start: time.Millisecond, End: 2 * time.Millisecond},
 		},
 	}
-	buf, err := encodeTraceFrame(tf)
+	tf.Op = opTrace
+	buf, err := frameHeader(tf, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +46,7 @@ func TestTraceFrameCodec(t *testing.T) {
 	if _, err := decodeTraceFrame([]byte{1, 2}); err == nil {
 		t.Fatal("short trace frame accepted")
 	}
-	job, _ := encodeJob(jobSpec{Op: opJob, M: 1, N: 1, NB: 1, WPN: 1}, nla.NewMatrix(1, 1))
+	job, _ := encodeJob(jobSpec{Op: opJob, M: 1, N: 1, Plan: pipeline.GridJob{NB: 1, WPN: 1}}, nla.NewMatrix(1, 1))
 	if _, err := decodeTraceFrame(job); err == nil {
 		t.Fatal("job frame accepted as a trace frame")
 	}
@@ -85,21 +87,17 @@ func TestClusterTraceTCP(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	a := nla.RandomMatrix(rng, 96, 96)
 
-	res, err := head.Run(a, JobOptions{NB: 16, WorkersPerNode: 2, Trace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mt := res.Trace
+	gj := pipeline.GridJob{NB: 16, Grid: grid, WPN: 2}
+	sv, _, mt := runJob(t, head, a, gj, true)
 	if mt == nil {
 		t.Fatal("traced job returned no merged trace")
 	}
 
 	// Tracing must not perturb the numbers.
-	spec := jobSpec{Op: opJob, M: 96, N: 96, NB: 16, WPN: 2, GridR: 2, GridC: 1}
-	ref := sequentialSV(t, a, spec, grid)
+	ref := sequentialSV(t, a, gj)
 	for k := range ref {
-		if res.Values[k] != ref[k] {
-			t.Fatalf("singular value %d differs with tracing on: %v != %v", k, res.Values[k], ref[k])
+		if sv[k] != ref[k] {
+			t.Fatalf("singular value %d differs with tracing on: %v != %v", k, sv[k], ref[k])
 		}
 	}
 
@@ -239,14 +237,10 @@ func TestClusterTraceTCP(t *testing.T) {
 
 	// A second untraced job on the same mesh still works and carries no
 	// trace, and a second traced job gathers cleanly (seq advanced).
-	if res2, err := head.Run(a, JobOptions{NB: 16, WorkersPerNode: 2}); err != nil {
-		t.Fatal(err)
-	} else if res2.Trace != nil {
+	if _, _, mt2 := runJob(t, head, a, gj, false); mt2 != nil {
 		t.Fatal("untraced job returned a trace")
 	}
-	if res3, err := head.Run(a, JobOptions{NB: 16, WorkersPerNode: 2, Trace: true}); err != nil {
-		t.Fatal(err)
-	} else if res3.Trace == nil || len(res3.Trace.Events) == 0 {
+	if _, _, mt3 := runJob(t, head, a, gj, true); mt3 == nil || len(mt3.Events) == 0 {
 		t.Fatal("second traced job returned no trace")
 	}
 
@@ -283,11 +277,7 @@ func TestClusterTraceChan(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(17))
 	a := nla.RandomMatrix(rng, 80, 80)
-	res, err := head.Run(a, JobOptions{NB: 16, WorkersPerNode: 2, Trace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mt := res.Trace
+	_, _, mt := runJob(t, head, a, pipeline.GridJob{NB: 16, Grid: grid, WPN: 2}, true)
 	if mt == nil || mt.Ranks != n {
 		t.Fatalf("merged trace: %+v", mt)
 	}

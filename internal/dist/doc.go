@@ -96,11 +96,11 @@
 // check, mirroring sched.Graph.RunTask's discipline.
 //
 // The cluster layer (internal/cluster) defines one more out-of-band
-// exchange on top of ProducerControl frames: after a traced job, each
-// peer rank ships its collected events, wire-stat deltas, and tracer
-// origin to rank 0 as a "trace" control frame, and the head aligns the
-// per-rank timestamps using the handshake clock offsets into one merged
-// trace. The frame bodies are JSON, versioned by the cluster job
+// exchange on top of ProducerControl frames: after every job each peer
+// rank ships rank 0 a "trace" control frame — the barrier that ends the
+// job, and after a traced job the carrier of the rank's collected
+// events, wire-stat deltas, and tracer origin, which the head aligns
+// using the handshake clock offsets into one merged trace. The frame bodies are JSON, versioned by the cluster job
 // protocol; see internal/cluster.
 //
 // # Fault injection

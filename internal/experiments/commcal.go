@@ -13,6 +13,7 @@ import (
 	"github.com/tiled-la/bidiag/internal/machine"
 	"github.com/tiled-la/bidiag/internal/nla"
 	"github.com/tiled-la/bidiag/internal/obs"
+	"github.com/tiled-la/bidiag/internal/pipeline"
 )
 
 // CommCalJob is one traced calibration job's headline figures.
@@ -106,13 +107,15 @@ func CommCal(sc Scale) (*CommCalResult, *Table, error) {
 	for _, s := range shapes {
 		rng := rand.New(rand.NewSource(int64(s.m)*1_000_003 + int64(s.nb)))
 		a := nla.RandomMatrix(rng, s.m, s.n)
-		jr, err := head.Run(a, cluster.JobOptions{NB: s.nb, WorkersPerNode: wpn, Trace: true})
+		gj := pipeline.GridJob{NB: s.nb, Grid: grid, WPN: wpn}
+		jr := head.Job(a, gj, true)
+		rep, err := pipeline.Run(pipeline.Build(gj.Spec(a)), jr)
 		if err != nil {
 			head.Close()
 			peerWG.Wait()
 			return nil, nil, fmt.Errorf("commcal: %dx%d nb %d: %w", s.m, s.n, s.nb, err)
 		}
-		job := CommCalJob{M: s.m, N: s.n, NB: s.nb, WallSeconds: jr.Exec.Wall.Seconds()}
+		job := CommCalJob{M: s.m, N: s.n, NB: s.nb, WallSeconds: rep.Dist.Wall.Seconds()}
 		for _, ev := range jr.Trace.Events {
 			if ev.Op != obs.OpSend || ev.Node == ev.Peer {
 				continue

@@ -31,7 +31,9 @@
 //	Shared        one job among many on a process-wide sched.Runtime —
 //	              the serving engine behind internal/serve;
 //	OwnerCompute  the distributed owner-compute engine (dist.ExecuteCtx)
-//	              over a block-cyclic node grid.
+//	              over a block-cyclic node grid;
+//	cluster.Job   the same engine with one rank per process: the cluster
+//	              head's per-job executor over the TCP mesh.
 //
 // Underneath there are two worker loops, one per memory model. Pool and
 // Shared are the same loop, sched.Runtime, differing only in who owns the

@@ -7,10 +7,11 @@ import (
 	"github.com/tiled-la/bidiag/internal/sched"
 )
 
-// Executor runs a task graph to completion. The four implementations —
-// Sequential, Pool, OwnerCompute, Shared — are the only engine dispatch
-// in the library: every public entry point builds a Plan and hands it to
-// one of these through Run or RunCtx.
+// Executor runs a task graph to completion. The four implementations
+// here — Sequential, Pool, OwnerCompute, Shared — and the cluster head's
+// per-job mesh executor (cluster.Job) are the only engine dispatch in the
+// library: every public entry point and every service job builds a Plan
+// and hands its graph to one of these.
 type Executor interface {
 	// Name identifies the engine in reports and traces.
 	Name() string

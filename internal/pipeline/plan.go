@@ -5,6 +5,7 @@ import (
 
 	"github.com/tiled-la/bidiag/internal/band"
 	"github.com/tiled-la/bidiag/internal/core"
+	"github.com/tiled-la/bidiag/internal/dist"
 	"github.com/tiled-la/bidiag/internal/kernels"
 	"github.com/tiled-la/bidiag/internal/nla"
 	"github.com/tiled-la/bidiag/internal/sched"
@@ -37,6 +38,35 @@ type Spec struct {
 	Fused bool
 	// Window is the BND2BD cut width in columns (≤ 0: derived).
 	Window int
+}
+
+// GridJob is everything besides the matrix that shapes an owner-compute
+// GE2BND graph: the resolved options every rank of an SPMD run must
+// agree on. Its Spec method is the one place that graph is described —
+// the in-process Options.Distributed run, the cluster head and the
+// cluster's peers all build from it, so their graphs are identical by
+// construction. The JSON form travels in the cluster's job announcement.
+type GridJob struct {
+	NB      int  `json:"nb"`
+	RBidiag bool `json:"rbidiag,omitempty"`
+	// Grid is the process grid; WPN the workers every node runs (the AUTO
+	// group sizes derive from it, so it is part of the graph, not a local
+	// tuning knob); Gamma the AUTO tree's parallelism multiplier.
+	Grid  dist.Grid    `json:"grid"`
+	WPN   int          `json:"wpn"`
+	Gamma int          `json:"gamma,omitempty"`
+	Gemm  nla.Blocking `json:"gemm"`
+}
+
+// Spec tiles a (m ≥ n) and configures the paper's hierarchical
+// distributed trees over the job's grid.
+func (j GridJob) Spec(a *nla.Matrix) Spec {
+	sh := core.ShapeOf(a.Rows, a.Cols, j.NB)
+	tc := dist.AutoDefaults(sh, j.Grid, j.WPN)
+	tc.Gamma = j.Gamma
+	cfg := tc.Configure()
+	cfg.Blocking = j.Gemm
+	return Spec{Shape: sh, Data: tile.FromDense(a, j.NB), Config: cfg, RBidiag: j.RBidiag}
 }
 
 // Stage reports one logical stage of a built plan.

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/tiled-la/bidiag/internal/obs"
+	"github.com/tiled-la/bidiag/internal/pipeline"
 	"github.com/tiled-la/bidiag/internal/sched"
 )
 
@@ -95,6 +96,10 @@ type Request struct {
 	// result cache in both directions, so the trace reflects a real,
 	// complete execution; Result.Trace carries the collected events.
 	Trace bool
+	// Executor, when non-nil, runs the job's graph instead of the shared
+	// runtime (the cluster head's per-job mesh executor). Such a job owns
+	// its tracing and is neither gang-batched nor observed.
+	Executor pipeline.Executor
 	// Observe, when non-nil, receives the job's whole-graph execution
 	// meter after a successful solo run (cache hits and gang batches are
 	// never observed: neither measures one clean graph). Called on the
@@ -112,8 +117,10 @@ type Result struct {
 	// Queued and Ran split the job's latency at dispatch time.
 	Queued, Ran time.Duration
 	// Trace is the measured per-task timeline of a Request.Trace job,
-	// ordered by start time; nil otherwise.
-	Trace []obs.Event
+	// ordered by start time; nil otherwise. TraceDropped counts the events
+	// its rings had no room for.
+	Trace        []obs.Event
+	TraceDropped int64
 }
 
 // Job tracks one submitted request.
@@ -249,7 +256,7 @@ func (s *Service) Submit(ctx context.Context, req Request) (*Job, error) {
 	}
 
 	target := s.queue
-	if req.Gang && !req.Trace {
+	if req.Gang && !req.Trace && req.Executor == nil {
 		target = s.gangq
 	}
 	select {
@@ -416,29 +423,30 @@ func (s *Service) runSolo(j *Job) {
 		s.fail(j, err)
 		return
 	}
+	// A job without an executor of its own is one more graph on the shared
+	// runtime, traced here; one with an executor (the mesh) traces itself.
+	ex := j.req.Executor
 	var tr *obs.Tracer
-	if j.req.Trace {
-		// Sized at the task count so the timeline is complete however
-		// unevenly the shared pool balances the job, unless the
-		// configuration bounds trace memory with TraceEventCap.
-		ringCap := len(g.Tasks)
-		if s.cfg.TraceEventCap > 0 {
-			ringCap = s.cfg.TraceEventCap
+	if ex == nil {
+		ex = pipeline.Shared{Runtime: s.rt, Weight: j.req.Weight}
+		if j.req.Trace {
+			// Sized at the task count so the timeline is complete however
+			// unevenly the shared pool balances the job, unless the
+			// configuration bounds trace memory with TraceEventCap.
+			ringCap := len(g.Tasks)
+			if s.cfg.TraceEventCap > 0 {
+				ringCap = s.cfg.TraceEventCap
+			}
+			tr = obs.NewTracer(s.rt.Workers(), ringCap)
+			g.Tracer = tr
 		}
-		tr = obs.NewTracer(s.rt.Workers(), ringCap)
-		g.Tracer = tr
 	}
 	var mt *obs.Meter
 	if j.req.Observe != nil {
 		mt = new(obs.Meter)
 		g.Meter = mt
 	}
-	h, err := s.rt.Submit(j.ctx, g, sched.JobOptions{Weight: j.req.Weight})
-	if err != nil {
-		s.fail(j, err)
-		return
-	}
-	if err := h.Wait(); err != nil {
+	if _, err := ex.Execute(j.ctx, g); err != nil {
 		s.fail(j, err)
 		return
 	}
@@ -449,9 +457,9 @@ func (s *Service) runSolo(j *Job) {
 	}
 	res := &Result{Value: v, Queued: start.Sub(j.enqueued), Ran: time.Since(start)}
 	if tr != nil {
-		res.Trace = tr.Events()
-		if d := tr.Dropped(); d > 0 {
-			s.met.recordTraceDropped(uint64(d))
+		res.Trace, res.TraceDropped = tr.Events(), tr.Dropped()
+		if res.TraceDropped > 0 {
+			s.met.recordTraceDropped(uint64(res.TraceDropped))
 		}
 	}
 	if mt != nil {
@@ -557,11 +565,7 @@ func (s *Service) runGang(batch []*Job) {
 	g.SetScheduleBands(marks)
 	// The gang runs under its own context: member cancellation after this
 	// point discards that member's result without stopping the batch.
-	h, err := s.rt.Submit(context.Background(), g, sched.JobOptions{Weight: float64(len(members))})
-	if err == nil {
-		err = h.Wait()
-	}
-	if err != nil {
+	if _, err := (pipeline.Shared{Runtime: s.rt, Weight: float64(len(members))}).Execute(context.Background(), g); err != nil {
 		for _, m := range members {
 			s.runSolo(m.j)
 		}

@@ -9,8 +9,7 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/tiled-la/bidiag/internal/band"
-	"github.com/tiled-la/bidiag/internal/bdsqr"
+	"github.com/tiled-la/bidiag/internal/cluster"
 	"github.com/tiled-la/bidiag/internal/core"
 	"github.com/tiled-la/bidiag/internal/nla"
 	"github.com/tiled-la/bidiag/internal/obs"
@@ -18,6 +17,7 @@ import (
 	"github.com/tiled-la/bidiag/internal/plan"
 	"github.com/tiled-la/bidiag/internal/sched"
 	"github.com/tiled-la/bidiag/internal/serve"
+	"github.com/tiled-la/bidiag/internal/trees"
 )
 
 // ErrOverloaded is returned by Service.Submit when the admission queue
@@ -27,13 +27,28 @@ var ErrOverloaded = serve.ErrOverloaded
 // ErrServiceClosed is returned by Service.Submit after Close.
 var ErrServiceClosed = serve.ErrClosed
 
+// ErrMeshValuesOnly is returned by Service.Submit for a JobSVD on a
+// service attached to a mesh: the recorded reflector stacks live only on
+// their owning ranks, so the vectors cannot be formed on the head
+// (bidiagd answers 501).
+var ErrMeshValuesOnly = errors.New("bidiag: a mesh serves singular values only; full SVD needs a single-process service")
+
 // ServiceConfig sizes a Service. The zero value (or a nil pointer)
 // selects the defaults.
 type ServiceConfig struct {
 	// Workers is the shared pool size (default GOMAXPROCS): ONE pool
 	// executes every in-flight job, workers picking across jobs by
-	// weighted fair share.
+	// weighted fair share. On a mesh it is each rank's worker count
+	// (default 1) for jobs that do not set Options.Workers.
 	Workers int
+	// Mesh attaches the service to rank 0 of a process mesh (bidiagd
+	// -node 0): every job then runs across the mesh's grid as the
+	// Options.Distributed graph of that grid, through the same admission
+	// queue, result cache and finish as a pool job. Gang batching and the
+	// plan autotuner do not apply (Options.Auto is an error), and JobSVD
+	// fails with ErrMeshValuesOnly. The type is internal: only this
+	// module's commands can attach one. The service does not close it.
+	Mesh *cluster.Head
 	// QueueDepth bounds the admission queues, beyond which Submit fails
 	// fast with ErrOverloaded (default 256).
 	QueueDepth int
@@ -147,7 +162,7 @@ type JobRequest struct {
 	A *Dense
 	// Opts configures the reduction exactly as for the one-shot entry
 	// points, with two differences: Options.Distributed must be nil
-	// (service jobs run on the shared in-process pool), and
+	// (a job runs where the service does: its pool, or its mesh), and
 	// Options.Workers does NOT size a pool — the service's shared
 	// workers do — but still parameterizes the AUTO tree and, for
 	// JobSVD, the stages after the GE2BND graph (the panel tasks that
@@ -181,6 +196,11 @@ type JobResult struct {
 	// Timeline is the per-task execution trace of this job, sorted by
 	// start time, when JobRequest.Trace was set (nil otherwise).
 	Timeline []TaskSpan
+	// Trace is the same traced execution as a document — on a mesh, every
+	// rank's tasks and frames on one clock; a pool job is its one-rank,
+	// no-frame case. WriteChrome renders it for Perfetto, WriteJSON writes
+	// the raw events. Nil when untraced. (The type is internal.)
+	Trace *cluster.MergedTrace
 }
 
 // TaskSpan is one executed task in a traced job's timeline. Start and
@@ -202,6 +222,10 @@ type TaskSpan struct {
 // Job is an in-flight service job.
 type Job struct {
 	inner *serve.Job
+	// workers is the pool size a traced pool job's lanes are laid out
+	// over; mesh the executor of a mesh job, which holds its trace.
+	workers int
+	mesh    *cluster.Job
 }
 
 // Wait blocks until the job finishes.
@@ -210,7 +234,25 @@ func (j *Job) Wait() (*JobResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return toJobResult(res)
+	jr := &JobResult{CacheHit: res.CacheHit}
+	switch v := res.Value.(type) {
+	case []float64:
+		jr.Values = v
+	case *SVDResult:
+		jr.Values, jr.SVD = v.S, v
+	default:
+		return nil, fmt.Errorf("bidiag: unexpected service result %T", res.Value)
+	}
+	switch {
+	case j.mesh != nil:
+		jr.Trace = j.mesh.Trace
+	case len(res.Trace) > 0:
+		jr.Trace = &cluster.MergedTrace{Grid: "1x1", Ranks: 1, WPN: j.workers, Events: res.Trace, Dropped: []int64{res.TraceDropped}}
+	}
+	if jr.Trace != nil {
+		jr.Timeline = toTimeline(jr.Trace.Events)
+	}
+	return jr, nil
 }
 
 // Done returns a channel closed when the job finishes.
@@ -236,6 +278,10 @@ type Service struct {
 	// tuner resolves Options.Auto jobs: model-seeded plan selection,
 	// refined by the measured GFLOP/s of executed jobs.
 	tuner *plan.Tuner
+	// mesh, when non-nil, runs every job across its grid with meshWPN
+	// workers a rank unless the job says otherwise.
+	mesh    *cluster.Head
+	meshWPN int
 }
 
 // NewService starts a Service with the given configuration (nil selects
@@ -262,6 +308,8 @@ func NewService(cfg *ServiceConfig) *Service {
 		gangDim:  gangDim,
 		cacheOff: c.CacheBytes < 0,
 		tuner:    plan.NewTuner(plan.TunerConfig{Path: c.PlanProfiles, MinSamples: c.PlanMinSamples}),
+		mesh:     c.Mesh,
+		meshWPN:  max(c.Workers, 1),
 	}
 }
 
@@ -279,7 +327,8 @@ func (s *Service) Submit(ctx context.Context, req JobRequest) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Job{inner: j}, nil
+	mesh, _ := r.Executor.(*cluster.Job)
+	return &Job{inner: j, workers: s.inner.Runtime().Workers(), mesh: mesh}, nil
 }
 
 // Do is Submit followed by Wait.
@@ -363,6 +412,18 @@ func (s *Service) request(req JobRequest) (serve.Request, error) {
 	if req.Opts != nil {
 		raw = *req.Opts
 	}
+	if raw.Distributed != nil {
+		return serve.Request{}, errors.New("bidiag: a service job runs where the service does, its pool or its mesh; Options.Distributed must be nil")
+	}
+	if s.mesh != nil {
+		// A mesh job IS the Options.Distributed run of the mesh's grid:
+		// pinned here, so Validate judges the options as that run's.
+		if raw.Workers <= 0 {
+			raw.Workers = s.meshWPN
+		}
+		grid := s.mesh.Grid()
+		raw.Distributed = &DistOptions{GridRows: grid.R, GridCols: grid.C, WorkersPerNode: raw.Workers}
+	}
 	// Validate options and input eagerly so Submit fails fast; Build
 	// resolves the options again (cheap, and keeps the closure
 	// self-contained) but does not rescan the matrix.
@@ -372,9 +433,6 @@ func (s *Service) request(req JobRequest) (serve.Request, error) {
 	}
 	if err := req.A.CheckFinite(); err != nil {
 		return serve.Request{}, err
-	}
-	if opts.Distributed != nil {
-		return serve.Request{}, errors.New("bidiag: service jobs run on the shared in-process pool; Options.Distributed must be nil")
 	}
 	if req.A.Rows() == 0 || req.A.Cols() == 0 {
 		return serve.Request{}, errors.New("bidiag: empty matrix")
@@ -410,10 +468,15 @@ func (s *Service) request(req JobRequest) (serve.Request, error) {
 	}
 
 	var build func(g *sched.Graph) (func() (any, error), error)
-	switch req.Kind {
-	case JobSingularValues:
+	var ex pipeline.Executor
+	switch {
+	case s.mesh != nil:
+		if build, ex, err = s.meshJob(req, &raw); err != nil {
+			return serve.Request{}, err
+		}
+	case req.Kind == JobSingularValues:
 		build = buildSingularValuesJob(req.A, jobOpts)
-	case JobSVD:
+	case req.Kind == JobSVD:
 		build = buildSVDJob(req.A, jobOpts)
 	default:
 		return serve.Request{}, fmt.Errorf("bidiag: unknown job kind %d", int(req.Kind))
@@ -438,16 +501,17 @@ func (s *Service) request(req JobRequest) (serve.Request, error) {
 	// planner enumerates one such variant), which is why the check reads
 	// the RESOLVED options. Auto jobs additionally gang only once their
 	// profile is promoted: exploration needs solo runs so the meter
-	// measures one clean graph.
-	gang := s.gangDim > 0 && max(req.A.Rows(), req.A.Cols()) <= s.gangDim &&
+	// measures one clean graph. A mesh job has an executor to itself.
+	gang := ex == nil && s.gangDim > 0 && max(req.A.Rows(), req.A.Cols()) <= s.gangDim &&
 		run.Gemm == GemmBlock{} && (!auto || promoted)
 	return serve.Request{
-		Build:   build,
-		Key:     key,
-		Bytes:   resultBytes,
-		Gang:    gang,
-		Trace:   req.Trace,
-		Observe: observe,
+		Build:    build,
+		Key:      key,
+		Bytes:    resultBytes,
+		Gang:     gang,
+		Trace:    req.Trace,
+		Observe:  observe,
+		Executor: ex,
 	}, nil
 }
 
@@ -472,36 +536,58 @@ func (s *Service) planRequest(req JobRequest, raw, opts Options) (plan.Request, 
 	return preq, nil
 }
 
+// meshJob lowers a job to the mesh: the staged GE2BND graph of the mesh's
+// grid (a fused chase would need the band windows shipped between
+// ranks), run by a per-job mesh executor and finished like any values
+// job. The input is resolved here, not at dispatch, because the executor
+// announces the very matrix (transposed when wide) and grid job the
+// graph is built from.
+func (s *Service) meshJob(req JobRequest, raw *Options) (func(*sched.Graph) (func() (any, error), error), pipeline.Executor, error) {
+	if req.Kind != JobSingularValues {
+		return nil, nil, ErrMeshValuesOnly
+	}
+	opts, src, treeKind, _, err := resolve(req.A, raw)
+	if err != nil {
+		return nil, nil, err
+	}
+	gj, err := gridJob(opts, src.Rows, src.Cols)
+	if err != nil {
+		return nil, nil, err
+	}
+	build := func(g *sched.Graph) (func() (any, error), error) {
+		return valuesGraph(g, src, opts, treeKind, &gj), nil
+	}
+	return build, s.mesh.Job(src, gj, req.Trace), nil
+}
+
 // buildSingularValuesJob emits the full singular-value pipeline for one
-// job: the fused GE2BND+BND2BD graph whenever the options allow fusion
-// (bitwise-identical to the staged path), the GE2BND graph plus a
-// sequential chase otherwise, followed by the bidiagonal QR iteration in
-// finish.
+// pool job.
 func buildSingularValuesJob(a *Dense, o *Options) func(g *sched.Graph) (func() (any, error), error) {
 	return func(g *sched.Graph) (func() (any, error), error) {
 		opts, src, treeKind, _, err := resolve(a, o)
 		if err != nil {
 			return nil, err
 		}
-		fuse := opts.BND2BD != BND2BDSequential
-		spec := buildSpec(src, opts, treeKind, nil, fuse)
-		spec.Graph = g
-		plan := pipeline.Build(spec)
-		finish := func() (any, error) {
-			var r *band.Matrix
-			if fuse {
-				r = plan.Bidiagonal()
-			} else {
-				r = band.Reduce(plan.Tiles.ExtractBand(plan.Tiles.NB))
-			}
-			d, e := r.Bidiagonal()
-			v, err := bdsqr.SingularValues(d, e)
-			if err != nil {
-				return nil, err
-			}
-			return v, nil
+		return valuesGraph(g, src, opts, treeKind, nil), nil
+	}
+}
+
+// valuesGraph emits a values job into g and returns its finish: the fused
+// GE2BND+BND2BD graph whenever the options and the engine allow fusion
+// (bitwise-identical to the staged path), the GE2BND graph alone
+// otherwise — under BND2BDSequential, and for a grid job — with the
+// chase left to finishValues.
+func valuesGraph(g *sched.Graph, src *nla.Matrix, opts Options, treeKind trees.Kind, gj *pipeline.GridJob) func() (any, error) {
+	fuse := gj == nil && opts.BND2BD != BND2BDSequential
+	spec := buildSpec(src, opts, treeKind, gj, nil, fuse)
+	spec.Graph = g
+	plan := pipeline.Build(spec)
+	return func() (any, error) {
+		v, err := finishValues(context.Background(), plan, opts, fuse)
+		if err != nil {
+			return nil, err
 		}
-		return finish, nil
+		return v, nil
 	}
 }
 
@@ -518,7 +604,7 @@ func buildSVDJob(a *Dense, o *Options) func(g *sched.Graph) (func() (any, error)
 			return nil, err
 		}
 		rec := &core.Recorder{}
-		spec := buildSpec(src, opts, treeKind, rec, false)
+		spec := buildSpec(src, opts, treeKind, nil, rec, false)
 		spec.Graph = g
 		plan := pipeline.Build(spec)
 		workers := core.SVDWorkers(src.Rows, src.Cols, opts.Workers)
@@ -598,35 +684,21 @@ func resultBytes(v any) int64 {
 	return 0
 }
 
-// toJobResult lifts a generic serve result into the typed public form.
-func toJobResult(res *serve.Result) (*JobResult, error) {
-	var jr *JobResult
-	switch v := res.Value.(type) {
-	case []float64:
-		jr = &JobResult{Values: v, CacheHit: res.CacheHit}
-	case *SVDResult:
-		jr = &JobResult{Values: v.S, SVD: v, CacheHit: res.CacheHit}
-	default:
-		return nil, fmt.Errorf("bidiag: unexpected service result %T", res.Value)
-	}
-	jr.Timeline = toTimeline(res.Trace)
-	return jr, nil
-}
-
-// toTimeline lifts recorded trace events into the public span form.
+// toTimeline lifts the task events of a trace into the public span form
+// (a mesh trace carries frame events too).
 func toTimeline(events []obs.Event) []TaskSpan {
-	if len(events) == 0 {
-		return nil
-	}
-	spans := make([]TaskSpan, len(events))
-	for i, e := range events {
-		spans[i] = TaskSpan{
+	spans := make([]TaskSpan, 0, len(events))
+	for _, e := range events {
+		if e.Op != obs.OpTask {
+			continue
+		}
+		spans = append(spans, TaskSpan{
 			Kernel: e.Kind.String(),
 			Worker: int(e.Worker),
 			I:      int(e.I), J: int(e.J), K: int(e.K),
 			Flops: e.Flops,
 			Start: e.Start, End: e.End,
-		}
+		})
 	}
 	return spans
 }

@@ -52,8 +52,8 @@
 // trees are a different, equally valid, elimination order.)
 //
 // For serving many concurrent reductions, Service multiplexes jobs over
-// ONE shared elastic worker pool with bounded admission, gang batching
-// of small matrices, a content-addressed result cache, per-job
+// ONE shared elastic worker pool — every job one task graph among many —
+// with bounded admission, a content-addressed result cache, per-job
 // cancellation and panic isolation (see NewService and the README
 // "Serving" section); cmd/bidiagd exposes it over HTTP. The one-shot
 // entry points gain context-aware variants (SingularValuesCtx, SVDCtx)
@@ -505,9 +505,9 @@ func resolve(a *Dense, o *Options) (opts Options, src *nla.Matrix, treeKind tree
 // buildSpec resolves opts into the pipeline Spec — the geometry, tiled
 // data, tree configuration and fusion choice of one reduction: the
 // shared-memory trees, or with a grid job (Options.Distributed, resolved
-// by gridJob) the distributed ones. The service layer reuses it to pack
-// several jobs into one gang graph (via Spec.Graph), which is why it is
-// separate from executor selection.
+// by gridJob) the distributed ones. The service layer reuses it under
+// executors of its own, which is why it is separate from executor
+// selection.
 func buildSpec(src *nla.Matrix, opts Options, treeKind trees.Kind, gj *pipeline.GridJob, rec *core.Recorder, fuse bool) pipeline.Spec {
 	blocking := nla.Blocking(opts.Gemm)
 	if rec != nil {

@@ -42,10 +42,8 @@ type record struct {
 	NB          int     `json:"nb"`
 	KU          int     `json:"ku"`
 	Workers     int     `json:"workers"`
-	Jobs        int     `json:"jobs"`
 	WallSeconds float64 `json:"wall_seconds"`
 	GFlops      float64 `json:"gflops"`
-	JobsPerSec  float64 `json:"jobs_per_sec"`
 	TasksPerSec float64 `json:"tasks_per_sec"`
 
 	// Kernels carries the per-kernel rates of a -stage apply record,
@@ -86,12 +84,9 @@ type schedCost struct {
 	NsPerTask float64 `json:"ns_per_task"`
 }
 
-// rate returns the record's guarded figure: throughput records (batch
-// runs) track jobs/s, scheduler records tasks/s, compute records GFLOP/s.
+// rate returns the record's guarded figure: scheduler records track
+// tasks/s, compute records GFLOP/s.
 func (r record) rate() (float64, string) {
-	if r.JobsPerSec > 0 {
-		return r.JobsPerSec, "jobs/s"
-	}
 	if r.TasksPerSec > 0 {
 		return r.TasksPerSec, "tasks/s"
 	}
@@ -132,7 +127,7 @@ func load(path string) (record, error) {
 		return r, fmt.Errorf("%s: %w", path, err)
 	}
 	if rate, _ := r.rate(); rate <= 0 {
-		return r, fmt.Errorf("%s: missing or non-positive gflops / jobs_per_sec / tasks_per_sec", path)
+		return r, fmt.Errorf("%s: missing or non-positive gflops / tasks_per_sec", path)
 	}
 	if r.Experiment == "svd" {
 		for _, stage := range svdStages {
@@ -202,8 +197,7 @@ func main() {
 			*refPath, ref.Schema, currentSchema)
 	}
 	if ref.Experiment != got.Experiment || ref.M != got.M || ref.N != got.N ||
-		ref.NB != got.NB || ref.KU != got.KU || ref.Workers != got.Workers ||
-		ref.Jobs != got.Jobs {
+		ref.NB != got.NB || ref.KU != got.KU || ref.Workers != got.Workers {
 		fmt.Fprintf(os.Stderr, "benchguard: configurations differ: ref %+v vs new %+v\n", ref, got)
 		os.Exit(2)
 	}

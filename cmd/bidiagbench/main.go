@@ -12,7 +12,6 @@
 //	bidiagbench -m 4096 -n 1024 -json BENCH_ge2bnd.json
 //	bidiagbench -stage bnd2bd -n 4096 -ku 64 -workers 8 -json BENCH_bnd2bd.json
 //	bidiagbench -stage full -m 1024 -nb 64 -workers 4 -json BENCH_full.json
-//	bidiagbench -stage batch -n 256 -jobs 64 -workers 4 -json BENCH_batch.json
 //	bidiagbench -stage apply -nb 64 -reps 9 -json BENCH_kernels_apply.json
 //	bidiagbench -stage sched -reps 5 -json BENCH_sched.json
 //	bidiagbench -stage svd -n 1024 -nb 64 -workers 2 -json BENCH_svd_1024.json
@@ -41,10 +40,6 @@
 // BND2BD in one task graph plus the bidiagonal QR iteration, rated
 // against the sum of the GE2BND flop count and the BND2BD flop
 // model (-staged times the barrier path instead, for comparison). With
-// -stage batch the timed run is serving throughput: -jobs ragged small
-// matrices (dimensions in [n/2, n]) through one bidiag.Service,
-// gang-batched concurrent submission rated in jobs/s (plus client p50/p99
-// latency) against one-call-at-a-time submission on the same pool. With
 // -stage apply the timed run is the twelve stage-1 tile kernels in
 // isolation (the six factor kernels GEQRT … TTLQT and the six applies
 // UNMQR … TTMLQ at tile size -nb, all on the AVX2 micro-kernels): each
@@ -73,7 +68,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"github.com/tiled-la/bidiag"
@@ -201,16 +195,6 @@ type perfResult struct {
 	BuildSeconds float64 `json:"build_seconds,omitempty"`
 	SeqSeconds   float64 `json:"seq_seconds,omitempty"`
 	UsPerTask    float64 `json:"us_per_task,omitempty"`
-
-	// Batch-throughput statistics (-stage batch); zero otherwise.
-	// JobsPerSec is the gang-batched concurrent throughput, the tracked
-	// figure; SeqJobsPerSec submits the same workload one call at a time
-	// on an identically sized pool.
-	Jobs          int     `json:"jobs,omitempty"`
-	JobsPerSec    float64 `json:"jobs_per_sec,omitempty"`
-	SeqJobsPerSec float64 `json:"seq_jobs_per_sec,omitempty"`
-	P50Ms         float64 `json:"p50_ms,omitempty"`
-	P99Ms         float64 `json:"p99_ms,omitempty"`
 
 	// Distributed-run statistics; zero for shared-memory runs.
 	Nodes          int     `json:"nodes,omitempty"`
@@ -428,7 +412,7 @@ func runPerfSched(reps int, jsonPath string) error {
 			}{
 				{"run", func() error { return g.RunParallel(workers) }},
 				{"runtime", func() error {
-					h, err := rt.Submit(context.Background(), g, sched.JobOptions{})
+					h, err := rt.Submit(context.Background(), g)
 					if err != nil {
 						return err
 					}
@@ -817,117 +801,6 @@ func runPerfSVD(n, nb, workers, reps int, jsonPath string) error {
 	return writeResult(res, jsonPath)
 }
 
-// runPerfBatch measures serving throughput over a ragged small-matrix
-// workload: `jobs` random matrices with dimensions in [n/2, n], all
-// submitted to one bidiag.Service. Two modes run on identically sized
-// pools: sequential (one Do at a time, gang batching off — the
-// pool drains between jobs) and batched (everything submitted at once,
-// gang batching on — small graphs pack into shared wavefronts). The
-// batched jobs/s is the tracked figure; p50/p99 are client-observed
-// latencies of the batched run. With gate, the run fails unless batched
-// beats sequential — the CI acceptance check.
-func runPerfBatch(n, nb, workers, jobs, reps int, gate bool, jsonPath string) error {
-	if reps < 1 {
-		reps = 1
-	}
-	if jobs < 1 {
-		jobs = 64
-	}
-	rng := rand.New(rand.NewSource(42))
-	mats := make([]*bidiag.Dense, jobs)
-	for i := range mats {
-		m := n/2 + rng.Intn(n/2+1)
-		c := n/2 + rng.Intn(n/2+1)
-		a := bidiag.NewDense(m, c)
-		for j := 0; j < c; j++ {
-			for r := 0; r < m; r++ {
-				a.Set(r, j, rng.NormFloat64())
-			}
-		}
-		mats[i] = a
-	}
-	opts := &bidiag.Options{NB: nb, Workers: workers, Algorithm: bidiag.Bidiag}
-
-	// Sequential baseline: one call at a time, no gangs, no cache.
-	bestSeq := time.Duration(1<<63 - 1)
-	for r := 0; r < reps; r++ {
-		svc := bidiag.NewService(&bidiag.ServiceConfig{
-			Workers: workers, CacheBytes: -1, GangDim: -1, QueueDepth: jobs + 1,
-		})
-		start := time.Now()
-		for i := range mats {
-			if _, err := svc.Do(context.Background(), bidiag.JobRequest{A: mats[i], Opts: opts}); err != nil {
-				svc.Close()
-				return err
-			}
-		}
-		wall := time.Since(start)
-		svc.Close()
-		if wall < bestSeq {
-			bestSeq = wall
-		}
-	}
-
-	// Batched: all jobs in flight at once, gang batching on.
-	bestBatch := time.Duration(1<<63 - 1)
-	var bestLats []time.Duration
-	for r := 0; r < reps; r++ {
-		svc := bidiag.NewService(&bidiag.ServiceConfig{
-			Workers: workers, CacheBytes: -1, GangDim: n, QueueDepth: jobs + 1,
-		})
-		lats := make([]time.Duration, jobs)
-		errs := make([]error, jobs)
-		var wg sync.WaitGroup
-		start := time.Now()
-		for i := range mats {
-			i := i
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				begin := time.Now()
-				_, errs[i] = svc.Do(context.Background(), bidiag.JobRequest{A: mats[i], Opts: opts})
-				lats[i] = time.Since(begin)
-			}()
-		}
-		wg.Wait()
-		wall := time.Since(start)
-		svc.Close()
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
-		if wall < bestBatch {
-			bestBatch = wall
-			bestLats = lats
-		}
-	}
-
-	sort.Slice(bestLats, func(i, j int) bool { return bestLats[i] < bestLats[j] })
-	p50 := bestLats[(jobs-1)*50/100]
-	p99 := bestLats[(jobs-1)*99/100]
-	res := perfResult{
-		Experiment: "batch", M: n, N: n, NB: nb, Workers: workers,
-		Jobs: jobs, Reps: reps,
-		WallSeconds:   bestBatch.Seconds(),
-		JobsPerSec:    float64(jobs) / bestBatch.Seconds(),
-		SeqJobsPerSec: float64(jobs) / bestSeq.Seconds(),
-		P50Ms:         float64(p50) / float64(time.Millisecond),
-		P99Ms:         float64(p99) / float64(time.Millisecond),
-	}
-	speedup := res.JobsPerSec / res.SeqJobsPerSec
-	fmt.Printf("BATCH dim≤%d nb=%d workers=%d jobs=%d: %.1f jobs/s batched vs %.1f jobs/s sequential (%.2fx)  p50 %.1fms  p99 %.1fms  (best of %d)\n",
-		n, nb, workers, jobs, res.JobsPerSec, res.SeqJobsPerSec, speedup, res.P50Ms, res.P99Ms, reps)
-	if err := writeResult(res, jsonPath); err != nil {
-		return err
-	}
-	if gate && res.JobsPerSec <= res.SeqJobsPerSec {
-		return fmt.Errorf("batch: gang-batched throughput %.1f jobs/s does not beat sequential %.1f jobs/s",
-			res.JobsPerSec, res.SeqJobsPerSec)
-	}
-	return nil
-}
-
 // bandRandom fills an n×n band of bandwidth ku with uniform(-1, 1).
 func bandRandom(rng *rand.Rand, n, ku int) *band.Matrix {
 	b := band.New(n, ku)
@@ -950,9 +823,7 @@ func main() {
 	nFlag := flag.Int("n", 0, "columns for the timed run (default: m)")
 	nbFlag := flag.Int("nb", 64, "tile size for the timed run")
 	kuFlag := flag.Int("ku", 64, "band width for a -stage bnd2bd timed run")
-	stage := flag.String("stage", "ge2bnd", "timed-run stage: ge2bnd, bnd2bd, full (fused end-to-end pipeline), svd (bidiag.SVD with its per-stage ledger), batch (service throughput), apply (isolated rates of the twelve stage-1 tile kernels), or sched (worker-loop dispatch cost)")
-	jobsFlag := flag.Int("jobs", 64, "workload size for a -stage batch timed run")
-	gateFlag := flag.Bool("gate", false, "-stage batch: fail unless batched throughput beats sequential")
+	stage := flag.String("stage", "ge2bnd", "timed-run stage: ge2bnd, bnd2bd, full (fused end-to-end pipeline), svd (bidiag.SVD with its per-stage ledger), apply (isolated rates of the twelve stage-1 tile kernels), or sched (worker-loop dispatch cost)")
 	windowFlag := flag.Int("window", 0, "BND2BD wavefront window for -stage full (0: default)")
 	staged := flag.Bool("staged", false, "run -stage full through the staged (barrier) path instead of the fused graph")
 	workersFlag := flag.Int("workers", runtime.GOMAXPROCS(0), "workers for the timed run")
@@ -964,7 +835,7 @@ func main() {
 	perfMode := false
 	flag.Visit(func(f *flag.Flag) {
 		switch f.Name {
-		case "m", "n", "nb", "ku", "stage", "window", "staged", "workers", "reps", "json", "jobs", "gate":
+		case "m", "n", "nb", "ku", "stage", "window", "staged", "workers", "reps", "json":
 			perfMode = true
 		}
 	})
@@ -997,15 +868,6 @@ func main() {
 				n = 1024
 			}
 			err = runPerfSVD(n, *nbFlag, *workersFlag, *repsFlag, *jsonOut)
-		case "batch":
-			n := *nFlag
-			if n <= 0 {
-				n = *mFlag
-			}
-			if n <= 0 {
-				n = 256
-			}
-			err = runPerfBatch(n, *nbFlag, *workersFlag, *jobsFlag, *repsFlag, *gateFlag, *jsonOut)
 		case "bnd2bd":
 			n := *nFlag
 			if n <= 0 {
@@ -1031,7 +893,7 @@ func main() {
 			}
 			err = runPerf(m, n, *nbFlag, *workersFlag, *nodes, gr, gc, *repsFlag, *jsonOut)
 		default:
-			fmt.Fprintf(os.Stderr, "unknown -stage %q; want ge2bnd, bnd2bd, full, svd, batch, apply or sched\n", *stage)
+			fmt.Fprintf(os.Stderr, "unknown -stage %q; want ge2bnd, bnd2bd, full, svd, apply or sched\n", *stage)
 			os.Exit(2)
 		}
 		if err != nil {

@@ -397,6 +397,7 @@ func TestClusterIsTheOneService(t *testing.T) {
 		{"/v1/singular-values", `{"m":3,"n":2,"data":[1,0,0,0,2,0],"options":{"tree":"greedy"}}`, http.StatusBadRequest},
 		{"/v1/singular-values", `{"m":3,"n":2,"data":[1,0,0,0,2,0],"options":{"auto":true}}`, http.StatusBadRequest},
 		{"/v1/singular-values", `{"m":3,"n":2,"data":[1,0,0,0,2,0],"options":{"window":-1}}`, http.StatusBadRequest},
+		{"/v1/singular-values", `{"m":3,"n":2,"data":[1,0,0,0,2,0],"options":{"workers":65536}}`, http.StatusBadRequest},
 		{"/v1/singular-values", `{"m":1,"n":1,"data":[1e999]}`, http.StatusBadRequest},
 	} {
 		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
@@ -423,7 +424,7 @@ func TestClusterIsTheOneService(t *testing.T) {
 		`bidiagd_jobs_total{result="done"} 11`,
 		`bidiagd_cache_hits_total 2`,
 		`bidiagd_job_latency_seconds_bucket{le="+Inf"} 11`,
-		`bidiagd_queue_depth{queue="solo"} 0`,
+		"bidiagd_queue_depth 0",
 		"bidiagd_cluster_nodes 2",
 		`bidiagd_link_sent_frames_total{from="0",to="1"}`,
 		`bidiagd_clock_rtt_seconds{peer="1"}`,

@@ -1,6 +1,6 @@
 // Command bidiagd serves singular value decompositions over HTTP: many
 // concurrent jobs multiplexed on one shared elastic worker pool
-// (bidiag.Service), with gang batching of small matrices, a
+// (bidiag.Service), each job one task graph among many, with a
 // content-addressed result cache, bounded admission and per-request
 // cancellation.
 //
@@ -20,7 +20,7 @@
 //	                           histograms, queue and cache gauges, outcome and
 //	                           plan-decision counters
 //	GET  /debug/vars           the same snapshot as JSON (queue depth, jobs/s,
-//	                           p50/p99 latency, cache hit rate, gang counters)
+//	                           p50/p99 latency, cache hit rate)
 //	GET  /debug/plans          the plan autotuner's profiles: candidate sets,
 //	                           measured GFLOP/s, promotions (versioned JSON)
 //	GET  /debug/trace/{id}     Chrome-tracing JSON timeline of a traced job
@@ -29,7 +29,8 @@
 //
 // Overload is surfaced as HTTP 429 (the admission queue is bounded);
 // clients that disconnect cancel their job mid-graph. A kernel panic
-// fails only the offending request.
+// fails only the offending request. A request whose "workers" exceeds
+// the larger of -workers and the CPU count is a 400.
 //
 //	bidiagd -addr :8097 -workers 8 -cache-mb 128
 //
@@ -77,9 +78,6 @@ func run() error {
 	queue := flag.Int("queue", 0, "admission queue depth (0: default 256)")
 	inflight := flag.Int("inflight", 0, "max concurrently executing jobs (0: default)")
 	cacheMB := flag.Int("cache-mb", 0, "result cache budget in MiB (0: default 64, negative: disable)")
-	gangDim := flag.Int("gang-dim", 0, "gang-batch matrices up to this dimension (0: default 256, negative: disable)")
-	gangSize := flag.Int("gang-size", 0, "max jobs per gang graph (0: default 16)")
-	gangWait := flag.Duration("gang-wait", 0, "how long a forming gang waits for stragglers (0: default 2ms)")
 	maxBodyMB := flag.Int64("max-body-mb", 0, "largest accepted request body in MiB (0: default 32)")
 	profiles := flag.String("profiles", "", "persist plan-autotuner profiles at this path so restarts keep promoted plans (empty: in-memory only)")
 	planSamples := flag.Int("plan-min-samples", 0, "measured runs per candidate before a plan is promoted (0: default 3, negative: never promote)")
@@ -117,9 +115,6 @@ func run() error {
 		QueueDepth:  *queue,
 		MaxInFlight: *inflight,
 		CacheBytes:  cacheBytes,
-		GangDim:     *gangDim,
-		GangSize:    *gangSize,
-		GangWait:    *gangWait,
 
 		PlanProfiles:   *profiles,
 		PlanMinSamples: *planSamples,

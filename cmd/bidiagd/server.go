@@ -92,15 +92,8 @@ func (s *server) registerService(reg *obs.Registry) {
 
 	gauge("bidiagd_workers", "Shared pool size.", float64(st.Workers))
 	gauge("bidiagd_inflight_jobs", "Jobs currently executing.", float64(st.InFlight))
-	reg.LabeledGauge("bidiagd_queue_depth", "Instantaneous admission-queue depth.", func() []obs.LabeledValue {
-		return []obs.LabeledValue{
-			{Label: `queue="solo"`, Value: float64(st.QueueLen)},
-			{Label: `queue="gang"`, Value: float64(st.GangQueueLen)},
-		}
-	})
-	// Total admission capacity: each of the two queues is bounded by
-	// QueueCap.
-	gauge("bidiagd_queue_capacity", "Total admission capacity across both queues.", float64(2*st.QueueCap))
+	gauge("bidiagd_queue_depth", "Instantaneous admission-queue depth.", float64(st.QueueLen))
+	gauge("bidiagd_queue_capacity", "Admission-queue capacity.", float64(st.QueueCap))
 	gauge("bidiagd_workspace_bytes", "Total scratch-arena footprint of the pool's workers.", float64(st.WorkspaceBytes))
 	gauge("bidiagd_sched_ready_tasks", "Runnable, undispatched tasks across all in-flight jobs.", float64(st.SchedReadyTasks))
 	counter("bidiagd_sched_worker_idle_seconds_total", "Cumulative time the pool's workers slept waiting for work.", st.SchedWorkerIdle.Seconds())
@@ -115,8 +108,6 @@ func (s *server) registerService(reg *obs.Registry) {
 			{Label: `result="cancelled"`, Value: float64(st.JobsCancelled)},
 		}
 	})
-	counter("bidiagd_gang_batches_total", "Executed gang graphs.", float64(st.GangBatches))
-	counter("bidiagd_gang_jobs_total", "Member jobs carried by gang graphs.", float64(st.GangJobs))
 	counter("bidiagd_cache_hits_total", "Result-cache hits.", float64(st.CacheHits))
 	counter("bidiagd_cache_misses_total", "Result-cache misses.", float64(st.CacheMisses))
 	traceDropped := float64(st.TraceDropped)
@@ -179,23 +170,17 @@ func (s *server) snapshot() map[string]any {
 		jobsPerSec = float64(st.JobsDone) / up
 	}
 	return map[string]any{
-		"uptime_seconds":   up,
-		"workers":          st.Workers,
-		"inflight":         st.InFlight,
-		"queue_depth":      st.QueueLen + st.GangQueueLen,
-		"solo_queue_depth": st.QueueLen,
-		"gang_queue_depth": st.GangQueueLen,
-		// Total admission capacity: each of the two queues is bounded by
-		// QueueDepth, and queue_depth above sums both.
-		"queue_capacity":  2 * st.QueueCap,
+		"uptime_seconds":  up,
+		"workers":         st.Workers,
+		"inflight":        st.InFlight,
+		"queue_depth":     st.QueueLen,
+		"queue_capacity":  st.QueueCap,
 		"jobs_done":       st.JobsDone,
 		"jobs_failed":     st.JobsFailed,
 		"jobs_cancelled":  st.JobsCancelled,
 		"jobs_per_second": jobsPerSec,
 		"latency_p50_ms":  float64(st.P50) / float64(time.Millisecond),
 		"latency_p99_ms":  float64(st.P99) / float64(time.Millisecond),
-		"gang_batches":    st.GangBatches,
-		"gang_jobs":       st.GangJobs,
 		"cache_hits":      st.CacheHits,
 		"cache_misses":    st.CacheMisses,
 		"cache_hit_rate":  hitRate,
@@ -232,9 +217,8 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleJob runs one job. ?trace=1 records its execution — every task,
-// and on a mesh every rank's tasks and frames: the job runs solo,
-// bypasses the cache, and the response's job_id keys
-// GET /debug/trace/{job_id}.
+// and on a mesh every rank's tasks and frames: the job bypasses the
+// cache, and the response's job_id keys GET /debug/trace/{job_id}.
 func (s *server) handleJob(w http.ResponseWriter, r *http.Request, kind bidiag.JobKind) {
 	req, status, err := httpapi.ReadRequest(w, r, s.maxBody)
 	if err != nil {

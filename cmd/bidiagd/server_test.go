@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -172,6 +173,36 @@ func TestNonFiniteMatrixIs400(t *testing.T) {
 	}
 }
 
+// TestWorkersCap: a request's workers field sizes the SVD back half's
+// pools, so the daemon takes it up to the larger of its pool size and
+// the CPU count and answers anything above with 400 before starting a
+// goroutine for it.
+func TestWorkersCap(t *testing.T) {
+	ts, svc := testServer(t)
+	cl := client.New(ts.URL)
+	limit := max(svc.Stats().Workers, runtime.NumCPU())
+	for _, post := range []func(workers int) error{
+		func(w int) error {
+			_, err := cl.PostValues(context.Background(), httpapi.Job{Matrix: diag212, Options: &httpapi.Options{Workers: w}}, false)
+			return err
+		},
+		func(w int) error {
+			_, err := cl.PostSVD(context.Background(), httpapi.Job{Matrix: diag212, Options: &httpapi.Options{Workers: w}}, false)
+			return err
+		},
+	} {
+		if err := post(limit); err != nil {
+			t.Fatalf("workers at the cap (%d): %v", limit, err)
+		}
+		for _, w := range []int{limit + 1, 65536, 1 << 30} {
+			var apiErr *client.APIError
+			if err := post(w); !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest || !strings.Contains(apiErr.Message, "Workers") {
+				t.Fatalf("workers %d above the cap %d: %v, want 400 naming Options.Workers", w, limit, err)
+			}
+		}
+	}
+}
+
 // TestCodecsAgreeBitwise posts the same matrix as a JSON body (raw, as
 // curl would) and through the client's binary frames, in both orders: S,
 // U and V agree bit for bit, and whichever comes second is a cache hit —
@@ -304,8 +335,8 @@ func TestPrometheusMetrics(t *testing.T) {
 		"# TYPE bidiagd_workers gauge",
 		"# TYPE bidiagd_jobs_total counter",
 		`bidiagd_jobs_total{result="done"} 1`,
-		`bidiagd_queue_depth{queue="solo"}`,
-		`bidiagd_queue_depth{queue="gang"}`,
+		"# TYPE bidiagd_queue_depth gauge",
+		"bidiagd_queue_depth 0",
 		"# TYPE bidiagd_job_latency_seconds histogram",
 		`bidiagd_job_latency_seconds_bucket{le="+Inf"} 1`,
 		"bidiagd_job_latency_seconds_count 1",

@@ -1,7 +1,8 @@
 // Example serve: many concurrent singular-value jobs of mixed shapes on
-// one shared bidiag.Service — gang batching for the small matrices, the
-// result cache absorbing a repeated input, and a cancelled job failing
-// fast without touching its neighbours.
+// one shared bidiag.Service — each job one task graph, all of them
+// interleaving on the same pool — the result cache absorbing a repeated
+// input, and a cancelled job failing fast without touching its
+// neighbours.
 package main
 
 import (
@@ -25,15 +26,15 @@ func randomDense(rng *rand.Rand, m, n int) *bidiag.Dense {
 }
 
 func main() {
-	svc := bidiag.NewService(&bidiag.ServiceConfig{Workers: 4, GangDim: 128})
+	svc := bidiag.NewService(&bidiag.ServiceConfig{Workers: 4})
 	defer svc.Close()
 
 	rng := rand.New(rand.NewSource(1))
 	shapes := []struct{ m, n int }{{64, 48}, {96, 96}, {200, 120}, {80, 64}, {120, 200}}
 	opts := &bidiag.Options{NB: 32}
 
-	// A mixed fleet of concurrent jobs: small ones gang-batch, large ones
-	// run solo, all on the same shared pool.
+	// A mixed fleet of concurrent jobs: their tasks interleave on the same
+	// shared pool, so small jobs fill the gaps of large ones.
 	var wg sync.WaitGroup
 	start := time.Now()
 	for i := 0; i < 12; i++ {
@@ -77,7 +78,6 @@ func main() {
 	}
 
 	st := svc.Stats()
-	fmt.Printf("\nservice: %d done, %d cancelled, %d gang-batched in %d gangs, cache %d/%d hits, p50 %v p99 %v\n",
-		st.JobsDone, st.JobsCancelled, st.GangJobs, st.GangBatches,
-		st.CacheHits, st.CacheHits+st.CacheMisses, st.P50.Round(time.Millisecond), st.P99.Round(time.Millisecond))
+	fmt.Printf("\nservice: %d done, %d cancelled, cache %d/%d hits, p50 %v p99 %v\n",
+		st.JobsDone, st.JobsCancelled, st.CacheHits, st.CacheHits+st.CacheMisses, st.P50.Round(time.Millisecond), st.P99.Round(time.Millisecond))
 }

@@ -97,8 +97,9 @@ func EncodeResponse(v any) ([]byte, error) {
 }
 
 // DecodeResponse reads a BinaryMediaType response body into out, a
-// *ValuesResponse or *SVDResponse. size is the body's declared length
-// (http.Response.ContentLength), or -1 when unknown.
+// *ValuesResponse or *SVDResponse; a frame of the other kind is an
+// error. size is the body's declared length (http.Response.ContentLength),
+// or -1 when unknown.
 func DecodeResponse(r io.Reader, size int64, out any) error {
 	var h responseHeader
 	head, err := readHeader(r, &h)
@@ -120,6 +121,9 @@ func DecodeResponse(r io.Reader, size int64, out any) error {
 	}
 	switch o := out.(type) {
 	case *ValuesResponse:
+		if h.U != nil || h.V != nil {
+			return errors.New("values response carries singular vectors")
+		}
 		*o = ValuesResponse{S: vecs[1], CacheHit: h.CacheHit, Ms: h.Ms, JobID: h.JobID}
 	case *SVDResponse:
 		if h.U == nil || h.V == nil {

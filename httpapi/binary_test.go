@@ -168,6 +168,9 @@ func TestBinaryRoundTrip(t *testing.T) {
 	if err := httpapi.DecodeResponse(bytes.NewReader(blob), int64(len(blob))+8, &vals); err == nil {
 		t.Fatal("response shorter than its Content-Length decoded")
 	}
+	if err := httpapi.DecodeResponse(bytes.NewReader(blob), -1, &vals); err == nil {
+		t.Fatal("an SVD frame decoded as a values response")
+	}
 	blob, _ = httpapi.EncodeResponse(httpapi.ValuesResponse{S: data, Ms: 7})
 	if err := httpapi.DecodeResponse(bytes.NewReader(blob), int64(len(blob)), &vals); err != nil || !sameBits(vals.S, data) || vals.Ms != 7 || vals.CacheHit {
 		t.Fatalf("values response round trip: %+v %v", vals, err)
@@ -446,4 +449,95 @@ func FuzzReadJob(f *testing.F) {
 			t.Fatalf("round trip changed the job:\n %+v\n %+v", req.Job, again.Job)
 		}
 	})
+}
+
+// FuzzDecodeResponse feeds arbitrary bodies to the client's decoder of a
+// binary response, whose header it takes from the daemon on trust. It
+// must never panic, must not allocate ahead of the bytes it was given
+// (sized or not), and every frame it accepts must re-encode through
+// EncodeResponse with its payload unchanged byte for byte, to a frame
+// that decodes and re-encodes to itself.
+func FuzzDecodeResponse(f *testing.F) {
+	values, _ := httpapi.EncodeResponse(httpapi.ValuesResponse{S: []float64{2, 1}, CacheHit: true, Ms: 1.5, JobID: "j000001"})
+	svd, _ := httpapi.EncodeResponse(httpapi.SVDResponse{
+		U: httpapi.Matrix{M: 2, N: 1, Data: []float64{1, 0}}, S: []float64{3},
+		V: httpapi.Matrix{M: 1, N: 1, Data: []float64{-1}}, Ms: 0.25,
+	})
+	dims := strconv.Itoa(half)
+	for _, body := range [][]byte{
+		values,
+		svd,
+		values[:len(values)-1], // truncated payload
+		svd[:12],               // truncated header
+		append(values[:len(values):len(values)], 0, 0, 0, 0, 0, 0, 0, 0), // payload past the header's
+		frame(`{"s":1048576}`, 1), // forged count
+		frame(`{"u":{"m":`+dims+`,"n":`+dims+`},"s":1,"v":{"m":1,"n":1}}`, 1, 2),
+		frame(`{"u":{"m":-1,"n":2},"s":1,"v":{"m":1,"n":1}}`, 1),
+		frame(`{"s":-3}`),
+		frame(`{"s":2,"ms":1E5,"job_id":"<é>"}`, math.NaN(), math.Copysign(0, -1)),
+		append([]byte("BDM1"), 0xff, 0xff, 0, 0, '{', '}'), // header length past the body
+		nil,
+	} {
+		for _, sized := range []bool{true, false} {
+			f.Add(body, sized, true)
+			f.Add(body, sized, false)
+		}
+	}
+	f.Fuzz(func(t *testing.T, body []byte, sized, vectors bool) {
+		size := int64(-1)
+		if sized {
+			size = int64(len(body))
+		}
+		decode := func(b []byte, size int64) (any, error) {
+			if vectors {
+				var out httpapi.SVDResponse
+				return out, httpapi.DecodeResponse(bytes.NewReader(b), size, &out)
+			}
+			var out httpapi.ValuesResponse
+			return out, httpapi.DecodeResponse(bytes.NewReader(b), size, &out)
+		}
+		var out any
+		var err error
+		n := allocated(func() { out, err = decode(body, size) })
+		// One chunk, the header, and the payload: once when the length was
+		// declared, doubling up to it when it was not.
+		if budget := uint64(2*len(body) + 128<<10); n > budget {
+			t.Fatalf("%d-byte body allocated %d bytes, budget %d", len(body), n, budget)
+		}
+		if err != nil {
+			return
+		}
+		blob, err := httpapi.EncodeResponse(out)
+		if err != nil {
+			// The decoder accepts any header of up to 4 KiB; re-encoding
+			// one (escaping HTML, spelling numbers canonically) can outgrow
+			// it. Nothing else may fail.
+			if !strings.Contains(err.Error(), "the format allows") {
+				t.Fatalf("accepted response does not encode: %v", err)
+			}
+			return
+		}
+		payload := 8 * floats(out)
+		if len(body) < payload || !bytes.Equal(blob[len(blob)-payload:], body[len(body)-payload:]) {
+			t.Fatalf("re-encoding changed the %d-byte payload", payload)
+		}
+		again, err := decode(blob, int64(len(blob)))
+		if err != nil {
+			t.Fatalf("re-encoded response refused: %v", err)
+		}
+		if twice, err := httpapi.EncodeResponse(again); err != nil || !bytes.Equal(twice, blob) {
+			t.Fatalf("re-encoding is not a fixed point (%v):\n %q\n %q", err, blob, twice)
+		}
+	})
+}
+
+// floats counts the float64 words of a decoded response.
+func floats(v any) int {
+	switch r := v.(type) {
+	case httpapi.ValuesResponse:
+		return len(r.S)
+	case httpapi.SVDResponse:
+		return len(r.U.Data) + len(r.S) + len(r.V.Data)
+	}
+	return 0
 }

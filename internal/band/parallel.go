@@ -11,7 +11,7 @@ import (
 // This file is the task-graph form of the BND2BD stage: the rounds of
 // reduce.go grouped into tasks and submitted to the internal/sched
 // data-flow runtime, so the second stage of the singular value pipeline
-// runs on the same worker pool (or shared runtime, gang graph, simulator,
+// runs on the same worker pool (or shared runtime, simulator,
 // owner-compute executor) as GE2BND.
 //
 // Decomposition. Consecutive sweeps are grouped into caravans of S

@@ -19,100 +19,33 @@ func Table1(sc Scale) *Table {
 		nb = 48
 	}
 	unit := float64(nb) * float64(nb) * float64(nb) / 3
-
-	rng := rand.New(rand.NewSource(1))
-	mk := func() *nla.Matrix { return nla.RandomMatrix(rng, nb, nb) }
-	tri := func() *nla.Matrix {
-		m := mk()
-		for j := 0; j < nb; j++ {
-			for i := j + 1; i < nb; i++ {
-				m.Set(i, j, 0)
-			}
-		}
-		return m
-	}
-	t := nla.NewMatrix(nb, nb)
-	tau := make([]float64, nb)
 	// One warm, max-sized workspace, as the executors provide per worker:
 	// the timed kernels run allocation-free, so the measured GFlop/s are
 	// the steady-state per-core rates of Table I.
 	ws := nla.NewWorkspace(kernels.ScratchSize(kernels.TSMQRKind, nb, nb, nb))
 
-	timeKernel := func(setup func() func()) (secs float64) {
-		reps := 3
-		best := 1e30
-		for r := 0; r < reps; r++ {
-			run := setup()
-			start := time.Now()
-			run()
-			if d := time.Since(start).Seconds(); d < best {
-				best = d
-			}
-		}
-		return best
-	}
-
 	rows := [][]string{}
-	add := func(kind kernels.Kind, flops float64, setup func() func()) {
-		secs := timeKernel(setup)
+	for _, tc := range kernels.BenchCases(rand.New(rand.NewSource(1)), nb) {
+		// Table I lists the LQ applies only through TSMLQ.
+		if tc.Kind == kernels.UNMLQKind || tc.Kind == kernels.TTMLQKind {
+			continue
+		}
+		best := 1e30
+		for r := 0; r < 3; r++ {
+			if tc.Restore != nil {
+				tc.Restore()
+			}
+			start := time.Now()
+			tc.Run(ws)
+			best = min(best, time.Since(start).Seconds())
+		}
 		rows = append(rows, []string{
-			kind.String(),
-			f1(kernels.Weight(kind)),
-			f2(flops / unit),
-			f2(flops / secs / 1e9),
+			tc.Kind.String(),
+			f1(kernels.Weight(tc.Kind)),
+			f2(tc.Flops / unit),
+			f2(tc.Flops / best / 1e9),
 		})
 	}
-
-	add(kernels.GEQRTKind, kernels.FlopsGEQRT(nb, nb), func() func() {
-		a := mk()
-		return func() { kernels.GEQRT(a, t, tau, ws) }
-	})
-	add(kernels.UNMQRKind, kernels.FlopsUNMQR(nb, nb, nb), func() func() {
-		a := mk()
-		kernels.GEQRT(a, t, tau, ws)
-		c := mk()
-		return func() { kernels.UNMQR(true, nb, a, t, c, ws) }
-	})
-	add(kernels.TSQRTKind, kernels.FlopsTSQRT(nb, nb), func() func() {
-		a1, a2 := tri(), mk()
-		return func() { kernels.TSQRT(a1, a2, t, tau, ws) }
-	})
-	add(kernels.TSMQRKind, kernels.FlopsTSMQR(nb, nb, nb), func() func() {
-		a1, a2 := tri(), mk()
-		kernels.TSQRT(a1, a2, t, tau, ws)
-		c1, c2 := mk(), mk()
-		return func() { kernels.TSMQR(true, nb, a2, t, c1, c2, ws) }
-	})
-	add(kernels.TTQRTKind, kernels.FlopsTTQRT(nb), func() func() {
-		a1, a2 := tri(), tri()
-		return func() { kernels.TTQRT(a1, a2, t, tau, ws) }
-	})
-	add(kernels.TTMQRKind, kernels.FlopsTTMQR(nb, nb), func() func() {
-		a1, a2 := tri(), tri()
-		kernels.TTQRT(a1, a2, t, tau, ws)
-		c1, c2 := mk(), mk()
-		return func() { kernels.TTMQR(true, nb, a2, t, c1, c2, ws) }
-	})
-	add(kernels.GELQTKind, kernels.FlopsGELQT(nb, nb), func() func() {
-		a := mk()
-		return func() { kernels.GELQT(a, t, tau, ws) }
-	})
-	add(kernels.TSLQTKind, kernels.FlopsTSLQT(nb, nb), func() func() {
-		a1 := tri().Transpose()
-		a2 := mk()
-		return func() { kernels.TSLQT(a1, a2, t, tau, ws) }
-	})
-	add(kernels.TSMLQKind, kernels.FlopsTSMLQ(nb, nb, nb), func() func() {
-		a1 := tri().Transpose()
-		a2 := mk()
-		kernels.TSLQT(a1, a2, t, tau, ws)
-		c1, c2 := mk(), mk()
-		return func() { kernels.TSMLQ(true, nb, a2, t, c1, c2, ws) }
-	})
-	add(kernels.TTLQTKind, kernels.FlopsTTLQT(nb), func() func() {
-		a1, a2 := tri().Transpose(), tri().Transpose()
-		return func() { kernels.TTLQT(a1, a2, t, tau, ws) }
-	})
 
 	return &Table{
 		Name:    "table1",

@@ -207,8 +207,8 @@ func TestRegistryWriteText(t *testing.T) {
 	r := NewRegistry()
 	r.Gauge("bidiagd_workers", "Worker goroutines.", func() float64 { return 8 })
 	r.Counter("bidiagd_jobs_total", "Jobs completed.", func() float64 { return 42 })
-	r.LabeledGauge("bidiagd_queue_depth", "Queued jobs.", func() []LabeledValue {
-		return []LabeledValue{{Label: `queue="solo"`, Value: 3}, {Label: `queue="gang"`, Value: 1}}
+	r.LabeledGauge("bidiagd_link_queue_depth", "Queued frames.", func() []LabeledValue {
+		return []LabeledValue{{Label: `to="1"`, Value: 3}, {Label: `to="2"`, Value: 1}}
 	})
 	r.Histogram("bidiagd_job_latency_seconds", "Job latency.", h.Snapshot)
 
@@ -220,8 +220,8 @@ func TestRegistryWriteText(t *testing.T) {
 	for _, want := range []string{
 		"# HELP bidiagd_workers Worker goroutines.\n# TYPE bidiagd_workers gauge\nbidiagd_workers 8\n",
 		"# TYPE bidiagd_jobs_total counter\nbidiagd_jobs_total 42\n",
-		`bidiagd_queue_depth{queue="solo"} 3`,
-		`bidiagd_queue_depth{queue="gang"} 1`,
+		`bidiagd_link_queue_depth{to="1"} 3`,
+		`bidiagd_link_queue_depth{to="2"} 1`,
 		"# TYPE bidiagd_job_latency_seconds histogram\n",
 		`bidiagd_job_latency_seconds_bucket{le="0.1"} 1`,
 		`bidiagd_job_latency_seconds_bucket{le="1"} 2`,

@@ -49,11 +49,6 @@
 // dispatch and returns ctx.Err(); a panicking kernel surfaces as an
 // error naming the kernel kind instead of killing the process.
 //
-// Building several independent Specs into ONE graph (Spec.Graph) forms
-// a gang: dependence inference keeps the members independent, so their
-// kernels interleave on the shared wavefront — how the serving layer
-// batches many small reductions.
-//
 // # Fused versus staged
 //
 // With Spec.Fused = false the Plan contains only the GE2BND stage — the

@@ -32,7 +32,7 @@ func onRuntime(t *testing.T, g *sched.Graph, submit func(rt *sched.Runtime) erro
 	rt := sched.NewRuntime(2)
 	defer rt.Close()
 	var ran atomic.Int32
-	neighbour, err := rt.Submit(context.Background(), countingChain(10, &ran), sched.JobOptions{})
+	neighbour, err := rt.Submit(context.Background(), countingChain(10, &ran))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func onRuntime(t *testing.T, g *sched.Graph, submit func(rt *sched.Runtime) erro
 	if n := rt.InFlight(); n != 0 {
 		t.Errorf("jobs in flight after both finished = %d, want 0", n)
 	}
-	after, aerr := rt.Submit(context.Background(), countingChain(3, &ran), sched.JobOptions{})
+	after, aerr := rt.Submit(context.Background(), countingChain(3, &ran))
 	if aerr != nil {
 		t.Fatal(aerr)
 	}
@@ -67,7 +67,7 @@ var engines = []engine{
 	}},
 	{"Runtime.Submit", func(t *testing.T, ctx context.Context, g *sched.Graph) error {
 		return onRuntime(t, g, func(rt *sched.Runtime) error {
-			h, err := rt.Submit(ctx, g, sched.JobOptions{})
+			h, err := rt.Submit(ctx, g)
 			if err != nil {
 				return err
 			}

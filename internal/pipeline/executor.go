@@ -81,8 +81,6 @@ func (p Pool) Execute(ctx context.Context, g *sched.Graph) (*Report, error) {
 // serving engine — internal/serve admits every job through it.
 type Shared struct {
 	Runtime *sched.Runtime
-	// Weight is the job's fair-share weight (≤ 0 means 1).
-	Weight float64
 }
 
 // Name implements Executor.
@@ -90,7 +88,7 @@ func (Shared) Name() string { return "shared" }
 
 // Execute implements Executor.
 func (s Shared) Execute(ctx context.Context, g *sched.Graph) (*Report, error) {
-	h, err := s.Runtime.Submit(ctx, g, sched.JobOptions{Weight: s.Weight})
+	h, err := s.Runtime.Submit(ctx, g)
 	if err != nil {
 		return nil, err
 	}

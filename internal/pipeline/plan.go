@@ -17,12 +17,6 @@ import (
 // simulation-only builds (the graph then carries weights and dependences
 // but no kernels).
 type Spec struct {
-	// Graph, when non-nil, receives the plan's tasks instead of a fresh
-	// graph. Several independent plans built into ONE graph execute as a
-	// gang: their tasks interleave on the same wavefront, which is how
-	// the serving layer batches many small reductions (the plans touch
-	// disjoint handles, so dependence inference keeps them independent).
-	Graph *sched.Graph
 	// Shape is the input's tile geometry (M ≥ N; callers transpose first).
 	Shape core.Shape
 	// Data is the tiled input, consumed in place; nil builds the DAG for
@@ -80,8 +74,7 @@ type Stage struct {
 type Plan struct {
 	Graph *sched.Graph
 	// Stages lists the logical stages in submission order; their task
-	// counts sum to the number of tasks this plan added to Graph (all of
-	// them, unless the plan was built into a shared gang graph).
+	// counts sum to the number of tasks in Graph.
 	Stages []Stage
 	// Tiles is the tile matrix holding the stage-1 band-bidiagonal result
 	// (the square R-factor matrix under R-BIDIAG); nil in simulation-only
@@ -100,11 +93,7 @@ type Plan struct {
 // tasks, all in one sched.Graph so dependence inference spans the
 // stage boundary.
 func Build(spec Spec) *Plan {
-	g := spec.Graph
-	if g == nil {
-		g = sched.NewGraph()
-	}
-	mark0 := len(g.Tasks)
+	g := sched.NewGraph()
 	rsh := spec.Shape
 	data := spec.Data
 	var tap *core.BandTap
@@ -114,7 +103,7 @@ func Build(spec Spec) *Plan {
 		tap = core.BuildBidiag(g, spec.Shape, spec.Data, spec.Config)
 	}
 	p := &Plan{Graph: g, Tiles: data, Shape: rsh, UsedRBidiag: spec.RBidiag}
-	p.Stages = append(p.Stages, Stage{Name: "GE2BND", Tasks: len(g.Tasks) - mark0})
+	p.Stages = append(p.Stages, Stage{Name: "GE2BND", Tasks: len(g.Tasks)})
 	if !spec.Fused {
 		return p
 	}

@@ -55,9 +55,7 @@
 // sched.Graph.RunTask hot path at one nil-check cost) via Record.
 // Once EVERY candidate has MinSamples samples, the candidate with the
 // highest mean measured GFLOP/s is promoted; from then on Decide
-// returns it with source "tuned" and the service may grant it
-// gang-batching (exploration runs solo so the meter measures one
-// clean graph). MinSamples < 0 disables promotion.
+// returns it with source "tuned". MinSamples < 0 disables promotion.
 //
 // # Persisted profile format
 //

@@ -86,10 +86,6 @@ type Decision struct {
 	// "explore" (a non-top candidate, still exploring), or "tuned"
 	// (the promoted measured winner).
 	Source string
-	// Promoted reports that the profile has a measured winner; only
-	// promoted plans should be granted gang batching (exploration needs
-	// solo runs so the meter measures one clean graph).
-	Promoted bool
 }
 
 // topK is the size of each profile's exploration set.
@@ -190,7 +186,7 @@ func (t *Tuner) Decide(req Request) (Decision, error) {
 	}
 	if p.promoted >= 0 {
 		t.counters.Tuned++
-		return Decision{Config: p.cands[p.promoted].cfg, Source: "tuned", Promoted: true}, nil
+		return Decision{Config: p.cands[p.promoted].cfg, Source: "tuned"}, nil
 	}
 	best := 0
 	for i, c := range p.cands {

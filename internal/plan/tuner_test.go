@@ -43,7 +43,7 @@ func TestDecideExploresThenPromotes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.Source != "model" || first.Promoted {
+	if first.Source != "model" {
 		t.Fatalf("first decision should be the model pick, got %+v", first)
 	}
 	cfgs := candidates(t, tn, req)
@@ -87,7 +87,7 @@ func TestDecideExploresThenPromotes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.Promoted || d.Source != "tuned" || d.Config != winner {
+	if d.Source != "tuned" || d.Config != winner {
 		t.Fatalf("want tuned winner %s, got %+v", winner, d)
 	}
 	ctr := tn.Counters()
@@ -136,7 +136,7 @@ func TestNegativeMinSamplesNeverPromotes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Promoted {
+	if d.Source == "tuned" {
 		t.Fatal("MinSamples<0 must never promote")
 	}
 }

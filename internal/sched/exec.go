@@ -69,7 +69,7 @@ func (g *Graph) RunParallel(workers int) error {
 func (g *Graph) RunParallelCtx(ctx context.Context, workers int) error {
 	rt := NewRuntime(workers)
 	defer rt.Close()
-	h, err := rt.Submit(ctx, g, JobOptions{})
+	h, err := rt.Submit(ctx, g)
 	if err != nil {
 		return err
 	}
@@ -86,10 +86,7 @@ func FlopsTime(t *Task) float64 { return t.Flops }
 // ComputeBottomLevels assigns each task its bottom level — the length of
 // the longest downstream path including itself — under the given duration
 // function, and returns the overall maximum, i.e. the critical path of the
-// DAG on unbounded resources. On a banded graph (SetScheduleBands) each
-// task's priority is then raised by a per-band offset that strictly
-// dominates the bottom levels, so earlier bands outrank later ones in the
-// executors' ready queues; the returned critical path stays unbiased.
+// DAG on unbounded resources.
 func (g *Graph) ComputeBottomLevels(timeOf func(*Task) float64) float64 {
 	cp := 0.0
 	for i := len(g.Tasks) - 1; i >= 0; i-- {
@@ -103,17 +100,6 @@ func (g *Graph) ComputeBottomLevels(timeOf func(*Task) float64) float64 {
 		t.prio = mx + timeOf(t)
 		if t.prio > cp {
 			cp = t.prio
-		}
-	}
-	if len(g.bandMarks) > 1 {
-		span := cp + 1
-		band, next := 0, g.bandMarks[0]
-		for i, t := range g.Tasks {
-			for i >= next {
-				band++
-				next = g.bandMarks[band]
-			}
-			t.prio += float64(len(g.bandMarks)-1-band) * span
 		}
 	}
 	return cp

@@ -6,8 +6,8 @@
 //
 //   - RunSequential: program order, the numerical reference.
 //   - Runtime:       the shared-memory worker loop — a pool that runs many
-//     graphs at once, bottom-level priority within a graph and weighted
-//     fair share across them. RunParallel is a Runtime with one job.
+//     graphs at once, bottom-level priority within a graph and fair
+//     share across them. RunParallel is a Runtime with one job.
 //   - CriticalPath:  longest weighted path (unbounded resources), used to
 //     validate the paper's Section IV formulas.
 //   - SimulateFixed: event-driven list scheduling on P virtual cores.
@@ -136,11 +136,6 @@ type Graph struct {
 	// The zero value selects nla.DefaultBlocking.
 	Blocking nla.Blocking
 
-	// bandMarks are the end-task-index of each schedule band (see
-	// SetScheduleBands); empty means one band, i.e. plain bottom-level
-	// scheduling.
-	bandMarks []int
-
 	// Tracer, when non-nil, receives one obs.Event per executed task from
 	// every executor (sequential, pool, shared runtime, owner-compute).
 	// Nil — the default — costs one pointer check per task.
@@ -185,25 +180,6 @@ func (g *Graph) RunTask(t *Task, ws *nla.Workspace, worker int) error {
 		})
 	}
 	return err
-}
-
-// SetScheduleBands partitions the graph's tasks — in submission order —
-// into priority bands at the given end indices (the last mark must equal
-// the task count). Every task in an earlier band outranks every task in
-// a later band for the executors' ready-queue ordering; bottom level
-// still orders within a band.
-//
-// Gang graphs use this to make workers drain members in order: one
-// worker finishes member k before touching member k+1 (sequential-like
-// cache locality), while additional workers spill into younger members
-// whenever an elder has no ready task (the interleaving that fills a
-// multicore wavefront). Dependence-driven correctness is unaffected —
-// bands only reorder the ready queue.
-func (g *Graph) SetScheduleBands(marks []int) {
-	if len(marks) > 0 && marks[len(marks)-1] != len(g.Tasks) {
-		panic("sched: last schedule band must end at the task count")
-	}
-	g.bandMarks = append([]int(nil), marks...)
 }
 
 // NewGraph returns an empty task graph.

@@ -18,8 +18,8 @@ var ErrRuntimeClosed = errors.New("sched: runtime closed")
 // graphs concurrently. RunParallel is a Runtime with one job; the serving
 // layer keeps one for the life of the process.
 // Each Submit admits one graph as a job with its own ready heap; the
-// shared workers pick across jobs by weighted fair share (smallest virtual
-// time first) and within a job by bottom-level priority, so several small
+// shared workers pick across jobs by fair share (fewest pickups first)
+// and within a job by bottom-level priority, so several small
 // DAGs keep the machine saturated where one would not — the many-graph
 // regime the tiled-algorithms literature argues dataflow runtimes are for.
 //
@@ -56,14 +56,6 @@ type Runtime struct {
 	wsBytes []int64
 }
 
-// JobOptions tunes one Submit.
-type JobOptions struct {
-	// Weight is the job's fair-share weight (default 1): a weight-2 job
-	// receives twice the worker pickups of a weight-1 job under
-	// contention.
-	Weight float64
-}
-
 // JobHandle tracks one submitted graph.
 type JobHandle struct {
 	rt  *Runtime
@@ -73,8 +65,9 @@ type JobHandle struct {
 	ready    ReadyHeap
 	inflight int // dispatched, not yet finished
 	undone   int // not yet finished (dispatched or not)
-	vtime    float64
-	weight   float64
+	// vtime is the job's virtual time: the tasks picked from it, offset
+	// by the fair-share minimum at admission.
+	vtime int64
 
 	stopped bool // no further dispatch: cancelled or failed
 	err     error
@@ -151,15 +144,11 @@ func (rt *Runtime) InFlight() int {
 // Submit admits a graph for execution and returns immediately. The job's
 // tasks interleave with every other in-flight job's on the shared
 // workers. A nil ctx means context.Background().
-func (rt *Runtime) Submit(ctx context.Context, g *Graph, opt JobOptions) (*JobHandle, error) {
+func (rt *Runtime) Submit(ctx context.Context, g *Graph) (*JobHandle, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	w := opt.Weight
-	if w <= 0 {
-		w = 1
-	}
-	h := &JobHandle{rt: rt, g: g, ctx: ctx, weight: w, done: make(chan struct{})}
+	h := &JobHandle{rt: rt, g: g, ctx: ctx, done: make(chan struct{})}
 	g.resetExecState()
 	g.ComputeBottomLevels(WeightTime)
 	for _, t := range g.Tasks {
@@ -282,12 +271,12 @@ func (rt *Runtime) finishIfDoneLocked(h *JobHandle) {
 	}
 }
 
-// stickySlack is how far (in virtual time, i.e. weighted task pickups) a
+// stickySlack is how far (in virtual time, i.e. task pickups) a
 // worker's current job may run ahead of the fair-share minimum before the
 // worker switches jobs. Sticking to one job preserves cache locality —
 // per-task rotation across jobs touches every working set in turn — while
 // the bound keeps long jobs from starving their neighbours.
-const stickySlack = 4.0
+const stickySlack = 4
 
 // pickLocked selects the job to serve next: the worker's previous job
 // while it stays within stickySlack of the smallest in-flight virtual
@@ -339,7 +328,7 @@ func (rt *Runtime) worker(id int) {
 		t := heap.Pop(&h.ready).(*Task)
 		rt.ready--
 		h.inflight++
-		h.vtime += 1 / h.weight
+		h.vtime++
 		last = h
 		need := h.g.ScratchElems
 		blocking := h.g.Blocking

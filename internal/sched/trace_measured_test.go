@@ -86,7 +86,7 @@ func TestTracingRuntime(t *testing.T) {
 	defer rt.Close()
 	tr := obs.NewTracer(rt.Workers(), len(g.Tasks))
 	g.Tracer = tr
-	h, err := rt.Submit(context.Background(), g, JobOptions{})
+	h, err := rt.Submit(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestTracingRuntimeConcurrentCollection(t *testing.T) {
 			g := tracedGraph(128, &ran)
 			tr := obs.NewTracer(rt.Workers(), len(g.Tasks))
 			g.Tracer = tr
-			h, err := rt.Submit(context.Background(), g, JobOptions{})
+			h, err := rt.Submit(context.Background(), g)
 			if err != nil {
 				t.Error(err)
 				return

@@ -1,30 +1,30 @@
 // Package serve turns the one-shot reduction library into a concurrent
 // job service: many in-flight SVD/singular-value jobs of mixed shapes
 // multiplexed over ONE process-wide worker pool, with admission control,
-// cancellation, panic isolation, gang batching and a result cache. It is
-// the engine behind the public bidiag.Service and the bidiagd daemon.
+// cancellation, panic isolation and a result cache. It is the engine
+// behind the public bidiag.Service and the bidiagd daemon.
 //
 // # Architecture
 //
-//	Submit ──► admission queue ──► dispatcher ──► sched.Runtime (shared pool)
-//	   │            (bounded)          │                │
-//	   │                               │                └─ tasks of ALL jobs
-//	   │        gang queue ──► collector ─ one fused       interleave on the
-//	   │         (small jobs)      graph per batch          same workers
+//	Submit ──► admission queue ──► MaxInFlight ──► sched.Runtime (shared pool)
+//	   │            (bounded)       dispatchers            │
+//	   │                           one graph per job       └─ tasks of ALL jobs
+//	   │                           (or the job's own          interleave on the
+//	   │                            Executor)                 same workers
 //	   └─ cache hit: immediate result
 //
-// The package is deliberately generic: a Request carries a Build closure
-// that emits the job's task graph (the caller decides what a "job" is —
-// the public API builds pipeline plans) and a finish closure run after a
-// successful execution to extract the result. serve itself knows only
-// about graphs, which is what lets gang batching pack several jobs into
-// one graph (Build appending into a shared *sched.Graph).
+// There is one dispatch path: every job is one graph, run by whichever
+// dispatcher takes it off the queue. The package is deliberately
+// generic: a Request carries a Build closure that returns the job's task
+// graph (the caller decides what a "job" is — the public API builds
+// pipeline plans) and a finish closure run after a successful execution
+// to extract the result.
 //
 // # Shared elastic runtime
 //
 // Every job executes on one process-wide sched.Runtime instead of a
 // private pool per call: each graph is admitted as a runtime job with its
-// own ready heap, workers pick across jobs by weighted fair share, and
+// own ready heap, workers pick across jobs by fair share, and
 // per-worker scratch arenas grow to the largest requirement among the
 // jobs they serve. Many small task graphs keep the machine saturated
 // where a single graph's critical path cannot — the multi-DAG regime the
@@ -33,7 +33,7 @@
 //
 // # Backpressure and admission
 //
-// The admission queues are bounded (Config.QueueDepth). A full queue
+// The admission queue is bounded (Config.QueueDepth). A full queue
 // fails Submit immediately with ErrOverloaded — callers (the daemon maps
 // it to HTTP 429) shed load at the edge instead of queueing without
 // bound. At most Config.MaxInFlight graphs execute concurrently; queued
@@ -43,27 +43,14 @@
 //
 // Every job carries the context passed to Submit. A cancelled job fails
 // promptly with ctx.Err() whether it is still queued or mid-graph (the
-// runtime stops dispatching its tasks; in-flight tiles finish). One
-// exception: a gang member that is cancelled after its batch launched
-// keeps computing with the batch — only its result is discarded.
+// runtime stops dispatching its tasks; in-flight tiles finish).
 //
 // # Panic isolation
 //
 // Kernel panics are recovered by the runtime and surfaced as job errors
 // naming the kernel kind; the process, the pool and every other job keep
-// running. When a gang graph fails, its members are retried solo so only
-// the job owning the bad tile fails.
-//
-// # Gang batching
-//
-// Requests marked Gang (the public layer flags small matrices) are
-// collected for up to Config.GangWait and packed — up to Config.GangSize
-// at a time — into ONE task graph via their Build closures. The members'
-// handles are disjoint, so dependence inference keeps them independent:
-// tile kernels from different jobs interleave on the shared wavefront,
-// hiding each member's serial tail under its neighbours' work. Gang
-// throughput (jobs/s) beats submitting the same jobs one call at a time
-// on the same pool precisely because the pool never drains between jobs.
+// running: each job owns its graph, so the failure lands only on the job
+// owning the bad tile.
 //
 // # Result cache
 //

@@ -19,7 +19,6 @@ type metrics struct {
 	mu sync.Mutex
 
 	jobsDone, jobsFailed, jobsCancelled uint64
-	gangBatches, gangJobs               uint64
 	cacheHits, cacheMisses              uint64
 	traceDropped                        uint64
 	inflight                            int
@@ -53,13 +52,6 @@ func (m *metrics) recordFail(err error) {
 	m.mu.Unlock()
 }
 
-func (m *metrics) recordGang(members int) {
-	m.mu.Lock()
-	m.gangBatches++
-	m.gangJobs += uint64(members)
-	m.mu.Unlock()
-}
-
 // recordTraceDropped counts trace-ring events a traced job lost to a
 // TraceEventCap smaller than its task count.
 func (m *metrics) recordTraceDropped(n uint64) {
@@ -80,17 +72,14 @@ type Stats struct {
 	// Workers is the shared pool size; InFlight counts jobs currently
 	// executing (admitted to the runtime or finishing).
 	Workers, InFlight int
-	// QueueLen and GangQueueLen are the instantaneous admission-queue
-	// depths; QueueCap is each queue's bound.
-	QueueLen, GangQueueLen, QueueCap int
+	// QueueLen is the instantaneous admission-queue depth; QueueCap is
+	// its bound.
+	QueueLen, QueueCap int
 
 	JobsDone, JobsFailed, JobsCancelled uint64
-	// GangBatches counts executed gang graphs; GangJobs the member jobs
-	// they carried.
-	GangBatches, GangJobs  uint64
-	CacheHits, CacheMisses uint64
-	CacheEntries           int
-	CacheBytes, CacheCap   int64
+	CacheHits, CacheMisses              uint64
+	CacheEntries                        int
+	CacheBytes, CacheCap                int64
 
 	// TraceDropped counts trace-ring events lost across every traced job
 	// whose rings overflowed (Config.TraceEventCap below the task count).

@@ -19,10 +19,11 @@ import (
 // is incremented per Build call so tests can count recomputations.
 func sumRequest(base int64, builds *atomic.Int32) Request {
 	return Request{
-		Build: func(g *sched.Graph) (func() (any, error), error) {
+		Build: func() (*sched.Graph, func() (any, error), error) {
 			if builds != nil {
 				builds.Add(1)
 			}
+			g := sched.NewGraph()
 			acc := new(int64)
 			*acc = base
 			h := g.NewHandle(8, 0)
@@ -32,7 +33,7 @@ func sumRequest(base int64, builds *atomic.Int32) Request {
 					*acc += v
 				}, sched.RW(h))
 			}
-			return func() (any, error) { return *acc, nil }, nil
+			return g, func() (any, error) { return *acc, nil }, nil
 		},
 		Bytes: func(any) int64 { return 8 },
 	}
@@ -41,12 +42,13 @@ func sumRequest(base int64, builds *atomic.Int32) Request {
 // gateRequest builds a single task that blocks until release closes.
 func gateRequest(release chan struct{}) Request {
 	return Request{
-		Build: func(g *sched.Graph) (func() (any, error), error) {
+		Build: func() (*sched.Graph, func() (any, error), error) {
+			g := sched.NewGraph()
 			h := g.NewHandle(8, 0)
 			g.AddTask(kernels.GEQRTKind, 0, 1, 1, func(*nla.Workspace) {
 				<-release
 			}, sched.RW(h))
-			return func() (any, error) { return "ok", nil }, nil
+			return g, func() (any, error) { return "ok", nil }, nil
 		},
 	}
 }
@@ -157,85 +159,51 @@ func TestCacheEviction(t *testing.T) {
 	}
 }
 
-func TestGangBatching(t *testing.T) {
-	s := New(Config{Workers: 2, GangSize: 8, GangWait: 100 * time.Millisecond, CacheBytes: -1})
-	defer s.Close()
-	var jobs []*Job
-	for i := 0; i < 8; i++ {
-		req := sumRequest(int64(100*i), nil)
-		req.Gang = true
-		j, err := s.Submit(context.Background(), req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		jobs = append(jobs, j)
-	}
-	for i, j := range jobs {
-		res, err := j.Wait()
-		if err != nil {
-			t.Fatalf("gang job %d: %v", i, err)
-		}
-		if want := int64(100*i + 6); res.Value.(int64) != want {
-			t.Fatalf("gang job %d = %v, want %d", i, res.Value, want)
-		}
-	}
-	st := s.Stats()
-	if st.GangJobs != 8 || st.GangBatches == 0 {
-		t.Fatalf("gang stats: %+v", st)
-	}
-	if st.GangBatches > 2 {
-		t.Fatalf("8 quick submissions fragmented into %d batches", st.GangBatches)
-	}
-}
-
-// TestGangPanicIsolation packs a panicking member into a gang: the gang
-// graph fails, the members retry solo, and only the bad job errors.
-func TestGangPanicIsolation(t *testing.T) {
-	s := New(Config{Workers: 2, GangSize: 4, GangWait: 100 * time.Millisecond, CacheBytes: -1})
+// TestPanicIsolation runs a job whose kernel panics among healthy jobs
+// in flight on the same service: only the bad job fails, with an error
+// naming the kernel, and every healthy job returns its value.
+func TestPanicIsolation(t *testing.T) {
+	s := New(Config{Workers: 2, CacheBytes: -1})
 	defer s.Close()
 
 	bad := Request{
-		Gang: true,
-		Build: func(g *sched.Graph) (func() (any, error), error) {
+		Build: func() (*sched.Graph, func() (any, error), error) {
+			g := sched.NewGraph()
 			h := g.NewHandle(8, 0)
 			g.AddTask(kernels.TSQRTKind, 0, 1, 1, func(*nla.Workspace) {
 				panic("deliberate")
 			}, sched.RW(h))
-			return func() (any, error) { return nil, nil }, nil
+			return g, func() (any, error) { return nil, nil }, nil
 		},
 	}
 	var jobs []*Job
-	var want []int64
-	for i := 0; i < 3; i++ {
-		req := sumRequest(int64(10*i), nil)
-		req.Gang = true
-		j, err := s.Submit(context.Background(), req)
+	var badJob *Job
+	for i := 0; i < 8; i++ {
+		j, err := s.Submit(context.Background(), sumRequest(int64(10*i), nil))
 		if err != nil {
 			t.Fatal(err)
 		}
 		jobs = append(jobs, j)
-		want = append(want, int64(10*i+6))
-	}
-	badJob, err := s.Submit(context.Background(), bad)
-	if err != nil {
-		t.Fatal(err)
+		if i == 3 {
+			if badJob, err = s.Submit(context.Background(), bad); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	for i, j := range jobs {
 		res, err := j.Wait()
 		if err != nil {
-			t.Fatalf("healthy gang member %d failed: %v", i, err)
+			t.Fatalf("healthy job %d failed: %v", i, err)
 		}
-		if res.Value.(int64) != want[i] {
-			t.Fatalf("member %d = %v, want %d", i, res.Value, want[i])
+		if want := int64(10*i + 6); res.Value.(int64) != want {
+			t.Fatalf("job %d = %v, want %d", i, res.Value, want)
 		}
 	}
-	_, err = badJob.Wait()
-	if err == nil || !strings.Contains(err.Error(), "TSQRT") {
-		t.Fatalf("bad member error = %v, want kernel panic naming TSQRT", err)
+	if _, err := badJob.Wait(); err == nil || !strings.Contains(err.Error(), "TSQRT") {
+		t.Fatalf("bad job error = %v, want kernel panic naming TSQRT", err)
 	}
-	st := s.Stats()
-	if st.JobsFailed != 1 || st.JobsDone != 3 {
-		t.Fatalf("stats after gang retry: %+v", st)
+	if st := s.Stats(); st.JobsFailed != 1 || st.JobsDone != 8 {
+		t.Fatalf("stats after one panic: %+v", st)
 	}
 }
 
@@ -312,7 +280,7 @@ func TestSharedRuntimeAcrossServices(t *testing.T) {
 	s1.Close()
 	s2.Close()
 	// The externally owned runtime is still usable.
-	h, err := rt.Submit(context.Background(), sched.NewGraph(), sched.JobOptions{})
+	h, err := rt.Submit(context.Background(), sched.NewGraph())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,9 +301,7 @@ func TestManyConcurrentJobs(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			req := sumRequest(int64(i), nil)
-			req.Gang = i%3 == 0
-			res, err := s.Do(context.Background(), req)
+			res, err := s.Do(context.Background(), sumRequest(int64(i), nil))
 			if err != nil {
 				errs[i] = err
 				return
@@ -367,7 +333,6 @@ func TestTracedJob(t *testing.T) {
 	var builds atomic.Int32
 	req := sumRequest(7, &builds)
 	req.Key = "sum-7"
-	req.Gang = true // must be ignored: traced jobs run solo
 	req.Trace = true
 
 	// Seed the cache through an untraced request with the same key.
@@ -397,10 +362,6 @@ func TestTracedJob(t *testing.T) {
 	}
 	if n := builds.Load(); n != 2 {
 		t.Fatalf("Build ran %d times, want 2 (trace bypasses cache)", n)
-	}
-	st := s.Stats()
-	if st.GangBatches != 0 {
-		t.Fatalf("traced job gang-batched: %+v", st)
 	}
 }
 

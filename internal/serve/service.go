@@ -26,21 +26,15 @@ type Config struct {
 	// Workers is the shared pool size (default GOMAXPROCS). Ignored when
 	// Runtime is set.
 	Workers int
-	// QueueDepth bounds each admission queue — solo and gang — beyond
-	// which Submit fails with ErrOverloaded (default 256).
+	// QueueDepth bounds the admission queue, beyond which Submit fails
+	// with ErrOverloaded (default 256).
 	QueueDepth int
 	// MaxInFlight caps the number of graphs executing concurrently on
-	// the runtime (default max(2, Workers)); solo jobs and gang batches
-	// draw from the same permits. Queued jobs beyond it wait.
+	// the runtime (default max(2, Workers)). Queued jobs beyond it wait.
 	MaxInFlight int
 	// CacheBytes is the result cache budget: 0 selects 64 MiB, negative
 	// disables caching.
 	CacheBytes int64
-	// GangSize is the largest number of gang-eligible jobs packed into
-	// one graph (default 16); GangWait is how long the collector holds a
-	// batch open for stragglers (default 2ms).
-	GangSize int
-	GangWait time.Duration
 	// TraceEventCap bounds each per-worker trace ring of a traced job.
 	// 0 sizes the rings at the job's task count so timelines are always
 	// complete; a smaller cap bounds trace memory instead, and events
@@ -64,46 +58,32 @@ func (c Config) withDefaults() Config {
 	if c.CacheBytes == 0 {
 		c.CacheBytes = 64 << 20
 	}
-	if c.GangSize <= 0 {
-		c.GangSize = 16
-	}
-	if c.GangWait <= 0 {
-		c.GangWait = 2 * time.Millisecond
-	}
 	return c
 }
 
 // Request describes one unit of work. The service is generic: Build
-// decides what the job computes by emitting its task graph.
+// decides what the job computes by building its task graph.
 type Request struct {
-	// Build emits the job's tasks into g and returns a finish closure,
-	// run after a successful execution, that extracts the result. Build
-	// must emit fresh handles (never reuse another job's) and must be
-	// safe to call again on a fresh graph: gang failures are retried
-	// solo.
-	Build func(g *sched.Graph) (finish func() (any, error), err error)
+	// Build returns the job's task graph and a finish closure, run after
+	// a successful execution, that extracts the result. It runs once, on
+	// the dispatcher goroutine, when the job leaves the queue.
+	Build func() (g *sched.Graph, finish func() (any, error), err error)
 	// Key is the content-addressed cache key; empty bypasses the cache.
 	Key string
 	// Bytes reports the byte footprint of a finished result for cache
 	// accounting; nil results are never cached.
 	Bytes func(v any) int64
-	// Gang marks the job eligible for gang batching (small graphs).
-	Gang bool
-	// Weight is the job's fair-share weight on the runtime (≤ 0: 1).
-	Weight float64
-	// Trace requests a measured execution timeline: the job runs solo
-	// (never gang-batched — members share one graph) and bypasses the
+	// Trace requests a measured execution timeline: the job bypasses the
 	// result cache in both directions, so the trace reflects a real,
 	// complete execution; Result.Trace carries the collected events.
 	Trace bool
 	// Executor, when non-nil, runs the job's graph instead of the shared
 	// runtime (the cluster head's per-job mesh executor). Such a job owns
-	// its tracing and is neither gang-batched nor observed.
+	// its tracing.
 	Executor pipeline.Executor
 	// Observe, when non-nil, receives the job's whole-graph execution
-	// meter after a successful solo run (cache hits and gang batches are
-	// never observed: neither measures one clean graph). Called on the
-	// dispatcher goroutine — keep it cheap.
+	// meter after a successful run (cache hits are never observed).
+	// Called on the dispatcher goroutine — keep it cheap.
 	Observe func(obs.MeterSnapshot)
 }
 
@@ -146,7 +126,7 @@ func (j *Job) Wait() (*Result, error) {
 func (j *Job) Done() <-chan struct{} { return j.done }
 
 // completeOK records the result; it reports false when the job was
-// already finished (e.g. cancelled while its gang kept computing).
+// already finished (e.g. cancelled while its graph was finishing).
 func (j *Job) completeOK(res *Result) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -186,12 +166,9 @@ type Service struct {
 	cache *cache
 	met   metrics
 
-	queue chan *Job // solo admission
-	gangq chan *Job // gang-eligible admission
-	// sem bounds concurrently executing graphs — solo and gang runs draw
-	// from the SAME MaxInFlight permits, so the configured cap holds for
-	// the mixed load too.
-	sem chan struct{}
+	// queue is the admission queue, drained by MaxInFlight dispatchers:
+	// at most that many graphs execute at once.
+	queue chan *Job
 
 	closeOnce sync.Once
 	closed    chan struct{}
@@ -206,8 +183,6 @@ func New(cfg Config) *Service {
 		rt:     cfg.Runtime,
 		cache:  newCache(cfg.CacheBytes),
 		queue:  make(chan *Job, cfg.QueueDepth),
-		gangq:  make(chan *Job, cfg.QueueDepth),
-		sem:    make(chan struct{}, cfg.MaxInFlight),
 		closed: make(chan struct{}),
 	}
 	s.met.init()
@@ -217,10 +192,8 @@ func New(cfg Config) *Service {
 	}
 	for i := 0; i < cfg.MaxInFlight; i++ {
 		s.wg.Add(1)
-		go s.soloLoop()
+		go s.dispatch()
 	}
-	s.wg.Add(1)
-	go s.gangLoop()
 	return s
 }
 
@@ -255,16 +228,12 @@ func (s *Service) Submit(ctx context.Context, req Request) (*Job, error) {
 		s.met.recordMiss()
 	}
 
-	target := s.queue
-	if req.Gang && !req.Trace && req.Executor == nil {
-		target = s.gangq
-	}
 	select {
-	case target <- j:
+	case s.queue <- j:
 	default:
 		return nil, ErrOverloaded
 	}
-	// Close may have drained the queues between the closed check above
+	// Close may have drained the queue between the closed check above
 	// and the push: rescue the stranded job (and any neighbours) so no
 	// Wait blocks forever. Reaching here with the service open is the
 	// common case and costs one channel read.
@@ -304,13 +273,10 @@ func (s *Service) Stats() Stats {
 		Workers:       s.rt.Workers(),
 		InFlight:      s.met.inflight,
 		QueueLen:      len(s.queue),
-		GangQueueLen:  len(s.gangq),
 		QueueCap:      s.cfg.QueueDepth,
 		JobsDone:      s.met.jobsDone,
 		JobsFailed:    s.met.jobsFailed,
 		JobsCancelled: s.met.jobsCancelled,
-		GangBatches:   s.met.gangBatches,
-		GangJobs:      s.met.gangJobs,
 		CacheHits:     s.met.cacheHits,
 		CacheMisses:   s.met.cacheMisses,
 		TraceDropped:  s.met.traceDropped,
@@ -342,13 +308,11 @@ func (s *Service) Close() {
 	})
 }
 
-// drain fails every job still sitting in the queues.
+// drain fails every job still sitting in the queue.
 func (s *Service) drain() {
 	for {
 		select {
 		case j := <-s.queue:
-			s.fail(j, ErrClosed)
-		case j := <-s.gangq:
 			s.fail(j, ErrClosed)
 		default:
 			return
@@ -368,45 +332,31 @@ func (s *Service) complete(j *Job, res *Result) {
 	}
 }
 
-// soloLoop is one of MaxInFlight dispatchers draining the solo queue.
-func (s *Service) soloLoop() {
+// dispatch is one of MaxInFlight dispatchers draining the queue.
+func (s *Service) dispatch() {
 	defer s.wg.Done()
 	for {
 		// Prefer shutdown over new work so Close fails queued jobs
 		// instead of racing them into execution.
 		select {
 		case <-s.closed:
-			s.drainSoloQueue()
+			s.drain()
 			return
 		default:
 		}
 		select {
 		case j := <-s.queue:
-			s.sem <- struct{}{}
-			s.runSolo(j)
-			<-s.sem
+			s.run(j)
 		case <-s.closed:
-			s.drainSoloQueue()
+			s.drain()
 			return
 		}
 	}
 }
 
-func (s *Service) drainSoloQueue() {
-	for {
-		select {
-		case j := <-s.queue:
-			s.fail(j, ErrClosed)
-		default:
-			return
-		}
-	}
-}
-
-// runSolo executes one job on its own graph. It is also the gang-failure
-// fallback: Build is called on a fresh graph, so a retried member
-// recomputes from its original input.
-func (s *Service) runSolo(j *Job) {
+// run executes one job: its graph on the shared runtime, or on the
+// job's own executor.
+func (s *Service) run(j *Job) {
 	if j.isFinished() {
 		return
 	}
@@ -417,8 +367,7 @@ func (s *Service) runSolo(j *Job) {
 	s.met.enter()
 	defer s.met.exit()
 	start := time.Now()
-	g := sched.NewGraph()
-	finish, err := j.req.Build(g)
+	g, finish, err := j.req.Build()
 	if err != nil {
 		s.fail(j, err)
 		return
@@ -428,7 +377,7 @@ func (s *Service) runSolo(j *Job) {
 	ex := j.req.Executor
 	var tr *obs.Tracer
 	if ex == nil {
-		ex = pipeline.Shared{Runtime: s.rt, Weight: j.req.Weight}
+		ex = pipeline.Shared{Runtime: s.rt}
 		if j.req.Trace {
 			// Sized at the task count so the timeline is complete however
 			// unevenly the shared pool balances the job, unless the
@@ -481,104 +430,3 @@ func (s *Service) publish(j *Job, v any) {
 
 // overhead is the accounting charge per cache entry beyond the payload.
 func (c Config) overhead() int64 { return 128 }
-
-// gangLoop collects gang-eligible jobs into batches and hands each batch
-// to a bounded set of gang runners.
-func (s *Service) gangLoop() {
-	defer s.wg.Done()
-	var runners sync.WaitGroup
-	defer runners.Wait()
-	for {
-		select {
-		case j := <-s.gangq:
-			batch := []*Job{j}
-			timer := time.NewTimer(s.cfg.GangWait)
-		collect:
-			for len(batch) < s.cfg.GangSize {
-				select {
-				case j2 := <-s.gangq:
-					batch = append(batch, j2)
-				case <-timer.C:
-					break collect
-				case <-s.closed:
-					break collect
-				}
-			}
-			timer.Stop()
-			s.sem <- struct{}{}
-			runners.Add(1)
-			go func(batch []*Job) {
-				defer runners.Done()
-				defer func() { <-s.sem }()
-				s.runGang(batch)
-			}(batch)
-		case <-s.closed:
-			for {
-				select {
-				case j := <-s.gangq:
-					s.fail(j, ErrClosed)
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
-// runGang builds one graph out of every live member and executes it as a
-// single runtime job weighted by its size. On failure — one member's
-// kernel panicking fails the whole graph — the members are retried solo
-// so the error lands only on the job that owns it.
-func (s *Service) runGang(batch []*Job) {
-	s.met.enter()
-	defer s.met.exit()
-	g := sched.NewGraph()
-	type member struct {
-		j      *Job
-		finish func() (any, error)
-	}
-	var members []member
-	var marks []int
-	start := time.Now()
-	for _, j := range batch {
-		if j.isFinished() {
-			continue
-		}
-		if err := j.ctx.Err(); err != nil {
-			s.fail(j, err)
-			continue
-		}
-		finish, err := j.req.Build(g)
-		if err != nil {
-			s.fail(j, err)
-			continue
-		}
-		members = append(members, member{j: j, finish: finish})
-		marks = append(marks, len(g.Tasks))
-	}
-	if len(members) == 0 {
-		return
-	}
-	// Member-major priority bands: a worker drains member k before
-	// touching k+1 (cache locality of a solo run), while idle workers
-	// spill into younger members to fill the wavefront.
-	g.SetScheduleBands(marks)
-	// The gang runs under its own context: member cancellation after this
-	// point discards that member's result without stopping the batch.
-	if _, err := (pipeline.Shared{Runtime: s.rt, Weight: float64(len(members))}).Execute(context.Background(), g); err != nil {
-		for _, m := range members {
-			s.runSolo(m.j)
-		}
-		return
-	}
-	s.met.recordGang(len(members))
-	for _, m := range members {
-		v, ferr := m.finish()
-		if ferr != nil {
-			s.fail(m.j, ferr)
-			continue
-		}
-		s.publish(m.j, v)
-		s.complete(m.j, &Result{Value: v, Queued: start.Sub(m.j.enqueued), Ran: time.Since(start)})
-	}
-}

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime"
 	"time"
 
 	"github.com/tiled-la/bidiag/internal/cluster"
@@ -37,19 +38,19 @@ var ErrMeshValuesOnly = errors.New("bidiag: a mesh serves singular values only; 
 // selects the defaults.
 type ServiceConfig struct {
 	// Workers is the shared pool size (default GOMAXPROCS): ONE pool
-	// executes every in-flight job, workers picking across jobs by
-	// weighted fair share. On a mesh it is each rank's worker count
-	// (default 1) for jobs that do not set Options.Workers.
+	// executes every in-flight job, workers picking across jobs by fair
+	// share. On a mesh it is each rank's worker count (default 1) for
+	// jobs that do not set Options.Workers.
 	Workers int
 	// Mesh attaches the service to rank 0 of a process mesh (bidiagd
 	// -node 0): every job then runs across the mesh's grid as the
 	// Options.Distributed graph of that grid, through the same admission
-	// queue, result cache and finish as a pool job. Gang batching and the
-	// plan autotuner do not apply (Options.Auto is an error), and JobSVD
-	// fails with ErrMeshValuesOnly. The type is internal: only this
-	// module's commands can attach one. The service does not close it.
+	// queue, result cache and finish as a pool job. The plan autotuner
+	// does not apply (Options.Auto is an error), and JobSVD fails with
+	// ErrMeshValuesOnly. The type is internal: only this module's
+	// commands can attach one. The service does not close it.
 	Mesh *cluster.Head
-	// QueueDepth bounds the admission queues, beyond which Submit fails
+	// QueueDepth bounds the admission queue, beyond which Submit fails
 	// fast with ErrOverloaded (default 256).
 	QueueDepth int
 	// MaxInFlight caps concurrently executing jobs (default
@@ -58,16 +59,6 @@ type ServiceConfig struct {
 	// CacheBytes budgets the content-addressed result cache: 0 selects
 	// 64 MiB, negative disables caching.
 	CacheBytes int64
-	// GangDim is the largest dimension (max of rows, cols) below which a
-	// job is gang-batched: packed with its neighbours into one task
-	// graph so tile kernels from different jobs interleave on the same
-	// wavefront. 0 selects 256; negative disables gang batching.
-	GangDim int
-	// GangSize caps the jobs packed into one gang graph (default 16);
-	// GangWait is how long a forming gang waits for stragglers
-	// (default 2ms).
-	GangSize int
-	GangWait time.Duration
 	// PlanProfiles persists the autotuner's plan profiles at this path
 	// (versioned JSON): NewService loads it when present so a restarted
 	// service keeps its promoted plans, and promotions and Close save
@@ -91,9 +82,8 @@ type ServiceConfig struct {
 // /debug/vars (JSON).
 type ServiceStats struct {
 	Workers, InFlight                   int
-	QueueLen, GangQueueLen, QueueCap    int
+	QueueLen, QueueCap                  int
 	JobsDone, JobsFailed, JobsCancelled uint64
-	GangBatches, GangJobs               uint64
 	CacheHits, CacheMisses              uint64
 	CacheEntries                        int
 	CacheBytes, CacheCap                int64
@@ -168,19 +158,21 @@ type JobRequest struct {
 	// JobSVD, the stages after the GE2BND graph (the panel tasks that
 	// form Q₂ and P₂ and fold the bidiagonal rotations in, and the
 	// reflector application), so it remains part of the result's cache
-	// identity. All other fields (NB, Tree, Algorithm, Gamma,
-	// Gemm, BND2BD, BND2BDWindow) are honored per job; Fused is ignored
-	// (the service fuses whenever BND2BD allows it — the fused and
-	// staged paths are bitwise-identical). Options.Auto defers the
+	// identity. It may not exceed the larger of the pool size and
+	// runtime.NumCPU() (ErrInvalidOptions otherwise). All other fields
+	// (NB, Tree, Algorithm, Gamma, Gemm, BND2BD, BND2BDWindow) are
+	// honored per job; Fused is ignored (the service fuses whenever
+	// BND2BD allows it — the fused and staged paths are
+	// bitwise-identical). Options.Auto defers the
 	// unset knobs to the service's plan autotuner, which explores the
 	// model's best candidates under live traffic and promotes the
 	// measured winner (see Options.Auto and ServiceConfig.PlanProfiles).
 	Opts *Options
 	// Trace records a per-task execution timeline for this job,
 	// returned in JobResult.Timeline. A traced job always executes — it
-	// runs solo (never gang-batched), bypasses the result cache in both
-	// directions, and pays a small bookkeeping cost per task — so the
-	// timeline reflects one complete real execution of the job's graph.
+	// bypasses the result cache in both directions and pays a small
+	// bookkeeping cost per task — so the timeline reflects one complete
+	// real execution of the job's graph.
 	Trace bool
 }
 
@@ -260,8 +252,8 @@ func (j *Job) Done() <-chan struct{} { return j.inner.Done() }
 
 // Service executes many concurrent reduction jobs over one shared
 // elastic worker pool, with bounded admission, per-job cancellation,
-// panic isolation, gang batching of small matrices and a
-// content-addressed result cache. See the README "Serving" section for
+// panic isolation and a content-addressed result cache: every job is one
+// task graph among many on the pool. See the README "Serving" section for
 // the architecture; internal/serve documents the semantics in detail.
 //
 // A Service and every method on it are safe for concurrent use. The
@@ -270,8 +262,7 @@ func (j *Job) Done() <-chan struct{} { return j.inner.Done() }
 // private pools — but a Service amortizes pool and workspace setup
 // across calls and keeps the machine saturated under mixed load.
 type Service struct {
-	inner   *serve.Service
-	gangDim int
+	inner *serve.Service
 	// cacheOff skips cache-key digestion entirely when the cache budget
 	// is negative — no point hashing the matrix for a disabled cache.
 	cacheOff bool
@@ -291,21 +282,14 @@ func NewService(cfg *ServiceConfig) *Service {
 	if cfg != nil {
 		c = *cfg
 	}
-	gangDim := c.GangDim
-	if gangDim == 0 {
-		gangDim = 256
-	}
 	return &Service{
 		inner: serve.New(serve.Config{
 			Workers:       c.Workers,
 			QueueDepth:    c.QueueDepth,
 			MaxInFlight:   c.MaxInFlight,
 			CacheBytes:    c.CacheBytes,
-			GangSize:      c.GangSize,
-			GangWait:      c.GangWait,
 			TraceEventCap: c.TraceEventCap,
 		}),
-		gangDim:  gangDim,
 		cacheOff: c.CacheBytes < 0,
 		tuner:    plan.NewTuner(plan.TunerConfig{Path: c.PlanProfiles, MinSamples: c.PlanMinSamples}),
 		mesh:     c.Mesh,
@@ -316,8 +300,7 @@ func NewService(cfg *ServiceConfig) *Service {
 // Submit admits a job and returns without waiting. It fails fast with
 // ErrOverloaded when the service is saturated and ErrServiceClosed after
 // Close. Cancelling ctx fails the job promptly with ctx.Err(), whether
-// it is still queued or mid-graph (a gang member whose batch already
-// launched finishes with the batch; its result is discarded).
+// it is still queued or mid-graph.
 func (s *Service) Submit(ctx context.Context, req JobRequest) (*Job, error) {
 	r, err := s.request(req)
 	if err != nil {
@@ -345,9 +328,8 @@ func (s *Service) Stats() ServiceStats {
 	st := s.inner.Stats()
 	return ServiceStats{
 		Workers: st.Workers, InFlight: st.InFlight,
-		QueueLen: st.QueueLen, GangQueueLen: st.GangQueueLen, QueueCap: st.QueueCap,
+		QueueLen: st.QueueLen, QueueCap: st.QueueCap,
 		JobsDone: st.JobsDone, JobsFailed: st.JobsFailed, JobsCancelled: st.JobsCancelled,
-		GangBatches: st.GangBatches, GangJobs: st.GangJobs,
 		CacheHits: st.CacheHits, CacheMisses: st.CacheMisses,
 		CacheEntries: st.CacheEntries, CacheBytes: st.CacheBytes, CacheCap: st.CacheCap,
 		WorkspaceBytes:  st.WorkspaceBytes,
@@ -401,9 +383,8 @@ func (s *Service) PlanState() ([]byte, error) {
 }
 
 // request validates a JobRequest and lowers it to the generic serving
-// layer: a Build closure emitting the job's task graph (possibly into a
-// shared gang graph), a finish closure extracting the result, and the
-// content-addressed cache key.
+// layer: a Build closure returning the job's task graph and a finish
+// closure extracting the result, and the content-addressed cache key.
 func (s *Service) request(req JobRequest) (serve.Request, error) {
 	if req.A == nil {
 		return serve.Request{}, errors.New("bidiag: service job without a matrix")
@@ -414,6 +395,12 @@ func (s *Service) request(req JobRequest) (serve.Request, error) {
 	}
 	if raw.Distributed != nil {
 		return serve.Request{}, errors.New("bidiag: a service job runs where the service does, its pool or its mesh; Options.Distributed must be nil")
+	}
+	// Workers sizes the SVD back half's own pools and the AUTO tree: a
+	// client's value must not start more goroutines than the machine has
+	// use for.
+	if limit := max(s.inner.Runtime().Workers(), runtime.NumCPU()); raw.Workers > limit {
+		return serve.Request{}, invalidOptions{fmt.Errorf("bidiag: Options.Workers = %d exceeds %d, the larger of the service's pool size and the CPU count", raw.Workers, limit)}
 	}
 	if s.mesh != nil {
 		// A mesh job IS the Options.Distributed run of the mesh's grid:
@@ -444,7 +431,6 @@ func (s *Service) request(req JobRequest) (serve.Request, error) {
 	// feed their measured whole-graph GFLOP/s back via Observe.
 	var observe func(obs.MeterSnapshot)
 	auto := opts.Auto
-	promoted := false
 	run := opts
 	if auto {
 		preq, err := s.planRequest(req, raw, opts)
@@ -456,7 +442,6 @@ func (s *Service) request(req JobRequest) (serve.Request, error) {
 			return serve.Request{}, err
 		}
 		run = applyPlanConfig(opts, dec.Config)
-		promoted = dec.Promoted
 		cfg := dec.Config
 		observe = func(ms obs.MeterSnapshot) {
 			s.tuner.Record(preq, cfg, ms.GFlops())
@@ -467,7 +452,7 @@ func (s *Service) request(req JobRequest) (serve.Request, error) {
 		jobOpts = &run // Build must run the tuner's plan, not re-plan
 	}
 
-	var build func(g *sched.Graph) (func() (any, error), error)
+	var build func() (*sched.Graph, func() (any, error), error)
 	var ex pipeline.Executor
 	switch {
 	case s.mesh != nil:
@@ -492,23 +477,10 @@ func (s *Service) request(req JobRequest) (serve.Request, error) {
 	if !s.cacheOff {
 		key = cacheKey(req.Kind, req.A, opts)
 	}
-	// Gang members share ONE graph, and a graph carries a single GEMM
-	// blocking (it parameterizes the workers' workspaces): only jobs on
-	// the default blocking may gang, or one member's Options.Gemm would
-	// silently apply to its batch-mates and break their bitwise identity
-	// with solo runs. Custom-blocking jobs simply run solo — including
-	// auto jobs whose promoted plan carries a non-default blocking (the
-	// planner enumerates one such variant), which is why the check reads
-	// the RESOLVED options. Auto jobs additionally gang only once their
-	// profile is promoted: exploration needs solo runs so the meter
-	// measures one clean graph. A mesh job has an executor to itself.
-	gang := ex == nil && s.gangDim > 0 && max(req.A.Rows(), req.A.Cols()) <= s.gangDim &&
-		run.Gemm == GemmBlock{} && (!auto || promoted)
 	return serve.Request{
 		Build:    build,
 		Key:      key,
 		Bytes:    resultBytes,
-		Gang:     gang,
 		Trace:    req.Trace,
 		Observe:  observe,
 		Executor: ex,
@@ -542,7 +514,7 @@ func (s *Service) planRequest(req JobRequest, raw, opts Options) (plan.Request, 
 // job. The input is resolved here, not at dispatch, because the executor
 // announces the very matrix (transposed when wide) and grid job the
 // graph is built from.
-func (s *Service) meshJob(req JobRequest, raw *Options) (func(*sched.Graph) (func() (any, error), error), pipeline.Executor, error) {
+func (s *Service) meshJob(req JobRequest, raw *Options) (func() (*sched.Graph, func() (any, error), error), pipeline.Executor, error) {
 	if req.Kind != JobSingularValues {
 		return nil, nil, ErrMeshValuesOnly
 	}
@@ -554,35 +526,35 @@ func (s *Service) meshJob(req JobRequest, raw *Options) (func(*sched.Graph) (fun
 	if err != nil {
 		return nil, nil, err
 	}
-	build := func(g *sched.Graph) (func() (any, error), error) {
-		return valuesGraph(g, src, opts, treeKind, &gj), nil
+	build := func() (*sched.Graph, func() (any, error), error) {
+		g, finish := valuesGraph(src, opts, treeKind, &gj)
+		return g, finish, nil
 	}
 	return build, s.mesh.Job(src, gj, req.Trace), nil
 }
 
-// buildSingularValuesJob emits the full singular-value pipeline for one
+// buildSingularValuesJob builds the full singular-value pipeline for one
 // pool job.
-func buildSingularValuesJob(a *Dense, o *Options) func(g *sched.Graph) (func() (any, error), error) {
-	return func(g *sched.Graph) (func() (any, error), error) {
+func buildSingularValuesJob(a *Dense, o *Options) func() (*sched.Graph, func() (any, error), error) {
+	return func() (*sched.Graph, func() (any, error), error) {
 		opts, src, treeKind, _, err := resolve(a, o)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return valuesGraph(g, src, opts, treeKind, nil), nil
+		g, finish := valuesGraph(src, opts, treeKind, nil)
+		return g, finish, nil
 	}
 }
 
-// valuesGraph emits a values job into g and returns its finish: the fused
+// valuesGraph builds a values job and returns its graph and finish: the fused
 // GE2BND+BND2BD graph whenever the options and the engine allow fusion
 // (bitwise-identical to the staged path), the GE2BND graph alone
 // otherwise — under BND2BDSequential, and for a grid job — with the
 // chase left to finishValues.
-func valuesGraph(g *sched.Graph, src *nla.Matrix, opts Options, treeKind trees.Kind, gj *pipeline.GridJob) func() (any, error) {
+func valuesGraph(src *nla.Matrix, opts Options, treeKind trees.Kind, gj *pipeline.GridJob) (*sched.Graph, func() (any, error)) {
 	fuse := gj == nil && opts.BND2BD != BND2BDSequential
-	spec := buildSpec(src, opts, treeKind, gj, nil, fuse)
-	spec.Graph = g
-	plan := pipeline.Build(spec)
-	return func() (any, error) {
+	plan := pipeline.Build(buildSpec(src, opts, treeKind, gj, nil, fuse))
+	return plan.Graph, func() (any, error) {
 		v, err := finishValues(context.Background(), plan, opts, fuse)
 		if err != nil {
 			return nil, err
@@ -591,22 +563,20 @@ func valuesGraph(g *sched.Graph, src *nla.Matrix, opts Options, treeKind trees.K
 	}
 }
 
-// buildSVDJob emits the vector-bearing decomposition: the recorded
+// buildSVDJob builds the vector-bearing decomposition: the recorded
 // GE2BND graph, then — in finish — everything SVD does after it (the
 // logged chase, the bidiagonal iteration with vectors, the recorded
 // reflectors), through the same finishSVD. finish runs beside the
 // service's pool, not on it: a small job (core.SVDWorkers) does it on the
 // goroutine it is called from instead of starting workers of its own.
-func buildSVDJob(a *Dense, o *Options) func(g *sched.Graph) (func() (any, error), error) {
-	return func(g *sched.Graph) (func() (any, error), error) {
+func buildSVDJob(a *Dense, o *Options) func() (*sched.Graph, func() (any, error), error) {
+	return func() (*sched.Graph, func() (any, error), error) {
 		opts, src, treeKind, transposed, err := resolve(a, o)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		rec := &core.Recorder{}
-		spec := buildSpec(src, opts, treeKind, nil, rec, false)
-		spec.Graph = g
-		plan := pipeline.Build(spec)
+		plan := pipeline.Build(buildSpec(src, opts, treeKind, nil, rec, false))
 		workers := core.SVDWorkers(src.Rows, src.Cols, opts.Workers)
 		finish := func() (any, error) {
 			res, err := finishSVD(plan, rec, workers, transposed)
@@ -615,7 +585,7 @@ func buildSVDJob(a *Dense, o *Options) func(g *sched.Graph) (func() (any, error)
 			}
 			return res, nil
 		}
-		return finish, nil
+		return plan.Graph, finish, nil
 	}
 }
 

@@ -10,10 +10,9 @@ import (
 )
 
 // TestServiceConcurrentMixedShapes is the serving acceptance test: 32+
-// concurrent jobs of mixed shapes — gang-eligible small matrices and
-// solo larger ones, values-only and vector-bearing — on ONE shared
-// Service, each result bitwise-identical to its solo staged-path run.
-// CI runs this package under -race.
+// concurrent jobs of mixed shapes, values-only and vector-bearing, on ONE
+// shared Service, each result bitwise-identical to its solo staged-path
+// run. CI runs this package under -race.
 func TestServiceConcurrentMixedShapes(t *testing.T) {
 	shapes := []struct{ m, n int }{
 		{40, 30}, {64, 64}, {100, 60}, {30, 50}, {96, 96}, {120, 48}, {48, 120}, {80, 80},
@@ -46,8 +45,7 @@ func TestServiceConcurrentMixedShapes(t *testing.T) {
 		}
 	}
 
-	// GangDim 64 makes some shapes gang-batched and others solo.
-	svc := NewService(&ServiceConfig{Workers: 4, GangDim: 64, CacheBytes: -1, QueueDepth: jobs})
+	svc := NewService(&ServiceConfig{Workers: 4, CacheBytes: -1, QueueDepth: jobs})
 	defer svc.Close()
 
 	var wg sync.WaitGroup
@@ -107,9 +105,6 @@ func TestServiceConcurrentMixedShapes(t *testing.T) {
 	st := svc.Stats()
 	if st.JobsDone != jobs {
 		t.Fatalf("JobsDone = %d, want %d", st.JobsDone, jobs)
-	}
-	if st.GangJobs == 0 {
-		t.Fatal("no jobs were gang-batched despite GangDim 64")
 	}
 }
 
@@ -191,12 +186,11 @@ func TestServiceCancelMidGraph(t *testing.T) {
 	}
 }
 
-// TestServiceCustomGemmRunsSolo pins the gang-compatibility rule: a gang
-// graph carries one GEMM blocking, so jobs with custom Options.Gemm must
-// not gang (their blocking would clobber their batch-mates') — yet they
-// still compute the same result.
+// TestServiceCustomGemmRunsSolo checks that a job with a custom
+// Options.Gemm blocking — which its graph carries to the pool's
+// workspaces — computes exactly what the one-shot call does.
 func TestServiceCustomGemmRunsSolo(t *testing.T) {
-	svc := NewService(&ServiceConfig{Workers: 2, GangDim: 256, CacheBytes: -1})
+	svc := NewService(&ServiceConfig{Workers: 2, CacheBytes: -1})
 	defer svc.Close()
 	a := randomDense(21, 48, 32)
 	opts := &Options{NB: 16, Workers: 1, Gemm: GemmBlock{MC: 64, KC: 64, NC: 64}}
@@ -212,9 +206,6 @@ func TestServiceCustomGemmRunsSolo(t *testing.T) {
 		if ref[k] != res.Values[k] {
 			t.Fatalf("custom-Gemm value %d differs bitwise from solo run", k)
 		}
-	}
-	if st := svc.Stats(); st.GangJobs != 0 {
-		t.Fatalf("custom-Gemm job was gang-batched: %+v", st)
 	}
 }
 

@@ -18,8 +18,8 @@ import (
 // input and on input scaled towards the ends of the float64 range, the
 // computed singular values match two independent oracles — one-sided
 // Jacobi on the dense input and the one-stage GEBD2 bidiagonalization —
-// to a small multiple of n·ε·σ₁, through the sequential reference, the
-// task graph and the fused graph alike.
+// to a small multiple of n·ε·σ₁, through the sequential reference and
+// the task graph at the derived and at a one-block cut width alike.
 // accuracyInput is one matrix of the accuracy suites: a is handed to the
 // oracles as is and to the pipeline multiplied by scale, a power of two.
 type accuracyInput struct {
@@ -91,7 +91,7 @@ func TestSingularValueAccuracy(t *testing.T) {
 		for _, opts := range []*Options{
 			{NB: nb, Workers: 1, BND2BD: BND2BDSequential},
 			{NB: nb, Workers: 4},
-			{NB: nb, Workers: 4, Fused: true, BND2BDWindow: nb},
+			{NB: nb, Workers: 4, BND2BDWindow: nb},
 		} {
 			got, err := SingularValues(&Dense{inner: scaled}, opts)
 			if err != nil {

@@ -70,30 +70,3 @@ func CrossoverRatio(tree Tree, q, maxRatio int) (delta float64, ok bool, err err
 	d, _, found := critpath.Crossover(k, q, maxRatio)
 	return d, found, nil
 }
-
-// PipelineCriticalPath measures the critical path of the FUSED
-// GE2BND+BND2BD task graph of an m×n matrix (m ≥ n) at tile size nb,
-// alongside the critical paths of the two stages built separately, all
-// in modeled flops (the only time base the stages share). fused ≤
-// ge2bnd + bnd2bd always holds, strictly so where the chase is cut into
-// steps short enough to start before stage 1 ends; the margin is the
-// chase prefix that hides under stage 1 — see
-// internal/critpath.MeasurePipeline for why it is structurally small.
-// window follows Options.BND2BDWindow semantics (0 derives the cut).
-func PipelineCriticalPath(tree Tree, m, n, nb, window int) (fused, ge2bnd, bnd2bd float64, err error) {
-	if m < n || n < 1 || nb < 1 {
-		return 0, 0, 0, fmt.Errorf("bidiag: need m ≥ n ≥ 1 and nb ≥ 1, got m=%d n=%d nb=%d", m, n, nb)
-	}
-	if window < 0 {
-		return 0, 0, 0, fmt.Errorf("bidiag: window must be ≥ 0, got %d", window)
-	}
-	k, err := tree.kind()
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	if k == trees.Auto {
-		return 0, 0, 0, fmt.Errorf("bidiag: the Auto tree has no machine-free critical path")
-	}
-	fused, ge2bnd, bnd2bd = critpath.MeasurePipeline(k, m, n, nb, window)
-	return fused, ge2bnd, bnd2bd, nil
-}

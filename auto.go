@@ -137,11 +137,10 @@ func ParseBND2BD(s string) (BND2BD, error) {
 
 // AutoPlan resolves Options.Auto for an m×n problem: it returns the
 // concrete, validated Options the planner selects, with Auto cleared.
-// Zero-valued knobs are free for the planner — NB, BND2BDWindow, Fused,
+// Zero-valued knobs are free for the planner — NB, BND2BDWindow,
 // Tree = Auto and Algorithm = AutoAlgorithm all mean "planner decides"
 // — while any explicitly set knob is honored as a pin. Workers, Gamma,
-// Gemm and BND2BD pass through unchanged (BND2BDSequential restricts
-// the planner to staged plans). The resolution is deterministic: equal
+// Gemm and BND2BD pass through unchanged. The resolution is deterministic: equal
 // (m, n, options) always resolve to the same plan, so running with
 // Options.Auto is bitwise-identical to running the returned explicit
 // Options. Candidates are priced on the full singular-value pipeline by
@@ -194,11 +193,6 @@ func planRequest(m, n int, raw, opts Options, kind plan.Kind) plan.Request {
 	case RBidiag:
 		req.Alg = plan.AlgRBidiag
 	}
-	if raw.BND2BD == BND2BDSequential {
-		req.StagedOnly = true
-	} else if raw.Fused {
-		req.FuseOnly = true
-	}
 	return req
 }
 
@@ -214,7 +208,6 @@ func applyPlanConfig(opts Options, cfg plan.Config) Options {
 		opts.Algorithm = Bidiag
 	}
 	opts.BND2BDWindow = cfg.Window
-	opts.Fused = cfg.Fused
 	opts.Gemm = GemmBlock(cfg.Gemm)
 	return opts
 }

@@ -43,9 +43,9 @@ func FuzzAutoPlan(f *testing.F) {
 	f.Add(5, 3, 4, 0, false)   // tall, sub-tile
 	f.Add(1, 1, 1, 0, false)   // degenerate
 	f.Add(40, 16, 3, 2, false) // pinned nb
-	f.Add(16, 40, 2, 0, true)  // wide + staged pin
+	f.Add(16, 40, 2, 0, true)  // wide + sequential-chase pin
 	f.Add(33, 9, 8, 0, false)  // ragged tall
-	f.Fuzz(func(t *testing.T, m, n, workers, nbPin int, staged bool) {
+	f.Fuzz(func(t *testing.T, m, n, workers, nbPin int, sequential bool) {
 		// Clamp to cheap shapes: the property matters, not the scale.
 		m, n = 1+abs(m)%48, 1+abs(n)%48
 		workers = 1 + abs(workers)%8
@@ -53,7 +53,7 @@ func FuzzAutoPlan(f *testing.F) {
 		if nbPin > 0 {
 			opts.NB = 1 + nbPin%16
 		}
-		if staged {
+		if sequential {
 			opts.BND2BD = BND2BDSequential
 		}
 
@@ -75,8 +75,8 @@ func FuzzAutoPlan(f *testing.F) {
 		if opts.NB > 0 && resolved.NB != min(opts.NB, min(m, n)) {
 			t.Fatalf("AutoPlan overrode pinned nb=%d with %d for %dx%d", opts.NB, resolved.NB, m, n)
 		}
-		if staged && resolved.Fused {
-			t.Fatalf("AutoPlan chose a fused plan under BND2BDSequential")
+		if resolved.BND2BD != opts.BND2BD {
+			t.Fatalf("AutoPlan changed BND2BD %v to %v", opts.BND2BD, resolved.BND2BD)
 		}
 
 		a := autoMatrix(m, n, 11)

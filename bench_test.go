@@ -215,14 +215,10 @@ func BenchmarkGE2BND(b *testing.B) {
 	}
 }
 
-// BenchmarkSVDPipeline is the acceptance benchmark of the fused
-// pipeline: end-to-end singular values of a 1024×1024 matrix at nb = 64,
-// staged (the GE2BND graph, a barrier, then the BND2BD graph) versus
-// fused (one graph, chase segments overlapping the trailing stage-1
-// updates). The two paths are bitwise-identical and do the same flops;
-// the fused graph saves the inter-stage barrier, the band round-trip
-// and one pool spin-up, and on ≥4 real cores lets stage-2 work fill
-// stage-1 stragglers, so it must never regress against staged.
+// BenchmarkSVDPipeline times end-to-end singular values of a 1024×1024
+// matrix at nb = 64: the GE2BND graph, band extraction, the BND2BD graph
+// and the bidiagonal QR iteration, rated against the modeled flops of
+// both reduction stages.
 func BenchmarkSVDPipeline(b *testing.B) {
 	rng := rand.New(rand.NewSource(12))
 	const m, n = 1024, 1024
@@ -233,22 +229,16 @@ func BenchmarkSVDPipeline(b *testing.B) {
 		}
 	}
 	for _, workers := range []int{1, 4} {
-		for _, fused := range []bool{false, true} {
-			name := fmt.Sprintf("staged/workers=%d", workers)
-			if fused {
-				name = fmt.Sprintf("fused/workers=%d", workers)
-			}
-			opts := Options{NB: 64, Tree: Auto, Algorithm: Bidiag, Workers: workers, Fused: fused}
-			b.Run(name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := SingularValues(a, &opts); err != nil {
-						b.Fatal(err)
-					}
+		opts := Options{NB: 64, Tree: Auto, Algorithm: Bidiag, Workers: workers}
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := SingularValues(a, &opts); err != nil {
+					b.Fatal(err)
 				}
-				flops := baseline.PaperFlops(m, n) + band.ModelFlops(n, 64)
-				b.ReportMetric(flops/1e9/b.Elapsed().Seconds()*float64(b.N), "GFlop/s")
-			})
-		}
+			}
+			flops := baseline.PaperFlops(m, n) + band.ModelFlops(n, 64)
+			b.ReportMetric(flops/1e9/b.Elapsed().Seconds()*float64(b.N), "GFlop/s")
+		})
 	}
 }

@@ -18,21 +18,15 @@
 // Every QR/LQ panel reduction is driven by a configurable reduction tree
 // (FlatTS, FlatTT, Greedy, or the adaptive Auto tree of the paper), and
 // both reduction stages execute as task graphs on the same data-flow
-// runtime: GE2BND as tiled QR/LQ kernels, and BND2BD as caravans of
-// blocked Householder bulge-chase sweeps (Options.BND2BD selects the
-// sequential reference instead), pipelined across Options.Workers once
-// the band is long enough for that to pay.
-//
-// Setting Options.Fused goes one step further for SingularValues: the
-// GE2BND kernels and the BND2BD chase tasks are emitted into ONE task
-// graph (internal/pipeline) with cross-stage dependencies, so the bulge
-// chase starts on the leading band columns while the trailing stage-1
-// updates are still running — no barrier, no intermediate band
-// materialization. The fused and staged paths are bitwise-identical; the
-// staged path (Fused = false, the default) remains the reference oracle.
-// All engine dispatch — sequential order, the shared-memory pool, the
-// distributed owner-compute executor — lives in a single
-// pipeline.Executor layer that every public entry point routes through.
+// runtime, one after the other: GE2BND as tiled QR/LQ kernels, then
+// BND2BD as caravans of blocked Householder bulge-chase sweeps over the
+// band GE2BND leaves (Options.BND2BD selects the sequential reference
+// instead), pipelined across Options.Workers once the band is long
+// enough for that to pay. Every values call — one-shot, served on a pool
+// or served on a mesh — runs these same steps. All engine dispatch —
+// sequential order, the shared-memory pool, the distributed owner-compute
+// executor — lives in a single pipeline.Executor layer that every public
+// entry point routes through.
 //
 // Setting Options.Distributed executes the reduction on a grid of
 // in-process distributed-memory nodes instead: tiles are distributed 2D
@@ -81,6 +75,7 @@ import (
 	"github.com/tiled-la/bidiag/internal/dist"
 	"github.com/tiled-la/bidiag/internal/nla"
 	"github.com/tiled-la/bidiag/internal/pipeline"
+	"github.com/tiled-la/bidiag/internal/sched"
 	"github.com/tiled-la/bidiag/internal/tile"
 	"github.com/tiled-la/bidiag/internal/trees"
 )
@@ -142,8 +137,9 @@ func (t Tree) kind() (trees.Kind, error) {
 type BND2BD int
 
 const (
-	// BND2BDAuto (the default) runs the task-graph reduction on
-	// Options.Workers workers — the same pool that executes GE2BND.
+	// BND2BDAuto (the default) runs the task-graph reduction after
+	// GE2BND, on the same workers: a one-shot call's Options.Workers
+	// pool, or a Service's shared pool.
 	BND2BDAuto BND2BD = iota
 	// BND2BDPipelined forces the task-graph reduction.
 	BND2BDPipelined
@@ -196,7 +192,7 @@ func (a Algorithm) String() string {
 type Options struct {
 	// Auto hands plan selection to the model-seeded planner: every
 	// zero-valued knob (NB, Tree = Auto, Algorithm = AutoAlgorithm,
-	// BND2BDWindow, Fused) is chosen by pricing candidate plans on the
+	// BND2BDWindow) is chosen by pricing candidate plans on the
 	// machine model, while explicitly set knobs are honored as pins.
 	// The resolution is deterministic — AutoPlan returns the concrete
 	// Options an Auto run executes, bitwise-identically. Incompatible
@@ -226,26 +222,17 @@ type Options struct {
 	Gemm GemmBlock
 	// BND2BD selects the second-stage (band→bidiagonal) implementation:
 	// the task-graph reduction by default, or the sequential reference.
-	// The two are bitwise-identical.
+	// The two are bitwise-identical. SVD ignores it: its logged chase is
+	// sequential.
 	BND2BD BND2BD
 	// BND2BDWindow is the width in columns at which the BND2BD chase is
-	// cut into tasks (both staged and fused), rounded down to whole
-	// NB-blocks and at least one: a task advances its sweeps by that
-	// many columns. 0 derives the cut from the task size that outweighs
-	// scheduling and from the band's length — short steps where the
-	// sweeps are long enough to pipeline, whole sweeps where they are
-	// not. The result never depends on it. Negative values are rejected.
+	// cut into tasks, rounded down to whole NB-blocks and at least one: a
+	// task advances its sweeps by that many columns. 0 derives the cut
+	// from the task size that outweighs scheduling and from the band's
+	// length — short steps where the sweeps are long enough to pipeline,
+	// whole sweeps where they are not. The result never depends on it.
+	// Negative values are rejected.
 	BND2BDWindow int
-	// Fused executes SingularValues as ONE fused task graph: the BND2BD
-	// chase tasks are emitted into the same DAG as the GE2BND kernels,
-	// with cross-stage dependencies instead of a barrier, so the bulge
-	// chase overlaps the trailing stage-1 updates. The result is
-	// bitwise-identical to the staged path, which stays available (the
-	// default) as the oracle. Ignored by GE2BND, whose result is a
-	// first-stage artifact, and by SVD, whose logged chase does not run
-	// as a task graph yet; ineffective under BND2BD = BND2BDSequential,
-	// which forces the staged reference.
-	Fused bool
 }
 
 // GemmBlock holds the cache-block sizes of the packed GEMM: panels of A
@@ -371,10 +358,13 @@ func (b *Band) At(i, j int) float64 { return b.b.At(i, j) }
 // unless the producing Options forced the sequential reference; either
 // way the outcome is bitwise-identical.
 func (b *Band) SingularValues() ([]float64, error) {
-	return b.singularValuesCtx(context.Background())
+	return b.singularValues(context.Background(), pipeline.Pool{Workers: max(b.workers, 1)}, nil)
 }
 
-func (b *Band) singularValuesCtx(ctx context.Context) ([]float64, error) {
+// singularValues chases the band on ex, then solves the bidiagonal. The
+// chase graph inherits stage1's tracer and meter when stage1 is given, so
+// a traced or metered job covers both stages.
+func (b *Band) singularValues(ctx context.Context, ex pipeline.Executor, stage1 *sched.Graph) ([]float64, error) {
 	var r *band.Matrix
 	if b.bnd2bd == BND2BDSequential {
 		if err := ctx.Err(); err != nil {
@@ -383,7 +373,10 @@ func (b *Band) singularValuesCtx(ctx context.Context) ([]float64, error) {
 		r = band.Reduce(b.b)
 	} else {
 		p := pipeline.BuildBND2BD(b.b, b.window)
-		if _, err := pipeline.RunCtx(ctx, p, pipeline.Pool{Workers: max(b.workers, 1)}); err != nil {
+		if stage1 != nil {
+			p.Graph.Tracer, p.Graph.Meter = stage1.Tracer, stage1.Meter
+		}
+		if _, err := pipeline.RunCtx(ctx, p, ex); err != nil {
 			return nil, err
 		}
 		r = p.Bidiagonal()
@@ -404,7 +397,7 @@ func GE2BND(a *Dense, o *Options) (*Band, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan, ex, err := buildPlan(src, opts, treeKind, nil, false)
+	plan, ex, err := buildPlan(src, opts, treeKind, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -503,12 +496,11 @@ func resolve(a *Dense, o *Options) (opts Options, src *nla.Matrix, treeKind tree
 }
 
 // buildSpec resolves opts into the pipeline Spec — the geometry, tiled
-// data, tree configuration and fusion choice of one reduction: the
-// shared-memory trees, or with a grid job (Options.Distributed, resolved
-// by gridJob) the distributed ones. The service layer reuses it under
-// executors of its own, which is why it is separate from executor
-// selection.
-func buildSpec(src *nla.Matrix, opts Options, treeKind trees.Kind, gj *pipeline.GridJob, rec *core.Recorder, fuse bool) pipeline.Spec {
+// data and tree configuration of one reduction: the shared-memory trees,
+// or with a grid job (Options.Distributed, resolved by gridJob) the
+// distributed ones. The service layer reuses it under executors of its
+// own, which is why it is separate from executor selection.
+func buildSpec(src *nla.Matrix, opts Options, treeKind trees.Kind, gj *pipeline.GridJob, rec *core.Recorder) pipeline.Spec {
 	blocking := nla.Blocking(opts.Gemm)
 	if rec != nil {
 		rec.Blocking = blocking
@@ -526,24 +518,20 @@ func buildSpec(src *nla.Matrix, opts Options, treeKind trees.Kind, gj *pipeline.
 		}
 	}
 	spec.Config.Recorder = rec
-	spec.Fused = fuse
-	spec.Window = opts.BND2BDWindow
 	return spec
 }
 
-// buildPlan resolves opts into a pipeline Plan and the Executor that
-// will run it — the single place engine selection happens. With fuse the
-// plan carries the BND2BD stage in the same graph (SingularValues'
-// fused path); the shape and engine logic are identical either way.
-func buildPlan(src *nla.Matrix, opts Options, treeKind trees.Kind, rec *core.Recorder, fuse bool) (*pipeline.Plan, pipeline.Executor, error) {
+// buildPlan resolves opts into the GE2BND Plan and the Executor that
+// will run it — the single place engine selection happens.
+func buildPlan(src *nla.Matrix, opts Options, treeKind trees.Kind, rec *core.Recorder) (*pipeline.Plan, pipeline.Executor, error) {
 	if opts.Distributed == nil {
-		return pipeline.Build(buildSpec(src, opts, treeKind, nil, rec, fuse)), pipeline.Pool{Workers: opts.Workers}, nil
+		return pipeline.Build(buildSpec(src, opts, treeKind, nil, rec)), pipeline.Pool{Workers: opts.Workers}, nil
 	}
 	gj, err := gridJob(opts, src.Rows, src.Cols)
 	if err != nil {
 		return nil, nil, err
 	}
-	return pipeline.Build(buildSpec(src, opts, treeKind, &gj, rec, fuse)),
+	return pipeline.Build(buildSpec(src, opts, treeKind, &gj, rec)),
 		pipeline.OwnerCompute{Grid: gj.Grid, WorkersPerNode: gj.WPN}, nil
 }
 
@@ -566,11 +554,7 @@ func distStatsOf(rep *pipeline.Report) *DistStats {
 }
 
 // SingularValues returns the singular values of a in descending order,
-// computed by the full GE2BND + BND2BD + BD2VAL pipeline. With
-// Options.Fused the first two stages run as one fused task graph —
-// the bulge chase overlaps the trailing GE2BND updates — otherwise they
-// run staged with a barrier in between; the two paths are
-// bitwise-identical.
+// computed by the full GE2BND + BND2BD + BD2VAL pipeline.
 func SingularValues(a *Dense, o *Options) ([]float64, error) {
 	return SingularValuesCtx(context.Background(), a, o)
 }
@@ -583,32 +567,21 @@ func SingularValuesCtx(ctx context.Context, a *Dense, o *Options) ([]float64, er
 	if err != nil {
 		return nil, err
 	}
-	fuse := opts.Fused && opts.BND2BD != BND2BDSequential
-	plan, ex, err := buildPlan(src, opts, treeKind, nil, fuse)
+	plan, ex, err := buildPlan(src, opts, treeKind, nil)
 	if err != nil {
 		return nil, err
 	}
 	if _, err := pipeline.RunCtx(ctx, plan, ex); err != nil {
 		return nil, err
 	}
-	return finishValues(ctx, plan, opts, fuse)
+	return finishValues(ctx, plan, opts, pipeline.Pool{Workers: opts.Workers})
 }
 
-// finishValues turns an executed plan into singular values, the one
-// finish every values path shares (the one-shot call, a service job on
-// the pool, a service job on the mesh): a fused plan holds the
-// bidiagonal already; a staged one extracts the band and goes through
-// the stage-2 dispatch every Band uses.
-func finishValues(ctx context.Context, plan *pipeline.Plan, opts Options, fuse bool) ([]float64, error) {
-	if !fuse {
-		b := &Band{
-			b:       plan.Tiles.ExtractBand(plan.Tiles.NB),
-			workers: opts.Workers,
-			bnd2bd:  opts.BND2BD,
-			window:  opts.BND2BDWindow,
-		}
-		return b.singularValuesCtx(ctx)
-	}
-	d, e := plan.Bidiagonal().Bidiagonal()
-	return bdsqr.SingularValues(d, e)
+// finishValues turns an executed GE2BND plan into singular values, the
+// one finish every values path shares (the one-shot call, a service job
+// on the pool, a service job on the mesh): it extracts the band and
+// chases it on chase, the executor of the caller's workers.
+func finishValues(ctx context.Context, plan *pipeline.Plan, opts Options, chase pipeline.Executor) ([]float64, error) {
+	b := &Band{b: plan.Tiles.ExtractBand(plan.Tiles.NB), bnd2bd: opts.BND2BD, window: opts.BND2BDWindow}
+	return b.singularValues(ctx, chase, plan.Graph)
 }

@@ -319,30 +319,6 @@ func TestInvalidTreeRejected(t *testing.T) {
 	}
 }
 
-func TestPipelineCriticalPath(t *testing.T) {
-	// An explicit cut width: the derived granularity chases a band this
-	// short in whole-sweep steps, which start when stage 1 is over.
-	fused, s1, s2, err := PipelineCriticalPath(Greedy, 256, 256, 32, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fused >= s1+s2 {
-		t.Fatalf("square fused cp %v not strictly below staged sum %v", fused, s1+s2)
-	}
-	if fused < s1 || fused < s2 {
-		t.Fatalf("fused cp %v below a single stage (%v, %v)", fused, s1, s2)
-	}
-	if _, _, _, err := PipelineCriticalPath(Auto, 256, 256, 32, 0); err == nil {
-		t.Fatalf("Auto tree must be rejected")
-	}
-	if _, _, _, err := PipelineCriticalPath(Greedy, 128, 256, 32, 0); err == nil {
-		t.Fatalf("m < n must be rejected")
-	}
-	if _, _, _, err := PipelineCriticalPath(Greedy, 256, 256, 32, -1); err == nil {
-		t.Fatalf("negative window must be rejected")
-	}
-}
-
 // TestNonFiniteInputRejected pins the input contract: a NaN or an
 // infinity anywhere in the matrix is refused up front with ErrNonFinite
 // by every entry point, tall or wide, instead of running the pipeline

@@ -11,14 +11,14 @@
 //	bidiagbench -m 1024 -n 1024 -nb 64 -workers 1   # one timed GE2BND, GFLOP/s
 //	bidiagbench -m 4096 -n 1024 -json BENCH_ge2bnd.json
 //	bidiagbench -stage bnd2bd -n 4096 -ku 64 -workers 8 -json BENCH_bnd2bd.json
-//	bidiagbench -stage full -m 1024 -nb 64 -workers 4 -json BENCH_full.json
+//	bidiagbench -stage full -m 1024 -nb 64 -workers 2 -json BENCH_full_1024.json
 //	bidiagbench -stage apply -nb 64 -reps 9 -json BENCH_kernels_apply.json
 //	bidiagbench -stage sched -reps 5 -json BENCH_sched.json
 //	bidiagbench -stage svd -n 1024 -nb 64 -workers 2 -json BENCH_svd_1024.json
 //	bidiagbench -list
 //
 // Experiments: table1, fig2a..fig2f, fig3a..fig3f, fig4a..fig4f,
-// critpaths, crossover, asymptotics, accuracy, pipeline-cp, reconcile
+// critpaths, crossover, asymptotics, accuracy, reconcile
 // (real traced pool runs against the simulated makespan), and planner
 // (the plan model's pick raced against an exhaustive real sweep of its
 // own candidate set; regret per shape lands in planner.json). With
@@ -36,10 +36,9 @@
 // -ku reduced to bidiagonal form on the task runtime (and, for
 // comparison, by band.Reduce with no graph), rated against the
 // data-independent Householder flop model. With -stage full the
-// timed run is the fused end-to-end pipeline (Options.Fused): GE2BND and
-// BND2BD in one task graph plus the bidiagonal QR iteration, rated
-// against the sum of the GE2BND flop count and the BND2BD flop
-// model (-staged times the barrier path instead, for comparison). With
+// timed run is the end-to-end values pipeline (bidiag.SingularValues):
+// GE2BND, the BND2BD chase and the bidiagonal QR iteration, rated
+// against the sum of the GE2BND flop count and the BND2BD flop model. With
 // -stage apply the timed run is the twelve stage-1 tile kernels in
 // isolation (the six factor kernels GEQRT … TTLQT and the six applies
 // UNMQR … TTMLQ at tile size -nb, all on the AVX2 micro-kernels): each
@@ -122,7 +121,6 @@ var registry = map[string]runner{
 	"crossover":   single(experiments.Crossover),
 	"asymptotics": single(experiments.Asymptotics),
 	"accuracy":    single(experiments.Accuracy),
-	"pipeline-cp": single(experiments.PipelineCP),
 
 	// Model-vs-measured: real traced pool runs reconciled against the
 	// simulated makespan (wall clock, unlike every other experiment).
@@ -184,8 +182,7 @@ type perfResult struct {
 	Algorithm   string  `json:"algorithm,omitempty"`
 	Tasks       int     `json:"tasks"`
 	Reps        int     `json:"reps"`
-	Fused       bool    `json:"fused,omitempty"` // full-pipeline runs: fused vs staged
-	WallSeconds float64 `json:"wall_seconds"`    // best of Reps
+	WallSeconds float64 `json:"wall_seconds"` // best of Reps
 	GFlops      float64 `json:"gflops,omitempty"`
 
 	// Graph-vs-no-graph figures of a -stage bnd2bd run; zero otherwise.
@@ -298,7 +295,7 @@ func runPerf(m, n, nb, workers, nodes, gridR, gridC, reps int, jsonPath string) 
 		// One extra traced rep, after the timed ones so the ring buffers
 		// never taint the wall figures, reconciles the run against the
 		// flop model (trees.Auto matches the public API's default tree).
-		rep, _, err := experiments.ReconcileRun(trees.Auto, rows, cols, nb, workers, 0, false)
+		rep, _, err := experiments.ReconcileRun(trees.Auto, rows, cols, nb, workers)
 		if err != nil {
 			return err
 		}
@@ -594,12 +591,11 @@ func runPerfBND2BD(n, ku, workers, reps int, jsonPath string) error {
 }
 
 // runPerfFull times the end-to-end singular value pipeline
-// (GE2BND + BND2BD + BD2VAL) through the public API — fused into one
-// task graph by default, or staged behind a barrier with -staged — and
-// rates it against the modeled flops of both reduction stages (the
-// GE2BND operation count plus the BND2BD Householder model; the closing QR
-// iteration rides along in the wall time as it does for every user).
-func runPerfFull(m, n, nb, workers, window, reps int, fused bool, jsonPath string) error {
+// (GE2BND + BND2BD + BD2VAL) through the public API and rates it against
+// the modeled flops of both reduction stages (the GE2BND operation count
+// plus the BND2BD Householder model; the closing QR iteration rides
+// along in the wall time as it does for every user).
+func runPerfFull(m, n, nb, workers, window, reps int, jsonPath string) error {
 	if reps < 1 {
 		reps = 1
 	}
@@ -614,12 +610,11 @@ func runPerfFull(m, n, nb, workers, window, reps int, fused bool, jsonPath strin
 			a.Set(i, j, rng.NormFloat64())
 		}
 	}
-	opts := &bidiag.Options{NB: nb, Workers: workers, Algorithm: bidiag.Bidiag,
-		Fused: fused, BND2BDWindow: window}
+	opts := &bidiag.Options{NB: nb, Workers: workers, Algorithm: bidiag.Bidiag, BND2BDWindow: window}
 	res := perfResult{
 		Experiment: "full", M: m, N: n, NB: nb, Workers: workers,
 		Tree: opts.Tree.String(), Algorithm: opts.Algorithm.String(),
-		Reps: reps, Fused: fused,
+		Reps: reps,
 	}
 	best := time.Duration(1<<63 - 1)
 	var nsv int
@@ -641,12 +636,8 @@ func runPerfFull(m, n, nb, workers, window, reps int, fused bool, jsonPath strin
 	flops := baseline.PaperFlops(rows, cols) + band.ModelFlops(cols, nb)
 	res.WallSeconds = best.Seconds()
 	res.GFlops = flops / 1e9 / res.WallSeconds
-	mode := "fused"
-	if !fused {
-		mode = "staged"
-	}
-	fmt.Printf("GE2VAL %dx%d nb=%d workers=%d %s: %.3fs  %.2f GFLOP/s  (best of %d)\n",
-		m, n, nb, workers, mode, res.WallSeconds, res.GFlops, reps)
+	fmt.Printf("GE2VAL %dx%d nb=%d workers=%d: %.3fs  %.2f GFLOP/s  (best of %d)\n",
+		m, n, nb, workers, res.WallSeconds, res.GFlops, reps)
 	return writeResult(res, jsonPath)
 }
 
@@ -823,9 +814,8 @@ func main() {
 	nFlag := flag.Int("n", 0, "columns for the timed run (default: m)")
 	nbFlag := flag.Int("nb", 64, "tile size for the timed run")
 	kuFlag := flag.Int("ku", 64, "band width for a -stage bnd2bd timed run")
-	stage := flag.String("stage", "ge2bnd", "timed-run stage: ge2bnd, bnd2bd, full (fused end-to-end pipeline), svd (bidiag.SVD with its per-stage ledger), apply (isolated rates of the twelve stage-1 tile kernels), or sched (worker-loop dispatch cost)")
-	windowFlag := flag.Int("window", 0, "BND2BD wavefront window for -stage full (0: default)")
-	staged := flag.Bool("staged", false, "run -stage full through the staged (barrier) path instead of the fused graph")
+	stage := flag.String("stage", "ge2bnd", "timed-run stage: ge2bnd, bnd2bd, full (end-to-end values pipeline), svd (bidiag.SVD with its per-stage ledger), apply (isolated rates of the twelve stage-1 tile kernels), or sched (worker-loop dispatch cost)")
+	windowFlag := flag.Int("window", 0, "BND2BD cut width in columns for -stage full (0: default)")
 	workersFlag := flag.Int("workers", runtime.GOMAXPROCS(0), "workers for the timed run")
 	repsFlag := flag.Int("reps", 3, "repetitions of the timed run (best kept)")
 	jsonOut := flag.String("json", "", "write the timed-run result as JSON to this file ('-' for stdout)")
@@ -835,13 +825,13 @@ func main() {
 	perfMode := false
 	flag.Visit(func(f *flag.Flag) {
 		switch f.Name {
-		case "m", "n", "nb", "ku", "stage", "window", "staged", "workers", "reps", "json":
+		case "m", "n", "nb", "ku", "stage", "window", "workers", "reps", "json":
 			perfMode = true
 		}
 	})
 	if perfMode {
 		if *exp != "" {
-			fmt.Fprintln(os.Stderr, "-exp and the timed-run flags (-m/-n/-nb/-ku/-stage/-window/-staged/-workers/-reps/-json) are mutually exclusive")
+			fmt.Fprintln(os.Stderr, "-exp and the timed-run flags (-m/-n/-nb/-ku/-stage/-window/-workers/-reps/-json) are mutually exclusive")
 			os.Exit(2)
 		}
 		var err error
@@ -858,7 +848,7 @@ func main() {
 			if n <= 0 {
 				n = m
 			}
-			err = runPerfFull(m, n, *nbFlag, *workersFlag, *windowFlag, *repsFlag, !*staged, *jsonOut)
+			err = runPerfFull(m, n, *nbFlag, *workersFlag, *windowFlag, *repsFlag, *jsonOut)
 		case "svd":
 			n := *nFlag
 			if n <= 0 {

@@ -57,7 +57,7 @@ func plannerOptions(cfg plan.Config, workers int) (*bidiag.Options, error) {
 	}
 	return &bidiag.Options{
 		NB: cfg.NB, Tree: tree, Algorithm: alg,
-		Workers: workers, BND2BDWindow: cfg.Window, Fused: cfg.Fused,
+		Workers: workers, BND2BDWindow: cfg.Window,
 		Gemm: bidiag.GemmBlock(cfg.Gemm),
 	}, nil
 }
@@ -83,7 +83,7 @@ func measurePlan(a *bidiag.Dense, cfg plan.Config, workers, reps int) (float64, 
 }
 
 // runPlannerEval measures the planner against an exhaustive sweep: for
-// each shape, every enumerated candidate (nb × tree × window × fused ×
+// each shape, every enumerated candidate (nb × tree × GEMM blocking ×
 // algorithm) executes for real, and the model's pick is reported with
 // its regret against the measured best. The report lands in
 // <outDir>/planner.json.

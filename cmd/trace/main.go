@@ -52,7 +52,6 @@ func main() {
 	m := flag.Int("m", 1024, "matrix rows (measured mode)")
 	n := flag.Int("n", 512, "matrix columns (measured mode)")
 	nb := flag.Int("nb", 64, "tile size (measured mode)")
-	fused := flag.Bool("fused", false, "fuse BND2BD into the graph (measured mode)")
 	clusterFile := flag.String("cluster", "", "render this gathered multi-rank trace file (the ?format=raw document of /debug/trace/{id}) instead of tracing locally")
 	out := flag.String("o", "schedule.json", "output file")
 	flag.Parse()
@@ -69,7 +68,7 @@ func main() {
 	}
 
 	if *measured {
-		runMeasured(tree, *m, *n, *nb, *workers, *fused, *out)
+		runMeasured(tree, *m, *n, *nb, *workers, *out)
 		return
 	}
 
@@ -94,12 +93,12 @@ func main() {
 
 // runMeasured factorizes a real matrix with tracing on and renders the
 // measured timeline; timestamps are recorded seconds, scaled to µs.
-func runMeasured(tree trees.Kind, m, n, nb, workers int, fused bool, out string) {
+func runMeasured(tree trees.Kind, m, n, nb, workers int, out string) {
 	if m < n {
 		fmt.Fprintln(os.Stderr, "need m ≥ n")
 		os.Exit(2)
 	}
-	rep, events, err := experiments.ReconcileRun(tree, m, n, nb, workers, 0, fused)
+	rep, events, err := experiments.ReconcileRun(tree, m, n, nb, workers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

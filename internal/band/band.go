@@ -9,11 +9,11 @@
 // grouping of the same rounds into caravan tasks over ku-block column
 // windows, executed as a task graph on the internal/sched runtime (see
 // parallel.go for the decomposition and the ordering argument).
-// BuildReduceGraph exposes the staged DAG for executors, simulators and
+// BuildReduceGraph exposes the DAG for executors, simulators and
 // critical-path analysis — in production it runs behind the
-// internal/pipeline executor layer, either as a stage-2 plan or fused
-// into the GE2BND graph via Target (fused.go); ReduceParallel is the
-// in-package convenience wrapper the parity tests and benchmarks use.
+// internal/pipeline executor layer as the stage-2 plan; ReduceParallel
+// is the in-package convenience wrapper the parity tests and benchmarks
+// use.
 package band
 
 import (

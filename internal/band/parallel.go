@@ -131,15 +131,11 @@ func Overlap(n, ku, window int) float64 {
 // reduction of an n×n band with ku superdiagonals: one ku-block.
 func WindowWidth(n, ku int) int { return max(min(ku, n-1), 1) }
 
-// NewWindowHandles registers the column-window data handles of a BND2BD
+// newWindowHandles registers the column-window data handles of a BND2BD
 // reduction of an n×n band with ku superdiagonals on g and returns them
 // (nil for n = 0); handle j covers columns [j·w, (j+1)·w) for
-// w = WindowWidth(n, ku). The fused pipeline (internal/pipeline) creates
-// the handles first, submits its band-fill adapter tasks against them,
-// and only then appends the chase tasks, so the sched runtime orders
-// every chase task after the adapters that populate the columns it
-// touches.
-func NewWindowHandles(g *sched.Graph, n, ku int) []*sched.Handle {
+// w = WindowWidth(n, ku).
+func newWindowHandles(g *sched.Graph, n, ku int) []*sched.Handle {
 	if n <= 0 {
 		return nil
 	}
@@ -160,8 +156,18 @@ func NewWindowHandles(g *sched.Graph, n, ku int) []*sched.Handle {
 // Options.BND2BDWindow. The input matrix is not modified; the tasks
 // share one private working copy of the band.
 func BuildReduceGraph(g *sched.Graph, b *Matrix, window int) (finish func() *Matrix) {
-	t := &Target{w: newWorkFrom(b)}
-	return t.BuildSegments(g, window, NewWindowHandles(g, b.N, b.KU))
+	w := newWorkFrom(b)
+	buildSegments(g, w, window, newWindowHandles(g, b.N, b.KU))
+	return w.extract
+}
+
+// Tasks returns the number of tasks BuildReduceGraph emits for an n×n
+// band with ku superdiagonals (window follows Options.BND2BDWindow),
+// without building them.
+func Tasks(n, ku, window int) int {
+	count := 0
+	(&work{n: n, ku: min(ku, max(n-1, 0))}).segments(window, func(segment, int, int, float64) { count++ })
+	return count
 }
 
 // segment is one task: step t of the caravan of sweeps [i0, i0+s), g
@@ -209,39 +215,53 @@ func (seg segment) span(w *work) (lo, hi int, flops float64, ok bool) {
 	return lo, hi, flops, hi >= 0
 }
 
-// buildSegments emits the tasks of the reduction over w onto g,
-// declaring read-write accesses on the given window handles.
-func buildSegments(g *sched.Graph, w *work, window int, handles []*sched.Handle) {
+// segments calls f for every task of the reduction over w in submission
+// order, caravan by caravan and step by step, with the inclusive range of
+// band columns its rounds touch and their modeled flops. Only n and ku of
+// w are read.
+func (w *work) segments(window int, f func(seg segment, lo, hi int, flops float64)) {
 	nsweeps := w.sweeps()
 	if nsweeps == 0 {
 		return
 	}
-	g.NeedScratch(w.scratchElems())
 	S, G := granularity(w.n, w.ku, window)
-	width := WindowWidth(w.n, w.ku)
-	var accs []sched.Access
 	for i0 := 0; i0 < nsweeps; i0 += S {
 		s := min(S, nsweeps-i0)
-		// The caravan's reflectors in flight, one per sweep.
-		inflight := g.NewHandle(int32(8*s*w.ku), 0)
 		// The caravan's last sweep finishes last: it starts s−1 rounds
 		// behind and sweeps lose at most one round per ku rows.
 		steps := (w.lastRound(i0+s-1)+s-1)/G + 1
 		for t := 0; t < steps; t++ {
 			seg := segment{i0: i0, s: s, t: t, g: G}
-			lo, hi, flops, ok := seg.span(w)
-			if !ok {
-				continue
+			if lo, hi, flops, ok := seg.span(w); ok {
+				f(seg, lo, hi, flops)
 			}
-			accs = append(accs[:0], sched.RW(inflight))
-			for win := lo / width; win <= hi/width; win++ {
-				accs = append(accs, sched.RW(handles[win]))
-			}
-			g.AddTask(kernels.BRDSEGKind, 0, flops, flops,
-				func(ws *nla.Workspace) { w.run(seg, ws) }, accs...).
-				SetCoords(i0, s, t)
 		}
 	}
+}
+
+// buildSegments emits the tasks of the reduction over w onto g,
+// declaring read-write accesses on the given window handles.
+func buildSegments(g *sched.Graph, w *work, window int, handles []*sched.Handle) {
+	if w.sweeps() > 0 {
+		g.NeedScratch(w.scratchElems())
+	}
+	width := WindowWidth(w.n, w.ku)
+	var inflight *sched.Handle
+	var accs []sched.Access
+	w.segments(window, func(seg segment, lo, hi int, flops float64) {
+		if seg.t == 0 {
+			// The caravan's reflectors in flight, one per sweep. Step 0
+			// always holds round 0 of the caravan's first sweep.
+			inflight = g.NewHandle(int32(8*seg.s*w.ku), 0)
+		}
+		accs = append(accs[:0], sched.RW(inflight))
+		for win := lo / width; win <= hi/width; win++ {
+			accs = append(accs, sched.RW(handles[win]))
+		}
+		g.AddTask(kernels.BRDSEGKind, 0, flops, flops,
+			func(ws *nla.Workspace) { w.run(seg, ws) }, accs...).
+			SetCoords(seg.i0, seg.s, seg.t)
+	})
 }
 
 // ReduceParallel performs BND2BD as a task graph on `workers` workers

@@ -129,6 +129,20 @@ func TestReduceGraphShape(t *testing.T) {
 	}
 }
 
+// Tasks counts what BuildReduceGraph builds, for every granularity and
+// for bandwidths the band clamps.
+func TestTasksCountsTheGraph(t *testing.T) {
+	for _, tc := range []struct{ n, ku int }{{0, 0}, {1, 0}, {2, 1}, {3, 9}, {48, 16}, {200, 12}, {768, 64}, {2048, 64}} {
+		for _, window := range []int{0, 1, tc.ku, 3 * tc.ku, tc.n} {
+			g := sched.NewGraph()
+			BuildReduceGraph(g, New(tc.n, tc.ku), window)
+			if got := Tasks(tc.n, tc.ku, window); got != len(g.Tasks) {
+				t.Errorf("Tasks(%d,%d,%d) = %d, graph has %d", tc.n, tc.ku, window, got, len(g.Tasks))
+			}
+		}
+	}
+}
+
 // ModelFlops is the closed-form sum over rounds, 8·n²·ku to leading
 // order.
 func TestModelFlops(t *testing.T) {

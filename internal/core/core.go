@@ -624,48 +624,6 @@ func (b *builder) emitTTLQ(k, piv, j, h, imax int) {
 	}
 }
 
-// BandTap exposes the band region of a finished GE2BND build — the
-// diagonal and first-superdiagonal tiles that hold the band-bidiagonal
-// result — at dependency granularity: for each band tile it returns read
-// accesses on exactly the sub-tile regions the band occupies. A fused
-// pipeline (internal/pipeline) attaches adapter tasks to these accesses,
-// so each adapter becomes runnable as soon as the last stage-1 task
-// writing that tile's band regions retires — typically the end of the
-// QR(k) panel (diagonal tile k) or the LQ(k) panel (superdiagonal tile
-// k), long before the trailing updates of later steps have drained.
-type BandTap struct {
-	// Shape is the tile geometry of the band-carrying matrix (the R
-	// factor's square shape under R-BIDIAG).
-	Shape Shape
-	// Data is the tile matrix holding the band; nil in simulation-only
-	// builds.
-	Data *tile.Matrix
-	b    *builder
-}
-
-// DiagAccesses returns read accesses on the regions of diagonal tile
-// (k, k) covered by the band: the tile diagonal and the strict upper
-// triangle. The strict lower triangle (Householder vectors) is excluded,
-// so adapters do not serialize against tasks that only touch reflectors.
-func (t *BandTap) DiagAccesses(k int) []sched.Access {
-	return []sched.Access{sched.R(t.b.hd(k, k)), sched.R(t.b.hu(k, k))}
-}
-
-// SuperAccesses returns read accesses on the regions of superdiagonal
-// tile (k, k+1) covered by the band: the tile diagonal and the strict
-// lower triangle (the band occupies local (r, c) with c ≤ r there).
-func (t *BandTap) SuperAccesses(k int) []sched.Access {
-	return []sched.Access{sched.R(t.b.hd(k, k+1)), sched.R(t.b.hl(k, k+1))}
-}
-
-// Owner returns the node owning tile (i, j) under the build's
-// distribution (0 for shared-memory builds).
-func (t *BandTap) Owner(i, j int) int32 { return t.b.cfg.owner(i, j) }
-
-func (b *builder) tap(sh Shape, data *tile.Matrix) *BandTap {
-	return &BandTap{Shape: sh, Data: data, b: b}
-}
-
 func rangeInts(lo, hi int) []int {
 	r := make([]int, 0, hi-lo)
 	for i := lo; i < hi; i++ {
@@ -675,10 +633,8 @@ func rangeInts(lo, hi int) []int {
 }
 
 // BuildBidiag emits the BIDIAG GE2BND task graph for a matrix of the given
-// shape (p ≥ q tiles). data may be nil for simulation-only builds. The
-// returned BandTap exposes the band-region handles of the result for
-// fused-pipeline consumers; plain GE2BND callers may ignore it.
-func BuildBidiag(g *sched.Graph, sh Shape, data *tile.Matrix, cfg Config) *BandTap {
+// shape (p ≥ q tiles). data may be nil for simulation-only builds.
+func BuildBidiag(g *sched.Graph, sh Shape, data *tile.Matrix, cfg Config) {
 	if sh.M < sh.N {
 		panic("core: BIDIAG requires m ≥ n; bidiagonalize the transpose instead")
 	}
@@ -689,7 +645,6 @@ func BuildBidiag(g *sched.Graph, sh Shape, data *tile.Matrix, cfg Config) *BandT
 			b.lqStep(k, rangeInts(k+1, sh.Q), sh.P)
 		}
 	}
-	return b.tap(sh, data)
 }
 
 // qrPhaseConfig returns the configuration used for a full QR factorization
@@ -724,9 +679,8 @@ func BuildQR(g *sched.Graph, sh Shape, data *tile.Matrix, cfg Config) {
 // BuildRBidiag emits the R-BIDIAG GE2BND task graph: QR(p,q), extraction
 // of the R factor into a fresh q×q tile matrix, then BIDIAG(q,q) starting
 // at LQ(1). It returns the shape and (in real mode) the tile matrix that
-// holds the band result, plus the BandTap over that matrix for
-// fused-pipeline consumers.
-func BuildRBidiag(g *sched.Graph, sh Shape, data *tile.Matrix, cfg Config) (Shape, *tile.Matrix, *BandTap) {
+// holds the band result.
+func BuildRBidiag(g *sched.Graph, sh Shape, data *tile.Matrix, cfg Config) (Shape, *tile.Matrix) {
 	if sh.M < sh.N {
 		panic("core: R-BIDIAG requires m ≥ n")
 	}
@@ -804,5 +758,5 @@ func BuildRBidiag(g *sched.Graph, sh Shape, data *tile.Matrix, cfg Config) (Shap
 			}
 		}
 	}
-	return rsh, rdata, rb.tap(rsh, rdata)
+	return rsh, rdata
 }

@@ -33,7 +33,7 @@ func runRBidiag(t *testing.T, d *tile.Matrix, tr trees.Kind, treeCores, workers 
 	t.Helper()
 	work := d.Clone()
 	g := sched.NewGraph()
-	_, r, _ := BuildRBidiag(g, ShapeOf(work.M, work.N, work.NB), work, Config{Tree: tr, Cores: treeCores})
+	_, r := BuildRBidiag(g, ShapeOf(work.M, work.N, work.NB), work, Config{Tree: tr, Cores: treeCores})
 	if err := g.CheckAcyclic(); err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func reconstructViaRecorder(t *testing.T, m, n, nb int, tr trees.Kind, rbidiag b
 	work := d.Clone()
 	result := work
 	if rbidiag {
-		_, result, _ = BuildRBidiag(g, ShapeOf(m, n, nb), work, cfg)
+		_, result = BuildRBidiag(g, ShapeOf(m, n, nb), work, cfg)
 	} else {
 		BuildBidiag(g, ShapeOf(m, n, nb), work, cfg)
 	}

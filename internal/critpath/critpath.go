@@ -13,7 +13,6 @@ import (
 
 	"github.com/tiled-la/bidiag/internal/band"
 	"github.com/tiled-la/bidiag/internal/core"
-	"github.com/tiled-la/bidiag/internal/pipeline"
 	"github.com/tiled-la/bidiag/internal/sched"
 	"github.com/tiled-la/bidiag/internal/trees"
 )
@@ -211,51 +210,4 @@ func MeasureBND2BD(n, ku, window int) (cp, work float64) {
 	band.BuildReduceGraph(g, band.New(n, ku), window)
 	cp = g.CriticalPath(sched.FlopsTime)
 	return cp, g.Summary().TotalFlops
-}
-
-// MeasurePipeline builds the fused GE2BND+BND2BD DAG of an m×n matrix
-// (m ≥ n) with tile size nb (internal/pipeline) and returns its critical
-// path next to the critical paths of the two stages built as separate
-// graphs — the staged execution's lower bound, since the staged path
-// additionally serializes the stages behind a barrier. All three lengths
-// are in modeled flops: the per-task flop counts are the only time base
-// the two stages share (Table I's nb³/3 unit does not apply to chase
-// tasks). The cross-stage adapters carry zero flops, so
-//
-//	fused ≤ ge2bnd + bnd2bd
-//
-// always holds (every fused path is a stage-1 path, an adapter and a
-// stage-2 path laid end to end), and the inequality is strict wherever
-// the chase is cut into steps shorter than a sweep (an explicit window,
-// or the derived granularity from n ≈ 2000 on), because the head of the
-// bulge chase then runs while stage 1 is still working; whole-sweep steps
-// need the band end and start when stage 1 is over. The saving is,
-// however, bounded by the chase prefix ahead of the band's end: each
-// sweep drains its bulge off the band end, so consecutive sweeps are
-// serialized there, and the band end is finalized by the very last
-// stage-1 tasks. The critical-path spine of BND2BD therefore lives
-// almost entirely downstream of stage 1's completion under any
-// schedule, staged or fused — the quantitative counterpart of the
-// paper's observation that BND2BD does not shorten with more resources.
-// The fusion's larger practical win is throughput, not path length: the
-// barrier and the intermediate band materialization disappear, and
-// stage-2 work fills stage-1 stragglers on a finite worker pool.
-// window ≤ 0 selects the derived granularity.
-func MeasurePipeline(tree trees.Kind, m, n, nb, window int) (fused, ge2bnd, bnd2bd float64) {
-	if m < n {
-		panic("critpath: MeasurePipeline requires m ≥ n")
-	}
-	sh := core.ShapeOf(m, n, nb)
-	cfg := buildCfg(tree)
-	p := pipeline.Build(pipeline.Spec{Shape: sh, Config: cfg, Fused: true, Window: window})
-	fused = p.Graph.CriticalPath(sched.FlopsTime)
-
-	g1 := sched.NewGraph()
-	core.BuildBidiag(g1, sh, nil, cfg)
-	ge2bnd = g1.CriticalPath(sched.FlopsTime)
-
-	g2 := sched.NewGraph()
-	band.BuildReduceGraph(g2, band.New(n, nb), window)
-	bnd2bd = g2.CriticalPath(sched.FlopsTime)
-	return fused, ge2bnd, bnd2bd
 }

@@ -257,43 +257,3 @@ func TestMeasureBND2BD(t *testing.T) {
 		t.Errorf("model work depends on the cut: %g vs %g", workCut, work)
 	}
 }
-
-// TestMeasurePipeline pins the fused-pipeline critical-path property of
-// the cross-stage fusion: never longer than the per-stage sum (up to the
-// rounding of two summation orders), and strictly shorter wherever the
-// chase is cut into steps short enough to start before stage 1 ends — an
-// explicit cut width on small shapes, the derived granularity on bands
-// long enough to pipeline — across every tree, square and tall. Short
-// bands under the derived granularity chase in whole-sweep steps, which
-// need the band end and so start when stage 1 is over.
-func TestMeasurePipeline(t *testing.T) {
-	shapes := []struct {
-		m, n, nb, window int
-	}{
-		{256, 256, 32, 0},
-		{256, 256, 32, 48},
-		{320, 320, 64, 64},
-		{512, 128, 32, 0},
-		{2048, 2048, 128, 256},
-	}
-	for _, tree := range []trees.Kind{trees.FlatTS, trees.FlatTT, trees.Greedy} {
-		for _, s := range shapes {
-			fused, s1, s2 := MeasurePipeline(tree, s.m, s.n, s.nb, s.window)
-			if fused <= 0 || s1 <= 0 || s2 <= 0 {
-				t.Fatalf("%v %dx%d: degenerate paths %v %v %v", tree, s.m, s.n, fused, s1, s2)
-			}
-			if fused > (s1+s2)*(1+1e-12) {
-				t.Errorf("%v %dx%d nb=%d w=%d: fused cp %v exceeds staged sum %v",
-					tree, s.m, s.n, s.nb, s.window, fused, s1+s2)
-			}
-			if s.m == s.n && s.window > 0 && fused >= s1+s2 {
-				t.Errorf("%v %dx%d nb=%d w=%d: square fused cp %v not strictly below %v",
-					tree, s.m, s.n, s.nb, s.window, fused, s1+s2)
-			}
-			if fused < s1 || fused < s2 {
-				t.Errorf("%v %dx%d: fused cp %v below a single stage (%v, %v)",
-					tree, s.m, s.n, fused, s1, s2)
-			}
-		}
-	}
-}

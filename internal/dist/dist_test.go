@@ -63,7 +63,7 @@ func buildGE2BND(g *sched.Graph, sh core.Shape, data *tile.Matrix, grid Grid, co
 	tc := AutoDefaults(sh, grid, cores)
 	cfg := tc.Configure()
 	if rbidiag {
-		_, r, _ := core.BuildRBidiag(g, sh, data, cfg)
+		_, r := core.BuildRBidiag(g, sh, data, cfg)
 		return r
 	}
 	core.BuildBidiag(g, sh, data, cfg)

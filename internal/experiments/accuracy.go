@@ -54,7 +54,7 @@ func Accuracy(sc Scale) *Table {
 		result := work
 		algo := "BIDIAG"
 		if c.rbidiag {
-			_, result, _ = core.BuildRBidiag(g, sh, work, cfg)
+			_, result = core.BuildRBidiag(g, sh, work, cfg)
 			algo = "R-BIDIAG"
 		} else {
 			core.BuildBidiag(g, sh, work, cfg)

@@ -274,28 +274,3 @@ func TestAblationHighTreeShape(t *testing.T) {
 		t.Errorf("flat high tree should move least data on square: flat=%v greedy=%v", flatVol, greedyVol)
 	}
 }
-
-// TestPipelineCPGainPositive checks the fused-pipeline experiment: every
-// row must satisfy fused ≤ sum (up to summation-order rounding), and the
-// square shapes whose chase is cut into short steps (an explicit cut
-// width here) must show a strictly positive overlap gain.
-func TestPipelineCPGainPositive(t *testing.T) {
-	tbl := PipelineCP(small)
-	checkShape(t, tbl)
-	for i, r := range tbl.Rows {
-		sum := parseCell(t, tbl, i, 7)
-		fused := parseCell(t, tbl, i, 8)
-		gain := parseCell(t, tbl, i, 9)
-		if fused > sum*(1+1e-12) {
-			t.Errorf("row %v: fused cp exceeds staged sum", r)
-		}
-		if gain < -1e-9 {
-			t.Errorf("row %v: negative gain", r)
-		}
-		// The cp columns are exact integers (f0 of whole flop counts), so
-		// strictness is checked on them rather than the rounded gain%.
-		if r[0] == r[1] && r[3] != "0" && fused >= sum {
-			t.Errorf("row %v: square shape shows no overlap gain", r)
-		}
-	}
-}

@@ -12,7 +12,7 @@ import (
 	"github.com/tiled-la/bidiag/internal/trees"
 )
 
-// ReconcileRun executes one REAL traced GE2BND (or fused pipeline) run on
+// ReconcileRun executes one REAL traced GE2BND run on
 // the goroutine pool and reconciles it against the flop model: it builds
 // the graph over a deterministic random m×n matrix, attaches an
 // obs.Tracer sized for a complete trace, runs on `workers` workers, and
@@ -20,7 +20,7 @@ import (
 // Chrome-trace export). Unlike the rest of this package, which replays
 // graphs in virtual time, this is a wall-clock measurement — the bridge
 // between the paper's model world and the machine the tests run on.
-func ReconcileRun(tree trees.Kind, m, n, nb, workers, window int, fused bool) (*critpath.ReconcileReport, []obs.Event, error) {
+func ReconcileRun(tree trees.Kind, m, n, nb, workers int) (*critpath.ReconcileReport, []obs.Event, error) {
 	rng := rand.New(rand.NewSource(int64(m)*1_000_003 + int64(n)*1009 + int64(nb)))
 	src := nla.RandomMatrix(rng, m, n)
 	sh := core.ShapeOf(m, n, nb)
@@ -28,8 +28,6 @@ func ReconcileRun(tree trees.Kind, m, n, nb, workers, window int, fused bool) (*
 		Shape:  sh,
 		Data:   tile.FromDense(src, nb),
 		Config: core.Config{Tree: tree, Gamma: 2, Cores: workers},
-		Fused:  fused,
-		Window: window,
 	})
 	tr := obs.NewTracer(workers, len(p.Graph.Tasks))
 	p.Graph.Tracer = tr
@@ -68,7 +66,7 @@ func Reconcile(sc Scale, workers int) (*Table, error) {
 	}
 	for _, s := range shapes {
 		for _, tr := range []trees.Kind{trees.FlatTS, trees.Greedy} {
-			rep, _, err := ReconcileRun(tr, s.m, s.n, s.nb, workers, 0, false)
+			rep, _, err := ReconcileRun(tr, s.m, s.n, s.nb, workers)
 			if err != nil {
 				return nil, err
 			}

@@ -29,12 +29,6 @@ const (
 	// cost is data-size dependent, so each task carries its own modeled
 	// weight and the table entry is 0.
 	BRDSEGKind
-	// BANDCPKind drains the band region of a finished stage-1 tile into
-	// the working storage of the second stage (the cross-stage adapter of
-	// the fused pipeline, internal/pipeline). Like LACPY it moves data
-	// without flops and carries zero critical-path weight, so fusing the
-	// stages never lengthens the modeled critical path by itself.
-	BANDCPKind
 	// BRDQPKind forms one row panel of Q₂ or P₂, the accumulated
 	// transformations of the BND2BD stage, by streaming the reflector
 	// log of the chase over it (internal/core/vectors.go). Like BRDSEG
@@ -50,7 +44,7 @@ const (
 var kindNames = [...]string{
 	"GEQRT", "UNMQR", "TSQRT", "TSMQR", "TTQRT", "TTMQR",
 	"GELQT", "UNMLQ", "TSLQT", "TSMLQ", "TTLQT", "TTMLQ",
-	"LACPY", "LASET", "BRDSEG", "BANDCP", "BRDQP", "BDROT",
+	"LACPY", "LASET", "BRDSEG", "BRDQP", "BDROT",
 }
 
 func (k Kind) String() string {
@@ -64,7 +58,7 @@ func (k Kind) String() string {
 var tableI = [NumKinds]float64{
 	GEQRTKind: 4, UNMQRKind: 6, TSQRTKind: 6, TSMQRKind: 12, TTQRTKind: 2, TTMQRKind: 6,
 	GELQTKind: 4, UNMLQKind: 6, TSLQTKind: 6, TSMLQKind: 12, TTLQTKind: 2, TTMLQKind: 6,
-	LACPYKind: 0, LASETKind: 0, BRDSEGKind: 0, BANDCPKind: 0, BRDQPKind: 0, BDROTKind: 0,
+	LACPYKind: 0, LASETKind: 0, BRDSEGKind: 0, BRDQPKind: 0, BDROTKind: 0,
 }
 
 // Weight returns the Table I critical-path weight of kernel k, in units of

@@ -333,7 +333,7 @@ func TestKindString(t *testing.T) {
 	if GEQRTKind.String() != "GEQRT" || TTMLQKind.String() != "TTMLQ" || LASETKind.String() != "LASET" {
 		t.Fatalf("kind names wrong")
 	}
-	if BRDSEGKind.String() != "BRDSEG" || BANDCPKind.String() != "BANDCP" {
+	if BRDSEGKind.String() != "BRDSEG" || BRDQPKind.String() != "BRDQP" || BDROTKind.String() != "BDROT" {
 		t.Fatalf("band-stage kind names wrong")
 	}
 	if Kind(99).String() != "UNKNOWN" {
@@ -345,7 +345,7 @@ func TestTableIWeights(t *testing.T) {
 	want := map[Kind]float64{
 		GEQRTKind: 4, UNMQRKind: 6, TSQRTKind: 6, TSMQRKind: 12, TTQRTKind: 2, TTMQRKind: 6,
 		GELQTKind: 4, UNMLQKind: 6, TSLQTKind: 6, TSMLQKind: 12, TTLQTKind: 2, TTMLQKind: 6,
-		LACPYKind: 0, LASETKind: 0, BRDSEGKind: 0, BANDCPKind: 0,
+		LACPYKind: 0, LASETKind: 0, BRDSEGKind: 0,
 	}
 	for k, w := range want {
 		if Weight(k) != w {

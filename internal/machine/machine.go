@@ -80,7 +80,6 @@ func Miriel() Model {
 	// MemBoundRate/CoresPerNode of the GEMM peak (Section VI treats the
 	// whole stage at 20 GFlop/s per node).
 	m.Eff[kernels.BRDSEGKind] = m.MemBoundRate / float64(m.CoresPerNode) / m.PeakPerCore
-	m.Eff[kernels.BANDCPKind] = 1 // zero flops anyway
 	return m
 }
 

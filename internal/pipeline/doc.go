@@ -1,5 +1,5 @@
-// Package pipeline fuses the stages of the singular value reduction into
-// one task graph and runs it through a single engine-agnostic executor
+// Package pipeline builds the stages of the singular value reduction as
+// task graphs and runs them through a single engine-agnostic executor
 // layer. It is the seam between the algorithm builders (internal/core for
 // GE2BND, internal/band for BND2BD) and the execution engines
 // (internal/sched's sequential order and worker pool, internal/dist's
@@ -10,18 +10,19 @@
 //
 // # Stage / Executor layering
 //
-// A Plan is built from up to three Stages, all living in the same
-// sched.Graph so the superscalar dependence inference spans them:
+// The values pipeline is two plans, run one after the other:
 //
-//	GE2BND   the tiled QR/LQ kernels of BIDIAG or R-BIDIAG
-//	         (core.BuildBidiag / core.BuildRBidiag);
-//	BANDCP   cross-stage adapters, one per band tile, that drain the
-//	         diagonal (and first-superdiagonal) tile's band region into
-//	         the second stage's working storage (band.Target) the moment
-//	         the last stage-1 task writing it retires;
-//	BND2BD   the caravan tasks of the Householder bulge chase
-//	         (band.Target.BuildSegments), reading the same ku-block
-//	         column-window handles the adapters write.
+//	GE2BND   Build: the tiled QR/LQ kernels of BIDIAG or R-BIDIAG
+//	         (core.BuildBidiag / core.BuildRBidiag), leaving the band in
+//	         the plan's Tiles;
+//	BND2BD   BuildBND2BD: the caravan tasks of the Householder bulge
+//	         chase (band.BuildReduceGraph) over the band the caller
+//	         extracted from those tiles.
+//
+// Each sweep of the chase needs every band column before it can start,
+// and below a band of ~1900 columns the chase is a chain of whole
+// sweeps, so running both stages in one graph overlaps nothing; the
+// barrier between the two plans costs one band extraction.
 //
 // An Executor is anything that can run a sched.Graph to completion:
 //
@@ -48,34 +49,4 @@
 // context-aware (RunCtx) and panic-safe: a cancelled context stops
 // dispatch and returns ctx.Err(); a panicking kernel surfaces as an
 // error naming the kernel kind instead of killing the process.
-//
-// # Fused versus staged
-//
-// With Spec.Fused = false the Plan contains only the GE2BND stage — the
-// classic staged path, in which the caller extracts the band afterwards
-// and reduces it as a separate graph (bidiag.Options.Fused = false keeps
-// this path as the oracle). With Spec.Fused = true the Plan carries all
-// three stages and there is no barrier and no intermediate band.Matrix
-// round-trip: a chase task over band columns [c, c+w) becomes runnable
-// as soon as the stage-1 tasks finalizing those diagonal and
-// superdiagonal tiles retire, which overlaps the head of the chase with
-// the trailing stage-1 updates — the pipelining opportunity the paper's
-// critical-path analysis exposes. The adapters carry zero weight and
-// zero flops, so critpath.MeasurePipeline reports a fused critical path
-// never longer than cp(GE2BND) + cp(BND2BD), and strictly shorter
-// wherever the chase is cut into steps shorter than a sweep — an explicit
-// Spec.Window, or the derived granularity on bands long enough to
-// pipeline (internal/band); a short band is chased in whole-sweep
-// tasks, which need the band end and so start when stage 1 is over. The
-// critical-path saving is in any case bounded by the chase prefix ahead
-// of the band end — every sweep drains off the band end, which stage 1
-// finalizes last — so the fusion's main practical win is throughput: no
-// barrier, no band round-trip, and stage-2 work filling stage-1
-// stragglers on a finite pool (see critpath.MeasurePipeline for the
-// full argument).
-//
-// Fusion changes the schedule, never the arithmetic: the adapters write
-// exactly the values ExtractBand would have copied, and the chase tasks
-// run under the same window dependences as the staged graph, so fused
-// and staged singular values are bitwise-identical.
 package pipeline

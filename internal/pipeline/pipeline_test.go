@@ -8,7 +8,6 @@ import (
 	"github.com/tiled-la/bidiag/internal/band"
 	"github.com/tiled-la/bidiag/internal/core"
 	"github.com/tiled-la/bidiag/internal/dist"
-	"github.com/tiled-la/bidiag/internal/kernels"
 	"github.com/tiled-la/bidiag/internal/nla"
 	"github.com/tiled-la/bidiag/internal/sched"
 	"github.com/tiled-la/bidiag/internal/tile"
@@ -19,29 +18,51 @@ import (
 // distributed-style config is used for every engine so all runs execute
 // the SAME graph (the hierarchical trees adapt to the grid, so parity is
 // a property of one DAG under different schedules).
-func specFor(src *nla.Matrix, nb int, grid dist.Grid, wpn int, useR, fused bool, window int) Spec {
+func specFor(src *nla.Matrix, nb int, grid dist.Grid, wpn int, useR bool) Spec {
 	sh := core.ShapeOf(src.Rows, src.Cols, nb)
 	return Spec{
 		Shape:   sh,
 		Data:    tile.FromDense(src, nb),
 		Config:  dist.AutoDefaults(sh, grid, wpn).Configure(),
 		RBidiag: useR,
-		Fused:   fused,
-		Window:  window,
 	}
 }
 
-// stagedReference runs the classic staged path sequentially: GE2BND,
-// band extraction, sequential bulge chase — the oracle every fused
-// execution must match bitwise.
-func stagedReference(t *testing.T, spec Spec) *band.Matrix {
+// reference runs the values pipeline sequentially: GE2BND, band
+// extraction, the sequential bulge chase — the oracle every executor
+// must match bitwise.
+func reference(t *testing.T, spec Spec) *band.Matrix {
 	t.Helper()
-	spec.Fused = false
 	p := Build(spec)
 	if _, err := Run(p, Sequential{}); err != nil {
-		t.Fatalf("staged sequential run: %v", err)
+		t.Fatalf("sequential run: %v", err)
 	}
 	return band.Reduce(p.Tiles.ExtractBand(p.Tiles.NB))
+}
+
+// runValues runs both plans of the values pipeline on ex — GE2BND, then
+// the chase of the band it leaves — and returns the bidiagonal.
+func runValues(t *testing.T, spec Spec, ex Executor, window int) *band.Matrix {
+	t.Helper()
+	p := Build(spec)
+	if err := p.Graph.CheckAcyclic(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Run(p, ex)
+	if err != nil {
+		t.Fatalf("%s: %v", ex.Name(), err)
+	}
+	if rep.Tasks != len(p.Graph.Tasks) {
+		t.Fatalf("%s: ran %d of %d tasks", ex.Name(), rep.Tasks, len(p.Graph.Tasks))
+	}
+	if ex.Name() == "owner-compute" && rep.Dist == nil {
+		t.Fatalf("owner-compute reported no dist stats")
+	}
+	chase := BuildBND2BD(p.Tiles.ExtractBand(p.Tiles.NB), window)
+	if _, err := Run(chase, ex); err != nil {
+		t.Fatalf("%s chase: %v", ex.Name(), err)
+	}
+	return chase.Bidiagonal()
 }
 
 func diffBidiagonal(t *testing.T, label string, ref, got *band.Matrix) {
@@ -63,10 +84,10 @@ func diffBidiagonal(t *testing.T, label string, ref, got *band.Matrix) {
 	}
 }
 
-// TestFusedMatchesStagedAcrossExecutors is the core fused-pipeline
-// property: one fused graph, executed by every engine, reproduces the
-// staged sequential reference bit for bit.
-func TestFusedMatchesStagedAcrossExecutors(t *testing.T) {
+// TestExecutorParity is the executor layer's core property: both plans
+// of the values pipeline, executed by every engine, reproduce the
+// sequential reference bit for bit, whatever the chase's cut width.
+func TestExecutorParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	cases := []struct {
 		m, n, nb int
@@ -82,108 +103,57 @@ func TestFusedMatchesStagedAcrossExecutors(t *testing.T) {
 	grid := dist.Grid{R: 2, C: 2}
 	const wpn = 2
 	for _, tc := range cases {
-		name := fmt.Sprintf("%dx%d/nb=%d/useR=%v/window=%d", tc.m, tc.n, tc.nb, tc.useR, tc.window)
+		name := fmt.Sprintf("%dx%d/nb=%d/rbidiag=%v/w=%d", tc.m, tc.n, tc.nb, tc.useR, tc.window)
 		t.Run(name, func(t *testing.T) {
 			src := nla.RandomMatrix(rng, tc.m, tc.n)
-			ref := stagedReference(t, specFor(src, tc.nb, grid, wpn, tc.useR, false, tc.window))
-
-			executors := []Executor{
+			ref := reference(t, specFor(src, tc.nb, grid, wpn, tc.useR))
+			for _, ex := range []Executor{
 				Sequential{},
 				Pool{Workers: 3},
 				OwnerCompute{Grid: grid, WorkersPerNode: wpn},
-			}
-			for _, ex := range executors {
-				p := Build(specFor(src, tc.nb, grid, wpn, tc.useR, true, tc.window))
-				if err := p.Graph.CheckAcyclic(); err != nil {
-					t.Fatal(err)
-				}
-				rep, err := Run(p, ex)
-				if err != nil {
-					t.Fatalf("%s: %v", ex.Name(), err)
-				}
-				if rep.Tasks != len(p.Graph.Tasks) {
-					t.Fatalf("%s: ran %d of %d tasks", ex.Name(), rep.Tasks, len(p.Graph.Tasks))
-				}
-				if ex.Name() == "owner-compute" && rep.Dist == nil {
-					t.Fatalf("owner-compute reported no dist stats")
-				}
-				diffBidiagonal(t, ex.Name(), ref, p.Bidiagonal())
+			} {
+				diffBidiagonal(t, ex.Name(), ref, runValues(t, specFor(src, tc.nb, grid, wpn, tc.useR), ex, tc.window))
 			}
 		})
 	}
 }
 
-// TestStageAccounting pins the plan bookkeeping: the staged plan carries
-// one stage, the fused plan three, their task counts sum to the graph,
-// and the adapter stage holds exactly one task per band tile (2q−1).
+// TestStageAccounting pins the plan bookkeeping: each plan carries its
+// one stage, whose task count is the graph's, and the chase plan has
+// exactly the tasks band.Tasks predicts.
 func TestStageAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	src := nla.RandomMatrix(rng, 96, 64)
-	grid := dist.Grid{R: 1, C: 1}
-
-	staged := Build(specFor(src, 32, grid, 1, false, false, 0))
-	if len(staged.Stages) != 1 || staged.Stages[0].Name != "GE2BND" {
-		t.Fatalf("staged stages: %+v", staged.Stages)
+	p := Build(specFor(src, 32, dist.Grid{R: 1, C: 1}, 1, false))
+	if len(p.Stages) != 1 || p.Stages[0].Name != "GE2BND" || p.Stages[0].Tasks != len(p.Graph.Tasks) {
+		t.Fatalf("GE2BND stages: %+v for %d tasks", p.Stages, len(p.Graph.Tasks))
 	}
-
-	fused := Build(specFor(src, 32, grid, 1, false, true, 0))
-	if len(fused.Stages) != 3 {
-		t.Fatalf("fused stages: %+v", fused.Stages)
-	}
-	total := 0
-	perName := map[string]int{}
-	for _, s := range fused.Stages {
-		total += s.Tasks
-		perName[s.Name] = s.Tasks
-	}
-	if total != len(fused.Graph.Tasks) {
-		t.Fatalf("stage tasks sum %d != graph %d", total, len(fused.Graph.Tasks))
-	}
-	q := fused.Shape.Q
-	if perName["BANDCP"] != 2*q-1 {
-		t.Fatalf("adapter count %d, want %d", perName["BANDCP"], 2*q-1)
-	}
-	if perName["BND2BD"] == 0 {
-		t.Fatalf("no chase segments emitted")
-	}
-	adapters := 0
-	for _, task := range fused.Graph.Tasks {
-		if task.Kind == kernels.BANDCPKind {
-			adapters++
-			if task.Weight != 0 || task.Flops != 0 {
-				t.Fatalf("adapter %s carries weight %v flops %v", task.Name(), task.Weight, task.Flops)
-			}
+	for _, window := range []int{0, 32} {
+		chase := BuildBND2BD(p.Tiles.ExtractBand(32), window)
+		if len(chase.Stages) != 1 || chase.Stages[0].Name != "BND2BD" || chase.Stages[0].Tasks != len(chase.Graph.Tasks) {
+			t.Fatalf("BND2BD stages: %+v for %d tasks", chase.Stages, len(chase.Graph.Tasks))
 		}
-	}
-	if adapters != perName["BANDCP"] {
-		t.Fatalf("graph has %d adapters, stage says %d", adapters, perName["BANDCP"])
+		if want := band.Tasks(64, 32, window); len(chase.Graph.Tasks) != want || want == 0 {
+			t.Fatalf("window %d: chase has %d tasks, band.Tasks says %d", window, len(chase.Graph.Tasks), want)
+		}
 	}
 }
 
-// TestBuildSimulationOnly checks that a fused plan can be built without
-// data — the mode critpath.MeasurePipeline uses — and that the fused
-// critical path in flop units never exceeds the sum of the stages'.
+// TestBuildSimulationOnly checks that a plan can be built without data —
+// the mode the planner prices candidates in — and that it is the GE2BND
+// graph the core builder emits, weights and all.
 func TestBuildSimulationOnly(t *testing.T) {
 	sh := core.ShapeOf(256, 256, 32)
 	cfg := core.Config{Tree: trees.Greedy}
-	fused := Build(Spec{Shape: sh, Config: cfg, Fused: true, Window: 64})
-	if fused.Tiles != nil {
+	p := Build(Spec{Shape: sh, Config: cfg})
+	if p.Tiles != nil {
 		t.Fatalf("simulation-only build materialized tiles")
 	}
-	cpFused := fused.Graph.CriticalPath(sched.FlopsTime)
-
-	g1 := sched.NewGraph()
-	core.BuildBidiag(g1, sh, nil, cfg)
-	cp1 := g1.CriticalPath(sched.FlopsTime)
-	g2 := sched.NewGraph()
-	band.BuildReduceGraph(g2, band.New(256, 32), 64)
-	cp2 := g2.CriticalPath(sched.FlopsTime)
-
-	if cpFused <= 0 || cp1 <= 0 || cp2 <= 0 {
-		t.Fatalf("degenerate critical paths: fused=%v ge2bnd=%v bnd2bd=%v", cpFused, cp1, cp2)
-	}
-	if cpFused >= cp1+cp2 {
-		t.Fatalf("square shape should overlap: fused cp %v not below staged sum %v", cpFused, cp1+cp2)
+	g := sched.NewGraph()
+	core.BuildBidiag(g, sh, nil, cfg)
+	cp, want := p.Graph.CriticalPath(sched.FlopsTime), g.CriticalPath(sched.FlopsTime)
+	if len(p.Graph.Tasks) != len(g.Tasks) || cp != want || cp <= 0 {
+		t.Fatalf("plan has %d tasks, cp %v; core builder %d tasks, cp %v", len(p.Graph.Tasks), cp, len(g.Tasks), want)
 	}
 }
 

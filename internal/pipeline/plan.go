@@ -6,14 +6,12 @@ import (
 	"github.com/tiled-la/bidiag/internal/band"
 	"github.com/tiled-la/bidiag/internal/core"
 	"github.com/tiled-la/bidiag/internal/dist"
-	"github.com/tiled-la/bidiag/internal/kernels"
 	"github.com/tiled-la/bidiag/internal/nla"
 	"github.com/tiled-la/bidiag/internal/sched"
 	"github.com/tiled-la/bidiag/internal/tile"
 )
 
-// Spec describes the reduction plan to build. The zero Window selects
-// the BND2BD stage's derived granularity; Data may be nil for
+// Spec describes the GE2BND plan to build. Data may be nil for
 // simulation-only builds (the graph then carries weights and dependences
 // but no kernels).
 type Spec struct {
@@ -27,10 +25,10 @@ type Spec struct {
 	Config core.Config
 	// RBidiag selects R-BIDIAG (QR first) instead of direct BIDIAG.
 	RBidiag bool
-	// Fused appends the BANDCP adapters and the BND2BD chase tasks to
-	// the same graph, removing the inter-stage barrier.
-	Fused bool
-	// Window is the BND2BD cut width in columns (≤ 0: derived).
+	// Window is read by nothing in the library: the chase is BuildBND2BD's,
+	// which takes its cut width as an argument. It stays only because the
+	// end-to-end benchmark's stage mirror sets it; the benchmark-only
+	// change that deletes that mirror removes it.
 	Window int
 }
 
@@ -88,36 +86,23 @@ type Plan struct {
 	finish func() *band.Matrix
 }
 
-// Build constructs the plan's task graph: the GE2BND stage always, plus —
-// when spec.Fused — the cross-stage adapters and the BND2BD chase
-// tasks, all in one sched.Graph so dependence inference spans the
-// stage boundary.
+// Build constructs the GE2BND stage's task graph; the caller extracts the
+// band from Tiles once it has run and chases it with BuildBND2BD.
 func Build(spec Spec) *Plan {
 	g := sched.NewGraph()
-	rsh := spec.Shape
-	data := spec.Data
-	var tap *core.BandTap
+	rsh, data := spec.Shape, spec.Data
 	if spec.RBidiag {
-		rsh, data, tap = core.BuildRBidiag(g, spec.Shape, spec.Data, spec.Config)
+		rsh, data = core.BuildRBidiag(g, spec.Shape, spec.Data, spec.Config)
 	} else {
-		tap = core.BuildBidiag(g, spec.Shape, spec.Data, spec.Config)
+		core.BuildBidiag(g, spec.Shape, spec.Data, spec.Config)
 	}
-	p := &Plan{Graph: g, Tiles: data, Shape: rsh, UsedRBidiag: spec.RBidiag}
-	p.Stages = append(p.Stages, Stage{Name: "GE2BND", Tasks: len(g.Tasks)})
-	if !spec.Fused {
-		return p
+	return &Plan{
+		Graph:       g,
+		Stages:      []Stage{{Name: "GE2BND", Tasks: len(g.Tasks)}},
+		Tiles:       data,
+		Shape:       rsh,
+		UsedRBidiag: spec.RBidiag,
 	}
-
-	n := min(rsh.M, rsh.N)
-	target := band.NewTarget(n, rsh.NB)
-	win := band.NewWindowHandles(g, n, target.KU())
-	mark := len(g.Tasks)
-	buildAdapters(g, tap, target, win, band.WindowWidth(n, target.KU()), n)
-	p.Stages = append(p.Stages, Stage{Name: "BANDCP", Tasks: len(g.Tasks) - mark})
-	mark = len(g.Tasks)
-	p.finish = target.BuildSegments(g, spec.Window, win)
-	p.Stages = append(p.Stages, Stage{Name: "BND2BD", Tasks: len(g.Tasks) - mark})
-	return p
 }
 
 // BuildBND2BD returns a stage-2-only plan: the task-graph bulge-chase
@@ -150,76 +135,12 @@ func RunCtx(ctx context.Context, p *Plan, ex Executor) (*Report, error) {
 	return ex.Execute(ctx, p.Graph)
 }
 
-// Bidiagonal returns the reduced bidiagonal matrix of a fused or
-// stage-2-only plan. Valid only after the plan has been executed; it
-// panics on a plan without a BND2BD stage.
+// Bidiagonal returns the reduced bidiagonal matrix of a BuildBND2BD plan.
+// Valid only after the plan has been executed; it panics on a GE2BND
+// plan.
 func (p *Plan) Bidiagonal() *band.Matrix {
 	if p.finish == nil {
 		panic("pipeline: plan has no BND2BD stage")
 	}
 	return p.finish()
-}
-
-// buildAdapters emits one BANDCP task per band tile of the stage-1
-// result: the task reads exactly the sub-tile regions the band occupies
-// (so it becomes runnable when the last stage-1 writer of those regions
-// retires, not when the whole stage drains) and writes the band columns
-// it covers into the second stage's working storage, declaring
-// write accesses on the column-window handles the chase tasks read.
-func buildAdapters(g *sched.Graph, tap *core.BandTap, target *band.Target, win []*sched.Handle, width, n int) {
-	sh := tap.Shape
-	nb := sh.NB
-	for k := 0; k < sh.Q; k++ {
-		// Diagonal tile (k, k): band elements (i, j) with i ≤ j, both in
-		// [k·nb, jhi) — the tile's upper triangle including the diagonal.
-		jlo, jhi := k*nb, min(n, (k+1)*nb)
-		var run func(*nla.Workspace)
-		if tap.Data != nil {
-			tl := tap.Data.Tile(k, k)
-			run = func(*nla.Workspace) {
-				for c := 0; c < jhi-jlo; c++ {
-					for r := 0; r <= c; r++ {
-						target.Set(jlo+r, jlo+c, tl.At(r, c))
-					}
-				}
-			}
-		}
-		g.AddTask(kernels.BANDCPKind, tap.Owner(k, k), 0, 0, run,
-			adapterAccesses(tap.DiagAccesses(k), win, jlo, jhi, width)...,
-		).SetCoords(k, k, -2)
-
-		if k+1 >= sh.Q {
-			continue
-		}
-		// Superdiagonal tile (k, k+1): band elements (i, j) with
-		// j − i ≤ nb, i.e. local (r, c) with c ≤ r — the tile's lower
-		// triangle including its diagonal. Rows of tile k are full
-		// (k < Q−1 ≤ P−1), columns clamp at the matrix edge.
-		slo, shi := (k+1)*nb, min(n, (k+1)*nb+sh.ColsOf(k+1))
-		var srun func(*nla.Workspace)
-		if tap.Data != nil {
-			tl := tap.Data.Tile(k, k+1)
-			base := k * nb
-			srun = func(*nla.Workspace) {
-				for c := 0; c < shi-slo; c++ {
-					for r := c; r < nb; r++ {
-						target.Set(base+r, slo+c, tl.At(r, c))
-					}
-				}
-			}
-		}
-		g.AddTask(kernels.BANDCPKind, tap.Owner(k, k+1), 0, 0, srun,
-			adapterAccesses(tap.SuperAccesses(k), win, slo, shi, width)...,
-		).SetCoords(k, k+1, -2)
-	}
-}
-
-// adapterAccesses appends write accesses on the window handles covering
-// band columns [jlo, jhi) to an adapter's tile-region reads.
-func adapterAccesses(reads []sched.Access, win []*sched.Handle, jlo, jhi, width int) []sched.Access {
-	accs := reads
-	for w := jlo / width; w <= (jhi-1)/width; w++ {
-		accs = append(accs, sched.W(win[w]))
-	}
-	return accs
 }

@@ -10,9 +10,9 @@ import (
 	"github.com/tiled-la/bidiag/internal/sched"
 )
 
-// TestSharedExecutorParity runs fused plans on a shared runtime next to
-// the staged sequential oracle: the shared engine is one more schedule of
-// the same DAG, so the result must be bitwise-identical.
+// TestSharedExecutorParity runs both plans of the values pipeline on a
+// shared runtime next to the sequential oracle: the shared engine is one
+// more schedule of the same DAGs, so the result must be bitwise-identical.
 func TestSharedExecutorParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	rt := sched.NewRuntime(3)
@@ -21,15 +21,11 @@ func TestSharedExecutorParity(t *testing.T) {
 	const wpn = 2
 	for _, tc := range []struct{ m, n, nb int }{{97, 67, 32}, {96, 96, 32}, {64, 40, 16}} {
 		src := nla.RandomMatrix(rng, tc.m, tc.n)
-		ref := stagedReference(t, specFor(src, tc.nb, grid, wpn, false, false, 0))
-		p := Build(specFor(src, tc.nb, grid, wpn, false, true, 0))
-		rep, err := Run(p, Shared{Runtime: rt})
-		if err != nil {
-			t.Fatalf("shared run %dx%d: %v", tc.m, tc.n, err)
+		ref := reference(t, specFor(src, tc.nb, grid, wpn, false))
+		ex := Shared{Runtime: rt}
+		diffBidiagonal(t, fmt.Sprintf("shared %dx%d", tc.m, tc.n), ref, runValues(t, specFor(src, tc.nb, grid, wpn, false), ex, 0))
+		if rep, err := Run(Build(specFor(src, tc.nb, grid, wpn, false)), ex); err != nil || rep.Executor != "shared" {
+			t.Fatalf("shared report: %+v, %v", rep, err)
 		}
-		if rep.Executor != "shared" || rep.Tasks != len(p.Graph.Tasks) {
-			t.Fatalf("shared report: %+v", rep)
-		}
-		diffBidiagonal(t, fmt.Sprintf("shared %dx%d", tc.m, tc.n), ref, p.Bidiagonal())
 	}
 }

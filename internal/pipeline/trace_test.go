@@ -17,7 +17,7 @@ import (
 func TestWarmGE2BNDNoAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	src := nla.RandomMatrix(rng, 96, 64)
-	spec := specFor(src, 32, dist.Grid{R: 1, C: 1}, 1, false, false, 0)
+	spec := specFor(src, 32, dist.Grid{R: 1, C: 1}, 1, false)
 	p := Build(spec)
 	g := p.Graph
 	ws := g.NewWorkspace()
@@ -40,7 +40,7 @@ func TestWarmGE2BNDNoAlloc(t *testing.T) {
 func TestTracedPipelineRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	src := nla.RandomMatrix(rng, 130, 70)
-	spec := specFor(src, 32, dist.Grid{R: 1, C: 1}, 1, false, true, 0)
+	spec := specFor(src, 32, dist.Grid{R: 1, C: 1}, 1, false)
 	p := Build(spec)
 	tr := obs.NewTracer(3, len(p.Graph.Tasks))
 	p.Graph.Tracer = tr
@@ -73,7 +73,7 @@ func BenchmarkWarmGE2BND(b *testing.B) {
 		b.Run(traced.name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(7))
 			src := nla.RandomMatrix(rng, 96, 64)
-			spec := specFor(src, 32, dist.Grid{R: 1, C: 1}, 1, false, false, 0)
+			spec := specFor(src, 32, dist.Grid{R: 1, C: 1}, 1, false)
 			p := Build(spec)
 			g := p.Graph
 			if traced.on {

@@ -1,5 +1,5 @@
 // Package plan selects concrete execution configurations — tile size,
-// reduction tree, fused vs staged, BIDIAG vs R-BIDIAG — for the tiled
+// reduction tree, BIDIAG vs R-BIDIAG — for the tiled
 // bidiagonalization pipeline, combining the paper's
 // critical-path machinery with measured execution feedback.
 //
@@ -9,12 +9,12 @@
 // candidate set for a given (m, n, workers, kind) problem: tile sizes
 // from the machine model's cache-blocking sweet spot filtered to the
 // matrix, the tree shapes the paper compares (AUTO, FLATTS, GREEDY),
-// fusion, and — for tall shapes passing Chan's 3m ≥ 5n rule —
+// and — for tall shapes passing Chan's 3m ≥ 5n rule —
 // R-bidiagonalization. The BND2BD cut width is not a plan dimension: the
 // band package derives it, and a caller's pin is carried through
 // unchanged (profiles persisted with a window still load). Each candidate's stage-1 cost
 // comes from building its real task DAG simulation-only (pipeline.Build
-// with nil data, exactly as critpath.MeasurePipeline does) and
+// with nil data) and
 // list-scheduling it on `workers` virtual cores (sched.SimulateFixed)
 // under per-kernel rates:
 // seconds(t) = flops(t) / (rate[kind] · nb/(nb+40)) + overhead.
@@ -24,10 +24,8 @@
 // in closed form: band.ModelFlops (about 8·n²·nb Householder flops)
 // over the BRDSEG rate times the number of chase tasks that can run at
 // once (band.Overlap, bounded by the n/nb rounds of a sweep and by the
-// worker count). Staged plans price as
-// stage-1 + stage-2 (the barrier); fused plans price as overlap,
-// max(T1, T2) plus a residual quarter of the shorter stage for the
-// fill and drain. Shapes whose stage-1 DAG would itself blow the
+// worker count). A values plan prices as stage-1 + stage-2: the chase
+// starts when stage 1 is over. Shapes whose stage-1 DAG would itself blow the
 // planning budget fall back to a closed-form stage-1 model, so
 // planning cost stays bounded for any input — milliseconds, not
 // proportional to the matrix. ModelPick is deterministic and
@@ -63,7 +61,7 @@
 // (tmp + rename, so readers never see a torn file):
 //
 //	{
-//	  "version": 1,
+//	  "version": 2,
 //	  "min_samples": 3,
 //	  "counters": {"model": …, "explore": …, "tuned": …, "promotions": …},
 //	  "profiles": [{

@@ -12,7 +12,8 @@ import (
 
 // StateVersion is the persisted profile format version. Load discards
 // any other version: a stale profile re-learns instead of misleading.
-const StateVersion = 1
+// Version 2 dropped the fused plan dimension from Key and Config.
+const StateVersion = 2
 
 // State is the tuner's complete serializable state — the persisted
 // profile file and the /debug/plans document are this one type.
@@ -93,7 +94,7 @@ func (t *Tuner) restore(st State) {
 			continue
 		}
 		p := &profile{key: ps.Key, m: ps.M, n: ps.N, promoted: ps.Promoted}
-		if p.promoted >= len(ps.Candidates) {
+		if p.promoted < -1 || p.promoted >= len(ps.Candidates) {
 			p.promoted = -1
 		}
 		for _, cs := range ps.Candidates {

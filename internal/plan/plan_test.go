@@ -49,22 +49,6 @@ func TestEnumerateHonorsPins(t *testing.T) {
 		}
 	}
 
-	stagedReq := base
-	stagedReq.StagedOnly = true
-	for _, c := range Enumerate(stagedReq) {
-		if c.Fused {
-			t.Fatalf("StagedOnly, got fused candidate %s", c)
-		}
-	}
-
-	fusedReq := base
-	fusedReq.FuseOnly = true
-	for _, c := range Enumerate(fusedReq) {
-		if !c.Fused {
-			t.Fatalf("FuseOnly, got staged candidate %s", c)
-		}
-	}
-
 	gemmReq := base
 	gemmReq.Gemm = nla.Blocking{MC: 32, KC: 64, NC: 128}
 	for _, c := range Enumerate(gemmReq) {
@@ -237,12 +221,21 @@ func TestPlanningStaysFast(t *testing.T) {
 	}
 }
 
-// TestKindPricing checks band/SVD requests never price fused plans.
+// TestKindPricing checks band/SVD requests price stage 1 alone: the same
+// configuration costs exactly its chase less than for a values request.
 func TestKindPricing(t *testing.T) {
+	req := Request{M: 512, N: 512, Workers: 4, Kind: KindValues}
+	values := map[Config]float64{}
+	for _, c := range PriceAll(req, SeedRates()) {
+		values[c.Config] = c.Cost
+	}
+	p := &pricer{req: req.normalized(), rates: SeedRates(), s1: map[Config]Candidate{}, s2: map[Config]Candidate{}}
 	for _, kind := range []Kind{KindBand, KindSVD} {
-		for _, c := range PriceAll(Request{M: 512, N: 512, Workers: 4, Kind: kind}, SeedRates()) {
-			if c.Config.Fused {
-				t.Fatalf("%s priced a fused plan: %s", kind, c.Config)
+		req.Kind = kind
+		for _, c := range PriceAll(req, SeedRates()) {
+			want := values[c.Config] - p.stage2(c.Config).Cost
+			if math.Abs(c.Cost-want) > 1e-12*want {
+				t.Fatalf("%s priced %s at %g, want stage 1 alone %g", kind, c.Config, c.Cost, want)
 			}
 		}
 	}

@@ -25,10 +25,10 @@ const (
 	// KindBand plans the GE2BND stage only (the band is the result).
 	KindBand Kind = iota
 	// KindValues plans the full singular-value pipeline:
-	// GE2BND + BND2BD, fused or staged.
+	// GE2BND, then BND2BD.
 	KindValues
 	// KindSVD plans the vector-bearing decomposition: the recorded
-	// GE2BND stage (never fused — the recorder needs the staged band).
+	// GE2BND stage.
 	KindSVD
 )
 
@@ -80,12 +80,6 @@ type Request struct {
 	Gemm nla.Blocking
 	// Alg pins direct vs R-bidiagonalization.
 	Alg Alg
-	// FuseOnly restricts candidates to fused plans (the serving layer's
-	// staged path is the sequential reference, so it prices fused only).
-	FuseOnly bool
-	// StagedOnly restricts candidates to staged plans (a pinned
-	// sequential BND2BD cannot fuse). StagedOnly wins over FuseOnly.
-	StagedOnly bool
 }
 
 // normalized returns the request with M ≥ N and Workers ≥ 1.
@@ -106,7 +100,6 @@ type Config struct {
 	NB      int        `json:"nb"`
 	Tree    trees.Kind `json:"tree"`
 	Window  int        `json:"window"`
-	Fused   bool       `json:"fused"`
 	RBidiag bool       `json:"rbidiag"`
 	// Gemm is the packed-GEMM cache blocking; the zero value selects
 	// nla.DefaultBlocking. The cost model cannot distinguish blockings
@@ -116,15 +109,11 @@ type Config struct {
 }
 
 func (c Config) String() string {
-	mode := "staged"
-	if c.Fused {
-		mode = "fused"
-	}
 	alg := "bidiag"
 	if c.RBidiag {
 		alg = "rbidiag"
 	}
-	s := fmt.Sprintf("nb=%d tree=%s window=%d %s %s", c.NB, c.Tree, c.Window, mode, alg)
+	s := fmt.Sprintf("nb=%d tree=%s window=%d %s", c.NB, c.Tree, c.Window, alg)
 	if c.Gemm != (nla.Blocking{}) {
 		s += fmt.Sprintf(" gemm=%dx%dx%d", c.Gemm.MC, c.Gemm.KC, c.Gemm.NC)
 	}
@@ -251,18 +240,6 @@ func Enumerate(req Request) []Config {
 		algs = []bool{false, true}
 	}
 
-	var fuseds []bool
-	switch {
-	case req.Kind != KindValues:
-		fuseds = []bool{false} // no chase in the priced graph
-	case req.StagedOnly:
-		fuseds = []bool{false}
-	case req.FuseOnly:
-		fuseds = []bool{true}
-	default:
-		fuseds = []bool{false, true}
-	}
-
 	var out []Config
 	for _, rb := range algs {
 		for _, nb := range nbs {
@@ -276,10 +253,8 @@ func Enumerate(req Request) []Config {
 				gemms = append(gemms, altBlocking)
 			}
 			for _, tk := range tks {
-				for _, fu := range fuseds {
-					for _, gm := range gemms {
-						out = append(out, Config{NB: nb, Tree: tk, Window: max(req.Window, 0), Fused: fu, RBidiag: rb, Gemm: gm})
-					}
+				for _, gm := range gemms {
+					out = append(out, Config{NB: nb, Tree: tk, Window: max(req.Window, 0), RBidiag: rb, Gemm: gm})
 				}
 			}
 		}
@@ -298,11 +273,11 @@ type Candidate struct {
 
 // pricer caches the per-stage simulations shared between candidates of
 // one request: stage 1 depends on (nb, tree, rbidiag), stage 2 on
-// (nb, window), the fused graph on all four.
+// (nb, window).
 type pricer struct {
 	req   Request
 	rates Rates
-	s1    map[Config]Candidate // Window/Fused zeroed in key
+	s1    map[Config]Candidate // Window zeroed in key
 	s2    map[Config]Candidate // only NB/Window set in key
 }
 
@@ -401,35 +376,17 @@ func (p *pricer) stage2(c Config) Candidate {
 	return v
 }
 
-// fused prices the one-graph GE2BND+BND2BD pipeline as overlap of the
-// two stage models: the longer stage hides most of the shorter one,
-// with a residual quarter of the shorter stage for the fill and drain
-// that cannot overlap (the chase spine lives strictly downstream of
-// stage 1's first panels; internal/critpath measures the same
-// structure on the real DAG).
-func (p *pricer) fused(c Config) Candidate {
-	s1, s2 := p.stage1(c), p.stage2(c)
-	t1, t2 := s1.Cost, s2.Cost
-	return Candidate{
-		Cost:  math.Max(t1, t2) + 0.25*math.Min(t1, t2),
-		Tasks: s1.Tasks + s2.Tasks,
-	}
-}
-
+// price is stage 1 alone, or for a values job stage 1 then stage 2
+// behind the barrier between them.
 func (p *pricer) price(c Config) Candidate {
-	switch {
-	case p.req.Kind != KindValues:
-		v := p.stage1(c)
-		v.Config = c
-		return v
-	case c.Fused:
-		v := p.fused(c)
-		v.Config = c
-		return v
-	default:
-		s1, s2 := p.stage1(c), p.stage2(c)
-		return Candidate{Config: c, Cost: s1.Cost + s2.Cost, Tasks: s1.Tasks + s2.Tasks}
+	v := p.stage1(c)
+	v.Config = c
+	if p.req.Kind == KindValues {
+		s2 := p.stage2(c)
+		v.Cost += s2.Cost
+		v.Tasks += s2.Tasks
 	}
+	return v
 }
 
 // PriceAll enumerates and prices every candidate of a request, returned

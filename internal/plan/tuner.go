@@ -21,8 +21,6 @@ type Key struct {
 	PinTreeSet bool `json:"pin_tree_set,omitempty"`
 	PinWindow  int  `json:"pin_window,omitempty"`
 	PinAlg     Alg  `json:"pin_alg,omitempty"`
-	FuseOnly   bool `json:"fuse_only,omitempty"`
-	StagedOnly bool `json:"staged_only,omitempty"`
 }
 
 // bucket returns ⌈log₂ x⌉ for x ≥ 1 (0 for x ≤ 1): 1024 and 768 share
@@ -47,8 +45,6 @@ func KeyOf(req Request) Key {
 		PinTreeSet: req.TreeSet,
 		PinWindow:  max(req.Window, 0),
 		PinAlg:     req.Alg,
-		FuseOnly:   req.FuseOnly,
-		StagedOnly: req.StagedOnly,
 	}
 }
 

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
@@ -15,7 +16,7 @@ func testReq() Request {
 }
 
 // candidates returns the profile's candidate configs in model order.
-func candidates(t *testing.T, tn *Tuner, req Request) []Config {
+func candidates(t testing.TB, tn *Tuner, req Request) []Config {
 	t.Helper()
 	st := tn.State()
 	key := KeyOf(req)
@@ -280,7 +281,7 @@ func TestRestoreKeepsWindowedProfiles(t *testing.T) {
 		M:   1024, N: 1024, Promoted: 1,
 		Candidates: []CandidateState{
 			{Config: Config{NB: 64, Tree: trees.Greedy}, Samples: 3, GFlops: 10},
-			{Config: Config{NB: 64, Tree: trees.Greedy, Window: 64, Fused: true}, Samples: 3, GFlops: 12},
+			{Config: Config{NB: 64, Tree: trees.Greedy, Window: 64}, Samples: 3, GFlops: 12},
 		},
 	}}}
 	tn := NewTuner(TunerConfig{MinSamples: 3})
@@ -293,4 +294,80 @@ func TestRestoreKeepsWindowedProfiles(t *testing.T) {
 			t.Fatalf("window not restored: %+v", p.cands)
 		}
 	}
+}
+
+// TestVersion1FileColdStarts checks a profile file written before Key and
+// Config lost the fused dimension is discarded, not half-read: its keys
+// would otherwise merge fused-only and staged-only profiles.
+func TestVersion1FileColdStarts(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "profiles.json")
+	v1 := `{"version": 1, "min_samples": 3, "profiles": [{
+		"key": {"kind": 1, "rows_bucket": 9, "cols_bucket": 9, "workers": 4, "fuse_only": true},
+		"m": 512, "n": 512, "promoted": 0,
+		"candidates": [{"config": {"nb": 64, "tree": 3, "window": 0, "fused": true}, "samples": 3, "gflops": 12}]}]}`
+	if err := os.WriteFile(path, []byte(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadState(path); err == nil {
+		t.Fatal("a version-1 file loaded")
+	}
+	if tn := NewTuner(TunerConfig{Path: path}); tn.Counters().Loaded != 0 || len(tn.profiles) != 0 {
+		t.Fatalf("a version-1 file restored %d profiles", len(tn.profiles))
+	}
+}
+
+// FuzzLoadState feeds the profile loader arbitrary files: loading and
+// NewTuner never panic, and a restored profile only holds — and Decide
+// only hands out — configurations validConfig accepts for the shape the
+// profile was priced at.
+func FuzzLoadState(f *testing.F) {
+	tn := NewTuner(TunerConfig{MinSamples: 1})
+	req := testReq()
+	if _, err := tn.Decide(req); err != nil {
+		f.Fatal(err)
+	}
+	for _, c := range candidates(f, tn, req) {
+		tn.Record(req, c, 10)
+	}
+	valid, err := json.Marshal(tn.State())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add([]byte(`{"version": 2, "profiles": [{"m": 8, "n": 8, "promoted": 7, "candidates": [{"config": {"nb": 9}}]}]}`))
+	f.Add([]byte(`{"version": 2, "profiles": [{"key": {"workers": 1}, "m": -4, "n": 3, "promoted": -9, "candidates": [{"config": {"nb": 1, "tree": 99}}]}]}`))
+	// A promotion index below -1 used to survive restore.
+	f.Add([]byte(`{"version": 2, "profiles": [{"key": {"kind": 1, "rows_bucket": 9, "cols_bucket": 9, "workers": 4},
+		"m": 512, "n": 512, "promoted": -5, "candidates": [{"config": {"nb": 64}}]}]}`))
+	f.Add([]byte(`{"version": 1}`))
+	f.Add([]byte(`{not json`))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		path := filepath.Join(t.TempDir(), "profiles.json")
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		LoadState(path)
+		tn := NewTuner(TunerConfig{Path: path, MinSamples: 1})
+		for key, p := range tn.profiles {
+			if len(p.cands) == 0 || p.promoted < -1 || p.promoted >= len(p.cands) {
+				t.Fatalf("profile %+v restored with %d candidates, promoted %d", key, len(p.cands), p.promoted)
+			}
+			for _, c := range p.cands {
+				if !validConfig(c.cfg, p.m, p.n) {
+					t.Fatalf("profile %+v restored invalid candidate %s for %dx%d", key, c.cfg, p.m, p.n)
+				}
+			}
+			// A request for the profile's own shape and pins reaches it
+			// without pricing anything.
+			req := Request{M: p.m, N: p.n, Workers: key.Workers, Kind: key.Kind, NB: key.PinNB,
+				Tree: trees.Kind(key.PinTree), TreeSet: key.PinTreeSet, Window: key.PinWindow, Alg: key.PinAlg}
+			if KeyOf(req) != key || req.M <= 0 || req.N <= 0 {
+				continue
+			}
+			d, err := tn.Decide(req)
+			if err != nil || !validConfig(d.Config, p.m, p.n) {
+				t.Fatalf("profile %+v handed out %s (%v) for %dx%d", key, d.Config, err, p.m, p.n)
+			}
+		}
+	})
 }

@@ -17,8 +17,10 @@
 // dispatcher takes it off the queue. The package is deliberately
 // generic: a Request carries a Build closure that returns the job's task
 // graph (the caller decides what a "job" is — the public API builds
-// pipeline plans) and a finish closure run after a successful execution
-// to extract the result.
+// pipeline plans) and a finish closure run after a successful execution,
+// under the job's context, to extract the result. A finish may run a
+// further graph of the job on the same runtime (a values job's bulge
+// chase); Request.FinishTasks sizes a traced job's rings for it.
 //
 // # Shared elastic runtime
 //
@@ -42,8 +44,9 @@
 // # Cancellation
 //
 // Every job carries the context passed to Submit. A cancelled job fails
-// promptly with ctx.Err() whether it is still queued or mid-graph (the
-// runtime stops dispatching its tasks; in-flight tiles finish).
+// promptly with ctx.Err() whether it is still queued, mid-graph (the
+// runtime stops dispatching its tasks; in-flight tiles finish) or in its
+// finish, which receives the same context.
 //
 // # Panic isolation
 //

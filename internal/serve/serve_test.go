@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -19,7 +20,7 @@ import (
 // is incremented per Build call so tests can count recomputations.
 func sumRequest(base int64, builds *atomic.Int32) Request {
 	return Request{
-		Build: func() (*sched.Graph, func() (any, error), error) {
+		Build: func() (*sched.Graph, func(context.Context) (any, error), error) {
 			if builds != nil {
 				builds.Add(1)
 			}
@@ -33,7 +34,7 @@ func sumRequest(base int64, builds *atomic.Int32) Request {
 					*acc += v
 				}, sched.RW(h))
 			}
-			return g, func() (any, error) { return *acc, nil }, nil
+			return g, func(context.Context) (any, error) { return *acc, nil }, nil
 		},
 		Bytes: func(any) int64 { return 8 },
 	}
@@ -42,13 +43,13 @@ func sumRequest(base int64, builds *atomic.Int32) Request {
 // gateRequest builds a single task that blocks until release closes.
 func gateRequest(release chan struct{}) Request {
 	return Request{
-		Build: func() (*sched.Graph, func() (any, error), error) {
+		Build: func() (*sched.Graph, func(context.Context) (any, error), error) {
 			g := sched.NewGraph()
 			h := g.NewHandle(8, 0)
 			g.AddTask(kernels.GEQRTKind, 0, 1, 1, func(*nla.Workspace) {
 				<-release
 			}, sched.RW(h))
-			return g, func() (any, error) { return "ok", nil }, nil
+			return g, func(context.Context) (any, error) { return "ok", nil }, nil
 		},
 	}
 }
@@ -167,13 +168,13 @@ func TestPanicIsolation(t *testing.T) {
 	defer s.Close()
 
 	bad := Request{
-		Build: func() (*sched.Graph, func() (any, error), error) {
+		Build: func() (*sched.Graph, func(context.Context) (any, error), error) {
 			g := sched.NewGraph()
 			h := g.NewHandle(8, 0)
 			g.AddTask(kernels.TSQRTKind, 0, 1, 1, func(*nla.Workspace) {
 				panic("deliberate")
 			}, sched.RW(h))
-			return g, func() (any, error) { return nil, nil }, nil
+			return g, func(context.Context) (any, error) { return nil, nil }, nil
 		},
 	}
 	var jobs []*Job
@@ -385,5 +386,66 @@ func TestStatsHistograms(t *testing.T) {
 	}
 	if st.WorkspaceBytes < 0 {
 		t.Fatalf("workspace bytes = %d", st.WorkspaceBytes)
+	}
+}
+
+// TestCancelDuringFinish cancels a job while its finish runs (a values
+// job's chase runs there): finish receives the job's ctx, so it returns,
+// Wait reports context.Canceled promptly, and Close leaves no dispatcher
+// or worker goroutine behind.
+func TestCancelDuringFinish(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s := New(Config{Workers: 2, CacheBytes: -1})
+	entered := make(chan struct{})
+	req := Request{
+		Build: func() (*sched.Graph, func(context.Context) (any, error), error) {
+			g := sched.NewGraph()
+			h := g.NewHandle(8, 0)
+			g.AddTask(kernels.GEQRTKind, 0, 1, 1, func(*nla.Workspace) {}, sched.RW(h))
+			return g, func(ctx context.Context) (any, error) {
+				close(entered)
+				<-ctx.Done()
+				return nil, ctx.Err()
+			}, nil
+		},
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	j, err := s.Submit(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("finish never ran")
+	}
+	cancel()
+	select {
+	case <-j.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("job cancelled in its finish did not end promptly")
+	}
+	if _, err := j.Wait(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Wait = %v, want context.Canceled", err)
+	}
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close blocked: the dispatcher is still inside finish")
+	}
+	if st := s.Stats(); st.JobsCancelled != 1 || st.JobsDone != 0 {
+		t.Fatalf("stats: %+v, want 1 cancelled and none done", st)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked: %d before, %d after Close", before, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

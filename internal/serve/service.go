@@ -65,9 +65,14 @@ func (c Config) withDefaults() Config {
 // decides what the job computes by building its task graph.
 type Request struct {
 	// Build returns the job's task graph and a finish closure, run after
-	// a successful execution, that extracts the result. It runs once, on
-	// the dispatcher goroutine, when the job leaves the queue.
-	Build func() (g *sched.Graph, finish func() (any, error), err error)
+	// a successful execution under the job's ctx, that extracts the
+	// result. It runs once, on the dispatcher goroutine, when the job
+	// leaves the queue.
+	Build func() (g *sched.Graph, finish func(context.Context) (any, error), err error)
+	// FinishTasks is the number of tasks finish runs on the graph's
+	// tracer after it (a second graph of the job on the shared runtime):
+	// a traced job's rings are sized for the graph's tasks plus these.
+	FinishTasks int
 	// Key is the content-addressed cache key; empty bypasses the cache.
 	Key string
 	// Bytes reports the byte footprint of a finished result for cache
@@ -125,30 +130,19 @@ func (j *Job) Wait() (*Result, error) {
 // Done returns a channel closed when the job finishes.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
-// completeOK records the result; it reports false when the job was
-// already finished (e.g. cancelled while its graph was finishing).
-func (j *Job) completeOK(res *Result) bool {
+// end finishes the job with its outcome unless it already finished (e.g.
+// cancelled while its graph was finishing). record counts it first, so
+// a caller returning from Wait sees the job in the next Stats.
+func (j *Job) end(res *Result, err error, record func()) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.finished {
-		return false
+		return
 	}
 	j.finished = true
-	j.res = res
+	j.res, j.err = res, err
+	record()
 	close(j.done)
-	return true
-}
-
-func (j *Job) completeErr(err error) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.finished {
-		return false
-	}
-	j.finished = true
-	j.err = err
-	close(j.done)
-	return true
 }
 
 func (j *Job) isFinished() bool {
@@ -221,8 +215,7 @@ func (s *Service) Submit(ctx context.Context, req Request) (*Job, error) {
 	if req.Key != "" && !req.Trace {
 		if v, ok := s.cache.get(req.Key); ok {
 			s.met.recordHit()
-			j.completeOK(&Result{Value: v, CacheHit: true})
-			s.met.recordDone(time.Since(j.enqueued), 0)
+			j.end(&Result{Value: v, CacheHit: true}, nil, func() { s.met.recordDone(time.Since(j.enqueued), 0) })
 			return j, nil
 		}
 		s.met.recordMiss()
@@ -321,15 +314,11 @@ func (s *Service) drain() {
 }
 
 func (s *Service) fail(j *Job, err error) {
-	if j.completeErr(err) {
-		s.met.recordFail(err)
-	}
+	j.end(nil, err, func() { s.met.recordFail(err) })
 }
 
 func (s *Service) complete(j *Job, res *Result) {
-	if j.completeOK(res) {
-		s.met.recordDone(time.Since(j.enqueued), res.Queued)
-	}
+	j.end(res, nil, func() { s.met.recordDone(time.Since(j.enqueued), res.Queued) })
 }
 
 // dispatch is one of MaxInFlight dispatchers draining the queue.
@@ -379,10 +368,10 @@ func (s *Service) run(j *Job) {
 	if ex == nil {
 		ex = pipeline.Shared{Runtime: s.rt}
 		if j.req.Trace {
-			// Sized at the task count so the timeline is complete however
-			// unevenly the shared pool balances the job, unless the
+			// Sized at the job's task count so the timeline is complete
+			// however unevenly the shared pool balances the job, unless the
 			// configuration bounds trace memory with TraceEventCap.
-			ringCap := len(g.Tasks)
+			ringCap := len(g.Tasks) + j.req.FinishTasks
 			if s.cfg.TraceEventCap > 0 {
 				ringCap = s.cfg.TraceEventCap
 			}
@@ -399,7 +388,7 @@ func (s *Service) run(j *Job) {
 		s.fail(j, err)
 		return
 	}
-	v, err := finish()
+	v, err := finish(j.ctx)
 	if err != nil {
 		s.fail(j, err)
 		return

@@ -9,7 +9,6 @@ import (
 
 	"github.com/tiled-la/bidiag/internal/core"
 	"github.com/tiled-la/bidiag/internal/dist"
-	"github.com/tiled-la/bidiag/internal/jacobi"
 	"github.com/tiled-la/bidiag/internal/nla"
 	"github.com/tiled-la/bidiag/internal/obs"
 	"github.com/tiled-la/bidiag/internal/sched"
@@ -31,7 +30,7 @@ func buildGE2BND(src *nla.Matrix, nb int, grid dist.Grid, wpn int, useR bool) (*
 	work := tile.FromDense(src, nb)
 	g := sched.NewGraph()
 	if useR {
-		_, r, _ := core.BuildRBidiag(g, sh, work, cfg)
+		_, r := core.BuildRBidiag(g, sh, work, cfg)
 		return g, r
 	}
 	core.BuildBidiag(g, sh, work, cfg)
@@ -335,14 +334,12 @@ func TestSingularValuesParityAcrossBND2BD(t *testing.T) {
 	}
 }
 
-// TestFusedPipelineParityFuzz pins the tentpole property of the fused
-// pipeline through the public API: emitting the BND2BD chase segments
-// into the same task graph as the GE2BND kernels (Options.Fused) must
-// give BITWISE-identical singular values to the staged reference, across
-// ragged shapes × worker counts × trees × wavefront windows. The staged
-// run forces the sequential BND2BD oracle, so the comparison crosses
-// both the fusion seam and the stage-2 decomposition.
-func TestFusedPipelineParityFuzz(t *testing.T) {
+// TestPipelineParityFuzz pins the task-graph chase through the public
+// API: SingularValues must give BITWISE-identical singular values to the
+// sequential reference across ragged shapes × worker counts × trees ×
+// cut widths. The reference forces the sequential BND2BD oracle, so the
+// comparison crosses the stage-2 decomposition.
+func TestPipelineParityFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	cases := []struct {
 		m, n, nb int
@@ -379,7 +376,7 @@ func TestFusedPipelineParityFuzz(t *testing.T) {
 				for _, window := range windows {
 					got, err := SingularValues(a, &Options{
 						NB: tc.nb, Tree: tree, Algorithm: tc.alg, Workers: workers,
-						Fused: true, BND2BDWindow: window,
+						BND2BDWindow: window,
 					})
 					if err != nil {
 						t.Fatalf("workers=%d window=%d: %v", workers, window, err)
@@ -393,46 +390,5 @@ func TestFusedPipelineParityFuzz(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestFusedPipelineParityDistributed extends the fused parity to the
-// owner-compute executor: the same fused graph, distributed over a node
-// grid, must agree with the shared-memory staged reference to rounding
-// (the hierarchical trees are a different elimination order, so — as for
-// staged distributed runs — the comparison is on singular values, not
-// bits) and must be bitwise-reproducible across repetitions.
-func TestFusedPipelineParityDistributed(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	const m, n, nb = 120, 84, 32
-	a := NewDense(m, n)
-	for j := 0; j < n; j++ {
-		for i := 0; i < m; i++ {
-			a.Set(i, j, rng.NormFloat64())
-		}
-	}
-	ref, err := SingularValues(a, &Options{NB: nb, Workers: 1, BND2BD: BND2BDSequential})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dopts := func() *Options {
-		return &Options{NB: nb, Fused: true,
-			Distributed: &DistOptions{Nodes: 4, WorkersPerNode: 2}}
-	}
-	got, err := SingularValues(a, dopts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := jacobi.MaxRelDiff(got, ref); diff > 1e-12 {
-		t.Fatalf("fused distributed singular values off by %g", diff)
-	}
-	again, err := SingularValues(a, dopts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if got[i] != again[i] {
-			t.Fatalf("fused distributed run not deterministic at value %d", i)
-		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"time"
 
+	"github.com/tiled-la/bidiag/internal/band"
 	"github.com/tiled-la/bidiag/internal/cluster"
 	"github.com/tiled-la/bidiag/internal/core"
 	"github.com/tiled-la/bidiag/internal/nla"
@@ -161,9 +162,7 @@ type JobRequest struct {
 	// identity. It may not exceed the larger of the pool size and
 	// runtime.NumCPU() (ErrInvalidOptions otherwise). All other fields
 	// (NB, Tree, Algorithm, Gamma, Gemm, BND2BD, BND2BDWindow) are
-	// honored per job; Fused is ignored (the service fuses whenever
-	// BND2BD allows it — the fused and staged paths are
-	// bitwise-identical). Options.Auto defers the
+	// honored per job. Options.Auto defers the
 	// unset knobs to the service's plan autotuner, which explores the
 	// model's best candidates under live traffic and promotes the
 	// measured winner (see Options.Auto and ServiceConfig.PlanProfiles).
@@ -452,7 +451,7 @@ func (s *Service) request(req JobRequest) (serve.Request, error) {
 		jobOpts = &run // Build must run the tuner's plan, not re-plan
 	}
 
-	var build func() (*sched.Graph, func() (any, error), error)
+	var build jobBuild
 	var ex pipeline.Executor
 	switch {
 	case s.mesh != nil:
@@ -460,7 +459,7 @@ func (s *Service) request(req JobRequest) (serve.Request, error) {
 			return serve.Request{}, err
 		}
 	case req.Kind == JobSingularValues:
-		build = buildSingularValuesJob(req.A, jobOpts)
+		build = s.buildSingularValuesJob(req.A, jobOpts)
 	case req.Kind == JobSVD:
 		build = buildSVDJob(req.A, jobOpts)
 	default:
@@ -477,44 +476,49 @@ func (s *Service) request(req JobRequest) (serve.Request, error) {
 	if !s.cacheOff {
 		key = cacheKey(req.Kind, req.A, opts)
 	}
+	// A traced values job's chase records on the job's tracer after its
+	// GE2BND graph: the rings hold both.
+	chaseTasks := 0
+	if req.Trace && req.Kind == JobSingularValues && run.BND2BD != BND2BDSequential {
+		chaseTasks = band.Tasks(min(req.A.Rows(), req.A.Cols()), run.NB, run.BND2BDWindow)
+	}
 	return serve.Request{
-		Build:    build,
-		Key:      key,
-		Bytes:    resultBytes,
-		Trace:    req.Trace,
-		Observe:  observe,
-		Executor: ex,
+		Build:       build,
+		FinishTasks: chaseTasks,
+		Key:         key,
+		Bytes:       resultBytes,
+		Trace:       req.Trace,
+		Observe:     observe,
+		Executor:    ex,
 	}, nil
 }
 
-// planRequest lowers an Options.Auto job to its planning request. The
-// job kind constrains the candidate space beyond what the one-shot
-// entry points use: the service's singular-value path always fuses when
-// BND2BD allows it (its staged path is the sequential reference), and
-// the SVD path prices the recorded stage-1 graph only.
+// planRequest lowers an Options.Auto job to its planning request: a
+// values job prices both stages, an SVD job the recorded stage-1 graph
+// only.
 func (s *Service) planRequest(req JobRequest, raw, opts Options) (plan.Request, error) {
-	preq := planRequest(req.A.Rows(), req.A.Cols(), raw, opts, plan.KindValues)
+	kind := plan.KindValues
 	switch req.Kind {
 	case JobSingularValues:
-		if !preq.StagedOnly {
-			preq.FuseOnly = true
-		}
 	case JobSVD:
-		preq.Kind = plan.KindSVD
-		preq.FuseOnly, preq.StagedOnly = false, false
+		kind = plan.KindSVD
 	default:
 		return plan.Request{}, fmt.Errorf("bidiag: unknown job kind %d", int(req.Kind))
 	}
-	return preq, nil
+	return planRequest(req.A.Rows(), req.A.Cols(), raw, opts, kind), nil
 }
 
-// meshJob lowers a job to the mesh: the staged GE2BND graph of the mesh's
-// grid (a fused chase would need the band windows shipped between
-// ranks), run by a per-job mesh executor and finished like any values
-// job. The input is resolved here, not at dispatch, because the executor
-// announces the very matrix (transposed when wide) and grid job the
-// graph is built from.
-func (s *Service) meshJob(req JobRequest, raw *Options) (func() (*sched.Graph, func() (any, error), error), pipeline.Executor, error) {
+// jobBuild is a serve.Request's Build: the job's first graph and the
+// finish that turns its execution into the result.
+type jobBuild = func() (*sched.Graph, func(context.Context) (any, error), error)
+
+// meshJob lowers a job to the mesh: the GE2BND graph of the mesh's grid,
+// run by a per-job mesh executor and finished like any values job — the
+// head chases the gathered band on the service's pool. The input is
+// resolved here, not at dispatch, because the executor announces the
+// very matrix (transposed when wide) and grid job the graph is built
+// from.
+func (s *Service) meshJob(req JobRequest, raw *Options) (jobBuild, pipeline.Executor, error) {
 	if req.Kind != JobSingularValues {
 		return nil, nil, ErrMeshValuesOnly
 	}
@@ -526,8 +530,8 @@ func (s *Service) meshJob(req JobRequest, raw *Options) (func() (*sched.Graph, f
 	if err != nil {
 		return nil, nil, err
 	}
-	build := func() (*sched.Graph, func() (any, error), error) {
-		g, finish := valuesGraph(src, opts, treeKind, &gj)
+	build := func() (*sched.Graph, func(context.Context) (any, error), error) {
+		g, finish := s.valuesGraph(src, opts, treeKind, &gj)
 		return g, finish, nil
 	}
 	return build, s.mesh.Job(src, gj, req.Trace), nil
@@ -535,27 +539,26 @@ func (s *Service) meshJob(req JobRequest, raw *Options) (func() (*sched.Graph, f
 
 // buildSingularValuesJob builds the full singular-value pipeline for one
 // pool job.
-func buildSingularValuesJob(a *Dense, o *Options) func() (*sched.Graph, func() (any, error), error) {
-	return func() (*sched.Graph, func() (any, error), error) {
+func (s *Service) buildSingularValuesJob(a *Dense, o *Options) jobBuild {
+	return func() (*sched.Graph, func(context.Context) (any, error), error) {
 		opts, src, treeKind, _, err := resolve(a, o)
 		if err != nil {
 			return nil, nil, err
 		}
-		g, finish := valuesGraph(src, opts, treeKind, nil)
+		g, finish := s.valuesGraph(src, opts, treeKind, nil)
 		return g, finish, nil
 	}
 }
 
-// valuesGraph builds a values job and returns its graph and finish: the fused
-// GE2BND+BND2BD graph whenever the options and the engine allow fusion
-// (bitwise-identical to the staged path), the GE2BND graph alone
-// otherwise — under BND2BDSequential, and for a grid job — with the
-// chase left to finishValues.
-func valuesGraph(src *nla.Matrix, opts Options, treeKind trees.Kind, gj *pipeline.GridJob) (*sched.Graph, func() (any, error)) {
-	fuse := gj == nil && opts.BND2BD != BND2BDSequential
-	plan := pipeline.Build(buildSpec(src, opts, treeKind, gj, nil, fuse))
-	return plan.Graph, func() (any, error) {
-		v, err := finishValues(context.Background(), plan, opts, fuse)
+// valuesGraph builds a values job: the GE2BND graph it returns runs on the
+// job's executor (the shared pool, or the mesh for a grid job), then
+// finish chases the band on the service's shared pool — one more graph
+// under the job's ctx, tracer and meter.
+func (s *Service) valuesGraph(src *nla.Matrix, opts Options, treeKind trees.Kind, gj *pipeline.GridJob) (*sched.Graph, func(context.Context) (any, error)) {
+	plan := pipeline.Build(buildSpec(src, opts, treeKind, gj, nil))
+	chase := pipeline.Shared{Runtime: s.inner.Runtime()}
+	return plan.Graph, func(ctx context.Context) (any, error) {
+		v, err := finishValues(ctx, plan, opts, chase)
 		if err != nil {
 			return nil, err
 		}
@@ -569,16 +572,16 @@ func valuesGraph(src *nla.Matrix, opts Options, treeKind trees.Kind, gj *pipelin
 // reflectors), through the same finishSVD. finish runs beside the
 // service's pool, not on it: a small job (core.SVDWorkers) does it on the
 // goroutine it is called from instead of starting workers of its own.
-func buildSVDJob(a *Dense, o *Options) func() (*sched.Graph, func() (any, error), error) {
-	return func() (*sched.Graph, func() (any, error), error) {
+func buildSVDJob(a *Dense, o *Options) jobBuild {
+	return func() (*sched.Graph, func(context.Context) (any, error), error) {
 		opts, src, treeKind, transposed, err := resolve(a, o)
 		if err != nil {
 			return nil, nil, err
 		}
 		rec := &core.Recorder{}
-		plan := pipeline.Build(buildSpec(src, opts, treeKind, nil, rec, false))
+		plan := pipeline.Build(buildSpec(src, opts, treeKind, nil, rec))
 		workers := core.SVDWorkers(src.Rows, src.Cols, opts.Workers)
-		finish := func() (any, error) {
+		finish := func(context.Context) (any, error) {
 			res, err := finishSVD(plan, rec, workers, transposed)
 			if err != nil {
 				return nil, err
@@ -605,9 +608,8 @@ func CacheKey(kind JobKind, a *Dense, opts *Options) string {
 }
 
 // cacheKey digests the matrix content and every result-affecting option
-// into the job's content-addressed identity. Fused is deliberately
-// absent (fused and staged are bitwise-identical); Workers is present
-// because it parameterizes the AUTO tree.
+// into the job's content-addressed identity. Workers is present because
+// it parameterizes the AUTO tree.
 func cacheKey(kind JobKind, a *Dense, opts Options) string {
 	h := sha256.New()
 	var buf [8]byte

@@ -11,7 +11,7 @@ import (
 
 // TestServiceConcurrentMixedShapes is the serving acceptance test: 32+
 // concurrent jobs of mixed shapes, values-only and vector-bearing, on ONE
-// shared Service, each result bitwise-identical to its solo staged-path
+// shared Service, each result bitwise-identical to its one-shot
 // run. CI runs this package under -race.
 func TestServiceConcurrentMixedShapes(t *testing.T) {
 	shapes := []struct{ m, n int }{
@@ -36,7 +36,6 @@ func TestServiceConcurrentMixedShapes(t *testing.T) {
 			refSVD[i] = ref
 		} else {
 			kinds[i] = JobSingularValues
-			// The staged path (Fused unset) is the reference oracle.
 			ref, err := SingularValues(mats[i], opts)
 			if err != nil {
 				t.Fatal(err)
@@ -307,5 +306,56 @@ func TestServiceTracedJob(t *testing.T) {
 	}
 	if p50 := st.Latency.Quantile(0.5); p50 <= 0 {
 		t.Fatalf("latency p50 %v, want > 0", p50)
+	}
+}
+
+// TestServiceTracedChase pins the tracer hand-off between a values job's
+// two graphs. The chase of a 64×48 job at nb 16 cut one block wide has
+// more tasks than its GE2BND graph, so rings sized for the GE2BND graph
+// alone would drop events: the timeline must hold both stages, every
+// BND2BD span after the last GE2BND one, with nothing dropped.
+func TestServiceTracedChase(t *testing.T) {
+	svc := NewService(&ServiceConfig{Workers: 2, CacheBytes: -1})
+	defer svc.Close()
+	a := randomDense(9, 64, 48)
+	opts := &Options{NB: 16, Workers: 2, BND2BDWindow: 16}
+	res, err := svc.Do(context.Background(), JobRequest{A: a, Opts: opts, Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stage1, chase int
+	var stage1End time.Duration
+	for _, s := range res.Timeline {
+		if s.Kernel == "BRDSEG" {
+			chase++
+			continue
+		}
+		stage1++
+		stage1End = max(stage1End, s.End)
+	}
+	if stage1 == 0 || chase <= stage1 {
+		t.Fatalf("timeline has %d GE2BND and %d BRDSEG spans; the chase must outnumber stage 1", stage1, chase)
+	}
+	for _, s := range res.Timeline {
+		if s.Kernel == "BRDSEG" && s.Start < stage1End {
+			t.Fatalf("chase span %+v starts before stage 1 ended at %v", s, stage1End)
+		}
+	}
+	for rank, d := range res.Trace.Dropped {
+		if d != 0 {
+			t.Fatalf("rank %d dropped %d trace events", rank, d)
+		}
+	}
+	if st := svc.Stats(); st.TraceDropped != 0 {
+		t.Fatalf("service dropped %d trace events", st.TraceDropped)
+	}
+	ref, err := SingularValues(a, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := range ref {
+		if ref[k] != res.Values[k] {
+			t.Fatalf("traced value %d differs bitwise from the one-shot call", k)
+		}
 	}
 }

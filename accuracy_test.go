@@ -88,20 +88,23 @@ func TestSingularValueAccuracy(t *testing.T) {
 		scaled := in.a.Clone()
 		nla.Scal(in.scale, scaled.Data)
 		tol := bound * float64(n) * 0x1p-52 * oracleJ[0] * in.scale
-		for _, opts := range []*Options{
-			{NB: nb, Workers: 1, BND2BD: BND2BDSequential},
-			{NB: nb, Workers: 4},
-			{NB: nb, Workers: 4, BND2BDWindow: nb},
+		for _, leg := range []struct {
+			values func(*Dense, *Options) ([]float64, error)
+			opts   *Options
+		}{
+			{sequentialValues, &Options{NB: nb, Workers: 1}},
+			{SingularValues, &Options{NB: nb, Workers: 4}},
+			{SingularValues, &Options{NB: nb, Workers: 4, BND2BDWindow: nb}},
 		} {
-			got, err := SingularValues(&Dense{inner: scaled}, opts)
+			got, err := leg.values(&Dense{inner: scaled}, leg.opts)
 			if err != nil {
-				t.Errorf("%s %+v: %v", in.name, *opts, err)
+				t.Errorf("%s %+v: %v", in.name, *leg.opts, err)
 				continue
 			}
 			for i := range got {
 				if dj, db := math.Abs(got[i]-oracleJ[i]*in.scale), math.Abs(got[i]-oracleB[i]*in.scale); dj > tol || db > tol {
 					t.Errorf("%s %+v: σ[%d] = %g off by %.2g (jacobi) %.2g (GEBD2), bound %.2g",
-						in.name, *opts, i, got[i], dj, db, tol)
+						in.name, *leg.opts, i, got[i], dj, db, tol)
 					break
 				}
 			}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/tiled-la/bidiag/internal/nla"
 	"github.com/tiled-la/bidiag/internal/plan"
 	"github.com/tiled-la/bidiag/internal/trees"
 )
@@ -22,7 +21,7 @@ func (invalidOptions) Is(target error) bool { return target == ErrInvalidOptions
 
 // Validate returns a copy of o with defaults applied and every knob
 // checked: the tile size and worker count resolve their zero values,
-// the tree, algorithm and BND2BD selectors must be known constants, the
+// the tree and algorithm selectors must be known constants, the
 // BND2BD cut width must be non-negative, and a Distributed run takes
 // neither Auto nor a Tree (it has no planner, and its trees are the
 // paper's hierarchical ones). It is the ONE validation
@@ -50,11 +49,6 @@ func (o *Options) validate() (Options, error) {
 	case AutoAlgorithm, Bidiag, RBidiag:
 	default:
 		return v, fmt.Errorf("bidiag: unknown algorithm %d", int(v.Algorithm))
-	}
-	switch v.BND2BD {
-	case BND2BDAuto, BND2BDPipelined, BND2BDSequential:
-	default:
-		return v, fmt.Errorf("bidiag: unknown BND2BD mode %d", int(v.BND2BD))
 	}
 	if v.Distributed != nil {
 		if v.Auto {
@@ -121,26 +115,13 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 	return 0, fmt.Errorf("bidiag: unknown algorithm %q (want auto, bidiag or rbidiag)", s)
 }
 
-// ParseBND2BD converts a BND2BD mode name to its constant. The empty
-// string (or "auto") selects BND2BDAuto.
-func ParseBND2BD(s string) (BND2BD, error) {
-	switch strings.ToLower(s) {
-	case "", "auto", "bnd2bdauto":
-		return BND2BDAuto, nil
-	case "pipelined", "bnd2bdpipelined":
-		return BND2BDPipelined, nil
-	case "sequential", "bnd2bdsequential":
-		return BND2BDSequential, nil
-	}
-	return 0, fmt.Errorf("bidiag: unknown bnd2bd mode %q (want auto, pipelined or sequential)", s)
-}
-
 // AutoPlan resolves Options.Auto for an m×n problem: it returns the
 // concrete, validated Options the planner selects, with Auto cleared.
-// Zero-valued knobs are free for the planner — NB, BND2BDWindow,
-// Tree = Auto and Algorithm = AutoAlgorithm all mean "planner decides"
-// — while any explicitly set knob is honored as a pin. Workers, Gamma,
-// Gemm and BND2BD pass through unchanged. The resolution is deterministic: equal
+// The planner chooses the paper's design space — tile size, reduction
+// tree, BIDIAG or R-BIDIAG — so zero-valued NB, Tree = Auto and
+// Algorithm = AutoAlgorithm mean "planner decides", while any explicitly
+// set one is honored as a pin. Workers, Gamma, Gemm and BND2BDWindow
+// pass through unchanged. The resolution is deterministic: equal
 // (m, n, options) always resolve to the same plan, so running with
 // Options.Auto is bitwise-identical to running the returned explicit
 // Options. Candidates are priced on the full singular-value pipeline by
@@ -181,12 +162,6 @@ func planRequest(m, n int, raw, opts Options, kind plan.Kind) plan.Request {
 			req.Tree, req.TreeSet = tk, true
 		}
 	}
-	if raw.BND2BDWindow > 0 {
-		req.Window = raw.BND2BDWindow
-	}
-	if raw.Gemm != (GemmBlock{}) {
-		req.Gemm = nla.Blocking(raw.Gemm)
-	}
 	switch raw.Algorithm {
 	case Bidiag:
 		req.Alg = plan.AlgBidiag
@@ -197,7 +172,7 @@ func planRequest(m, n int, raw, opts Options, kind plan.Kind) plan.Request {
 }
 
 // applyPlanConfig writes a planner configuration into validated
-// options, clearing Auto.
+// options, clearing Auto. Knobs outside the plan keep their values.
 func applyPlanConfig(opts Options, cfg plan.Config) Options {
 	opts.Auto = false
 	opts.NB = cfg.NB
@@ -207,8 +182,6 @@ func applyPlanConfig(opts Options, cfg plan.Config) Options {
 	} else {
 		opts.Algorithm = Bidiag
 	}
-	opts.BND2BDWindow = cfg.Window
-	opts.Gemm = GemmBlock(cfg.Gemm)
 	return opts
 }
 

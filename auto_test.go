@@ -34,18 +34,18 @@ func bitwiseEqual(a, b []float64) bool {
 
 // FuzzAutoPlan pins the planner's output contract across ragged shapes,
 // worker counts and pins: AutoPlan always returns validated, executable
-// Options (tile size within the matrix, pins honored), and running with
-// Options.Auto is bitwise-identical to running the resolved explicit
-// plan.
+// Options (tile size within the matrix, pins honored, a GEMM blocking
+// passed through untouched), and running with Options.Auto is
+// bitwise-identical to running the resolved explicit plan.
 func FuzzAutoPlan(f *testing.F) {
 	f.Add(8, 8, 2, 0, false)
 	f.Add(3, 5, 1, 0, false)   // wide, sub-tile
 	f.Add(5, 3, 4, 0, false)   // tall, sub-tile
 	f.Add(1, 1, 1, 0, false)   // degenerate
 	f.Add(40, 16, 3, 2, false) // pinned nb
-	f.Add(16, 40, 2, 0, true)  // wide + sequential-chase pin
+	f.Add(16, 40, 2, 0, true)  // wide + blocking pin
 	f.Add(33, 9, 8, 0, false)  // ragged tall
-	f.Fuzz(func(t *testing.T, m, n, workers, nbPin int, sequential bool) {
+	f.Fuzz(func(t *testing.T, m, n, workers, nbPin int, gemmPin bool) {
 		// Clamp to cheap shapes: the property matters, not the scale.
 		m, n = 1+abs(m)%48, 1+abs(n)%48
 		workers = 1 + abs(workers)%8
@@ -53,8 +53,8 @@ func FuzzAutoPlan(f *testing.F) {
 		if nbPin > 0 {
 			opts.NB = 1 + nbPin%16
 		}
-		if sequential {
-			opts.BND2BD = BND2BDSequential
+		if gemmPin {
+			opts.Gemm = GemmBlock{MC: 16, KC: 24, NC: 16}
 		}
 
 		resolved, err := AutoPlan(m, n, opts)
@@ -75,8 +75,8 @@ func FuzzAutoPlan(f *testing.F) {
 		if opts.NB > 0 && resolved.NB != min(opts.NB, min(m, n)) {
 			t.Fatalf("AutoPlan overrode pinned nb=%d with %d for %dx%d", opts.NB, resolved.NB, m, n)
 		}
-		if resolved.BND2BD != opts.BND2BD {
-			t.Fatalf("AutoPlan changed BND2BD %v to %v", opts.BND2BD, resolved.BND2BD)
+		if resolved.Gemm != opts.Gemm {
+			t.Fatalf("AutoPlan changed the blocking %+v to %+v", opts.Gemm, resolved.Gemm)
 		}
 
 		a := autoMatrix(m, n, 11)

@@ -20,9 +20,8 @@
 // both reduction stages execute as task graphs on the same data-flow
 // runtime, one after the other: GE2BND as tiled QR/LQ kernels, then
 // BND2BD as caravans of blocked Householder bulge-chase sweeps over the
-// band GE2BND leaves (Options.BND2BD selects the sequential reference
-// instead), pipelined across Options.Workers once the band is long
-// enough for that to pay. Every values call — one-shot, served on a pool
+// band GE2BND leaves, pipelined across Options.Workers once the band is
+// long enough for that to pay. Every values call — one-shot, served on a pool
 // or served on a mesh — runs these same steps. All engine dispatch —
 // sequential order, the shared-memory pool, the distributed owner-compute
 // executor — lives in a single pipeline.Executor layer that every public
@@ -128,39 +127,6 @@ func (t Tree) kind() (trees.Kind, error) {
 	return 0, fmt.Errorf("bidiag: unknown tree %d", int(t))
 }
 
-// BND2BD selects the implementation of the pipeline's second stage, the
-// band-to-bidiagonal bulge chase. Both implementations apply the same
-// Householder reflectors in a sequentially consistent order, so their
-// results are bitwise-identical; the switch exists to force the
-// single-threaded reference (as a baseline or oracle) and to pin the
-// task graph in tests.
-type BND2BD int
-
-const (
-	// BND2BDAuto (the default) runs the task-graph reduction after
-	// GE2BND, on the same workers: a one-shot call's Options.Workers
-	// pool, or a Service's shared pool.
-	BND2BDAuto BND2BD = iota
-	// BND2BDPipelined forces the task-graph reduction.
-	BND2BDPipelined
-	// BND2BDSequential forces the single-threaded reference reduction
-	// (band.Reduce, no task graph), the numerical oracle of the
-	// task-graph path.
-	BND2BDSequential
-)
-
-func (m BND2BD) String() string {
-	switch m {
-	case BND2BDAuto:
-		return "BND2BDAuto"
-	case BND2BDPipelined:
-		return "BND2BDPipelined"
-	case BND2BDSequential:
-		return "BND2BDSequential"
-	}
-	return fmt.Sprintf("BND2BD(%d)", int(m))
-}
-
 // Algorithm selects between direct bidiagonalization and
 // R-bidiagonalization.
 type Algorithm int
@@ -191,9 +157,10 @@ func (a Algorithm) String() string {
 // selects the defaults of the paper's implementation.
 type Options struct {
 	// Auto hands plan selection to the model-seeded planner: every
-	// zero-valued knob (NB, Tree = Auto, Algorithm = AutoAlgorithm,
-	// BND2BDWindow) is chosen by pricing candidate plans on the
-	// machine model, while explicitly set knobs are honored as pins.
+	// zero-valued plan knob (NB, Tree = Auto, Algorithm = AutoAlgorithm)
+	// is chosen by pricing candidate plans on the machine model, while
+	// explicitly set ones are honored as pins; the other knobs pass
+	// through.
 	// The resolution is deterministic — AutoPlan returns the concrete
 	// Options an Auto run executes, bitwise-identically. Incompatible
 	// with Distributed. Service jobs additionally refine Auto plans
@@ -220,11 +187,6 @@ type Options struct {
 	// tile kernels bottom out in. The zero value selects defaults tuned
 	// for tile-scale operands; it rarely needs changing.
 	Gemm GemmBlock
-	// BND2BD selects the second-stage (band→bidiagonal) implementation:
-	// the task-graph reduction by default, or the sequential reference.
-	// The two are bitwise-identical. SVD ignores it: its logged chase is
-	// sequential.
-	BND2BD BND2BD
 	// BND2BDWindow is the width in columns at which the BND2BD chase is
 	// cut into tasks, rounded down to whole NB-blocks and at least one: a
 	// task advances its sweeps by that many columns. 0 derives the cut
@@ -273,6 +235,10 @@ type DistStats struct {
 	Utilization float64
 }
 
+// defaultGamma is the AUTO tree's parallelism target multiplier when
+// Options.Gamma is unset.
+const defaultGamma = 2
+
 func (o *Options) withDefaults() (Options, error) {
 	var v Options
 	if o != nil {
@@ -285,7 +251,7 @@ func (o *Options) withDefaults() (Options, error) {
 		v.Workers = runtime.GOMAXPROCS(0)
 	}
 	if v.Gamma <= 0 {
-		v.Gamma = 2
+		v.Gamma = defaultGamma
 	}
 	if v.BND2BDWindow < 0 {
 		return v, fmt.Errorf("bidiag: BND2BDWindow must be ≥ 0 (0 selects the default), got %d", v.BND2BDWindow)
@@ -335,10 +301,9 @@ type Band struct {
 	// distributed (Options.Distributed non-nil); nil otherwise.
 	Dist *DistStats
 
-	// workers, bnd2bd and window carry the Options the band was produced
-	// under, so SingularValues routes its BND2BD stage the same way.
+	// workers and window carry the Options the band was produced under,
+	// so SingularValues cuts and runs its BND2BD stage the same way.
 	workers int
-	bnd2bd  BND2BD
 	window  int
 }
 
@@ -354,9 +319,8 @@ func (b *Band) At(i, j int) float64 { return b.b.At(i, j) }
 // SingularValues finishes the pipeline on the band: BND2BD bulge chasing
 // followed by the bidiagonal QR iteration. The BND2BD stage runs as a
 // task graph (a stage-2 pipeline.Plan on the pool executor) with the
-// worker count and cut width the band was produced with,
-// unless the producing Options forced the sequential reference; either
-// way the outcome is bitwise-identical.
+// worker count and cut width the band was produced with; its outcome is
+// bitwise that of the sequential chase whatever either is.
 func (b *Band) SingularValues() ([]float64, error) {
 	return b.singularValues(context.Background(), pipeline.Pool{Workers: max(b.workers, 1)}, nil)
 }
@@ -365,23 +329,14 @@ func (b *Band) SingularValues() ([]float64, error) {
 // chase graph inherits stage1's tracer and meter when stage1 is given, so
 // a traced or metered job covers both stages.
 func (b *Band) singularValues(ctx context.Context, ex pipeline.Executor, stage1 *sched.Graph) ([]float64, error) {
-	var r *band.Matrix
-	if b.bnd2bd == BND2BDSequential {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		r = band.Reduce(b.b)
-	} else {
-		p := pipeline.BuildBND2BD(b.b, b.window)
-		if stage1 != nil {
-			p.Graph.Tracer, p.Graph.Meter = stage1.Tracer, stage1.Meter
-		}
-		if _, err := pipeline.RunCtx(ctx, p, ex); err != nil {
-			return nil, err
-		}
-		r = p.Bidiagonal()
+	p := pipeline.BuildBND2BD(b.b, b.window)
+	if stage1 != nil {
+		p.Graph.Tracer, p.Graph.Meter = stage1.Tracer, stage1.Meter
 	}
-	d, e := r.Bidiagonal()
+	if _, err := pipeline.RunCtx(ctx, p, ex); err != nil {
+		return nil, err
+	}
+	d, e := p.Bidiagonal().Bidiagonal()
 	return bdsqr.SingularValues(d, e)
 }
 
@@ -411,7 +366,6 @@ func GE2BND(a *Dense, o *Options) (*Band, error) {
 		TasksExecuted: rep.Tasks,
 		Dist:          distStatsOf(rep),
 		workers:       opts.Workers,
-		bnd2bd:        opts.BND2BD,
 		window:        opts.BND2BDWindow,
 	}, nil
 }
@@ -582,6 +536,6 @@ func SingularValuesCtx(ctx context.Context, a *Dense, o *Options) ([]float64, er
 // on the pool, a service job on the mesh): it extracts the band and
 // chases it on chase, the executor of the caller's workers.
 func finishValues(ctx context.Context, plan *pipeline.Plan, opts Options, chase pipeline.Executor) ([]float64, error) {
-	b := &Band{b: plan.Tiles.ExtractBand(plan.Tiles.NB), bnd2bd: opts.BND2BD, window: opts.BND2BDWindow}
+	b := &Band{b: plan.Tiles.ExtractBand(plan.Tiles.NB), window: opts.BND2BDWindow}
 	return b.singularValues(ctx, chase, plan.Graph)
 }

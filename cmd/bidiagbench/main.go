@@ -595,7 +595,7 @@ func runPerfBND2BD(n, ku, workers, reps int, jsonPath string) error {
 // the modeled flops of both reduction stages (the GE2BND operation count
 // plus the BND2BD Householder model; the closing QR iteration rides
 // along in the wall time as it does for every user).
-func runPerfFull(m, n, nb, workers, window, reps int, jsonPath string) error {
+func runPerfFull(m, n, nb, workers, reps int, jsonPath string) error {
 	if reps < 1 {
 		reps = 1
 	}
@@ -610,7 +610,7 @@ func runPerfFull(m, n, nb, workers, window, reps int, jsonPath string) error {
 			a.Set(i, j, rng.NormFloat64())
 		}
 	}
-	opts := &bidiag.Options{NB: nb, Workers: workers, Algorithm: bidiag.Bidiag, BND2BDWindow: window}
+	opts := &bidiag.Options{NB: nb, Workers: workers, Algorithm: bidiag.Bidiag}
 	res := perfResult{
 		Experiment: "full", M: m, N: n, NB: nb, Workers: workers,
 		Tree: opts.Tree.String(), Algorithm: opts.Algorithm.String(),
@@ -815,7 +815,6 @@ func main() {
 	nbFlag := flag.Int("nb", 64, "tile size for the timed run")
 	kuFlag := flag.Int("ku", 64, "band width for a -stage bnd2bd timed run")
 	stage := flag.String("stage", "ge2bnd", "timed-run stage: ge2bnd, bnd2bd, full (end-to-end values pipeline), svd (bidiag.SVD with its per-stage ledger), apply (isolated rates of the twelve stage-1 tile kernels), or sched (worker-loop dispatch cost)")
-	windowFlag := flag.Int("window", 0, "BND2BD cut width in columns for -stage full (0: default)")
 	workersFlag := flag.Int("workers", runtime.GOMAXPROCS(0), "workers for the timed run")
 	repsFlag := flag.Int("reps", 3, "repetitions of the timed run (best kept)")
 	jsonOut := flag.String("json", "", "write the timed-run result as JSON to this file ('-' for stdout)")
@@ -825,13 +824,13 @@ func main() {
 	perfMode := false
 	flag.Visit(func(f *flag.Flag) {
 		switch f.Name {
-		case "m", "n", "nb", "ku", "stage", "window", "workers", "reps", "json":
+		case "m", "n", "nb", "ku", "stage", "workers", "reps", "json":
 			perfMode = true
 		}
 	})
 	if perfMode {
 		if *exp != "" {
-			fmt.Fprintln(os.Stderr, "-exp and the timed-run flags (-m/-n/-nb/-ku/-stage/-window/-workers/-reps/-json) are mutually exclusive")
+			fmt.Fprintln(os.Stderr, "-exp and the timed-run flags (-m/-n/-nb/-ku/-stage/-workers/-reps/-json) are mutually exclusive")
 			os.Exit(2)
 		}
 		var err error
@@ -848,7 +847,7 @@ func main() {
 			if n <= 0 {
 				n = m
 			}
-			err = runPerfFull(m, n, *nbFlag, *workersFlag, *windowFlag, *repsFlag, *jsonOut)
+			err = runPerfFull(m, n, *nbFlag, *workersFlag, *repsFlag, *jsonOut)
 		case "svd":
 			n := *nFlag
 			if n <= 0 {

@@ -55,11 +55,7 @@ func plannerOptions(cfg plan.Config, workers int) (*bidiag.Options, error) {
 	if cfg.RBidiag {
 		alg = bidiag.RBidiag
 	}
-	return &bidiag.Options{
-		NB: cfg.NB, Tree: tree, Algorithm: alg,
-		Workers: workers, BND2BDWindow: cfg.Window,
-		Gemm: bidiag.GemmBlock(cfg.Gemm),
-	}, nil
+	return &bidiag.Options{NB: cfg.NB, Tree: tree, Algorithm: alg, Workers: workers}, nil
 }
 
 // measurePlan runs the full singular-value pipeline under one
@@ -83,8 +79,8 @@ func measurePlan(a *bidiag.Dense, cfg plan.Config, workers, reps int) (float64, 
 }
 
 // runPlannerEval measures the planner against an exhaustive sweep: for
-// each shape, every enumerated candidate (nb × tree × GEMM blocking ×
-// algorithm) executes for real, and the model's pick is reported with
+// each shape, every enumerated candidate (nb × tree × algorithm)
+// executes for real, and the model's pick is reported with
 // its regret against the measured best. The report lands in
 // <outDir>/planner.json.
 func runPlannerEval(small bool, outDir string) error {

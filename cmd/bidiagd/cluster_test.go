@@ -396,7 +396,7 @@ func TestClusterIsTheOneService(t *testing.T) {
 		{"/v1/svd", `{"m":3,"n":2,"data":[1,0,0,0,2,0]}`, http.StatusNotImplemented},
 		{"/v1/singular-values", `{"m":3,"n":2,"data":[1,0,0,0,2,0],"options":{"tree":"greedy"}}`, http.StatusBadRequest},
 		{"/v1/singular-values", `{"m":3,"n":2,"data":[1,0,0,0,2,0],"options":{"auto":true}}`, http.StatusBadRequest},
-		{"/v1/singular-values", `{"m":3,"n":2,"data":[1,0,0,0,2,0],"options":{"window":-1}}`, http.StatusBadRequest},
+		{"/v1/singular-values", `{"m":3,"n":2,"data":[1,0,0,0,2,0],"options":{"tree":"bogus"}}`, http.StatusBadRequest},
 		{"/v1/singular-values", `{"m":3,"n":2,"data":[1,0,0,0,2,0],"options":{"workers":65536}}`, http.StatusBadRequest},
 		{"/v1/singular-values", `{"m":1,"n":1,"data":[1e999]}`, http.StatusBadRequest},
 	} {

@@ -18,6 +18,7 @@ import (
 	"github.com/tiled-la/bidiag/client"
 	"github.com/tiled-la/bidiag/httpapi"
 	"github.com/tiled-la/bidiag/internal/cluster"
+	"github.com/tiled-la/bidiag/internal/plan"
 )
 
 func testServer(t *testing.T) (*httptest.Server, *bidiag.Service) {
@@ -117,7 +118,7 @@ func TestBadRequests(t *testing.T) {
 		{"short data", httpapi.Job{Matrix: httpapi.Matrix{M: 4, N: 4, Data: []float64{1}}}},
 		{"zero shape", httpapi.Job{Matrix: httpapi.Matrix{M: 0, N: 3}}},
 		{"bad tree", httpapi.Job{Matrix: diag212, Options: &httpapi.Options{Tree: "bogus"}}},
-		{"bad bnd2bd", httpapi.Job{Matrix: diag212, Options: &httpapi.Options{BND2BD: "bogus"}}},
+		{"bad algorithm", httpapi.Job{Matrix: diag212, Options: &httpapi.Options{Algorithm: "bogus"}}},
 	} {
 		_, err := cl.PostValues(context.Background(), tc.job, false)
 		if !errors.Is(err, client.ErrBadRequest) {
@@ -592,8 +593,8 @@ func TestOptionsFreeRequestIsPlanned(t *testing.T) {
 	if err := json.NewDecoder(presp.Body).Decode(&plans); err != nil {
 		t.Fatal(err)
 	}
-	if plans.Version == 0 || len(plans.Profiles) == 0 {
-		t.Fatalf("debug/plans has no profiles: %+v", plans)
+	if plans.Version != plan.StateVersion || len(plans.Profiles) == 0 {
+		t.Fatalf("debug/plans is not a version-%d document with profiles: %+v", plan.StateVersion, plans)
 	}
 	if plans.Counters.Model == 0 {
 		t.Fatal("options-free request did not count a model decision")

@@ -115,7 +115,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 		math.Copysign(0, -1), 5e-324, -2.2250738585072009e-308, math.Ldexp(1.1, 498), math.Ldexp(-1.3, -498),
 		math.Inf(1), math.Inf(-1), math.Float64frombits(0x7ff8dead0000beef), 1, 1.0000000000000002, -1, 0,
 	}
-	for _, opts := range []*httpapi.Options{nil, {}, {NB: 16, Tree: "greedy", Algorithm: "rbidiag", Workers: 3, Gamma: 2, BND2BD: "pipelined", Window: 5, Auto: true}} {
+	for _, opts := range []*httpapi.Options{nil, {}, {NB: 16, Tree: "greedy", Algorithm: "rbidiag", Workers: 3, Gamma: 2, Auto: true}} {
 		job := httpapi.Job{Matrix: httpapi.Matrix{M: 4, N: 3, Data: data}, Options: opts}
 		blob, err := httpapi.EncodeJob(job)
 		if err != nil {

@@ -71,19 +71,19 @@ type Matrix struct {
 	Data []float64 `json:"data"`
 }
 
-// Options is the wire subset of bidiag.Options a job may set. Where a job
-// runs is the daemon's business, not the request's — its pool, or with
-// -node/-peers its mesh, which refuses tree and auto — so there is no
-// distributed knob. String fields use the same spellings the CLI flags
-// accept.
+// Options is the wire subset of bidiag.Options a job may set: the knobs
+// that can change a response's bytes. Where a job runs is the daemon's
+// business, not the request's — its pool, or with -node/-peers its mesh,
+// which refuses tree and auto — so there is no distributed knob. Fields
+// earlier clients sent that never changed an answer ("bnd2bd",
+// "window") are ignored like any unknown field. String fields use the
+// same spellings the CLI flags accept.
 type Options struct {
 	NB        int    `json:"nb,omitempty"`
 	Tree      string `json:"tree,omitempty"`      // auto | flatts | flattt | greedy
 	Algorithm string `json:"algorithm,omitempty"` // auto | bidiag | rbidiag
 	Workers   int    `json:"workers,omitempty"`
 	Gamma     int    `json:"gamma,omitempty"`
-	BND2BD    string `json:"bnd2bd,omitempty"` // auto | pipelined | sequential
-	Window    int    `json:"window,omitempty"`
 	// Auto defers every unset knob to the daemon's plan autotuner
 	// (bidiag.Options.Auto); set knobs are honored as pins. A request
 	// with NO options object at all is planned the same way.
@@ -133,18 +133,12 @@ func (o *Options) ToOptions() (*bidiag.Options, error) {
 	if o == nil {
 		return &bidiag.Options{Auto: true}, nil
 	}
-	opts := &bidiag.Options{
-		NB: o.NB, Workers: o.Workers, Gamma: o.Gamma,
-		BND2BDWindow: o.Window, Auto: o.Auto,
-	}
+	opts := &bidiag.Options{NB: o.NB, Workers: o.Workers, Gamma: o.Gamma, Auto: o.Auto}
 	var err error
 	if opts.Tree, err = bidiag.ParseTree(o.Tree); err != nil {
 		return nil, err
 	}
 	if opts.Algorithm, err = bidiag.ParseAlgorithm(o.Algorithm); err != nil {
-		return nil, err
-	}
-	if opts.BND2BD, err = bidiag.ParseBND2BD(o.BND2BD); err != nil {
 		return nil, err
 	}
 	return opts, nil

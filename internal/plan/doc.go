@@ -10,9 +10,11 @@
 // from the machine model's cache-blocking sweet spot filtered to the
 // matrix, the tree shapes the paper compares (AUTO, FLATTS, GREEDY),
 // and — for tall shapes passing Chan's 3m ≥ 5n rule —
-// R-bidiagonalization. The BND2BD cut width is not a plan dimension: the
-// band package derives it, and a caller's pin is carried through
-// unchanged (profiles persisted with a window still load). Each candidate's stage-1 cost
+// R-bidiagonalization. That is the paper's design space and all the
+// cost model can tell apart. The BND2BD cut width and the packed-GEMM
+// blocking are not plan dimensions: the model prices neither, the band
+// package derives the cut, and a caller's blocking passes through the
+// plan untouched. Each candidate's stage-1 cost
 // comes from building its real task DAG simulation-only (pipeline.Build
 // with nil data) and
 // list-scheduling it on `workers` virtual cores (sched.SimulateFixed)
@@ -38,10 +40,13 @@
 // The online Tuner keys profiles by shape bucket, not exact shape: the
 // normalized (rows ≥ cols) dimensions are bucketed to ⌈log₂⌉ — 1024²
 // and 768×900 share a bucket, 4096×256 does not — together with the
-// worker count, the job kind, and any caller pins (a request pinning
-// nb=32 must not pollute the unpinned profile). Within a bucket the
-// candidate set is the model's top-K (K = 3) by priced cost, priced at
-// the first shape seen for the bucket.
+// worker count, the job kind, and any caller pins of a plan dimension (a
+// request pinning nb=32 must not pollute the unpinned profile). A
+// knob outside the plan (gamma, the GEMM blocking, the cut width) is not
+// in the key: the service plans such a job from its bucket's profile but
+// never records its rate there. Within a bucket the candidate set is the
+// model's top-K (K = 3) by priced cost, priced at the first shape seen
+// for the bucket.
 //
 // # Promotion rule
 //
@@ -61,14 +66,14 @@
 // (tmp + rename, so readers never see a torn file):
 //
 //	{
-//	  "version": 2,
+//	  "version": 3,
 //	  "min_samples": 3,
 //	  "counters": {"model": …, "explore": …, "tuned": …, "promotions": …},
 //	  "profiles": [{
-//	    "key": {"kind": 1, "rows_bucket": 10, "cols_bucket": 10, "workers": 8, …},
+//	    "key": {"kind": 0, "rows_bucket": 10, "cols_bucket": 10, "workers": 8, …},
 //	    "m": 1024, "n": 1024,
 //	    "promoted": 2,
-//	    "candidates": [{"config": {…}, "desc": "nb=64 tree=Greedy …",
+//	    "candidates": [{"config": {…}, "desc": "nb=64 tree=Greedy bidiag",
 //	                    "model_cost": 0.0123, "samples": 4, "gflops": 21.7}]
 //	  }]
 //	}

@@ -12,8 +12,10 @@ import (
 
 // StateVersion is the persisted profile format version. Load discards
 // any other version: a stale profile re-learns instead of misleading.
-// Version 2 dropped the fused plan dimension from Key and Config.
-const StateVersion = 2
+// Version 2 dropped the fused plan dimension from Key and Config;
+// version 3 dropped the GEMM blocking and the BND2BD window from Config,
+// the window pin from Key, and the band-only job kind (renumbering Kind).
+const StateVersion = 3
 
 // State is the tuner's complete serializable state — the persisted
 // profile file and the /debug/plans document are this one type.
@@ -123,9 +125,7 @@ func validConfig(c Config, m, n int) bool {
 	if m < n {
 		m, n = n, m
 	}
-	return c.NB >= 1 && c.NB <= n && c.Window >= 0 &&
-		c.Tree >= trees.FlatTS && c.Tree <= trees.Auto &&
-		c.Gemm.MC >= 0 && c.Gemm.KC >= 0 && c.Gemm.NC >= 0
+	return c.NB >= 1 && c.NB <= n && c.Tree >= trees.FlatTS && c.Tree <= trees.Auto
 }
 
 // LoadState reads and validates a persisted state file. A missing file,

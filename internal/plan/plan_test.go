@@ -7,7 +7,6 @@ import (
 
 	"github.com/tiled-la/bidiag/internal/band"
 	"github.com/tiled-la/bidiag/internal/kernels"
-	"github.com/tiled-la/bidiag/internal/nla"
 	"github.com/tiled-la/bidiag/internal/trees"
 )
 
@@ -32,31 +31,6 @@ func TestEnumerateHonorsPins(t *testing.T) {
 		}
 	}
 
-	winReq := base
-	winReq.Window = 96
-	for _, c := range Enumerate(winReq) {
-		if c.Window != 96 {
-			t.Fatalf("pinned window=96, got candidate %s", c)
-		}
-	}
-	// The cut width is not a plan dimension: unpinned, every candidate
-	// leaves it to the band package, whatever the shape and worker count.
-	for _, req := range []Request{base, {M: 4096, N: 4096, Workers: 8, Kind: KindValues}} {
-		for _, c := range Enumerate(req) {
-			if c.Window != 0 {
-				t.Fatalf("unpinned window, got candidate %s", c)
-			}
-		}
-	}
-
-	gemmReq := base
-	gemmReq.Gemm = nla.Blocking{MC: 32, KC: 64, NC: 128}
-	for _, c := range Enumerate(gemmReq) {
-		if c.Gemm != gemmReq.Gemm {
-			t.Fatalf("pinned gemm blocking, got candidate %s", c)
-		}
-	}
-
 	algReq := Request{M: 4096, N: 256, Workers: 8, Kind: KindValues, Alg: AlgBidiag}
 	for _, c := range Enumerate(algReq) {
 		if c.RBidiag {
@@ -72,8 +46,9 @@ func TestEnumerateHonorsPins(t *testing.T) {
 }
 
 // TestEnumerateValidity checks that every candidate of ragged and
-// degenerate shapes is executable: NB within the matrix, window
-// non-negative, a runtime-accepted tree, and at least one candidate.
+// degenerate shapes is executable — NB within the matrix and a
+// runtime-accepted tree — that there is at least one, and that no two
+// are the same plan (every tuner slot is a real alternative).
 func TestEnumerateValidity(t *testing.T) {
 	shapes := [][2]int{
 		{1, 1}, {3, 5}, {5, 3}, {31, 31}, {33, 97},
@@ -86,7 +61,12 @@ func TestEnumerateValidity(t *testing.T) {
 			t.Fatalf("%dx%d: no candidates", s[0], s[1])
 		}
 		minDim := min(s[0], s[1])
+		seen := map[Config]bool{}
 		for _, c := range cfgs {
+			if seen[c] {
+				t.Fatalf("%dx%d: candidate %s enumerated twice", s[0], s[1], c)
+			}
+			seen[c] = true
 			if !validConfig(c, s[0], s[1]) {
 				t.Fatalf("%dx%d: invalid candidate %s", s[0], s[1], c)
 			}
@@ -97,44 +77,6 @@ func TestEnumerateValidity(t *testing.T) {
 	}
 	if Enumerate(Request{M: 0, N: 5}) != nil {
 		t.Fatal("empty shape should enumerate nothing")
-	}
-}
-
-// TestEnumerateGemmVariants checks the blocking grid: the non-default
-// GEMM blocking is offered only at nb ≥ altBlockingMinNB, the default
-// enumerates first within each tile size (so ModelPick ties keep it),
-// and ModelPick itself resolves to the default blocking — the cost
-// model cannot distinguish blockings, so the variant exists for the
-// tuner's measurements.
-func TestEnumerateGemmVariants(t *testing.T) {
-	req := Request{M: 1024, N: 1024, Workers: 8, Kind: KindValues}
-	sawAlt := false
-	seenDefault := map[int]bool{}
-	for _, c := range Enumerate(req) {
-		switch c.Gemm {
-		case nla.Blocking{}:
-			seenDefault[c.NB] = true
-		case altBlocking:
-			sawAlt = true
-			if c.NB < altBlockingMinNB {
-				t.Fatalf("alternate blocking offered at nb=%d < %d: %s", c.NB, altBlockingMinNB, c)
-			}
-			if !seenDefault[c.NB] {
-				t.Fatalf("alternate blocking enumerated before the default at nb=%d", c.NB)
-			}
-		default:
-			t.Fatalf("unexpected blocking in candidate %s", c)
-		}
-	}
-	if !sawAlt {
-		t.Fatal("no alternate-blocking candidate at a shape admitting nb >= 96")
-	}
-	pick, err := ModelPick(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pick.Gemm != (nla.Blocking{}) {
-		t.Fatalf("ModelPick chose non-default blocking %s; ties must keep the default", pick)
 	}
 }
 
@@ -221,7 +163,7 @@ func TestPlanningStaysFast(t *testing.T) {
 	}
 }
 
-// TestKindPricing checks band/SVD requests price stage 1 alone: the same
+// TestKindPricing checks SVD requests price stage 1 alone: the same
 // configuration costs exactly its chase less than for a values request.
 func TestKindPricing(t *testing.T) {
 	req := Request{M: 512, N: 512, Workers: 4, Kind: KindValues}
@@ -229,14 +171,12 @@ func TestKindPricing(t *testing.T) {
 	for _, c := range PriceAll(req, SeedRates()) {
 		values[c.Config] = c.Cost
 	}
-	p := &pricer{req: req.normalized(), rates: SeedRates(), s1: map[Config]Candidate{}, s2: map[Config]Candidate{}}
-	for _, kind := range []Kind{KindBand, KindSVD} {
-		req.Kind = kind
-		for _, c := range PriceAll(req, SeedRates()) {
-			want := values[c.Config] - p.stage2(c.Config).Cost
-			if math.Abs(c.Cost-want) > 1e-12*want {
-				t.Fatalf("%s priced %s at %g, want stage 1 alone %g", kind, c.Config, c.Cost, want)
-			}
+	p := &pricer{req: req.normalized(), rates: SeedRates(), s1: map[Config]Candidate{}, s2: map[int]Candidate{}}
+	req.Kind = KindSVD
+	for _, c := range PriceAll(req, SeedRates()) {
+		want := values[c.Config] - p.stage2(c.Config.NB).Cost
+		if math.Abs(c.Cost-want) > 1e-12*want {
+			t.Fatalf("svd priced %s at %g, want stage 1 alone %g", c.Config, c.Cost, want)
 		}
 	}
 }
@@ -248,8 +188,8 @@ func TestStage2Pricing(t *testing.T) {
 	rates := SeedRates()
 	price := func(n, workers int) float64 {
 		p := &pricer{req: Request{M: n, N: n, Workers: workers, Kind: KindValues}.normalized(),
-			rates: rates, s1: map[Config]Candidate{}, s2: map[Config]Candidate{}}
-		return p.stage2(Config{NB: 64}).Cost
+			rates: rates, s1: map[Config]Candidate{}, s2: map[int]Candidate{}}
+		return p.stage2(64).Cost
 	}
 	want := band.ModelFlops(768, 64) / rates.PerKind[kernels.BRDSEGKind]
 	if got := price(768, 1); math.Abs(got-want) > 1e-12*want {

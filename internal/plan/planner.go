@@ -11,7 +11,6 @@ import (
 	"github.com/tiled-la/bidiag/internal/core"
 	"github.com/tiled-la/bidiag/internal/kernels"
 	"github.com/tiled-la/bidiag/internal/machine"
-	"github.com/tiled-la/bidiag/internal/nla"
 	"github.com/tiled-la/bidiag/internal/pipeline"
 	"github.com/tiled-la/bidiag/internal/sched"
 	"github.com/tiled-la/bidiag/internal/trees"
@@ -22,11 +21,9 @@ import (
 type Kind int
 
 const (
-	// KindBand plans the GE2BND stage only (the band is the result).
-	KindBand Kind = iota
 	// KindValues plans the full singular-value pipeline:
 	// GE2BND, then BND2BD.
-	KindValues
+	KindValues Kind = iota
 	// KindSVD plans the vector-bearing decomposition: the recorded
 	// GE2BND stage.
 	KindSVD
@@ -34,8 +31,6 @@ const (
 
 func (k Kind) String() string {
 	switch k {
-	case KindBand:
-		return "band"
 	case KindValues:
 		return "values"
 	case KindSVD:
@@ -74,10 +69,6 @@ type Request struct {
 	// Tree pins the reduction tree when TreeSet is true.
 	Tree    trees.Kind
 	TreeSet bool
-	// Window pins the BND2BD cut width when > 0.
-	Window int
-	// Gemm pins the packed-GEMM cache blocking when nonzero.
-	Gemm nla.Blocking
 	// Alg pins direct vs R-bidiagonalization.
 	Alg Alg
 }
@@ -93,19 +84,15 @@ func (r Request) normalized() Request {
 	return r
 }
 
-// Config is one concrete, executable configuration. Every Config the
-// planner emits is valid for its request's shape: NB ∈ [1, min(m,n)],
-// Window ≥ 0, and a tree the runtime accepts.
+// Config is one concrete, executable configuration: the paper's design
+// space of tile size × reduction tree × BIDIAG/R-BIDIAG, which is also
+// all the cost model can tell apart. Every Config the planner emits is
+// valid for its request's shape: NB ∈ [1, min(m,n)] and a tree the
+// runtime accepts.
 type Config struct {
 	NB      int        `json:"nb"`
 	Tree    trees.Kind `json:"tree"`
-	Window  int        `json:"window"`
 	RBidiag bool       `json:"rbidiag"`
-	// Gemm is the packed-GEMM cache blocking; the zero value selects
-	// nla.DefaultBlocking. The cost model cannot distinguish blockings
-	// (stage-1 pricing keys ignore it), so the non-default variant only
-	// wins through the tuner's measurements, never at ModelPick ties.
-	Gemm nla.Blocking `json:"gemm"`
 }
 
 func (c Config) String() string {
@@ -113,11 +100,7 @@ func (c Config) String() string {
 	if c.RBidiag {
 		alg = "rbidiag"
 	}
-	s := fmt.Sprintf("nb=%d tree=%s window=%d %s", c.NB, c.Tree, c.Window, alg)
-	if c.Gemm != (nla.Blocking{}) {
-		s += fmt.Sprintf(" gemm=%dx%dx%d", c.Gemm.MC, c.Gemm.KC, c.Gemm.NC)
-	}
-	return s
+	return fmt.Sprintf("nb=%d tree=%s %s", c.NB, c.Tree, alg)
 }
 
 // Rates is the per-kernel pricing table: flop/s per kernel kind at the
@@ -165,16 +148,6 @@ var nbCandidates = [...]int{32, 48, 64, 96, 128}
 // bidiagonalization (Section V); FlatTT is dominated by Greedy on every
 // measured shape, so it is only priced when pinned.
 var treeCandidates = [...]trees.Kind{trees.Auto, trees.FlatTS, trees.Greedy}
-
-// altBlocking is the one non-default GEMM cache blocking the planner
-// offers: a tighter L2-resident panel set for the tile-sized operands
-// the apply kernels feed the packed GEMM (the defaults assume large
-// operands). Only enumerated at nb ≥ altBlockingMinNB — below that the
-// TSMQR GEMM half fits the default MC×KC panel outright and the
-// variant merely doubles the candidate count.
-var altBlocking = nla.Blocking{MC: 64, KC: 128, NC: 256}
-
-const altBlockingMinNB = 96
 
 // maxPlanTasks bounds the DAG size the planner will build for pricing:
 // planning must stay a few hundred milliseconds, and each candidate
@@ -243,19 +216,8 @@ func Enumerate(req Request) []Config {
 	var out []Config
 	for _, rb := range algs {
 		for _, nb := range nbs {
-			// The default blocking enumerates first so ModelPick's stable
-			// tie-break keeps it (the pricer cannot tell blockings apart);
-			// the alternate rides along for the tuner to measure.
-			gemms := []nla.Blocking{{}}
-			if req.Gemm != (nla.Blocking{}) {
-				gemms = []nla.Blocking{req.Gemm}
-			} else if nb >= altBlockingMinNB {
-				gemms = append(gemms, altBlocking)
-			}
 			for _, tk := range tks {
-				for _, gm := range gemms {
-					out = append(out, Config{NB: nb, Tree: tk, Window: max(req.Window, 0), RBidiag: rb, Gemm: gm})
-				}
+				out = append(out, Config{NB: nb, Tree: tk, RBidiag: rb})
 			}
 		}
 	}
@@ -272,13 +234,12 @@ type Candidate struct {
 }
 
 // pricer caches the per-stage simulations shared between candidates of
-// one request: stage 1 depends on (nb, tree, rbidiag), stage 2 on
-// (nb, window).
+// one request: stage 1 depends on the whole Config, stage 2 on nb alone.
 type pricer struct {
 	req   Request
 	rates Rates
-	s1    map[Config]Candidate // Window zeroed in key
-	s2    map[Config]Candidate // only NB/Window set in key
+	s1    map[Config]Candidate
+	s2    map[int]Candidate
 }
 
 func (p *pricer) timeOf(nb int) func(*sched.Task) float64 {
@@ -312,8 +273,7 @@ func (p *pricer) buildCfg(tree trees.Kind) core.Config {
 // fall back to the closed-form model so planning never stalls on graph
 // construction.
 func (p *pricer) stage1(c Config) Candidate {
-	key := Config{NB: c.NB, Tree: c.Tree, RBidiag: c.RBidiag}
-	if v, ok := p.s1[key]; ok {
+	if v, ok := p.s1[c]; ok {
 		return v
 	}
 	var v Candidate
@@ -327,7 +287,7 @@ func (p *pricer) stage1(c Config) Candidate {
 		}
 		v = p.simulate(pipeline.Build(sp).Graph, c.NB)
 	}
-	p.s1[key] = v
+	p.s1[c] = v
 	return v
 }
 
@@ -358,21 +318,21 @@ func (p *pricer) stage1Formula(c Config) Candidate {
 // stage2 prices the bulge chase of the n×n, bandwidth-nb band stage 1
 // leaves behind in closed form: band.ModelFlops (about 8·n²·nb) over the
 // per-core BRDSEG rate times the number of chase tasks that can run at
-// once, band.Overlap capped by the worker count. The n/nb rounds of a
-// sweep bound that overlap, so on short bands the stage prices as one
-// core's work whatever the worker count.
-func (p *pricer) stage2(c Config) Candidate {
-	key := Config{NB: c.NB, Window: c.Window}
-	if v, ok := p.s2[key]; ok {
+// once, band.Overlap at the cut the band package derives, capped by the
+// worker count. The n/nb rounds of a sweep bound that overlap, so on
+// short bands the stage prices as one core's work whatever the worker
+// count.
+func (p *pricer) stage2(nb int) Candidate {
+	if v, ok := p.s2[nb]; ok {
 		return v
 	}
 	rate := p.rates.PerKind[kernels.BRDSEGKind]
 	if rate <= 0 {
 		rate = p.rates.PerKind[0]
 	}
-	par := math.Min(band.Overlap(p.req.N, c.NB, c.Window), float64(p.req.Workers))
-	v := Candidate{Cost: band.ModelFlops(p.req.N, c.NB) / (rate * par)}
-	p.s2[key] = v
+	par := math.Min(band.Overlap(p.req.N, nb, 0), float64(p.req.Workers))
+	v := Candidate{Cost: band.ModelFlops(p.req.N, nb) / (rate * par)}
+	p.s2[nb] = v
 	return v
 }
 
@@ -382,7 +342,7 @@ func (p *pricer) price(c Config) Candidate {
 	v := p.stage1(c)
 	v.Config = c
 	if p.req.Kind == KindValues {
-		s2 := p.stage2(c)
+		s2 := p.stage2(c.NB)
 		v.Cost += s2.Cost
 		v.Tasks += s2.Tasks
 	}
@@ -395,7 +355,7 @@ func (p *pricer) price(c Config) Candidate {
 func PriceAll(req Request, rates Rates) []Candidate {
 	req = req.normalized()
 	cfgs := Enumerate(req)
-	p := &pricer{req: req, rates: rates, s1: map[Config]Candidate{}, s2: map[Config]Candidate{}}
+	p := &pricer{req: req, rates: rates, s1: map[Config]Candidate{}, s2: map[int]Candidate{}}
 	out := make([]Candidate, 0, len(cfgs))
 	for _, c := range cfgs {
 		out = append(out, p.price(c))

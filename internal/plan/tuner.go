@@ -7,8 +7,10 @@ import (
 )
 
 // Key identifies one tuning profile: the shape bucket, worker count,
-// job kind and every caller pin (a request pinning a knob must not
-// pollute — or read — the unpinned profile).
+// job kind and every caller pin of a plan dimension (a request pinning a
+// knob must not pollute — or read — the unpinned profile). Knobs outside
+// the plan are not pins: the service keeps a job that sets one out of
+// the profile's samples instead.
 type Key struct {
 	Kind Kind `json:"kind"`
 	// RowsBucket/ColsBucket are ⌈log₂⌉ of the normalized (rows ≥ cols)
@@ -19,7 +21,6 @@ type Key struct {
 	PinNB      int  `json:"pin_nb,omitempty"`
 	PinTree    int  `json:"pin_tree,omitempty"`
 	PinTreeSet bool `json:"pin_tree_set,omitempty"`
-	PinWindow  int  `json:"pin_window,omitempty"`
 	PinAlg     Alg  `json:"pin_alg,omitempty"`
 }
 
@@ -43,7 +44,6 @@ func KeyOf(req Request) Key {
 		PinNB:      max(req.NB, 0),
 		PinTree:    int(req.Tree),
 		PinTreeSet: req.TreeSet,
-		PinWindow:  max(req.Window, 0),
 		PinAlg:     req.Alg,
 	}
 }
@@ -99,8 +99,6 @@ type TunerConfig struct {
 	// MinSamples is the per-candidate promotion threshold
 	// (0: DefaultMinSamples; negative: never promote).
 	MinSamples int
-	// Rates overrides the pricing table (nil: SeedRates).
-	Rates *Rates
 }
 
 // Counters are the tuner's lifetime decision counts.
@@ -133,9 +131,6 @@ func NewTuner(cfg TunerConfig) *Tuner {
 		minSamp:  cfg.MinSamples,
 		path:     cfg.Path,
 		profiles: map[Key]*profile{},
-	}
-	if cfg.Rates != nil {
-		t.rates = *cfg.Rates
 	}
 	if t.minSamp == 0 {
 		t.minSamp = DefaultMinSamples

@@ -272,47 +272,32 @@ func TestRestoreDropsInvalidConfigs(t *testing.T) {
 	}
 }
 
-// TestRestoreKeepsWindowedProfiles checks profiles persisted while the
-// planner still enumerated BND2BD windows keep loading: the window is
-// carried as a pin of that candidate, not rejected.
-func TestRestoreKeepsWindowedProfiles(t *testing.T) {
-	st := State{Version: StateVersion, Profiles: []ProfileState{{
-		Key: Key{Kind: KindValues, RowsBucket: 10, ColsBucket: 10, Workers: 4},
-		M:   1024, N: 1024, Promoted: 1,
-		Candidates: []CandidateState{
-			{Config: Config{NB: 64, Tree: trees.Greedy}, Samples: 3, GFlops: 10},
-			{Config: Config{NB: 64, Tree: trees.Greedy, Window: 64}, Samples: 3, GFlops: 12},
-		},
-	}}}
-	tn := NewTuner(TunerConfig{MinSamples: 3})
-	tn.restore(st)
-	if len(tn.profiles) != 1 {
-		t.Fatal("a persisted profile with a non-zero window was dropped")
-	}
-	for _, p := range tn.profiles {
-		if len(p.cands) != 2 || p.cands[1].cfg.Window != 64 {
-			t.Fatalf("window not restored: %+v", p.cands)
-		}
-	}
-}
-
-// TestVersion1FileColdStarts checks a profile file written before Key and
-// Config lost the fused dimension is discarded, not half-read: its keys
-// would otherwise merge fused-only and staged-only profiles.
+// TestVersion1FileColdStarts checks profile files of earlier formats are
+// discarded, not half-read: a version-1 file's keys would merge
+// fused-only and staged-only profiles, and a version-2 file's would merge
+// window-pinned and unpinned ones and read its kinds one off.
 func TestVersion1FileColdStarts(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "profiles.json")
-	v1 := `{"version": 1, "min_samples": 3, "profiles": [{
-		"key": {"kind": 1, "rows_bucket": 9, "cols_bucket": 9, "workers": 4, "fuse_only": true},
-		"m": 512, "n": 512, "promoted": 0,
-		"candidates": [{"config": {"nb": 64, "tree": 3, "window": 0, "fused": true}, "samples": 3, "gflops": 12}]}]}`
-	if err := os.WriteFile(path, []byte(v1), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadState(path); err == nil {
-		t.Fatal("a version-1 file loaded")
-	}
-	if tn := NewTuner(TunerConfig{Path: path}); tn.Counters().Loaded != 0 || len(tn.profiles) != 0 {
-		t.Fatalf("a version-1 file restored %d profiles", len(tn.profiles))
+	for version, doc := range map[int]string{
+		1: `{"version": 1, "min_samples": 3, "profiles": [{
+			"key": {"kind": 1, "rows_bucket": 9, "cols_bucket": 9, "workers": 4, "fuse_only": true},
+			"m": 512, "n": 512, "promoted": 0,
+			"candidates": [{"config": {"nb": 64, "tree": 3, "window": 0, "fused": true}, "samples": 3, "gflops": 12}]}]}`,
+		2: `{"version": 2, "min_samples": 3, "profiles": [{
+			"key": {"kind": 1, "rows_bucket": 9, "cols_bucket": 9, "workers": 4, "pin_window": 16},
+			"m": 512, "n": 512, "promoted": 0,
+			"candidates": [{"config": {"nb": 96, "tree": 3, "window": 16, "rbidiag": false,
+				"gemm": {"MC": 64, "KC": 128, "NC": 256}}, "samples": 3, "gflops": 12}]}]}`,
+	} {
+		path := filepath.Join(t.TempDir(), "profiles.json")
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadState(path); err == nil {
+			t.Fatalf("a version-%d file loaded", version)
+		}
+		if tn := NewTuner(TunerConfig{Path: path}); tn.Counters().Loaded != 0 || len(tn.profiles) != 0 {
+			t.Fatalf("a version-%d file restored %d profiles", version, len(tn.profiles))
+		}
 	}
 }
 
@@ -334,12 +319,13 @@ func FuzzLoadState(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(valid)
-	f.Add([]byte(`{"version": 2, "profiles": [{"m": 8, "n": 8, "promoted": 7, "candidates": [{"config": {"nb": 9}}]}]}`))
-	f.Add([]byte(`{"version": 2, "profiles": [{"key": {"workers": 1}, "m": -4, "n": 3, "promoted": -9, "candidates": [{"config": {"nb": 1, "tree": 99}}]}]}`))
+	f.Add([]byte(`{"version": 3, "profiles": [{"m": 8, "n": 8, "promoted": 7, "candidates": [{"config": {"nb": 9}}]}]}`))
+	f.Add([]byte(`{"version": 3, "profiles": [{"key": {"workers": 1}, "m": -4, "n": 3, "promoted": -9, "candidates": [{"config": {"nb": 1, "tree": 99}}]}]}`))
 	// A promotion index below -1 used to survive restore.
-	f.Add([]byte(`{"version": 2, "profiles": [{"key": {"kind": 1, "rows_bucket": 9, "cols_bucket": 9, "workers": 4},
+	f.Add([]byte(`{"version": 3, "profiles": [{"key": {"kind": 0, "rows_bucket": 9, "cols_bucket": 9, "workers": 4},
 		"m": 512, "n": 512, "promoted": -5, "candidates": [{"config": {"nb": 64}}]}]}`))
 	f.Add([]byte(`{"version": 1}`))
+	f.Add([]byte(`{"version": 2}`))
 	f.Add([]byte(`{not json`))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		path := filepath.Join(t.TempDir(), "profiles.json")
@@ -360,7 +346,7 @@ func FuzzLoadState(f *testing.F) {
 			// A request for the profile's own shape and pins reaches it
 			// without pricing anything.
 			req := Request{M: p.m, N: p.n, Workers: key.Workers, Kind: key.Kind, NB: key.PinNB,
-				Tree: trees.Kind(key.PinTree), TreeSet: key.PinTreeSet, Window: key.PinWindow, Alg: key.PinAlg}
+				Tree: trees.Kind(key.PinTree), TreeSet: key.PinTreeSet, Alg: key.PinAlg}
 			if KeyOf(req) != key || req.M <= 0 || req.N <= 0 {
 				continue
 			}

@@ -250,46 +250,6 @@ func TestSubmitAfterClose(t *testing.T) {
 	s.Close() // idempotent
 }
 
-// TestSharedRuntimeAcrossServices runs two services on one externally
-// owned pool: jobs from both interleave and the pool survives both
-// Closes.
-func TestSharedRuntimeAcrossServices(t *testing.T) {
-	rt := sched.NewRuntime(2)
-	defer rt.Close()
-	s1 := New(Config{Runtime: rt})
-	s2 := New(Config{Runtime: rt})
-	var wg sync.WaitGroup
-	errs := make([]error, 8)
-	for i := 0; i < 8; i++ {
-		i := i
-		svc := s1
-		if i%2 == 1 {
-			svc = s2
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, errs[i] = svc.Do(context.Background(), sumRequest(int64(i), nil))
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("job %d: %v", i, err)
-		}
-	}
-	s1.Close()
-	s2.Close()
-	// The externally owned runtime is still usable.
-	h, err := rt.Submit(context.Background(), sched.NewGraph())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Wait(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestManyConcurrentJobs(t *testing.T) {
 	s := New(Config{Workers: 4, QueueDepth: 128, CacheBytes: -1})
 	defer s.Close()

@@ -23,8 +23,7 @@ var ErrClosed = errors.New("serve: service closed")
 
 // Config sizes the service. Zero fields select the defaults.
 type Config struct {
-	// Workers is the shared pool size (default GOMAXPROCS). Ignored when
-	// Runtime is set.
+	// Workers is the shared pool size (default GOMAXPROCS).
 	Workers int
 	// QueueDepth bounds the admission queue, beyond which Submit fails
 	// with ErrOverloaded (default 256).
@@ -40,9 +39,6 @@ type Config struct {
 	// complete; a smaller cap bounds trace memory instead, and events
 	// beyond it are dropped and counted in Stats.TraceDropped.
 	TraceEventCap int
-	// Runtime, when non-nil, is an externally owned shared pool — the
-	// service will not close it. Nil starts a pool of Workers.
-	Runtime *sched.Runtime
 }
 
 func (c Config) withDefaults() Config {
@@ -156,7 +152,6 @@ func (j *Job) isFinished() bool {
 type Service struct {
 	cfg   Config
 	rt    *sched.Runtime
-	ownRt bool
 	cache *cache
 	met   metrics
 
@@ -174,16 +169,12 @@ func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	s := &Service{
 		cfg:    cfg,
-		rt:     cfg.Runtime,
+		rt:     sched.NewRuntime(cfg.Workers),
 		cache:  newCache(cfg.CacheBytes),
 		queue:  make(chan *Job, cfg.QueueDepth),
 		closed: make(chan struct{}),
 	}
 	s.met.init()
-	if s.rt == nil {
-		s.rt = sched.NewRuntime(cfg.Workers)
-		s.ownRt = true
-	}
 	for i := 0; i < cfg.MaxInFlight; i++ {
 		s.wg.Add(1)
 		go s.dispatch()
@@ -288,16 +279,14 @@ func (s *Service) Stats() Stats {
 }
 
 // Close stops admission, fails queued jobs with ErrClosed, waits for
-// in-flight jobs to finish, and — when the service owns its runtime —
-// winds the shared pool down. Safe to call more than once.
+// in-flight jobs to finish, and winds the shared pool down. Safe to call
+// more than once.
 func (s *Service) Close() {
 	s.closeOnce.Do(func() {
 		close(s.closed)
 		s.wg.Wait()
 		s.drain()
-		if s.ownRt {
-			s.rt.Close()
-		}
+		s.rt.Close()
 	})
 }
 

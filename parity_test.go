@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"github.com/tiled-la/bidiag/internal/band"
+	"github.com/tiled-la/bidiag/internal/bdsqr"
 	"github.com/tiled-la/bidiag/internal/core"
 	"github.com/tiled-la/bidiag/internal/dist"
 	"github.com/tiled-la/bidiag/internal/nla"
@@ -21,6 +23,20 @@ import (
 // BITWISE-identical to RunSequential — not merely close. These tests fuzz
 // that property across edge-tile shapes (m, n not multiples of nb), worker
 // counts and process grids.
+
+// sequentialValues is the values pipeline's oracle, the reference every
+// chase configuration must equal bitwise: GE2BND under opts, then
+// band.Reduce (the sequential chase, no task graph) and the bidiagonal
+// QR iteration. Its signature is SingularValues', so a suite can run
+// either.
+func sequentialValues(a *Dense, opts *Options) ([]float64, error) {
+	b, err := GE2BND(a, opts)
+	if err != nil {
+		return nil, err
+	}
+	d, e := band.Reduce(b.b).Bidiagonal()
+	return bdsqr.SingularValues(d, e)
+}
 
 // buildGE2BND builds the GE2BND graph for one engine run: its own tiled
 // copy of src with the given distributed-style config.
@@ -301,8 +317,8 @@ func TestGE2BNDParityWithCustomBlocking(t *testing.T) {
 }
 
 // TestSingularValuesParityAcrossBND2BD pins the full pipeline through the
-// public API: the pipelined parallel BND2BD must give bitwise-identical
-// singular values to the sequential reference, at every worker count.
+// public API: the task-graph BND2BD must give bitwise-identical singular
+// values to the sequential reference, at every worker count.
 // (GE2BND is pinned to a non-adaptive tree so the first stage is itself
 // worker-independent.)
 func TestSingularValuesParityAcrossBND2BD(t *testing.T) {
@@ -314,21 +330,18 @@ func TestSingularValuesParityAcrossBND2BD(t *testing.T) {
 			a.Set(i, j, rng.NormFloat64())
 		}
 	}
-	ref, err := SingularValues(a, &Options{NB: 16, Workers: 1, Tree: Greedy, BND2BD: BND2BDSequential})
+	ref, err := sequentialValues(a, &Options{NB: 16, Workers: 1, Tree: Greedy})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
-		for _, mode := range []BND2BD{BND2BDAuto, BND2BDPipelined} {
-			got, err := SingularValues(a, &Options{NB: 16, Workers: workers, Tree: Greedy, BND2BD: mode})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range ref {
-				if got[i] != ref[i] {
-					t.Fatalf("workers=%d mode=%v: singular value %d differs bitwise: %v != %v",
-						workers, mode, i, got[i], ref[i])
-				}
+		got, err := SingularValues(a, &Options{NB: 16, Workers: workers, Tree: Greedy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range ref {
+			if got[i] != ref[i] {
+				t.Fatalf("workers=%d: singular value %d differs bitwise: %v != %v", workers, i, got[i], ref[i])
 			}
 		}
 	}
@@ -337,7 +350,7 @@ func TestSingularValuesParityAcrossBND2BD(t *testing.T) {
 // TestPipelineParityFuzz pins the task-graph chase through the public
 // API: SingularValues must give BITWISE-identical singular values to the
 // sequential reference across ragged shapes × worker counts × trees ×
-// cut widths. The reference forces the sequential BND2BD oracle, so the
+// cut widths. The reference is the sequential BND2BD oracle, so the
 // comparison crosses the stage-2 decomposition.
 func TestPipelineParityFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
@@ -366,9 +379,7 @@ func TestPipelineParityFuzz(t *testing.T) {
 					a.Set(i, j, rng.NormFloat64())
 				}
 			}
-			ref, err := SingularValues(a, &Options{
-				NB: tc.nb, Tree: tree, Algorithm: tc.alg, Workers: 1, BND2BD: BND2BDSequential,
-			})
+			ref, err := sequentialValues(a, &Options{NB: tc.nb, Tree: tree, Algorithm: tc.alg, Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}

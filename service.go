@@ -161,11 +161,14 @@ type JobRequest struct {
 	// reflector application), so it remains part of the result's cache
 	// identity. It may not exceed the larger of the pool size and
 	// runtime.NumCPU() (ErrInvalidOptions otherwise). All other fields
-	// (NB, Tree, Algorithm, Gamma, Gemm, BND2BD, BND2BDWindow) are
-	// honored per job. Options.Auto defers the
-	// unset knobs to the service's plan autotuner, which explores the
-	// model's best candidates under live traffic and promotes the
-	// measured winner (see Options.Auto and ServiceConfig.PlanProfiles).
+	// (NB, Tree, Algorithm, Gamma, Gemm, BND2BDWindow) are honored per
+	// job. Options.Auto defers the unset plan knobs to the service's plan
+	// autotuner, which explores the model's best candidates under live
+	// traffic and promotes the measured winner (see Options.Auto and
+	// ServiceConfig.PlanProfiles). An Auto job that also sets Gamma, Gemm
+	// or BND2BDWindow runs the autotuner's plan for its shape but is not
+	// measured into it: those knobs change the rate a plan runs at, and
+	// the profiles are kept for jobs that leave them at their defaults.
 	Opts *Options
 	// Trace records a per-task execution timeline for this job,
 	// returned in JobResult.Timeline. A traced job always executes — it
@@ -427,7 +430,9 @@ func (s *Service) request(req JobRequest) (serve.Request, error) {
 	// Options.Auto jobs consult the service's autotuner at admission:
 	// promoted profiles return their measured winner, exploring profiles
 	// spread traffic across the model's candidate set, and executed jobs
-	// feed their measured whole-graph GFLOP/s back via Observe.
+	// feed their measured whole-graph GFLOP/s back via Observe — only
+	// those that leave the knobs outside the plan at their defaults, so a
+	// profile compares its candidates like for like.
 	var observe func(obs.MeterSnapshot)
 	auto := opts.Auto
 	run := opts
@@ -441,9 +446,11 @@ func (s *Service) request(req JobRequest) (serve.Request, error) {
 			return serve.Request{}, err
 		}
 		run = applyPlanConfig(opts, dec.Config)
-		cfg := dec.Config
-		observe = func(ms obs.MeterSnapshot) {
-			s.tuner.Record(preq, cfg, ms.GFlops())
+		if opts.Gamma == defaultGamma && opts.Gemm == (GemmBlock{}) && opts.BND2BDWindow == 0 {
+			cfg := dec.Config
+			observe = func(ms obs.MeterSnapshot) {
+				s.tuner.Record(preq, cfg, ms.GFlops())
+			}
 		}
 	}
 	jobOpts := req.Opts
@@ -479,7 +486,7 @@ func (s *Service) request(req JobRequest) (serve.Request, error) {
 	// A traced values job's chase records on the job's tracer after its
 	// GE2BND graph: the rings hold both.
 	chaseTasks := 0
-	if req.Trace && req.Kind == JobSingularValues && run.BND2BD != BND2BDSequential {
+	if req.Trace && req.Kind == JobSingularValues {
 		chaseTasks = band.Tasks(min(req.A.Rows(), req.A.Cols()), run.NB, run.BND2BDWindow)
 	}
 	return serve.Request{
@@ -635,7 +642,7 @@ func cacheKey(kind JobKind, a *Dense, opts Options) string {
 	w(uint64(opts.Gemm.MC))
 	w(uint64(opts.Gemm.KC))
 	w(uint64(opts.Gemm.NC))
-	w(uint64(opts.BND2BD))
+	w(0) // a retired chase-mode option's word, kept so every build's digests agree
 	w(uint64(opts.BND2BDWindow))
 	if opts.Auto {
 		// Keep auto requests distinct from explicit options that happen to

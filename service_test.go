@@ -2,11 +2,14 @@ package bidiag
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/tiled-la/bidiag/internal/plan"
 )
 
 // TestServiceConcurrentMixedShapes is the serving acceptance test: 32+
@@ -185,10 +188,10 @@ func TestServiceCancelMidGraph(t *testing.T) {
 	}
 }
 
-// TestServiceCustomGemmRunsSolo checks that a job with a custom
+// TestServiceCustomGemmMatchesOneShot checks that a job with a custom
 // Options.Gemm blocking — which its graph carries to the pool's
 // workspaces — computes exactly what the one-shot call does.
-func TestServiceCustomGemmRunsSolo(t *testing.T) {
+func TestServiceCustomGemmMatchesOneShot(t *testing.T) {
 	svc := NewService(&ServiceConfig{Workers: 2, CacheBytes: -1})
 	defer svc.Close()
 	a := randomDense(21, 48, 32)
@@ -203,8 +206,104 @@ func TestServiceCustomGemmRunsSolo(t *testing.T) {
 	}
 	for k := range ref {
 		if ref[k] != res.Values[k] {
-			t.Fatalf("custom-Gemm value %d differs bitwise from solo run", k)
+			t.Fatalf("custom-Gemm value %d differs bitwise from the one-shot run", k)
 		}
+	}
+}
+
+// planState decodes the service's autotuner document.
+func planState(t *testing.T, svc *Service) plan.State {
+	t.Helper()
+	raw, err := svc.PlanState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st plan.State
+	if err := json.Unmarshal(raw, &st); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// TestServiceAutoKeepsGemmPin checks that an Auto job pinning
+// Options.Gemm runs under that blocking even when an unpinned job of the
+// same shape bucket created the profile it is planned from: the blocking
+// is not a plan dimension, so the tuner's plan must not overwrite it.
+// Both jobs pin the FlatTS tree: its TS updates run through the packed
+// GEMM at every candidate tile size, where this blocking shows in the
+// bits.
+func TestServiceAutoKeepsGemmPin(t *testing.T) {
+	svc := NewService(&ServiceConfig{Workers: 2, CacheBytes: -1})
+	defer svc.Close()
+	ctx := context.Background()
+	if _, err := svc.Do(ctx, JobRequest{A: randomDense(40, 96, 80), Opts: &Options{Auto: true, Workers: 2, Tree: FlatTS}}); err != nil {
+		t.Fatal(err)
+	}
+	pin := GemmBlock{MC: 16, KC: 24, NC: 16}
+	a := randomDense(41, 96, 80)
+	res, err := svc.Do(ctx, JobRequest{A: a, Opts: &Options{Auto: true, Workers: 2, Tree: FlatTS, Gemm: pin}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := (&Options{Workers: 2, Tree: FlatTS}).Validate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tried []string
+	for _, p := range planState(t, svc).Profiles {
+		for _, c := range p.Candidates {
+			ref := applyPlanConfig(base, c.Config)
+			ref.Gemm = pin
+			want, err := SingularValues(a, &ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bitwiseEqual(want, res.Values) {
+				return
+			}
+			tried = append(tried, c.Desc)
+		}
+	}
+	t.Fatalf("the pinned Auto job matches no candidate under its blocking %+v (tried %q)", pin, tried)
+}
+
+// TestServiceAutoOffPlanKnobsDoNotRecord checks the rule that keeps a
+// profile's rates comparable: an Auto job that sets a knob the planner
+// does not choose (Gamma, BND2BDWindow, Gemm) is planned from its bucket's
+// profile but adds no sample to any profile, while a default Auto job
+// adds one.
+func TestServiceAutoOffPlanKnobsDoNotRecord(t *testing.T) {
+	svc := NewService(&ServiceConfig{Workers: 2, CacheBytes: -1})
+	defer svc.Close()
+	samples := func() int {
+		total := 0
+		for _, p := range planState(t, svc).Profiles {
+			for _, c := range p.Candidates {
+				total += c.Samples
+			}
+		}
+		return total
+	}
+	run := func(seed int64, o Options) {
+		t.Helper()
+		o.Auto, o.Workers = true, 2
+		if _, err := svc.Do(context.Background(), JobRequest{A: randomDense(seed, 96, 80), Opts: &o}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run(50, Options{})
+	if got := samples(); got != 1 {
+		t.Fatalf("a default Auto job recorded %d samples, want 1", got)
+	}
+	for i, o := range []Options{{Gamma: 3}, {BND2BDWindow: 16}, {Gemm: GemmBlock{MC: 16, KC: 24, NC: 16}}} {
+		run(int64(51+i), o)
+		if got := samples(); got != 1 {
+			t.Fatalf("an Auto job with %+v changed the sample count to %d", o, got)
+		}
+	}
+	run(54, Options{})
+	if got := samples(); got != 2 {
+		t.Fatalf("a second default Auto job left %d samples, want 2", got)
 	}
 }
 

@@ -38,8 +38,8 @@ type SVDResult struct {
 // Options. Computing singular vectors on top of the two-stage reduction
 // is the extension the paper lists as future work.
 //
-// Options.BND2BD and BND2BDWindow do not apply: the logged chase does
-// not run as a task graph yet. Options.Workers is an upper bound:
+// Options.BND2BDWindow does not apply: the logged chase does not run as
+// a task graph yet. Options.Workers is an upper bound:
 // an input too small for a second thread to pay (core.SVDWorkers; 256²
 // is, 384² is not) is decomposed on the calling goroutine, with the same
 // trees and therefore the same bits as on any other worker count.

@@ -13,8 +13,8 @@ import (
 )
 
 // TestSingularValueAccuracy is the numerical contract of the values
-// pipeline (GE2BND, the Householder BND2BD chase, the bidiagonal QR
-// iteration): on every latms spectrum mode, on graded and rank-deficient
+// pipeline (GE2BND, the Householder BND2BD chase, dqds on the
+// bidiagonal): on every latms spectrum mode, on graded and rank-deficient
 // input and on input scaled towards the ends of the float64 range, the
 // computed singular values match two independent oracles — one-sided
 // Jacobi on the dense input and the one-stage GEBD2 bidiagonalization —
@@ -113,9 +113,9 @@ func TestSingularValueAccuracy(t *testing.T) {
 }
 
 // TestSVDAccuracy is the numerical contract of the vector path (recorded
-// GE2BND, the logged BND2BD chase, the bidiagonal QR iteration with
-// vectors, the back-transform), stated once: on the inputs of
-// TestSingularValueAccuracy plus a wide and a rank-1 matrix, through
+// GE2BND, the logged BND2BD chase, dqds for S and the bidiagonal QR
+// iteration for the vectors, the back-transform), stated once: on the
+// inputs of TestSingularValueAccuracy plus a wide and a rank-1 matrix, through
 // BIDIAG and R-BIDIAG and on one and three workers,
 //
 //	‖A − U·diag(S)·Vᵀ‖_F ≤ 16·n·ε·‖A‖_F,   max|UᵀU−I|, max|VᵀV−I| ≤ 16·n·ε,
@@ -173,6 +173,42 @@ func TestSVDAccuracy(t *testing.T) {
 						t.Errorf("%s: σ[%d] = %g off by %.2g (jacobi) %.2g (GEBD2), bound %.2g", label, i, r.S[i], dj, db, tol)
 						break
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestScaleEquivariance states the scale range of the API: for 2ᵏ with
+// k ∈ [−900, 1000] every stage scales exactly, so SingularValues(2ᵏ·A)
+// is bitwise 2ᵏ·SingularValues(A), and so is SVD's S. Further down,
+// subnormal intermediates break it (k = −1010 does on these inputs); the
+// top of the range is where 2ᵏ·A itself overflows. The bidiagonal solve
+// squares its entries, which would overflow from k ≈ 510 on if it did not
+// bring them to a fixed binary exponent first.
+func TestScaleEquivariance(t *testing.T) {
+	for _, shape := range [][2]int{{96, 80}, {256, 64}, {200, 200}} {
+		a := randomDense(int64(shape[0]), shape[0], shape[1])
+		opts := &Options{NB: 16, Workers: 2}
+		base, err := SingularValues(a, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{-900, -600, 600, 1000} {
+			scaled := &Dense{inner: a.inner.Clone()}
+			nla.Scal(math.Ldexp(1, k), scaled.inner.Data)
+			sv, err := SingularValues(scaled, opts)
+			if err != nil {
+				t.Fatalf("%v k=%d: %v", shape, k, err)
+			}
+			r, err := SVD(scaled, opts)
+			if err != nil {
+				t.Fatalf("%v k=%d: SVD: %v", shape, k, err)
+			}
+			for i, v := range base {
+				want := math.Float64bits(math.Ldexp(v, k))
+				if math.Float64bits(sv[i]) != want || math.Float64bits(r.S[i]) != want {
+					t.Fatalf("%v k=%d: σ[%d] = %v (SVD %v), want 2^k·%v", shape, k, i, sv[i], r.S[i], v)
 				}
 			}
 		}

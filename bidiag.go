@@ -8,7 +8,7 @@
 // with tiled orthogonal transformations (GE2BND), optionally preceded by a
 // QR factorization (R-bidiagonalization) for tall-skinny matrices, then to
 // bidiagonal form by bulge chasing (BND2BD), and finally to singular
-// values by the Demmel–Kahan QR iteration (BD2VAL):
+// values by dqds, the shifted differential qd algorithm (BD2VAL):
 //
 //	sv, err := bidiag.SingularValues(a, nil)          // defaults
 //
@@ -317,7 +317,7 @@ func (b *Band) Bandwidth() int { return b.b.KU }
 func (b *Band) At(i, j int) float64 { return b.b.At(i, j) }
 
 // SingularValues finishes the pipeline on the band: BND2BD bulge chasing
-// followed by the bidiagonal QR iteration. The BND2BD stage runs as a
+// followed by dqds on the bidiagonal. The BND2BD stage runs as a
 // task graph (a stage-2 pipeline.Plan on the pool executor) with the
 // worker count and cut width the band was produced with; its outcome is
 // bitwise that of the sequential chase whatever either is.

@@ -55,8 +55,8 @@ type record struct {
 	Sched   []schedCost  `json:"sched"`
 
 	// Stages is the per-stage ledger (seconds) of a -stage svd record and
-	// ValuesSeconds the SingularValues time it is compared with. They
-	// must be complete for the record to be valid; only the headline
+	// ValuesSeconds the SingularValues time it is compared with. A fresh
+	// or checked record must carry them all (complete); only the headline
 	// rate is gated, the short stages are too noisy to gate one by one.
 	Stages        map[string]float64 `json:"stages"`
 	ValuesSeconds float64            `json:"values_seconds"`
@@ -129,23 +129,31 @@ func load(path string) (record, error) {
 	if rate, _ := r.rate(); rate <= 0 {
 		return r, fmt.Errorf("%s: missing or non-positive gflops / tasks_per_sec", path)
 	}
-	if r.Experiment == "svd" {
-		for _, stage := range svdStages {
-			if r.Stages[stage] <= 0 {
-				return r, fmt.Errorf("%s: svd record without a positive stages.%s", path, stage)
-			}
-		}
-		if r.ValuesSeconds <= 0 {
-			return r, fmt.Errorf("%s: svd record without values_seconds", path)
-		}
-	}
 	// Parsed for forward compatibility, never compared.
 	r.Reconcile, r.CommFit, r.CommReconcile = nil, nil, nil
 	return r, nil
 }
 
 // svdStages are the stages a -stage svd record must account for.
-var svdStages = []string{"ge2bnd_rec", "extract", "bnd2bd_logged", "form_qp", "bdsqr_vectors", "back_apply"}
+var svdStages = []string{"ge2bnd_rec", "extract", "bnd2bd_logged", "form_qp", "bdsqr_values", "bdsqr_vectors", "back_apply"}
+
+// complete checks that an svd record carries every stage of today's
+// ledger. It applies to fresh and checked records, not to a reference,
+// which may predate a stage and is only compared on its rate.
+func (r record) complete(path string) error {
+	if r.Experiment != "svd" {
+		return nil
+	}
+	for _, stage := range svdStages {
+		if r.Stages[stage] <= 0 {
+			return fmt.Errorf("%s: svd record without a positive stages.%s", path, stage)
+		}
+	}
+	if r.ValuesSeconds <= 0 {
+		return fmt.Errorf("%s: svd record without values_seconds", path)
+	}
+	return nil
+}
 
 func main() {
 	refPath := flag.String("ref", "", "checked-in reference BENCH_*.json")
@@ -163,6 +171,9 @@ func main() {
 			os.Exit(2)
 		}
 		r, err := load(*checkPath)
+		if err == nil {
+			err = r.complete(*checkPath)
+		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
@@ -186,6 +197,9 @@ func main() {
 		os.Exit(2)
 	}
 	got, err := load(*newPath)
+	if err == nil {
+		err = got.complete(*newPath)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)

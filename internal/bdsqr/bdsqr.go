@@ -1,44 +1,34 @@
 // Package bdsqr implements the BD2VAL stage: the singular value
-// decomposition of a real upper-bidiagonal matrix by the implicit QR
-// iteration of Demmel and Kahan, as in LAPACK xBDSQR. It combines shifted
-// sweeps with the zero-shift sweep that guarantees high relative accuracy
-// when the shift would be negligible. SingularValues runs the iteration
-// for the values alone; SVD runs the same iteration and hands every plane
-// rotation it performs to the caller, who accumulates the singular
-// vectors from them (rot.go).
+// decomposition of a real upper-bidiagonal matrix, by two algorithms as in
+// LAPACK xBDSQR. SingularValues computes the values alone by dqds, the
+// shifted differential qd algorithm (dqds.go), to high relative accuracy.
+// SVD also needs the vectors: it runs the implicit QR iteration of Demmel
+// and Kahan, which combines shifted sweeps with the zero-shift sweep that
+// keeps relative accuracy when the shift would be negligible, and hands
+// every plane rotation it performs to the caller, who accumulates the
+// singular vectors from them (rot.go); its values come from the same dqds
+// call as SingularValues'.
 package bdsqr
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 const eps = 0x1p-52
 
-// SingularValues returns the singular values of the n×n upper-bidiagonal
-// matrix with diagonal d (length n) and superdiagonal e (length n−1), in
-// descending order. The inputs are not modified.
-func SingularValues(d, e []float64) ([]float64, error) {
-	n := len(d)
-	if len(e) != max(n-1, 0) {
-		return nil, fmt.Errorf("bdsqr: len(e) = %d, want %d", len(e), max(n-1, 0))
+// checkLengths rejects a superdiagonal that does not fit the diagonal.
+func checkLengths(d, e []float64) error {
+	if n := len(d); len(e) != max(n-1, 0) {
+		return fmt.Errorf("bdsqr: len(e) = %d, want %d", len(e), max(n-1, 0))
 	}
-	dd := append([]float64(nil), d...)
-	ee := append([]float64(nil), e...)
-	if err := compute(dd, ee, nil); err != nil {
-		return nil, err
-	}
-	for i := range dd {
-		dd[i] = math.Abs(dd[i])
-	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(dd)))
-	return dd, nil
+	return nil
 }
 
-// compute reduces (d, e) until every superdiagonal entry is negligible.
-// A non-nil out receives the rotations; the arithmetic on d and e does
-// not depend on it.
+// compute reduces (d, e) by the QR iteration until every superdiagonal
+// entry is negligible, handing the rotations to out. A nil out discards
+// them (the values-only iteration, which the tests keep as an oracle);
+// the arithmetic on d and e does not depend on it.
 func compute(d, e []float64, out *stream) error {
 	n := len(d)
 	if n <= 1 {
@@ -54,7 +44,6 @@ func compute(d, e []float64, out *stream) error {
 	if smax == 0 {
 		return nil
 	}
-	tol := eps * 100
 	thresh := tol * smax
 	maxit := 12 * n * n
 
@@ -72,9 +61,6 @@ func compute(d, e []float64, out *stream) error {
 		lo := m - 1
 		for lo > 0 && math.Abs(e[lo-1]) > thresh {
 			lo--
-		}
-		if lo > 0 {
-			// Nothing: block is d[lo..m].
 		}
 
 		// Handle a zero diagonal inside the block: the matrix is singular
@@ -173,7 +159,7 @@ func compute(d, e []float64, out *stream) error {
 			shiftedSweepBackward(d, e, lo, m, shift, l, r)
 		}
 	}
-	return fmt.Errorf("bdsqr: QR iteration did not converge")
+	return fmt.Errorf("%w (QR iteration)", ErrNoConvergence)
 }
 
 // rotateZeroDiagonalDown annihilates e[i] when d[i] == 0 by a sequence of

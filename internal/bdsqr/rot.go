@@ -1,7 +1,6 @@
 package bdsqr
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -32,7 +31,8 @@ type Run struct {
 	C, S         []float64
 }
 
-// set records rotation t; the values-only iteration passes a nil Run.
+// set records rotation t; the values-only iteration (the tests' oracle)
+// passes a nil Run.
 func (r *Run) set(t int, c, s float64) {
 	if r != nil {
 		r.C[t], r.S[t] = c, s
@@ -75,7 +75,8 @@ type Batch struct {
 const batchSweeps = 32
 
 // stream is the Batch under construction. A nil stream discards
-// everything: that is the values-only iteration.
+// everything: that is the values-only iteration the tests keep as an
+// oracle.
 type stream struct {
 	Batch
 	buf   []float64 // coefficient storage of the runs in Batch
@@ -137,27 +138,30 @@ func (s *stream) sweep(p, q, step, n int) (l, r *Run, err error) {
 
 // Result is the outcome of SVD.
 type Result struct {
-	// S holds the singular values in descending order, bitwise what
-	// SingularValues returns.
+	// S holds the singular values in descending order: the dqds values,
+	// bitwise what SingularValues returns.
 	S []float64
 	// Col and Neg say where the vectors are: with U and V the products
 	// of all left and all right rotations, singular value S[k] has the
 	// left vector U[:, Col[k]] and the right vector V[:, Col[k]], negated
-	// where Neg[k] (the iteration converges to the values up to sign).
+	// where Neg[k]. The QR iteration's own converged diagonal, which
+	// holds the values up to sign and to its absolute accuracy, only
+	// orders and signs the columns.
 	Col []int
 	Neg []bool
 }
 
 // SVD computes the singular value decomposition of the upper-bidiagonal
-// matrix (d, e) by the iteration SingularValues runs — same shifts, same
-// deflation, same sweep directions — and passes every rotation to apply,
-// batch by batch in the order performed. The Batch and its runs are only
-// valid during the call. The inputs are not modified.
+// matrix (d, e): the values by SingularValues, the vectors by the QR
+// iteration, which passes every rotation to apply, batch by batch in the
+// order performed. The Batch and its runs are only valid during the call.
+// The inputs are not modified.
 func SVD(d, e []float64, apply func(*Batch) error) (*Result, error) {
-	n := len(d)
-	if len(e) != max(n-1, 0) {
-		return nil, fmt.Errorf("bdsqr: len(e) = %d, want %d", len(e), max(n-1, 0))
+	s, err := SingularValues(d, e)
+	if err != nil {
+		return nil, err
 	}
+	n := len(d)
 	dd := append([]float64(nil), d...)
 	ee := append([]float64(nil), e...)
 	out := &stream{buf: make([]float64, 4*batchSweeps*max(n-1, 0)), apply: apply}
@@ -167,7 +171,7 @@ func SVD(d, e []float64, apply func(*Batch) error) (*Result, error) {
 	if err := out.flush(); err != nil {
 		return nil, err
 	}
-	res := &Result{S: make([]float64, n), Col: make([]int, n), Neg: make([]bool, n)}
+	res := &Result{S: s, Col: make([]int, n), Neg: make([]bool, n)}
 	for i := range res.Col {
 		res.Col[i] = i
 	}
@@ -175,7 +179,7 @@ func SVD(d, e []float64, apply func(*Batch) error) (*Result, error) {
 		return math.Abs(dd[res.Col[a]]) > math.Abs(dd[res.Col[b]])
 	})
 	for k, c := range res.Col {
-		res.S[k], res.Neg[k] = math.Abs(dd[c]), math.Signbit(dd[c])
+		res.Neg[k] = math.Signbit(dd[c])
 	}
 	return res, nil
 }

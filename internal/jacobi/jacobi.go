@@ -22,7 +22,7 @@ func SingularValues(a *nla.Matrix) []float64 {
 	const maxSweeps = 60
 	tol := 1e-15
 	for sweep := 0; sweep < maxSweeps; sweep++ {
-		off := 0.0
+		rotated := false
 		for j := 0; j < n-1; j++ {
 			for k := j + 1; k < n; k++ {
 				cj := w.Data[j*w.LD : j*w.LD+m]
@@ -30,13 +30,18 @@ func SingularValues(a *nla.Matrix) []float64 {
 				ajj := nla.Dot(cj, cj)
 				akk := nla.Dot(ck, ck)
 				ajk := nla.Dot(cj, ck)
-				if math.Abs(ajk) <= tol*math.Sqrt(ajj*akk) {
+				// √ajj·√akk, not √(ajj·akk): on a graded matrix the
+				// product of two squared norms underflows long before
+				// either does, and the pair would never count as done.
+				if math.Abs(ajk) <= tol*math.Sqrt(ajj)*math.Sqrt(akk) {
 					continue
 				}
-				off = math.Max(off, math.Abs(ajk)/math.Sqrt(ajj*akk+1e-300))
+				rotated = true
 				// Two-sided rotation of the 2×2 Gram block.
 				zeta := (akk - ajj) / (2 * ajk)
-				t := math.Copysign(1/(math.Abs(zeta)+math.Sqrt(1+zeta*zeta)), zeta)
+				// Hypot: between columns of very different norms ζ² overflows,
+				// which would make t zero and the rotation a no-op forever.
+				t := math.Copysign(1/(math.Abs(zeta)+math.Hypot(1, zeta)), zeta)
 				c := 1 / math.Sqrt(1+t*t)
 				s := c * t
 				for i := 0; i < m; i++ {
@@ -46,7 +51,7 @@ func SingularValues(a *nla.Matrix) []float64 {
 				}
 			}
 		}
-		if off == 0 {
+		if !rotated {
 			break
 		}
 	}

@@ -29,8 +29,9 @@ type SVDResult struct {
 //  2. BND2BD logging its reflectors: B = Q₂·B_bd·P₂ᵀ (the sequential
 //     Householder bulge chase; Q₂ and P₂ are formed from the log in row
 //     panels on the worker pool);
-//  3. the bidiagonal QR iteration with vectors: B_bd = U_bd·Σ·V_bdᵀ, its
-//     plane rotations folded into Q₂ and P₂ panel by panel;
+//  3. the bidiagonal solve: B_bd = U_bd·Σ·V_bdᵀ, Σ from dqds, the same
+//     call SingularValues makes, and the vectors from the QR iteration,
+//     its plane rotations folded into Q₂ and P₂ panel by panel;
 //
 // and the recorded stage-1 reflectors map Q₂·U_bd and P₂·V_bd back to the
 // full space. U and V are products of orthogonal transformations whatever

@@ -63,7 +63,7 @@ func TestSVDReconstruction(t *testing.T) {
 }
 
 // TestSVDValuesMatchPipeline: SVD runs the values pipeline's own stages
-// (the same chase arithmetic, the same QR iteration), so its S is bitwise
+// (the same chase arithmetic, the same dqds call), so its S is bitwise
 // what the sequential values oracle returns and — because the task-graph
 // chase is bitwise equal to it — what SingularValues returns.
 func TestSVDValuesMatchPipeline(t *testing.T) {

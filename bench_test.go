@@ -174,19 +174,6 @@ func BenchmarkSingularValuesReal(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationDeps regenerates the region-vs-whole-tile dependency
-// ablation (the design choice that makes Section IV formulas hold).
-func BenchmarkAblationDeps(b *testing.B) { benchTable(b, experiments.AblationDeps) }
-
-// BenchmarkAblationNB regenerates the tile-size trade-off study.
-func BenchmarkAblationNB(b *testing.B) { benchTable(b, experiments.AblationNB) }
-
-// BenchmarkAblationGamma regenerates the AUTO γ sweep.
-func BenchmarkAblationGamma(b *testing.B) { benchTable(b, experiments.AblationGamma) }
-
-// BenchmarkAblationHighTree regenerates the high-level tree × domino study.
-func BenchmarkAblationHighTree(b *testing.B) { benchTable(b, experiments.AblationHighTree) }
-
 // BenchmarkGE2BND is the acceptance benchmark of the workspace/GEMM
 // refactor: single-threaded GE2BND of a 1024×1024 matrix at nb = 64. The
 // GFlop/s metric is directly comparable across commits; allocs/op counts

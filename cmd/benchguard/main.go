@@ -22,8 +22,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 )
 
@@ -156,73 +158,88 @@ func (r record) complete(path string) error {
 }
 
 func main() {
-	refPath := flag.String("ref", "", "checked-in reference BENCH_*.json")
-	newPath := flag.String("new", "", "freshly measured BENCH_*.json")
-	checkPath := flag.String("check", "", "schema-validate one BENCH_*.json and exit (no comparison)")
-	tol := flag.Float64("tol", 0.25, "maximum allowed relative GFLOP/s regression")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command; it returns the exit status: 0 when the fresh record
+// holds (or the checked one is valid), 1 on a regression, 2 on a bad
+// command line, an unreadable or incomplete record, or a configuration
+// mismatch.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchguard", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	refPath := fs.String("ref", "", "checked-in reference BENCH_*.json")
+	newPath := fs.String("new", "", "freshly measured BENCH_*.json")
+	checkPath := fs.String("check", "", "schema-validate one BENCH_*.json and exit (no comparison)")
+	tol := fs.Float64("tol", 0.25, "maximum allowed relative GFLOP/s regression")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	// -check accepts records whose figures are environment-bound rather
 	// than trend-tracked (the commcal cluster record): the committed file
 	// must parse with a positive rate, but is never compared to a fresh
 	// measurement.
 	if *checkPath != "" {
 		if *refPath != "" || *newPath != "" {
-			fmt.Fprintln(os.Stderr, "benchguard: -check excludes -ref/-new")
-			os.Exit(2)
+			fmt.Fprintln(stderr, "benchguard: -check excludes -ref/-new")
+			return 2
 		}
 		r, err := load(*checkPath)
 		if err == nil {
 			err = r.complete(*checkPath)
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, err)
+			return 2
 		}
 		if r.Schema < currentSchema {
-			fmt.Fprintf(os.Stderr, "benchguard: warning: %s has schema %d, current is %d\n",
+			fmt.Fprintf(stderr, "benchguard: warning: %s has schema %d, current is %d\n",
 				*checkPath, r.Schema, currentSchema)
 		}
 		rate, unit := r.rate()
-		fmt.Printf("%s: %s %dx%d schema %d, %.2f %s — schema OK\n",
+		fmt.Fprintf(stdout, "%s: %s %dx%d schema %d, %.2f %s — schema OK\n",
 			*checkPath, r.Experiment, r.M, r.N, r.Schema, rate, unit)
-		return
+		return 0
 	}
 	if *refPath == "" || *newPath == "" {
-		fmt.Fprintln(os.Stderr, "usage: benchguard -ref <committed.json> -new <measured.json> [-tol 0.25] | benchguard -check <committed.json>")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "usage: benchguard -ref <committed.json> -new <measured.json> [-tol 0.25] | benchguard -check <committed.json>")
+		return 2
 	}
 	ref, err := load(*refPath)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	got, err := load(*newPath)
 	if err == nil {
 		err = got.complete(*newPath)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	if ref.Schema < currentSchema {
 		// Warn, don't fail: old records stay comparable, but the noise
 		// nudges whoever refreshes the reference next to re-measure.
-		fmt.Fprintf(os.Stderr, "benchguard: warning: reference %s has schema %d, current is %d; consider re-measuring the committed record\n",
+		fmt.Fprintf(stderr, "benchguard: warning: reference %s has schema %d, current is %d; consider re-measuring the committed record\n",
 			*refPath, ref.Schema, currentSchema)
 	}
 	if ref.Experiment != got.Experiment || ref.M != got.M || ref.N != got.N ||
 		ref.NB != got.NB || ref.KU != got.KU || ref.Workers != got.Workers {
-		fmt.Fprintf(os.Stderr, "benchguard: configurations differ: ref %+v vs new %+v\n", ref, got)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "benchguard: configurations differ: ref %+v vs new %+v\n", ref, got)
+		return 2
 	}
 	refRate, unit := ref.rate()
 	gotRate, _ := got.rate()
 	ratio := gotRate / refRate
-	fmt.Printf("%s %dx%d: %.2f %s vs reference %.2f (%.0f%%)\n",
+	fmt.Fprintf(stdout, "%s %dx%d: %.2f %s vs reference %.2f (%.0f%%)\n",
 		ref.Experiment, ref.M, ref.N, gotRate, unit, refRate, 100*ratio)
 	failed := false
 	if ratio < 1-*tol {
-		fmt.Fprintf(os.Stderr, "benchguard: %s regressed %.0f%% (> %.0f%% allowed)\n",
+		fmt.Fprintf(stderr, "benchguard: %s regressed %.0f%% (> %.0f%% allowed)\n",
 			unit, 100*(1-ratio), 100**tol)
 		failed = true
 	}
@@ -236,26 +253,27 @@ func main() {
 	for _, re := range ref.entries() {
 		ne, ok := fresh[re.name]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "benchguard: %s in reference but missing from new record\n", re.name)
+			fmt.Fprintf(stderr, "benchguard: %s in reference but missing from new record\n", re.name)
 			failed = true
 			continue
 		}
 		if re.rate <= 0 || ne.rate <= 0 {
-			fmt.Fprintf(os.Stderr, "benchguard: %s has a non-positive rate (ref %.2f, new %.2f)\n",
+			fmt.Fprintf(stderr, "benchguard: %s has a non-positive rate (ref %.2f, new %.2f)\n",
 				re.name, re.rate, ne.rate)
 			failed = true
 			continue
 		}
 		er := ne.rate / re.rate
-		fmt.Printf("  %-18s: %.2f %s vs reference %.2f (%.0f%%)\n",
+		fmt.Fprintf(stdout, "  %-18s: %.2f %s vs reference %.2f (%.0f%%)\n",
 			re.name, ne.rate, re.unit, re.rate, 100*er)
 		if er < 1-*tol {
-			fmt.Fprintf(os.Stderr, "benchguard: %s regressed %.0f%% (> %.0f%% allowed)\n",
+			fmt.Fprintf(stderr, "benchguard: %s regressed %.0f%% (> %.0f%% allowed)\n",
 				re.name, 100*(1-er), 100**tol)
 			failed = true
 		}
 	}
 	if failed {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

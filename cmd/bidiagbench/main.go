@@ -1,13 +1,10 @@
 // Command bidiagbench regenerates the tables and figures of the paper's
-// evaluation. Each experiment prints an aligned table and writes a CSV
-// file next to it.
+// evaluation and takes the timed runs behind the BENCH_*.json records.
 //
 // Usage:
 //
 //	bidiagbench -exp fig2a              # one experiment
 //	bidiagbench -exp all -scale small   # everything, laptop sizes
-//	bidiagbench -nodes 4                # real distributed executor vs simulator
-//	bidiagbench -nodes 6 -grid 2x3      # explicit process grid
 //	bidiagbench -m 1024 -n 1024 -nb 64 -workers 1   # one timed GE2BND, GFLOP/s
 //	bidiagbench -m 4096 -n 1024 -json BENCH_ge2bnd.json
 //	bidiagbench -stage bnd2bd -n 4096 -ku 64 -workers 8 -json BENCH_bnd2bd.json
@@ -17,48 +14,52 @@
 //	bidiagbench -stage svd -n 1024 -nb 64 -workers 2 -json BENCH_svd_1024.json
 //	bidiagbench -list
 //
-// Experiments: table1, fig2a..fig2f, fig3a..fig3f, fig4a..fig4f,
-// critpaths, crossover, asymptotics, accuracy, reconcile
-// (real traced pool runs against the simulated makespan), and planner
-// (the plan model's pick raced against an exhaustive real sweep of its
-// own candidate set; regret per shape lands in planner.json). With
-// -nodes the command
-// instead runs GE2BND on that many in-process distributed-memory nodes
-// and reports the measured message count and volume next to the
-// distributed simulator's prediction for the same graph.
+// Experiments (-exp, a comma-separated list or all): table1,
+// fig2a..fig2f, fig3a..fig3f, fig4a..fig4f, critpaths, crossover,
+// asymptotics and accuracy print an aligned table and write a CSV next to
+// it into -out. Three run on the real machine instead of in virtual
+// time: reconcile (traced pool runs against the simulated makespan),
+// planner (the plan model's pick raced against an exhaustive real sweep
+// of its own candidate set; regret per shape lands in planner.json) and
+// commcal (traced 2-rank cluster jobs over loopback TCP, fitting the α-β
+// communication model; the record is BENCH_cluster_2rank.json).
 //
-// With -m/-n (or -json) the command runs one real GE2BND of that shape and
-// prints wall time and GFLOP/s; -json additionally writes the result —
-// shape, nb, workers, wall time, GFLOP/s and (for distributed runs) the
-// communication statistics — as a machine-readable file, the format the
-// BENCH_*.json performance trajectory is tracked in. With -stage bnd2bd
-// the timed run is the second stage instead: an n×n band of bandwidth
-// -ku reduced to bidiagonal form on the task runtime (and, for
-// comparison, by band.Reduce with no graph), rated against the
-// data-independent Householder flop model. With -stage full the
-// timed run is the end-to-end values pipeline (bidiag.SingularValues):
-// GE2BND, the BND2BD chase and the bidiagonal QR iteration, rated
-// against the sum of the GE2BND flop count and the BND2BD flop model. With
-// -stage apply the timed run is the twelve stage-1 tile kernels in
-// isolation (the six factor kernels GEQRT … TTLQT and the six applies
-// UNMQR … TTMLQ at tile size -nb, all on the AVX2 micro-kernels): each
-// is rated in GFLOP/s — a factor kernel with its input restored while the
-// clock is stopped — and recorded in the kernels array of the JSON
-// record, which cmd/benchguard gates entry by entry. With -stage sched the timed run
-// is the shared-memory worker loop itself: graphs of 100 000 no-op tasks,
-// independent and chained, at 1, 2 and 4 workers, through RunParallel and
-// through one long-lived sched.Runtime, each rated in ns per task in the
-// sched array of the record, which benchguard gates case by case. With
-// -stage svd the timed run is bidiag.SVD on a random n×n matrix: the
-// record carries the wall time, the seconds of each stage of the vector
-// path (taken by running the same stages one by one), the ratio to
-// bidiag.SingularValues on the same input, and the residual and
-// orthogonality of the result in units of n·ε.
+// Any timed-run flag (-m/-n/-nb/-ku/-stage/-workers/-reps/-json) selects
+// one timed run of -stage (ge2bnd by default), best of -reps kept; -json
+// writes the machine-readable record, the format the BENCH_*.json
+// performance trajectory is tracked in. A zero -m takes the stage's
+// default size and a zero -n takes -m. The stages:
+//
+//   - ge2bnd: one real GE2BND, rated against the paper's flop count, with
+//     one extra traced rep reconciled against the flop model.
+//   - bnd2bd: the second stage, an n×n band of bandwidth -ku reduced to
+//     bidiagonal form on the task runtime (and, for comparison, by
+//     band.Reduce with no graph), rated against the data-independent
+//     Householder flop model.
+//   - full: the end-to-end values pipeline (bidiag.SingularValues):
+//     GE2BND, the BND2BD chase and the dqds bidiagonal solve, rated
+//     against the sum of the GE2BND flop count and the BND2BD flop model.
+//   - svd: bidiag.SVD on a random n×n matrix; the record carries the wall
+//     time, the seconds of each stage of the vector path (taken by running
+//     the same stages one by one), the ratio to bidiag.SingularValues on
+//     the same input, and the residual and orthogonality of the result in
+//     units of n·ε.
+//   - apply: the twelve stage-1 tile kernels in isolation (the six factor
+//     kernels GEQRT … TTLQT and the six applies UNMQR … TTMLQ at tile size
+//     -nb): each is rated in GFLOP/s — a factor kernel with its input
+//     restored while the clock is stopped — and recorded in the kernels
+//     array of the record, which cmd/benchguard gates entry by entry.
+//   - sched: the shared-memory worker loop itself, graphs of 100 000
+//     no-op tasks, independent and chained, at 1, 2 and 4 workers, through
+//     RunParallel and through one long-lived sched.Runtime, each rated in
+//     ns per task in the sched array of the record, which benchguard gates
+//     case by case.
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -85,22 +86,22 @@ import (
 	"github.com/tiled-la/bidiag/internal/trees"
 )
 
-type runner func(experiments.Scale) []*experiments.Table
+// experiment is one -exp entry: it runs at scale sc and writes its files
+// (a CSV per table, and the record of planner and commcal) into out.
+type experiment func(sc experiments.Scale, out string) error
 
-func single(f func(experiments.Scale) *experiments.Table) runner {
-	return func(sc experiments.Scale) []*experiments.Table {
-		return []*experiments.Table{f(sc)}
-	}
+func single(f func(experiments.Scale) *experiments.Table) experiment {
+	return func(sc experiments.Scale, out string) error { return writeTables(out, f(sc)) }
 }
 
-func pair(f func(experiments.Scale) (*experiments.Table, *experiments.Table)) runner {
-	return func(sc experiments.Scale) []*experiments.Table {
+func pair(f func(experiments.Scale) (*experiments.Table, *experiments.Table)) experiment {
+	return func(sc experiments.Scale, out string) error {
 		a, b := f(sc)
-		return []*experiments.Table{a, b}
+		return writeTables(out, a, b)
 	}
 }
 
-var registry = map[string]runner{
+var experimentsByName = map[string]experiment{
 	"table1":      single(experiments.Table1),
 	"fig2a":       single(experiments.Fig2a),
 	"fig2b":       single(experiments.Fig2b),
@@ -122,44 +123,63 @@ var registry = map[string]runner{
 	"crossover":   single(experiments.Crossover),
 	"asymptotics": single(experiments.Asymptotics),
 	"accuracy":    single(experiments.Accuracy),
-
-	// Model-vs-measured: real traced pool runs reconciled against the
-	// simulated makespan (wall clock, unlike every other experiment).
-	"reconcile": func(sc experiments.Scale) []*experiments.Table {
+	"reconcile": func(sc experiments.Scale, out string) error {
 		t, err := experiments.Reconcile(sc, runtime.GOMAXPROCS(0))
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
-		return []*experiments.Table{t}
+		return writeTables(out, t)
 	},
-
-	// Ablations of the design choices called out in DESIGN.md.
-	"ablation-deps":     single(experiments.AblationDeps),
-	"ablation-nb":       single(experiments.AblationNB),
-	"ablation-gamma":    single(experiments.AblationGamma),
-	"ablation-hightree": single(experiments.AblationHighTree),
+	"planner": runPlannerEval,
+	"commcal": runCommCal,
 }
 
-func names() []string {
-	var n []string
-	for k := range registry {
-		n = append(n, k)
+// writeTables prints each table and writes it as <out>/<name>.csv.
+func writeTables(out string, tables ...*experiments.Table) error {
+	if err := os.MkdirAll(out, 0o755); err != nil {
+		return err
 	}
-	sort.Strings(n)
-	return n
+	for _, t := range tables {
+		fmt.Println(t.Text())
+		path := filepath.Join(out, t.Name+".csv")
+		if err := os.WriteFile(path, []byte(t.CSV()), 0o644); err != nil {
+			return err
+		}
+		fmt.Printf("wrote %s\n", path)
+	}
+	return nil
 }
 
-// parseGrid parses an "RxC" grid spec; zeros mean "derive from -nodes".
-func parseGrid(s string) (int, int, error) {
-	if s == "" {
-		return 0, 0, nil
+// perfArgs are the timed-run flags, with -m and -n resolved to the
+// stage's shape.
+type perfArgs struct {
+	m, n, nb, ku, workers, reps int
+	json                        string
+}
+
+// stage is one -stage entry: the size a zero -m defaults to and the
+// timed run.
+type stage struct {
+	side int
+	run  func(perfArgs) error
+}
+
+var stages = map[string]stage{
+	"ge2bnd": {1024, func(p perfArgs) error { return runPerf(p.m, p.n, p.nb, p.workers, p.reps, p.json) }},
+	"bnd2bd": {4096, func(p perfArgs) error { return runPerfBND2BD(p.n, p.ku, p.workers, p.reps, p.json) }},
+	"full":   {1024, func(p perfArgs) error { return runPerfFull(p.m, p.n, p.nb, p.workers, p.reps, p.json) }},
+	"svd":    {1024, func(p perfArgs) error { return runPerfSVD(p.n, p.nb, p.workers, p.reps, p.json) }},
+	"apply":  {0, func(p perfArgs) error { return runPerfApply(p.nb, p.reps, p.json) }},
+	"sched":  {0, func(p perfArgs) error { return runPerfSched(p.reps, p.json) }},
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	var r, c int
-	if _, err := fmt.Sscanf(s, "%dx%d", &r, &c); err != nil || r < 1 || c < 1 {
-		return 0, 0, fmt.Errorf("invalid -grid %q; want e.g. 2x3", s)
-	}
-	return r, c, nil
+	sort.Strings(keys)
+	return keys
 }
 
 // currentSchema versions the machine-readable benchmark records
@@ -194,14 +214,10 @@ type perfResult struct {
 	SeqSeconds   float64 `json:"seq_seconds,omitempty"`
 	UsPerTask    float64 `json:"us_per_task,omitempty"`
 
-	// Distributed-run statistics; zero for shared-memory runs.
-	Nodes          int     `json:"nodes,omitempty"`
-	GridRows       int     `json:"grid_rows,omitempty"`
-	GridCols       int     `json:"grid_cols,omitempty"`
-	CommCount      int     `json:"comm_count,omitempty"`
-	CommVolume     float64 `json:"comm_volume_bytes,omitempty"`
-	PayloadBytes   int64   `json:"payload_bytes,omitempty"`
-	UtilizationPct float64 `json:"utilization_pct,omitempty"`
+	// The process grid of a commcal cluster record; zero otherwise.
+	Nodes    int `json:"nodes,omitempty"`
+	GridRows int `json:"grid_rows,omitempty"`
+	GridCols int `json:"grid_cols,omitempty"`
 
 	// Figures of a -stage svd run; zero otherwise. Stages holds the
 	// seconds of each stage of the vector path run one by one,
@@ -243,7 +259,7 @@ type perfResult struct {
 
 // runPerf executes one real GE2BND (reps times, best wall time kept),
 // prints the human-readable line, and optionally writes the JSON record.
-func runPerf(m, n, nb, workers, nodes, gridR, gridC, reps int, jsonPath string) error {
+func runPerf(m, n, nb, workers, reps int, jsonPath string) error {
 	if reps < 1 {
 		reps = 1
 	}
@@ -259,16 +275,9 @@ func runPerf(m, n, nb, workers, nodes, gridR, gridC, reps int, jsonPath string) 
 		}
 	}
 	opts := &bidiag.Options{NB: nb, Workers: workers, Algorithm: bidiag.Bidiag}
-	tree := opts.Tree.String()
-	if nodes > 0 {
-		opts.Distributed = &bidiag.DistOptions{Nodes: nodes, GridRows: gridR, GridCols: gridC}
-		// Options.Tree is superseded by the hierarchical distributed trees;
-		// record what actually runs, not the ignored shared-memory knob.
-		tree = "Hierarchical"
-	}
 	res := perfResult{
 		Experiment: "ge2bnd", M: m, N: n, NB: nb, Workers: workers,
-		Tree: tree, Algorithm: opts.Algorithm.String(), Reps: reps,
+		Tree: opts.Tree.String(), Algorithm: opts.Algorithm.String(), Reps: reps,
 	}
 	best := time.Duration(1<<63 - 1)
 	for r := 0; r < reps; r++ {
@@ -282,39 +291,23 @@ func runPerf(m, n, nb, workers, nodes, gridR, gridC, reps int, jsonPath string) 
 			best = wall
 		}
 		res.Tasks = band.TasksExecuted
-		if d := band.Dist; d != nil {
-			res.Nodes, res.GridRows, res.GridCols = d.Nodes, d.GridRows, d.GridCols
-			res.CommCount, res.CommVolume = d.CommCount, d.CommVolume
-			res.PayloadBytes = d.PayloadBytes
-			res.UtilizationPct = 100 * d.Utilization
-		}
 	}
 	flops := baseline.PaperFlops(rows, cols)
 	res.WallSeconds = best.Seconds()
 	res.GFlops = flops / 1e9 / res.WallSeconds
-	if nodes == 0 {
-		// One extra traced rep, after the timed ones so the ring buffers
-		// never taint the wall figures, reconciles the run against the
-		// flop model (trees.Auto matches the public API's default tree).
-		rep, _, err := experiments.ReconcileRun(trees.Auto, rows, cols, nb, workers)
-		if err != nil {
-			return err
-		}
-		res.Reconcile = rep
-		fmt.Printf("reconcile: measured %.3fs vs predicted %.3fs (ratio %.2f)  util %.1f%%  %.2f GFLOP/s traced\n",
-			rep.WallSeconds, rep.PredictedWallSeconds, rep.MakespanRatio,
-			rep.UtilizationPct, rep.MeasuredGFlops)
+	// One extra traced rep, after the timed ones so the ring buffers never
+	// taint the wall figures, reconciles the run against the flop model
+	// (trees.Auto matches the public API's default tree).
+	rep, _, err := experiments.ReconcileRun(trees.Auto, rows, cols, nb, workers)
+	if err != nil {
+		return err
 	}
-	fmt.Printf("GE2BND %dx%d nb=%d workers=%d", m, n, nb, workers)
-	if res.Nodes > 0 {
-		fmt.Printf(" nodes=%d grid=%dx%d", res.Nodes, res.GridRows, res.GridCols)
-	}
-	fmt.Printf(": %.3fs  %.2f GFLOP/s  (%d tasks, best of %d)\n",
-		res.WallSeconds, res.GFlops, res.Tasks, reps)
-	if res.CommCount > 0 {
-		fmt.Printf("comm: %d messages, %.2f MB modeled, %.2f MB payload\n",
-			res.CommCount, res.CommVolume/1e6, float64(res.PayloadBytes)/1e6)
-	}
+	res.Reconcile = rep
+	fmt.Printf("reconcile: measured %.3fs vs predicted %.3fs (ratio %.2f)  util %.1f%%  %.2f GFLOP/s traced\n",
+		rep.WallSeconds, rep.PredictedWallSeconds, rep.MakespanRatio,
+		rep.UtilizationPct, rep.MeasuredGFlops)
+	fmt.Printf("GE2BND %dx%d nb=%d workers=%d: %.3fs  %.2f GFLOP/s  (%d tasks, best of %d)\n",
+		m, n, nb, workers, res.WallSeconds, res.GFlops, res.Tasks, reps)
 	return writeResult(res, jsonPath)
 }
 
@@ -325,20 +318,14 @@ func runPerf(m, n, nb, workers, nodes, gridR, gridC, reps int, jsonPath string) 
 // the largest traced job's GFLOP/s — a real 2-rank wall-clock figure —
 // so benchguard's schema check accepts it; the fit and reconcile ride
 // along as diagnostic fields it never compares.
-func runCommCal(small bool, outDir string) error {
-	res, tbl, err := experiments.CommCal(experiments.Scale{Small: small})
+func runCommCal(sc experiments.Scale, outDir string) error {
+	res, tbl, err := experiments.CommCal(sc)
 	if err != nil {
 		return err
 	}
-	fmt.Println(tbl.Text())
-	if err := os.MkdirAll(outDir, 0o755); err != nil {
+	if err := writeTables(outDir, tbl); err != nil {
 		return err
 	}
-	csvPath := filepath.Join(outDir, tbl.Name+".csv")
-	if err := os.WriteFile(csvPath, []byte(tbl.CSV()), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", csvPath)
 
 	fit := res.Fit
 	rec := perfResult{
@@ -813,26 +800,44 @@ func bandRandom(rng *rand.Rand, n, ku int) *band.Matrix {
 	return b
 }
 
+// usageError is a bad command line (exit status 2); any other error of
+// run is a failed run (exit status 1).
+type usageError struct{ error }
+
+func usagef(format string, args ...any) error {
+	return usageError{fmt.Errorf(format, args...)}
+}
+
 func main() {
-	exp := flag.String("exp", "", "experiment to run (or 'all')")
-	scale := flag.String("scale", "full", "problem sizes: full (paper) or small (laptop)")
-	out := flag.String("out", "experiments-out", "directory for CSV output")
-	list := flag.Bool("list", false, "list experiments and exit")
-	nodes := flag.Int("nodes", 0, "run the real distributed executor on this many in-process nodes")
-	gridSpec := flag.String("grid", "", "process grid RxC for -nodes (default: near-square)")
-	mFlag := flag.Int("m", 0, "rows for a one-shot timed GE2BND run (enables perf mode)")
-	nFlag := flag.Int("n", 0, "columns for the timed run (default: m)")
-	nbFlag := flag.Int("nb", 64, "tile size for the timed run")
-	kuFlag := flag.Int("ku", 64, "band width for a -stage bnd2bd timed run")
-	stage := flag.String("stage", "ge2bnd", "timed-run stage: ge2bnd, bnd2bd, full (end-to-end values pipeline), svd (bidiag.SVD with its per-stage ledger), apply (isolated rates of the twelve stage-1 tile kernels), or sched (worker-loop dispatch cost)")
-	workersFlag := flag.Int("workers", runtime.GOMAXPROCS(0), "workers for the timed run")
-	repsFlag := flag.Int("reps", 3, "repetitions of the timed run (best kept)")
-	jsonOut := flag.String("json", "", "write the timed-run result as JSON to this file ('-' for stdout)")
-	flag.Parse()
+	if err := run(os.Args[1:]); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		if errors.As(err, new(usageError)) {
+			os.Exit(2)
+		}
+		os.Exit(1)
+	}
+}
+
+// run is the command: one timed -stage run, or the -exp experiments.
+func run(args []string) error {
+	fs := flag.NewFlagSet("bidiagbench", flag.ExitOnError)
+	exp := fs.String("exp", "", "experiment to run, a comma-separated list, or 'all'")
+	scale := fs.String("scale", "full", "problem sizes: full (paper) or small (laptop)")
+	out := fs.String("out", "experiments-out", "directory for CSV output")
+	list := fs.Bool("list", false, "list experiments and exit")
+	mFlag := fs.Int("m", 0, "rows for a one-shot timed GE2BND run (enables perf mode)")
+	nFlag := fs.Int("n", 0, "columns for the timed run (default: m)")
+	nbFlag := fs.Int("nb", 64, "tile size for the timed run")
+	kuFlag := fs.Int("ku", 64, "band width for a -stage bnd2bd timed run")
+	stageName := fs.String("stage", "ge2bnd", "timed-run stage: ge2bnd, bnd2bd, full (end-to-end values pipeline), svd (bidiag.SVD with its per-stage ledger), apply (isolated rates of the twelve stage-1 tile kernels), or sched (worker-loop dispatch cost)")
+	workersFlag := fs.Int("workers", runtime.GOMAXPROCS(0), "workers for the timed run")
+	repsFlag := fs.Int("reps", 3, "repetitions of the timed run (best kept)")
+	jsonOut := fs.String("json", "", "write the timed-run result as JSON to this file ('-' for stdout)")
+	fs.Parse(args)
 
 	// Any timed-run flag selects perf mode, so none is silently ignored.
 	perfMode := false
-	flag.Visit(func(f *flag.Flag) {
+	fs.Visit(func(f *flag.Flag) {
 		switch f.Name {
 		case "m", "n", "nb", "ku", "stage", "workers", "reps", "json":
 			perfMode = true
@@ -840,148 +845,46 @@ func main() {
 	})
 	if perfMode {
 		if *exp != "" {
-			fmt.Fprintln(os.Stderr, "-exp and the timed-run flags (-m/-n/-nb/-ku/-stage/-workers/-reps/-json) are mutually exclusive")
-			os.Exit(2)
+			return usagef("-exp and the timed-run flags (-m/-n/-nb/-ku/-stage/-workers/-reps/-json) are mutually exclusive")
 		}
-		var err error
-		switch *stage {
-		case "apply":
-			err = runPerfApply(*nbFlag, *repsFlag, *jsonOut)
-		case "sched":
-			err = runPerfSched(*repsFlag, *jsonOut)
-		case "full":
-			m, n := *mFlag, *nFlag
-			if m <= 0 {
-				m = 1024
-			}
-			if n <= 0 {
-				n = m
-			}
-			err = runPerfFull(m, n, *nbFlag, *workersFlag, *repsFlag, *jsonOut)
-		case "svd":
-			n := *nFlag
-			if n <= 0 {
-				n = *mFlag
-			}
-			if n <= 0 {
-				n = 1024
-			}
-			err = runPerfSVD(n, *nbFlag, *workersFlag, *repsFlag, *jsonOut)
-		case "bnd2bd":
-			n := *nFlag
-			if n <= 0 {
-				n = *mFlag
-			}
-			if n <= 0 {
-				n = 4096
-			}
-			err = runPerfBND2BD(n, *kuFlag, *workersFlag, *repsFlag, *jsonOut)
-		case "ge2bnd":
-			m, n := *mFlag, *nFlag
-			if m <= 0 {
-				m = 1024
-			}
-			if n <= 0 {
-				n = m
-			}
-			var gr, gc int
-			gr, gc, err = parseGrid(*gridSpec)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
-			}
-			err = runPerf(m, n, *nbFlag, *workersFlag, *nodes, gr, gc, *repsFlag, *jsonOut)
-		default:
-			fmt.Fprintf(os.Stderr, "unknown -stage %q; want ge2bnd, bnd2bd, full, svd, apply or sched\n", *stage)
-			os.Exit(2)
+		st, ok := stages[*stageName]
+		if !ok {
+			return usagef("unknown -stage %q; want one of %s", *stageName, strings.Join(sortedKeys(stages), ", "))
 		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		p := perfArgs{m: *mFlag, n: *nFlag, nb: *nbFlag, ku: *kuFlag, workers: *workersFlag, reps: *repsFlag, json: *jsonOut}
+		if p.m <= 0 {
+			p.m = st.side
 		}
-		return
-	}
-
-	if *nodes > 0 {
-		gr, gc, err := parseGrid(*gridSpec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+		if p.n <= 0 {
+			p.n = p.m
 		}
-		sc := experiments.Scale{Small: *scale == "small"}
-		tbl := experiments.DistExec(sc, *nodes, gr, gc)
-		fmt.Println(tbl.Text())
-		if err := os.MkdirAll(*out, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		path := filepath.Join(*out, tbl.Name+".csv")
-		if err := os.WriteFile(path, []byte(tbl.CSV()), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", path)
-		return
+		return st.run(p)
 	}
 
 	if *list || *exp == "" {
-		fmt.Println("experiments:", strings.Join(append(names(), "commcal", "planner"), " "))
-		if *exp == "" {
-			os.Exit(2)
+		fmt.Println("experiments:", strings.Join(sortedKeys(experimentsByName), " "))
+		if *exp == "" && !*list {
+			return usagef("bidiagbench: choose -exp or a timed-run flag")
 		}
-		return
+		return nil
 	}
 
-	// Planner evaluation is its own branch: it runs real wall-clock
-	// sweeps and emits planner.json rather than a Table CSV.
-	if *exp == "planner" {
-		if err := runPlannerEval(*scale == "small", *out); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+	selected := sortedKeys(experimentsByName)
+	if *exp != "all" {
+		selected = strings.Split(*exp, ",")
+		for _, e := range selected {
+			if _, ok := experimentsByName[e]; !ok {
+				return usagef("unknown experiment %q; use -list", e)
+			}
 		}
-		return
-	}
-	// Communication calibration is its own branch too: it runs real
-	// traced cluster jobs over loopback TCP and emits the BENCH cluster
-	// record next to the CSV.
-	if *exp == "commcal" {
-		if err := runCommCal(*scale == "small", *out); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
 	}
 	sc := experiments.Scale{Small: *scale == "small"}
-
-	var selected []string
-	if *exp == "all" {
-		selected = names()
-	} else {
-		for _, e := range strings.Split(*exp, ",") {
-			if _, ok := registry[e]; !ok {
-				fmt.Fprintf(os.Stderr, "unknown experiment %q; use -list\n", e)
-				os.Exit(2)
-			}
-			selected = append(selected, e)
-		}
-	}
-
-	if err := os.MkdirAll(*out, 0o755); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
 	for _, name := range selected {
 		start := time.Now()
-		tables := registry[name](sc)
-		for _, t := range tables {
-			fmt.Println(t.Text())
-			path := filepath.Join(*out, t.Name+".csv")
-			if err := os.WriteFile(path, []byte(t.CSV()), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", path)
+		if err := experimentsByName[name](sc, *out); err != nil {
+			return fmt.Errorf("%s: %w", name, err)
 		}
 		fmt.Printf("(%s took %.1fs)\n\n", name, time.Since(start).Seconds())
 	}
+	return nil
 }

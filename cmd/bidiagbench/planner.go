@@ -11,6 +11,7 @@ import (
 
 	"github.com/tiled-la/bidiag"
 	"github.com/tiled-la/bidiag/internal/baseline"
+	"github.com/tiled-la/bidiag/internal/experiments"
 	"github.com/tiled-la/bidiag/internal/plan"
 )
 
@@ -83,11 +84,11 @@ func measurePlan(a *bidiag.Dense, cfg plan.Config, workers, reps int) (float64, 
 // executes for real, and the model's pick is reported with
 // its regret against the measured best. The report lands in
 // <outDir>/planner.json.
-func runPlannerEval(small bool, outDir string) error {
+func runPlannerEval(sc experiments.Scale, outDir string) error {
 	workers := runtime.GOMAXPROCS(0)
 	shapes := [][2]int{{512, 512}, {1024, 1024}, {2048, 512}}
 	reps := 3
-	if small {
+	if sc.Small {
 		shapes = [][2]int{{256, 256}, {384, 192}}
 		reps = 2
 	}

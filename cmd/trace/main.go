@@ -2,12 +2,15 @@
 // (load in chrome://tracing or https://ui.perfetto.dev): a Gantt view of
 // how the chosen reduction tree fills the machine.
 //
-// It has three modes with one output format:
+// It has three modes with one output format, the Chrome document a
+// bidiagd /debug/trace/{id} endpoint serves ({"traceEvents":[…],
+// "metadata":{…}}, written by cluster.MergedTrace.WriteChrome):
 //
 //   - Simulated (default): builds the task graph for a p×q tile grid and
-//     runs the virtual list scheduler over unit weights (nb³/3). The
-//     timeline is the MODEL's prediction — deterministic, machine-free,
-//     the figure the critical-path analysis reasons about.
+//     runs the virtual list scheduler over unit weights (nb³/3), one
+//     unit drawn as one millisecond. The timeline is the MODEL's
+//     prediction — deterministic, machine-free, the figure the
+//     critical-path analysis reasons about.
 //
 //   - Measured (-measured): factorizes a real m×n matrix on a real worker
 //     pool with live task tracing and renders what actually happened —
@@ -33,6 +36,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"time"
 
 	"github.com/tiled-la/bidiag/internal/cluster"
 	"github.com/tiled-la/bidiag/internal/core"
@@ -84,15 +88,15 @@ func main() {
 	} else {
 		core.BuildBidiag(g, sh, nil, cfg)
 	}
-	res, events := g.SimulateFixedTrace(*workers, sched.WeightTime)
+	res, events := g.SimulateFixedTrace(*workers, sched.WeightTime, time.Millisecond)
 
-	writeTrace(*out, events, 1000)
+	writeTrace(*out, cluster.LocalTrace(*workers, events, 0))
 	fmt.Printf("%d tasks, makespan %.0f units, utilization %.0f%% → %s (simulated)\n",
 		res.Tasks, res.Makespan, res.Utilization*100, *out)
 }
 
 // runMeasured factorizes a real matrix with tracing on and renders the
-// measured timeline; timestamps are recorded seconds, scaled to µs.
+// measured timeline.
 func runMeasured(tree trees.Kind, m, n, nb, workers int, out string) {
 	if m < n {
 		fmt.Fprintln(os.Stderr, "need m ≥ n")
@@ -103,7 +107,7 @@ func runMeasured(tree trees.Kind, m, n, nb, workers int, out string) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	writeTrace(out, sched.MeasuredTraceEvents(events), 1e6)
+	writeTrace(out, cluster.LocalTrace(workers, events, rep.Dropped))
 	fmt.Printf("%d tasks on %d workers, wall %.1f ms (predicted %.1f ms, ratio %.2f), utilization %.0f%%, %.2f GFLOP/s → %s (measured)\n",
 		rep.TracedTasks, rep.Workers,
 		rep.WallSeconds*1e3, rep.PredictedWallSeconds*1e3, rep.MakespanRatio,
@@ -124,16 +128,7 @@ func runCluster(in, out string) {
 		fmt.Fprintf(os.Stderr, "%s: %v\n", in, err)
 		os.Exit(1)
 	}
-	o, err := os.Create(out)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	defer o.Close()
-	if err := mt.WriteChrome(o); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	writeTrace(out, mt)
 	tasks, comms := 0, 0
 	for _, ev := range mt.Events {
 		if ev.Op == obs.OpTask {
@@ -146,14 +141,16 @@ func runCluster(in, out string) {
 		mt.Ranks, mt.Grid, mt.WPN, tasks, comms, mt.DroppedTotal(), out)
 }
 
-func writeTrace(path string, events []sched.TraceEvent, timeUnit float64) {
+// writeTrace renders mt as Chrome tracing JSON into path.
+func writeTrace(path string, mt *cluster.MergedTrace) {
 	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+	if err == nil {
+		err = mt.WriteChrome(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
 	}
-	defer f.Close()
-	if err := sched.WriteChromeTrace(f, events, timeUnit); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}

@@ -167,6 +167,13 @@ func ParseMergedTrace(r io.Reader) (*MergedTrace, error) {
 	return &mt, nil
 }
 
+// LocalTrace wraps one process's trace — a pool job's measured events or
+// a simulated schedule — as the one-rank, no-frame case of a merged
+// trace, so it renders through the same WriteChrome as a mesh job.
+func LocalTrace(wpn int, events []obs.Event, dropped int64) *MergedTrace {
+	return &MergedTrace{Grid: "1x1", Ranks: 1, WPN: wpn, Events: events, Dropped: []int64{dropped}}
+}
+
 // mergeTraces aligns every rank's events onto the head's clock; frames[0]
 // is the head's own. For a peer event recorded at peer-clock instant
 // origin_p + Start, the head-clock instant is that minus the
@@ -212,9 +219,8 @@ func mergeTraces(grid dist.Grid, frames []traceFrame, clock []ClockInfo) *Merged
 	return mt
 }
 
-// chromeEv is one Chrome-tracing event. Beyond the X duration events the
-// single-process renderer emits, the cluster renderer adds M metadata
-// (process/thread names) and s/f flow events (send→recv arrows).
+// chromeEv is one Chrome-tracing event: an X duration slice, M metadata
+// (process/thread names) or an s/f flow event (send→recv arrow).
 type chromeEv struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat,omitempty"`
@@ -242,6 +248,11 @@ func (mt *MergedTrace) laneOf(ev obs.Event) (pid, tid int) {
 	return pid, tid
 }
 
+// maxLanes bounds the thread lanes (ranks × (workers + nic + recv)) that
+// WriteChrome names, so a trace read back from bytes cannot make it emit
+// millions of metadata events.
+const maxLanes = 1 << 14
+
 // commFlowKey identifies one logical transfer for send/recv pairing.
 type commFlowKey struct {
 	from, to, id int32
@@ -253,6 +264,9 @@ type commFlowKey struct {
 // s/f flow events tying each send to its matching recv across process
 // lanes. Timestamps are shifted so the earliest event lands at 0.
 func (mt *MergedTrace) WriteChrome(w io.Writer) error {
+	if mt.Ranks < 0 || mt.WPN < 0 || mt.WPN > maxLanes || mt.Ranks > maxLanes/(mt.WPN+2) {
+		return fmt.Errorf("cluster: trace of %d ranks × %d workers has more than %d lanes", mt.Ranks, mt.WPN, maxLanes)
+	}
 	var events []chromeEv
 
 	var base time.Duration

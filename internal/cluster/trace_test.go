@@ -3,12 +3,14 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/tiled-la/bidiag/internal/dist"
+	"github.com/tiled-la/bidiag/internal/kernels"
 	"github.com/tiled-la/bidiag/internal/nla"
 	"github.com/tiled-la/bidiag/internal/obs"
 	"github.com/tiled-la/bidiag/internal/pipeline"
@@ -50,6 +52,115 @@ func TestTraceFrameCodec(t *testing.T) {
 	if _, err := decodeTraceFrame(job); err == nil {
 		t.Fatal("job frame accepted as a trace frame")
 	}
+}
+
+// sampleTraceFrame is a rank's end-of-job frame carrying one task and
+// one send event.
+func sampleTraceFrame() traceFrame {
+	return traceFrame{
+		Op: opTrace, Seq: 7, Rank: 1, WPN: 2, OriginUnixNano: 123456789,
+		Dropped: 1, WireFrames: 1, WireBytes: 100, PayloadBytes: 80,
+		Events: []obs.Event{
+			{Kind: kernels.TSMQRKind, ID: 3, Node: 1, I: 2, J: 1, K: 0, Worker: 3, Flops: 1.5e6,
+				Start: time.Millisecond, End: 3 * time.Millisecond},
+			{Op: obs.OpSend, ID: 3, Node: 1, Peer: 0, Worker: 4, WireBytes: 100, PayloadBytes: 80,
+				Wait: time.Microsecond, Start: 3 * time.Millisecond, End: 4 * time.Millisecond},
+		},
+	}
+}
+
+// withinLanes reports whether WriteChrome accepts the trace's shape.
+func withinLanes(mt *MergedTrace) bool {
+	return mt.Ranks >= 0 && mt.WPN >= 0 && mt.WPN <= maxLanes && mt.Ranks <= maxLanes/(mt.WPN+2)
+}
+
+// FuzzDecodeTraceFrame feeds arbitrary bytes to the head's decoder of a
+// peer's end-of-job frame. A frame that decodes must merge and render
+// without panicking, and its re-encoding is a fixed point: decoding and
+// encoding it again gives the same bytes.
+func FuzzDecodeTraceFrame(f *testing.F) {
+	valid, err := frameHeader(sampleTraceFrame(), 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	reencode := func(tb testing.TB, tf traceFrame) []byte {
+		buf, err := frameHeader(tf, 0)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return buf
+	}
+	if got, err := decodeTraceFrame(valid); err != nil || !bytes.Equal(reencode(f, got), valid) {
+		f.Fatalf("a valid frame does not re-encode byte-identically (err %v)", err)
+	}
+	f.Add(valid)
+	untraced, _ := frameHeader(traceFrame{Op: opTrace, Seq: 1, WPN: 1}, 0)
+	f.Add(untraced)
+	f.Add(valid[:len(valid)-3]) // truncated header
+	f.Add([]byte{0xFC, 0xFF, 0xFF, 0xFF, 0})
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		tf, err := decodeTraceFrame(frame)
+		if err != nil {
+			return
+		}
+		mt := mergeTraces(dist.Grid{R: 1, C: 1}, []traceFrame{tf}, nil)
+		if err := mt.WriteChrome(io.Discard); err != nil && withinLanes(mt) {
+			t.Fatalf("decoded frame does not render: %v", err)
+		}
+		canon := reencode(t, tf)
+		again, err := decodeTraceFrame(canon)
+		if err != nil {
+			t.Fatalf("re-encoded frame does not decode: %v", err)
+		}
+		if b := reencode(t, again); !bytes.Equal(b, canon) {
+			t.Fatalf("re-encoding is not a fixed point:\n%s\n%s", canon, b)
+		}
+	})
+}
+
+// FuzzParseMergedTrace feeds arbitrary bytes to the reader of a raw
+// merged trace (?format=raw, cmd/trace -cluster). A document that parses
+// must render without panicking, and its re-encoding is a fixed point.
+func FuzzParseMergedTrace(f *testing.F) {
+	clock := []ClockInfo{{Rank: 1, OffsetNanos: -5000, RTTNanos: 20000}}
+	head := sampleTraceFrame()
+	head.Rank, head.Events[0].Node, head.Events[1].Node, head.Events[1].Peer = 0, 0, 0, 1
+	mesh := mergeTraces(dist.Grid{R: 2, C: 1}, []traceFrame{head, sampleTraceFrame()}, clock)
+	local := LocalTrace(2, sampleTraceFrame().Events[:1], 0)
+	write := func(tb testing.TB, mt *MergedTrace) []byte {
+		var buf bytes.Buffer
+		if err := mt.WriteJSON(&buf); err != nil {
+			tb.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, mt := range []*MergedTrace{mesh, local} {
+		seed := write(f, mt)
+		back, err := ParseMergedTrace(bytes.NewReader(seed))
+		if err != nil || !bytes.Equal(write(f, back), seed) {
+			f.Fatalf("a valid trace does not re-encode byte-identically (err %v)", err)
+		}
+		f.Add(seed)
+	}
+	f.Add([]byte(`{"ranks":1000000,"wpn":1000000}`))
+	f.Add([]byte(`{"ranks":1,"wpn":1,"events":[{"op":2,"node":-7,"worker":99}]}`))
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		mt, err := ParseMergedTrace(bytes.NewReader(doc))
+		if err != nil {
+			return
+		}
+		if err := mt.WriteChrome(io.Discard); err != nil && withinLanes(mt) {
+			t.Fatalf("parsed trace does not render: %v", err)
+		}
+		canon := write(t, mt)
+		again, err := ParseMergedTrace(bytes.NewReader(canon))
+		if err != nil {
+			t.Fatalf("re-encoded trace does not parse: %v", err)
+		}
+		if b := write(t, again); !bytes.Equal(b, canon) {
+			t.Fatalf("re-encoding is not a fixed point:\n%s\n%s", canon, b)
+		}
+	})
 }
 
 // traceSums aggregates one rank's send events from a merged trace.

@@ -77,13 +77,6 @@ type Config struct {
 	// Owner maps tile (i, j) to the node that owns it (2D block-cyclic in
 	// the distributed experiments). Nil means everything on node 0.
 	Owner func(i, j int) int32
-	// CoarseDeps disables the sub-tile (diag/upper/lower) dependency
-	// regions and tracks whole tiles instead. This exists for the
-	// ablation study: with coarse dependencies the panel factorization
-	// falsely serializes against the trailing updates that only read the
-	// reflector region, and the measured critical paths no longer match
-	// Section IV.
-	CoarseDeps bool
 	// Recorder, when non-nil, records every orthogonal transformation so
 	// the Q and P factors can be applied later (singular vectors; see
 	// record.go). Requires a real-data build.
@@ -161,17 +154,6 @@ func newBuilder(g *sched.Graph, sh Shape, data *tile.Matrix, cfg *Config) *build
 			owner := cfg.owner(i, j)
 			k := min(r, c)
 			base := 3 * (i + j*sh.P)
-			if cfg.CoarseDeps {
-				whole := g.NewHandle(int32(8*r*c), owner)
-				if data != nil {
-					whole.SetPayload(regionPayload(data.Tile(i, j), regWhole))
-					whole.SetRestore(regionRestore(data.Tile(i, j), regWhole))
-				}
-				b.h[base+regDiag] = whole
-				b.h[base+regUpper] = whole
-				b.h[base+regLower] = whole
-				continue
-			}
 			half := int32(8 * (r*c - k) / 2)
 			b.h[base+regDiag] = g.NewHandle(int32(8*k), owner)
 			b.h[base+regUpper] = g.NewHandle(half, owner)

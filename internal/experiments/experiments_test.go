@@ -224,53 +224,3 @@ func TestTableRenderers(t *testing.T) {
 		t.Fatalf("text wrong: %q", txt)
 	}
 }
-
-func TestAblationDepsInflation(t *testing.T) {
-	tbl := AblationDeps(small)
-	checkShape(t, tbl)
-	for i, r := range tbl.Rows {
-		// Region-level CP must equal the formula; coarse must inflate.
-		if r[3] != r[4] {
-			t.Errorf("row %d: region CP %s != formula %s", i, r[4], r[3])
-		}
-		if infl := parseCell(t, tbl, i, 6); infl <= 1.0 {
-			t.Errorf("row %d: coarse dependencies should inflate the CP, got %vx", i, infl)
-		}
-	}
-}
-
-func TestAblationNBTradeoff(t *testing.T) {
-	tbl := AblationNB(small)
-	checkShape(t, tbl)
-	// BND2BD cost must grow with NB.
-	first := parseCell(t, tbl, 0, 2)
-	last := parseCell(t, tbl, len(tbl.Rows)-1, 2)
-	if last <= first {
-		t.Errorf("BND2BD should grow with NB: %v -> %v", first, last)
-	}
-}
-
-func TestAblationGammaShape(t *testing.T) {
-	tbl := AblationGamma(small)
-	checkShape(t, tbl)
-}
-
-func TestAblationHighTreeShape(t *testing.T) {
-	tbl := AblationHighTree(small)
-	checkShape(t, tbl)
-	// Flat high tree must move the least data on the square shape.
-	var flatVol, greedyVol float64
-	for i, r := range tbl.Rows {
-		if r[0] == "square" && r[2] == "off" {
-			switch r[1] {
-			case "FlatTT":
-				flatVol = parseCell(t, tbl, i, 4)
-			case "Greedy":
-				greedyVol = parseCell(t, tbl, i, 4)
-			}
-		}
-	}
-	if flatVol <= 0 || greedyVol <= 0 || flatVol > greedyVol {
-		t.Errorf("flat high tree should move least data on square: flat=%v greedy=%v", flatVol, greedyVol)
-	}
-}

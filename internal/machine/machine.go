@@ -98,18 +98,9 @@ func (m Model) TimeOf(t *sched.Task) float64 {
 // NBRamp models the surface-to-volume efficiency loss of small tiles:
 // kernels on nb-sized tiles reach eff·nb/(nb+c) of their asymptotic rate
 // (c ≈ 40 matches the common observation that nb ≈ 160 gives ~80% of the
-// large-tile rate). Used by the tile-size ablation.
+// large-tile rate). The planner prices candidate tile sizes with it.
 func NBRamp(nb int) float64 {
 	return float64(nb) / (float64(nb) + 40)
-}
-
-// TimeOfNB is TimeOf scaled by the tile-size efficiency ramp for a graph
-// whose tiles are nb×nb.
-func (m Model) TimeOfNB(nb int) func(*sched.Task) float64 {
-	ramp := NBRamp(nb)
-	return func(t *sched.Task) float64 {
-		return m.TimeOf(t) / ramp
-	}
 }
 
 // DistConfig returns the sched.DistConfig for a simulation on the given

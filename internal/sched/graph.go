@@ -167,19 +167,25 @@ func (g *Graph) RunTask(t *Task, ws *nla.Workspace, worker int) error {
 	}
 	if tr != nil {
 		origin := tr.Origin()
-		tr.Ring(worker).Record(obs.Event{
-			Kind:  t.Kind,
-			ID:    t.ID,
-			Node:  t.Node,
-			I:     t.I,
-			J:     t.J,
-			K:     t.K,
-			Flops: t.Flops,
-			Start: start.Sub(origin),
-			End:   end.Sub(origin),
-		})
+		tr.Ring(worker).Record(t.event(start.Sub(origin), end.Sub(origin)))
 	}
 	return err
+}
+
+// event is the trace record of t over [start, end), measured or
+// simulated; a ring stamps the worker when it records it.
+func (t *Task) event(start, end time.Duration) obs.Event {
+	return obs.Event{
+		Kind:  t.Kind,
+		ID:    t.ID,
+		Node:  t.Node,
+		I:     t.I,
+		J:     t.J,
+		K:     t.K,
+		Flops: t.Flops,
+		Start: start,
+		End:   end,
+	}
 }
 
 // NewGraph returns an empty task graph.

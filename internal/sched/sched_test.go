@@ -1,15 +1,15 @@
 package sched
 
 import (
-	"encoding/json"
 	"math/rand"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"github.com/tiled-la/bidiag/internal/kernels"
 	"github.com/tiled-la/bidiag/internal/nla"
+	"github.com/tiled-la/bidiag/internal/obs"
 )
 
 // chainGraph builds a linear chain of n tasks through one handle.
@@ -363,7 +363,7 @@ func randomGraph(rng *rand.Rand, tasks, handlesPerTask int) *Graph {
 func TestSimulateFixedTraceConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := randomGraph(rng, 150, 3)
-	res, events := g.SimulateFixedTrace(4, WeightTime)
+	res, events := g.SimulateFixedTrace(4, WeightTime, time.Second)
 	plain := g.SimulateFixed(4, WeightTime)
 	if d := res.Makespan - plain.Makespan; d > 1e-9 || d < -1e-9 {
 		t.Fatalf("traced makespan %v != plain %v", res.Makespan, plain.Makespan)
@@ -371,8 +371,16 @@ func TestSimulateFixedTraceConsistency(t *testing.T) {
 	if len(events) != len(g.Tasks) {
 		t.Fatalf("trace should contain every task: %d vs %d", len(events), len(g.Tasks))
 	}
+	// The makespan is the last event's end, in the unit passed.
+	var last time.Duration
+	for _, e := range events {
+		last = max(last, e.End)
+	}
+	if want := time.Duration(res.Makespan * float64(time.Second)); last != want {
+		t.Fatalf("largest End %v != makespan %v", last, want)
+	}
 	// No worker may run two tasks at once.
-	byWorker := map[int][]TraceEvent{}
+	byWorker := map[int32][]obs.Event{}
 	for _, e := range events {
 		byWorker[e.Worker] = append(byWorker[e.Worker], e)
 	}
@@ -380,43 +388,22 @@ func TestSimulateFixedTraceConsistency(t *testing.T) {
 		for i := 0; i < len(evs); i++ {
 			for j := i + 1; j < len(evs); j++ {
 				a, b := evs[i], evs[j]
-				if a.Start < b.End-1e-12 && b.Start < a.End-1e-12 {
-					t.Fatalf("worker %d overlap: %v and %v", w, a, b)
+				if a.Start < b.End && b.Start < a.End {
+					t.Fatalf("worker %d overlap: %+v and %+v", w, a, b)
 				}
 			}
 		}
 	}
 	// Every task starts after its duration-weighted dependencies end.
-	endOf := map[*Task]float64{}
+	byID := map[int32]obs.Event{}
 	for _, e := range events {
-		endOf[e.Task] = e.End
+		byID[e.ID] = e
 	}
 	for _, e := range events {
-		for _, s := range e.Task.Succs() {
-			for _, e2 := range events {
-				if e2.Task == s && e2.Start < e.End-1e-9 {
-					t.Fatalf("dependency violated in trace")
-				}
+		for _, s := range g.Tasks[e.ID].Succs() {
+			if byID[s.ID].Start < e.End {
+				t.Fatalf("dependency violated in trace: %+v before %+v", byID[s.ID], e)
 			}
 		}
-	}
-}
-
-func TestWriteChromeTrace(t *testing.T) {
-	g := chainGraph(3)
-	_, events := g.SimulateFixedTrace(2, WeightTime)
-	var buf strings.Builder
-	if err := WriteChromeTrace(&buf, events, 1e6); err != nil {
-		t.Fatal(err)
-	}
-	var parsed []map[string]any
-	if err := json.Unmarshal([]byte(buf.String()), &parsed); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	if len(parsed) != 3 {
-		t.Fatalf("want 3 events, got %d", len(parsed))
-	}
-	if parsed[0]["ph"] != "X" || parsed[0]["cat"] != "GEQRT" {
-		t.Fatalf("unexpected event payload: %v", parsed[0])
 	}
 }

@@ -2,25 +2,17 @@ package sched
 
 import (
 	"container/heap"
-	"encoding/json"
-	"fmt"
-	"io"
+	"time"
 
 	"github.com/tiled-la/bidiag/internal/obs"
 )
 
-// TraceEvent is one scheduled task instance in a simulated execution.
-type TraceEvent struct {
-	Task   *Task
-	Worker int // global worker index (node*workersPerNode + local)
-	Start  float64
-	End    float64
-}
-
 // SimulateFixedTrace is SimulateFixed with a full schedule trace: every
-// task's start/end time and worker assignment. Used for Gantt-style
-// inspection of the reduction trees and for the Chrome-tracing export.
-func (g *Graph) SimulateFixedTrace(workers int, timeOf func(*Task) float64) (SimResult, []TraceEvent) {
+// task's start/end time and worker assignment, as the obs.Event a
+// measured run of the task would record. One unit of model time is unit
+// of trace time, so a simulated schedule renders through the same Chrome
+// writer as a measured one (cluster.LocalTrace).
+func (g *Graph) SimulateFixedTrace(workers int, timeOf func(*Task) float64, unit time.Duration) (SimResult, []obs.Event) {
 	if workers < 1 {
 		workers = 1
 	}
@@ -83,7 +75,8 @@ func (g *Graph) SimulateFixedTrace(workers int, timeOf func(*Task) float64) (Sim
 	}
 	now, busy := 0.0, 0.0
 	done := 0
-	events := make([]TraceEvent, 0, len(g.Tasks))
+	at := func(x float64) time.Duration { return time.Duration(x * float64(unit)) }
+	events := make([]obs.Event, 0, len(g.Tasks))
 	for done < len(g.Tasks) {
 		for len(freeWorkers) > 0 && len(ready) > 0 {
 			t := heap.Pop(&ready).(*Task)
@@ -91,7 +84,9 @@ func (g *Graph) SimulateFixedTrace(workers int, timeOf func(*Task) float64) (Sim
 			freeWorkers = freeWorkers[:len(freeWorkers)-1]
 			d := timeOf(t)
 			busy += d
-			events = append(events, TraceEvent{Task: t, Worker: w, Start: now, End: now + d})
+			ev := t.event(at(now), at(now+d))
+			ev.Worker = int32(w)
+			events = append(events, ev)
 			pushRun(runSlot{at: now + d, task: t, worker: w})
 		}
 		if len(running) == 0 {
@@ -113,58 +108,4 @@ func (g *Graph) SimulateFixedTrace(workers int, timeOf func(*Task) float64) (Sim
 		util = busy / (float64(workers) * now)
 	}
 	return SimResult{Makespan: now, BusyTime: busy, Utilization: util, Tasks: done}, events
-}
-
-// MeasuredTraceEvents converts a collected measured trace (obs.Tracer
-// events from a real execution) into the TraceEvent shape the simulator
-// emits, with times in seconds, so WriteChromeTrace and every other
-// consumer render measured and simulated schedules identically. The Task
-// pointers are synthesized from the event metadata; they carry the
-// identity fields (kind, coordinates, node, flops) but none of the graph
-// structure.
-func MeasuredTraceEvents(events []obs.Event) []TraceEvent {
-	out := make([]TraceEvent, 0, len(events))
-	for _, e := range events {
-		t := &Task{ID: e.ID, Kind: e.Kind, Node: e.Node, I: e.I, J: e.J, K: e.K, Flops: e.Flops}
-		out = append(out, TraceEvent{
-			Task:   t,
-			Worker: int(e.Worker),
-			Start:  e.Start.Seconds(),
-			End:    e.End.Seconds(),
-		})
-	}
-	return out
-}
-
-// WriteChromeTrace emits the schedule in the Chrome tracing JSON array
-// format (load via chrome://tracing or Perfetto). Durations are scaled to
-// microseconds by timeUnit (e.g. pass 1 when times are in seconds to get
-// seconds→µs×1, or any constant — the viewer only needs consistency).
-func WriteChromeTrace(w io.Writer, events []TraceEvent, timeUnit float64) error {
-	type chromeEvent struct {
-		Name string  `json:"name"`
-		Cat  string  `json:"cat"`
-		Ph   string  `json:"ph"`
-		Ts   float64 `json:"ts"`
-		Dur  float64 `json:"dur"`
-		Pid  int     `json:"pid"`
-		Tid  int     `json:"tid"`
-	}
-	out := make([]chromeEvent, 0, len(events))
-	for _, e := range events {
-		out = append(out, chromeEvent{
-			Name: e.Task.Name(),
-			Cat:  e.Task.Kind.String(),
-			Ph:   "X",
-			Ts:   e.Start * timeUnit,
-			Dur:  (e.End - e.Start) * timeUnit,
-			Pid:  int(e.Task.Node),
-			Tid:  e.Worker,
-		})
-	}
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(out); err != nil {
-		return fmt.Errorf("sched: writing trace: %w", err)
-	}
-	return nil
 }

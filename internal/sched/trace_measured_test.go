@@ -1,9 +1,7 @@
 package sched
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -150,39 +148,6 @@ func TestTracingRuntimeConcurrentCollection(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-}
-
-func TestMeasuredTraceChromeExport(t *testing.T) {
-	var ran atomic.Int64
-	g := tracedGraph(16, &ran)
-	tr := obs.NewTracer(2, len(g.Tasks))
-	g.Tracer = tr
-	if err := g.RunParallel(2); err != nil {
-		t.Fatal(err)
-	}
-	events := MeasuredTraceEvents(tr.Events())
-	if len(events) != 16 {
-		t.Fatalf("got %d trace events, want 16", len(events))
-	}
-	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, events, 1e6); err != nil {
-		t.Fatal(err)
-	}
-	var decoded []map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
-		t.Fatalf("chrome trace is not a JSON array: %v", err)
-	}
-	if len(decoded) != 16 {
-		t.Fatalf("chrome trace has %d events, want 16", len(decoded))
-	}
-	for _, ev := range decoded {
-		if ev["ph"] != "X" {
-			t.Fatalf("event phase = %v, want X", ev["ph"])
-		}
-		if _, ok := ev["ts"].(float64); !ok {
-			t.Fatalf("event ts missing: %v", ev)
-		}
-	}
 }
 
 // TestTracingDisabledNoAlloc pins the disabled-tracing fast path: with a

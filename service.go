@@ -241,7 +241,7 @@ func (j *Job) Wait() (*JobResult, error) {
 	case j.mesh != nil:
 		jr.Trace = j.mesh.Trace
 	case len(res.Trace) > 0:
-		jr.Trace = &cluster.MergedTrace{Grid: "1x1", Ranks: 1, WPN: j.workers, Events: res.Trace, Dropped: []int64{res.TraceDropped}}
+		jr.Trace = cluster.LocalTrace(j.workers, res.Trace, res.TraceDropped)
 	}
 	if jr.Trace != nil {
 		jr.Timeline = toTimeline(jr.Trace.Events)

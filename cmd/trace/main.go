@@ -33,8 +33,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -47,38 +49,42 @@ import (
 )
 
 func main() {
-	p := flag.Int("p", 16, "tile rows (simulated mode)")
-	q := flag.Int("q", 8, "tile columns (simulated mode)")
-	treeName := flag.String("tree", "Greedy", "tree: FlatTS|FlatTT|Greedy|Auto")
-	workers := flag.Int("workers", 8, "virtual cores (simulated) or pool workers (measured)")
-	rbidiag := flag.Bool("rbidiag", false, "use R-BIDIAG instead of BIDIAG (simulated mode)")
-	measured := flag.Bool("measured", false, "trace a real execution instead of the simulator")
-	m := flag.Int("m", 1024, "matrix rows (measured mode)")
-	n := flag.Int("n", 512, "matrix columns (measured mode)")
-	nb := flag.Int("nb", 64, "tile size (measured mode)")
-	clusterFile := flag.String("cluster", "", "render this gathered multi-rank trace file (the ?format=raw document of /debug/trace/{id}) instead of tracing locally")
-	out := flag.String("o", "schedule.json", "output file")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// run is the command: it writes the trace file and a one-line summary to
+// stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("trace", flag.ExitOnError)
+	p := fs.Int("p", 16, "tile rows (simulated mode)")
+	q := fs.Int("q", 8, "tile columns (simulated mode)")
+	treeName := fs.String("tree", "Greedy", "tree: FlatTS|FlatTT|Greedy|Auto")
+	workers := fs.Int("workers", 8, "virtual cores (simulated) or pool workers (measured)")
+	rbidiag := fs.Bool("rbidiag", false, "use R-BIDIAG instead of BIDIAG (simulated mode)")
+	measured := fs.Bool("measured", false, "trace a real execution instead of the simulator")
+	m := fs.Int("m", 1024, "matrix rows (measured mode)")
+	n := fs.Int("n", 512, "matrix columns (measured mode)")
+	nb := fs.Int("nb", 64, "tile size (measured mode)")
+	clusterFile := fs.String("cluster", "", "render this gathered multi-rank trace file (the ?format=raw document of /debug/trace/{id}) instead of tracing locally")
+	out := fs.String("o", "schedule.json", "output file")
+	fs.Parse(args)
 
 	if *clusterFile != "" {
-		runCluster(*clusterFile, *out)
-		return
+		return runCluster(*clusterFile, *out, stdout)
 	}
-
 	tree, err := trees.ParseKind(*treeName)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return err
 	}
-
 	if *measured {
-		runMeasured(tree, *m, *n, *nb, *workers, *out)
-		return
+		return runMeasured(tree, *m, *n, *nb, *workers, *out, stdout)
 	}
 
 	if *p < *q {
-		fmt.Fprintln(os.Stderr, "need p ≥ q")
-		os.Exit(2)
+		return errors.New("need p ≥ q")
 	}
 	g := sched.NewGraph()
 	cfg := core.Config{Tree: tree, Cores: *workers}
@@ -89,46 +95,49 @@ func main() {
 		core.BuildBidiag(g, sh, nil, cfg)
 	}
 	res, events := g.SimulateFixedTrace(*workers, sched.WeightTime, time.Millisecond)
-
-	writeTrace(*out, cluster.LocalTrace(*workers, events, 0))
-	fmt.Printf("%d tasks, makespan %.0f units, utilization %.0f%% → %s (simulated)\n",
+	if err := writeTrace(*out, cluster.LocalTrace(*workers, events, 0)); err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "%d tasks, makespan %.0f units, utilization %.0f%% → %s (simulated)\n",
 		res.Tasks, res.Makespan, res.Utilization*100, *out)
+	return nil
 }
 
 // runMeasured factorizes a real matrix with tracing on and renders the
 // measured timeline.
-func runMeasured(tree trees.Kind, m, n, nb, workers int, out string) {
+func runMeasured(tree trees.Kind, m, n, nb, workers int, out string, stdout io.Writer) error {
 	if m < n {
-		fmt.Fprintln(os.Stderr, "need m ≥ n")
-		os.Exit(2)
+		return errors.New("need m ≥ n")
 	}
 	rep, events, err := experiments.ReconcileRun(tree, m, n, nb, workers)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
-	writeTrace(out, cluster.LocalTrace(workers, events, rep.Dropped))
-	fmt.Printf("%d tasks on %d workers, wall %.1f ms (predicted %.1f ms, ratio %.2f), utilization %.0f%%, %.2f GFLOP/s → %s (measured)\n",
+	if err := writeTrace(out, cluster.LocalTrace(workers, events, rep.Dropped)); err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "%d tasks on %d workers, wall %.1f ms (predicted %.1f ms, ratio %.2f), utilization %.0f%%, %.2f GFLOP/s → %s (measured)\n",
 		rep.TracedTasks, rep.Workers,
 		rep.WallSeconds*1e3, rep.PredictedWallSeconds*1e3, rep.MakespanRatio,
 		rep.UtilizationPct, rep.MeasuredGFlops, out)
+	return nil
 }
 
 // runCluster re-renders a gathered multi-rank trace (a MergedTrace JSON
 // document saved from the cluster head) as Chrome tracing JSON.
-func runCluster(in, out string) {
+func runCluster(in, out string, stdout io.Writer) error {
 	f, err := os.Open(in)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	mt, err := cluster.ParseMergedTrace(f)
 	f.Close()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "%s: %v\n", in, err)
-		os.Exit(1)
+		return fmt.Errorf("%s: %w", in, err)
 	}
-	writeTrace(out, mt)
+	if err := writeTrace(out, mt); err != nil {
+		return err
+	}
 	tasks, comms := 0, 0
 	for _, ev := range mt.Events {
 		if ev.Op == obs.OpTask {
@@ -137,21 +146,20 @@ func runCluster(in, out string) {
 			comms++
 		}
 	}
-	fmt.Printf("%d ranks (grid %s, %d workers/rank), %d task + %d comm events, %d dropped → %s (cluster)\n",
+	fmt.Fprintf(stdout, "%d ranks (grid %s, %d workers/rank), %d task + %d comm events, %d dropped → %s (cluster)\n",
 		mt.Ranks, mt.Grid, mt.WPN, tasks, comms, mt.DroppedTotal(), out)
+	return nil
 }
 
 // writeTrace renders mt as Chrome tracing JSON into path.
-func writeTrace(path string, mt *cluster.MergedTrace) {
+func writeTrace(path string, mt *cluster.MergedTrace) error {
 	f, err := os.Create(path)
-	if err == nil {
-		err = mt.WriteChrome(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
+	err = mt.WriteChrome(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

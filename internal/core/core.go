@@ -20,6 +20,17 @@
 // trailing updates that only read the reflector region of the diagonal
 // tile. Without this refinement the measured critical paths would not
 // match the formulas of Section IV.
+//
+// The two step types are built by one path. Section IV prices an LQ step
+// as the QR step of the transposed panel, LQ1step(u, v) = QR1step(v, u),
+// and the builder takes that literally: a side descriptor (qrSide,
+// lqSide) holds each step type's six kernel kinds and functions, the
+// (i, j) swap that maps step coordinates to tiles, which strict triangle
+// a factorization keeps and which holds its reflectors, and the recorded
+// list it appends to. step and its four emitters (factor, UNM, TS, TT)
+// then serve both, as RecStage.apply serves the left and right replays.
+// The tile kernels stay separate because their memory access is row- or
+// column-oriented.
 package core
 
 import (
@@ -108,18 +119,17 @@ func (c Config) owner(i, j int) int32 {
 	return c.Owner(i, j)
 }
 
-func (c Config) qrOrder(k int, rows []int, v int) []trees.Op {
-	if c.QRTree != nil {
-		return c.QRTree(k, rows, v)
+// order returns the elimination order of step k of side s over the panel
+// tiles; v is the number of trailing tiles each elimination updates.
+func (c Config) order(s *side, k int, panel []int, v int) []trees.Op {
+	custom := c.QRTree
+	if s.t {
+		custom = c.LQTree
 	}
-	return trees.Order(c.Tree, rows, v, c.gamma(), c.cores())
-}
-
-func (c Config) lqOrder(k int, cols []int, v int) []trees.Op {
-	if c.LQTree != nil {
-		return c.LQTree(k, cols, v)
+	if custom != nil {
+		return custom(k, panel, v)
 	}
-	return trees.Order(c.Tree, cols, v, c.gamma(), c.cores())
+	return trees.Order(c.Tree, panel, v, c.gamma(), c.cores())
 }
 
 // region indices within a tile's handle triple.
@@ -129,6 +139,69 @@ const (
 	regLower
 )
 
+// A side is one of the two step types (see the package doc). Step tile
+// (r, c) is matrix tile (r, c) on the QR side and (c, r) on the LQ side:
+// r runs over the panel a step factors, c over the trailing tiles it
+// updates. A tile's extent along the reflectors (rows for QR) is "along",
+// the other "across"; flops are the QR formulas on (along, across)
+// extents, which is how kernels defines the LQ ones.
+type side struct {
+	t bool // step tile (r, c) is matrix tile (c, r)
+	// tri is the strict triangle a factorization keeps (R above the
+	// diagonal for QR, L below it for LQ); refl, the other one, holds the
+	// reflectors of a factored tile.
+	tri, refl int
+	rec       int // index of the recorded list in RecStage.ops
+
+	geKind, unmKind, tsKind, tsmKind, ttKind, ttmKind kernels.Kind
+
+	ge       func(a, t *nla.Matrix, tau []float64, ws *nla.Workspace)
+	unm      func(trans bool, k int, v, t, c *nla.Matrix, ws *nla.Workspace)
+	ts, tt   func(a1, a2, t *nla.Matrix, tau []float64, ws *nla.Workspace)
+	tsm, ttm func(trans bool, k int, v2, t, c1, c2 *nla.Matrix, ws *nla.Workspace)
+}
+
+var (
+	qrSide = &side{tri: regUpper, refl: regLower, rec: 0,
+		geKind: kernels.GEQRTKind, unmKind: kernels.UNMQRKind, tsKind: kernels.TSQRTKind,
+		tsmKind: kernels.TSMQRKind, ttKind: kernels.TTQRTKind, ttmKind: kernels.TTMQRKind,
+		ge: kernels.GEQRT, unm: kernels.UNMQR, ts: kernels.TSQRT, tsm: kernels.TSMQR, tt: kernels.TTQRT, ttm: kernels.TTMQR}
+	lqSide = &side{t: true, tri: regLower, refl: regUpper, rec: 1,
+		geKind: kernels.GELQTKind, unmKind: kernels.UNMLQKind, tsKind: kernels.TSLQTKind,
+		tsmKind: kernels.TSMLQKind, ttKind: kernels.TTLQTKind, ttmKind: kernels.TTMLQKind,
+		ge: kernels.GELQT, unm: kernels.UNMLQ, ts: kernels.TSLQT, tsm: kernels.TSMLQ, tt: kernels.TTLQT, ttm: kernels.TTMLQ}
+)
+
+// String names the step type in panics.
+func (s *side) String() string {
+	if s.t {
+		return "LQ"
+	}
+	return "QR"
+}
+
+// swap maps step tile (r, c) to its matrix tile and converts between
+// (rows, cols) and (along, across); it is its own inverse.
+func (s *side) swap(x, y int) (int, int) {
+	if s.t {
+		return y, x
+	}
+	return x, y
+}
+
+// view returns the top-left along × across part of m.
+func (s *side) view(m *nla.Matrix, along, across int) *nla.Matrix {
+	r, c := s.swap(along, across)
+	return m.View(0, 0, r, c)
+}
+
+// clip cuts m to at most w along the reflectors: the part a TT kernel
+// touches.
+func (s *side) clip(m *nla.Matrix, w int) *nla.Matrix {
+	along, across := s.swap(m.Rows, m.Cols)
+	return s.view(m, min(along, w), across)
+}
+
 // builder emits the tasks of one tiled matrix into a shared graph.
 type builder struct {
 	g    *sched.Graph
@@ -137,10 +210,12 @@ type builder struct {
 	cfg  *Config
 	h    []*sched.Handle // 3 handles per tile, indexed 3*(i + j*P) + region
 	rec  *RecStage       // non-nil when recording transformations
+	acc  []sched.Access  // the access list of the task being emitted
 }
 
 func newBuilder(g *sched.Graph, sh Shape, data *tile.Matrix, cfg *Config) *builder {
-	b := &builder{g: g, sh: sh, data: data, cfg: cfg, h: make([]*sched.Handle, 3*sh.P*sh.Q)}
+	b := &builder{g: g, sh: sh, data: data, cfg: cfg, h: make([]*sched.Handle, 3*sh.P*sh.Q),
+		acc: make([]sched.Access, 0, 16)}
 	g.Blocking = cfg.Blocking
 	if cfg.Recorder != nil {
 		if data == nil {
@@ -160,39 +235,69 @@ func newBuilder(g *sched.Graph, sh Shape, data *tile.Matrix, cfg *Config) *build
 			b.h[base+regLower] = g.NewHandle(half, owner)
 			if data != nil {
 				tl := data.Tile(i, j)
-				b.h[base+regDiag].SetPayload(regionPayload(tl, regDiag))
-				b.h[base+regUpper].SetPayload(regionPayload(tl, regUpper))
-				b.h[base+regLower].SetPayload(regionPayload(tl, regLower))
-				b.h[base+regDiag].SetRestore(regionRestore(tl, regDiag))
-				b.h[base+regUpper].SetRestore(regionRestore(tl, regUpper))
-				b.h[base+regLower].SetRestore(regionRestore(tl, regLower))
+				for reg := regDiag; reg <= regLower; reg++ {
+					b.h[base+reg].SetPayload(regionPayload(tl, reg))
+					b.h[base+reg].SetRestore(regionRestore(tl, reg))
+				}
 			}
 		}
 	}
 	return b
 }
 
+// tile returns the matrix tile of step tile (r, c) and its extents.
+func (b *builder) tile(s *side, r, c int) (i, j, along, across int) {
+	i, j = s.swap(r, c)
+	along, across = s.swap(b.sh.RowsOf(i), b.sh.ColsOf(j))
+	return i, j, along, across
+}
+
 // need declares one task's workspace requirement on the shared graph, so
 // the executors can size each worker's arena to the largest kernel.
-func (b *builder) need(kind kernels.Kind, m, n, k int) {
+func (b *builder) need(s *side, kind kernels.Kind, along, across, k int) {
+	m, n := s.swap(along, across)
 	b.g.NeedScratch(kernels.ScratchSizeFor(kind, m, n, k, b.cfg.Blocking))
 }
 
-func (b *builder) hd(i, j int) *sched.Handle { return b.h[3*(i+j*b.sh.P)+regDiag] }
-func (b *builder) hu(i, j int) *sched.Handle { return b.h[3*(i+j*b.sh.P)+regUpper] }
-func (b *builder) hl(i, j int) *sched.Handle { return b.h[3*(i+j*b.sh.P)+regLower] }
+// at returns the handle of one region of matrix tile (i, j).
+func (b *builder) at(i, j, region int) *sched.Handle { return b.h[3*(i+j*b.sh.P)+region] }
 
-// tileAt returns the tile view in real mode, nil in simulation mode.
-func (b *builder) tileAt(i, j int) *nla.Matrix {
-	if b.data == nil {
-		return nil
+// use appends accesses to regions of matrix tile (i, j) to the access
+// list; a task names a whole tile as diagonal, upper, lower on both sides.
+func (b *builder) use(mode sched.AccessMode, i, j int, regions ...int) {
+	for _, reg := range regions {
+		b.acc = append(b.acc, sched.Access{H: b.at(i, j, reg), Mode: mode})
 	}
-	return b.data.Tile(i, j)
 }
 
-// geqrtOut carries the reflector metadata of a triangularized tile to its
+func (b *builder) whole(mode sched.AccessMode, i, j int) {
+	b.use(mode, i, j, regDiag, regUpper, regLower)
+}
+
+// useT appends an access to a T factor's handle (nil in simulation-only
+// builds).
+func (b *builder) useT(mode sched.AccessMode, th *sched.Handle) {
+	if th != nil {
+		b.acc = append(b.acc, sched.Access{H: th, Mode: mode})
+	}
+}
+
+// add submits a task on matrix tile (i, j) at step k with the access list,
+// then empties the list.
+func (b *builder) add(kind kernels.Kind, i, j, k int, flops float64, run func(*nla.Workspace)) {
+	b.g.AddTask(kind, b.cfg.owner(i, j), kernels.Weight(kind), flops, run, b.acc...).SetCoords(i, j, k)
+	b.acc = b.acc[:0]
+}
+
+func (b *builder) record(s *side, op opRec) {
+	if b.rec != nil {
+		b.rec.ops[s.rec] = append(b.rec.ops[s.rec], op)
+	}
+}
+
+// factor carries the reflector metadata of a triangularized tile to its
 // update kernels in real mode.
-type geqrtOut struct {
+type factor struct {
 	t  *nla.Matrix
 	th *sched.Handle
 	kk int
@@ -212,397 +317,169 @@ func (b *builder) tfactor(t *nla.Matrix, owner int32) *sched.Handle {
 	return h
 }
 
-// qrStep emits QR step k: triangularize/eliminate column k over the rows
-// rows (ascending, rows[0] is the surviving pivot, normally k itself) and
-// apply every transformation to columns k+1..jmax-1.
-func (b *builder) qrStep(k int, rows []int, jmax int) {
-	sh := b.sh
-	w := sh.ColsOf(k)
-	ops := b.cfg.qrOrder(k, rows, jmax-k-1)
-	if err := trees.Validate(rows, ops); err != nil {
-		panic(fmt.Sprintf("core: invalid QR tree at step %d: %v", k, err))
+// step emits step k of side s: triangularize/eliminate step column k over
+// the panel tiles (ascending, panel[0] is the surviving pivot) and apply
+// every transformation to step columns k+1..lim-1. On the QR side the
+// panel is tile rows k.. and the trailing tiles are columns; on the LQ
+// side the panel is tile columns k+1.. and the trailing tiles are rows.
+func (b *builder) step(s *side, k int, panel []int, lim int) {
+	_, _, _, w := b.tile(s, panel[0], k)
+	ops := b.cfg.order(s, k, panel, lim-k-1)
+	if err := trees.Validate(panel, ops); err != nil {
+		panic(fmt.Sprintf("core: invalid %v tree at step %d: %v", s, k, err))
 	}
 
-	tri := make(map[int]*geqrtOut, len(rows))
-	ensureTri := func(i int) {
-		if _, ok := tri[i]; ok {
+	tri := make(map[int]factor, len(panel))
+	ensureTri := func(r int) {
+		if _, ok := tri[r]; ok {
 			return
 		}
-		out := b.emitGEQRT(k, i, w)
-		tri[i] = out
-		for j := k + 1; j < jmax; j++ {
-			b.emitUNMQR(k, i, j, out)
+		out := b.emitFactor(s, k, r)
+		tri[r] = out
+		for c := k + 1; c < lim; c++ {
+			b.emitUNM(s, k, r, c, out)
 		}
 	}
 
-	if len(rows) == 1 {
-		ensureTri(rows[0])
+	if len(panel) == 1 {
+		ensureTri(panel[0])
 		return
 	}
 	for _, op := range ops {
+		ensureTri(op.Piv)
 		if op.TT {
-			ensureTri(op.Piv)
 			ensureTri(op.Row)
-			b.emitTT(k, op.Piv, op.Row, w, jmax)
+			b.emitTT(s, k, op.Piv, op.Row, w, lim)
 		} else {
-			ensureTri(op.Piv)
 			if _, dense := tri[op.Row]; dense {
-				panic(fmt.Sprintf("core: TS elimination of already-triangular row %d at step %d", op.Row, k))
+				panic(fmt.Sprintf("core: %v TS elimination of already-triangular panel tile %d at step %d", s, op.Row, k))
 			}
-			b.emitTS(k, op.Piv, op.Row, w, jmax)
+			b.emitTS(s, k, op.Piv, op.Row, w, lim)
 		}
 	}
 }
 
-func (b *builder) emitGEQRT(k, i, w int) *geqrtOut {
-	sh := b.sh
-	m := sh.RowsOf(i)
-	kk := min(m, w)
-	out := &geqrtOut{kk: kk}
-	b.need(kernels.GEQRTKind, m, w, 0)
+// emitFactor triangularizes step tile (r, k).
+func (b *builder) emitFactor(s *side, k, r int) factor {
+	i, j, m, w := b.tile(s, r, k)
+	out := factor{kk: min(m, w)}
+	b.need(s, s.geKind, m, w, 0)
 	var run func(*nla.Workspace)
 	if b.data != nil {
-		a := b.tileAt(i, k)
-		t := nla.NewMatrix(kk, kk)
-		tau := make([]float64, kk)
-		out.t = t
-		out.th = b.tfactor(t, b.cfg.owner(i, k))
-		run = func(ws *nla.Workspace) { kernels.GEQRT(a, t, tau, ws) }
-		if b.rec != nil {
-			b.rec.left = append(b.rec.left, opRec{kind: recGEQRT, row: i, kk: kk, v: a, t: t})
-		}
+		a := b.data.Tile(i, j)
+		t := nla.NewMatrix(out.kk, out.kk)
+		tau := make([]float64, out.kk)
+		out.t, out.th = t, b.tfactor(t, b.cfg.owner(i, j))
+		ge := s.ge
+		run = func(ws *nla.Workspace) { ge(a, t, tau, ws) }
+		b.record(s, opRec{kind: recFactor, row: r, kk: out.kk, v: a, t: t})
 	}
-	deps := []sched.Access{sched.RW(b.hd(i, k)), sched.RW(b.hu(i, k)), sched.RW(b.hl(i, k))}
-	if out.th != nil {
-		deps = append(deps, sched.W(out.th))
-	}
-	b.g.AddTask(kernels.GEQRTKind, b.cfg.owner(i, k), kernels.Weight(kernels.GEQRTKind),
-		kernels.FlopsGEQRT(m, w), run, deps...).SetCoords(i, k, k)
+	b.whole(sched.ReadWrite, i, j)
+	b.useT(sched.WriteOnly, out.th)
+	b.add(s.geKind, i, j, k, kernels.FlopsGEQRT(m, w), run)
 	return out
 }
 
-func (b *builder) emitUNMQR(k, i, j int, fac *geqrtOut) {
-	sh := b.sh
-	m, n := sh.RowsOf(i), sh.ColsOf(j)
-	b.need(kernels.UNMQRKind, m, n, fac.kk)
+// emitUNM applies the factor of step tile (r, k) to step tile (r, c).
+func (b *builder) emitUNM(s *side, k, r, c int, fac factor) {
+	pi, pj := s.swap(r, k)
+	i, j, m, n := b.tile(s, r, c)
+	b.need(s, s.unmKind, m, n, fac.kk)
 	var run func(*nla.Workspace)
 	if b.data != nil {
-		v := b.tileAt(i, k)
-		c := b.tileAt(i, j)
-		t := fac.t
-		kk := fac.kk
-		run = func(ws *nla.Workspace) { kernels.UNMQR(true, kk, v, t, c, ws) }
+		v, cc := b.data.Tile(pi, pj), b.data.Tile(i, j)
+		t, kk, unm := fac.t, fac.kk, s.unm
+		run = func(ws *nla.Workspace) { unm(true, kk, v, t, cc, ws) }
 	}
-	deps := []sched.Access{sched.R(b.hl(i, k))}
-	if fac.th != nil {
-		deps = append(deps, sched.R(fac.th))
-	}
-	deps = append(deps, sched.RW(b.hd(i, j)), sched.RW(b.hu(i, j)), sched.RW(b.hl(i, j)))
-	b.g.AddTask(kernels.UNMQRKind, b.cfg.owner(i, j), kernels.Weight(kernels.UNMQRKind),
-		kernels.FlopsUNMQR(m, n, fac.kk), run, deps...).SetCoords(i, j, k)
+	b.use(sched.Read, pi, pj, s.refl)
+	b.useT(sched.Read, fac.th)
+	b.whole(sched.ReadWrite, i, j)
+	b.add(s.unmKind, i, j, k, kernels.FlopsUNMQR(m, n, fac.kk), run)
 }
 
-func (b *builder) emitTS(k, piv, i, w, jmax int) {
-	sh := b.sh
-	m := sh.RowsOf(i)
-	b.need(kernels.TSQRTKind, m, w, 0)
-	var tsT *nla.Matrix
-	var tsTh *sched.Handle
+// emitTS eliminates the square step tile (r, k) against the triangle of
+// (piv, k) and applies the transformation to step columns k+1..lim-1.
+func (b *builder) emitTS(s *side, k, piv, r, w, lim int) {
+	pi, pj := s.swap(piv, k)
+	i, j, m, _ := b.tile(s, r, k)
+	b.need(s, s.tsKind, m, w, 0)
+	var t *nla.Matrix
+	var th *sched.Handle
 	var run func(*nla.Workspace)
 	if b.data != nil {
-		a1 := b.tileAt(piv, k)
-		a2 := b.tileAt(i, k)
-		tsT = nla.NewMatrix(w, w)
-		tsTh = b.tfactor(tsT, b.cfg.owner(i, k))
+		a1, a2 := b.data.Tile(pi, pj), b.data.Tile(i, j)
+		t = nla.NewMatrix(w, w)
+		th = b.tfactor(t, b.cfg.owner(i, j))
 		tau := make([]float64, w)
-		run = func(ws *nla.Workspace) { kernels.TSQRT(a1, a2, tsT, tau, ws) }
-		if b.rec != nil {
-			b.rec.left = append(b.rec.left, opRec{kind: recTS, piv: piv, row: i, kk: w, v: a2, t: tsT})
-		}
+		ts := s.ts
+		run = func(ws *nla.Workspace) { ts(a1, a2, t, tau, ws) }
+		b.record(s, opRec{kind: recTS, piv: piv, row: r, kk: w, v: a2, t: t})
 	}
-	deps := []sched.Access{
-		sched.RW(b.hd(piv, k)), sched.RW(b.hu(piv, k)),
-		sched.RW(b.hd(i, k)), sched.RW(b.hu(i, k)), sched.RW(b.hl(i, k)),
-	}
-	if tsTh != nil {
-		deps = append(deps, sched.W(tsTh))
-	}
-	b.g.AddTask(kernels.TSQRTKind, b.cfg.owner(i, k), kernels.Weight(kernels.TSQRTKind),
-		kernels.FlopsTSQRT(m, w), run, deps...).SetCoords(i, k, k)
+	b.use(sched.ReadWrite, pi, pj, regDiag, s.tri)
+	b.whole(sched.ReadWrite, i, j)
+	b.useT(sched.WriteOnly, th)
+	b.add(s.tsKind, i, j, k, kernels.FlopsTSQRT(m, w), run)
 
-	for j := k + 1; j < jmax; j++ {
-		n := sh.ColsOf(j)
-		b.need(kernels.TSMQRKind, m, n, w)
+	for c := k + 1; c < lim; c++ {
+		i1, j1 := s.swap(piv, c)
+		i2, j2, m, n := b.tile(s, r, c)
+		b.need(s, s.tsmKind, m, n, w)
 		var urun func(*nla.Workspace)
 		if b.data != nil {
-			v2 := b.tileAt(i, k)
-			c1 := b.tileAt(piv, j)
-			c2 := b.tileAt(i, j)
-			t := tsT
-			urun = func(ws *nla.Workspace) { kernels.TSMQR(true, w, v2, t, c1, c2, ws) }
+			v2, c1, c2 := b.data.Tile(i, j), b.data.Tile(i1, j1), b.data.Tile(i2, j2)
+			tsm := s.tsm
+			urun = func(ws *nla.Workspace) { tsm(true, w, v2, t, c1, c2, ws) }
 		}
-		udeps := []sched.Access{sched.R(b.hd(i, k)), sched.R(b.hu(i, k)), sched.R(b.hl(i, k))}
-		if tsTh != nil {
-			udeps = append(udeps, sched.R(tsTh))
-		}
-		udeps = append(udeps,
-			sched.RW(b.hd(piv, j)), sched.RW(b.hu(piv, j)), sched.RW(b.hl(piv, j)),
-			sched.RW(b.hd(i, j)), sched.RW(b.hu(i, j)), sched.RW(b.hl(i, j)),
-		)
-		b.g.AddTask(kernels.TSMQRKind, b.cfg.owner(i, j), kernels.Weight(kernels.TSMQRKind),
-			kernels.FlopsTSMQR(m, n, w), urun, udeps...).SetCoords(i, j, k)
+		b.whole(sched.Read, i, j)
+		b.useT(sched.Read, th)
+		b.whole(sched.ReadWrite, i1, j1)
+		b.whole(sched.ReadWrite, i2, j2)
+		b.add(s.tsmKind, i2, j2, k, kernels.FlopsTSMQR(m, n, w), urun)
 	}
 }
 
-func (b *builder) emitTT(k, piv, i, w, jmax int) {
-	sh := b.sh
-	b.need(kernels.TTQRTKind, w, w, 0)
-	var ttT *nla.Matrix
-	var ttTh *sched.Handle
+// emitTT eliminates the triangle of step tile (r, k) against the triangle
+// of (piv, k) and applies the transformation to step columns k+1..lim-1.
+// The kernels see views cut at build time: a view made inside a run
+// closure and passed to a kernel through s would escape, one allocation
+// per run.
+func (b *builder) emitTT(s *side, k, piv, r, w, lim int) {
+	pi, pj := s.swap(piv, k)
+	i, j := s.swap(r, k)
+	b.need(s, s.ttKind, w, w, 0)
+	var t, v2 *nla.Matrix
+	var th *sched.Handle
 	var run func(*nla.Workspace)
 	if b.data != nil {
-		a1 := b.tileAt(piv, k)
-		a2 := b.tileAt(i, k)
-		ttT = nla.NewMatrix(w, w)
-		ttTh = b.tfactor(ttT, b.cfg.owner(i, k))
+		a1, a2 := s.view(b.data.Tile(pi, pj), w, w), b.data.Tile(i, j)
+		v2 = s.clip(a2, w)
+		t = nla.NewMatrix(w, w)
+		th = b.tfactor(t, b.cfg.owner(i, j))
 		tau := make([]float64, w)
-		run = func(ws *nla.Workspace) {
-			kernels.TTQRT(a1.View(0, 0, w, w), a2.View(0, 0, min(a2.Rows, w), w), ttT, tau, ws)
-		}
-		if b.rec != nil {
-			b.rec.left = append(b.rec.left, opRec{kind: recTT, piv: piv, row: i, kk: w, v: a2, t: ttT})
-		}
+		tt := s.tt
+		run = func(ws *nla.Workspace) { tt(a1, v2, t, tau, ws) }
+		b.record(s, opRec{kind: recTT, piv: piv, row: r, kk: w, v: a2, t: t})
 	}
-	deps := []sched.Access{
-		sched.RW(b.hd(piv, k)), sched.RW(b.hu(piv, k)),
-		sched.RW(b.hd(i, k)), sched.RW(b.hu(i, k)),
-	}
-	if ttTh != nil {
-		deps = append(deps, sched.W(ttTh))
-	}
-	b.g.AddTask(kernels.TTQRTKind, b.cfg.owner(i, k), kernels.Weight(kernels.TTQRTKind),
-		kernels.FlopsTTQRT(w), run, deps...).SetCoords(i, k, k)
+	b.use(sched.ReadWrite, pi, pj, regDiag, s.tri)
+	b.use(sched.ReadWrite, i, j, regDiag, s.tri)
+	b.useT(sched.WriteOnly, th)
+	b.add(s.ttKind, i, j, k, kernels.FlopsTTQRT(w), run)
 
-	for j := k + 1; j < jmax; j++ {
-		n := sh.ColsOf(j)
-		b.need(kernels.TTMQRKind, 0, n, w)
+	for c := k + 1; c < lim; c++ {
+		i1, j1 := s.swap(piv, c)
+		i2, j2, _, n := b.tile(s, r, c)
+		b.need(s, s.ttmKind, 0, n, w)
 		var urun func(*nla.Workspace)
 		if b.data != nil {
-			v2 := b.tileAt(i, k)
-			c1 := b.tileAt(piv, j)
-			c2 := b.tileAt(i, j)
-			t := ttT
-			urun = func(ws *nla.Workspace) {
-				kernels.TTMQR(true, w, v2.View(0, 0, min(v2.Rows, w), w), t, c1, c2.View(0, 0, min(c2.Rows, w), c2.Cols), ws)
-			}
+			c1, c2 := b.data.Tile(i1, j1), s.clip(b.data.Tile(i2, j2), w)
+			ttm := s.ttm
+			urun = func(ws *nla.Workspace) { ttm(true, w, v2, t, c1, c2, ws) }
 		}
-		udeps := []sched.Access{sched.R(b.hd(i, k)), sched.R(b.hu(i, k))}
-		if ttTh != nil {
-			udeps = append(udeps, sched.R(ttTh))
-		}
-		udeps = append(udeps,
-			sched.RW(b.hd(piv, j)), sched.RW(b.hu(piv, j)), sched.RW(b.hl(piv, j)),
-			sched.RW(b.hd(i, j)), sched.RW(b.hu(i, j)), sched.RW(b.hl(i, j)),
-		)
-		b.g.AddTask(kernels.TTMQRKind, b.cfg.owner(i, j), kernels.Weight(kernels.TTMQRKind),
-			kernels.FlopsTTMQR(n, w), urun, udeps...).SetCoords(i, j, k)
-	}
-}
-
-// lqStep emits LQ step k: triangularize/eliminate row k over the columns
-// cols (ascending, cols[0] = k+1 is the surviving pivot) and apply every
-// transformation to rows k+1..imax-1.
-func (b *builder) lqStep(k int, cols []int, imax int) {
-	sh := b.sh
-	h := sh.RowsOf(k)
-	ops := b.cfg.lqOrder(k, cols, imax-k-1)
-	if err := trees.Validate(cols, ops); err != nil {
-		panic(fmt.Sprintf("core: invalid LQ tree at step %d: %v", k, err))
-	}
-
-	tri := make(map[int]*geqrtOut, len(cols))
-	ensureTri := func(j int) {
-		if _, ok := tri[j]; ok {
-			return
-		}
-		out := b.emitGELQT(k, j, h)
-		tri[j] = out
-		for i := k + 1; i < imax; i++ {
-			b.emitUNMLQ(k, i, j, out)
-		}
-	}
-
-	if len(cols) == 1 {
-		ensureTri(cols[0])
-		return
-	}
-	for _, op := range ops {
-		if op.TT {
-			ensureTri(op.Piv)
-			ensureTri(op.Row)
-			b.emitTTLQ(k, op.Piv, op.Row, h, imax)
-		} else {
-			ensureTri(op.Piv)
-			if _, dense := tri[op.Row]; dense {
-				panic(fmt.Sprintf("core: TS elimination of already-triangular column %d at step %d", op.Row, k))
-			}
-			b.emitTSLQ(k, op.Piv, op.Row, h, imax)
-		}
-	}
-}
-
-func (b *builder) emitGELQT(k, j, h int) *geqrtOut {
-	sh := b.sh
-	n := sh.ColsOf(j)
-	kk := min(h, n)
-	out := &geqrtOut{kk: kk}
-	b.need(kernels.GELQTKind, h, n, 0)
-	var run func(*nla.Workspace)
-	if b.data != nil {
-		a := b.tileAt(k, j)
-		t := nla.NewMatrix(kk, kk)
-		tau := make([]float64, kk)
-		out.t = t
-		out.th = b.tfactor(t, b.cfg.owner(k, j))
-		run = func(ws *nla.Workspace) { kernels.GELQT(a, t, tau, ws) }
-		if b.rec != nil {
-			b.rec.right = append(b.rec.right, opRec{kind: recGELQT, row: j, kk: kk, v: a, t: t})
-		}
-	}
-	deps := []sched.Access{sched.RW(b.hd(k, j)), sched.RW(b.hu(k, j)), sched.RW(b.hl(k, j))}
-	if out.th != nil {
-		deps = append(deps, sched.W(out.th))
-	}
-	b.g.AddTask(kernels.GELQTKind, b.cfg.owner(k, j), kernels.Weight(kernels.GELQTKind),
-		kernels.FlopsGELQT(h, n), run, deps...).SetCoords(k, j, k)
-	return out
-}
-
-func (b *builder) emitUNMLQ(k, i, j int, fac *geqrtOut) {
-	sh := b.sh
-	m, n := sh.RowsOf(i), sh.ColsOf(j)
-	b.need(kernels.UNMLQKind, m, n, fac.kk)
-	var run func(*nla.Workspace)
-	if b.data != nil {
-		v := b.tileAt(k, j)
-		c := b.tileAt(i, j)
-		t := fac.t
-		kk := fac.kk
-		run = func(ws *nla.Workspace) { kernels.UNMLQ(true, kk, v, t, c, ws) }
-	}
-	deps := []sched.Access{sched.R(b.hu(k, j))}
-	if fac.th != nil {
-		deps = append(deps, sched.R(fac.th))
-	}
-	deps = append(deps, sched.RW(b.hd(i, j)), sched.RW(b.hu(i, j)), sched.RW(b.hl(i, j)))
-	b.g.AddTask(kernels.UNMLQKind, b.cfg.owner(i, j), kernels.Weight(kernels.UNMLQKind),
-		kernels.FlopsUNMLQ(m, n, fac.kk), run, deps...).SetCoords(i, j, k)
-}
-
-func (b *builder) emitTSLQ(k, piv, j, h, imax int) {
-	sh := b.sh
-	n := sh.ColsOf(j)
-	b.need(kernels.TSLQTKind, h, n, 0)
-	var tsT *nla.Matrix
-	var tsTh *sched.Handle
-	var run func(*nla.Workspace)
-	if b.data != nil {
-		a1 := b.tileAt(k, piv)
-		a2 := b.tileAt(k, j)
-		tsT = nla.NewMatrix(h, h)
-		tsTh = b.tfactor(tsT, b.cfg.owner(k, j))
-		tau := make([]float64, h)
-		run = func(ws *nla.Workspace) { kernels.TSLQT(a1, a2, tsT, tau, ws) }
-		if b.rec != nil {
-			b.rec.right = append(b.rec.right, opRec{kind: recTSL, piv: piv, row: j, kk: h, v: a2, t: tsT})
-		}
-	}
-	deps := []sched.Access{
-		sched.RW(b.hd(k, piv)), sched.RW(b.hl(k, piv)),
-		sched.RW(b.hd(k, j)), sched.RW(b.hu(k, j)), sched.RW(b.hl(k, j)),
-	}
-	if tsTh != nil {
-		deps = append(deps, sched.W(tsTh))
-	}
-	b.g.AddTask(kernels.TSLQTKind, b.cfg.owner(k, j), kernels.Weight(kernels.TSLQTKind),
-		kernels.FlopsTSLQT(h, n), run, deps...).SetCoords(k, j, k)
-
-	for i := k + 1; i < imax; i++ {
-		m := sh.RowsOf(i)
-		b.need(kernels.TSMLQKind, m, n, h)
-		var urun func(*nla.Workspace)
-		if b.data != nil {
-			v2 := b.tileAt(k, j)
-			c1 := b.tileAt(i, piv)
-			c2 := b.tileAt(i, j)
-			t := tsT
-			urun = func(ws *nla.Workspace) { kernels.TSMLQ(true, h, v2, t, c1, c2, ws) }
-		}
-		udeps := []sched.Access{sched.R(b.hd(k, j)), sched.R(b.hu(k, j)), sched.R(b.hl(k, j))}
-		if tsTh != nil {
-			udeps = append(udeps, sched.R(tsTh))
-		}
-		udeps = append(udeps,
-			sched.RW(b.hd(i, piv)), sched.RW(b.hu(i, piv)), sched.RW(b.hl(i, piv)),
-			sched.RW(b.hd(i, j)), sched.RW(b.hu(i, j)), sched.RW(b.hl(i, j)),
-		)
-		b.g.AddTask(kernels.TSMLQKind, b.cfg.owner(i, j), kernels.Weight(kernels.TSMLQKind),
-			kernels.FlopsTSMLQ(m, n, h), urun, udeps...).SetCoords(i, j, k)
-	}
-}
-
-func (b *builder) emitTTLQ(k, piv, j, h, imax int) {
-	sh := b.sh
-	b.need(kernels.TTLQTKind, h, h, 0)
-	var ttT *nla.Matrix
-	var ttTh *sched.Handle
-	var run func(*nla.Workspace)
-	if b.data != nil {
-		a1 := b.tileAt(k, piv)
-		a2 := b.tileAt(k, j)
-		ttT = nla.NewMatrix(h, h)
-		ttTh = b.tfactor(ttT, b.cfg.owner(k, j))
-		tau := make([]float64, h)
-		run = func(ws *nla.Workspace) {
-			kernels.TTLQT(a1.View(0, 0, h, h), a2.View(0, 0, h, min(a2.Cols, h)), ttT, tau, ws)
-		}
-		if b.rec != nil {
-			b.rec.right = append(b.rec.right, opRec{kind: recTTL, piv: piv, row: j, kk: h, v: a2, t: ttT})
-		}
-	}
-	deps := []sched.Access{
-		sched.RW(b.hd(k, piv)), sched.RW(b.hl(k, piv)),
-		sched.RW(b.hd(k, j)), sched.RW(b.hl(k, j)),
-	}
-	if ttTh != nil {
-		deps = append(deps, sched.W(ttTh))
-	}
-	b.g.AddTask(kernels.TTLQTKind, b.cfg.owner(k, j), kernels.Weight(kernels.TTLQTKind),
-		kernels.FlopsTTLQT(h), run, deps...).SetCoords(k, j, k)
-
-	for i := k + 1; i < imax; i++ {
-		m := sh.RowsOf(i)
-		b.need(kernels.TTMLQKind, m, 0, h)
-		var urun func(*nla.Workspace)
-		if b.data != nil {
-			v2 := b.tileAt(k, j)
-			c1 := b.tileAt(i, piv)
-			c2 := b.tileAt(i, j)
-			t := ttT
-			urun = func(ws *nla.Workspace) {
-				kernels.TTMLQ(true, h, v2.View(0, 0, h, min(v2.Cols, h)), t, c1, c2.View(0, 0, c2.Rows, min(c2.Cols, h)), ws)
-			}
-		}
-		udeps := []sched.Access{sched.R(b.hd(k, j)), sched.R(b.hl(k, j))}
-		if ttTh != nil {
-			udeps = append(udeps, sched.R(ttTh))
-		}
-		udeps = append(udeps,
-			sched.RW(b.hd(i, piv)), sched.RW(b.hu(i, piv)), sched.RW(b.hl(i, piv)),
-			sched.RW(b.hd(i, j)), sched.RW(b.hu(i, j)), sched.RW(b.hl(i, j)),
-		)
-		b.g.AddTask(kernels.TTMLQKind, b.cfg.owner(i, j), kernels.Weight(kernels.TTMLQKind),
-			kernels.FlopsTTMLQ(m, h), urun, udeps...).SetCoords(i, j, k)
+		b.use(sched.Read, i, j, regDiag, s.tri)
+		b.useT(sched.Read, th)
+		b.whole(sched.ReadWrite, i1, j1)
+		b.whole(sched.ReadWrite, i2, j2)
+		b.add(s.ttmKind, i2, j2, k, kernels.FlopsTTMQR(n, w), urun)
 	}
 }
 
@@ -620,11 +497,18 @@ func BuildBidiag(g *sched.Graph, sh Shape, data *tile.Matrix, cfg Config) {
 	if sh.M < sh.N {
 		panic("core: BIDIAG requires m ≥ n; bidiagonalize the transpose instead")
 	}
-	b := newBuilder(g, sh, data, &cfg)
-	for k := 0; k < sh.Q; k++ {
-		b.qrStep(k, rangeInts(k, sh.P), sh.Q)
-		if k < sh.Q-1 {
-			b.lqStep(k, rangeInts(k+1, sh.Q), sh.P)
+	newBuilder(g, sh, data, &cfg).bidiag(0)
+}
+
+// bidiag emits QR(k); LQ(k) for k = 0..q-1, except the QR steps before
+// step first.
+func (b *builder) bidiag(first int) {
+	for k := 0; k < b.sh.Q; k++ {
+		if k >= first {
+			b.step(qrSide, k, rangeInts(k, b.sh.P), b.sh.Q)
+		}
+		if k < b.sh.Q-1 {
+			b.step(lqSide, k, rangeInts(k+1, b.sh.Q), b.sh.P)
 		}
 	}
 }
@@ -650,12 +534,16 @@ func qrPhaseConfig(sh Shape, cfg Config) Config {
 // BuildQR emits a plain tiled QR factorization (used by R-BIDIAG's
 // pre-processing phase and available for callers needing HQR alone).
 func BuildQR(g *sched.Graph, sh Shape, data *tile.Matrix, cfg Config) {
+	buildQR(g, sh, data, cfg)
+}
+
+func buildQR(g *sched.Graph, sh Shape, data *tile.Matrix, cfg Config) *builder {
 	cfg = qrPhaseConfig(sh, cfg)
 	b := newBuilder(g, sh, data, &cfg)
-	kmax := min(sh.P, sh.Q)
-	for k := 0; k < kmax; k++ {
-		b.qrStep(k, rangeInts(k, sh.P), sh.Q)
+	for k := 0; k < min(sh.P, sh.Q); k++ {
+		b.step(qrSide, k, rangeInts(k, sh.P), sh.Q)
 	}
+	return b
 }
 
 // BuildRBidiag emits the R-BIDIAG GE2BND task graph: QR(p,q), extraction
@@ -666,11 +554,7 @@ func BuildRBidiag(g *sched.Graph, sh Shape, data *tile.Matrix, cfg Config) (Shap
 	if sh.M < sh.N {
 		panic("core: R-BIDIAG requires m ≥ n")
 	}
-	qrCfg := qrPhaseConfig(sh, cfg)
-	b := newBuilder(g, sh, data, &qrCfg)
-	for k := 0; k < sh.Q; k++ {
-		b.qrStep(k, rangeInts(k, sh.P), sh.Q)
-	}
+	b := buildQR(g, sh, data, cfg)
 
 	rsh := ShapeOf(sh.N, sh.N, sh.NB)
 	var rdata *tile.Matrix
@@ -685,9 +569,10 @@ func BuildRBidiag(g *sched.Graph, sh Shape, data *tile.Matrix, cfg Config) (Shap
 	// let the bidiagonalization pipeline into the tail of the QR phase.
 	for j := 0; j < rsh.Q; j++ {
 		for i := 0; i < rsh.P; i++ {
-			ri, rj := i, j
+			var run func(*nla.Workspace)
+			kind := kernels.LASETKind
 			if i <= j {
-				var run func(*nla.Workspace)
+				kind = kernels.LACPYKind
 				if data != nil {
 					src := data.Tile(i, j)
 					dst := rdata.Tile(i, j)
@@ -706,39 +591,25 @@ func BuildRBidiag(g *sched.Graph, sh Shape, data *tile.Matrix, cfg Config) (Shap
 						}
 					}
 				}
-				deps := []sched.Access{sched.R(b.hd(i, j)), sched.R(b.hu(i, j))}
+				// A strictly-upper tile lies entirely inside the global
+				// upper triangle: its tile-lower region is R data too, and
+				// the copy reads it. (The diagonal tile's lower region
+				// holds reflectors, which the copy zeroes without looking
+				// at them.)
+				rb.acc = append(rb.acc, sched.R(b.at(i, j, regDiag)), sched.R(b.at(i, j, regUpper)))
 				if i < j {
-					// A strictly-upper tile lies entirely inside the global
-					// upper triangle: its tile-lower region is R data too,
-					// and the copy reads it. (The diagonal tile's lower
-					// region holds reflectors, which the copy zeroes
-					// without looking at them.)
-					deps = append(deps, sched.R(b.hl(i, j)))
+					rb.acc = append(rb.acc, sched.R(b.at(i, j, regLower)))
 				}
-				deps = append(deps, sched.W(rb.hd(i, j)), sched.W(rb.hu(i, j)), sched.W(rb.hl(i, j)))
-				g.AddTask(kernels.LACPYKind, cfg.owner(i, j), 0, 0, run, deps...).SetCoords(ri, rj, -1)
-			} else {
-				var run func(*nla.Workspace)
-				if data != nil {
-					dst := rdata.Tile(i, j)
-					run = func(*nla.Workspace) { dst.Zero() }
-				}
-				g.AddTask(kernels.LASETKind, cfg.owner(i, j), 0, 0, run,
-					sched.W(rb.hd(i, j)), sched.W(rb.hu(i, j)), sched.W(rb.hl(i, j)),
-				).SetCoords(ri, rj, -1)
+			} else if data != nil {
+				dst := rdata.Tile(i, j)
+				run = func(*nla.Workspace) { dst.Zero() }
 			}
+			rb.whole(sched.WriteOnly, i, j)
+			rb.add(kind, i, j, -1, 0, run)
 		}
 	}
 
 	// BIDIAG on the R factor, skipping QR(1).
-	if rsh.Q > 1 {
-		rb.lqStep(0, rangeInts(1, rsh.Q), rsh.P)
-		for k := 1; k < rsh.Q; k++ {
-			rb.qrStep(k, rangeInts(k, rsh.P), rsh.Q)
-			if k < rsh.Q-1 {
-				rb.lqStep(k, rangeInts(k+1, rsh.Q), rsh.P)
-			}
-		}
-	}
+	rb.bidiag(1)
 	return rsh, rdata
 }

@@ -264,3 +264,29 @@ func TestTaskCountsBidiagFlatTS(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkBuild times a real-data graph build (no execution) at the
+// benchmark's two shapes: square BIDIAG and tall-skinny R-BIDIAG, nb 64.
+func BenchmarkBuild(b *testing.B) {
+	cases := []struct {
+		name  string
+		m, n  int
+		build func(*sched.Graph, Shape, *tile.Matrix, Config)
+	}{
+		{"bidiag768", 768, 768, BuildBidiag},
+		{"rbidiag8192x256", 8192, 256, func(g *sched.Graph, sh Shape, d *tile.Matrix, cfg Config) {
+			BuildRBidiag(g, sh, d, cfg)
+		}},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			d := randomTiled(1, c.m, c.n, 64)
+			sh := ShapeOf(c.m, c.n, 64)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.build(sched.NewGraph(), sh, d, Config{Tree: trees.Auto, Cores: 2})
+			}
+		})
+	}
+}

@@ -25,22 +25,20 @@ import (
 // the copied R factor); stages compose by embedding the n×n result into
 // the top block of the m×n one.
 
-// recKind discriminates the recorded factorization kernels.
+// recKind discriminates the recorded factorization kernels; the side of
+// the list an opRec sits in says whether it is the QR or the LQ kernel.
 type recKind int8
 
 const (
-	recGEQRT recKind = iota
+	recFactor recKind = iota // GEQRT or GELQT
 	recTS
 	recTT
-	recGELQT
-	recTSL
-	recTTL
 )
 
 // opRec is one recorded elementary block reflector.
 type opRec struct {
 	kind     recKind
-	piv, row int         // tile rows (QR) or tile columns (LQ); piv unused for GEQRT/GELQT
+	piv, row int         // panel tiles in step coordinates; piv unused for recFactor
 	kk       int         // reflector count
 	v        *nla.Matrix // tile holding the vector tails (valid post-execution)
 	t        *nla.Matrix // block reflector factor
@@ -48,9 +46,8 @@ type opRec struct {
 
 // RecStage is the recorded transformation product of one matrix phase.
 type RecStage struct {
-	Sh    Shape
-	left  []opRec
-	right []opRec
+	Sh  Shape
+	ops [2][]opRec // left (QR) and right (LQ) reflectors, indexed by side.rec
 }
 
 // Recorder accumulates stages across builders. Attach one to Config to
@@ -80,7 +77,7 @@ func (r *Recorder) ApplyLeftAll(ub *nla.Matrix, workers int) (*nla.Matrix, error
 	for i := len(r.Stages) - 1; i >= 0; i-- {
 		st := r.Stages[i]
 		c := tile.FromDenseRows(cur, st.Sh.M, st.Sh.NB)
-		if err := st.applyLeft(c, workers, r.Blocking); err != nil {
+		if err := st.apply(qrSide, c, workers, r.Blocking); err != nil {
 			return nil, err
 		}
 		cur = c.ToDense()
@@ -122,7 +119,7 @@ func (r *Recorder) ApplyRightAllT(vb *nla.Matrix, workers int) (*nla.Matrix, err
 // Recorder share it, like the column count.
 func (r *Recorder) rightNB() int {
 	for _, st := range r.Stages {
-		if len(st.right) > 0 {
+		if len(st.ops[lqSide.rec]) > 0 {
 			return st.Sh.NB
 		}
 	}
@@ -135,8 +132,8 @@ func (r *Recorder) rightNB() int {
 // directly in reverse on the same tiles.
 func (r *Recorder) applyRightAll(c *tile.Matrix, workers int) error {
 	for i := len(r.Stages) - 1; i >= 0; i-- {
-		if st := r.Stages[i]; len(st.right) > 0 {
-			if err := st.applyRight(c, workers, r.Blocking); err != nil {
+		if st := r.Stages[i]; len(st.ops[lqSide.rec]) > 0 {
+			if err := st.apply(lqSide, c, workers, r.Blocking); err != nil {
 				return err
 			}
 		}
@@ -144,9 +141,11 @@ func (r *Recorder) applyRightAll(c *tile.Matrix, workers int) error {
 	return nil
 }
 
-// applyLeft applies the stage's left product (no-trans, reverse order) to
-// the tiled matrix c, whose row tiling must match the stage shape.
-func (st *RecStage) applyLeft(c *tile.Matrix, workers int, bl nla.Blocking) error {
+// apply applies the stage's product of side s (no-trans, reverse order)
+// to the tiled matrix c, whose tiling along the reflectors must match the
+// stage shape: the left product for qrSide, the right one for lqSide. As
+// in the builder, views are cut before the run closures are made.
+func (st *RecStage) apply(s *side, c *tile.Matrix, workers int, bl nla.Blocking) error {
 	g := sched.NewGraph()
 	g.Blocking = bl
 	handles := make([]*sched.Handle, c.P*c.Q)
@@ -154,78 +153,36 @@ func (st *RecStage) applyLeft(c *tile.Matrix, workers int, bl nla.Blocking) erro
 		handles[i] = g.NewHandle(1, 0)
 	}
 	h := func(i, j int) *sched.Handle { return handles[i+j*c.P] }
-	for idx := len(st.left) - 1; idx >= 0; idx-- {
-		rec := st.left[idx]
-		for jc := 0; jc < c.Q; jc++ {
-			rec, jc := rec, jc
+	_, width := s.swap(c.P, c.Q)
+	ops := st.ops[s.rec]
+	for idx := len(ops) - 1; idx >= 0; idx-- {
+		rec := ops[idx]
+		t, kk := rec.t, rec.kk
+		for x := 0; x < width; x++ {
+			i1, j1 := s.swap(rec.piv, x)
+			i2, j2 := s.swap(rec.row, x)
+			c2 := c.Tile(i2, j2)
+			along, across := s.swap(c2.Rows, c2.Cols)
 			switch rec.kind {
-			case recGEQRT:
-				ct := c.Tile(rec.row, jc)
-				g.NeedScratch(kernels.ScratchSizeFor(kernels.UNMQRKind, ct.Rows, ct.Cols, rec.kk, g.Blocking))
-				g.AddTask(kernels.UNMQRKind, 0, 6, 0, func(ws *nla.Workspace) {
-					kernels.UNMQR(false, rec.kk, rec.v.View(0, 0, ct.Rows, rec.kk), rec.t, ct, ws)
-				}, sched.RW(h(rec.row, jc)))
+			case recFactor:
+				v, unm := s.view(rec.v, along, kk), s.unm
+				g.NeedScratch(kernels.ScratchSizeFor(s.unmKind, c2.Rows, c2.Cols, kk, bl))
+				g.AddTask(s.unmKind, 0, kernels.Weight(s.unmKind), 0, func(ws *nla.Workspace) {
+					unm(false, kk, v, t, c2, ws)
+				}, sched.RW(h(i2, j2)))
 			case recTS:
-				c1 := c.Tile(rec.piv, jc)
-				c2 := c.Tile(rec.row, jc)
-				g.NeedScratch(kernels.ScratchSizeFor(kernels.TSMQRKind, c2.Rows, c2.Cols, rec.kk, g.Blocking))
-				g.AddTask(kernels.TSMQRKind, 0, 12, 0, func(ws *nla.Workspace) {
-					kernels.TSMQR(false, rec.kk, rec.v, rec.t, c1, c2, ws)
-				}, sched.RW(h(rec.piv, jc)), sched.RW(h(rec.row, jc)))
+				v, c1, tsm := rec.v, c.Tile(i1, j1), s.tsm
+				g.NeedScratch(kernels.ScratchSizeFor(s.tsmKind, c2.Rows, c2.Cols, kk, bl))
+				g.AddTask(s.tsmKind, 0, kernels.Weight(s.tsmKind), 0, func(ws *nla.Workspace) {
+					tsm(false, kk, v, t, c1, c2, ws)
+				}, sched.RW(h(i1, j1)), sched.RW(h(i2, j2)))
 			case recTT:
-				c1 := c.Tile(rec.piv, jc)
-				c2 := c.Tile(rec.row, jc)
-				w := rec.kk
-				g.NeedScratch(kernels.ScratchSizeFor(kernels.TTMQRKind, 0, c2.Cols, w, g.Blocking))
-				g.AddTask(kernels.TTMQRKind, 0, 6, 0, func(ws *nla.Workspace) {
-					kernels.TTMQR(false, w,
-						rec.v.View(0, 0, min(rec.v.Rows, w), w), rec.t,
-						c1, c2.View(0, 0, min(c2.Rows, w), c2.Cols), ws)
-				}, sched.RW(h(rec.piv, jc)), sched.RW(h(rec.row, jc)))
-			}
-		}
-	}
-	return runGraph(g, workers)
-}
-
-// applyRight applies the stage's right product (no-trans, reverse order)
-// to the tiled matrix c, whose column tiling must match the stage shape.
-func (st *RecStage) applyRight(c *tile.Matrix, workers int, bl nla.Blocking) error {
-	g := sched.NewGraph()
-	g.Blocking = bl
-	handles := make([]*sched.Handle, c.P*c.Q)
-	for i := range handles {
-		handles[i] = g.NewHandle(1, 0)
-	}
-	h := func(i, j int) *sched.Handle { return handles[i+j*c.P] }
-	for idx := len(st.right) - 1; idx >= 0; idx-- {
-		rec := st.right[idx]
-		for ic := 0; ic < c.P; ic++ {
-			rec, ic := rec, ic
-			switch rec.kind {
-			case recGELQT:
-				ct := c.Tile(ic, rec.row)
-				g.NeedScratch(kernels.ScratchSizeFor(kernels.UNMLQKind, ct.Rows, ct.Cols, rec.kk, g.Blocking))
-				g.AddTask(kernels.UNMLQKind, 0, 6, 0, func(ws *nla.Workspace) {
-					kernels.UNMLQ(false, rec.kk, rec.v.View(0, 0, rec.kk, ct.Cols), rec.t, ct, ws)
-				}, sched.RW(h(ic, rec.row)))
-			case recTSL:
-				c1 := c.Tile(ic, rec.piv)
-				c2 := c.Tile(ic, rec.row)
-				g.NeedScratch(kernels.ScratchSizeFor(kernels.TSMLQKind, c2.Rows, c2.Cols, rec.kk, g.Blocking))
-				g.AddTask(kernels.TSMLQKind, 0, 12, 0, func(ws *nla.Workspace) {
-					kernels.TSMLQ(false, rec.kk, rec.v, rec.t, c1, c2, ws)
-				}, sched.RW(h(ic, rec.piv)), sched.RW(h(ic, rec.row)))
-			case recTTL:
-				c1 := c.Tile(ic, rec.piv)
-				c2 := c.Tile(ic, rec.row)
-				hh := rec.kk
-				g.NeedScratch(kernels.ScratchSizeFor(kernels.TTMLQKind, c1.Rows, 0, hh, g.Blocking))
-				g.AddTask(kernels.TTMLQKind, 0, 6, 0, func(ws *nla.Workspace) {
-					kernels.TTMLQ(false, hh,
-						rec.v.View(0, 0, hh, min(rec.v.Cols, hh)), rec.t,
-						c1, c2.View(0, 0, c2.Rows, min(c2.Cols, hh)), ws)
-				}, sched.RW(h(ic, rec.piv)), sched.RW(h(ic, rec.row)))
+				v, c1, c2, ttm := s.clip(rec.v, kk), c.Tile(i1, j1), s.clip(c2, kk), s.ttm
+				m, n := s.swap(0, across)
+				g.NeedScratch(kernels.ScratchSizeFor(s.ttmKind, m, n, kk, bl))
+				g.AddTask(s.ttmKind, 0, kernels.Weight(s.ttmKind), 0, func(ws *nla.Workspace) {
+					ttm(false, kk, v, t, c1, c2, ws)
+				}, sched.RW(h(i1, j1)), sched.RW(h(i2, j2)))
 			}
 		}
 	}

@@ -73,10 +73,10 @@ func TestRecorderStageStructure(t *testing.T) {
 	if rec.Stages[0].Sh.M != 24 || rec.Stages[1].Sh.M != 8 {
 		t.Fatalf("stage shapes wrong: %+v, %+v", rec.Stages[0].Sh, rec.Stages[1].Sh)
 	}
-	if len(rec.Stages[0].right) != 0 {
+	if len(rec.Stages[0].ops[lqSide.rec]) != 0 {
 		t.Fatalf("the QR phase must not record right transforms")
 	}
-	if len(rec.Stages[1].right) == 0 {
+	if len(rec.Stages[1].ops[lqSide.rec]) == 0 {
 		t.Fatalf("the bidiagonalization phase must record right transforms")
 	}
 }

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -487,6 +488,30 @@ func frameWireSize(msg Message) int64 {
 // protocol) use it to record comparable send events.
 func FrameWireSize(msg Message) int64 { return frameWireSize(msg) }
 
+// frameChunk bounds what a length prefix alone makes readFrame allocate.
+const frameChunk = 32 << 10
+
+// readBody reads an n-byte frame body in chunks, the first frameChunk
+// bytes and each next one as large as all before it, joined once
+// complete: a peer that announces more than it sends costs at most twice
+// what it sent plus one chunk, not the tcpMaxFrame its prefix may claim.
+func readBody(r io.Reader, n int) ([]byte, error) {
+	body := make([]byte, min(n, frameChunk))
+	if _, err := io.ReadFull(r, body); err != nil || len(body) == n {
+		return body, err
+	}
+	chunks := [][]byte{body}
+	for got := len(body); got < n; {
+		c := make([]byte, min(n-got, got))
+		if _, err := io.ReadFull(r, c); err != nil {
+			return nil, err
+		}
+		chunks = append(chunks, c)
+		got += len(c)
+	}
+	return bytes.Join(chunks, nil), nil
+}
+
 // readFrame decodes one frame from r.
 func readFrame(r io.Reader) (Message, error) {
 	var lenb [4]byte
@@ -497,8 +522,8 @@ func readFrame(r io.Reader) (Message, error) {
 	if n < tcpFrameFixed || n > tcpMaxFrame {
 		return Message{}, fmt.Errorf("dist: invalid frame length %d", n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
+	body, err := readBody(r, int(n))
+	if err != nil {
 		return Message{}, err
 	}
 	var msg Message

@@ -258,6 +258,11 @@ func storeAcc(c *Matrix, i0, j0, iw, jw int, alpha float64, acc *[microM * micro
 	}
 }
 
+// AsmKernels reports whether the AVX2+FMA assembly kernels are in use.
+// Their results differ in the last bits from the pure-Go fallbacks, so a
+// test that pins exact result bits has to know which path ran.
+func AsmKernels() bool { return useAVX2 }
+
 // microKernel computes acc = Ap·Bp for one packed 8×kc by kc×4 panel pair,
 // overwriting acc (column-major, LD 8).
 func microKernel(kc int, ap, bp []float64, acc *[microM * microN]float64) {

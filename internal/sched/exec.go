@@ -126,9 +126,15 @@ type SimResult struct {
 // makespan in the units of timeOf. With workers → ∞ the makespan equals
 // CriticalPath.
 func (g *Graph) SimulateFixed(workers int, timeOf func(*Task) float64) SimResult {
-	if workers < 1 {
-		workers = 1
-	}
+	return g.simulate(workers, timeOf, nil)
+}
+
+// simulate is the list scheduler behind SimulateFixed and
+// SimulateFixedTrace. Completions pop in (time, ID) order; a finished
+// task's core goes back on a stack of free cores, core 0 first. start,
+// when non-nil, sees every task as it starts.
+func (g *Graph) simulate(workers int, timeOf func(*Task) float64, start func(t *Task, worker int, at, d float64)) SimResult {
+	workers = max(workers, 1)
 	g.resetExecState()
 	g.ComputeBottomLevels(timeOf)
 
@@ -141,24 +147,31 @@ func (g *Graph) SimulateFixed(workers int, timeOf func(*Task) float64) SimResult
 	heap.Init(&ready)
 
 	var running eventHeap
-	free := workers
+	free := make([]int, workers)
+	for i := range free {
+		free[i] = workers - 1 - i
+	}
 	now := 0.0
 	busy := 0.0
 	done := 0
 	for done < len(g.Tasks) {
-		for free > 0 && len(ready) > 0 {
+		for len(free) > 0 && len(ready) > 0 {
 			t := heap.Pop(&ready).(*Task)
+			w := free[len(free)-1]
+			free = free[:len(free)-1]
 			d := timeOf(t)
 			busy += d
-			heap.Push(&running, event{at: now + d, task: t})
-			free--
+			if start != nil {
+				start(t, w, now, d)
+			}
+			heap.Push(&running, event{at: now + d, task: t, worker: w})
 		}
 		if len(running) == 0 {
 			break // defensive: no runnable work (should not happen on a DAG)
 		}
 		ev := heap.Pop(&running).(event)
 		now = ev.at
-		free++
+		free = append(free, ev.worker)
 		done++
 		for _, s := range ev.task.succs {
 			s.npred--
@@ -199,8 +212,9 @@ func (h *ReadyHeap) Pop() any {
 }
 
 type event struct {
-	at   float64
-	task *Task
+	at     float64
+	task   *Task
+	worker int
 }
 
 // eventHeap is a min-heap on completion time, ties broken by task ID.

@@ -588,8 +588,8 @@ func buildSVDJob(a *Dense, o *Options) jobBuild {
 		rec := &core.Recorder{}
 		plan := pipeline.Build(buildSpec(src, opts, treeKind, nil, rec))
 		workers := core.SVDWorkers(src.Rows, src.Cols, opts.Workers)
-		finish := func(context.Context) (any, error) {
-			res, err := finishSVD(plan, rec, workers, transposed)
+		finish := func(ctx context.Context) (any, error) {
+			res, err := finishSVD(ctx, plan, rec, workers, transposed)
 			if err != nil {
 				return nil, err
 			}

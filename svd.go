@@ -72,12 +72,7 @@ func SVDCtx(ctx context.Context, a *Dense, o *Options) (*SVDResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		// A cancellation that lands after the graph drained still spares
-		// stages 2 and 3 and the reflector application.
-		return nil, err
-	}
-	res, err := finishSVD(plan, rec, workers, transposed)
+	res, err := finishSVD(ctx, plan, rec, workers, transposed)
 	if err != nil {
 		return nil, err
 	}
@@ -87,11 +82,22 @@ func SVDCtx(ctx context.Context, a *Dense, o *Options) (*SVDResult, error) {
 
 // finishSVD turns an executed recording GE2BND plan into the
 // decomposition: stages 2 and 3 on the band factor, then the recorded
-// reflectors, their panel and tile graphs on workers workers.
-func finishSVD(plan *pipeline.Plan, rec *core.Recorder, workers int, transposed bool) (*SVDResult, error) {
+// reflectors, their panel and tile graphs on workers workers. It checks
+// ctx before each of its five stages, so a cancellation that lands after
+// the GE2BND graph drained spares what is left.
+func finishSVD(ctx context.Context, plan *pipeline.Plan, rec *core.Recorder, workers int, transposed bool) (*SVDResult, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	bd, log := band.ReduceLogged(plan.Tiles.ExtractBand(plan.Tiles.NB))
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	ub, vb, err := core.FormQP(log, workers)
 	if err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	d, e := bd.Bidiagonal()
@@ -99,11 +105,17 @@ func finishSVD(plan *pipeline.Plan, rec *core.Recorder, workers int, transposed 
 	if err != nil {
 		return nil, err
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 
 	// Map the band vectors back through the recorded reflectors:
 	// U = E₁ᵀ···E_Kᵀ·[U_b; 0] and V = F₁···F_L·V_b.
 	u, err := rec.ApplyLeftAll(ub, workers)
 	if err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	v, err := rec.ApplyRightAllT(vb, workers)

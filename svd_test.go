@@ -1,10 +1,14 @@
 package bidiag
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 
+	"github.com/tiled-la/bidiag/internal/core"
 	"github.com/tiled-la/bidiag/internal/nla"
+	"github.com/tiled-la/bidiag/internal/pipeline"
 )
 
 // svdResidual returns ‖A − U·diag(S)·Vᵀ‖_max / ‖A‖_F.
@@ -163,6 +167,50 @@ func TestSVDAcrossWorkersDeterministic(t *testing.T) {
 					t.Fatalf("%v: V depends on worker count (%d workers)", shape, workers)
 				}
 			}
+		}
+	}
+}
+
+// cancelAfter is a context whose Err reports nil for its first n calls
+// and context.Canceled from then on.
+type cancelAfter struct {
+	context.Context
+	n int
+}
+
+func (c *cancelAfter) Err() error {
+	if c.n == 0 {
+		return context.Canceled
+	}
+	c.n--
+	return nil
+}
+
+// TestFinishSVDHonoursContext cancels finishSVD before each of its five
+// stages in turn (logged chase, FormQP, bidiagonal vectors, left apply,
+// right apply): every one returns context.Canceled and no result, and a
+// context that stays live through all five checks gets the decomposition.
+func TestFinishSVDHonoursContext(t *testing.T) {
+	a := randomDense(12, 48, 32)
+	for n := 0; n <= 5; n++ {
+		opts, src, treeKind, transposed, err := prepare(a, &Options{NB: 8, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := &core.Recorder{}
+		plan, ex, err := buildPlan(src, opts, treeKind, rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pipeline.RunCtx(context.Background(), plan, ex); err != nil {
+			t.Fatal(err)
+		}
+		res, err := finishSVD(&cancelAfter{context.Background(), n}, plan, rec, 1, transposed)
+		if n < 5 && (res != nil || !errors.Is(err, context.Canceled)) {
+			t.Fatalf("cancelled before stage %d: result %v, error %v", n+1, res != nil, err)
+		}
+		if n == 5 && (err != nil || res == nil || res.U == nil || res.V == nil) {
+			t.Fatalf("live context: error %v", err)
 		}
 	}
 }

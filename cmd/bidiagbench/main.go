@@ -650,7 +650,9 @@ func (s svdStages) total() float64 {
 }
 
 // svdStagesOnce runs the stages of bidiag.SVD one by one on the square
-// matrix a, as svd.go composes them, and times each.
+// matrix a, as svd.go composes them, and times each: like SVD, a pass
+// starts one worker pool and runs every graph on it (all of them on the
+// calling goroutine for one worker).
 func svdStagesOnce(a *nla.Matrix, nb, workers int) (svdStages, error) {
 	var st svdStages
 	lap := func(dst *float64, start time.Time) time.Time {
@@ -659,14 +661,22 @@ func svdStagesOnce(a *nla.Matrix, nb, workers int) (svdStages, error) {
 		return now
 	}
 	t := time.Now()
+	run := (*sched.Graph).RunSequential
+	if workers > 1 {
+		rt := sched.NewRuntime(workers)
+		defer rt.Close()
+		run = func(g *sched.Graph) error {
+			_, err := pipeline.Shared{Runtime: rt}.Execute(context.Background(), g)
+			return err
+		}
+	}
 	rec := &core.Recorder{}
 	plan := pipeline.Build(pipeline.Spec{
 		Shape:  core.ShapeOf(a.Rows, a.Cols, nb),
 		Data:   tile.FromDense(a, nb),
 		Config: core.Config{Tree: trees.Auto, Gamma: 2, Cores: workers, Recorder: rec},
 	})
-	workers = core.SVDWorkers(a.Rows, a.Cols, workers) // trees above, execution below
-	if _, err := pipeline.Run(plan, pipeline.Pool{Workers: workers}); err != nil {
+	if err := run(plan.Graph); err != nil {
 		return st, err
 	}
 	t = lap(&st.GE2BNDRec, t)
@@ -674,7 +684,7 @@ func svdStagesOnce(a *nla.Matrix, nb, workers int) (svdStages, error) {
 	t = lap(&st.Extract, t)
 	bd, log := band.ReduceLogged(b)
 	t = lap(&st.BND2BDLogged, t)
-	q, p, err := core.FormQP(log, workers)
+	q, p, err := core.FormQP(log, run)
 	if err != nil {
 		return st, err
 	}
@@ -686,15 +696,12 @@ func svdStagesOnce(a *nla.Matrix, nb, workers int) (svdStages, error) {
 		return st, err
 	}
 	t = lap(&st.BdsqrValues, t)
-	if _, err := core.BidiagonalVectors(d, e, q, p, workers); err != nil {
+	if _, err := core.BidiagonalVectors(d, e, q, p, run); err != nil {
 		return st, err
 	}
 	t = lap(&st.BdsqrVectors, t)
 	st.BdsqrVectors = max(st.BdsqrVectors-st.BdsqrValues, 0)
-	if _, err := rec.ApplyLeftAll(q, workers); err != nil {
-		return st, err
-	}
-	if _, err := rec.ApplyRightAllT(p, workers); err != nil {
+	if _, _, err := rec.ApplyBoth(q, p, run, workers <= 1); err != nil {
 		return st, err
 	}
 	lap(&st.BackApply, t)

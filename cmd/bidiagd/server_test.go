@@ -108,6 +108,46 @@ func TestSVDEndpoint(t *testing.T) {
 	}
 }
 
+// TestSVDEndpointMatchesOneWorker: a /v1/svd job on the 2-worker
+// service, whose back half runs on the service's shared workers, is bit
+// for bit the library's Workers: 1 decomposition.
+func TestSVDEndpointMatchesOneWorker(t *testing.T) {
+	ts, _ := testServer(t)
+	cl := client.New(ts.URL)
+	const m, n = 200, 120
+	a := bidiag.NewDense(m, n)
+	for j := 0; j < n; j++ {
+		for i := 0; i < m; i++ {
+			a.Set(i, j, math.Sin(float64(3*i+7*j)))
+		}
+	}
+	out, err := cl.SVD(context.Background(), a, &httpapi.Options{NB: 16, Tree: "greedy", Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := bidiag.SVD(a, &bidiag.Options{NB: 16, Tree: bidiag.Greedy, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := range want.S {
+		if math.Float64bits(out.S[k]) != math.Float64bits(want.S[k]) {
+			t.Fatalf("s[%d] = %v, the one-worker call gives %v", k, out.S[k], want.S[k])
+		}
+	}
+	for j := 0; j < n; j++ {
+		for i := 0; i < m; i++ {
+			if math.Float64bits(out.U.Data[i+j*m]) != math.Float64bits(want.U.At(i, j)) {
+				t.Fatalf("U(%d,%d) differs bitwise from the one-worker call", i, j)
+			}
+		}
+		for i := 0; i < n; i++ {
+			if math.Float64bits(out.V.Data[i+j*n]) != math.Float64bits(want.V.At(i, j)) {
+				t.Fatalf("V(%d,%d) differs bitwise from the one-worker call", i, j)
+			}
+		}
+	}
+}
+
 func TestBadRequests(t *testing.T) {
 	ts, _ := testServer(t)
 	cl := client.New(ts.URL)

@@ -207,7 +207,7 @@ func goldenBuild(hg, hn hash.Hash, sh core.Shape, cfg core.Config, builder, mode
 	for _, apply := range []func() (*nla.Matrix, error){
 		func() (*nla.Matrix, error) { return rec.ApplyLeftAll(ub, 1) },
 		func() (*nla.Matrix, error) { return rec.ApplyRightAll(vbt, 1) },
-		func() (*nla.Matrix, error) { return rec.ApplyRightAllT(vb, 1) },
+		func() (*nla.Matrix, error) { return rec.ApplyRightT(vb, (*sched.Graph).RunSequential) },
 	} {
 		out, err := apply()
 		if err != nil {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+
 	"github.com/tiled-la/bidiag/internal/kernels"
 	"github.com/tiled-la/bidiag/internal/nla"
 	"github.com/tiled-la/bidiag/internal/sched"
@@ -66,18 +68,33 @@ func (r *Recorder) newStage(sh Shape) *RecStage {
 	return st
 }
 
-// ApplyLeftAll computes E_1ᵀ···E_Kᵀ·[ub; 0] across all stages: ub must be
+// Run executes one graph to completion. The back-half entry points
+// (FormQP, BidiagonalVectors, ApplyLeft, ApplyRightT) take one instead of
+// a worker count, so the caller decides where their graphs run: on the
+// calling goroutine, on one runtime shared by every graph of a call, or on
+// a service's runtime under a job's ctx and tracer.
+type Run func(*sched.Graph) error
+
+// poolRun is the Run of the worker-count entry points: each graph on a
+// private pool of workers workers, or on the caller for workers ≤ 1.
+func poolRun(workers int) Run {
+	if workers <= 1 {
+		return (*sched.Graph).RunSequential
+	}
+	return func(g *sched.Graph) error { return g.RunParallel(workers) }
+}
+
+// ApplyLeft computes E_1ᵀ···E_Kᵀ·[ub; 0] across all stages: ub must be
 // n×n where n is the column count of the first-stage matrix; the result
-// has the row count of the first stage (the original m). workers selects
-// the executor parallelism.
-func (r *Recorder) ApplyLeftAll(ub *nla.Matrix, workers int) (*nla.Matrix, error) {
+// has the row count of the first stage (the original m).
+func (r *Recorder) ApplyLeft(ub *nla.Matrix, run Run) (*nla.Matrix, error) {
 	// Later stages act on smaller (R-factor) spaces: apply them first,
 	// then embed into the top block of the preceding stage's row space.
 	cur := ub
 	for i := len(r.Stages) - 1; i >= 0; i-- {
 		st := r.Stages[i]
 		c := tile.FromDenseRows(cur, st.Sh.M, st.Sh.NB)
-		if err := st.apply(qrSide, c, workers, r.Blocking); err != nil {
+		if err := run(st.apply(qrSide, c, r.Blocking)); err != nil {
 			return nil, err
 		}
 		cur = c.ToDense()
@@ -85,33 +102,65 @@ func (r *Recorder) ApplyLeftAll(ub *nla.Matrix, workers int) (*nla.Matrix, error
 	return cur, nil
 }
 
-// ApplyRightAll computes vbt·F_Lᵀ···F_1ᵀ across all stages; vbt is
-// k×n with n the column count of the last stage's matrix.
-func (r *Recorder) ApplyRightAll(vbt *nla.Matrix, workers int) (*nla.Matrix, error) {
-	nb := r.rightNB()
-	if nb == 0 {
-		return vbt, nil
-	}
-	c := tile.FromDense(vbt, nb)
-	if err := r.applyRightAll(c, workers); err != nil {
-		return nil, err
-	}
-	return c.ToDense(), nil
+// ApplyLeftAll is ApplyLeft with each graph on a pool of workers workers.
+func (r *Recorder) ApplyLeftAll(ub *nla.Matrix, workers int) (*nla.Matrix, error) {
+	return r.ApplyLeft(ub, poolRun(workers))
 }
 
-// ApplyRightAllT is ApplyRightAll on the transposed operand: vb is n×k
-// and the result is F_1···F_L·vb, so vectors stored as columns go in and
-// come out without a transposed copy on either side.
-func (r *Recorder) ApplyRightAllT(vb *nla.Matrix, workers int) (*nla.Matrix, error) {
+// ApplyRightAll computes vbt·F_Lᵀ···F_1ᵀ across all stages, each graph
+// on a pool of workers workers; vbt is k×n with n the column count of
+// the last stage's matrix.
+func (r *Recorder) ApplyRightAll(vbt *nla.Matrix, workers int) (*nla.Matrix, error) {
+	return r.applyRight(vbt, false, poolRun(workers))
+}
+
+// ApplyRightT is ApplyRightAll on the transposed operand: vb is n×k and
+// the result is F_1···F_L·vb, so vectors stored as columns go in and come
+// out without a transposed copy on either side.
+func (r *Recorder) ApplyRightT(vb *nla.Matrix, run Run) (*nla.Matrix, error) {
+	return r.applyRight(vb, true, run)
+}
+
+// ApplyBoth returns ApplyLeft(ub, run) and ApplyRightT(vb, run). The two
+// products share no data, so unless inOrder the left one runs on a second
+// goroutine and the graphs of both are in flight on run's workers
+// together; inOrder keeps both on the calling goroutine, left first.
+func (r *Recorder) ApplyBoth(ub, vb *nla.Matrix, run Run, inOrder bool) (u, v *nla.Matrix, err error) {
+	var errU error
+	done := make(chan struct{})
+	left := func() {
+		defer close(done)
+		u, errU = r.ApplyLeft(ub, run)
+	}
+	if inOrder {
+		left()
+	} else {
+		go left()
+	}
+	v, err = r.ApplyRightT(vb, run)
+	<-done
+	if err = cmp.Or(errU, err); err != nil {
+		return nil, nil, err
+	}
+	return u, v, nil
+}
+
+// applyRight applies every stage's right product to x, read as k×n, or
+// as its transpose n×k when transposed.
+func (r *Recorder) applyRight(x *nla.Matrix, transposed bool, run Run) (*nla.Matrix, error) {
 	nb := r.rightNB()
 	if nb == 0 {
-		return vb, nil
+		return x, nil
 	}
-	c := tile.FromDenseT(vb, nb)
-	if err := r.applyRightAll(c, workers); err != nil {
+	from, to := tile.FromDense, (*tile.Matrix).ToDense
+	if transposed {
+		from, to = tile.FromDenseT, (*tile.Matrix).ToDenseT
+	}
+	c := from(x, nb)
+	if err := r.applyRightAll(c, run); err != nil {
 		return nil, err
 	}
-	return c.ToDenseT(), nil
+	return to(c), nil
 }
 
 // rightNB returns the tile size of the stages that have a right product,
@@ -130,10 +179,10 @@ func (r *Recorder) rightNB() int {
 // operand. Right transforms act on the column space, which every stage
 // shares (the R copy keeps the full column count), so stages chain
 // directly in reverse on the same tiles.
-func (r *Recorder) applyRightAll(c *tile.Matrix, workers int) error {
+func (r *Recorder) applyRightAll(c *tile.Matrix, run Run) error {
 	for i := len(r.Stages) - 1; i >= 0; i-- {
 		if st := r.Stages[i]; len(st.ops[lqSide.rec]) > 0 {
-			if err := st.apply(lqSide, c, workers, r.Blocking); err != nil {
+			if err := run(st.apply(lqSide, c, r.Blocking)); err != nil {
 				return err
 			}
 		}
@@ -141,11 +190,12 @@ func (r *Recorder) applyRightAll(c *tile.Matrix, workers int) error {
 	return nil
 }
 
-// apply applies the stage's product of side s (no-trans, reverse order)
-// to the tiled matrix c, whose tiling along the reflectors must match the
-// stage shape: the left product for qrSide, the right one for lqSide. As
-// in the builder, views are cut before the run closures are made.
-func (st *RecStage) apply(s *side, c *tile.Matrix, workers int, bl nla.Blocking) error {
+// apply returns the graph that applies the stage's product of side s
+// (no-trans, reverse order) to the tiled matrix c, whose tiling along the
+// reflectors must match the stage shape: the left product for qrSide, the
+// right one for lqSide. As in the builder, views are cut before the run
+// closures are made.
+func (st *RecStage) apply(s *side, c *tile.Matrix, bl nla.Blocking) *sched.Graph {
 	g := sched.NewGraph()
 	g.Blocking = bl
 	handles := make([]*sched.Handle, c.P*c.Q)
@@ -186,12 +236,5 @@ func (st *RecStage) apply(s *side, c *tile.Matrix, workers int, bl nla.Blocking)
 			}
 		}
 	}
-	return runGraph(g, workers)
-}
-
-func runGraph(g *sched.Graph, workers int) error {
-	if workers > 1 {
-		return g.RunParallel(workers)
-	}
-	return g.RunSequential()
+	return g
 }

@@ -20,15 +20,27 @@ import (
 // (P₂ likewise). Right-multiplication combines columns, so every row of
 // the accumulated matrix is independent of every other: the matrices are
 // cut into row panels and each (matrix, panel) pair is one task of a
-// sched.Graph, run like the back-transform graphs of record.go. A task
-// streams the whole reflector log, or a whole batch of rotations, over
-// its panel. The panel cut depends on the order alone, never on the
-// worker count, so the vectors are bitwise the same on any number of
-// workers.
+// sched.Graph, handed to the caller's Run like the back-transform graphs
+// of record.go. A task streams the whole reflector log, or a whole batch
+// of rotations, over its panel. The panel cut depends on the shape alone,
+// never on the worker count, and each row sees the same arithmetic in any
+// panel, so the vectors are bitwise the same on any number of workers.
 
-// panelBytes sizes the row panels: a panel of this many bytes stays in
+// panelBytes caps the row panels: a panel of this many bytes stays in
 // a core's L2 cache while the log and the rotations stream over it.
 const panelBytes = 512 << 10
+
+// minPanels is how many row panels a matrix is cut into at least, down to
+// panels of minPanelRows rows. A graph of two matrices then holds eight
+// tasks or more rather than one per worker, so a worker whose CPU is taken
+// away mid-task (host steal, another process) holds up one small panel
+// while the other workers drain the rest. Below 64 rows FormQP's per-
+// reflector calls stop paying for themselves (32-row panels cost a third
+// more at 256²).
+const (
+	minPanels    = 4
+	minPanelRows = 64
+)
 
 // stripRows is the height at which a panel task applies a batch of
 // rotations: the whole batch goes over one strip of rows before the next
@@ -37,56 +49,61 @@ const panelBytes = 512 << 10
 // nla.RotSeq keeps in registers.
 const stripRows = 16
 
-// svdSerialWork is the size of a decomposition, as m·n² of its m×n
-// input (m ≥ n), up to which SVDWorkers keeps it on one worker.
-//
-// Every graph of a 256² call is 2–8 ms of work and each one wakes the
-// second thread. On the 2-vCPU box the kernel runs both threads on ONE
-// CPU for about the first second of parallel work in a process, and again
-// whenever something has displaced one of them (per call: 30 ms of
-// run-queue wait in /proc/self/task/*/schedstat, the other CPU idle);
-// there they trade the CPU at every task boundary. A 256² call measured
-// 43 ms in that state, 28 ms once the threads were spread, and 35–40 ms
-// on one worker (35 with trees built for one core, 40 with the trees
-// built for two that SVD keeps so that S stays bitwise SingularValues');
-// 128² 6.7 / 5.0 / 6.3 ms. Up to 256² the second worker buys 20–30% at
-// best, costs 10–25% at worst, and which of the two a call gets changes
-// from one second to the next — the benchmark's ops/s on 256² spread by
-// how long the first state happened to last. At 384² (82 against 94 ms)
-// and 512² (147 against 205) the pool pays. The cut-over sits between
-// 256³ = 2²⁴ and 384³ ≈ 2²⁵·⁸.
-const svdSerialWork = 1 << 25
+// panelRows returns the panel height for an m×n matrix.
+func panelRows(m, n int) int {
+	// Multiples of 8 rows keep panel columns on cache-line boundaries.
+	fit := max(panelBytes/(8*max(n, 1))&^7, 8)
+	return min(fit, max(((m+minPanels-1)/minPanels+7)&^7, minPanelRows))
+}
 
-// SVDWorkers returns the number of workers the stages of the vector path
-// run on for an m×n input when the caller allows workers: one for a
-// decomposition of at most svdSerialWork, whose graphs then run on the
-// calling goroutine, and workers otherwise. The choice concerns execution
-// only — trees, panel cuts and results do not depend on it.
-func SVDWorkers(m, n, workers int) int {
+// BackHalfTasks bounds the number of tasks in the graphs the back half of
+// a vector decomposition of an m×n input at tile size nb runs after its
+// GE2BND graph: FormQP, the rotation batches and the two back-transforms.
+// A traced service job sizes its rings with it.
+func BackHalfTasks(m, n, nb int) int {
 	if m < n {
 		m, n = n, m
 	}
-	if float64(m)*float64(n)*float64(n) <= svdSerialWork {
-		return 1
-	}
-	return workers
+	// FormQP and every batch are one task per row panel of each factor.
+	// A batch holds 32 full-length sweeps of rotations and the iteration
+	// takes about two sweeps per value over a shrinking window, so about
+	// n/32 batches on random input: the allowance is twice that plus two.
+	h := panelRows(n, n)
+	panels := 2 * ((n + h - 1) / h)
+	batches := n/16 + 2
+	// A tree records at most 2t−1 reflectors on a panel of t tiles (t
+	// factorizations, t−1 merges): 2pq − q² for the QR of a p×q tile
+	// grid, (q−1)² for the LQ steps of a q×q one, so R-BIDIAG's
+	// 2pq + (q−1)² bounds BIDIAG's count too. Each reflector is applied
+	// across the q tile columns of the n vectors.
+	p, q := (m+nb-1)/nb, (n+nb-1)/nb
+	return panels*(1+batches) + q*(2*p*q+(q-1)*(q-1))
 }
 
-// panelRows returns the panel height for matrices with n columns.
-func panelRows(n int) int {
-	// Multiples of 8 rows keep panel columns on cache-line boundaries.
-	return max(panelBytes/(8*max(n, 1))&^7, 8)
-}
-
-// forPanels adds one task per row panel of each of xs to g.
+// forPanels adds one task per row panel of each of xs to g, panel by
+// panel, alternating between the matrices: workers that take tasks in
+// that order work on different matrices. Two workers on neighbouring
+// panels of one matrix slow each other down, apparently over the cache
+// lines at the panels' common edge, which every reflector of FormQP
+// writes: at 256² in four panels per matrix FormQP took 10.5 ms on two
+// workers in matrix order and 5.4 ms alternating.
 func forPanels(g *sched.Graph, kind kernels.Kind, flops func(rows int) float64, xs []*nla.Matrix, run func(which int, panel *nla.Matrix, ws *nla.Workspace)) {
+	hs := make([]int, len(xs))
 	for which, x := range xs {
-		h := panelRows(x.Cols)
-		g.NeedScratch(h)
-		for r0 := 0; r0 < x.Rows; r0 += h {
-			which, panel := which, x.View(r0, 0, min(h, x.Rows-r0), x.Cols)
+		hs[which] = panelRows(x.Rows, x.Cols)
+		g.NeedScratch(hs[which])
+	}
+	for i, added := 0, true; added; i++ {
+		added = false
+		for which, x := range xs {
+			r0 := i * hs[which]
+			if r0 >= x.Rows {
+				continue
+			}
+			which, panel := which, x.View(r0, 0, min(hs[which], x.Rows-r0), x.Cols)
 			f := flops(panel.Rows)
-			g.AddTask(kind, 0, f, f, func(ws *nla.Workspace) { run(which, panel, ws) }).SetCoords(r0/h, which, 0)
+			g.AddTask(kind, 0, f, f, func(ws *nla.Workspace) { run(which, panel, ws) }).SetCoords(i, which, 0)
+			added = true
 		}
 	}
 }
@@ -107,7 +124,7 @@ func paddedIdentity(n int) *nla.Matrix {
 
 // FormQP returns Q₂ and P₂ of a logged band reduction as dense n×n
 // matrices.
-func FormQP(log *band.Log, workers int) (q, p *nla.Matrix, err error) {
+func FormQP(log *band.Log, run Run) (q, p *nla.Matrix, err error) {
 	n := log.N()
 	q, p = paddedIdentity(n), paddedIdentity(n)
 	g := sched.NewGraph()
@@ -121,7 +138,7 @@ func FormQP(log *band.Log, workers int) (q, p *nla.Matrix, err error) {
 		}
 		ws.Release(mark)
 	})
-	return q, p, runGraph(g, workers)
+	return q, p, run(g)
 }
 
 // BidiagonalVectors computes the SVD of the upper-bidiagonal matrix
@@ -130,7 +147,7 @@ func FormQP(log *band.Log, workers int) (q, p *nla.Matrix, err error) {
 // singular values s. u and v have len(d) columns and any number of rows;
 // pass Q₂ and P₂ of the band stage to obtain the vectors of the band, or
 // identities for those of the bidiagonal itself.
-func BidiagonalVectors(d, e []float64, u, v *nla.Matrix, workers int) (s []float64, err error) {
+func BidiagonalVectors(d, e []float64, u, v *nla.Matrix, run Run) (s []float64, err error) {
 	xs := []*nla.Matrix{u, v}
 	res, err := bdsqr.SVD(d, e, func(b *bdsqr.Batch) error {
 		runs := [2][]bdsqr.Run{b.Left, b.Right}
@@ -151,7 +168,7 @@ func BidiagonalVectors(d, e []float64, u, v *nla.Matrix, workers int) (s []float
 				}
 			}
 		})
-		return runGraph(g, workers)
+		return run(g)
 	})
 	if err != nil {
 		return nil, err

@@ -8,6 +8,8 @@ import (
 
 	"github.com/tiled-la/bidiag/internal/band"
 	"github.com/tiled-la/bidiag/internal/nla"
+	"github.com/tiled-la/bidiag/internal/sched"
+	"github.com/tiled-la/bidiag/internal/trees"
 )
 
 func randomBand(seed int64, n, ku int) *band.Matrix {
@@ -25,12 +27,12 @@ func randomBand(seed int64, n, ku int) *band.Matrix {
 func bandVectors(t testing.TB, b *band.Matrix, workers int) (u *nla.Matrix, s []float64, v *nla.Matrix) {
 	t.Helper()
 	bd, log := band.ReduceLogged(b)
-	u, v, err := FormQP(log, workers)
+	u, v, err := FormQP(log, poolRun(workers))
 	if err != nil {
 		t.Fatal(err)
 	}
 	d, e := bd.Bidiagonal()
-	s, err = BidiagonalVectors(d, e, u, v, workers)
+	s, err = BidiagonalVectors(d, e, u, v, poolRun(workers))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,6 +80,103 @@ func TestBandVectors(t *testing.T) {
 	}
 }
 
+// TestPanelCut checks the row panels of the back half's graphs: every row
+// of every matrix in exactly one task, at least minPanels panels where
+// minPanelRows allows, tasks alternating between the matrices, and FormQP
+// bitwise equal to the log applied to each whole matrix in one call.
+func TestPanelCut(t *testing.T) {
+	for _, c := range []struct{ m, n int }{{1, 1}, {40, 40}, {97, 97}, {150, 150}, {256, 256}, {301, 301}, {130, 700}, {1100, 1100}} {
+		label := fmt.Sprintf("%dx%d", c.m, c.n)
+		h := panelRows(c.m, c.n)
+		if want := min(minPanels, (c.m+minPanelRows-1)/minPanelRows); (c.m+h-1)/h < want && h > 8 {
+			t.Errorf("%s: %d-row panels, fewer than %d", label, h, want)
+		}
+		xs := []*nla.Matrix{nla.NewMatrix(c.m, c.n), nla.NewMatrix(c.m/2+1, c.n)}
+		g := sched.NewGraph()
+		forPanels(g, 0, func(int) float64 { return 0 }, xs, func(which int, panel *nla.Matrix, _ *nla.Workspace) {
+			for j := 0; j < panel.Cols; j++ {
+				for i := 0; i < panel.Rows; i++ {
+					panel.Data[i+j*panel.LD]++
+				}
+			}
+		})
+		if len(g.Tasks) > 1 && g.Tasks[0].J == g.Tasks[1].J {
+			t.Errorf("%s: the first two tasks are on the same matrix", label)
+		}
+		if err := g.RunSequential(); err != nil {
+			t.Fatal(err)
+		}
+		for which, x := range xs {
+			for j := 0; j < x.Cols; j++ {
+				for i := 0; i < x.Rows; i++ {
+					if x.At(i, j) != 1 {
+						t.Fatalf("%s: matrix %d row %d covered %g times", label, which, i, x.At(i, j))
+					}
+				}
+			}
+		}
+	}
+	for _, n := range []int{97, 150, 256, 301} {
+		_, log := band.ReduceLogged(randomBand(int64(n), n, 32))
+		q, p, err := FormQP(log, poolRun(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wq, wp, tmp := paddedIdentity(n), paddedIdentity(n), make([]float64, n)
+		log.MulQ(wq, tmp)
+		log.MulP(wp, tmp)
+		for i := range wq.Data {
+			if q.Data[i] != wq.Data[i] || p.Data[i] != wp.Data[i] {
+				t.Fatalf("n=%d: FormQP in %d-row panels differs from one whole-matrix pass", n, panelRows(n, n))
+			}
+		}
+	}
+}
+
+// TestBackHalfTasksBounds runs the back half of recorded reductions,
+// every tree and both algorithms on shapes with ragged tiles, and counts
+// the tasks of its graphs: BackHalfTasks must not fall short, or a
+// traced service job would drop events.
+func TestBackHalfTasksBounds(t *testing.T) {
+	for _, c := range []struct {
+		m, n, nb int
+		rbidiag  bool
+	}{{64, 64, 16, false}, {97, 33, 8, false}, {200, 48, 16, true}, {130, 130, 8, true}, {20, 12, 64, false}} {
+		for _, tr := range []trees.Kind{trees.FlatTS, trees.FlatTT, trees.Greedy, trees.Auto} {
+			d, rec, g := randomTiled(3, c.m, c.n, c.nb), &Recorder{}, sched.NewGraph()
+			cfg := Config{Tree: tr, Cores: 2, Recorder: rec}
+			if c.rbidiag {
+				_, d = BuildRBidiag(g, ShapeOf(c.m, c.n, c.nb), d, cfg)
+			} else {
+				BuildBidiag(g, ShapeOf(c.m, c.n, c.nb), d, cfg)
+			}
+			if err := g.RunSequential(); err != nil {
+				t.Fatal(err)
+			}
+			tasks := 0
+			count := func(g *sched.Graph) error {
+				tasks += len(g.Tasks)
+				return g.RunSequential()
+			}
+			bd, log := band.ReduceLogged(d.ExtractBand(c.nb))
+			u, v, err := FormQP(log, count)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dd, e := bd.Bidiagonal()
+			if _, err := BidiagonalVectors(dd, e, u, v, count); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := rec.ApplyBoth(u, v, count, true); err != nil {
+				t.Fatal(err)
+			}
+			if bound := BackHalfTasks(c.m, c.n, c.nb); tasks > bound {
+				t.Errorf("%dx%d nb %d %v rbidiag=%v: %d back-half tasks, bound %d", c.m, c.n, c.nb, tr, c.rbidiag, tasks, bound)
+			}
+		}
+	}
+}
+
 func TestPermuteCols(t *testing.T) {
 	x := nla.NewMatrix(2, 5)
 	for j := 0; j < 5; j++ {
@@ -100,7 +199,7 @@ func BenchmarkFormQP(b *testing.B) {
 			b.Run(fmt.Sprintf("n=%d/w=%d", n, workers), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, _, err := FormQP(log, workers); err != nil {
+					if _, _, err := FormQP(log, poolRun(workers)); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -121,31 +220,11 @@ func BenchmarkBidiagonalVectors(b *testing.B) {
 					b.StopTimer()
 					u, v := paddedIdentity(n), paddedIdentity(n)
 					b.StartTimer()
-					if _, err := BidiagonalVectors(d, e, u, v, workers); err != nil {
+					if _, err := BidiagonalVectors(d, e, u, v, poolRun(workers)); err != nil {
 						b.Fatal(err)
 					}
 				}
 			})
-		}
-	}
-}
-
-// TestSVDWorkers pins the cut-over of the vector path: the benchmark's
-// 256² call and the service's small jobs stay on the caller, 384² and a
-// tall-skinny input keep the pool, either orientation counts the same.
-func TestSVDWorkers(t *testing.T) {
-	for _, c := range []struct{ m, n, workers, want int }{
-		{128, 128, 2, 1},
-		{256, 256, 8, 1},
-		{1024, 128, 4, 1},
-		{384, 384, 2, 2},
-		{512, 512, 4, 4},
-		{8192, 256, 2, 2},
-		{256, 8192, 2, 2},
-		{4096, 4096, 1, 1},
-	} {
-		if got := SVDWorkers(c.m, c.n, c.workers); got != c.want {
-			t.Errorf("SVDWorkers(%d, %d, %d) = %d, want %d", c.m, c.n, c.workers, got, c.want)
 		}
 	}
 }

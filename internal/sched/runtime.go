@@ -72,6 +72,7 @@ type JobHandle struct {
 	stopped bool // no further dispatch: cancelled or failed
 	err     error
 	done    chan struct{}
+	unwatch func() bool // deregisters the ctx watch; nil without one
 }
 
 // NewRuntime starts a shared pool of the given size (minimum 1). The pool
@@ -185,22 +186,20 @@ func (rt *Runtime) Submit(ctx context.Context, g *Graph) (*JobHandle, error) {
 	rt.jobs = append(rt.jobs, h)
 	rt.ready += len(h.ready)
 	rt.wakeLocked(len(h.ready))
-	rt.mu.Unlock()
-
+	// A cancellable job is watched without a goroutine of its own: the
+	// callback starts one only if ctx ends first, and retiring the job
+	// deregisters it.
 	if ctx.Done() != nil {
-		go func() {
-			select {
-			case <-ctx.Done():
-				rt.mu.Lock()
-				if !h.finishedLocked() {
-					h.stopLocked(ctx.Err())
-					rt.finishIfDoneLocked(h)
-				}
-				rt.mu.Unlock()
-			case <-h.done:
+		h.unwatch = context.AfterFunc(ctx, func() {
+			rt.mu.Lock()
+			if !h.finishedLocked() {
+				h.stopLocked(ctx.Err())
+				rt.finishIfDoneLocked(h)
 			}
-		}()
+			rt.mu.Unlock()
+		})
 	}
+	rt.mu.Unlock()
 	return h, nil
 }
 
@@ -265,6 +264,9 @@ func (rt *Runtime) finishIfDoneLocked(h *JobHandle) {
 		}
 	}
 	close(h.done)
+	if h.unwatch != nil {
+		h.unwatch()
+	}
 	if rt.closed {
 		// Workers exit once the pool is closed and the last job retires.
 		rt.wakeLocked(rt.workers)

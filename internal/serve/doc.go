@@ -18,9 +18,10 @@
 // generic: a Request carries a Build closure that returns the job's task
 // graph (the caller decides what a "job" is — the public API builds
 // pipeline plans) and a finish closure run after a successful execution,
-// under the job's context, to extract the result. A finish may run a
-// further graph of the job on the same runtime (a values job's bulge
-// chase); Request.FinishTasks sizes a traced job's rings for it.
+// under the job's context, to extract the result. A finish may run
+// further graphs of the job on the same runtime (a values job's bulge
+// chase, an SVD job's back half); Request.FinishTasks sizes a traced
+// job's rings for them.
 //
 // # Shared elastic runtime
 //

@@ -65,8 +65,8 @@ type Request struct {
 	// result. It runs once, on the dispatcher goroutine, when the job
 	// leaves the queue.
 	Build func() (g *sched.Graph, finish func(context.Context) (any, error), err error)
-	// FinishTasks is the number of tasks finish runs on the graph's
-	// tracer after it (a second graph of the job on the shared runtime):
+	// FinishTasks bounds the number of tasks finish runs on the graph's
+	// tracer after it (further graphs of the job on the shared runtime):
 	// a traced job's rings are sized for the graph's tasks plus these.
 	FinishTasks int
 	// Key is the content-addressed cache key; empty bypasses the cache.

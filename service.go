@@ -155,12 +155,10 @@ type JobRequest struct {
 	// points, with two differences: Options.Distributed must be nil
 	// (a job runs where the service does: its pool, or its mesh), and
 	// Options.Workers does NOT size a pool — the service's shared
-	// workers do — but still parameterizes the AUTO tree and, for
-	// JobSVD, the stages after the GE2BND graph (the panel tasks that
-	// form Q₂ and P₂ and fold the bidiagonal rotations in, and the
-	// reflector application), so it remains part of the result's cache
-	// identity. It may not exceed the larger of the pool size and
-	// runtime.NumCPU() (ErrInvalidOptions otherwise). All other fields
+	// workers run every graph of a job, a JobSVD's back half included —
+	// but still parameterizes the AUTO tree, so it remains part of the
+	// result's cache identity. It may not exceed the larger of the pool
+	// size and runtime.NumCPU() (ErrInvalidOptions otherwise). All other fields
 	// (NB, Tree, Algorithm, Gamma, Gemm, BND2BDWindow) are honored per
 	// job. Options.Auto defers the unset plan knobs to the service's plan
 	// autotuner, which explores the model's best candidates under live
@@ -398,9 +396,8 @@ func (s *Service) request(req JobRequest) (serve.Request, error) {
 	if raw.Distributed != nil {
 		return serve.Request{}, errors.New("bidiag: a service job runs where the service does, its pool or its mesh; Options.Distributed must be nil")
 	}
-	// Workers sizes the SVD back half's own pools and the AUTO tree: a
-	// client's value must not start more goroutines than the machine has
-	// use for.
+	// Workers sizes the AUTO tree: a client's value must not ask for
+	// more parallelism than the service or the machine has.
 	if limit := max(s.inner.Runtime().Workers(), runtime.NumCPU()); raw.Workers > limit {
 		return serve.Request{}, invalidOptions{fmt.Errorf("bidiag: Options.Workers = %d exceeds %d, the larger of the service's pool size and the CPU count", raw.Workers, limit)}
 	}
@@ -468,7 +465,7 @@ func (s *Service) request(req JobRequest) (serve.Request, error) {
 	case req.Kind == JobSingularValues:
 		build = s.buildSingularValuesJob(req.A, jobOpts)
 	case req.Kind == JobSVD:
-		build = buildSVDJob(req.A, jobOpts)
+		build = s.buildSVDJob(req.A, jobOpts)
 	default:
 		return serve.Request{}, fmt.Errorf("bidiag: unknown job kind %d", int(req.Kind))
 	}
@@ -483,15 +480,21 @@ func (s *Service) request(req JobRequest) (serve.Request, error) {
 	if !s.cacheOff {
 		key = cacheKey(req.Kind, req.A, opts)
 	}
-	// A traced values job's chase records on the job's tracer after its
-	// GE2BND graph: the rings hold both.
-	chaseTasks := 0
-	if req.Trace && req.Kind == JobSingularValues {
-		chaseTasks = band.Tasks(min(req.A.Rows(), req.A.Cols()), run.NB, run.BND2BDWindow)
+	// A traced job's later graphs — a values job's chase, an SVD job's
+	// back half — record on the job's tracer after its GE2BND graph: the
+	// rings hold them all.
+	finishTasks := 0
+	if req.Trace {
+		m, n := req.A.Rows(), req.A.Cols()
+		if req.Kind == JobSVD {
+			finishTasks = core.BackHalfTasks(m, n, run.NB)
+		} else {
+			finishTasks = band.Tasks(min(m, n), run.NB, run.BND2BDWindow)
+		}
 	}
 	return serve.Request{
 		Build:       build,
-		FinishTasks: chaseTasks,
+		FinishTasks: finishTasks,
 		Key:         key,
 		Bytes:       resultBytes,
 		Trace:       req.Trace,
@@ -576,10 +579,11 @@ func (s *Service) valuesGraph(src *nla.Matrix, opts Options, treeKind trees.Kind
 // buildSVDJob builds the vector-bearing decomposition: the recorded
 // GE2BND graph, then — in finish — everything SVD does after it (the
 // logged chase, the bidiagonal iteration with vectors, the recorded
-// reflectors), through the same finishSVD. finish runs beside the
-// service's pool, not on it: a small job (core.SVDWorkers) does it on the
-// goroutine it is called from instead of starting workers of its own.
-func buildSVDJob(a *Dense, o *Options) jobBuild {
+// reflectors), through the same finishSVD. Like a values job's chase,
+// finish runs its graphs on the service's shared runtime under the job's
+// ctx and tracer.
+func (s *Service) buildSVDJob(a *Dense, o *Options) jobBuild {
+	back := pipeline.Shared{Runtime: s.inner.Runtime()}
 	return func() (*sched.Graph, func(context.Context) (any, error), error) {
 		opts, src, treeKind, transposed, err := resolve(a, o)
 		if err != nil {
@@ -587,9 +591,8 @@ func buildSVDJob(a *Dense, o *Options) jobBuild {
 		}
 		rec := &core.Recorder{}
 		plan := pipeline.Build(buildSpec(src, opts, treeKind, nil, rec))
-		workers := core.SVDWorkers(src.Rows, src.Cols, opts.Workers)
 		finish := func(ctx context.Context) (any, error) {
-			res, err := finishSVD(ctx, plan, rec, workers, transposed)
+			res, err := finishSVD(ctx, plan, rec, back, transposed)
 			if err != nil {
 				return nil, err
 			}

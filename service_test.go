@@ -458,3 +458,43 @@ func TestServiceTracedChase(t *testing.T) {
 		}
 	}
 }
+
+// TestServiceTracedSVD pins the tracer hand-off to an SVD job's back
+// half: the timeline of a traced 128² job holds the panels that form Q₂
+// and P₂ (BRDQP) and the rotation batches (BDROT) besides its GE2BND
+// graph, with nothing dropped, and the traced decomposition is bitwise
+// the one-shot call's.
+func TestServiceTracedSVD(t *testing.T) {
+	svc := NewService(&ServiceConfig{Workers: 2, CacheBytes: -1})
+	defer svc.Close()
+	a := randomDense(11, 128, 128)
+	opts := &Options{NB: 16, Workers: 2}
+	res, err := svc.Do(context.Background(), JobRequest{Kind: JobSVD, A: a, Opts: opts, Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans := map[string]int{}
+	for _, s := range res.Timeline {
+		spans[s.Kernel]++
+	}
+	if spans["BRDQP"] == 0 || spans["BDROT"] == 0 || spans["TSMLQ"]+spans["TTMLQ"]+spans["UNMLQ"] == 0 {
+		t.Fatalf("timeline spans by kernel %v: want BRDQP, BDROT and the right back-transform", spans)
+	}
+	if st := svc.Stats(); st.TraceDropped != 0 {
+		t.Fatalf("service dropped %d trace events", st.TraceDropped)
+	}
+	ref, err := SVD(a, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := range ref.S {
+		if ref.S[k] != res.SVD.S[k] {
+			t.Fatalf("traced singular value %d differs bitwise from the one-shot call", k)
+		}
+	}
+	for i := range ref.U.inner.Data {
+		if ref.U.inner.Data[i] != res.SVD.U.inner.Data[i] || ref.V.inner.Data[i] != res.SVD.V.inner.Data[i] {
+			t.Fatalf("traced vectors differ bitwise from the one-shot call at %d", i)
+		}
+	}
+}

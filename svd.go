@@ -6,6 +6,7 @@ import (
 	"github.com/tiled-la/bidiag/internal/band"
 	"github.com/tiled-la/bidiag/internal/core"
 	"github.com/tiled-la/bidiag/internal/pipeline"
+	"github.com/tiled-la/bidiag/internal/sched"
 )
 
 // SVDResult holds a thin singular value decomposition A ≈ U·diag(S)·Vᵀ.
@@ -40,10 +41,12 @@ type SVDResult struct {
 // is the extension the paper lists as future work.
 //
 // Options.BND2BDWindow does not apply: the logged chase does not run as
-// a task graph yet. Options.Workers is an upper bound:
-// an input too small for a second thread to pay (core.SVDWorkers; 256²
-// is, 384² is not) is decomposed on the calling goroutine, with the same
-// trees and therefore the same bits as on any other worker count.
+// a task graph yet. With Options.Workers above one, the call starts one
+// worker pool and runs every graph on it — the GE2BND graph, forming Q₂
+// and P₂, each batch of rotations, and the two back-transforms, submitted
+// together — and Workers: 1 runs them all on the calling goroutine. The
+// trees and the row-panel cut do not depend on where the graphs run, so
+// U, S and V are bitwise the same on any worker count.
 func SVD(a *Dense, o *Options) (*SVDResult, error) {
 	return SVDCtx(context.Background(), a, o)
 }
@@ -62,17 +65,20 @@ func SVDCtx(ctx context.Context, a *Dense, o *Options) (*SVDResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The plan keeps opts.Workers for its trees; only the execution of a
-	// small input is narrowed.
-	workers := core.SVDWorkers(src.Rows, src.Cols, opts.Workers)
-	if opts.Distributed == nil {
-		ex = pipeline.Pool{Workers: workers}
+	back := pipeline.Executor(pipeline.Sequential{})
+	if opts.Workers > 1 {
+		rt := sched.NewRuntime(opts.Workers)
+		defer rt.Close()
+		back = pipeline.Shared{Runtime: rt}
+		if opts.Distributed == nil {
+			ex = back
+		}
 	}
 	rep, err := pipeline.RunCtx(ctx, plan, ex)
 	if err != nil {
 		return nil, err
 	}
-	res, err := finishSVD(ctx, plan, rec, workers, transposed)
+	res, err := finishSVD(ctx, plan, rec, back, transposed)
 	if err != nil {
 		return nil, err
 	}
@@ -82,18 +88,24 @@ func SVDCtx(ctx context.Context, a *Dense, o *Options) (*SVDResult, error) {
 
 // finishSVD turns an executed recording GE2BND plan into the
 // decomposition: stages 2 and 3 on the band factor, then the recorded
-// reflectors, their panel and tile graphs on workers workers. It checks
-// ctx before each of its five stages, so a cancellation that lands after
-// the GE2BND graph drained spares what is left.
-func finishSVD(ctx context.Context, plan *pipeline.Plan, rec *core.Recorder, workers int, transposed bool) (*SVDResult, error) {
+// reflectors. Every graph runs on ex under ctx and records on the GE2BND
+// graph's tracer, so a traced job's timeline holds the back half too; the
+// meter stays on stage 1, the part the planner prices. The two
+// back-transforms are in flight together unless ex is Sequential. ctx is
+// also checked before the logged chase and the bidiagonal iteration,
+// which run on the calling goroutine, so a cancellation that lands
+// between graphs spares what is left.
+func finishSVD(ctx context.Context, plan *pipeline.Plan, rec *core.Recorder, ex pipeline.Executor, transposed bool) (*SVDResult, error) {
+	run := func(g *sched.Graph) error {
+		g.Tracer = plan.Graph.Tracer
+		_, err := ex.Execute(ctx, g)
+		return err
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	bd, log := band.ReduceLogged(plan.Tiles.ExtractBand(plan.Tiles.NB))
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	ub, vb, err := core.FormQP(log, workers)
+	ub, vb, err := core.FormQP(log, run)
 	if err != nil {
 		return nil, err
 	}
@@ -101,24 +113,15 @@ func finishSVD(ctx context.Context, plan *pipeline.Plan, rec *core.Recorder, wor
 		return nil, err
 	}
 	d, e := bd.Bidiagonal()
-	s, err := core.BidiagonalVectors(d, e, ub, vb, workers)
+	s, err := core.BidiagonalVectors(d, e, ub, vb, run)
 	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
 	// Map the band vectors back through the recorded reflectors:
 	// U = E₁ᵀ···E_Kᵀ·[U_b; 0] and V = F₁···F_L·V_b.
-	u, err := rec.ApplyLeftAll(ub, workers)
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	v, err := rec.ApplyRightAllT(vb, workers)
+	_, inOrder := ex.(pipeline.Sequential)
+	u, v, err := rec.ApplyBoth(ub, vb, run, inOrder)
 	if err != nil {
 		return nil, err
 	}

@@ -4,11 +4,15 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
+	"sync"
 	"testing"
 
 	"github.com/tiled-la/bidiag/internal/core"
+	"github.com/tiled-la/bidiag/internal/kernels"
 	"github.com/tiled-la/bidiag/internal/nla"
 	"github.com/tiled-la/bidiag/internal/pipeline"
+	"github.com/tiled-la/bidiag/internal/sched"
 )
 
 // svdResidual returns ‖A − U·diag(S)·Vᵀ‖_max / ‖A‖_F.
@@ -136,81 +140,128 @@ func TestSVDSingleColumn(t *testing.T) {
 // TestSVDAcrossWorkersDeterministic: S, U and V do not depend on the
 // worker count by a single bit — stage 1 by the parity contract of the
 // task graph, stages 2 and 3 because their row-panel cut depends on the
-// shape alone.
+// shape alone. The shapes: a small BIDIAG one, the benchmark's 256² at
+// nb 64, 336² whose 336 columns make two row panels per factor, and an
+// R-BIDIAG one whose two recorded stages both have a left product.
 func TestSVDAcrossWorkersDeterministic(t *testing.T) {
-	// 40×24 stays on the calling goroutine whatever Workers says
-	// (core.SVDWorkers); 336² is past that cut-over and its 336 columns
-	// make two row panels per factor.
-	for _, shape := range [][2]int{{40, 24}, {336, 336}} {
-		a := randomDense(10, shape[0], shape[1])
-		ref, err := SVD(a, &Options{NB: 8, Workers: 1, Tree: Greedy, Algorithm: Bidiag})
+	for _, c := range []struct {
+		m, n, nb int
+		alg      Algorithm
+		workers  []int
+	}{
+		{40, 24, 8, Bidiag, []int{2, 4}},
+		{256, 256, 64, Bidiag, []int{2, 4}},
+		{336, 336, 8, Bidiag, []int{2, 4}},
+		{200, 48, 16, RBidiag, []int{2, 3}},
+	} {
+		a := randomDense(10, c.m, c.n)
+		ref, err := SVD(a, &Options{NB: c.nb, Workers: 1, Tree: Greedy, Algorithm: c.alg})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{2, 4} {
-			r, err := SVD(a, &Options{NB: 8, Workers: workers, Tree: Greedy, Algorithm: Bidiag})
+		for _, workers := range c.workers {
+			r, err := SVD(a, &Options{NB: c.nb, Workers: workers, Tree: Greedy, Algorithm: c.alg})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i := range ref.S {
 				if ref.S[i] != r.S[i] {
-					t.Fatalf("%v: singular values depend on worker count", shape)
+					t.Fatalf("%dx%d: singular values depend on worker count", c.m, c.n)
 				}
 			}
 			for i := range ref.U.inner.Data {
 				if ref.U.inner.Data[i] != r.U.inner.Data[i] {
-					t.Fatalf("%v: U depends on worker count (%d workers)", shape, workers)
+					t.Fatalf("%dx%d: U depends on worker count (%d workers)", c.m, c.n, workers)
 				}
 			}
 			for i := range ref.V.inner.Data {
 				if ref.V.inner.Data[i] != r.V.inner.Data[i] {
-					t.Fatalf("%v: V depends on worker count (%d workers)", shape, workers)
+					t.Fatalf("%dx%d: V depends on worker count (%d workers)", c.m, c.n, workers)
 				}
 			}
 		}
 	}
 }
 
-// cancelAfter is a context whose Err reports nil for its first n calls
-// and context.Canceled from then on.
-type cancelAfter struct {
-	context.Context
-	n int
+// cancelAt is an executor that cancels the call's ctx when it is handed
+// the nth graph (counting from 1) whose first task is of one of kinds,
+// then runs every graph on ex. It is safe for concurrent use: the two
+// back-transforms are submitted together.
+type cancelAt struct {
+	ex     pipeline.Executor
+	kinds  []kernels.Kind
+	nth    int
+	cancel context.CancelFunc
+
+	mu   sync.Mutex
+	seen int
 }
 
-func (c *cancelAfter) Err() error {
-	if c.n == 0 {
-		return context.Canceled
+func (c *cancelAt) Name() string { return "cancel-at" }
+
+func (c *cancelAt) Execute(ctx context.Context, g *sched.Graph) (*pipeline.Report, error) {
+	c.mu.Lock()
+	if len(g.Tasks) > 0 && slices.Contains(c.kinds, g.Tasks[0].Kind) {
+		if c.seen++; c.seen == c.nth {
+			c.cancel()
+		}
 	}
-	c.n--
-	return nil
+	c.mu.Unlock()
+	return c.ex.Execute(ctx, g)
 }
 
 // TestFinishSVDHonoursContext cancels finishSVD before each of its five
 // stages in turn (logged chase, FormQP, bidiagonal vectors, left apply,
-// right apply): every one returns context.Canceled and no result, and a
-// context that stays live through all five checks gets the decomposition.
+// right apply) and once between two batches of rotations: every one
+// returns context.Canceled and no result, and a context that stays live
+// gets the decomposition. A stage is cancelled just before its first
+// graph runs (the chase, which has none, by a ctx cancelled before the
+// call), on the sequential engine and on a shared runtime.
 func TestFinishSVDHonoursContext(t *testing.T) {
-	a := randomDense(12, 48, 32)
-	for n := 0; n <= 5; n++ {
-		opts, src, treeKind, transposed, err := prepare(a, &Options{NB: 8, Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec := &core.Recorder{}
-		plan, ex, err := buildPlan(src, opts, treeKind, rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := pipeline.RunCtx(context.Background(), plan, ex); err != nil {
-			t.Fatal(err)
-		}
-		res, err := finishSVD(&cancelAfter{context.Background(), n}, plan, rec, 1, transposed)
-		if n < 5 && (res != nil || !errors.Is(err, context.Canceled)) {
-			t.Fatalf("cancelled before stage %d: result %v, error %v", n+1, res != nil, err)
-		}
-		if n == 5 && (err != nil || res == nil || res.U == nil || res.V == nil) {
-			t.Fatalf("live context: error %v", err)
+	a := randomDense(12, 96, 64) // n = 64: two batches of rotations
+	left := []kernels.Kind{kernels.UNMQRKind, kernels.TSMQRKind, kernels.TTMQRKind}
+	right := []kernels.Kind{kernels.UNMLQKind, kernels.TSMLQKind, kernels.TTMLQKind}
+	rt := sched.NewRuntime(2)
+	defer rt.Close()
+	for _, ex := range []pipeline.Executor{pipeline.Sequential{}, pipeline.Shared{Runtime: rt}} {
+		for _, c := range []struct {
+			name  string
+			kinds []kernels.Kind
+			nth   int
+		}{
+			{"logged chase", nil, 0},
+			{"FormQP", []kernels.Kind{kernels.BRDQPKind}, 1},
+			{"bidiagonal vectors", []kernels.Kind{kernels.BDROTKind}, 1},
+			{"second rotation batch", []kernels.Kind{kernels.BDROTKind}, 2},
+			{"left apply", left, 1},
+			{"right apply", right, 1},
+			{"live", nil, -1},
+		} {
+			opts, src, treeKind, transposed, err := prepare(a, &Options{NB: 8, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := &core.Recorder{}
+			plan, stage1, err := buildPlan(src, opts, treeKind, rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := pipeline.RunCtx(context.Background(), plan, stage1); err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			if c.nth == 0 {
+				cancel()
+			}
+			at := &cancelAt{ex: ex, kinds: c.kinds, nth: c.nth, cancel: cancel}
+			res, err := finishSVD(ctx, plan, rec, at, transposed)
+			cancel()
+			if c.nth >= 0 && (res != nil || !errors.Is(err, context.Canceled)) {
+				t.Fatalf("%s, cancelled before %s: result %v, error %v", ex.Name(), c.name, res != nil, err)
+			}
+			if c.nth < 0 && (err != nil || res == nil || res.U == nil || res.V == nil) {
+				t.Fatalf("%s, live context: error %v", ex.Name(), err)
+			}
 		}
 	}
 }

@@ -143,7 +143,7 @@ func TestExecutorMatchesSequential(t *testing.T) {
 // TestExecutorCommMatchesSimulator checks the other acceptance property:
 // for the same (graph, distribution) pair, measured CommCount/CommVolume
 // equal the virtual-time simulator's prediction. Simulation-only graphs
-// keep the sweep cheap.
+// keep the sweep fast.
 func TestExecutorCommMatchesSimulator(t *testing.T) {
 	grids := []Grid{{2, 2}, {2, 3}, {4, 1}, {3, 3}}
 	highs := []trees.Kind{trees.FlatTT, trees.Fibonacci, trees.Greedy}

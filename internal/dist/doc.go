@@ -6,13 +6,12 @@
 //
 // # Execution models
 //
-// There is one engine, the distributed-memory worker loop (nodeEngine):
-// one rank's ready heap, workers, NIC and receiver. It is a different
-// loop from the shared-memory sched.Runtime for one reason — a rank
-// cannot see its peers' dependence counters, so it keeps its own and
-// decrements them when frames arrive: payload frames for remote
-// read-after-write edges, payload-free ordering frames for remote
-// WAR/WAW edges.
+// There is one worker loop, sched.Runtime. A rank (nodeEngine) runs its
+// share of the graph as an owned job on a runtime of its own, and adds
+// what only a distributed rank needs: a NIC, a receiver, the gather, a
+// stall watchdog and the comm accounting. A frame releases the remote
+// producer's successors in the job: payload frames carry remote
+// read-after-write edges, payload-free ordering frames WAR/WAW edges.
 //
 // ExecuteNode is the SPMD entry point for one rank of a multi-process
 // run: every process builds the identical graph over its own full input

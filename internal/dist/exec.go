@@ -28,7 +28,8 @@ type Result struct {
 	Nodes, WorkersPerNode int
 	TasksRun              int
 	// Wall is the end-to-end execution time; Busy sums the time workers
-	// spent inside kernels, and Utilization is Busy/(workers × Wall).
+	// spent running tasks rather than waiting for one, and Utilization is
+	// Busy/(workers × Wall).
 	Wall        time.Duration
 	Busy        time.Duration
 	Utilization float64

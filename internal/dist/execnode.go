@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"slices"
@@ -59,18 +58,11 @@ type NodeOptions struct {
 	StallTimeout time.Duration
 }
 
-// nodeEngine is the distributed-memory worker loop: one rank's ready
-// heap, worker pool and NIC. It differs from the shared-memory loop
-// (sched.Runtime) for one reason: a rank cannot see its peers' dependence
-// counters, so it keeps its own and feeds them from frames. A remote
-// read-after-write edge arrives as a payload frame, and a remote WAR/WAW
-// edge — which has no shared counter to decrement either — as a
-// payload-free ordering frame. Ordering frames are excluded from the
-// communication accounting, which therefore matches
-// sched.SimulateDistributed exactly.
-//
-// ExecuteNode runs one engine per process; Execute runs Grid.Nodes() of
-// them in one process over one graph.
+// nodeEngine is one rank of an owner-compute execution (see the package
+// doc): its share of the graph is an owned job on a sched.Runtime of its
+// own, and a frame from a peer releases the frame's producer in the job.
+// Ordering frames are excluded from the communication accounting, which
+// therefore matches sched.SimulateDistributed exactly.
 type nodeEngine struct {
 	g     *sched.Graph
 	tr    Transport
@@ -100,12 +92,13 @@ type nodeEngine struct {
 	origin    time.Time
 	trackComm bool
 
-	// mu guards the ready heap — runnable tasks owned by this rank,
-	// highest bottom-level priority first — and busy.
-	mu    sync.Mutex
-	cond  *sync.Cond
-	ready sched.ReadyHeap
-	busy  time.Duration
+	// ctx ends with the job's first fatal error — a kernel panic, a
+	// transport or frame error, a stall, a failed peer, or the caller's
+	// cancellation — which fail records as its cause. job is this rank's
+	// share on the runtime; it stops when ctx ends.
+	ctx  context.Context
+	fail context.CancelCauseFunc
+	job  *sched.JobHandle
 
 	// The outbox is drained by a single sender goroutine, the rank's NIC.
 	// outEnq parallels it with enqueue timestamps when trackComm is set.
@@ -115,34 +108,29 @@ type nodeEngine struct {
 	outEnq    []time.Time
 	outClosed bool
 
-	preds     []int32
-	statMu    sync.Mutex
-	remaining int // local tasks not yet completed
-	sent      map[int64]struct{}
-	err       error
-	finished  bool
-	res       Result
+	// commMu guards the communication figures of res.
+	commMu sync.Mutex
+	res    Result
 
-	// stop is closed when the job is over on this rank — on failure, or
-	// once the NIC has drained — and releases the watchdog and the gather
-	// wait. The receiver outlives a failure: it exits on drained, closed
-	// only after the NIC has drained, and discards frames in between so
-	// a peer's send never blocks on this rank's inbox.
-	stop     chan struct{}
-	stopOnce sync.Once
-	drained  chan struct{}
-	// seen and gathered are the receiver's dedup sets: data/ordering
-	// frames by producer, gather frames by sender rank.
-	seen     map[int32]bool
-	gathered map[int32]bool
+	// drained is closed once the NIC has drained. The receiver outlives a
+	// failure: it exits on drained, and discards frames in between so a
+	// peer's send never blocks on this rank's inbox.
+	drained chan struct{}
+	// seen is the receiver's dedup set of data/ordering frames, by
+	// producer.
+	seen map[int32]bool
 	// gatherOK is closed once every peer's gather frame arrived (rank 0
-	// only). The payloads are buffered in gathers and restored by the
-	// main goroutine after the local workers have quiesced — restoring
-	// from the receiver could race a still-running local reader of the
-	// same region.
+	// only). The payloads are buffered in gathers, by sender rank, and
+	// restored by the main goroutine after the local workers have quiesced
+	// — restoring from the receiver could race a still-running local
+	// reader of the same region.
 	gatherOK chan struct{}
 	gathers  map[int32][]byte
+	// progress counts completions and frame arrivals; pending is set
+	// while the job, or rank 0's gather, is outstanding. The watchdog
+	// reads both.
 	progress atomic.Int64
+	pending  atomic.Bool
 }
 
 // ExecuteNode runs this process's share of an owner-compute execution:
@@ -189,20 +177,15 @@ func ExecuteNode(g *sched.Graph, opt NodeOptions) (*Result, error) {
 // levels are already computed.
 func newNodeEngine(g *sched.Graph, opt NodeOptions) *nodeEngine {
 	e := &nodeEngine{
-		g:        g,
-		tr:       opt.Transport,
-		rank:     int32(opt.Rank),
-		nodes:    int32(opt.Grid.Nodes()),
-		wpn:      max(opt.WorkersPerNode, 1),
-		opt:      opt,
-		preds:    make([]int32, len(g.Tasks)),
-		sent:     map[int64]struct{}{},
-		stop:     make(chan struct{}),
-		drained:  make(chan struct{}),
-		seen:     map[int32]bool{},
-		gathered: map[int32]bool{},
+		g:       g,
+		tr:      opt.Transport,
+		rank:    int32(opt.Rank),
+		nodes:   int32(opt.Grid.Nodes()),
+		wpn:     max(opt.WorkersPerNode, 1),
+		opt:     opt,
+		drained: make(chan struct{}),
+		seen:    map[int32]bool{},
 	}
-	e.cond = sync.NewCond(&e.mu)
 	e.outCond = sync.NewCond(&e.outMu)
 	if ws, ok := e.tr.(WireStatser); ok {
 		e.ws = ws
@@ -226,37 +209,28 @@ func (e *nodeEngine) run(ctx context.Context) (*Result, error) {
 			close(e.gatherOK)
 		}
 	}
-	local := 0
-	for _, t := range e.g.Tasks {
-		if e.nodeOf(t) == e.rank {
-			local++
-		}
-		for _, s := range t.Succs() {
-			e.preds[s.ID]++
-		}
-	}
-	e.remaining = local
 	var wireBase int64
 	if e.ws != nil {
 		_, wireBase, _ = e.ws.WireStats()
 	}
+	e.ctx, e.fail = context.WithCancelCause(ctx)
+	defer e.fail(nil)
 
-	// Seed the ready heap and the finished flag before any goroutine
-	// starts: a persistent mesh can already hold buffered frames for this
-	// job (staggered back-to-back cluster jobs), so the receiver may call
-	// enable() — mutating preds and pushing onto the ready heap —
-	// immediately, and would race these otherwise-unsynchronized writes.
-	for _, t := range e.g.Tasks {
-		if e.preds[t.ID] == 0 && e.nodeOf(t) == e.rank {
-			heap.Push(&e.ready, t)
-		}
-	}
-	e.finished = e.remaining == 0
-
+	// Submit before any goroutine starts: a persistent mesh can already
+	// hold buffered frames for this job (staggered back-to-back cluster
+	// jobs), and the receiver releases them into the job. Worker w of
+	// this rank records on the global lane rank*wpn+w, so a traced run
+	// lays out one lane per physical worker across all ranks.
 	start := time.Now()
-	stopWatch := context.AfterFunc(ctx, func() { e.fail(context.Cause(ctx)) })
-	defer stopWatch()
-	var receivers, senders, workers sync.WaitGroup
+	rt := sched.NewRuntime(e.wpn)
+	job, err := rt.SubmitOwned(e.ctx, e.g, int(e.rank), n, int(e.rank)*e.wpn, e.complete)
+	if err != nil {
+		rt.Close()
+		return nil, err
+	}
+	e.job = job
+	e.pending.Store(true)
+	var receivers, senders sync.WaitGroup
 	receivers.Add(1)
 	go e.receiver(&receivers)
 	senders.Add(1)
@@ -264,18 +238,18 @@ func (e *nodeEngine) run(ctx context.Context) (*Result, error) {
 	if opt.StallTimeout > 0 {
 		go e.watchdog(opt.StallTimeout)
 	}
-	for w := 0; w < e.wpn; w++ {
-		workers.Add(1)
-		// Global worker index rank*wpn+local, so a traced run lays out one
-		// lane per physical worker across all ranks.
-		go e.worker(int(e.rank)*e.wpn+w, &workers)
+	if err := job.Wait(); err != nil {
+		// A kernel panic strands every consumer of its output; the
+		// other causes have ended ctx already, and the first one stands.
+		e.fail(fmt.Errorf("dist: rank %d: %w", e.rank, err))
 	}
-	workers.Wait()
+	rt.Close()
+	busy := max(0, time.Duration(e.wpn)*time.Since(start)-rt.Stats().Idle)
 
 	// Local tasks are done (or the run failed). Ship the end-of-job
 	// frames while the NIC is still open: the gather to rank 0 on
 	// success, an error notice on failure.
-	if err := e.currentErr(); err == nil {
+	if err := context.Cause(e.ctx); err == nil {
 		if opt.Gather && e.rank != 0 {
 			e.ship(Message{From: e.rank, To: 0, Producer: ProducerGather, Payload: e.gatherPayload()})
 		}
@@ -283,34 +257,34 @@ func (e *nodeEngine) run(ctx context.Context) (*Result, error) {
 		e.ship(Message{From: e.rank, To: 0, Producer: ProducerError, Payload: []byte(err.Error())})
 	}
 	// Rank 0 stays receiving until every peer's gather arrived, then
-	// installs the buffered payloads — the workers are quiescent now, so
-	// no local task can race the restores.
+	// installs the buffered payloads — the workers are gone now, so no
+	// local task can race the restores.
 	if e.gatherOK != nil {
 		select {
 		case <-e.gatherOK:
 			for from, payload := range e.gathers {
 				e.restoreGather(from, payload)
 			}
-		case <-e.stop:
+		case <-e.ctx.Done():
 		}
 	}
+	e.pending.Store(false)
 
 	e.outMu.Lock()
 	e.outClosed = true
 	e.outCond.Broadcast()
 	e.outMu.Unlock()
 	senders.Wait()
-	e.stopNow()
 	close(e.drained) // receiver exits; transport stays open for the next job
 	receivers.Wait()
-	if err := e.currentErr(); err != nil {
+	if err := context.Cause(e.ctx); err != nil {
 		return nil, err
 	}
 
 	e.res.Wall = time.Since(start)
-	e.res.TasksRun = local
-	e.res.NodeBusy[e.rank] = e.busy
-	e.res.Busy = e.busy
+	e.res.TasksRun = job.Tasks()
+	e.res.NodeBusy[e.rank] = busy
+	e.res.Busy = busy
 	if e.res.Wall > 0 {
 		e.res.Utilization = float64(e.res.Busy) / (float64(e.wpn) * float64(e.res.Wall))
 	}
@@ -324,68 +298,6 @@ func (e *nodeEngine) run(ctx context.Context) (*Result, error) {
 
 func (e *nodeEngine) nodeOf(t *sched.Task) int32 { return t.Node % e.nodes }
 
-func (e *nodeEngine) stopNow() { e.stopOnce.Do(func() { close(e.stop) }) }
-
-func (e *nodeEngine) currentErr() error {
-	e.statMu.Lock()
-	defer e.statMu.Unlock()
-	return e.err
-}
-
-// fail records the first fatal error, wakes the workers so they exit
-// after their in-flight task, and ends the job on this rank.
-func (e *nodeEngine) fail(err error) {
-	e.statMu.Lock()
-	if e.err == nil {
-		e.err = err
-	}
-	e.finished = true
-	e.statMu.Unlock()
-	e.mu.Lock()
-	e.cond.Broadcast()
-	e.mu.Unlock()
-	e.stopNow()
-}
-
-func (e *nodeEngine) worker(id int, wg *sync.WaitGroup) {
-	defer wg.Done()
-	// One max-sized arena per worker: the rank's steady state allocates
-	// nothing.
-	ws := e.g.NewWorkspace()
-	for {
-		e.mu.Lock()
-		for len(e.ready) == 0 && !e.isFinished() {
-			e.cond.Wait()
-		}
-		if len(e.ready) == 0 || e.currentErr() != nil {
-			e.mu.Unlock()
-			return
-		}
-		t := heap.Pop(&e.ready).(*sched.Task)
-		e.mu.Unlock()
-
-		begin := time.Now()
-		if err := e.g.RunTask(t, ws, id); err != nil {
-			// A panicking kernel strands every consumer of its output;
-			// fail the rank instead of killing the process.
-			e.fail(fmt.Errorf("dist: rank %d: %w", e.rank, err))
-			return
-		}
-		d := time.Since(begin)
-		e.mu.Lock()
-		e.busy += d
-		e.mu.Unlock()
-
-		e.complete(t)
-	}
-}
-
-func (e *nodeEngine) isFinished() bool {
-	e.statMu.Lock()
-	defer e.statMu.Unlock()
-	return e.finished
-}
-
 // outMsg accumulates the frame for one destination rank during completion
 // processing.
 type outMsg struct {
@@ -395,21 +307,20 @@ type outMsg struct {
 	enable  []int32
 }
 
-// complete propagates a finished local task: enable local successors,
-// and ship one frame per remote destination node combining the payload of
-// its data edges (snapshotted before any successor may run) with every
-// enable the destination is owed — data and ordering alike.
+// complete is the job's done hook for a finished local task: ship one
+// frame per remote destination node combining the payload of its data
+// edges (snapshotted before any successor may run — the runtime releases
+// the local ones after this returns) with every enable the destination is
+// owed, data and ordering alike.
 func (e *nodeEngine) complete(t *sched.Task) {
 	e.progress.Add(1)
 	succs := t.Succs()
 
-	var local []*sched.Task
 	var outs []*outMsg
 	var byDest map[int32]*outMsg
 	for i, s := range succs {
 		sn := e.nodeOf(s)
 		if sn == e.rank {
-			local = append(local, s)
 			continue
 		}
 		if byDest == nil {
@@ -436,60 +347,39 @@ func (e *nodeEngine) complete(t *sched.Task) {
 		m.enable = append(m.enable, s.ID)
 	}
 
-	if len(outs) > 0 {
-		snaps := map[*sched.Handle][]byte{}
-		for _, m := range outs {
-			var payload []byte
-			for _, h := range m.handles {
-				snap, ok := snaps[h]
-				if !ok {
-					snap = h.Snapshot()
-					snaps[h] = snap
-				}
-				payload = append(payload, snap...)
+	snaps := map[*sched.Handle][]byte{}
+	for _, m := range outs {
+		var payload []byte
+		for _, h := range m.handles {
+			snap, ok := snaps[h]
+			if !ok {
+				snap = h.Snapshot()
+				snaps[h] = snap
 			}
-			e.ship(Message{
-				From:     e.rank,
-				To:       m.dest,
-				Producer: t.ID,
-				Bytes:    m.bytes,
-				Payload:  payload,
-				Enable:   m.enable,
-			})
+			payload = append(payload, snap...)
 		}
-	}
-	for _, s := range local {
-		e.enable(s)
-	}
-
-	e.statMu.Lock()
-	e.remaining--
-	fin := e.remaining == 0
-	if fin {
-		e.finished = true
-	}
-	e.statMu.Unlock()
-	if fin {
-		e.mu.Lock()
-		e.cond.Broadcast()
-		e.mu.Unlock()
+		e.ship(Message{
+			From:     e.rank,
+			To:       m.dest,
+			Producer: t.ID,
+			Bytes:    m.bytes,
+			Payload:  payload,
+			Enable:   m.enable,
+		})
 	}
 }
 
 // ship accounts a data transfer (ordering and out-of-band frames carry
 // Bytes 0 and are free, as in the simulator) and enqueues the frame on
-// this rank's NIC.
+// this rank's NIC. complete ships one frame per (producer, destination),
+// the simulator's deduplicated transfer.
 func (e *nodeEngine) ship(msg Message) {
 	if msg.Bytes > 0 {
-		key := sched.CommKey(msg.Producer, msg.To)
-		e.statMu.Lock()
-		if _, dup := e.sent[key]; !dup {
-			e.sent[key] = struct{}{}
-			e.res.CommCount++
-			e.res.CommVolume += float64(msg.Bytes)
-			e.res.PayloadBytes += int64(len(msg.Payload))
-		}
-		e.statMu.Unlock()
+		e.commMu.Lock()
+		e.res.CommCount++
+		e.res.CommVolume += float64(msg.Bytes)
+		e.res.PayloadBytes += int64(len(msg.Payload))
+		e.commMu.Unlock()
 	}
 	e.outMu.Lock()
 	e.outbox = append(e.outbox, msg)
@@ -603,7 +493,7 @@ func (e *nodeEngine) receiver(wg *sync.WaitGroup) {
 			if !ok {
 				return
 			}
-			if e.currentErr() != nil {
+			if e.ctx.Err() != nil {
 				continue
 			}
 			if err := e.receive(msg); err != nil {
@@ -619,7 +509,10 @@ func (e *nodeEngine) receiver(wg *sync.WaitGroup) {
 // replicas, then release the tasks the frame enables. Duplicate frames (a
 // faulty or retrying transport) are ignored — restoring stale bytes after
 // later local writes would corrupt data, and double enables would corrupt
-// the dependence counters.
+// the dependence counters. A frame the graph cannot have produced fails
+// the job: one whose sender does not own its producer, whose enable list
+// is not the producer's successors on this rank, or a gather from a rank
+// that has none to send.
 func (e *nodeEngine) receive(msg Message) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -636,13 +529,15 @@ func (e *nodeEngine) receive(msg Message) (err error) {
 		e.recordRecv(msg, arrive)
 		return fmt.Errorf("dist: rank %d failed: %s", msg.From, msg.Payload)
 	case msg.Producer == ProducerGather:
-		if e.gathers == nil || e.gathered[msg.From] {
+		if msg.From < 1 || msg.From >= e.nodes {
+			return fmt.Errorf("dist: rank %d received a gather frame from rank %d, outside [1, %d)", e.rank, msg.From, e.nodes)
+		}
+		if _, dup := e.gathers[msg.From]; dup || e.gathers == nil {
 			return nil
 		}
-		e.gathered[msg.From] = true
 		e.gathers[msg.From] = msg.Payload
 		e.recordRecv(msg, arrive)
-		if len(e.gathered) == int(e.nodes)-1 {
+		if len(e.gathers) == int(e.nodes)-1 {
 			close(e.gatherOK)
 		}
 	case msg.Producer == ProducerControl:
@@ -650,11 +545,18 @@ func (e *nodeEngine) receive(msg Message) (err error) {
 	case msg.Producer < 0 || int(msg.Producer) >= len(e.g.Tasks):
 		return fmt.Errorf("dist: rank %d received frame from unknown producer %d", e.rank, msg.Producer)
 	default:
+		t := e.g.Tasks[msg.Producer]
+		if owner := e.nodeOf(t); owner != msg.From || owner == e.rank {
+			return fmt.Errorf("dist: rank %d: frame for task %d from rank %d, but rank %d owns the task", e.rank, msg.Producer, msg.From, owner)
+		}
+		if !e.enablesOwnedSuccs(t, msg.Enable) {
+			return fmt.Errorf("dist: rank %d: frame for task %d from rank %d enables %v, not the task's successors on this rank", e.rank, msg.Producer, msg.From, msg.Enable)
+		}
 		if e.seen[msg.Producer] {
 			return nil
 		}
 		e.seen[msg.Producer] = true
-		if err := e.deliver(msg); err != nil {
+		if err := e.deliver(t, msg.Payload); err != nil {
 			return err
 		}
 		e.recordRecv(msg, arrive)
@@ -662,15 +564,30 @@ func (e *nodeEngine) receive(msg Message) (err error) {
 	return nil
 }
 
-// deliver restores a data frame's payload and releases the enabled
-// tasks. The handle enumeration replays the sender's: walk the
-// producer's edges into this rank, collecting each data edge's handles
-// first-seen order — both sides derive it from the same graph, so no
-// metadata travels on the wire.
-func (e *nodeEngine) deliver(msg Message) error {
+// enablesOwnedSuccs reports whether enable lists exactly t's successors
+// on this rank, in successor order — the list complete ships.
+func (e *nodeEngine) enablesOwnedSuccs(t *sched.Task, enable []int32) bool {
+	i := 0
+	for _, s := range t.Succs() {
+		if e.nodeOf(s) != e.rank {
+			continue
+		}
+		if i == len(enable) || enable[i] != s.ID {
+			return false
+		}
+		i++
+	}
+	return i == len(enable)
+}
+
+// deliver restores a data frame's payload and releases the producer's
+// successors in this rank's job. The handle enumeration replays the
+// sender's: walk the producer's edges into this rank, collecting each
+// data edge's handles first-seen order — both sides derive it from the
+// same graph, so no metadata travels on the wire.
+func (e *nodeEngine) deliver(t *sched.Task, payload []byte) error {
 	if !e.sameAddressSpace {
-		t := e.g.Tasks[msg.Producer]
-		rest := msg.Payload
+		rest := payload
 		var restored []*sched.Handle
 		for i, s := range t.Succs() {
 			if e.nodeOf(s) != e.rank || t.EdgeBytes(i) == 0 {
@@ -684,32 +601,11 @@ func (e *nodeEngine) deliver(msg Message) error {
 			}
 		}
 		if len(rest) != 0 {
-			return fmt.Errorf("dist: rank %d: frame from task %d has %d unconsumed payload bytes", e.rank, msg.Producer, len(rest))
+			return fmt.Errorf("dist: rank %d: frame from task %d has %d unconsumed payload bytes", e.rank, t.ID, len(rest))
 		}
 	}
-	for _, id := range msg.Enable {
-		if id < 0 || int(id) >= len(e.g.Tasks) {
-			return fmt.Errorf("dist: rank %d: frame enables unknown task %d", e.rank, id)
-		}
-		e.enable(e.g.Tasks[id])
-	}
+	e.job.Release(t)
 	return nil
-}
-
-// enable decrements a task's predecessor count and, at zero, makes it
-// runnable if this rank owns it.
-func (e *nodeEngine) enable(s *sched.Task) {
-	e.statMu.Lock()
-	e.preds[s.ID]--
-	ready := e.preds[s.ID] == 0
-	e.statMu.Unlock()
-	if !ready || e.nodeOf(s) != e.rank {
-		return
-	}
-	e.mu.Lock()
-	heap.Push(&e.ready, s)
-	e.cond.Signal()
-	e.mu.Unlock()
 }
 
 // gatherPayload concatenates the final snapshots of every datum whose
@@ -739,33 +635,23 @@ func (e *nodeEngine) restoreGather(from int32, payload []byte) {
 }
 
 // watchdog fails the execution when neither a completion nor a frame
-// arrival happened for a full timeout window.
+// arrival happened for a full timeout window while the job, or rank 0's
+// gather, was pending.
 func (e *nodeEngine) watchdog(timeout time.Duration) {
 	tick := time.NewTicker(timeout)
 	defer tick.Stop()
 	last := e.progress.Load()
 	for {
 		select {
-		case <-e.stop:
+		case <-e.ctx.Done():
+			return
+		case <-e.drained:
 			return
 		case <-tick.C:
 			cur := e.progress.Load()
-			if cur == last {
-				gatherPending := false
-				if e.gatherOK != nil {
-					select {
-					case <-e.gatherOK:
-					default:
-						gatherPending = true
-					}
-				}
-				e.statMu.Lock()
-				stalled := (e.remaining > 0 || gatherPending) && e.err == nil
-				e.statMu.Unlock()
-				if stalled {
-					e.fail(fmt.Errorf("dist: rank %d stalled: no progress for %s (lost peer or dropped frame?)", e.rank, timeout))
-					return
-				}
+			if cur == last && e.pending.Load() {
+				e.fail(fmt.Errorf("dist: rank %d stalled: no progress for %s (lost peer or dropped frame?)", e.rank, timeout))
+				return
 			}
 			last = cur
 		}

@@ -3,6 +3,7 @@ package dist
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math/rand"
 	"net"
 	"runtime"
@@ -367,5 +368,152 @@ func TestTCPFrameRoundTrip(t *testing.T) {
 	// A corrupted length prefix must error out, not allocate.
 	if _, err := readFrame(bytes.NewReader([]byte{0xFF, 0xFF, 0xFF, 0xFF})); err == nil {
 		t.Fatal("oversized frame length accepted")
+	}
+}
+
+// forgeGraph is a three-rank graph with no payloads: task 0 on rank 0
+// feeds task 1 on rank 1, task 2 feeds task 3 on rank 1, and rank 2 owns
+// task 4.
+func forgeGraph() *sched.Graph {
+	g := sched.NewGraph()
+	a, b, c := g.NewHandle(8, 0), g.NewHandle(8, 0), g.NewHandle(8, 0)
+	g.AddTask(kernels.GEQRTKind, 0, 1, 0, nil, sched.RW(a))
+	g.AddTask(kernels.UNMQRKind, 1, 1, 0, nil, sched.R(a))
+	g.AddTask(kernels.GEQRTKind, 1, 1, 0, nil, sched.RW(b))
+	g.AddTask(kernels.UNMQRKind, 1, 1, 0, nil, sched.RW(b))
+	g.AddTask(kernels.GEQRTKind, 2, 1, 0, nil, sched.RW(c))
+	return g
+}
+
+// TestExecuteNodeRejectsForgedFrames: a frame the graph cannot have
+// produced — from a rank that does not own its producer, enabling a task
+// that is not among the producer's successors on the receiving rank, or
+// a gather from a rank with nothing to gather — fails the receiving rank
+// with an error naming the frame, instead of releasing a task early or
+// ending the gather short.
+func TestExecuteNodeRejectsForgedFrames(t *testing.T) {
+	cases := []struct {
+		name string
+		msg  Message
+		want string
+	}{
+		{"spoofed From", Message{From: 2, To: 1, Producer: 0, Enable: []int32{1}}, "frame for task 0 from rank 2"},
+		{"foreign Enable id", Message{From: 0, To: 1, Producer: 0, Enable: []int32{1, 3}}, "frame for task 0 from rank 0 enables [1 3]"},
+		{"gather from rank 0", Message{From: 0, To: 0, Producer: ProducerGather}, "gather frame from rank 0"},
+		{"gather from rank nodes", Message{From: 3, To: 0, Producer: ProducerGather}, "gather frame from rank 3"},
+	}
+	grid := Grid{3, 1}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			tr := NewChanTransport(grid.Nodes())
+			defer tr.Close()
+			if err := tr.Send(c.msg); err != nil {
+				t.Fatal(err)
+			}
+			errs := make([]error, grid.Nodes())
+			var wg sync.WaitGroup
+			for rank := range errs {
+				wg.Add(1)
+				go func(rank int) {
+					defer wg.Done()
+					_, errs[rank] = ExecuteNode(forgeGraph(), NodeOptions{
+						Grid:         grid,
+						Transport:    tr,
+						Rank:         rank,
+						Gather:       true,
+						StallTimeout: 500 * time.Millisecond,
+					})
+				}(rank)
+			}
+			wg.Wait()
+			if err := errs[c.msg.To]; err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("rank %d took the forged frame: err = %v, want one containing %q", c.msg.To, err, c.want)
+			}
+		})
+	}
+}
+
+// TestExecuteLeavesNoGoroutines: once ExecuteNode or ExecuteCtx returns —
+// on success, on a kernel panic, or on cancellation — the goroutine count
+// settles back to its baseline: every rank's runtime, NIC, receiver and
+// watchdog is gone. (ExecuteNode has no ctx; its cancellation path is the
+// stall of TestExecuteNodeDroppedFrameFailsPromptly.)
+func TestExecuteLeavesNoGoroutines(t *testing.T) {
+	grid := Grid{2, 1}
+	graph := func(panicky bool, gate chan struct{}) *sched.Graph {
+		g := sched.NewGraph()
+		h := g.NewHandle(8, 0)
+		g.AddTask(kernels.GEQRTKind, 0, 1, 0, func(*nla.Workspace) {
+			if gate != nil {
+				<-gate
+			}
+		}, sched.RW(h))
+		g.AddTask(kernels.UNMQRKind, 1, 1, 0, func(*nla.Workspace) {
+			if panicky {
+				panic("bad tile")
+			}
+		}, sched.R(h))
+		g.AddTask(kernels.GEQRTKind, 0, 1, 0, nil, sched.RW(h))
+		return g
+	}
+	node := func(panicky bool) error {
+		tr := NewChanTransport(grid.Nodes())
+		defer tr.Close()
+		errs := make([]error, grid.Nodes())
+		var wg sync.WaitGroup
+		for rank := range errs {
+			wg.Add(1)
+			go func(rank int) {
+				defer wg.Done()
+				_, errs[rank] = ExecuteNode(graph(panicky, nil), NodeOptions{
+					Grid: grid, WorkersPerNode: 2, Transport: tr, Rank: rank, Gather: true, StallTimeout: 5 * time.Second,
+				})
+			}(rank)
+		}
+		wg.Wait()
+		return errors.Join(errs...)
+	}
+	cases := []struct {
+		name    string
+		run     func() error
+		wantErr string
+	}{
+		{"ExecuteNode/success", func() error { return node(false) }, ""},
+		{"ExecuteNode/panic", func() error { return node(true) }, "bad tile"},
+		{"ExecuteCtx/success", func() error {
+			_, err := ExecuteCtx(context.Background(), graph(false, nil), Options{Grid: grid, WorkersPerNode: 2})
+			return err
+		}, ""},
+		{"ExecuteCtx/panic", func() error {
+			_, err := ExecuteCtx(context.Background(), graph(true, nil), Options{Grid: grid, WorkersPerNode: 2})
+			return err
+		}, "bad tile"},
+		{"ExecuteCtx/cancel", func() error {
+			gate := make(chan struct{})
+			ctx, cancel := context.WithCancel(context.Background())
+			go func() {
+				time.Sleep(20 * time.Millisecond)
+				cancel()
+				close(gate)
+			}()
+			_, err := ExecuteCtx(ctx, graph(false, gate), Options{Grid: grid, WorkersPerNode: 2})
+			return err
+		}, context.Canceled.Error()},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			err := c.run()
+			if c.wantErr == "" && err != nil || c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)) {
+				t.Fatalf("err = %v, want %q", err, c.wantErr)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before {
+				if time.Now().After(deadline) {
+					t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		})
 	}
 }

@@ -307,6 +307,12 @@ func (t *TCPTransport) read(c net.Conn) {
 		if err != nil {
 			return // EOF (peer done) or Close
 		}
+		if msg.From != peer || msg.To != t.rank {
+			// The handshake named the sender and this end is one rank: a
+			// frame claiming otherwise is forged or corrupt.
+			c.Close()
+			return
+		}
 		t.received.Add(1)
 		t.links.RecordRecv(peer, frameWireSize(msg))
 		select {

@@ -36,12 +36,11 @@
 //	cluster.Job   the same engine with one rank per process: the cluster
 //	              head's per-job executor over the TCP mesh.
 //
-// Underneath there are two worker loops, one per memory model. Pool and
-// Shared are the same loop, sched.Runtime, differing only in who owns the
-// pool: shared dependence counters, one lock. OwnerCompute is the other,
-// dist's per-rank engine, run once per grid node in this process: each
-// rank has its own counters and learns of remote completions from frames,
-// exactly as a rank of the TCP cluster does.
+// Underneath there is one worker loop, sched.Runtime. Pool and Shared
+// differ only in who owns the pool. OwnerCompute runs each grid node of
+// this process as an owned job on a runtime of its own: a rank dispatches
+// only its tasks and learns of remote completions from frames, exactly as
+// a rank of the TCP cluster does.
 //
 // Every executor yields bitwise-identical results on the same Plan: all
 // conflicting accesses are ordered by graph edges, so each datum sees

@@ -16,8 +16,8 @@ import (
 )
 
 // engine is one way of running a graph to completion. The behaviour table
-// below holds every one of them to the same contract, whichever of the two
-// worker loops (sched.Runtime, dist's per-rank engine) is underneath.
+// below holds every one of them to the same contract, whether the one
+// worker loop (sched.Runtime) runs the whole graph or one rank's share.
 type engine struct {
 	name string
 	run  func(t *testing.T, ctx context.Context, g *sched.Graph) error

@@ -138,7 +138,7 @@ func (g *Graph) simulate(workers int, timeOf func(*Task) float64, start func(t *
 	g.resetExecState()
 	g.ComputeBottomLevels(timeOf)
 
-	var ready ReadyHeap
+	var ready readyHeap
 	for _, t := range g.Tasks {
 		if t.npred == 0 {
 			ready = append(ready, t)
@@ -187,22 +187,21 @@ func (g *Graph) simulate(workers int, timeOf func(*Task) float64, start func(t *
 	return SimResult{Makespan: now, BusyTime: busy, Utilization: util, Tasks: done}
 }
 
-// ReadyHeap is the ready queue of every executor and simulator, in this
-// package and in internal/dist: a max-heap (container/heap) on (prio, -ID)
-// — higher bottom level first, earlier submission breaking ties for
-// determinism.
-type ReadyHeap []*Task
+// readyHeap is the ready queue of the worker loop and of the simulators:
+// a max-heap (container/heap) on (prio, -ID) — higher bottom level first,
+// earlier submission breaking ties for determinism.
+type readyHeap []*Task
 
-func (h ReadyHeap) Len() int { return len(h) }
-func (h ReadyHeap) Less(i, j int) bool {
+func (h readyHeap) Len() int { return len(h) }
+func (h readyHeap) Less(i, j int) bool {
 	if h[i].prio != h[j].prio {
 		return h[i].prio > h[j].prio
 	}
 	return h[i].ID < h[j].ID
 }
-func (h ReadyHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *ReadyHeap) Push(x any)   { *h = append(*h, x.(*Task)) }
-func (h *ReadyHeap) Pop() any {
+func (h readyHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *readyHeap) Push(x any)   { *h = append(*h, x.(*Task)) }
+func (h *readyHeap) Pop() any {
 	old := *h
 	n := len(old)
 	t := old[n-1]

@@ -14,13 +14,10 @@
 //   - SimulateDistributed: multi-node list scheduling with a bandwidth/
 //     latency communication model (see simdist.go).
 //
-// There are two worker loops in the repository, one per memory model, as
-// the paper runs every variant on one dataflow runtime. Runtime is the
-// shared-memory one: every worker decrements the same dependence counters
-// under one lock. The distributed-memory one is internal/dist's per-rank
-// engine (dist.ExecuteNode, and dist.Execute for N ranks in one process):
-// a rank cannot see its peers' counters, so it keeps its own and feeds
-// them from frames. Both order their ready queues with ReadyHeap.
+// Runtime is the one worker loop, as the paper runs every variant on one
+// dataflow runtime: a rank of internal/dist runs its share of a graph as
+// an owned job (SubmitOwned), and the frames from its peers Release the
+// remote predecessors of its tasks.
 //
 // Tasks are deliberately compact (a few pointers and scalars) so that
 // graphs with tens of millions of tasks — the paper's largest distributed

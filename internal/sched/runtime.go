@@ -33,10 +33,15 @@ var ErrRuntimeClosed = errors.New("sched: runtime closed")
 //   - A panicking kernel fails its OWN job (Wait returns the error naming
 //     the kernel kind); every other job, and the pool, keep running.
 //   - Cancelling a job's context stops dispatching its tasks promptly;
-//     in-flight tasks finish and Wait returns ctx.Err().
+//     in-flight tasks finish and Wait returns context.Cause(ctx).
 //
-// A Graph must be in at most one execution at a time (its dependency
-// counters are live state); resubmitting a finished graph is allowed.
+// It is the repository's one worker loop: a rank of a distributed
+// execution (internal/dist) is an owned job (SubmitOwned) on a Runtime of
+// its own, fed the completions of remote predecessors through Release.
+//
+// A Graph must be in at most one execution at a time, or in one owned job
+// per rank over disjoint owner sets (its dependency counters are live
+// state); resubmitting a finished graph is allowed.
 type Runtime struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -56,13 +61,19 @@ type Runtime struct {
 	wsBytes []int64
 }
 
-// JobHandle tracks one submitted graph.
+// JobHandle tracks one submitted graph, or one rank's share of it.
 type JobHandle struct {
-	rt  *Runtime
-	g   *Graph
-	ctx context.Context
+	rt    *Runtime
+	g     *Graph
+	tasks int // the job's size
+	// An owned job (SubmitOwned) runs the tasks with Node % nodes == rank
+	// and calls hook after each; hook is nil for a whole-graph job. lane
+	// is added to the worker index to name a task's trace ring.
+	hook        func(*Task)
+	rank, nodes int32
+	lane        int
 
-	ready    ReadyHeap
+	ready    readyHeap
 	inflight int // dispatched, not yet finished
 	undone   int // not yet finished (dispatched or not)
 	// vtime is the job's virtual time: the tasks picked from it, offset
@@ -146,10 +157,7 @@ func (rt *Runtime) InFlight() int {
 // tasks interleave with every other in-flight job's on the shared
 // workers. A nil ctx means context.Background().
 func (rt *Runtime) Submit(ctx context.Context, g *Graph) (*JobHandle, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	h := &JobHandle{rt: rt, g: g, ctx: ctx, done: make(chan struct{})}
+	h := &JobHandle{rt: rt, g: g, tasks: len(g.Tasks), done: make(chan struct{})}
 	g.resetExecState()
 	g.ComputeBottomLevels(WeightTime)
 	for _, t := range g.Tasks {
@@ -157,17 +165,62 @@ func (rt *Runtime) Submit(ctx context.Context, g *Graph) (*JobHandle, error) {
 			h.ready = append(h.ready, t)
 		}
 	}
+	return rt.admit(ctx, h)
+}
+
+// SubmitOwned admits rank's share of g, the tasks with Node % nodes ==
+// rank; the other shares run on other Runtimes over the same graph, or in
+// other processes over replicas of it. A task with a predecessor outside
+// the share waits for a Release of that predecessor. The job resets,
+// decrements and reads only its own tasks' dependence counters, and the
+// bottom levels are the caller's to compute beforehand, so the shares of
+// one graph may run concurrently.
+//
+// hook, which must not be nil, runs after each owned task's kernel, on
+// its worker, outside the runtime's lock and before any successor of the
+// task is released, so what it snapshots precedes every local writer;
+// Wait returns after the last hook has. Worker w records trace events on
+// lane+w.
+func (rt *Runtime) SubmitOwned(ctx context.Context, g *Graph, rank, nodes, lane int, hook func(*Task)) (*JobHandle, error) {
+	h := &JobHandle{rt: rt, g: g, hook: hook, rank: int32(rank), nodes: int32(nodes), lane: lane, done: make(chan struct{})}
+	for _, t := range g.Tasks {
+		if h.owns(t) {
+			t.npred = 0
+			h.tasks++
+		}
+	}
+	// Edges point forward, so a task's count is complete when it is reached.
+	for _, t := range g.Tasks {
+		if h.owns(t) && t.npred == 0 {
+			h.ready = append(h.ready, t)
+		}
+		for _, s := range t.succs {
+			if h.owns(s) {
+				s.npred++
+			}
+		}
+	}
+	return rt.admit(ctx, h)
+}
+
+func (h *JobHandle) owns(t *Task) bool { return t.Node%h.nodes == h.rank }
+
+// admit queues a job whose initial ready tasks are collected.
+func (rt *Runtime) admit(ctx context.Context, h *JobHandle) (*JobHandle, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	heap.Init(&h.ready)
-	h.undone = len(g.Tasks)
+	h.undone = h.tasks
 
 	rt.mu.Lock()
 	if rt.closed {
 		rt.mu.Unlock()
 		return nil, ErrRuntimeClosed
 	}
-	if err := ctx.Err(); err != nil {
+	if ctx.Err() != nil {
 		rt.mu.Unlock()
-		h.err = err
+		h.err = context.Cause(ctx)
 		close(h.done)
 		return h, nil
 	}
@@ -193,7 +246,7 @@ func (rt *Runtime) Submit(ctx context.Context, g *Graph) (*JobHandle, error) {
 		h.unwatch = context.AfterFunc(ctx, func() {
 			rt.mu.Lock()
 			if !h.finishedLocked() {
-				h.stopLocked(ctx.Err())
+				h.stopLocked(context.Cause(ctx))
 				rt.finishIfDoneLocked(h)
 			}
 			rt.mu.Unlock()
@@ -203,8 +256,38 @@ func (rt *Runtime) Submit(ctx context.Context, g *Graph) (*JobHandle, error) {
 	return h, nil
 }
 
+// Release tells an owned job that producer, a task outside its share, has
+// completed: its successors in the share each lose one predecessor. The
+// caller is no worker and takes no task itself, so a sleeping worker is
+// woken for every task that becomes ready. A stopped job ignores it.
+func (h *JobHandle) Release(producer *Task) {
+	rt := h.rt
+	rt.mu.Lock()
+	if !h.stopped && !h.finishedLocked() {
+		h.releaseLocked(producer)
+		rt.wakeLocked(rt.ready)
+	}
+	rt.mu.Unlock()
+}
+
+// releaseLocked decrements the owned successors of t, queueing those
+// that become ready. Callers hold rt.mu.
+func (h *JobHandle) releaseLocked(t *Task) {
+	for _, s := range t.succs {
+		if !h.owns(s) {
+			continue
+		}
+		s.npred--
+		if s.npred == 0 {
+			heap.Push(&h.ready, s)
+			h.rt.ready++
+		}
+	}
+}
+
 // Wait blocks until the job finishes and returns its error: nil on
-// success, ctx.Err() after a cancellation, or the first kernel panic.
+// success, context.Cause(ctx) after a cancellation, or the first kernel
+// panic.
 func (h *JobHandle) Wait() error {
 	<-h.done
 	return h.err
@@ -222,8 +305,9 @@ func (h *JobHandle) Stopped() bool {
 	return h.stopped || h.finishedLocked()
 }
 
-// Tasks returns the size of the submitted graph.
-func (h *JobHandle) Tasks() int { return len(h.g.Tasks) }
+// Tasks returns the number of tasks the job runs: the graph's size, or
+// its share's.
+func (h *JobHandle) Tasks() int { return h.tasks }
 
 // stopLocked abandons all undispatched work with the given cause.
 // Callers hold rt.mu.
@@ -340,12 +424,16 @@ func (rt *Runtime) worker(id int) {
 			atomic.StoreInt64(&rt.wsBytes[id], int64(ws.Cap())*8)
 		}
 		ws.Blocking = blocking
-		err := h.g.RunTask(t, ws, id)
+		err := h.g.RunTask(t, ws, h.lane+id)
 		if err != nil {
 			// A panicking kernel skipped its Release calls; drop its
 			// checkouts so the long-lived worker's arena does not leak
 			// capacity across the jobs that follow.
 			ws.Reset()
+		}
+		if h.hook != nil {
+			rt.completeOwned(h, t, err)
+			continue
 		}
 
 		rt.mu.Lock()
@@ -371,6 +459,27 @@ func (rt *Runtime) worker(id int) {
 		rt.wakeLocked(rt.ready - 1)
 		rt.mu.Unlock()
 	}
+}
+
+// completeOwned is the worker's bookkeeping after a task of an owned job:
+// the hook first, outside rt.mu, then the release of the task's owned
+// successors.
+func (rt *Runtime) completeOwned(h *JobHandle, t *Task, err error) {
+	if err == nil {
+		h.hook(t)
+	}
+	rt.mu.Lock()
+	h.inflight--
+	h.undone--
+	if err != nil {
+		h.stopLocked(err)
+	}
+	if !h.stopped {
+		h.releaseLocked(t)
+	}
+	rt.finishIfDoneLocked(h)
+	rt.wakeLocked(rt.ready - 1)
+	rt.mu.Unlock()
 }
 
 // Close stops the pool: no further Submit is accepted, every in-flight

@@ -39,12 +39,12 @@ type DistResult struct {
 // plus size/bandwidth, serialized through the producer node's NIC; repeated
 // transfers of the same datum to the same node are deduplicated, like the
 // runtime's data cache.
-// CommKey packs a (producer task, destination node) pair into the dedup
-// map key used by both the distributed simulator and the real executor:
-// the task ID occupies the high 32 bits and the node the low 32. Both
-// values are int32, so the packing cannot collide; the guard keeps a
-// corrupted negative node from sign-extending into the task bits.
-func CommKey(task, node int32) int64 {
+// commKey packs a (producer task, destination node) pair into the
+// simulator's dedup map key: the task ID occupies the high 32 bits and
+// the node the low 32. Both values are int32, so the packing cannot
+// collide; the guard keeps a corrupted negative node from sign-extending
+// into the task bits.
+func commKey(task, node int32) int64 {
 	if node < 0 {
 		panic(fmt.Sprintf("sched: negative node %d in comm key", node))
 	}
@@ -73,7 +73,7 @@ func (g *Graph) SimulateDistributed(cfg DistConfig) DistResult {
 	nodeOf := func(t *Task) int32 { return t.Node % int32(cfg.Nodes) }
 
 	type nodeState struct {
-		ready   ReadyHeap
+		ready   readyHeap
 		free    int
 		busy    float64
 		nicFree float64
@@ -128,7 +128,7 @@ func (g *Graph) SimulateDistributed(cfg DistConfig) DistResult {
 	}
 
 	var result DistResult
-	transferred := map[int64]float64{} // CommKey(producer ID, destNode) → arrival
+	transferred := map[int64]float64{} // commKey(producer ID, destNode) → arrival
 
 	enable := func(t *Task, at float64) {
 		if at > t.readyTime {
@@ -186,7 +186,7 @@ func (g *Graph) SimulateDistributed(cfg DistConfig) DistResult {
 					touched[sNode] = true
 					continue
 				}
-				key := CommKey(t.ID, sNode)
+				key := commKey(t.ID, sNode)
 				arrival, ok := transferred[key]
 				if !ok {
 					start := now

@@ -50,7 +50,7 @@
 // cancellation and panic isolation (see NewService and the README
 // "Serving" section); cmd/bidiagd exposes it over HTTP. The one-shot
 // entry points gain context-aware variants (SingularValuesCtx, SVDCtx)
-// that stop scheduling and return ctx.Err() on cancellation.
+// that stop scheduling and return context.Cause(ctx) on cancellation.
 //
 // Concurrency contract: every exported function and type in this
 // package is safe for concurrent use, with two caveats. A Dense must
@@ -348,21 +348,21 @@ func (b *Band) singularValues(ctx context.Context, ex pipeline.Executor, stage1 
 // transpose, so Algorithm = RBidiag is valid for every nonempty shape
 // and QR-factorizes the (possibly transposed) input first.
 func GE2BND(a *Dense, o *Options) (*Band, error) {
-	opts, src, treeKind, _, err := prepare(a, o)
+	j, opts, err := oneShot(JobSingularValues, a, o)
 	if err != nil {
 		return nil, err
 	}
-	plan, ex, err := buildPlan(src, opts, treeKind, nil)
-	if err != nil {
-		return nil, err
+	ex := j.stage1
+	if ex == nil {
+		ex = pipeline.Pool{Workers: opts.Workers}
 	}
-	rep, err := pipeline.Run(plan, ex)
+	rep, err := pipeline.Run(j.plan, ex)
 	if err != nil {
 		return nil, err
 	}
 	return &Band{
-		b:             plan.Tiles.ExtractBand(plan.Tiles.NB),
-		UsedRBidiag:   plan.UsedRBidiag,
+		b:             j.plan.Tiles.ExtractBand(j.plan.Tiles.NB),
+		UsedRBidiag:   j.plan.UsedRBidiag,
 		TasksExecuted: rep.Tasks,
 		Dist:          distStatsOf(rep),
 		workers:       opts.Workers,
@@ -449,44 +449,107 @@ func resolve(a *Dense, o *Options) (opts Options, src *nla.Matrix, treeKind tree
 	return opts, src, treeKind, transposed, nil
 }
 
-// buildSpec resolves opts into the pipeline Spec — the geometry, tiled
-// data and tree configuration of one reduction: the shared-memory trees,
-// or with a grid job (Options.Distributed, resolved by gridJob) the
-// distributed ones. The service layer reuses it under executors of its
-// own, which is why it is separate from executor selection.
-func buildSpec(src *nla.Matrix, opts Options, treeKind trees.Kind, gj *pipeline.GridJob, rec *core.Recorder) pipeline.Spec {
-	blocking := nla.Blocking(opts.Gemm)
-	if rec != nil {
-		rec.Blocking = blocking
-	}
+// job is one computation of a JobKind, the unit every entry point runs:
+// its GE2BND plan, and the finish that turns the executed plan into the
+// result, running any later graphs on the executor it is handed.
+type job struct {
+	plan *pipeline.Plan
+	// stage1 runs the plan's graph when the caller's executor does not: a
+	// grid job's nodes, or a service's mesh.
+	stage1 pipeline.Executor
+	finish func(ctx context.Context, ex pipeline.Executor) (*JobResult, error)
+}
+
+// newJob builds a job: the GE2BND graph of src (m ≥ n, transposed when the
+// input was wide) with the shared-memory trees, or with a grid job
+// (Options.Distributed, resolved by gridJob) the distributed ones. A
+// values job's finish extracts the band and chases it; an SVD job records
+// its reflectors and its finish is finishSVD. The chase and the back half
+// record on the GE2BND graph's tracer, so a traced job's timeline holds
+// them too.
+func newJob(kind JobKind, src *nla.Matrix, opts Options, treeKind trees.Kind, transposed bool, gj *pipeline.GridJob) job {
+	var j job
 	var spec pipeline.Spec
 	if gj != nil {
 		spec = gj.Spec(src)
+		j.stage1 = pipeline.OwnerCompute{Grid: gj.Grid, WorkersPerNode: gj.WPN}
 	} else {
 		m, n := src.Rows, src.Cols
 		spec = pipeline.Spec{
 			Shape:   core.ShapeOf(m, n, opts.NB),
 			Data:    tile.FromDense(src, opts.NB),
-			Config:  core.Config{Tree: treeKind, Gamma: opts.Gamma, Cores: opts.Workers, Blocking: blocking},
+			Config:  core.Config{Tree: treeKind, Gamma: opts.Gamma, Cores: opts.Workers, Blocking: nla.Blocking(opts.Gemm)},
 			RBidiag: useRBidiag(opts, m, n),
 		}
 	}
-	spec.Config.Recorder = rec
-	return spec
+	var rec *core.Recorder
+	if kind == JobSVD {
+		rec = &core.Recorder{Blocking: nla.Blocking(opts.Gemm)}
+		spec.Config.Recorder = rec
+	}
+	p := pipeline.Build(spec)
+	j.plan = p
+	j.finish = func(ctx context.Context, ex pipeline.Executor) (*JobResult, error) {
+		if rec != nil {
+			res, err := finishSVD(ctx, p, rec, ex, transposed)
+			if err != nil {
+				return nil, err
+			}
+			return &JobResult{Values: res.S, SVD: res}, nil
+		}
+		b := &Band{b: p.Tiles.ExtractBand(p.Tiles.NB), window: opts.BND2BDWindow}
+		s, err := b.singularValues(ctx, ex, p.Graph)
+		if err != nil {
+			return nil, err
+		}
+		return &JobResult{Values: s}, nil
+	}
+	return j
 }
 
-// buildPlan resolves opts into the GE2BND Plan and the Executor that
-// will run it — the single place engine selection happens.
-func buildPlan(src *nla.Matrix, opts Options, treeKind trees.Kind, rec *core.Recorder) (*pipeline.Plan, pipeline.Executor, error) {
-	if opts.Distributed == nil {
-		return pipeline.Build(buildSpec(src, opts, treeKind, nil, rec)), pipeline.Pool{Workers: opts.Workers}, nil
+// oneShot lowers a one-shot call to its job: the input check, resolve,
+// and the grid job of Options.Distributed.
+func oneShot(kind JobKind, a *Dense, o *Options) (job, Options, error) {
+	opts, src, treeKind, transposed, err := prepare(a, o)
+	if err != nil {
+		return job{}, opts, err
 	}
-	gj, err := gridJob(opts, src.Rows, src.Cols)
+	var gj *pipeline.GridJob
+	if opts.Distributed != nil {
+		g, err := gridJob(opts, src.Rows, src.Cols)
+		if err != nil {
+			return job{}, opts, err
+		}
+		gj = &g
+	}
+	return newJob(kind, src, opts, treeKind, transposed, gj), opts, nil
+}
+
+// runOnce runs a one-shot call: every graph of the job on one
+// sched.Runtime of Options.Workers started for the call and closed when it
+// returns — on the calling goroutine when Workers is 1 — except a grid
+// job's GE2BND graph, which runs on its nodes.
+func runOnce(ctx context.Context, kind JobKind, a *Dense, o *Options) (*JobResult, *pipeline.Report, error) {
+	j, opts, err := oneShot(kind, a, o)
 	if err != nil {
 		return nil, nil, err
 	}
-	return pipeline.Build(buildSpec(src, opts, treeKind, &gj, rec)),
-		pipeline.OwnerCompute{Grid: gj.Grid, WorkersPerNode: gj.WPN}, nil
+	ex := pipeline.Executor(pipeline.Sequential{})
+	if opts.Workers > 1 {
+		rt := sched.NewRuntime(opts.Workers)
+		defer rt.Close()
+		ex = pipeline.Shared{Runtime: rt}
+	}
+	stage1 := j.stage1
+	if stage1 == nil {
+		stage1 = ex
+	}
+	rep, err := pipeline.RunCtx(ctx, j.plan, stage1)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := j.finish(ctx, ex)
+	return res, rep, err
 }
 
 // distStatsOf converts an executor report's distributed statistics into
@@ -508,34 +571,23 @@ func distStatsOf(rep *pipeline.Report) *DistStats {
 }
 
 // SingularValues returns the singular values of a in descending order,
-// computed by the full GE2BND + BND2BD + BD2VAL pipeline.
+// computed by the full GE2BND + BND2BD + BD2VAL pipeline. The call runs
+// all its graphs on one runtime of Options.Workers (see
+// SingularValuesCtx).
 func SingularValues(a *Dense, o *Options) ([]float64, error) {
 	return SingularValuesCtx(context.Background(), a, o)
 }
 
 // SingularValuesCtx is SingularValues under a context: a cancelled ctx
 // stops scheduling new kernel tasks promptly (in-flight tiles finish)
-// and returns ctx.Err(), on every engine.
+// and returns context.Cause(ctx), on every engine. With Options.Workers
+// above one, the call starts one worker pool and runs both its graphs on
+// it, the GE2BND graph and the band chase; Workers: 1 runs them on the
+// calling goroutine.
 func SingularValuesCtx(ctx context.Context, a *Dense, o *Options) ([]float64, error) {
-	opts, src, treeKind, _, err := prepare(a, o)
+	res, _, err := runOnce(ctx, JobSingularValues, a, o)
 	if err != nil {
 		return nil, err
 	}
-	plan, ex, err := buildPlan(src, opts, treeKind, nil)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := pipeline.RunCtx(ctx, plan, ex); err != nil {
-		return nil, err
-	}
-	return finishValues(ctx, plan, opts, pipeline.Pool{Workers: opts.Workers})
-}
-
-// finishValues turns an executed GE2BND plan into singular values, the
-// one finish every values path shares (the one-shot call, a service job
-// on the pool, a service job on the mesh): it extracts the band and
-// chases it on chase, the executor of the caller's workers.
-func finishValues(ctx context.Context, plan *pipeline.Plan, opts Options, chase pipeline.Executor) ([]float64, error) {
-	b := &Band{b: plan.Tiles.ExtractBand(plan.Tiles.NB), window: opts.BND2BDWindow}
-	return b.singularValues(ctx, chase, plan.Graph)
+	return res.Values, nil
 }

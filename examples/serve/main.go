@@ -65,7 +65,7 @@ func main() {
 	}
 	fmt.Printf("repeat submission: cache hit = %v\n", res.CacheHit)
 
-	// Cancellation: a job abandoned mid-flight fails with ctx.Err() and
+	// Cancellation: a job abandoned mid-flight fails with context.Cause(ctx) and
 	// releases its workers to the jobs that still matter.
 	ctx, cancel := context.WithCancel(context.Background())
 	job, err := svc.Submit(ctx, bidiag.JobRequest{A: randomDense(rng, 512, 384), Opts: opts})

@@ -218,8 +218,8 @@ func (j *Job) Execute(ctx context.Context, g *sched.Graph) (*pipeline.Report, er
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	if ctx.Err() != nil {
+		return nil, context.Cause(ctx)
 	}
 	h.seq++
 	spec := jobSpec{Op: opJob, M: j.a.Rows, N: j.a.Cols, Plan: j.plan, Trace: j.trace, Seq: h.seq}

@@ -76,7 +76,8 @@ func Execute(g *sched.Graph, opt Options) (*Result, error) {
 }
 
 // ExecuteCtx is Execute under a context: when ctx is cancelled every rank
-// stops dispatching, in-flight tasks finish, and ctx.Err() is returned.
+// stops dispatching, in-flight tasks finish, and context.Cause(ctx) is
+// returned.
 //
 // The execution is Grid.Nodes() ranks of the ExecuteNode engine in one
 // process over one transport, their results summed. The ranks share ONE
@@ -90,8 +91,8 @@ func ExecuteCtx(ctx context.Context, g *sched.Graph, opt Options) (*Result, erro
 	if err := checkOwners(g); err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	if ctx.Err() != nil {
+		return nil, context.Cause(ctx)
 	}
 	n := opt.Grid.Nodes()
 	wpn := max(opt.WorkersPerNode, 1)

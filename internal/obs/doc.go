@@ -28,7 +28,7 @@
 //     text exposition format scraped at bidiagd's GET /metrics.
 //
 // The package sits below internal/sched (which threads a Tracer through
-// every executor), internal/serve (which keeps its service counters in
-// these primitives) and cmd/bidiagd (which exports them); it depends only
+// every executor), the root package's Service (which keeps its counters
+// in these primitives) and cmd/bidiagd (which exports them); it depends only
 // on internal/kernels for the kind vocabulary.
 package obs

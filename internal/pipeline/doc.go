@@ -29,8 +29,9 @@
 //	Sequential    submission order, the numerical reference;
 //	Pool          a private shared-memory worker pool (sched.RunParallel:
 //	              a sched.Runtime that lives for one graph);
-//	Shared        one job among many on a process-wide sched.Runtime —
-//	              the serving engine behind internal/serve;
+//	Shared        one job among many on a sched.Runtime someone else
+//	              owns: a bidiag.Service's shared pool, or the one
+//	              runtime a one-shot call starts for all its graphs;
 //	OwnerCompute  the distributed owner-compute engine (dist.ExecuteCtx)
 //	              over a block-cyclic node grid;
 //	cluster.Job   the same engine with one rank per process: the cluster
@@ -46,6 +47,6 @@
 // conflicting accesses are ordered by graph edges, so each datum sees
 // the same kernel sequence under any schedule. Execution is
 // context-aware (RunCtx) and panic-safe: a cancelled context stops
-// dispatch and returns ctx.Err(); a panicking kernel surfaces as an
+// dispatch and returns context.Cause(ctx); a panicking kernel surfaces as an
 // error naming the kernel kind instead of killing the process.
 package pipeline

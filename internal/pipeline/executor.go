@@ -17,7 +17,7 @@ type Executor interface {
 	Name() string
 	// Execute runs the whole graph and reports on the execution. The
 	// floating-point result must be bitwise-identical to Sequential. A
-	// cancelled ctx stops the execution and returns ctx.Err(); a
+	// cancelled ctx stops the execution and returns context.Cause(ctx); a
 	// panicking kernel is recovered and returned as an error naming the
 	// kernel kind — one bad tile fails the call, not the process.
 	Execute(ctx context.Context, g *sched.Graph) (*Report, error)
@@ -75,10 +75,11 @@ func (p Pool) Execute(ctx context.Context, g *sched.Graph) (*Report, error) {
 	return &Report{Executor: "pool", Tasks: len(g.Tasks)}, nil
 }
 
-// Shared executes the graph on a process-wide sched.Runtime instead of a
-// private pool: the graph becomes one more in-flight job whose tasks
-// interleave with every other job's on the shared workers. This is the
-// serving engine — internal/serve admits every job through it.
+// Shared executes the graph on a sched.Runtime the caller owns instead of
+// a private pool: the graph becomes one more in-flight job whose tasks
+// interleave with every other job's on the shared workers. A
+// bidiag.Service runs every pool graph on its runtime through it, and a
+// one-shot call runs all its graphs on the one runtime it starts.
 type Shared struct {
 	Runtime *sched.Runtime
 }

@@ -127,7 +127,7 @@ func Run(p *Plan, ex Executor) (*Report, error) {
 }
 
 // RunCtx is Run under a context: a cancelled ctx stops the execution
-// promptly (in-flight tasks finish) and returns ctx.Err().
+// promptly (in-flight tasks finish) and returns context.Cause(ctx).
 func RunCtx(ctx context.Context, p *Plan, ex Executor) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()

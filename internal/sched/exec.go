@@ -34,12 +34,12 @@ func (g *Graph) RunSequential() error {
 }
 
 // RunSequentialCtx is RunSequential under a context: when ctx is cancelled
-// no further tasks start and ctx.Err() is returned.
+// no further tasks start and context.Cause(ctx) is returned.
 func (g *Graph) RunSequentialCtx(ctx context.Context) error {
 	ws := g.NewWorkspace()
 	for _, t := range g.Tasks {
-		if err := ctx.Err(); err != nil {
-			return err
+		if ctx.Err() != nil {
+			return context.Cause(ctx)
 		}
 		if err := g.RunTask(t, ws, 0); err != nil {
 			return err
@@ -63,9 +63,9 @@ func (g *Graph) RunParallel(workers int) error {
 }
 
 // RunParallelCtx is RunParallel under a context: when ctx is cancelled
-// dispatch stops, in-flight tasks finish, and ctx.Err() is returned. The
-// run is a one-job Runtime, so the one-shot pool and the serving pool are
-// the same worker loop.
+// dispatch stops, in-flight tasks finish, and context.Cause(ctx) is
+// returned. The run is a one-job Runtime, so the one-shot pool and the
+// serving pool are the same worker loop.
 func (g *Graph) RunParallelCtx(ctx context.Context, workers int) error {
 	rt := NewRuntime(workers)
 	defer rt.Close()

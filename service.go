@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 	"time"
 
 	"github.com/tiled-la/bidiag/internal/band"
@@ -15,19 +16,17 @@ import (
 	"github.com/tiled-la/bidiag/internal/core"
 	"github.com/tiled-la/bidiag/internal/nla"
 	"github.com/tiled-la/bidiag/internal/obs"
-	"github.com/tiled-la/bidiag/internal/pipeline"
 	"github.com/tiled-la/bidiag/internal/plan"
 	"github.com/tiled-la/bidiag/internal/sched"
-	"github.com/tiled-la/bidiag/internal/serve"
-	"github.com/tiled-la/bidiag/internal/trees"
 )
 
 // ErrOverloaded is returned by Service.Submit when the admission queue
 // is full; callers should shed load or retry with backoff.
-var ErrOverloaded = serve.ErrOverloaded
+var ErrOverloaded = errors.New("bidiag: admission queue full")
 
-// ErrServiceClosed is returned by Service.Submit after Close.
-var ErrServiceClosed = serve.ErrClosed
+// ErrServiceClosed is returned by Service.Submit after Close, and by
+// Job.Wait for jobs the shutdown drained.
+var ErrServiceClosed = errors.New("bidiag: service closed")
 
 // ErrMeshValuesOnly is returned by Service.Submit for a JobSVD on a
 // service attached to a mesh: the recorded reflector stacks live only on
@@ -211,50 +210,36 @@ type TaskSpan struct {
 	Start, End time.Duration
 }
 
-// Job is an in-flight service job.
-type Job struct {
-	inner *serve.Job
-	// workers is the pool size a traced pool job's lanes are laid out
-	// over; mesh the executor of a mesh job, which holds its trace.
-	workers int
-	mesh    *cluster.Job
-}
-
-// Wait blocks until the job finishes.
-func (j *Job) Wait() (*JobResult, error) {
-	res, err := j.inner.Wait()
-	if err != nil {
-		return nil, err
-	}
-	jr := &JobResult{CacheHit: res.CacheHit}
-	switch v := res.Value.(type) {
-	case []float64:
-		jr.Values = v
-	case *SVDResult:
-		jr.Values, jr.SVD = v.S, v
-	default:
-		return nil, fmt.Errorf("bidiag: unexpected service result %T", res.Value)
-	}
-	switch {
-	case j.mesh != nil:
-		jr.Trace = j.mesh.Trace
-	case len(res.Trace) > 0:
-		jr.Trace = cluster.LocalTrace(j.workers, res.Trace, res.TraceDropped)
-	}
-	if jr.Trace != nil {
-		jr.Timeline = toTimeline(jr.Trace.Events)
-	}
-	return jr, nil
-}
-
-// Done returns a channel closed when the job finishes.
-func (j *Job) Done() <-chan struct{} { return j.inner.Done() }
-
 // Service executes many concurrent reduction jobs over one shared
 // elastic worker pool, with bounded admission, per-job cancellation,
-// panic isolation and a content-addressed result cache: every job is one
-// task graph among many on the pool. See the README "Serving" section for
-// the architecture; internal/serve documents the semantics in detail.
+// panic isolation and a content-addressed result cache:
+//
+//	Submit ──► admission queue ──► MaxInFlight ──► sched.Runtime (shared pool)
+//	   │            (bounded)       dispatchers            │
+//	   │                           one job each           └─ tasks of ALL jobs
+//	   │                           (a mesh job's first       interleave on the
+//	   │                            graph: on the mesh)      same workers
+//	   └─ cache hit: immediate result
+//
+// Every job — values or SVD, on the pool or on a mesh — is built the way
+// a one-shot call builds its work: its GE2BND graph, then a finish that
+// runs its later graphs (the chase, or the SVD's back half) on the shared
+// runtime under the job's ctx, tracer and meter. Each graph is one runtime
+// job with its own ready heap, workers pick across jobs by fair share, and
+// per-worker scratch arenas grow to the largest requirement among the jobs
+// they serve: many small graphs keep the machine busy where one graph's
+// critical path cannot, the multi-DAG regime of arXiv:1303.3182.
+//
+// A full queue (ServiceConfig.QueueDepth) fails Submit at once with
+// ErrOverloaded (bidiagd answers 429); at most MaxInFlight jobs run, and
+// queued jobs wait their turn in FIFO order. Cancelling a job's ctx fails
+// it promptly with context.Cause(ctx), whether it is queued, mid-graph
+// (the runtime stops dispatching its tasks; in-flight tiles finish) or in
+// its finish. A kernel panic fails only the job owning the tile, with an
+// error naming the kernel kind; the pool and every other job keep running.
+// Results are cached under a digest of the matrix bytes and every
+// result-affecting option (CacheKey), so a hit is exact, never
+// approximate, and shared between callers.
 //
 // A Service and every method on it are safe for concurrent use. The
 // one-shot entry points (SingularValues, SVD, GE2BND, …) remain safe to
@@ -262,10 +247,15 @@ func (j *Job) Done() <-chan struct{} { return j.inner.Done() }
 // private pools — but a Service amortizes pool and workspace setup
 // across calls and keeps the machine saturated under mixed load.
 type Service struct {
-	inner *serve.Service
-	// cacheOff skips cache-key digestion entirely when the cache budget
-	// is negative — no point hashing the matrix for a disabled cache.
-	cacheOff bool
+	cfg   ServiceConfig // defaults applied
+	rt    *sched.Runtime
+	cache *cache
+	met   metrics
+	// queue is the admission queue, drained by MaxInFlight dispatchers.
+	queue     chan *Job
+	closeOnce sync.Once
+	closed    chan struct{}
+	wg        sync.WaitGroup
 	// tuner resolves Options.Auto jobs: model-seeded plan selection,
 	// refined by the measured GFLOP/s of executed jobs.
 	tuner *plan.Tuner
@@ -282,36 +272,46 @@ func NewService(cfg *ServiceConfig) *Service {
 	if cfg != nil {
 		c = *cfg
 	}
-	return &Service{
-		inner: serve.New(serve.Config{
-			Workers:       c.Workers,
-			QueueDepth:    c.QueueDepth,
-			MaxInFlight:   c.MaxInFlight,
-			CacheBytes:    c.CacheBytes,
-			TraceEventCap: c.TraceEventCap,
-		}),
-		cacheOff: c.CacheBytes < 0,
-		tuner:    plan.NewTuner(plan.TunerConfig{Path: c.PlanProfiles, MinSamples: c.PlanMinSamples}),
-		mesh:     c.Mesh,
-		meshWPN:  max(c.Workers, 1),
+	s := &Service{
+		tuner:   plan.NewTuner(plan.TunerConfig{Path: c.PlanProfiles, MinSamples: c.PlanMinSamples}),
+		mesh:    c.Mesh,
+		meshWPN: max(c.Workers, 1),
+		closed:  make(chan struct{}),
+		met:     metrics{lat: obs.NewHistogram(nil), qwait: obs.NewHistogram(nil)},
 	}
+	if c.Workers <= 0 {
+		c.Workers = runtime.GOMAXPROCS(0)
+	}
+	if c.QueueDepth <= 0 {
+		c.QueueDepth = 256
+	}
+	if c.MaxInFlight <= 0 {
+		c.MaxInFlight = max(2, c.Workers)
+	}
+	if c.CacheBytes == 0 {
+		c.CacheBytes = 64 << 20
+	}
+	s.cfg = c
+	s.rt = sched.NewRuntime(c.Workers)
+	s.cache = newCache(c.CacheBytes)
+	s.queue = make(chan *Job, c.QueueDepth)
+	for range c.MaxInFlight {
+		s.wg.Add(1)
+		go s.dispatch()
+	}
+	return s
 }
 
 // Submit admits a job and returns without waiting. It fails fast with
 // ErrOverloaded when the service is saturated and ErrServiceClosed after
-// Close. Cancelling ctx fails the job promptly with ctx.Err(), whether
-// it is still queued or mid-graph.
+// Close. Cancelling ctx fails the job promptly with context.Cause(ctx),
+// whether it is still queued or mid-graph.
 func (s *Service) Submit(ctx context.Context, req JobRequest) (*Job, error) {
 	r, err := s.request(req)
 	if err != nil {
 		return nil, err
 	}
-	j, err := s.inner.Submit(ctx, r)
-	if err != nil {
-		return nil, err
-	}
-	mesh, _ := r.Executor.(*cluster.Job)
-	return &Job{inner: j, workers: s.inner.Runtime().Workers(), mesh: mesh}, nil
+	return s.submit(ctx, r)
 }
 
 // Do is Submit followed by Wait.
@@ -325,29 +325,40 @@ func (s *Service) Do(ctx context.Context, req JobRequest) (*JobResult, error) {
 
 // Stats returns a snapshot of the service counters.
 func (s *Service) Stats() ServiceStats {
-	st := s.inner.Stats()
-	return ServiceStats{
-		Workers: st.Workers, InFlight: st.InFlight,
-		QueueLen: st.QueueLen, QueueCap: st.QueueCap,
-		JobsDone: st.JobsDone, JobsFailed: st.JobsFailed, JobsCancelled: st.JobsCancelled,
-		CacheHits: st.CacheHits, CacheMisses: st.CacheMisses,
-		CacheEntries: st.CacheEntries, CacheBytes: st.CacheBytes, CacheCap: st.CacheCap,
-		WorkspaceBytes:  st.WorkspaceBytes,
-		SchedReadyTasks: st.Sched.Ready,
-		SchedWorkerIdle: st.Sched.Idle,
-		SchedWakeups:    st.Sched.Wakeups,
-		TraceDropped:    st.TraceDropped,
-		Latency:         toHistogramStats(st.Latency),
-		QueueWait:       toHistogramStats(st.QueueWait),
-		P50:             st.P50, P99: st.P99,
+	entries, bytes, capacity := s.cache.stats()
+	rs := s.rt.Stats()
+	s.met.mu.Lock()
+	st := ServiceStats{
+		Workers: s.rt.Workers(), InFlight: s.met.inflight,
+		QueueLen: len(s.queue), QueueCap: s.cfg.QueueDepth,
+		JobsDone: s.met.jobsDone, JobsFailed: s.met.jobsFailed, JobsCancelled: s.met.jobsCancelled,
+		CacheHits: s.met.cacheHits, CacheMisses: s.met.cacheMisses,
+		CacheEntries: entries, CacheBytes: bytes, CacheCap: capacity,
+		WorkspaceBytes:  s.rt.WorkspaceBytes(),
+		SchedReadyTasks: rs.Ready,
+		SchedWorkerIdle: rs.Idle,
+		SchedWakeups:    rs.Wakeups,
+		TraceDropped:    s.met.traceDropped,
 	}
+	s.met.mu.Unlock()
+	lat := s.met.lat.Snapshot()
+	st.Latency, st.QueueWait = toHistogramStats(lat), toHistogramStats(s.met.qwait.Snapshot())
+	st.P50 = time.Duration(lat.Quantile(0.50) * float64(time.Second))
+	st.P99 = time.Duration(lat.Quantile(0.99) * float64(time.Second))
+	return st
 }
 
-// Close stops admission, fails queued jobs, waits for in-flight jobs,
-// persists the plan profiles (when ServiceConfig.PlanProfiles is set)
-// and winds the shared pool down. Safe to call more than once.
+// Close stops admission, fails queued jobs with ErrServiceClosed, waits
+// for in-flight jobs, persists the plan profiles (when
+// ServiceConfig.PlanProfiles is set) and winds the shared pool down. Safe
+// to call more than once.
 func (s *Service) Close() {
-	s.inner.Close()
+	s.closeOnce.Do(func() {
+		close(s.closed)
+		s.wg.Wait()
+		s.drain()
+		s.rt.Close()
+	})
 	_ = s.tuner.Close()
 }
 
@@ -382,24 +393,24 @@ func (s *Service) PlanState() ([]byte, error) {
 	return json.MarshalIndent(s.tuner.State(), "", "  ")
 }
 
-// request validates a JobRequest and lowers it to the generic serving
-// layer: a Build closure returning the job's task graph and a finish
-// closure extracting the result, and the content-addressed cache key.
-func (s *Service) request(req JobRequest) (serve.Request, error) {
+// request validates a JobRequest, resolves its options and input, and
+// lowers it to what the dispatcher runs: the job newJob builds, its cache
+// key, and for an Options.Auto job the tuner's plan and measurement.
+func (s *Service) request(req JobRequest) (request, error) {
 	if req.A == nil {
-		return serve.Request{}, errors.New("bidiag: service job without a matrix")
+		return request{}, errors.New("bidiag: service job without a matrix")
 	}
 	var raw Options
 	if req.Opts != nil {
 		raw = *req.Opts
 	}
 	if raw.Distributed != nil {
-		return serve.Request{}, errors.New("bidiag: a service job runs where the service does, its pool or its mesh; Options.Distributed must be nil")
+		return request{}, errors.New("bidiag: a service job runs where the service does, its pool or its mesh; Options.Distributed must be nil")
 	}
 	// Workers sizes the AUTO tree: a client's value must not ask for
 	// more parallelism than the service or the machine has.
-	if limit := max(s.inner.Runtime().Workers(), runtime.NumCPU()); raw.Workers > limit {
-		return serve.Request{}, invalidOptions{fmt.Errorf("bidiag: Options.Workers = %d exceeds %d, the larger of the service's pool size and the CPU count", raw.Workers, limit)}
+	if limit := max(s.rt.Workers(), runtime.NumCPU()); raw.Workers > limit {
+		return request{}, invalidOptions{fmt.Errorf("bidiag: Options.Workers = %d exceeds %d, the larger of the service's pool size and the CPU count", raw.Workers, limit)}
 	}
 	if s.mesh != nil {
 		// A mesh job IS the Options.Distributed run of the mesh's grid:
@@ -410,39 +421,43 @@ func (s *Service) request(req JobRequest) (serve.Request, error) {
 		grid := s.mesh.Grid()
 		raw.Distributed = &DistOptions{GridRows: grid.R, GridCols: grid.C, WorkersPerNode: raw.Workers}
 	}
-	// Validate options and input eagerly so Submit fails fast; Build
-	// resolves the options again (cheap, and keeps the closure
-	// self-contained) but does not rescan the matrix.
+	// Validate options and input eagerly so Submit fails fast.
 	opts, err := raw.Validate()
 	if err != nil {
-		return serve.Request{}, err
+		return request{}, err
 	}
 	if err := req.A.CheckFinite(); err != nil {
-		return serve.Request{}, err
+		return request{}, err
 	}
 	if req.A.Rows() == 0 || req.A.Cols() == 0 {
-		return serve.Request{}, errors.New("bidiag: empty matrix")
+		return request{}, errors.New("bidiag: empty matrix")
+	}
+	switch {
+	case req.Kind != JobSingularValues && req.Kind != JobSVD:
+		return request{}, fmt.Errorf("bidiag: unknown job kind %d", int(req.Kind))
+	case req.Kind == JobSVD && s.mesh != nil:
+		return request{}, ErrMeshValuesOnly
 	}
 
 	// Options.Auto jobs consult the service's autotuner at admission:
 	// promoted profiles return their measured winner, exploring profiles
 	// spread traffic across the model's candidate set, and executed jobs
-	// feed their measured whole-graph GFLOP/s back via Observe — only
+	// feed their measured whole-graph GFLOP/s back via observe — only
 	// those that leave the knobs outside the plan at their defaults, so a
 	// profile compares its candidates like for like.
 	var observe func(obs.MeterSnapshot)
-	auto := opts.Auto
 	run := opts
-	if auto {
-		preq, err := s.planRequest(req, raw, opts)
-		if err != nil {
-			return serve.Request{}, err
+	if opts.Auto {
+		kind := plan.KindValues
+		if req.Kind == JobSVD {
+			kind = plan.KindSVD
 		}
+		preq := planRequest(req.A.Rows(), req.A.Cols(), raw, opts, kind)
 		dec, err := s.tuner.Decide(preq)
 		if err != nil {
-			return serve.Request{}, err
+			return request{}, err
 		}
-		run = applyPlanConfig(opts, dec.Config)
+		run = applyPlanConfig(opts, dec.Config) // the job runs the tuner's plan, not a re-plan
 		if opts.Gamma == defaultGamma && opts.Gemm == (GemmBlock{}) && opts.BND2BDWindow == 0 {
 			cfg := dec.Config
 			observe = func(ms obs.MeterSnapshot) {
@@ -450,24 +465,29 @@ func (s *Service) request(req JobRequest) (serve.Request, error) {
 			}
 		}
 	}
-	jobOpts := req.Opts
-	if auto {
-		jobOpts = &run // Build must run the tuner's plan, not re-plan
-	}
-
-	var build jobBuild
-	var ex pipeline.Executor
-	switch {
-	case s.mesh != nil:
-		if build, ex, err = s.meshJob(req, &raw); err != nil {
-			return serve.Request{}, err
-		}
-	case req.Kind == JobSingularValues:
-		build = s.buildSingularValuesJob(req.A, jobOpts)
-	case req.Kind == JobSVD:
-		build = s.buildSVDJob(req.A, jobOpts)
-	default:
-		return serve.Request{}, fmt.Errorf("bidiag: unknown job kind %d", int(req.Kind))
+	r := request{
+		// The input is resolved (a wide one transposed) and tiled when the
+		// job leaves the queue, so a cache hit or a queued job holds no copy.
+		build: func() (job, error) {
+			run, src, treeKind, transposed, err := resolve(req.A, &run)
+			if err != nil {
+				return job{}, err
+			}
+			if s.mesh == nil {
+				return newJob(req.Kind, src, run, treeKind, transposed, nil), nil
+			}
+			gj, err := gridJob(run, src.Rows, src.Cols)
+			if err != nil {
+				return job{}, err
+			}
+			// The mesh announces this very matrix and grid job to its ranks,
+			// and the head chases the gathered band on the pool.
+			j := newJob(req.Kind, src, run, treeKind, transposed, &gj)
+			j.stage1 = s.mesh.Job(src, gj, req.Trace)
+			return j, nil
+		},
+		trace:   req.Trace,
+		observe: observe,
 	}
 	// Auto jobs are cached under their PRE-resolution identity (the auto
 	// flag plus any pins): an exploring profile hands different
@@ -475,131 +495,19 @@ func (s *Service) request(req JobRequest) (serve.Request, error) {
 	// plan would turn every such repeat into a miss. The first executed
 	// plan's result serves all identical auto requests — results differ
 	// only in rounding across plans, and the cache's contract is "same
-	// request, same bytes".
-	key := ""
-	if !s.cacheOff {
-		key = cacheKey(req.Kind, req.A, opts)
+	// request, same bytes". A disabled cache skips the digest.
+	if s.cache.cap > 0 {
+		r.key = cacheKey(req.Kind, req.A, opts)
 	}
-	// A traced job's later graphs — a values job's chase, an SVD job's
-	// back half — record on the job's tracer after its GE2BND graph: the
-	// rings hold them all.
-	finishTasks := 0
 	if req.Trace {
 		m, n := req.A.Rows(), req.A.Cols()
 		if req.Kind == JobSVD {
-			finishTasks = core.BackHalfTasks(m, n, run.NB)
+			r.later = core.BackHalfTasks(m, n, run.NB)
 		} else {
-			finishTasks = band.Tasks(min(m, n), run.NB, run.BND2BDWindow)
+			r.later = band.Tasks(min(m, n), run.NB, run.BND2BDWindow)
 		}
 	}
-	return serve.Request{
-		Build:       build,
-		FinishTasks: finishTasks,
-		Key:         key,
-		Bytes:       resultBytes,
-		Trace:       req.Trace,
-		Observe:     observe,
-		Executor:    ex,
-	}, nil
-}
-
-// planRequest lowers an Options.Auto job to its planning request: a
-// values job prices both stages, an SVD job the recorded stage-1 graph
-// only.
-func (s *Service) planRequest(req JobRequest, raw, opts Options) (plan.Request, error) {
-	kind := plan.KindValues
-	switch req.Kind {
-	case JobSingularValues:
-	case JobSVD:
-		kind = plan.KindSVD
-	default:
-		return plan.Request{}, fmt.Errorf("bidiag: unknown job kind %d", int(req.Kind))
-	}
-	return planRequest(req.A.Rows(), req.A.Cols(), raw, opts, kind), nil
-}
-
-// jobBuild is a serve.Request's Build: the job's first graph and the
-// finish that turns its execution into the result.
-type jobBuild = func() (*sched.Graph, func(context.Context) (any, error), error)
-
-// meshJob lowers a job to the mesh: the GE2BND graph of the mesh's grid,
-// run by a per-job mesh executor and finished like any values job — the
-// head chases the gathered band on the service's pool. The input is
-// resolved here, not at dispatch, because the executor announces the
-// very matrix (transposed when wide) and grid job the graph is built
-// from.
-func (s *Service) meshJob(req JobRequest, raw *Options) (jobBuild, pipeline.Executor, error) {
-	if req.Kind != JobSingularValues {
-		return nil, nil, ErrMeshValuesOnly
-	}
-	opts, src, treeKind, _, err := resolve(req.A, raw)
-	if err != nil {
-		return nil, nil, err
-	}
-	gj, err := gridJob(opts, src.Rows, src.Cols)
-	if err != nil {
-		return nil, nil, err
-	}
-	build := func() (*sched.Graph, func(context.Context) (any, error), error) {
-		g, finish := s.valuesGraph(src, opts, treeKind, &gj)
-		return g, finish, nil
-	}
-	return build, s.mesh.Job(src, gj, req.Trace), nil
-}
-
-// buildSingularValuesJob builds the full singular-value pipeline for one
-// pool job.
-func (s *Service) buildSingularValuesJob(a *Dense, o *Options) jobBuild {
-	return func() (*sched.Graph, func(context.Context) (any, error), error) {
-		opts, src, treeKind, _, err := resolve(a, o)
-		if err != nil {
-			return nil, nil, err
-		}
-		g, finish := s.valuesGraph(src, opts, treeKind, nil)
-		return g, finish, nil
-	}
-}
-
-// valuesGraph builds a values job: the GE2BND graph it returns runs on the
-// job's executor (the shared pool, or the mesh for a grid job), then
-// finish chases the band on the service's shared pool — one more graph
-// under the job's ctx, tracer and meter.
-func (s *Service) valuesGraph(src *nla.Matrix, opts Options, treeKind trees.Kind, gj *pipeline.GridJob) (*sched.Graph, func(context.Context) (any, error)) {
-	plan := pipeline.Build(buildSpec(src, opts, treeKind, gj, nil))
-	chase := pipeline.Shared{Runtime: s.inner.Runtime()}
-	return plan.Graph, func(ctx context.Context) (any, error) {
-		v, err := finishValues(ctx, plan, opts, chase)
-		if err != nil {
-			return nil, err
-		}
-		return v, nil
-	}
-}
-
-// buildSVDJob builds the vector-bearing decomposition: the recorded
-// GE2BND graph, then — in finish — everything SVD does after it (the
-// logged chase, the bidiagonal iteration with vectors, the recorded
-// reflectors), through the same finishSVD. Like a values job's chase,
-// finish runs its graphs on the service's shared runtime under the job's
-// ctx and tracer.
-func (s *Service) buildSVDJob(a *Dense, o *Options) jobBuild {
-	back := pipeline.Shared{Runtime: s.inner.Runtime()}
-	return func() (*sched.Graph, func(context.Context) (any, error), error) {
-		opts, src, treeKind, transposed, err := resolve(a, o)
-		if err != nil {
-			return nil, nil, err
-		}
-		rec := &core.Recorder{}
-		plan := pipeline.Build(buildSpec(src, opts, treeKind, nil, rec))
-		finish := func(ctx context.Context) (any, error) {
-			res, err := finishSVD(ctx, plan, rec, back, transposed)
-			if err != nil {
-				return nil, err
-			}
-			return res, nil
-		}
-		return plan.Graph, finish, nil
-	}
+	return r, nil
 }
 
 // CacheKey digests a job — kind, matrix content, and the
@@ -653,17 +561,6 @@ func cacheKey(kind JobKind, a *Dense, opts Options) string {
 		w(1)
 	}
 	return fmt.Sprintf("%x", h.Sum(nil))
-}
-
-// resultBytes accounts a finished result for the cache budget.
-func resultBytes(v any) int64 {
-	switch r := v.(type) {
-	case []float64:
-		return int64(8 * len(r))
-	case *SVDResult:
-		return int64(8 * (len(r.S) + r.U.Rows()*r.U.Cols() + r.V.Rows()*r.V.Cols()))
-	}
-	return 0
 }
 
 // toTimeline lifts the task events of a trace into the public span form

@@ -347,6 +347,54 @@ func TestSingularValuesCtxMidCancel(t *testing.T) {
 	}
 }
 
+// TestOneShotLeavesNoGoroutines runs SingularValuesCtx and SVDCtx on two
+// workers to success, on a ctx cancelled before the call and on one
+// cancelled mid-run: every return path closes the call's runtime, so the
+// goroutine count comes back to where it started.
+func TestOneShotLeavesNoGoroutines(t *testing.T) {
+	calls := map[string]func(context.Context, *Dense, *Options) error{
+		"SingularValuesCtx": func(ctx context.Context, a *Dense, o *Options) error {
+			_, err := SingularValuesCtx(ctx, a, o)
+			return err
+		},
+		"SVDCtx": func(ctx context.Context, a *Dense, o *Options) error {
+			_, err := SVDCtx(ctx, a, o)
+			return err
+		},
+	}
+	for name, call := range calls {
+		for _, c := range []struct {
+			way    string
+			a      *Dense
+			cancel time.Duration // < 0: before the call, 0: never
+		}{
+			{"success", randomDense(6, 96, 64), 0},
+			{"pre-cancelled", randomDense(6, 96, 64), -1},
+			{"mid-run", randomDense(7, 1024, 512), 25 * time.Millisecond},
+		} {
+			before := runtime.NumGoroutine()
+			ctx, cancel := context.WithCancel(context.Background())
+			if c.cancel < 0 {
+				cancel()
+			} else if c.cancel > 0 {
+				time.AfterFunc(c.cancel, cancel)
+			}
+			err := call(ctx, c.a, &Options{NB: 32, Workers: 2})
+			cancel()
+			if (c.cancel == 0) != (err == nil) || (err != nil && !errors.Is(err, context.Canceled)) {
+				t.Fatalf("%s, %s: error %v", name, c.way, err)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before {
+				if time.Now().After(deadline) {
+					t.Fatalf("%s, %s: %d goroutines before the call, %d after", name, c.way, before, runtime.NumGoroutine())
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		}
+	}
+}
+
 // TestServiceTracedJob pins the public trace surface: a traced repeat of
 // a cached job must re-execute (no cache hit in either direction) and
 // return a complete, ordered timeline whose kernels are real tile

@@ -53,37 +53,14 @@ func SVD(a *Dense, o *Options) (*SVDResult, error) {
 
 // SVDCtx is SVD under a context: a cancelled ctx stops scheduling new
 // reduction tasks promptly (in-flight tiles finish) and returns
-// ctx.Err(), on every engine.
+// context.Cause(ctx), on every engine.
 func SVDCtx(ctx context.Context, a *Dense, o *Options) (*SVDResult, error) {
-	opts, src, treeKind, transposed, err := prepare(a, o)
+	res, rep, err := runOnce(ctx, JobSVD, a, o)
 	if err != nil {
 		return nil, err
 	}
-
-	rec := &core.Recorder{}
-	plan, ex, err := buildPlan(src, opts, treeKind, rec)
-	if err != nil {
-		return nil, err
-	}
-	back := pipeline.Executor(pipeline.Sequential{})
-	if opts.Workers > 1 {
-		rt := sched.NewRuntime(opts.Workers)
-		defer rt.Close()
-		back = pipeline.Shared{Runtime: rt}
-		if opts.Distributed == nil {
-			ex = back
-		}
-	}
-	rep, err := pipeline.RunCtx(ctx, plan, ex)
-	if err != nil {
-		return nil, err
-	}
-	res, err := finishSVD(ctx, plan, rec, back, transposed)
-	if err != nil {
-		return nil, err
-	}
-	res.Dist = distStatsOf(rep)
-	return res, nil
+	res.SVD.Dist = distStatsOf(rep)
+	return res.SVD, nil
 }
 
 // finishSVD turns an executed recording GE2BND plan into the
@@ -101,16 +78,16 @@ func finishSVD(ctx context.Context, plan *pipeline.Plan, rec *core.Recorder, ex 
 		_, err := ex.Execute(ctx, g)
 		return err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	if ctx.Err() != nil {
+		return nil, context.Cause(ctx)
 	}
 	bd, log := band.ReduceLogged(plan.Tiles.ExtractBand(plan.Tiles.NB))
 	ub, vb, err := core.FormQP(log, run)
 	if err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	if ctx.Err() != nil {
+		return nil, context.Cause(ctx)
 	}
 	d, e := bd.Bidiagonal()
 	s, err := core.BidiagonalVectors(d, e, ub, vb, run)

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"github.com/tiled-la/bidiag/internal/core"
 	"github.com/tiled-la/bidiag/internal/kernels"
 	"github.com/tiled-la/bidiag/internal/nla"
 	"github.com/tiled-la/bidiag/internal/pipeline"
@@ -241,12 +240,8 @@ func TestFinishSVDHonoursContext(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rec := &core.Recorder{}
-			plan, stage1, err := buildPlan(src, opts, treeKind, rec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := pipeline.RunCtx(context.Background(), plan, stage1); err != nil {
+			j := newJob(JobSVD, src, opts, treeKind, transposed, nil)
+			if _, err := pipeline.RunCtx(context.Background(), j.plan, pipeline.Sequential{}); err != nil {
 				t.Fatal(err)
 			}
 			ctx, cancel := context.WithCancel(context.Background())
@@ -254,12 +249,12 @@ func TestFinishSVDHonoursContext(t *testing.T) {
 				cancel()
 			}
 			at := &cancelAt{ex: ex, kinds: c.kinds, nth: c.nth, cancel: cancel}
-			res, err := finishSVD(ctx, plan, rec, at, transposed)
+			res, err := j.finish(ctx, at)
 			cancel()
 			if c.nth >= 0 && (res != nil || !errors.Is(err, context.Canceled)) {
 				t.Fatalf("%s, cancelled before %s: result %v, error %v", ex.Name(), c.name, res != nil, err)
 			}
-			if c.nth < 0 && (err != nil || res == nil || res.U == nil || res.V == nil) {
+			if c.nth < 0 && (err != nil || res == nil || res.SVD.U == nil || res.SVD.V == nil) {
 				t.Fatalf("%s, live context: error %v", ex.Name(), err)
 			}
 		}

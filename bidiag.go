@@ -360,8 +360,10 @@ func GE2BND(a *Dense, o *Options) (*Band, error) {
 	if err != nil {
 		return nil, err
 	}
+	b := j.plan.Tiles.ExtractBand(j.plan.Tiles.NB)
+	j.arena.Release()
 	return &Band{
-		b:             j.plan.Tiles.ExtractBand(j.plan.Tiles.NB),
+		b:             b,
 		UsedRBidiag:   j.plan.UsedRBidiag,
 		TasksExecuted: rep.Tasks,
 		Dist:          distStatsOf(rep),
@@ -454,6 +456,10 @@ func resolve(a *Dense, o *Options) (opts Options, src *nla.Matrix, treeKind tree
 // result, running any later graphs on the executor it is handed.
 type job struct {
 	plan *pipeline.Plan
+	// arena holds the plan's tiles and T factors. Whoever runs the job
+	// releases it once the job has succeeded — never on failure, when a
+	// task may still be in flight — so the next job reuses its chunks.
+	arena *nla.Arena
 	// stage1 runs the plan's graph when the caller's executor does not: a
 	// grid job's nodes, or a service's mesh.
 	stage1 pipeline.Executor
@@ -468,16 +474,16 @@ type job struct {
 // record on the GE2BND graph's tracer, so a traced job's timeline holds
 // them too.
 func newJob(kind JobKind, src *nla.Matrix, opts Options, treeKind trees.Kind, transposed bool, gj *pipeline.GridJob) job {
-	var j job
+	j := job{arena: new(nla.Arena)}
 	var spec pipeline.Spec
 	if gj != nil {
-		spec = gj.Spec(src)
+		spec = gj.SpecIn(j.arena, src)
 		j.stage1 = pipeline.OwnerCompute{Grid: gj.Grid, WorkersPerNode: gj.WPN}
 	} else {
 		m, n := src.Rows, src.Cols
 		spec = pipeline.Spec{
 			Shape:   core.ShapeOf(m, n, opts.NB),
-			Data:    tile.FromDense(src, opts.NB),
+			Data:    tile.FromDenseIn(j.arena, src, opts.NB),
 			Config:  core.Config{Tree: treeKind, Gamma: opts.Gamma, Cores: opts.Workers, Blocking: nla.Blocking(opts.Gemm)},
 			RBidiag: useRBidiag(opts, m, n),
 		}
@@ -549,7 +555,11 @@ func runOnce(ctx context.Context, kind JobKind, a *Dense, o *Options) (*JobResul
 		return nil, nil, err
 	}
 	res, err := j.finish(ctx, ex)
-	return res, rep, err
+	if err != nil {
+		return nil, nil, err
+	}
+	j.arena.Release()
+	return res, rep, nil
 }
 
 // distStatsOf converts an executor report's distributed statistics into

@@ -350,6 +350,10 @@ func ServePeer(cfg Config) error {
 		return fmt.Errorf("cluster: rank 0 is the head; use NewHead")
 	}
 	dx := newDemux(cfg.Transport, int32(cfg.Rank))
+	// Each job's tiles and T factors are carved from ar, released once the
+	// rank's share has succeeded so the next job reuses the chunks. A
+	// failed job returns below without releasing.
+	var ar nla.Arena
 	for {
 		msg, ok := <-dx.ctrl
 		if !ok {
@@ -369,7 +373,7 @@ func ServePeer(cfg Config) error {
 			return nil
 		}
 		wpn := spec.Plan.WPN
-		g := pipeline.Build(spec.Plan.Spec(a)).Graph
+		g := pipeline.Build(spec.Plan.SpecIn(&ar, a)).Graph
 		var tr *obs.Tracer
 		if spec.Trace {
 			tr = cfg.tracerFor(g, wpn)
@@ -378,6 +382,7 @@ func ServePeer(cfg Config) error {
 		if _, err := cfg.execute(g, dx, wpn); err != nil {
 			return err
 		}
+		ar.Release()
 		payload, err := frameHeader(traceFrameOf(spec.Seq, cfg.Rank, wpn, tr, dx, mark), 0)
 		if err != nil {
 			return fmt.Errorf("cluster: rank %d encoding its end-of-job frame: %w", cfg.Rank, err)

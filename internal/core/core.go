@@ -303,18 +303,23 @@ type factor struct {
 	kk int
 }
 
-// tfactor registers a factorization kernel's block-reflector factor T as
-// a graph handle with payload/restore serializers. In one address space T
-// flows to the update kernels through the shared heap, but across
+// tfactor carves a factorization kernel's k×k block-reflector factor T
+// and its tau from the job's arena (the one the tiles came from), and
+// registers T as a graph handle with payload/restore serializers. The
+// memory starts uninitialized: the kernel writes tau and T's upper
+// triangle, and nothing reads T's strict lower triangle. In one address
+// space T flows to the update kernels through the shared heap, but across
 // processes it must ride the wire next to the reflector tile regions —
 // without a handle, a remote update would read its own never-written T
 // replica. Sim-only builds skip it (the closure holds no matrix there),
 // keeping the model graph unchanged.
-func (b *builder) tfactor(t *nla.Matrix, owner int32) *sched.Handle {
-	h := b.g.NewHandle(int32(8*t.Rows*t.Cols), owner)
+func (b *builder) tfactor(k int, owner int32) (*nla.Matrix, []float64, *sched.Handle) {
+	ar := b.data.Arena()
+	t := ar.Matrix(k, k)
+	h := b.g.NewHandle(int32(8*k*k), owner)
 	h.SetPayload(regionPayload(t, regWhole))
 	h.SetRestore(regionRestore(t, regWhole))
-	return h
+	return t, ar.Vec(k), h
 }
 
 // step emits step k of side s: triangularize/eliminate step column k over
@@ -367,9 +372,8 @@ func (b *builder) emitFactor(s *side, k, r int) factor {
 	var run func(*nla.Workspace)
 	if b.data != nil {
 		a := b.data.Tile(i, j)
-		t := nla.NewMatrix(out.kk, out.kk)
-		tau := make([]float64, out.kk)
-		out.t, out.th = t, b.tfactor(t, b.cfg.owner(i, j))
+		t, tau, th := b.tfactor(out.kk, b.cfg.owner(i, j))
+		out.t, out.th = t, th
 		ge := s.ge
 		run = func(ws *nla.Workspace) { ge(a, t, tau, ws) }
 		b.record(s, opRec{kind: recFactor, row: r, kk: out.kk, v: a, t: t})
@@ -408,9 +412,8 @@ func (b *builder) emitTS(s *side, k, piv, r, w, lim int) {
 	var run func(*nla.Workspace)
 	if b.data != nil {
 		a1, a2 := b.data.Tile(pi, pj), b.data.Tile(i, j)
-		t = nla.NewMatrix(w, w)
-		th = b.tfactor(t, b.cfg.owner(i, j))
-		tau := make([]float64, w)
+		var tau []float64
+		t, tau, th = b.tfactor(w, b.cfg.owner(i, j))
 		ts := s.ts
 		run = func(ws *nla.Workspace) { ts(a1, a2, t, tau, ws) }
 		b.record(s, opRec{kind: recTS, piv: piv, row: r, kk: w, v: a2, t: t})
@@ -453,9 +456,8 @@ func (b *builder) emitTT(s *side, k, piv, r, w, lim int) {
 	if b.data != nil {
 		a1, a2 := s.view(b.data.Tile(pi, pj), w, w), b.data.Tile(i, j)
 		v2 = s.clip(a2, w)
-		t = nla.NewMatrix(w, w)
-		th = b.tfactor(t, b.cfg.owner(i, j))
-		tau := make([]float64, w)
+		var tau []float64
+		t, tau, th = b.tfactor(w, b.cfg.owner(i, j))
 		tt := s.tt
 		run = func(ws *nla.Workspace) { tt(a1, v2, t, tau, ws) }
 		b.record(s, opRec{kind: recTT, piv: piv, row: r, kk: w, v: a2, t: t})
@@ -559,7 +561,9 @@ func BuildRBidiag(g *sched.Graph, sh Shape, data *tile.Matrix, cfg Config) (Shap
 	rsh := ShapeOf(sh.N, sh.N, sh.NB)
 	var rdata *tile.Matrix
 	if data != nil {
-		rdata = tile.New(sh.N, sh.N, sh.NB)
+		// Uninitialized: the LACPY and LASET tasks below write every tile
+		// whole before anything reads it.
+		rdata = tile.NewIn(data.Arena(), sh.N, sh.N, sh.NB)
 	}
 	rb := newBuilder(g, rsh, rdata, &cfg)
 

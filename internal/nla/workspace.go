@@ -18,6 +18,10 @@ package nla
 // grows (this allocates); a warm workspace sized via kernels.ScratchSize
 // never grows, which is what makes the steady state of the executors
 // allocation-free.
+//
+// A Workspace holds a task's scratch, which dies when the task returns.
+// Memory that lives as long as a whole job — its tiles and T factors — is
+// carved from an Arena instead, whose chunks the next job reuses.
 type Workspace struct {
 	// Blocking selects the cache-block sizes GemmWS uses when packing
 	// panels out of this workspace. The zero value means defaults.

@@ -52,13 +52,17 @@ type GridJob struct {
 
 // Spec tiles a (m ≥ n) and configures the paper's hierarchical
 // distributed trees over the job's grid.
-func (j GridJob) Spec(a *nla.Matrix) Spec {
+func (j GridJob) Spec(a *nla.Matrix) Spec { return j.SpecIn(nil, a) }
+
+// SpecIn is Spec with the tiles, and so the whole build's working memory,
+// carved from ar (see tile.NewIn).
+func (j GridJob) SpecIn(ar *nla.Arena, a *nla.Matrix) Spec {
 	sh := core.ShapeOf(a.Rows, a.Cols, j.NB)
 	tc := dist.AutoDefaults(sh, j.Grid, j.WPN)
 	tc.Gamma = j.Gamma
 	cfg := tc.Configure()
 	cfg.Blocking = j.Gemm
-	return Spec{Shape: sh, Data: tile.FromDense(a, j.NB), Config: cfg, RBidiag: j.RBidiag}
+	return Spec{Shape: sh, Data: tile.FromDenseIn(ar, a, j.NB), Config: cfg, RBidiag: j.RBidiag}
 }
 
 // Stage reports one logical stage of a built plan.

@@ -385,12 +385,18 @@ func (rt *Runtime) pickLocked(prev *JobHandle) *JobHandle {
 	return best
 }
 
+// workspaces recycles worker workspaces across runtimes: a one-shot call
+// starts a runtime of its own, whose workers would otherwise grow fresh
+// scratch on every call. The GC empties the pool when it sits idle.
+var workspaces = sync.Pool{New: func() any { return nla.NewWorkspace(0) }}
+
 func (rt *Runtime) worker(id int) {
 	defer rt.wg.Done()
 	// The worker's arena grows lazily to the largest requirement among the
 	// jobs it serves; a steady mix of shapes reaches a high-water mark and
 	// stops allocating.
-	ws := nla.NewWorkspace(0)
+	ws := workspaces.Get().(*nla.Workspace)
+	defer workspaces.Put(ws)
 	var last *JobHandle
 	for {
 		rt.mu.Lock()

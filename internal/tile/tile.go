@@ -18,23 +18,34 @@ type Matrix struct {
 	M, N, NB int
 	P, Q     int
 	tiles    []*nla.Matrix // index i + j*P
+	arena    *nla.Arena
 }
 
 // New allocates a zeroed tiled matrix.
-func New(m, n, nb int) *Matrix {
+func New(m, n, nb int) *Matrix { return NewIn(nil, m, n, nb) }
+
+// NewIn returns a tiled matrix whose tiles are carved from a, and are
+// therefore UNINITIALIZED: the caller writes every element before reading
+// it. A nil arena allocates zeroed tiles, as New does. The matrix keeps a,
+// so the graph builders carve the job's other working memory from it too.
+func NewIn(a *nla.Arena, m, n, nb int) *Matrix {
 	if m <= 0 || n <= 0 || nb <= 0 {
 		panic(fmt.Sprintf("tile: invalid dimensions m=%d n=%d nb=%d", m, n, nb))
 	}
 	p := (m + nb - 1) / nb
 	q := (n + nb - 1) / nb
-	t := &Matrix{M: m, N: n, NB: nb, P: p, Q: q, tiles: make([]*nla.Matrix, p*q)}
+	t := &Matrix{M: m, N: n, NB: nb, P: p, Q: q, tiles: make([]*nla.Matrix, p*q), arena: a}
 	for j := 0; j < q; j++ {
 		for i := 0; i < p; i++ {
-			t.tiles[i+j*p] = nla.NewMatrix(t.RowsOf(i), t.ColsOf(j))
+			t.tiles[i+j*p] = a.Matrix(t.RowsOf(i), t.ColsOf(j))
 		}
 	}
 	return t
 }
+
+// Arena returns the arena the tiles were carved from (nil when they were
+// allocated with make).
+func (t *Matrix) Arena() *nla.Arena { return t.arena }
 
 // RowsOf returns the height of tile row i.
 func (t *Matrix) RowsOf(i int) int {
@@ -71,14 +82,23 @@ func (t *Matrix) Set(i, j int, v float64) {
 }
 
 // FromDense converts a dense matrix into tiled layout.
-func FromDense(d *nla.Matrix, nb int) *Matrix {
-	return FromDenseRows(d, d.Rows, nb)
+func FromDense(d *nla.Matrix, nb int) *Matrix { return FromDenseIn(nil, d, nb) }
+
+// FromDenseIn converts a dense matrix into tiled layout carved from a
+// (see NewIn); the copy writes every element.
+func FromDenseIn(a *nla.Arena, d *nla.Matrix, nb int) *Matrix {
+	return fill(NewIn(a, d.Rows, d.Cols, nb), d)
 }
 
 // FromDenseRows returns the tiled m×d.Cols matrix [d; 0]: d in the top
 // rows, zeros below (m ≥ d.Rows).
 func FromDenseRows(d *nla.Matrix, m, nb int) *Matrix {
-	t := New(m, d.Cols, nb)
+	return fill(New(m, d.Cols, nb), d)
+}
+
+// fill copies d into the top rows of t and returns t.
+func fill(t *Matrix, d *nla.Matrix) *Matrix {
+	nb := t.NB
 	for j := 0; j < t.Q; j++ {
 		for i := 0; i < t.P && i*nb < d.Rows; i++ {
 			rows := min(t.RowsOf(i), d.Rows-i*nb)

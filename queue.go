@@ -221,6 +221,7 @@ func (s *Service) run(j *Job) {
 		s.fail(j, err)
 		return
 	}
+	w.arena.Release()
 	if mesh, ok := ex.(*cluster.Job); ok {
 		res.Trace = mesh.Trace
 	} else if tr != nil {

@@ -237,6 +237,10 @@ type TaskSpan struct {
 // (the runtime stops dispatching its tasks; in-flight tiles finish) or in
 // its finish. A kernel panic fails only the job owning the tile, with an
 // error naming the kernel kind; the pool and every other job keep running.
+// A job's working memory — its tiles and T factors — is recycled for the
+// jobs after it once it has succeeded; a failed or cancelled job's is left
+// to the garbage collector, so no task still draining can write into a
+// later job's tiles.
 // Results are cached under a digest of the matrix bytes and every
 // result-affecting option (CacheKey), so a hit is exact, never
 // approximate, and shared between callers.

@@ -75,10 +75,18 @@ var ErrNonFinite = errors.New("bidiag: matrix has a non-finite entry")
 func (d *Dense) CheckFinite() error {
 	m := d.inner
 	for j := 0; j < m.Cols; j++ {
-		for i, v := range m.Data[j*m.LD : j*m.LD+m.Rows] {
-			if v-v != 0 { // NaN or ±Inf
-				return fmt.Errorf("%w: a(%d,%d) = %v", ErrNonFinite, i, j, v)
-			}
+		if err := checkColumn(m.Data[j*m.LD:j*m.LD+m.Rows], j); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkColumn is CheckFinite on column j.
+func checkColumn(col []float64, j int) error {
+	for i, v := range col {
+		if v-v != 0 { // NaN or ±Inf
+			return fmt.Errorf("%w: a(%d,%d) = %v", ErrNonFinite, i, j, v)
 		}
 	}
 	return nil

@@ -456,7 +456,8 @@ func resolve(a *Dense, o *Options) (opts Options, src *nla.Matrix, treeKind tree
 // result, running any later graphs on the executor it is handed.
 type job struct {
 	plan *pipeline.Plan
-	// arena holds the plan's tiles and T factors. Whoever runs the job
+	// arena holds the plan's tiles and T factors, and a values job's band
+	// and chase work array. Whoever runs the job
 	// releases it once the job has succeeded — never on failure, when a
 	// task may still be in flight — so the next job reuses its chunks.
 	arena *nla.Arena
@@ -503,7 +504,7 @@ func newJob(kind JobKind, src *nla.Matrix, opts Options, treeKind trees.Kind, tr
 			}
 			return &JobResult{Values: res.S, SVD: res}, nil
 		}
-		b := &Band{b: p.Tiles.ExtractBand(p.Tiles.NB), window: opts.BND2BDWindow}
+		b := &Band{b: p.Tiles.ExtractBandIn(j.arena, p.Tiles.NB), window: opts.BND2BDWindow}
 		s, err := b.singularValues(ctx, ex, p.Graph)
 		if err != nil {
 			return nil, err

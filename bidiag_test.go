@@ -322,25 +322,33 @@ func TestInvalidTreeRejected(t *testing.T) {
 // TestNonFiniteInputRejected pins the input contract: a NaN or an
 // infinity anywhere in the matrix is refused up front with ErrNonFinite
 // by every entry point, tall or wide, instead of running the pipeline
-// and failing late in the bidiagonal QR iteration.
+// and failing late in the bidiagonal QR iteration. A service finds it
+// while it digests the input for its cache, or without a cache by
+// CheckFinite alone: either way it names the same first entry.
 func TestNonFiniteInputRejected(t *testing.T) {
 	svc := NewService(&ServiceConfig{Workers: 2})
 	defer svc.Close()
+	uncached := NewService(&ServiceConfig{Workers: 2, CacheBytes: -1})
+	defer uncached.Close()
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		for _, shape := range [][2]int{{40, 24}, {24, 40}, {1, 1}} {
 			a := randomDense(41, shape[0], shape[1])
 			if err := a.CheckFinite(); err != nil {
 				t.Fatalf("finite matrix rejected: %v", err)
 			}
+			a.Set(0, shape[1]-1, math.NaN()) // later in column-major order
 			a.Set(shape[0]-1, shape[1]/2, bad)
+			want := a.CheckFinite()
 			opts := &Options{NB: 8, Workers: 2}
 			_, errBand := GE2BND(a, opts)
 			_, errVals := SingularValues(a, opts)
 			_, errSVD := SVD(a, opts)
 			_, errJob := svc.Do(context.Background(), JobRequest{Kind: JobSingularValues, A: a, Opts: opts})
-			for name, err := range map[string]error{"GE2BND": errBand, "SingularValues": errVals, "SVD": errSVD, "Service.Do": errJob} {
-				if !errors.Is(err, ErrNonFinite) {
-					t.Errorf("%s on %dx%d with %v: err = %v, want ErrNonFinite", name, shape[0], shape[1], bad, err)
+			_, errUncached := uncached.Do(context.Background(), JobRequest{Kind: JobSVD, A: a, Opts: opts})
+			for name, err := range map[string]error{"GE2BND": errBand, "SingularValues": errVals, "SVD": errSVD,
+				"Service.Do": errJob, "Service.Do without a cache": errUncached} {
+				if !errors.Is(err, ErrNonFinite) || err.Error() != want.Error() {
+					t.Errorf("%s on %dx%d with %v: err = %v, want %v", name, shape[0], shape[1], bad, err, want)
 				}
 			}
 		}

@@ -247,9 +247,13 @@ func (s *server) handleJob(w http.ResponseWriter, r *http.Request, kind bidiag.J
 			U: httpapi.FromDense(res.SVD.U), S: res.SVD.S, V: httpapi.FromDense(res.SVD.V),
 			CacheHit: res.CacheHit, Ms: ms, JobID: jobID,
 		})
-		return
+	} else {
+		writeResult(w, req, httpapi.ValuesResponse{S: res.Values, CacheHit: res.CacheHit, Ms: ms, JobID: jobID})
 	}
-	writeResult(w, req, httpapi.ValuesResponse{S: res.Values, CacheHit: res.CacheHit, Ms: ms, JobID: jobID})
+	// The job succeeded, so nothing reads A any more: its memory serves
+	// the next request. A failed job may still have a task in flight, so
+	// its request is left to the GC.
+	req.Release()
 }
 
 // writeResult answers a finished job in the codec its request came in.

@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/tiled-la/bidiag"
 	"github.com/tiled-la/bidiag/client"
 	"github.com/tiled-la/bidiag/httpapi"
 )
@@ -395,5 +396,71 @@ func TestHealthProbe(t *testing.T) {
 	rt.probeAll(context.Background())
 	if rt.backends[b.URL].healthy.Load() {
 		t.Fatal("dead backend probed healthy")
+	}
+}
+
+// TestRouterReuseKeepsAffinity posts B, then A, then B again. The router
+// releases each decoded matrix once it has the key, so the second B is
+// decoded into the buffer A was: it must still reach the owner of B's key,
+// as the bytes it was sent.
+func TestRouterReuseKeepsAffinity(t *testing.T) {
+	var mu sync.Mutex
+	got := map[string][][]byte{} // backend URL -> bodies received
+	var urls []string
+	for range 3 {
+		var ts *httptest.Server
+		ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			body, _ := io.ReadAll(r.Body)
+			mu.Lock()
+			got[ts.URL] = append(got[ts.URL], body)
+			mu.Unlock()
+			httpapi.WriteResponse(w, true, httpapi.ValuesResponse{S: []float64{1}})
+		}))
+		t.Cleanup(ts.Close)
+		urls = append(urls, ts.URL)
+	}
+	rt := newRouter(urls, 64, 32<<20)
+	ts := httptest.NewServer(rt.mux())
+	t.Cleanup(ts.Close)
+
+	job := func(scale float64) (httpapi.Job, []byte) {
+		j := httpapi.Job{Matrix: httpapi.Matrix{M: 96, N: 96, Data: make([]float64, 96*96)}}
+		for i := range j.Data {
+			j.Data[i] = scale * float64(i%13-6)
+		}
+		frame, err := httpapi.EncodeJob(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j, frame
+	}
+	b, bFrame := job(1)
+	_, aFrame := job(1e3)
+	dense, err := b.Dense()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts, _ := b.Options.ToOptions()
+	owner := rt.ring.sequence(bidiag.CacheKey(bidiag.JobSingularValues, dense, opts))[0]
+	for _, frame := range [][]byte{bFrame, aFrame, bFrame} {
+		resp, err := http.Post(ts.URL+"/v1/singular-values", httpapi.BinaryMediaType, bytes.NewReader(frame))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d", resp.StatusCode)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	var toOwner [][]byte
+	for _, body := range got[owner] {
+		if bytes.Equal(body, bFrame) {
+			toOwner = append(toOwner, body)
+		}
+	}
+	if len(toOwner) != 2 {
+		t.Fatalf("B's owner %s received B %d times, want 2", owner, len(toOwner))
 	}
 }

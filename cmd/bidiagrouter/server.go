@@ -127,6 +127,8 @@ func (rt *router) route(w http.ResponseWriter, r *http.Request, kind bidiag.JobK
 		return
 	}
 	key := bidiag.CacheKey(kind, req.A, req.Opts)
+	// What goes to the backend is raw; the decoded matrix is done with.
+	req.Release()
 
 	// Walk the ring: the key's owner first, then — only on connect
 	// failure — the rest in ring order. Unhealthy backends are skipped

@@ -10,6 +10,7 @@ import (
 	"mime"
 	"net/http"
 	"strconv"
+	"sync/atomic"
 
 	"github.com/tiled-la/bidiag/internal/nla"
 )
@@ -26,7 +27,16 @@ const (
 	// chunkBytes is the staging buffer between the wire and the
 	// []float64 a payload is decoded into.
 	chunkBytes = 32 << 10
+	// upfrontFactor caps, as a multiple of the body cap, the payload bytes
+	// allocated ahead of their arrival by all requests being decoded at
+	// once: a sized payload past it decodes as its bytes arrive, so
+	// clients that declare large bodies and stall pin no more than that.
+	upfrontFactor = 4
 )
+
+// upfront counts the payload bytes of the requests being decoded now that
+// were allocated when their size was declared, before they arrived.
+var upfront atomic.Int64
 
 // jobHeader is the frame header of a request: Job without its data.
 type jobHeader struct {
@@ -115,7 +125,7 @@ func DecodeResponse(r io.Reader, size int64, out any) error {
 			}
 		}
 	}
-	vecs, err := readPayload(r, head, size, math.MaxInt64, ns[:]...)
+	vecs, err := readPayload(r, head, size, math.MaxInt64, func(n int) []float64 { return make([]float64, n) }, ns[:]...)
 	if err != nil {
 		return err
 	}
@@ -161,8 +171,9 @@ func WriteResponse(w http.ResponseWriter, binary bool, v any) error {
 // readJob decodes a BinaryMediaType request body. size is the request's
 // Content-Length (-1 when unknown) and limit the body cap; the payload
 // size the header declares is checked against both before the matrix is
-// allocated.
-func readJob(r io.Reader, size, limit int64) (Job, error) {
+// allocated. A sized payload within the process's up-front cap lands in
+// ar (Request.Release recycles it); any other grows as bytes arrive.
+func readJob(r io.Reader, size, limit int64, ar *nla.Arena) (Job, error) {
 	var h jobHeader
 	head, err := readHeader(r, &h)
 	if err != nil {
@@ -172,7 +183,17 @@ func readJob(r io.Reader, size, limit int64) (Job, error) {
 	if err != nil {
 		return Job{}, err
 	}
-	vecs, err := readPayload(r, head, size, limit, n)
+	var held int64
+	defer func() { upfront.Add(-held) }()
+	vecs, err := readPayload(r, head, size, limit, func(n int) []float64 {
+		nbytes := 8 * int64(n)
+		if upfront.Add(nbytes) > upfrontFactor*min(limit, math.MaxInt64/upfrontFactor) {
+			upfront.Add(-nbytes)
+			return nil
+		}
+		held = nbytes
+		return ar.Buffer(n)
+	}, n)
 	if err != nil {
 		return Job{}, err
 	}
@@ -232,8 +253,10 @@ func readHeader(r io.Reader, header any) (int64, error) {
 // MaxInt/8, as shapeSize returns) that follow a head-byte frame head,
 // and insists the body ends there. A frame larger than limit is an
 // *http.MaxBytesError and one that disagrees with a known size an
-// error, both before anything is allocated.
-func readPayload(r io.Reader, head, size, limit int64, ns ...int) ([][]float64, error) {
+// error, both before anything is allocated. With a known size, each
+// vector is read into alloc(n) — up front, since n matched the size —
+// unless alloc returns nil; without one, it grows as bytes arrive.
+func readPayload(r io.Reader, head, size, limit int64, alloc func(n int) []float64, ns ...int) ([][]float64, error) {
 	var count int64
 	for _, n := range ns {
 		count += int64(n)
@@ -246,8 +269,12 @@ func readPayload(r io.Reader, head, size, limit int64, ns ...int) ([][]float64, 
 	}
 	vecs := make([][]float64, len(ns))
 	for i, n := range ns {
+		var data []float64
+		if size >= 0 {
+			data = alloc(n)
+		}
 		var err error
-		if vecs[i], err = readFloats(r, n, size >= 0); err != nil {
+		if vecs[i], err = readFloats(r, n, data); err != nil {
 			return nil, fmt.Errorf("frame payload: %w", err)
 		}
 	}
@@ -260,17 +287,16 @@ func readPayload(r io.Reader, head, size, limit int64, ns ...int) ([][]float64, 
 	return vecs, nil
 }
 
-// readFloats reads n little-endian float64 words in bounded chunks.
-// With sized set the caller has matched n against the transport's
-// declared length and the slice is made once; otherwise it doubles as
-// bytes arrive, so a forged count cannot allocate ahead of its payload.
-func readFloats(r io.Reader, n int, sized bool) ([]float64, error) {
+// readFloats reads n little-endian float64 words in bounded chunks into
+// data, which is either n long — allocated up front — or nil: then the
+// slice doubles as bytes arrive, so a forged count cannot allocate ahead
+// of its payload.
+func readFloats(r io.Reader, n int, data []float64) ([]float64, error) {
 	buf := make([]byte, min(8*n, chunkBytes))
-	c := n
-	if !sized {
-		c = len(buf) / 8
+	if data == nil {
+		data = make([]float64, 0, len(buf)/8)
 	}
-	data := make([]float64, 0, c)
+	data = data[:0]
 	for len(data) < n {
 		k := min(n-len(data), len(buf)/8)
 		if _, err := io.ReadFull(r, buf[:8*k]); err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +13,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/tiled-la/bidiag"
@@ -281,6 +283,137 @@ func TestForgedFramesAllocateNothing(t *testing.T) {
 		if n > tc.budget {
 			t.Errorf("%s: allocated %d bytes answering %d, budget %d", tc.name, n, status, tc.budget)
 		}
+	}
+}
+
+// stall is a request body that delivers its frame head, then blocks until
+// release is closed, as a client that declares a payload and never sends
+// it.
+type stall struct {
+	head    *bytes.Reader
+	waiting sync.Once
+	stalled *sync.WaitGroup
+	release chan struct{}
+}
+
+func (s *stall) Read(p []byte) (int, error) {
+	if s.head.Len() > 0 {
+		return s.head.Read(p)
+	}
+	s.waiting.Do(s.stalled.Done)
+	<-s.release
+	return 0, io.ErrUnexpectedEOF
+}
+
+// TestDeclaredSizesCannotPinMemory: clients that declare a payload and
+// stall hold at most the process's up-front cap — four body caps — in
+// payload buffers; the others decode as bytes arrive, and hold a staging
+// chunk each. Once they give up, a sized payload is allocated up front
+// again.
+func TestDeclaredSizesCannotPinMemory(t *testing.T) {
+	const (
+		maxBody  = 1 << 20
+		senders  = 16
+		upfront  = 4 * maxBody
+		slack    = 2 << 20
+		m, n     = 128, 1020
+		declared = 8 * m * n
+	)
+	head := frame(`{"m":128,"n":1020}`)
+	size := int64(len(head) + declared)
+	if size > maxBody {
+		t.Fatalf("a %d-byte frame is over the %d-byte cap", size, maxBody)
+	}
+	var stalled, finished sync.WaitGroup
+	release := make(chan struct{})
+	statuses := make([]int, senders)
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	stalled.Add(senders)
+	finished.Add(senders)
+	for i := range senders {
+		body := &stall{head: bytes.NewReader(head), stalled: &stalled, release: release}
+		r := httptest.NewRequest(http.MethodPost, "/v1/singular-values", body)
+		r.ContentLength = size
+		r.Header.Set("Content-Type", httpapi.BinaryMediaType)
+		go func() {
+			defer finished.Done()
+			_, statuses[i], _ = httpapi.ReadRequest(httptest.NewRecorder(), r, maxBody)
+		}()
+	}
+	stalled.Wait()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	close(release)
+	finished.Wait()
+	grew := int64(after.HeapInuse) - int64(before.HeapInuse)
+	t.Logf("%d stalled senders declaring %d bytes each hold %d bytes", senders, size, grew)
+	if grew >= upfront+slack {
+		t.Errorf("%d stalled senders hold %d bytes, want under %d (the up-front cap) + %d", senders, grew, upfront, slack)
+	}
+	for i, status := range statuses {
+		if status != http.StatusBadRequest {
+			t.Errorf("sender %d: status %d, want 400", i, status)
+		}
+	}
+
+	full := frame(`{"m":128,"n":1020}`, make([]float64, m*n)...)
+	got := allocated(func() {
+		if _, status, err := read(full, true, true, maxBody); err != nil {
+			t.Errorf("sized body after the stalls: %d %v", status, err)
+		}
+	})
+	if got > declared+64<<10 {
+		t.Errorf("a sized body after the stalls allocated %d bytes: its %d-byte payload was not made up front", got, declared)
+	}
+}
+
+// TestReleaseReusesThePayload: a released request's payload buffer is
+// what the next sized body of its size class decodes into, and that body
+// reads back as sent. Releasing twice, or a JSON request, does nothing.
+func TestReleaseReusesThePayload(t *testing.T) {
+	body := func(scale float64) ([]byte, []float64) {
+		data := make([]float64, 96*96)
+		for i := range data {
+			data[i] = scale * math.Sin(float64(i))
+		}
+		blob, _ := httpapi.EncodeJob(httpapi.Job{Matrix: httpapi.Matrix{M: 96, N: 96, Data: data}})
+		return blob, data
+	}
+	aBlob, aData := body(1e3)
+	bBlob, bData := body(1)
+	reused := 0
+	for range 8 {
+		a, _, err := read(aBlob, true, true, 1<<20)
+		if err != nil || !sameBits(a.Data, aData) {
+			t.Fatalf("A: %v", err)
+		}
+		first := &a.Data[0]
+		a.Release()
+		a.Release()
+		b, _, err := read(bBlob, true, true, 1<<20)
+		if err != nil || !sameBits(b.Data, bData) || cap(b.Data) != len(bData) {
+			t.Fatalf("B after A's release: %v", err)
+		}
+		if &b.Data[0] == first {
+			reused++
+		}
+		b.Release()
+	}
+	// Under -race a sync.Pool drops a random quarter of what is put back.
+	if reused == 0 {
+		t.Fatal("no sized body decoded into a released payload buffer")
+	}
+	text, _ := json.Marshal(httpapi.Job{Matrix: httpapi.Matrix{M: 1, N: 2, Data: []float64{3, 4}}})
+	j, _, err := read(text, false, true, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Release()
+	if !sameBits(j.Data, []float64{3, 4}) {
+		t.Fatal("releasing a JSON request touched its matrix")
 	}
 }
 

@@ -49,12 +49,19 @@
 //
 // "options" is the Options object of the JSON form, with the same
 // meaning when absent or null ("planner decides") and when {}; "job_id"
-// appears in a response header as it does in JSON. A request should
-// carry a Content-Length: the size its header declares is checked
-// against it and against the daemon's body cap before the matrix is
-// allocated (without one the matrix grows as bytes arrive). NaN and ±Inf
-// words are representable here, unlike in JSON; they are refused with
-// 400 like any non-finite input.
+// appears in a response header as it does in JSON. NaN and ±Inf words
+// are representable here, unlike in JSON; they are refused with 400 like
+// any non-finite input.
+//
+// A request should carry a Content-Length: the size its header declares
+// is checked against it and against the daemon's body cap before the
+// matrix is allocated, and the matrix is then allocated once, up front,
+// as a recycled buffer that Request.Release hands back for a later
+// request. Up-front bytes are capped process-wide at four
+// body caps across the requests being read at once, so clients that
+// declare large bodies and stall cannot pin more than that; a request
+// past the cap, like one without a Content-Length, reads into a matrix
+// that grows as its bytes arrive.
 package httpapi
 
 import (

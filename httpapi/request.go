@@ -8,12 +8,14 @@ import (
 	"strings"
 
 	"github.com/tiled-la/bidiag"
+	"github.com/tiled-la/bidiag/internal/nla"
 )
 
 // Request is one job POST, read and validated: the front door shared by
 // bidiagd (both modes) and bidiagrouter.
 type Request struct {
-	// Job is the request as sent. Its Data backs A — nothing is copied.
+	// Job is the request as sent. Its Data backs A — nothing is copied —
+	// until Release.
 	Job
 	// A is Job.Matrix validated and lifted; Opts is Job.Options lowered
 	// (ToOptions).
@@ -24,7 +26,17 @@ type Request struct {
 	// Binary reports that the body came in BinaryMediaType, so the 200
 	// response goes out in it too (WriteResponse).
 	Binary bool
+	// arena holds a sized binary payload (see the package comment).
+	arena nla.Arena
 }
+
+// Release recycles the memory a sized binary payload was decoded into
+// for a later request; Data and A must not be used after it. Call it only
+// once nothing can read the matrix again — after the job that read A has
+// succeeded and its response is written. A request that is never
+// released, as on every error path, is ordinary GC-owned memory.
+// Releasing a JSON request, or a request twice, does nothing.
+func (r *Request) Release() { r.arena.Release() }
 
 // ReadRequest reads the body of a job POST under the maxBody cap, in the
 // codec its Content-Type names, and validates shape, options and the
@@ -43,7 +55,7 @@ func ReadRequest(w http.ResponseWriter, r *http.Request, maxBody int64) (*Reques
 	body := http.MaxBytesReader(w, r.Body, maxBody)
 	var err error
 	if req.Binary {
-		req.Job, err = readJob(body, r.ContentLength, maxBody)
+		req.Job, err = readJob(body, r.ContentLength, maxBody, &req.arena)
 	} else {
 		err = json.NewDecoder(body).Decode(&req.Job)
 	}

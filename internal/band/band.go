@@ -30,10 +30,19 @@ type Matrix struct {
 	N, KU int
 	// diags[s][i] holds element (i, i+s) for 0 ≤ s ≤ KU, 0 ≤ i < N−s.
 	diags [][]float64
+	// arena, when non-nil, holds diags and the working copy of every
+	// reduction of this band (see NewIn).
+	arena *nla.Arena
 }
 
 // New allocates a zero n×n band matrix with ku superdiagonals.
-func New(n, ku int) *Matrix {
+func New(n, ku int) *Matrix { return NewIn(nil, n, ku) }
+
+// NewIn allocates an n×n band matrix with ku superdiagonals in ar: its
+// diagonals are UNINITIALIZED, and the reductions of it (Reduce,
+// BuildReduceGraph) take their working copy from ar too, so the band and
+// its chase live and die with ar's job. A nil ar is New.
+func NewIn(ar *nla.Arena, n, ku int) *Matrix {
 	if n < 0 || ku < 0 {
 		panic("band: negative dimension")
 	}
@@ -42,9 +51,9 @@ func New(n, ku int) *Matrix {
 	}
 	d := make([][]float64, ku+1)
 	for s := range d {
-		d[s] = make([]float64, n-s)
+		d[s] = ar.Vec(n - s)
 	}
-	return &Matrix{N: n, KU: ku, diags: d}
+	return &Matrix{N: n, KU: ku, diags: d, arena: ar}
 }
 
 // InBand reports whether (i, j) lies inside the stored band.

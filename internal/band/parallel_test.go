@@ -2,10 +2,12 @@ package band
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"github.com/tiled-la/bidiag/internal/nla"
 	"github.com/tiled-la/bidiag/internal/sched"
 )
 
@@ -234,6 +236,37 @@ func TestGranularity(t *testing.T) {
 	for _, tc := range []struct{ n, ku, want int }{{1000, 64, 64}, {100, 200, 99}, {1, 0, 1}, {0, 0, 1}} {
 		if got := WindowWidth(tc.n, tc.ku); got != tc.want {
 			t.Errorf("WindowWidth(%d,%d) = %d, want %d", tc.n, tc.ku, got, tc.want)
+		}
+	}
+}
+
+// TestReduceReusesArenaMemory chases bands held in an arena whose recycled
+// chunks and buffers an earlier job left full of NaN: the chase clears
+// what it reads before writing it, so each result is bitwise that of the
+// same band on fresh memory, from a chunk-sized work array and from one
+// larger than a chunk (700·(3·64+1) elements).
+func TestReduceReusesArenaMemory(t *testing.T) {
+	var ar nla.Arena
+	for _, c := range []struct{ n, ku int }{{9, 3}, {65, 7}, {130, 32}, {700, 64}} {
+		src := randomBand(int64(c.n), c.n, c.ku)
+		want := Reduce(src)
+		for _, workers := range []int{1, 2} {
+			for _, v := range [][]float64{ar.Vec(c.n * c.ku), ar.Vec(c.n * (3*c.ku + 1)), ar.Buffer(c.n * (3*c.ku + 1))} {
+				for i := range v {
+					v[i] = math.NaN()
+				}
+			}
+			ar.Release()
+			b := NewIn(&ar, c.n, c.ku)
+			for s := 0; s <= b.KU; s++ {
+				copy(b.diags[s], src.diags[s])
+			}
+			got, err := ReduceParallel(b, workers, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			diffBidiagonal(t, fmt.Sprintf("n=%d ku=%d workers=%d", c.n, c.ku, workers), want, got)
+			ar.Release()
 		}
 	}
 }

@@ -79,20 +79,23 @@ type work struct {
 	log *Log
 }
 
-func newWork(n, ku int) *work {
-	if ku > n-1 {
-		ku = max(n-1, 0)
-	}
-	w := &work{n: n, ku: ku, ld: 3*ku + 1}
-	w.a = make([]float64, n*w.ld)
-	w.vl = make([]float64, n)
-	w.tauL = make([]float64, n)
-	return w
-}
-
-// newWorkFrom returns working storage holding a copy of b.
+// newWorkFrom returns working storage holding a copy of b, taken from
+// b's arena. Arena memory holds an earlier job's data, so every element
+// the copy does not write is cleared: the fill rows the chase reads
+// before it writes them, and the corners outside the matrix.
 func newWorkFrom(b *Matrix) *work {
-	w := newWork(b.N, b.KU)
+	n, ku := b.N, min(b.KU, max(b.N-1, 0))
+	w := &work{n: n, ku: ku, ld: 3*ku + 1}
+	w.a = b.arena.Vec(n * w.ld)
+	w.vl = b.arena.Vec(n)
+	w.tauL = b.arena.Vec(n)
+	for j := 0; j < n; j++ {
+		// Column j holds rows j−2·ku … j+ku; the band is rows
+		// max(j−ku, 0) … j, at offsets 2·ku − min(j, ku) … 2·ku.
+		col := w.a[j*w.ld : (j+1)*w.ld]
+		clear(col[:2*ku-min(j, ku)])
+		clear(col[2*ku+1:])
+	}
 	for s := range b.diags {
 		for i, v := range b.diags[s] {
 			w.set(i, i+s, v)

@@ -50,22 +50,67 @@ func TestArenaAppendDoesNotSpill(t *testing.T) {
 	}
 }
 
-func TestArenaOversizeFallsBack(t *testing.T) {
+func TestArenaOversizeTakesABuffer(t *testing.T) {
 	var a Arena
 	big := a.Vec(arenaChunk + 1)
-	if len(big) != arenaChunk+1 || len(a.used) != 0 {
-		t.Fatalf("oversize Vec: len %d, %d chunks taken; want make and none", len(big), len(a.used))
+	if len(big) != arenaChunk+1 || cap(big) != arenaChunk+1 || len(a.used) != 0 || len(a.bufs) != 1 {
+		t.Fatalf("oversize Vec: len %d cap %d, %d chunks and %d buffers taken; want one buffer",
+			len(big), cap(big), len(a.used), len(a.bufs))
 	}
-	for _, x := range big {
-		if x != 0 {
-			t.Fatal("the make fallback must be zeroed")
-		}
+	if got := len(*a.bufs[0]); got != 2*arenaChunk {
+		t.Fatalf("a %d-element checkout took a %d-element buffer, want the class %d", arenaChunk+1, got, 2*arenaChunk)
+	}
+	// Buffer never carves a chunk, whatever its size.
+	small := a.Buffer(3)
+	if len(small) != 3 || cap(small) != 3 || len(a.used) != 0 || len(a.bufs) != 2 {
+		t.Fatalf("Buffer(3): len %d cap %d, %d chunks, %d buffers", len(small), cap(small), len(a.used), len(a.bufs))
 	}
 	// A request that does not fit the rest of a chunk starts a new one.
 	a.Vec(arenaChunk - 8)
 	a.Vec(16)
 	if len(a.used) != 2 {
 		t.Fatalf("%d chunks in use, want 2", len(a.used))
+	}
+	a.Release()
+	if len(a.bufs) != 0 {
+		t.Fatalf("after Release: %d buffers", len(a.bufs))
+	}
+
+	var nilArena *Arena
+	for _, x := range nilArena.Buffer(arenaChunk + 1) {
+		if x != 0 {
+			t.Fatal("a nil arena's Buffer must be zeroed make")
+		}
+	}
+}
+
+func TestArenaBufferRecycles(t *testing.T) {
+	const n = 3 << 10 // class 4096
+	var a Arena
+	held := map[*float64]bool{}
+	for i := 0; i < 8; i++ {
+		b := a.Buffer(n)
+		held[&b[0]] = true
+	}
+	if len(held) != 8 {
+		t.Fatalf("8 live buffers share storage: %d distinct", len(held))
+	}
+	a.Release()
+	// The class pool hands the released buffers out again, to any request
+	// of the class, capped at the length asked for. (Under -race a
+	// sync.Pool drops a random quarter of what is put back.)
+	back := 0
+	for i := 0; i < 8; i++ {
+		b := a.Buffer(4 << 10)
+		if cap(b) != 4<<10 {
+			t.Fatalf("cap %d, want %d", cap(b), 4<<10)
+		}
+		if held[&b[0]] {
+			back++
+		}
+	}
+	if back == 0 {
+		t.Fatal("no released buffer came back from its class pool")
 	}
 	a.Release()
 }

@@ -197,12 +197,13 @@ func (t *Matrix) BandBidiagonalError() float64 {
 
 // ExtractBand extracts the leading n×n upper band (with ku superdiagonals)
 // of the matrix into band storage. For GE2BND output use ku = NB.
-func (t *Matrix) ExtractBand(ku int) *band.Matrix {
-	n := t.N
-	if t.M < n {
-		n = t.M
-	}
-	b := band.New(n, ku)
+func (t *Matrix) ExtractBand(ku int) *band.Matrix { return t.ExtractBandIn(nil, ku) }
+
+// ExtractBandIn is ExtractBand with the band, and the chase of it, in ar
+// (band.NewIn): for a band that does not outlive ar's job.
+func (t *Matrix) ExtractBandIn(ar *nla.Arena, ku int) *band.Matrix {
+	n := min(t.M, t.N)
+	b := band.NewIn(ar, n, ku)
 	for s := 0; s <= min(ku, n-1); s++ {
 		for i := 0; i < n-s; i++ {
 			b.Set(i, i+s, t.At(i, i+s))

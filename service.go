@@ -430,7 +430,21 @@ func (s *Service) request(req JobRequest) (request, error) {
 	if err != nil {
 		return request{}, err
 	}
-	if err := req.A.CheckFinite(); err != nil {
+	// Auto jobs are cached under their PRE-resolution identity (the auto
+	// flag plus any pins): an exploring profile hands different
+	// configurations to identical requests, and keying on the resolved
+	// plan would turn every such repeat into a miss. The first executed
+	// plan's result serves all identical auto requests — results differ
+	// only in rounding across plans, and the cache's contract is "same
+	// request, same bytes". The digest checks the input in the same walk;
+	// a disabled cache skips it and checks alone.
+	var key string
+	if s.cache.cap > 0 {
+		key, err = cacheKey(req.Kind, req.A, opts)
+	} else {
+		err = req.A.CheckFinite()
+	}
+	if err != nil {
 		return request{}, err
 	}
 	if req.A.Rows() == 0 || req.A.Cols() == 0 {
@@ -490,18 +504,9 @@ func (s *Service) request(req JobRequest) (request, error) {
 			j.stage1 = s.mesh.Job(src, gj, req.Trace)
 			return j, nil
 		},
+		key:     key,
 		trace:   req.Trace,
 		observe: observe,
-	}
-	// Auto jobs are cached under their PRE-resolution identity (the auto
-	// flag plus any pins): an exploring profile hands different
-	// configurations to identical requests, and keying on the resolved
-	// plan would turn every such repeat into a miss. The first executed
-	// plan's result serves all identical auto requests — results differ
-	// only in rounding across plans, and the cache's contract is "same
-	// request, same bytes". A disabled cache skips the digest.
-	if s.cache.cap > 0 {
-		r.key = cacheKey(req.Kind, req.A, opts)
 	}
 	if req.Trace {
 		m, n := req.A.Rows(), req.A.Cols()
@@ -526,13 +531,16 @@ func CacheKey(kind JobKind, a *Dense, opts *Options) string {
 	if opts != nil {
 		o = *opts
 	}
-	return cacheKey(kind, a, o)
+	key, _ := cacheKey(kind, a, o)
+	return key
 }
 
 // cacheKey digests the matrix content and every result-affecting option
 // into the job's content-addressed identity. Workers is present because
-// it parameterizes the AUTO tree.
-func cacheKey(kind JobKind, a *Dense, opts Options) string {
+// it parameterizes the AUTO tree. It checks each column before hashing it
+// and returns CheckFinite's error for the first non-finite entry, with
+// the digest of the whole input all the same.
+func cacheKey(kind JobKind, a *Dense, opts Options) (string, error) {
 	h := sha256.New()
 	var buf [8]byte
 	w := func(v uint64) {
@@ -545,8 +553,13 @@ func cacheKey(kind JobKind, a *Dense, opts Options) string {
 	// One bulk conversion and one hasher write per contiguous column.
 	m := a.inner
 	col := make([]byte, 8*m.Rows)
+	var bad error
 	for j := 0; j < m.Cols; j++ {
-		nla.PutFloat64sLE(col, m.Data[j*m.LD:j*m.LD+m.Rows])
+		c := m.Data[j*m.LD : j*m.LD+m.Rows]
+		if bad == nil {
+			bad = checkColumn(c, j)
+		}
+		nla.PutFloat64sLE(col, c)
 		h.Write(col)
 	}
 	w(uint64(opts.NB))
@@ -564,7 +577,7 @@ func cacheKey(kind JobKind, a *Dense, opts Options) string {
 		// carry the same knob values.
 		w(1)
 	}
-	return fmt.Sprintf("%x", h.Sum(nil))
+	return fmt.Sprintf("%x", h.Sum(nil)), bad
 }
 
 // toTimeline lifts the task events of a trace into the public span form

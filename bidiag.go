@@ -322,14 +322,13 @@ func (b *Band) At(i, j int) float64 { return b.b.At(i, j) }
 // worker count and cut width the band was produced with; its outcome is
 // bitwise that of the sequential chase whatever either is.
 func (b *Band) SingularValues() ([]float64, error) {
-	return b.singularValues(context.Background(), pipeline.Pool{Workers: max(b.workers, 1)}, nil)
+	return chaseValues(context.Background(), pipeline.BuildBND2BD(b.b, b.window), pipeline.Pool{Workers: max(b.workers, 1)}, nil)
 }
 
-// singularValues chases the band on ex, then solves the bidiagonal. The
+// chaseValues runs the chase plan p on ex, then solves the bidiagonal. The
 // chase graph inherits stage1's tracer and meter when stage1 is given, so
 // a traced or metered job covers both stages.
-func (b *Band) singularValues(ctx context.Context, ex pipeline.Executor, stage1 *sched.Graph) ([]float64, error) {
-	p := pipeline.BuildBND2BD(b.b, b.window)
+func chaseValues(ctx context.Context, p *pipeline.Plan, ex pipeline.Executor, stage1 *sched.Graph) ([]float64, error) {
 	if stage1 != nil {
 		p.Graph.Tracer, p.Graph.Meter = stage1.Tracer, stage1.Meter
 	}
@@ -337,6 +336,7 @@ func (b *Band) singularValues(ctx context.Context, ex pipeline.Executor, stage1 
 		return nil, err
 	}
 	d, e := p.Bidiagonal().Bidiagonal()
+	p.Return()
 	return bdsqr.SingularValues(d, e)
 }
 
@@ -360,16 +360,17 @@ func GE2BND(a *Dense, o *Options) (*Band, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := j.plan.Tiles.ExtractBand(j.plan.Tiles.NB)
-	j.arena.Release()
-	return &Band{
-		b:             b,
+	b := &Band{
+		b:             j.plan.Tiles.ExtractBand(j.plan.Tiles.NB),
 		UsedRBidiag:   j.plan.UsedRBidiag,
 		TasksExecuted: rep.Tasks,
 		Dist:          distStatsOf(rep),
 		workers:       opts.Workers,
 		window:        opts.BND2BDWindow,
-	}, nil
+	}
+	j.arena.Release()
+	j.plan.Return()
+	return b, nil
 }
 
 // gridJob resolves Options.Distributed for an m×n (m ≥ n) input into the
@@ -455,11 +456,10 @@ func resolve(a *Dense, o *Options) (opts Options, src *nla.Matrix, treeKind tree
 // its GE2BND plan, and the finish that turns the executed plan into the
 // result, running any later graphs on the executor it is handed.
 type job struct {
-	plan *pipeline.Plan
-	// arena holds the plan's tiles and T factors, and a values job's band
-	// and chase work array. Whoever runs the job
-	// releases it once the job has succeeded — never on failure, when a
-	// task may still be in flight — so the next job reuses its chunks.
+	// plan is a template for a values job on shared memory, else a fresh
+	// build on arena. Whoever runs the job releases both once it has
+	// succeeded — never on failure, when a task may still be in flight.
+	plan  *pipeline.Plan
 	arena *nla.Arena
 	// stage1 runs the plan's graph when the caller's executor does not: a
 	// grid job's nodes, or a service's mesh.
@@ -476,26 +476,30 @@ type job struct {
 // them too.
 func newJob(kind JobKind, src *nla.Matrix, opts Options, treeKind trees.Kind, transposed bool, gj *pipeline.GridJob) job {
 	j := job{arena: new(nla.Arena)}
-	var spec pipeline.Spec
-	if gj != nil {
-		spec = gj.SpecIn(j.arena, src)
-		j.stage1 = pipeline.OwnerCompute{Grid: gj.Grid, WorkersPerNode: gj.WPN}
-	} else {
-		m, n := src.Rows, src.Cols
-		spec = pipeline.Spec{
-			Shape:   core.ShapeOf(m, n, opts.NB),
-			Data:    tile.FromDenseIn(j.arena, src, opts.NB),
-			Config:  core.Config{Tree: treeKind, Gamma: opts.Gamma, Cores: opts.Workers, Blocking: nla.Blocking(opts.Gemm)},
-			RBidiag: useRBidiag(opts, m, n),
-		}
-	}
 	var rec *core.Recorder
 	if kind == JobSVD {
 		rec = &core.Recorder{Blocking: nla.Blocking(opts.Gemm)}
-		spec.Config.Recorder = rec
 	}
-	p := pipeline.Build(spec)
-	j.plan = p
+	m, n := src.Rows, src.Cols
+	spec := pipeline.Spec{
+		Shape:   core.ShapeOf(m, n, opts.NB),
+		Config:  core.Config{Tree: treeKind, Gamma: opts.Gamma, Cores: opts.Workers, Blocking: nla.Blocking(opts.Gemm)},
+		RBidiag: useRBidiag(opts, m, n),
+	}
+	switch {
+	case gj != nil:
+		spec = gj.SpecIn(j.arena, src)
+		j.stage1 = pipeline.OwnerCompute{Grid: gj.Grid, WorkersPerNode: gj.WPN}
+	case rec == nil:
+		j.plan = pipeline.Template(spec, src)
+	default:
+		spec.Data = tile.FromDenseIn(j.arena, src, opts.NB)
+	}
+	if j.plan == nil {
+		spec.Config.Recorder = rec
+		j.plan = pipeline.Build(spec)
+	}
+	p := j.plan
 	j.finish = func(ctx context.Context, ex pipeline.Executor) (*JobResult, error) {
 		if rec != nil {
 			res, err := finishSVD(ctx, p, rec, ex, transposed)
@@ -504,8 +508,8 @@ func newJob(kind JobKind, src *nla.Matrix, opts Options, treeKind trees.Kind, tr
 			}
 			return &JobResult{Values: res.S, SVD: res}, nil
 		}
-		b := &Band{b: p.Tiles.ExtractBandIn(j.arena, p.Tiles.NB), window: opts.BND2BDWindow}
-		s, err := b.singularValues(ctx, ex, p.Graph)
+		chase := pipeline.Chase(min(p.Tiles.M, p.Tiles.N), p.Tiles.NB, opts.BND2BDWindow, p.Tiles.ExtractBandInto)
+		s, err := chaseValues(ctx, chase, ex, p.Graph)
 		if err != nil {
 			return nil, err
 		}
@@ -560,6 +564,7 @@ func runOnce(ctx context.Context, kind JobKind, a *Dense, o *Options) (*JobResul
 		return nil, nil, err
 	}
 	j.arena.Release()
+	j.plan.Return()
 	return res, rep, nil
 }
 

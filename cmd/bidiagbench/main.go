@@ -541,7 +541,7 @@ func runPerfBND2BD(n, ku, workers, reps int, jsonPath string) error {
 	for r := 0; r < reps; r++ {
 		start := time.Now()
 		g := sched.NewGraph()
-		finish := band.BuildReduceGraph(g, b, 0)
+		_, finish := band.BuildReduceGraph(g, b, 0)
 		build := time.Since(start)
 		var runErr error
 		if workers > 1 {

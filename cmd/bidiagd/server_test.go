@@ -742,3 +742,51 @@ func TestClientUnreachable(t *testing.T) {
 		t.Fatalf("served 400 classified unreachable: %v", err)
 	}
 }
+
+// TestCloseReturnsWithJobInFlight: shutting the service down while a job
+// is mid-graph and earlier jobs' task-graph templates sit in the pools
+// returns once that job has finished, well within the 10 s the daemon's
+// SIGTERM smoke allows: nothing waits on a pooled template.
+func TestCloseReturnsWithJobInFlight(t *testing.T) {
+	svc := bidiag.NewService(&bidiag.ServiceConfig{Workers: 2, CacheBytes: -1})
+	ts := httptest.NewServer(newMux(svc, nil, time.Now(), 0))
+	defer ts.Close()
+	cl := client.New(ts.URL)
+	matrix := func(m, n int) httpapi.Matrix {
+		data := make([]float64, m*n)
+		for i := range data {
+			data[i] = math.Sin(float64(i))
+		}
+		return httpapi.Matrix{M: m, N: n, Data: data}
+	}
+	for range 2 {
+		if _, err := cl.PostValues(context.Background(), httpapi.Job{Matrix: matrix(256, 64)}, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inFlight := make(chan error, 1)
+	go func() {
+		_, err := cl.PostValues(context.Background(), httpapi.Job{Matrix: matrix(1024, 512)}, false)
+		inFlight <- err
+	}()
+	for deadline := time.Now().Add(10 * time.Second); svc.Stats().InFlight == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the job never started")
+		}
+	}
+	closed := make(chan struct{})
+	start := time.Now()
+	go func() {
+		svc.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Logf("Close returned after %v", time.Since(start))
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return within 10 s of a job in flight")
+	}
+	if err := <-inFlight; err != nil {
+		t.Fatalf("the job in flight at Close: %v", err)
+	}
+}

@@ -3,12 +3,14 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -462,5 +464,82 @@ func TestRouterReuseKeepsAffinity(t *testing.T) {
 	}
 	if len(toOwner) != 2 {
 		t.Fatalf("B's owner %s received B %d times, want 2", owner, len(toOwner))
+	}
+}
+
+// stall is a request body that sends its head, then blocks until release
+// and fails as a client that gave up would.
+type stall struct {
+	head    *bytes.Reader
+	waiting sync.Once
+	stalled *sync.WaitGroup
+	release chan struct{}
+}
+
+func (s *stall) Read(p []byte) (int, error) {
+	if s.head.Len() > 0 {
+		return s.head.Read(p)
+	}
+	s.waiting.Do(s.stalled.Done)
+	<-s.release
+	return 0, io.ErrUnexpectedEOF
+}
+
+// TestRouterDeclaredSizesCannotPinMemory: clients that declare a body
+// within the cap, send its frame header and stall hold what httpapi sizes
+// up front — at most four body caps across the process — and not, on top
+// of it, a copy of every declared body in the router's forwarding buffer.
+func TestRouterDeclaredSizesCannotPinMemory(t *testing.T) {
+	const (
+		maxBody = 1 << 20
+		senders = 16
+		upfront = 4 * maxBody
+		slack   = 2 << 20
+		m, n    = 128, 1020
+	)
+	header := `{"m":128,"n":1020}`
+	head := binary.LittleEndian.AppendUint32([]byte("BDM1"), uint32(len(header)))
+	head = append(head, header...)
+	size := int64(len(head) + 8*m*n)
+	if size > maxBody {
+		t.Fatalf("a %d-byte frame is over the %d-byte cap", size, maxBody)
+	}
+	rt := newRouter([]string{"http://127.0.0.1:1"}, 64, maxBody)
+	h := rt.mux()
+	var stalled, finished sync.WaitGroup
+	release := make(chan struct{})
+	statuses := make([]int, senders)
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	stalled.Add(senders)
+	finished.Add(senders)
+	for i := range senders {
+		r := httptest.NewRequest(http.MethodPost, "/v1/singular-values",
+			&stall{head: bytes.NewReader(head), stalled: &stalled, release: release})
+		r.ContentLength = size
+		r.Header.Set("Content-Type", httpapi.BinaryMediaType)
+		go func() {
+			defer finished.Done()
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, r)
+			statuses[i] = w.Code
+		}()
+	}
+	stalled.Wait()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	close(release)
+	finished.Wait()
+	grew := int64(after.HeapInuse) - int64(before.HeapInuse)
+	t.Logf("%d stalled senders declaring %d bytes each hold %d bytes", senders, size, grew)
+	if grew >= upfront+slack {
+		t.Errorf("%d stalled senders hold %d bytes, want under %d (httpapi's up-front cap) + %d", senders, grew, upfront, slack)
+	}
+	for i, status := range statuses {
+		if status != http.StatusBadRequest {
+			t.Errorf("sender %d: status %d, want 400", i, status)
+		}
 	}
 }

@@ -113,8 +113,11 @@ func (rt *router) mux() *http.ServeMux {
 // backend, and forwards those bytes, failing over along the ring only
 // when a backend was unreachable.
 func (rt *router) route(w http.ResponseWriter, r *http.Request, kind bidiag.JobKind) {
+	// raw is sized from the declared length only within httpapi's
+	// process-wide up-front cap; past it, it grows as bytes arrive.
 	var raw bytes.Buffer
-	if n := r.ContentLength; n > 0 && n <= rt.maxBody {
+	if n := r.ContentLength; n > 0 && n <= rt.maxBody && httpapi.Reserve(n, rt.maxBody) {
+		defer httpapi.Unreserve(n)
 		raw.Grow(int(n))
 	}
 	r.Body = struct {

@@ -10,6 +10,7 @@ import (
 	"mime"
 	"net/http"
 	"strconv"
+	"sync"
 	"sync/atomic"
 
 	"github.com/tiled-la/bidiag/internal/nla"
@@ -37,6 +38,20 @@ const (
 // upfront counts the payload bytes of the requests being decoded now that
 // were allocated when their size was declared, before they arrived.
 var upfront atomic.Int64
+
+// Reserve reports whether n more bytes, allocated for a body capped at
+// limit before it arrives, fit the process's up-front cap, and if so
+// counts them until Unreserve(n). Past it, a caller grows as bytes arrive.
+func Reserve(n, limit int64) bool {
+	if upfront.Add(n) <= upfrontFactor*min(limit, math.MaxInt64/upfrontFactor) {
+		return true
+	}
+	upfront.Add(-n)
+	return false
+}
+
+// Unreserve gives back n bytes a successful Reserve counted.
+func Unreserve(n int64) { upfront.Add(-n) }
 
 // jobHeader is the frame header of a request: Job without its data.
 type jobHeader struct {
@@ -184,14 +199,12 @@ func readJob(r io.Reader, size, limit int64, ar *nla.Arena) (Job, error) {
 		return Job{}, err
 	}
 	var held int64
-	defer func() { upfront.Add(-held) }()
+	defer func() { Unreserve(held) }()
 	vecs, err := readPayload(r, head, size, limit, func(n int) []float64 {
-		nbytes := 8 * int64(n)
-		if upfront.Add(nbytes) > upfrontFactor*min(limit, math.MaxInt64/upfrontFactor) {
-			upfront.Add(-nbytes)
+		if !Reserve(8*int64(n), limit) {
 			return nil
 		}
-		held = nbytes
+		held = 8 * int64(n)
 		return ar.Buffer(n)
 	}, n)
 	if err != nil {
@@ -287,12 +300,17 @@ func readPayload(r io.Reader, head, size, limit int64, alloc func(n int) []float
 	return vecs, nil
 }
 
+// staging recycles readFloats' chunk buffers from one body to the next.
+var staging = sync.Pool{New: func() any { return new([chunkBytes]byte) }}
+
 // readFloats reads n little-endian float64 words in bounded chunks into
 // data, which is either n long — allocated up front — or nil: then the
 // slice doubles as bytes arrive, so a forged count cannot allocate ahead
 // of its payload.
 func readFloats(r io.Reader, n int, data []float64) ([]float64, error) {
-	buf := make([]byte, min(8*n, chunkBytes))
+	stage := staging.Get().(*[chunkBytes]byte)
+	defer staging.Put(stage)
+	buf := stage[:min(8*n, chunkBytes)]
 	if data == nil {
 		data = make([]float64, 0, len(buf)/8)
 	}

@@ -154,11 +154,13 @@ func newWindowHandles(g *sched.Graph, n, ku int) []*sched.Handle {
 // been executed (by any sched engine: RunSequential, RunParallel, or a
 // simulator ignoring the closures). window follows
 // Options.BND2BDWindow. The input matrix is not modified; the tasks
-// share one private working copy of the band.
-func BuildReduceGraph(g *sched.Graph, b *Matrix, window int) (finish func() *Matrix) {
+// share one private working copy of the band, taken here. refill lets
+// fill write b anew and takes the copy again, so that the graph can run
+// once more.
+func BuildReduceGraph(g *sched.Graph, b *Matrix, window int) (refill func(fill func(*Matrix)), finish func() *Matrix) {
 	w := newWorkFrom(b)
 	buildSegments(g, w, window, newWindowHandles(g, b.N, b.KU))
-	return w.extract
+	return func(fill func(*Matrix)) { fill(b); w.load(b) }, w.extract
 }
 
 // Tasks returns the number of tasks BuildReduceGraph emits for an n×n
@@ -271,7 +273,7 @@ func buildSegments(g *sched.Graph, w *work, window int, handles []*sched.Handle)
 // error; the partial band is not.
 func ReduceParallel(b *Matrix, workers, window int) (*Matrix, error) {
 	g := sched.NewGraph()
-	finish := BuildReduceGraph(g, b, window)
+	_, finish := BuildReduceGraph(g, b, window)
 	var err error
 	if workers > 1 {
 		err = g.RunParallel(workers)

@@ -109,7 +109,7 @@ func TestReduceGraphShape(t *testing.T) {
 	b := randomBand(5, 200, 12)
 	for _, window := range []int{0, 12, 48, 200} {
 		g := sched.NewGraph()
-		finish := BuildReduceGraph(g, b, window)
+		_, finish := BuildReduceGraph(g, b, window)
 		if err := g.CheckAcyclic(); err != nil {
 			t.Fatal(err)
 		}

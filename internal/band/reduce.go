@@ -80,15 +80,23 @@ type work struct {
 }
 
 // newWorkFrom returns working storage holding a copy of b, taken from
-// b's arena. Arena memory holds an earlier job's data, so every element
-// the copy does not write is cleared: the fill rows the chase reads
-// before it writes them, and the corners outside the matrix.
+// b's arena.
 func newWorkFrom(b *Matrix) *work {
 	n, ku := b.N, min(b.KU, max(b.N-1, 0))
 	w := &work{n: n, ku: ku, ld: 3*ku + 1}
 	w.a = b.arena.Vec(n * w.ld)
 	w.vl = b.arena.Vec(n)
 	w.tauL = b.arena.Vec(n)
+	w.load(b)
+	return w
+}
+
+// load copies b, of w's shape, into w. The storage is recycled memory
+// that holds an earlier job's data, so every element the copy does not
+// write is cleared: the fill rows the chase reads before it writes them,
+// and the corners outside the matrix.
+func (w *work) load(b *Matrix) {
+	n, ku := w.n, w.ku
 	for j := 0; j < n; j++ {
 		// Column j holds rows j−2·ku … j+ku; the band is rows
 		// max(j−ku, 0) … j, at offsets 2·ku − min(j, ku) … 2·ku.
@@ -101,7 +109,6 @@ func newWorkFrom(b *Matrix) *work {
 			w.set(i, i+s, v)
 		}
 	}
-	return w
 }
 
 // at is the index of element (i, j) in w.a.

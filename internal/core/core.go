@@ -31,6 +31,11 @@
 // then serve both, as RecStage.apply serves the left and right replays.
 // The tile kernels stay separate because their memory access is row- or
 // column-oriented.
+//
+// A real-data build's tasks close over its tiles and T factors, so its
+// graph runs again on whatever the tiles hold (internal/pipeline's
+// templates). Only an owner-compute build's handles (Config.Owner) carry
+// tile serializers: its ranks snapshot and restore them.
 package core
 
 import (
@@ -233,7 +238,7 @@ func newBuilder(g *sched.Graph, sh Shape, data *tile.Matrix, cfg *Config) *build
 			b.h[base+regDiag] = g.NewHandle(int32(8*k), owner)
 			b.h[base+regUpper] = g.NewHandle(half, owner)
 			b.h[base+regLower] = g.NewHandle(half, owner)
-			if data != nil {
+			if data != nil && cfg.Owner != nil {
 				tl := data.Tile(i, j)
 				for reg := regDiag; reg <= regLower; reg++ {
 					b.h[base+reg].SetPayload(regionPayload(tl, reg))
@@ -305,7 +310,7 @@ type factor struct {
 
 // tfactor carves a factorization kernel's k×k block-reflector factor T
 // and its tau from the job's arena (the one the tiles came from), and
-// registers T as a graph handle with payload/restore serializers. The
+// registers T as a graph handle, serialized on owner-compute builds. The
 // memory starts uninitialized: the kernel writes tau and T's upper
 // triangle, and nothing reads T's strict lower triangle. In one address
 // space T flows to the update kernels through the shared heap, but across
@@ -317,8 +322,10 @@ func (b *builder) tfactor(k int, owner int32) (*nla.Matrix, []float64, *sched.Ha
 	ar := b.data.Arena()
 	t := ar.Matrix(k, k)
 	h := b.g.NewHandle(int32(8*k*k), owner)
-	h.SetPayload(regionPayload(t, regWhole))
-	h.SetRestore(regionRestore(t, regWhole))
+	if b.cfg.Owner != nil {
+		h.SetPayload(regionPayload(t, regWhole))
+		h.SetRestore(regionRestore(t, regWhole))
+	}
 	return t, ar.Vec(k), h
 }
 

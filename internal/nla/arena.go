@@ -58,6 +58,7 @@ func (a *Arena) Vec(n int) []float64 {
 	s := c[a.off : a.off+n : a.off+n]
 	// Every checkout starts on a 64-byte cache line.
 	a.off = min(a.off+((n+7)&^7), arenaChunk)
+	poison(s)
 	return s
 }
 
@@ -76,6 +77,7 @@ func (a *Arena) Buffer(n int) []float64 {
 		b = &s
 	}
 	a.bufs = append(a.bufs, b)
+	poison((*b)[:n])
 	return (*b)[:n:n]
 }
 
@@ -92,6 +94,7 @@ func (a *Arena) Release() {
 	if a == nil {
 		return
 	}
+	a.Poison()
 	for i, c := range a.used {
 		chunkPool.Put(c)
 		a.used[i] = nil
@@ -101,4 +104,15 @@ func (a *Arena) Release() {
 		a.bufs[i] = nil
 	}
 	a.used, a.off, a.bufs = a.used[:0], 0, a.bufs[:0]
+}
+
+// Poison NaN-fills everything the arena holds in a poison build (see
+// poison): a template's working set on checkout.
+func (a *Arena) Poison() {
+	for _, c := range a.used {
+		poison(c[:])
+	}
+	for _, b := range a.bufs {
+		poison(*b)
+	}
 }

@@ -83,6 +83,7 @@ func (w *Workspace) ScratchVec(n int) []float64 {
 	}
 	s := w.buf[w.off : w.off+n : w.off+n]
 	w.off += n
+	poison(s)
 	return s
 }
 

@@ -49,4 +49,12 @@
 // context-aware (RunCtx) and panic-safe: a cancelled context stops
 // dispatch and returns context.Cause(ctx); a panicking kernel surfaces as an
 // error naming the kernel kind instead of killing the process.
+//
+// # Templates
+//
+// A values job's graphs depend on its shape and plan, not its values: a
+// job on shared memory runs templates (Template, Chase), plans kept with
+// the memory their tasks point at and re-armed by the next job of their
+// key, which copies its input in. A template goes back (Return) only
+// after its job succeeded.
 package pipeline

@@ -118,21 +118,14 @@ func TestExecutorParity(t *testing.T) {
 	}
 }
 
-// TestStageAccounting pins the plan bookkeeping: each plan carries its
-// one stage, whose task count is the graph's, and the chase plan has
-// exactly the tasks band.Tasks predicts.
+// TestStageAccounting pins the chase plan's bookkeeping: it has exactly
+// the tasks band.Tasks predicts.
 func TestStageAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	src := nla.RandomMatrix(rng, 96, 64)
 	p := Build(specFor(src, 32, dist.Grid{R: 1, C: 1}, 1, false))
-	if len(p.Stages) != 1 || p.Stages[0].Name != "GE2BND" || p.Stages[0].Tasks != len(p.Graph.Tasks) {
-		t.Fatalf("GE2BND stages: %+v for %d tasks", p.Stages, len(p.Graph.Tasks))
-	}
 	for _, window := range []int{0, 32} {
 		chase := BuildBND2BD(p.Tiles.ExtractBand(32), window)
-		if len(chase.Stages) != 1 || chase.Stages[0].Name != "BND2BD" || chase.Stages[0].Tasks != len(chase.Graph.Tasks) {
-			t.Fatalf("BND2BD stages: %+v for %d tasks", chase.Stages, len(chase.Graph.Tasks))
-		}
 		if want := band.Tasks(64, 32, window); len(chase.Graph.Tasks) != want || want == 0 {
 			t.Fatalf("window %d: chase has %d tasks, band.Tasks says %d", window, len(chase.Graph.Tasks), want)
 		}

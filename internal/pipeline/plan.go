@@ -2,6 +2,8 @@ package pipeline
 
 import (
 	"context"
+	"runtime"
+	"sync"
 
 	"github.com/tiled-la/bidiag/internal/band"
 	"github.com/tiled-la/bidiag/internal/core"
@@ -9,6 +11,7 @@ import (
 	"github.com/tiled-la/bidiag/internal/nla"
 	"github.com/tiled-la/bidiag/internal/sched"
 	"github.com/tiled-la/bidiag/internal/tile"
+	"github.com/tiled-la/bidiag/internal/trees"
 )
 
 // Spec describes the GE2BND plan to build. Data may be nil for
@@ -65,19 +68,10 @@ func (j GridJob) SpecIn(ar *nla.Arena, a *nla.Matrix) Spec {
 	return Spec{Shape: sh, Data: tile.FromDenseIn(ar, a, j.NB), Config: cfg, RBidiag: j.RBidiag}
 }
 
-// Stage reports one logical stage of a built plan.
-type Stage struct {
-	Name  string
-	Tasks int
-}
-
 // Plan is a built task graph plus the bookkeeping needed to extract its
 // results after execution.
 type Plan struct {
 	Graph *sched.Graph
-	// Stages lists the logical stages in submission order; their task
-	// counts sum to the number of tasks in Graph.
-	Stages []Stage
 	// Tiles is the tile matrix holding the stage-1 band-bidiagonal result
 	// (the square R-factor matrix under R-BIDIAG); nil in simulation-only
 	// builds or stage-2-only plans.
@@ -88,6 +82,13 @@ type Plan struct {
 	UsedRBidiag bool
 
 	finish func() *band.Matrix
+
+	// A template's key and memory, and its GE2BND input tiles or the
+	// refill of its band.
+	key    any
+	arena  *nla.Arena
+	input  *tile.Matrix
+	refill func(fill func(*band.Matrix))
 }
 
 // Build constructs the GE2BND stage's task graph; the caller extracts the
@@ -102,7 +103,6 @@ func Build(spec Spec) *Plan {
 	}
 	return &Plan{
 		Graph:       g,
-		Stages:      []Stage{{Name: "GE2BND", Tasks: len(g.Tasks)}},
 		Tiles:       data,
 		Shape:       rsh,
 		UsedRBidiag: spec.RBidiag,
@@ -114,11 +114,11 @@ func Build(spec Spec) *Plan {
 // The input is not modified.
 func BuildBND2BD(b *band.Matrix, window int) *Plan {
 	g := sched.NewGraph()
-	finish := band.BuildReduceGraph(g, b, window)
+	refill, finish := band.BuildReduceGraph(g, b, window)
 	return &Plan{
 		Graph:  g,
-		Stages: []Stage{{Name: "BND2BD", Tasks: len(g.Tasks)}},
 		finish: finish,
+		refill: refill,
 	}
 }
 
@@ -147,4 +147,104 @@ func (p *Plan) Bidiagonal() *band.Matrix {
 		panic("pipeline: plan has no BND2BD stage")
 	}
 	return p.finish()
+}
+
+// The keys of the templates: what shapes a GE2BND graph and a BND2BD one.
+type geKey struct {
+	sh           core.Shape
+	rbidiag      bool
+	tree         trees.Kind
+	gamma, cores int
+	blocking     nla.Blocking
+}
+
+type chaseKey struct{ n, ku, window int }
+
+// templates holds each key's idle templates, newest last, where any
+// goroutine finds what another returned (a sync.Pool hands an object back
+// on the processor that put it there). Like a pool's, they are dropped
+// after two GC cycles idle, gcTick's finalizer ageing them every cycle.
+var templates struct {
+	sync.Mutex
+	idle, old map[any][]*Plan
+}
+
+type gcTick struct{ _ [16]byte }
+
+func init() { ageTemplates(new(gcTick)) }
+
+func ageTemplates(t *gcTick) {
+	age()
+	runtime.SetFinalizer(t, ageTemplates)
+}
+
+// age releases the templates idle for two cycles to nla's pools, where
+// the next job's arena or template finds their memory.
+func age() {
+	templates.Lock()
+	old := templates.old
+	templates.idle, templates.old = map[any][]*Plan{}, templates.idle
+	templates.Unlock()
+	for _, l := range old {
+		for _, p := range l {
+			p.arena.Release()
+		}
+	}
+}
+
+// Return pools a template again (any other plan ignores it): call it only
+// once the job that ran it has succeeded and nothing reads it any more.
+func (p *Plan) Return() {
+	if p.key != nil {
+		templates.Lock()
+		templates.idle[p.key] = append(templates.idle[p.key], p)
+		templates.Unlock()
+	}
+}
+
+// Template returns the GE2BND plan of spec on a copy of a (m ≥ n): a
+// pooled template, or a fresh build on memory of its own. spec.Config
+// must carry no tree override, owner map or recorder.
+func Template(spec Spec, a *nla.Matrix) *Plan {
+	c := spec.Config
+	return template(geKey{spec.Shape, spec.RBidiag, c.Tree, c.Gamma, c.Cores, c.Blocking}, func(ar *nla.Arena) *Plan {
+		spec.Data = tile.FromDenseIn(ar, a, spec.Shape.NB)
+		p := Build(spec)
+		p.input = spec.Data
+		return p
+	}, func(p *Plan) { p.input.Fill(a) })
+}
+
+// Chase is Template for the BND2BD plan of an n×n band with ku
+// superdiagonals that fill writes whole.
+func Chase(n, ku, window int, fill func(*band.Matrix)) *Plan {
+	return template(chaseKey{n, ku, window}, func(ar *nla.Arena) *Plan {
+		b := band.NewIn(ar, n, ku)
+		fill(b)
+		return BuildBND2BD(b, window)
+	}, func(p *Plan) { p.refill(fill) })
+}
+
+// template takes the newest idle plan of key, NaN-filled in a poison
+// build and with no tracer or meter, and arms it with the job's input, or
+// builds one on it in a fresh arena.
+func template(key any, build func(*nla.Arena) *Plan, arm func(*Plan)) *Plan {
+	var p *Plan
+	templates.Lock()
+	for _, idle := range [2]map[any][]*Plan{templates.idle, templates.old} {
+		if l := idle[key]; p == nil && len(l) > 0 {
+			p, idle[key] = l[len(l)-1], l[:len(l)-1]
+		}
+	}
+	templates.Unlock()
+	if p == nil {
+		ar := new(nla.Arena)
+		p = build(ar)
+		p.key, p.arena = key, ar
+		return p
+	}
+	p.arena.Poison()
+	p.Graph.Tracer, p.Graph.Meter = nil, nil
+	arm(p)
+	return p
 }

@@ -19,6 +19,9 @@
 // an owned job (SubmitOwned), and the frames from its peers Release the
 // remote predecessors of its tasks.
 //
+// A graph may run again: Submit resets its dependence counters (a
+// re-armed template, internal/pipeline).
+//
 // Tasks are deliberately compact (a few pointers and scalars) so that
 // graphs with tens of millions of tasks — the paper's largest distributed
 // runs — fit in memory when simulated without data.

@@ -369,3 +369,45 @@ func TestRunSequentialCtxCancel(t *testing.T) {
 		t.Fatalf("RunSequentialCtx = %v, want context.Canceled", err)
 	}
 }
+
+// TestTemplateResubmit re-arms one graph the way a pooled template is:
+// every Submit resets the dependence counters and runs every task once,
+// on four jobs of it in a row, on several runtimes at once over graphs of
+// their own.
+func TestTemplateResubmit(t *testing.T) {
+	build := func(ran *atomic.Int32) *Graph {
+		g := NewGraph()
+		a, b := g.NewHandle(8, 0), g.NewHandle(8, 0)
+		for i := 0; i < 40; i++ {
+			h := a
+			if i%3 == 0 {
+				h = b
+			}
+			g.AddTask(kernels.GEQRTKind, 0, float64(1+i%4), 1, func(*nla.Workspace) { ran.Add(1) }, RW(h), R(a))
+		}
+		return g
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rt := NewRuntime(2)
+			defer rt.Close()
+			var ran atomic.Int32
+			g := build(&ran)
+			for run := 1; run <= 4; run++ {
+				h, err := rt.Submit(context.Background(), g)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if err := h.Wait(); err != nil || ran.Load() != int32(40*run) {
+					t.Errorf("run %d: err %v, %d tasks ran in all", run, err, ran.Load())
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}

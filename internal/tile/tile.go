@@ -87,17 +87,18 @@ func FromDense(d *nla.Matrix, nb int) *Matrix { return FromDenseIn(nil, d, nb) }
 // FromDenseIn converts a dense matrix into tiled layout carved from a
 // (see NewIn); the copy writes every element.
 func FromDenseIn(a *nla.Arena, d *nla.Matrix, nb int) *Matrix {
-	return fill(NewIn(a, d.Rows, d.Cols, nb), d)
+	return NewIn(a, d.Rows, d.Cols, nb).Fill(d)
 }
 
 // FromDenseRows returns the tiled m×d.Cols matrix [d; 0]: d in the top
 // rows, zeros below (m ≥ d.Rows).
 func FromDenseRows(d *nla.Matrix, m, nb int) *Matrix {
-	return fill(New(m, d.Cols, nb), d)
+	return New(m, d.Cols, nb).Fill(d)
 }
 
-// fill copies d into the top rows of t and returns t.
-func fill(t *Matrix, d *nla.Matrix) *Matrix {
+// Fill copies d (d.Cols == t.N, d.Rows ≤ t.M) into the top rows of t and
+// returns t; the rows below keep what they held.
+func (t *Matrix) Fill(d *nla.Matrix) *Matrix {
 	nb := t.NB
 	for j := 0; j < t.Q; j++ {
 		for i := 0; i < t.P && i*nb < d.Rows; i++ {
@@ -197,19 +198,20 @@ func (t *Matrix) BandBidiagonalError() float64 {
 
 // ExtractBand extracts the leading n×n upper band (with ku superdiagonals)
 // of the matrix into band storage. For GE2BND output use ku = NB.
-func (t *Matrix) ExtractBand(ku int) *band.Matrix { return t.ExtractBandIn(nil, ku) }
+func (t *Matrix) ExtractBand(ku int) *band.Matrix {
+	b := band.New(min(t.M, t.N), ku)
+	t.ExtractBandInto(b)
+	return b
+}
 
-// ExtractBandIn is ExtractBand with the band, and the chase of it, in ar
-// (band.NewIn): for a band that does not outlive ar's job.
-func (t *Matrix) ExtractBandIn(ar *nla.Arena, ku int) *band.Matrix {
-	n := min(t.M, t.N)
-	b := band.NewIn(ar, n, ku)
-	for s := 0; s <= min(ku, n-1); s++ {
-		for i := 0; i < n-s; i++ {
+// ExtractBandInto writes the leading b.N×b.N upper band of the matrix, with
+// b.KU superdiagonals, into b: every element b stores.
+func (t *Matrix) ExtractBandInto(b *band.Matrix) {
+	for s := 0; s <= b.KU; s++ {
+		for i := 0; i < b.N-s; i++ {
 			b.Set(i, i+s, t.At(i, i+s))
 		}
 	}
-	return b
 }
 
 // Equal reports whether two tiled matrices have identical shape and

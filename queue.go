@@ -222,6 +222,7 @@ func (s *Service) run(j *Job) {
 		return
 	}
 	w.arena.Release()
+	w.plan.Return()
 	if mesh, ok := ex.(*cluster.Job); ok {
 		res.Trace = mesh.Trace
 	} else if tr != nil {

@@ -8,7 +8,10 @@ import (
 	"slices"
 	"testing"
 
+	"github.com/tiled-la/bidiag/internal/core"
 	"github.com/tiled-la/bidiag/internal/nla"
+	"github.com/tiled-la/bidiag/internal/pipeline"
+	"github.com/tiled-la/bidiag/internal/tile"
 )
 
 // The tests in this file check that recycling a job's arena chunks never
@@ -16,7 +19,9 @@ import (
 // T factors computes, bit for bit, what it computes on fresh memory.
 
 // freshChunks empties the process-wide chunk pool (a sync.Pool drops what
-// it holds over two GC cycles), so the next job draws zeroed chunks.
+// it holds over two GC cycles), so the next job draws zeroed chunks. A
+// values job's templates age on a finalizer that may run later, so
+// TestTemplateReuse compares with graphs built for the call instead.
 func freshChunks() {
 	runtime.GC()
 	runtime.GC()
@@ -198,4 +203,76 @@ func TestReuseAfterFailedJob(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestTemplateReuse runs jobs B, A, B through the templates of their key,
+// GE2BND graph and chase graph, one shot and as service jobs with the
+// cache off: both B results must equal, bit for bit, B on graphs built
+// for it alone, for every algorithm shape and tree.
+func TestTemplateReuse(t *testing.T) {
+	const nb = 16
+	svc := NewService(&ServiceConfig{Workers: 2, MaxInFlight: 1, CacheBytes: -1})
+	defer svc.Close()
+	served := func(a *Dense, o *Options) ([]float64, error) {
+		res, err := svc.Do(context.Background(), JobRequest{A: a, Opts: o})
+		if err != nil {
+			return nil, err
+		}
+		return res.Values, nil
+	}
+	for _, c := range []struct {
+		name string
+		m, n int
+	}{
+		{"tall", 320, 48}, // R-BIDIAG by Chan's rule
+		{"square", 96, 96},
+		{"wide", 48, 112},
+		{"ragged", 5*nb + 1, 60}, // m = NB·p + 1
+	} {
+		for _, tree := range []Tree{FlatTS, FlatTT, Greedy, Auto} {
+			for _, entry := range []struct {
+				name string
+				call reuseCall
+			}{{"one-shot", valuesCall}, {"service", served}} {
+				t.Run(fmt.Sprintf("%s/%v/%s", c.name, tree, entry.name), func(t *testing.T) {
+					o := &Options{NB: nb, Tree: tree, Workers: 2}
+					b, a := randomDense(1, c.m, c.n), randomDense(2, c.m, c.n)
+					want := freshValues(t, b, o)
+					for i, in := range []*Dense{b, a, b} {
+						got, err := entry.call(in, o)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if in == b && !bitwiseEqual(got, want) {
+							t.Fatalf("job %d, B on a template, differs from B on fresh graphs", i)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// freshValues computes a's singular values sequentially on graphs built
+// for the call alone, as a key's first job builds them.
+func freshValues(t *testing.T, a *Dense, o *Options) []float64 {
+	t.Helper()
+	opts, src, tree, _, err := prepare(a, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := pipeline.Build(pipeline.Spec{
+		Shape:   core.ShapeOf(src.Rows, src.Cols, opts.NB),
+		Data:    tile.FromDense(src, opts.NB),
+		Config:  core.Config{Tree: tree, Gamma: opts.Gamma, Cores: opts.Workers, Blocking: nla.Blocking(opts.Gemm)},
+		RBidiag: useRBidiag(opts, src.Rows, src.Cols),
+	})
+	if _, err := pipeline.Run(p, pipeline.Sequential{}); err != nil {
+		t.Fatal(err)
+	}
+	s, err := (&Band{b: p.Tiles.ExtractBand(opts.NB), window: opts.BND2BDWindow}).SingularValues()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -535,6 +536,9 @@ func CacheKey(kind JobKind, a *Dense, opts *Options) string {
 	return key
 }
 
+// keyColumns recycles cacheKey's column buffers.
+var keyColumns = sync.Pool{New: func() any { return new([]byte) }}
+
 // cacheKey digests the matrix content and every result-affecting option
 // into the job's content-addressed identity. Workers is present because
 // it parameterizes the AUTO tree. It checks each column before hashing it
@@ -552,15 +556,17 @@ func cacheKey(kind JobKind, a *Dense, opts Options) (string, error) {
 	w(uint64(a.Cols()))
 	// One bulk conversion and one hasher write per contiguous column.
 	m := a.inner
-	col := make([]byte, 8*m.Rows)
+	col := keyColumns.Get().(*[]byte)
+	defer keyColumns.Put(col)
+	*col = slices.Grow((*col)[:0], 8*m.Rows)[:8*m.Rows]
 	var bad error
 	for j := 0; j < m.Cols; j++ {
 		c := m.Data[j*m.LD : j*m.LD+m.Rows]
 		if bad == nil {
 			bad = checkColumn(c, j)
 		}
-		nla.PutFloat64sLE(col, c)
-		h.Write(col)
+		nla.PutFloat64sLE(*col, c)
+		h.Write(*col)
 	}
 	w(uint64(opts.NB))
 	w(uint64(opts.Tree))

@@ -63,6 +63,13 @@ type record struct {
 	Stages        map[string]float64 `json:"stages"`
 	ValuesSeconds float64            `json:"values_seconds"`
 
+	// ResidualEps, OrthUEps and OrthVEps are a -stage svd record's
+	// ‖A − UΣVᵀ‖/‖A‖, max|UᵀU − I| and max|VᵀV − I| in units of n·ε. A
+	// fresh or checked record must keep each within contractEps.
+	ResidualEps float64 `json:"residual_eps"`
+	OrthUEps    float64 `json:"orth_u_eps"`
+	OrthVEps    float64 `json:"orth_v_eps"`
+
 	// Reconcile carries the model-vs-measured telemetry bidiagbench
 	// attaches to shared-memory records, CommFit and CommReconcile the
 	// measured α-β communication model of a commcal cluster record. All
@@ -157,14 +164,34 @@ func (r record) complete(path string) error {
 	return nil
 }
 
+// contractEps is the numerical contract of the SVD, in n·ε: residual and
+// both orthogonality losses must stay at or below it.
+const contractEps = 16
+
+// accurate checks a record's residual and orthogonality against the
+// contract. Like complete it applies to fresh and checked records only:
+// a reference that broke the contract does not excuse a fresh one, and a
+// fresh one that keeps it does not need the reference's figures.
+func (r record) accurate(path string) error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"residual_eps", r.ResidualEps}, {"orth_u_eps", r.OrthUEps}, {"orth_v_eps", r.OrthVEps}} {
+		if !(f.v <= contractEps) {
+			return fmt.Errorf("%s: %s = %g breaks the numerical contract (≤ %d n·ε)", path, f.name, f.v, contractEps)
+		}
+	}
+	return nil
+}
+
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
 // run is the command; it returns the exit status: 0 when the fresh record
-// holds (or the checked one is valid), 1 on a regression, 2 on a bad
-// command line, an unreadable or incomplete record, or a configuration
-// mismatch.
+// holds (or the checked one is valid), 1 on a regression or a fresh or
+// checked record outside the numerical contract, 2 on a bad command line,
+// an unreadable or incomplete record, or a configuration mismatch.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("benchguard", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -194,6 +221,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 2
+		}
+		if err := r.accurate(*checkPath); err != nil {
+			fmt.Fprintln(stderr, "benchguard:", err)
+			return 1
 		}
 		if r.Schema < currentSchema {
 			fmt.Fprintf(stderr, "benchguard: warning: %s has schema %d, current is %d\n",
@@ -238,6 +269,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "%s %dx%d: %.2f %s vs reference %.2f (%.0f%%)\n",
 		ref.Experiment, ref.M, ref.N, gotRate, unit, refRate, 100*ratio)
 	failed := false
+	if err := got.accurate(*newPath); err != nil {
+		fmt.Fprintln(stderr, "benchguard:", err)
+		failed = true
+	}
 	if ratio < 1-*tol {
 		fmt.Fprintf(stderr, "benchguard: %s regressed %.0f%% (> %.0f%% allowed)\n",
 			unit, 100*(1-ratio), 100**tol)

@@ -38,6 +38,14 @@ func svdRec(stages ...string) rec {
 		"gflops": 25.0, "values_seconds": 0.2, "stages": st}
 }
 
+// svdAcc is a complete svd record with the given residual and
+// orthogonality figures (n·ε).
+func svdAcc(residual, orthU, orthV float64) rec {
+	r := svdRec(svdStages...)
+	r["residual_eps"], r["orth_u_eps"], r["orth_v_eps"] = residual, orthU, orthV
+	return r
+}
+
 func TestRun(t *testing.T) {
 	allStages := svdStages
 	noValues := []string{"ge2bnd_rec", "extract", "bnd2bd_logged", "form_qp", "bdsqr_vectors", "back_apply"}
@@ -59,6 +67,11 @@ func TestRun(t *testing.T) {
 		{"check: complete svd record", nil, svdRec(allStages...), 0},
 		{"check: svd record without bdsqr_values", nil, svdRec(noValues...), 2},
 		{"fresh svd record without bdsqr_values", svdRec(allStages...), svdRec(noValues...), 2},
+		{"check: just under the contract", nil, svdAcc(15.99, 15.99, 15.99), 0},
+		{"check: residual just over the contract", nil, svdAcc(16.01, 0.8, 0.8), 1},
+		{"check: orth_v just over the contract", nil, svdAcc(0.2, 0.8, 16.01), 1},
+		{"fresh just under the contract", svdAcc(0.2, 0.8, 0.8), svdAcc(15.99, 15.99, 15.99), 0},
+		{"fresh orth_u just over, whatever the reference", svdAcc(20, 20, 20), svdAcc(0.2, 16.01, 0.8), 1},
 	}
 	dir := t.TempDir()
 	write := func(name string, r rec) string {

@@ -194,6 +194,7 @@ const currentSchema = 3
 type perfResult struct {
 	Experiment  string  `json:"experiment"`
 	Schema      int     `json:"schema,omitempty"`
+	GemmKernel  string  `json:"gemm_kernel,omitempty"` // nla.GemmKernel of the measuring process
 	M           int     `json:"m"`
 	N           int     `json:"n"`
 	NB          int     `json:"nb,omitempty"`
@@ -505,6 +506,7 @@ func writeResult(res perfResult, jsonPath string) error {
 		return nil
 	}
 	res.Schema = currentSchema
+	res.GemmKernel = nla.GemmKernel()
 	blob, err := json.MarshalIndent(res, "", "  ")
 	if err != nil {
 		return err

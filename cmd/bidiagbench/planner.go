@@ -59,24 +59,33 @@ func plannerOptions(cfg plan.Config, workers int) (*bidiag.Options, error) {
 	return &bidiag.Options{NB: cfg.NB, Tree: tree, Algorithm: alg, Workers: workers}, nil
 }
 
-// measurePlan runs the full singular-value pipeline under one
-// configuration and returns the best wall time of reps runs.
-func measurePlan(a *bidiag.Dense, cfg plan.Config, workers, reps int) (float64, error) {
-	opts, err := plannerOptions(cfg, workers)
-	if err != nil {
-		return 0, err
-	}
-	best := time.Duration(1<<63 - 1)
-	for r := 0; r < reps; r++ {
-		start := time.Now()
-		if _, err := bidiag.SingularValues(a, opts); err != nil {
-			return 0, err
+// measurePlans runs the full singular-value pipeline under each
+// configuration and returns each one's best wall time in seconds over
+// rounds rounds of one call per configuration. Interleaving the calls
+// spreads a slow spell of the machine over every candidate instead of
+// charging it to whichever ran back to back through it.
+func measurePlans(a *bidiag.Dense, cfgs []plan.Config, workers, rounds int) ([]float64, error) {
+	opts := make([]*bidiag.Options, len(cfgs))
+	best := make([]float64, len(cfgs))
+	for c, cfg := range cfgs {
+		o, err := plannerOptions(cfg, workers)
+		if err != nil {
+			return nil, err
 		}
-		if wall := time.Since(start); wall < best {
-			best = wall
+		opts[c] = o
+	}
+	for r := 0; r < rounds; r++ {
+		for c, o := range opts {
+			start := time.Now()
+			if _, err := bidiag.SingularValues(a, o); err != nil {
+				return nil, fmt.Errorf("%s: %w", cfgs[c], err)
+			}
+			if wall := time.Since(start).Seconds(); r == 0 || wall < best[c] {
+				best[c] = wall
+			}
 		}
 	}
-	return best.Seconds(), nil
+	return best, nil
 }
 
 // runPlannerEval measures the planner against an exhaustive sweep: for
@@ -112,13 +121,14 @@ func runPlannerEval(sc experiments.Scale, outDir string) error {
 			}
 		}
 
+		walls, err := measurePlans(a, cands, workers, reps)
+		if err != nil {
+			return err
+		}
 		bestT, pickT := 0.0, 0.0
 		var bestCfg plan.Config
-		for _, cfg := range cands {
-			t, err := measurePlan(a, cfg, workers, reps)
-			if err != nil {
-				return err
-			}
+		for c, cfg := range cands {
+			t := walls[c]
 			if bestT == 0 || t < bestT {
 				bestT, bestCfg = t, cfg
 			}

@@ -6,13 +6,13 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"slices"
 	"testing"
 	"time"
 
 	"github.com/tiled-la/bidiag"
 	"github.com/tiled-la/bidiag/httpapi"
+	"github.com/tiled-la/bidiag/internal/nla"
 )
 
 // The tests in this file check that recycling a served request's memory —
@@ -91,8 +91,7 @@ func TestServedReuseNeverShows(t *testing.T) {
 				opts := &httpapi.Options{NB: nb}
 				b := httpapi.Job{Matrix: reuseMatrix(1, c.m, c.n, 1), Options: opts}
 				a := httpapi.Job{Matrix: reuseMatrix(2, c.m, c.n, 1e3), Options: opts}
-				runtime.GC()
-				runtime.GC() // fresh pools: the first B runs on zeroed memory
+				nla.DropIdle() // fresh pools: the first B runs on zeroed memory
 				_, first := serveBinary(t, ctx, h, path, b)
 				if status, _ := serveBinary(t, ctx, h, path, a); status != http.StatusOK {
 					t.Fatalf("A: status %d", status)

@@ -257,8 +257,15 @@ func (s *server) handleJob(w http.ResponseWriter, r *http.Request, kind bidiag.J
 }
 
 // writeResult answers a finished job in the codec its request came in.
+// An answer that cannot be encoded (NaN in a JSON body) is a 500 with an
+// error body, not an empty 200.
 func writeResult(w http.ResponseWriter, req *httpapi.Request, v any) {
-	if err := httpapi.WriteResponse(w, req.Binary, v); err != nil {
+	err := httpapi.WriteResponse(w, req.Binary, v)
+	switch {
+	case err == nil:
+	case errors.Is(err, httpapi.ErrNothingWritten):
+		httpError(w, http.StatusInternalServerError, err)
+	default:
 		log.Printf("write response: %v", err)
 	}
 }

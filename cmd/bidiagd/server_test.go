@@ -790,3 +790,38 @@ func TestCloseReturnsWithJobInFlight(t *testing.T) {
 		t.Fatalf("the job in flight at Close: %v", err)
 	}
 }
+
+// An answer a JSON body cannot carry (a NaN singular value) must go out
+// as a 500 with an error body, not as a 200 with an empty one; the binary
+// codec carries NaN as it is.
+func TestUnencodableAnswerIs500(t *testing.T) {
+	for _, binary := range []bool{false, true} {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			writeResult(w, &httpapi.Request{Binary: binary}, httpapi.ValuesResponse{S: []float64{1, math.NaN()}})
+		}))
+		resp, err := http.Get(ts.URL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		ts.Close()
+		if binary {
+			var vr httpapi.ValuesResponse
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("binary NaN answer: status %d, want 200", resp.StatusCode)
+			}
+			if err := httpapi.DecodeResponse(strings.NewReader(string(body)), int64(len(body)), &vr); err != nil || len(vr.S) != 2 || !math.IsNaN(vr.S[1]) {
+				t.Fatalf("binary NaN answer: %v, s %v", err, vr.S)
+			}
+			continue
+		}
+		var e httpapi.ErrorResponse
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("JSON NaN answer: status %d, body %q, want 500", resp.StatusCode, body)
+		}
+		if err := json.Unmarshal(body, &e); err != nil || !strings.Contains(e.Error, "NaN") {
+			t.Fatalf("JSON NaN answer: body %q (%v), want an error naming the NaN", body, err)
+		}
+	}
+}

@@ -164,23 +164,50 @@ func DecodeResponse(r io.Reader, size int64, out any) error {
 	return nil
 }
 
+// ErrNothingWritten marks a WriteResponse error that came before the
+// response's first byte: the answer could not be encoded (a JSON answer
+// cannot carry NaN or ±Inf), the status line is still unsent, and the
+// caller should answer with an error status rather than let an empty 200
+// go out.
+var ErrNothingWritten = errors.New("nothing written")
+
 // WriteResponse answers a job with status 200 in the codec its request
 // used: v (a ValuesResponse or SVDResponse) as JSON, or framed when
 // binary is set. An error before the first byte leaves the response
-// unstarted.
+// unstarted and wraps ErrNothingWritten.
 func WriteResponse(w http.ResponseWriter, binary bool, v any) error {
 	if !binary {
+		// The encoder marshals all of v before its one Write, so an
+		// error with no Write seen is an encoding error.
+		fw := firstWrite{w: w}
 		w.Header().Set("Content-Type", "application/json")
-		return json.NewEncoder(w).Encode(v)
+		if err := json.NewEncoder(&fw).Encode(v); err != nil {
+			if !fw.started {
+				return fmt.Errorf("httpapi: encode response: %w (%w)", err, ErrNothingWritten)
+			}
+			return err
+		}
+		return nil
 	}
 	blob, err := EncodeResponse(v)
 	if err != nil {
-		return err
+		return fmt.Errorf("%w (%w)", err, ErrNothingWritten)
 	}
 	w.Header().Set("Content-Type", BinaryMediaType)
 	w.Header().Set("Content-Length", strconv.Itoa(len(blob)))
 	_, err = w.Write(blob)
 	return err
+}
+
+// firstWrite records whether anything was written through it.
+type firstWrite struct {
+	w       io.Writer
+	started bool
+}
+
+func (f *firstWrite) Write(p []byte) (int, error) {
+	f.started = true
+	return f.w.Write(p)
 }
 
 // readJob decodes a BinaryMediaType request body. size is the request's

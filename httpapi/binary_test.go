@@ -402,7 +402,6 @@ func TestReleaseReusesThePayload(t *testing.T) {
 		}
 		b.Release()
 	}
-	// Under -race a sync.Pool drops a random quarter of what is put back.
 	if reused == 0 {
 		t.Fatal("no sized body decoded into a released payload buffer")
 	}

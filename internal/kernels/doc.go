@@ -116,7 +116,14 @@
 // both paths use data-independent control flow (no skips on zero
 // coefficients), so sequential, parallel and distributed runs stay
 // bitwise identical to each other on either path. The factor kernels
-// sit on the same three primitives and the same dispatch. The TS kernels'
-// dense V2 half additionally runs through the packed GEMM micro-kernel
-// (internal/nla/gemm_amd64.s), which shares the same dispatch.
+// sit on the same three primitives and the same dispatch. The T
+// multiply of every UNM/TS/TT apply is one assembly call
+// (TrmvApplyWS/TrmvApplyRight) that repeats its Dot4 or Scal/Gaxpy4
+// composition element by element. The TS kernels' dense V2 half and the
+// UNM tails run through the packed GEMM (internal/nla/gemm_amd64.s):
+// its 16×8 AVX-512 micro-kernel where the CPU has it, else the 8×4 AVX2
+// one. The two give the same bits — the same FMA chain per C element
+// and KC panel, added to C as alpha·acc in the same order — so a
+// kernel's results do not depend on which one ran, only on asm versus
+// the Go fallback.
 package kernels

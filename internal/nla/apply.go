@@ -7,12 +7,15 @@ package nla
 // Both decompose into the same three 4-way register-blocked vector
 // bundles — Dot4, Axpy4 and Gaxpy4 — whose inner loops run in AVX2+FMA
 // assembly (apply_amd64.s) behind the same useAVX2 / BIDIAG_NOASM
-// dispatch as dgemm8x4asm. RotSeq, the plane-rotation sweep the
-// singular-vector accumulation spends its time in, sits behind the same
-// dispatch. Kernel choice is a per-process constant
-// decided at init, so every worker of a run takes the same path and the
-// bitwise parity contract of sequential/parallel/distributed execution
-// is preserved.
+// dispatch as dgemm8x4asm. On that path the T multiplies (TrmvApplyWS,
+// TrmvApplyRight) are each one assembly pass over the whole panel that
+// does exactly what their Dot4 or Scal/Gaxpy4 composition does, kept in
+// Go as the fallback and as the tests' reference. RotSeq, the
+// plane-rotation sweep the singular-vector accumulation spends its time
+// in, sits behind the same dispatch. Kernel choice is a per-process
+// constant decided at init, so every worker of a run takes the same path
+// and the bitwise parity contract of sequential/parallel/distributed
+// execution is preserved.
 //
 // None of the primitives branch on data values: an explicit zero
 // coefficient costs the same FMAs as any other, which keeps the scalar
@@ -197,25 +200,20 @@ func TrmvApplyWS(trans bool, t, w *Matrix, ws *Workspace) {
 
 // trmvApplyTrans computes w ← Tᵀ·w per column: w'(i) = Σ_{l ≤ i} T(l,i)·w(l),
 // descending i so original entries survive until read. T(0:i, i) is the
-// contiguous prefix of column i.
+// contiguous prefix of column i. Groups of four columns run in one
+// assembly pass where useAVX2 holds (trmvt4asm, the operation sequence
+// of trmvTransGroups without returning to Go between rows); the last
+// n mod 4 columns take the scalar loop.
 func trmvApplyTrans(k, n int, t, w *Matrix) {
-	var j int
-	for j = 0; j+4 <= n; j += 4 {
-		w0 := w.Data[j*w.LD : j*w.LD+k]
-		w1 := w.Data[(j+1)*w.LD : (j+1)*w.LD+k]
-		w2 := w.Data[(j+2)*w.LD : (j+2)*w.LD+k]
-		w3 := w.Data[(j+3)*w.LD : (j+3)*w.LD+k]
-		for i := k - 1; i >= 0; i-- {
-			tc := t.Data[i*t.LD : i*t.LD+i]
-			d := t.Data[i+i*t.LD]
-			s0, s1, s2, s3 := Dot4(tc, w0, w1, w2, w3)
-			w0[i] = d*w0[i] + s0
-			w1[i] = d*w1[i] + s1
-			w2[i] = d*w2[i] + s2
-			w3[i] = d*w3[i] + s3
-		}
+	g := n &^ 3
+	if useAVX2 && g > 0 {
+		_ = t.Data[(k-1)*t.LD+k-1]
+		_ = w.Data[(g-1)*w.LD+k-1]
+		trmvt4asm(k, g, &t.Data[0], t.LD, &w.Data[0], w.LD)
+	} else {
+		trmvTransGroups(k, g, t, w)
 	}
-	for ; j < n; j++ {
+	for j := g; j < n; j++ {
 		wc := w.Data[j*w.LD : j*w.LD+k]
 		for i := k - 1; i >= 0; i-- {
 			s := t.Data[i+i*t.LD] * wc[i]
@@ -227,27 +225,40 @@ func trmvApplyTrans(k, n int, t, w *Matrix) {
 	}
 }
 
-// trmvApplyNoTrans computes w ← T·w per column against the staged
-// transpose tt (LD k, column i = T(i, i:k)): w'(i) = Σ_{l ≥ i} T(i,l)·w(l),
-// ascending i so the still-needed entries stay intact.
-func trmvApplyNoTrans(k, n int, tt []float64, w *Matrix) {
-	var j int
-	for j = 0; j+4 <= n; j += 4 {
+// trmvTransGroups is the Go form of trmvApplyTrans on the first g
+// columns (g a multiple of 4): one Dot4 per row per four columns.
+func trmvTransGroups(k, g int, t, w *Matrix) {
+	for j := 0; j < g; j += 4 {
 		w0 := w.Data[j*w.LD : j*w.LD+k]
 		w1 := w.Data[(j+1)*w.LD : (j+1)*w.LD+k]
 		w2 := w.Data[(j+2)*w.LD : (j+2)*w.LD+k]
 		w3 := w.Data[(j+3)*w.LD : (j+3)*w.LD+k]
-		for i := 0; i < k; i++ {
-			tc := tt[i*k+i+1 : i*k+k]
-			d := tt[i*k+i]
-			s0, s1, s2, s3 := Dot4(tc, w0[i+1:], w1[i+1:], w2[i+1:], w3[i+1:])
-			w0[i] = d*w0[i] + s0
-			w1[i] = d*w1[i] + s1
-			w2[i] = d*w2[i] + s2
-			w3[i] = d*w3[i] + s3
+		for i := k - 1; i >= 0; i-- {
+			tc := t.Data[i*t.LD : i*t.LD+i]
+			d := t.Data[i+i*t.LD]
+			s0, s1, s2, s3 := Dot4(tc, w0, w1, w2, w3)
+			w0[i] = float64(d*w0[i]) + s0
+			w1[i] = float64(d*w1[i]) + s1
+			w2[i] = float64(d*w2[i]) + s2
+			w3[i] = float64(d*w3[i]) + s3
 		}
 	}
-	for ; j < n; j++ {
+}
+
+// trmvApplyNoTrans computes w ← T·w per column against the staged
+// transpose tt (LD k, column i = T(i, i:k)): w'(i) = Σ_{l ≥ i} T(i,l)·w(l),
+// ascending i so the still-needed entries stay intact. Dispatch as in
+// trmvApplyTrans (trmvn4asm, trmvNoTransGroups).
+func trmvApplyNoTrans(k, n int, tt []float64, w *Matrix) {
+	g := n &^ 3
+	if useAVX2 && g > 0 {
+		_ = tt[k*k-1]
+		_ = w.Data[(g-1)*w.LD+k-1]
+		trmvn4asm(k, g, &tt[0], &w.Data[0], w.LD)
+	} else {
+		trmvNoTransGroups(k, g, tt, w)
+	}
+	for j := g; j < n; j++ {
 		wc := w.Data[j*w.LD : j*w.LD+k]
 		for i := 0; i < k; i++ {
 			s := tt[i*k+i] * wc[i]
@@ -259,13 +270,36 @@ func trmvApplyNoTrans(k, n int, tt []float64, w *Matrix) {
 	}
 }
 
+// trmvNoTransGroups is the Go form of trmvApplyNoTrans on the first g
+// columns (g a multiple of 4).
+func trmvNoTransGroups(k, g int, tt []float64, w *Matrix) {
+	for j := 0; j < g; j += 4 {
+		w0 := w.Data[j*w.LD : j*w.LD+k]
+		w1 := w.Data[(j+1)*w.LD : (j+1)*w.LD+k]
+		w2 := w.Data[(j+2)*w.LD : (j+2)*w.LD+k]
+		w3 := w.Data[(j+3)*w.LD : (j+3)*w.LD+k]
+		for i := 0; i < k; i++ {
+			tc := tt[i*k+i+1 : i*k+k]
+			d := tt[i*k+i]
+			s0, s1, s2, s3 := Dot4(tc, w0[i+1:], w1[i+1:], w2[i+1:], w3[i+1:])
+			w0[i] = float64(d*w0[i]) + s0
+			w1[i] = float64(d*w1[i]) + s1
+			w2[i] = float64(d*w2[i]) + s2
+			w3[i] = float64(d*w3[i]) + s3
+		}
+	}
+}
+
 // TrmvApplyRight overwrites the m×k panel w with w·op(T), where T is
 // k×k upper triangular held in the leading corner of t; op(T) = T when
 // trans (the C·P update used by the factorizations) and Tᵀ otherwise.
 // Source columns are gathered four at a time through Gaxpy4 — one
 // destination store per four scaled-column additions. Both variants
 // read T entries only as broadcast scalars, so no staging (and no
-// workspace) is needed.
+// workspace) is needed. Where useAVX2 holds the whole product is one
+// assembly pass (trmvrasm) that keeps each destination block in
+// registers across its Scal, Gaxpy4 and remainder steps; every element
+// sees the operations of trmvRightGo in the same order.
 func TrmvApplyRight(trans bool, t, w *Matrix) {
 	m, k := w.Rows, w.Cols
 	if t.Rows < k || t.Cols < k {
@@ -274,6 +308,18 @@ func TrmvApplyRight(trans bool, t, w *Matrix) {
 	if m == 0 || k == 0 {
 		return
 	}
+	if useAVX2 {
+		_ = t.Data[(k-1)*t.LD+k-1]
+		_ = w.Data[(k-1)*w.LD+m-1]
+		trmvrasm(trans, m, k, &t.Data[0], t.LD, &w.Data[0], w.LD)
+		return
+	}
+	trmvRightGo(trans, m, k, t, w)
+}
+
+// trmvRightGo is TrmvApplyRight as Scal, Gaxpy4 and scalar-remainder
+// calls per destination column.
+func trmvRightGo(trans bool, m, k int, t, w *Matrix) {
 	if trans {
 		// W ← W·T: column j' = Σ_{l ≤ j'} W(:,l)·T(l,j'); descending
 		// order keeps the still-needed original columns intact.
@@ -294,7 +340,7 @@ func TrmvApplyRight(trans bool, t, w *Matrix) {
 				tl := tc[l]
 				wl := w.Data[l*w.LD : l*w.LD+m]
 				for i := range wj {
-					wj[i] += tl * wl[i]
+					wj[i] += float64(tl * wl[i])
 				}
 			}
 		}
@@ -317,7 +363,7 @@ func TrmvApplyRight(trans bool, t, w *Matrix) {
 			tl := t.Data[j+l*t.LD]
 			wl := w.Data[l*w.LD : l*w.LD+m]
 			for i := range wj {
-				wj[i] += tl * wl[i]
+				wj[i] += float64(tl * wl[i])
 			}
 		}
 	}

@@ -20,3 +20,15 @@ func gaxpy4asm(n int, a0, a1, a2, a3 float64, x0, x1, x2, x3, y *float64) {
 func rotseqasm(m, k int, a *float64, stride int, c, s *float64) {
 	panic("nla: assembly micro-kernel not available on this architecture")
 }
+
+func trmvt4asm(k, n4 int, t *float64, ldt int, w *float64, ldw int) {
+	panic("nla: assembly micro-kernel not available on this architecture")
+}
+
+func trmvn4asm(k, n4 int, tt, w *float64, ldw int) {
+	panic("nla: assembly micro-kernel not available on this architecture")
+}
+
+func trmvrasm(trans bool, m, k int, t *float64, ldt int, w *float64, ldw int) {
+	panic("nla: assembly micro-kernel not available on this architecture")
+}

@@ -2,6 +2,7 @@ package nla
 
 import (
 	"math/bits"
+	"runtime"
 	"sync"
 )
 
@@ -12,13 +13,95 @@ const arenaChunk = 1 << 17
 type chunk [arenaChunk]float64
 
 // chunkPool is the one process-wide pool every Arena draws its chunks from
-// and releases them to. The GC empties a sync.Pool over two cycles, so
-// chunks nobody has used for that long are reclaimed.
-var chunkPool = sync.Pool{New: func() any { return new(chunk) }}
+// and releases them to.
+var chunkPool freeList[*chunk]
 
 // bufferPools[k] holds the class-k buffers of Arena.Buffer, 2^k float64s
-// each. Like chunkPool, they are process-wide and emptied by the GC.
-var bufferPools [bits.UintSize]sync.Pool
+// each. Like chunkPool, they are process-wide.
+var bufferPools [bits.UintSize]freeList[*[]float64]
+
+// freeList is a pool any goroutine takes from what any other put back,
+// newest first. A sync.Pool keeps one object per processor where only
+// that processor's Get finds it, so a served matrix buffer released by a
+// handler on one processor was missed, and made anew, by the next
+// request's handler on the other one now and then. Like a sync.Pool's,
+// what lies idle for two GC cycles is dropped.
+type freeList[T any] struct {
+	mu        sync.Mutex
+	idle, old []T
+}
+
+func (l *freeList[T]) get() (x T, ok bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, s := range [2]*[]T{&l.idle, &l.old} {
+		if n := len(*s); n > 0 {
+			x, (*s)[n-1], *s = (*s)[n-1], *new(T), (*s)[:n-1]
+			return x, true
+		}
+	}
+	return x, false
+}
+
+func (l *freeList[T]) put(x T) {
+	l.mu.Lock()
+	l.idle = append(l.idle, x)
+	l.mu.Unlock()
+}
+
+// age drops what was idle at the last tick and keeps what is idle now
+// for one more.
+func (l *freeList[T]) age() {
+	l.mu.Lock()
+	clear(l.old)
+	l.idle, l.old = l.old[:0], l.idle
+	l.mu.Unlock()
+}
+
+func init() { EveryGC(agePools) }
+
+// agePools ages the chunk and buffer pools by one GC cycle.
+func agePools() {
+	chunkPool.age()
+	for i := range bufferPools {
+		bufferPools[i].age()
+	}
+}
+
+// DropIdle leaves every chunk and buffer the pools hold to the GC, as
+// two GC cycles would: the next checkouts get zeroed memory.
+func DropIdle() {
+	agePools()
+	agePools()
+}
+
+var gcHooks struct {
+	sync.Mutex
+	fs []func()
+}
+
+// EveryGC runs f once per GC cycle, on the finalizer goroutine, from
+// now on: the clock that ages the free lists of this package and the
+// idle task-graph templates of pipeline.
+func EveryGC(f func()) {
+	gcHooks.Lock()
+	gcHooks.fs = append(gcHooks.fs, f)
+	gcHooks.Unlock()
+}
+
+type gcTick struct{ _ [16]byte }
+
+func init() { tick(new(gcTick)) }
+
+func tick(t *gcTick) {
+	gcHooks.Lock()
+	fs := gcHooks.fs
+	gcHooks.Unlock()
+	for _, f := range fs {
+		f()
+	}
+	runtime.SetFinalizer(t, tick)
+}
 
 // Arena hands out memory that lives as long as one job: the job's tiles,
 // its T factors and their tau vectors, its band and chase work array, and
@@ -51,7 +134,11 @@ func (a *Arena) Vec(n int) []float64 {
 		return a.Buffer(n)
 	}
 	if len(a.used) == 0 || a.off+n > arenaChunk {
-		a.used = append(a.used, chunkPool.Get().(*chunk))
+		c, ok := chunkPool.get()
+		if !ok {
+			c = new(chunk)
+		}
+		a.used = append(a.used, c)
 		a.off = 0
 	}
 	c := a.used[len(a.used)-1]
@@ -71,8 +158,8 @@ func (a *Arena) Buffer(n int) []float64 {
 		return make([]float64, n)
 	}
 	k := bits.Len(uint(n - 1))
-	b, _ := bufferPools[k].Get().(*[]float64)
-	if b == nil {
+	b, ok := bufferPools[k].get()
+	if !ok {
 		s := make([]float64, 1<<k)
 		b = &s
 	}
@@ -96,11 +183,11 @@ func (a *Arena) Release() {
 	}
 	a.Poison()
 	for i, c := range a.used {
-		chunkPool.Put(c)
+		chunkPool.put(c)
 		a.used[i] = nil
 	}
 	for i, b := range a.bufs {
-		bufferPools[bits.TrailingZeros(uint(len(*b)))].Put(b)
+		bufferPools[bits.TrailingZeros(uint(len(*b)))].put(b)
 		a.bufs[i] = nil
 	}
 	a.used, a.off, a.bufs = a.used[:0], 0, a.bufs[:0]

@@ -5,18 +5,63 @@ import "fmt"
 // This file implements the package's GEMM. Small products fall through to
 // simple two-loop kernels; everything else takes the classic packed path
 // of high-performance BLAS (BLIS/GotoBLAS): op(A) and op(B) panels are
-// packed into workspace scratch in micro-panel order, and an 8×4
-// register-tiled micro-kernel (AVX2+FMA assembly on amd64, pure Go
-// elsewhere) does the flops. This is what lets the tile kernels of
-// internal/kernels run at PLASMA-like per-core rates instead of being
-// limited by the scalar loop peak.
+// packed into workspace scratch in micro-panel order, and a register-tiled
+// micro-kernel does the flops. Three micro-kernels exist, one chosen per
+// process at init (activeGemm):
+//
+//   - AVX-512F (amd64, OS-enabled ZMM state): 16×8, two ZMM rows by eight
+//     broadcast columns; a full micro-tile is added into C by the kernel
+//     itself (gemm_amd64.s).
+//   - AVX2+FMA (amd64): 8×4, two YMM rows by four broadcast columns; the
+//     accumulator goes back to Go (storeAcc).
+//   - portable Go: 8×4 scalar accumulators, the reference and the
+//     BIDIAG_NOASM path.
+//
+// The two assembly kernels agree bit for bit: every C element is the same
+// ascending FMA chain over one KC panel, started from zero, and each
+// panel is added to C in ascending order as alpha·acc + C, a multiply then
+// an add. The micro-tile shape only decides which registers hold which
+// chains, and KC, the one block size that splits a chain, is the same on
+// every path. The Go kernel rounds each product separately, so it agrees
+// with them only to rounding.
 
-// Micro-kernel tile: MR×NR = 8×4 doubles, matching two YMM rows by four
-// broadcast columns in the AVX2 kernel.
+// Micro-kernel tiles: 8×4 doubles for the AVX2 and Go kernels, 16×8 for
+// the AVX-512 kernel. Pack buffers and blocking are sized for the wide
+// tile on every path, so the scratch a task declares does not depend on
+// the CPU it runs on.
 const (
 	microM = 8
 	microN = 4
+	wideM  = 16
+	wideN  = 8
 )
+
+// gemmPath names a micro-kernel of the packed GEMM.
+type gemmPath uint8
+
+const (
+	gemmGo gemmPath = iota
+	gemmAVX2
+	gemmAVX512
+)
+
+// tile returns the micro-tile the path packs for.
+func (p gemmPath) tile() (mr, nr int) {
+	if p == gemmAVX512 {
+		return wideM, wideN
+	}
+	return microM, microN
+}
+
+func (p gemmPath) String() string {
+	switch p {
+	case gemmAVX512:
+		return "avx512-16x8"
+	case gemmAVX2:
+		return "avx2-8x4"
+	}
+	return "go-8x4"
+}
 
 // Blocking holds the cache-block sizes of the packed GEMM: panels of
 // op(A) are MC×KC (packed to L2-resident micro-panels), panels of op(B)
@@ -33,13 +78,13 @@ var DefaultBlocking = Blocking{MC: 128, KC: 256, NC: 512}
 func (b Blocking) norm() Blocking {
 	d := DefaultBlocking
 	if b.MC > 0 {
-		d.MC = roundUp(b.MC, microM)
+		d.MC = roundUp(b.MC, wideM)
 	}
 	if b.KC > 0 {
 		d.KC = b.KC
 	}
 	if b.NC > 0 {
-		d.NC = roundUp(b.NC, microN)
+		d.NC = roundUp(b.NC, wideN)
 	}
 	return d
 }
@@ -48,13 +93,16 @@ func roundUp(x, to int) int { return (x + to - 1) / to * to }
 
 // GemmScratchFor returns the workspace elements GemmWS checks out for an
 // (m×k)·(k×n) product under the given blocking: one packed A panel and
-// one packed B panel, edge micro-panels zero-padded to the 8×4 grid.
+// one packed B panel, edge micro-panels zero-padded to the 16×8 grid of
+// the widest micro-kernel whichever kernel runs. The cut-over to the small
+// path is the 8×4 tile's on every path: moving it would change which
+// products round each term separately.
 func GemmScratchFor(bl Blocking, m, n, k int) int {
 	if m < microM || n < microN || k < gemmMinK {
 		return 0 // small path, no packing
 	}
 	bl = bl.norm()
-	mc, kc, nc := min(roundUp(m, microM), bl.MC), min(k, bl.KC), min(roundUp(n, microN), bl.NC)
+	mc, kc, nc := min(roundUp(m, wideM), bl.MC), min(k, bl.KC), min(roundUp(n, wideN), bl.NC)
 	return mc*kc + kc*nc
 }
 
@@ -111,33 +159,49 @@ func GemmWS(transA, transB bool, alpha float64, a, b *Matrix, beta float64, c *M
 }
 
 // gemmBlocked is the packed path: jc/pc/ic loops over NC/KC/MC cache
-// blocks, micro-panel packing, and the 8×4 micro-kernel. The summation
-// order over k is ascending for every C element regardless of blocking,
-// so results are deterministic for a fixed (shape, blocking) pair.
+// blocks, micro-panel packing, and the active micro-kernel. The summation
+// order over k is ascending for every C element regardless of blocking
+// or micro-tile, so results are deterministic for a fixed KC.
 func gemmBlocked(transA, transB bool, alpha float64, a, b *Matrix, c *Matrix, m, k, n int, ws *Workspace) {
 	ws = ensureWorkspace(ws)
 	bl := ws.Blocking.norm()
-	mc, kc, nc := min(roundUp(m, microM), bl.MC), min(k, bl.KC), min(roundUp(n, microN), bl.NC)
+	path := activeGemm
+	mr, nr := path.tile()
+	mc, kc, nc := min(roundUp(m, mr), bl.MC), min(k, bl.KC), min(roundUp(n, nr), bl.NC)
 
 	mark := ws.Mark()
 	ap := ws.ScratchVec(mc * kc)
 	bp := ws.ScratchVec(kc * nc)
-	var acc [microM * microN]float64
+	var acc [wideM * wideN]float64
 
 	for jc := 0; jc < n; jc += nc {
 		ncur := min(nc, n-jc)
 		for pc := 0; pc < k; pc += kc {
 			kcur := min(kc, k-pc)
-			packB(transB, b, pc, jc, kcur, ncur, bp)
+			packB(transB, b, pc, jc, kcur, ncur, nr, bp)
 			for ic := 0; ic < m; ic += mc {
 				mcur := min(mc, m-ic)
-				packA(transA, a, ic, pc, mcur, kcur, ap)
-				for jr := 0; jr < ncur; jr += microN {
-					jw := min(microN, ncur-jr)
-					for ir := 0; ir < mcur; ir += microM {
-						iw := min(microM, mcur-ir)
-						microKernel(kcur, ap[ir*kcur:], bp[jr*kcur:], &acc)
-						storeAcc(c, ic+ir, jc+jr, iw, jw, alpha, &acc)
+				packA(transA, a, ic, pc, mcur, kcur, mr, ap)
+				for jr := 0; jr < ncur; jr += nr {
+					jw := min(nr, ncur-jr)
+					for ir := 0; ir < mcur; ir += mr {
+						iw := min(mr, mcur-ir)
+						pa, pb := ap[ir*kcur:], bp[jr*kcur:]
+						i0, j0 := ic+ir, jc+jr
+						switch {
+						case path == gemmAVX512 && iw == wideM && jw == wideN:
+							// A full tile: the kernel adds alpha·acc into C.
+							cc := c.Data[i0+j0*c.LD : i0+(j0+wideN-1)*c.LD+wideM]
+							dgemm16x8addasm(kcur, &pa[0], &pb[0], &cc[0], c.LD, alpha)
+							continue
+						case path == gemmAVX512:
+							dgemm16x8asm(kcur, &pa[0], &pb[0], &acc[0])
+						case path == gemmAVX2:
+							dgemm8x4asm(kcur, &pa[0], &pb[0], &acc[0])
+						default:
+							dgemm8x4go(kcur, pa, pb, (*[microM * microN]float64)(acc[:microM*microN]))
+						}
+						storeAcc(c, i0, j0, iw, jw, mr, alpha, acc[:mr*nr])
 					}
 				}
 			}
@@ -146,132 +210,174 @@ func gemmBlocked(transA, transB bool, alpha float64, a, b *Matrix, c *Matrix, m,
 	ws.Release(mark)
 }
 
-// packA packs the mcur×kcur block of op(A) at (i0, k0) into microM-row
-// panels: dst[p*kcur + l*microM + r] = op(A)(i0+p+r, k0+l), edge rows
+// packA packs the mcur×kcur block of op(A) at (i0, k0) into mr-row
+// panels: dst[p*kcur + l*mr + r] = op(A)(i0+p+r, k0+l), edge rows
 // zero-padded so the micro-kernel never branches.
-func packA(transA bool, a *Matrix, i0, k0, mcur, kcur int, dst []float64) {
+func packA(transA bool, a *Matrix, i0, k0, mcur, kcur, mr int, dst []float64) {
 	lda := a.LD
-	for p := 0; p < mcur; p += microM {
-		rows := min(microM, mcur-p)
-		panel := dst[p*kcur : p*kcur+microM*kcur]
+	for p := 0; p < mcur; p += mr {
+		rows := min(mr, mcur-p)
+		panel := dst[p*kcur : p*kcur+mr*kcur]
 		if !transA {
 			// op(A) columns are A columns: contiguous loads per l.
-			if rows == microM {
+			switch {
+			case rows == wideM && mr == wideM:
 				for l := 0; l < kcur; l++ {
-					src := a.Data[i0+p+(k0+l)*lda : i0+p+(k0+l)*lda+microM]
-					d := panel[l*microM : l*microM+microM]
-					d[0], d[1], d[2], d[3] = src[0], src[1], src[2], src[3]
-					d[4], d[5], d[6], d[7] = src[4], src[5], src[6], src[7]
+					src := a.Data[i0+p+(k0+l)*lda:][:wideM]
+					d := panel[l*wideM:][:wideM]
+					copy8(d[:8], src[:8])
+					copy8(d[8:], src[8:])
 				}
-			} else {
+			case rows == microM && mr == microM:
 				for l := 0; l < kcur; l++ {
-					src := a.Data[i0+p+(k0+l)*lda:]
-					d := panel[l*microM : l*microM+microM]
-					for r := 0; r < rows; r++ {
-						d[r] = src[r]
-					}
-					for r := rows; r < microM; r++ {
-						d[r] = 0
-					}
+					copy8(panel[l*microM:], a.Data[i0+p+(k0+l)*lda:])
+				}
+			default:
+				for l := 0; l < kcur; l++ {
+					d := panel[l*mr : l*mr+mr]
+					copy(d, a.Data[i0+p+(k0+l)*lda:][:rows])
+					clear(d[rows:])
 				}
 			}
 			continue
 		}
 		// op(A) rows are A columns: each panel row r reads one contiguous
-		// A column, scattered across the micro-panel with stride microM.
-		for r := 0; r < rows; r++ {
-			src := a.Data[k0+(i0+p+r)*lda : k0+(i0+p+r)*lda+kcur]
-			for l, v := range src {
-				panel[l*microM+r] = v
+		// A column, scattered across the micro-panel with stride mr, eight
+		// or four columns to a pass.
+		col := func(r int) []float64 { return a.Data[k0+(i0+p+r)*lda : k0+(i0+p+r)*lda+kcur] }
+		r := 0
+		for ; r+8 <= rows; r += 8 {
+			gather8(panel[r:], mr, col(r), col(r+1), col(r+2), col(r+3), col(r+4), col(r+5), col(r+6), col(r+7))
+		}
+		for ; r+4 <= rows; r += 4 {
+			gather4(panel[r:], mr, col(r), col(r+1), col(r+2), col(r+3))
+		}
+		for ; r < rows; r++ {
+			for l, v := range col(r) {
+				panel[l*mr+r] = v
 			}
 		}
-		for r := rows; r < microM; r++ {
+		for r := rows; r < mr; r++ {
 			for l := 0; l < kcur; l++ {
-				panel[l*microM+r] = 0
+				panel[l*mr+r] = 0
 			}
 		}
 	}
 }
 
-// packB packs the kcur×ncur block of op(B) at (k0, j0) into microN-column
-// panels: dst[p*kcur + l*microN + q] = op(B)(k0+l, j0+p+q), edge columns
+// packB packs the kcur×ncur block of op(B) at (k0, j0) into nr-column
+// panels: dst[p*kcur + l*nr + q] = op(B)(k0+l, j0+p+q), edge columns
 // zero-padded.
-func packB(transB bool, b *Matrix, k0, j0, kcur, ncur int, dst []float64) {
+func packB(transB bool, b *Matrix, k0, j0, kcur, ncur, nr int, dst []float64) {
 	ldb := b.LD
-	for p := 0; p < ncur; p += microN {
-		cols := min(microN, ncur-p)
-		panel := dst[p*kcur : p*kcur+microN*kcur]
+	for p := 0; p < ncur; p += nr {
+		cols := min(nr, ncur-p)
+		panel := dst[p*kcur : p*kcur+nr*kcur]
 		if !transB {
 			// op(B) columns are B columns: one contiguous read per column,
-			// interleaved with stride microN.
-			for q := 0; q < cols; q++ {
-				src := b.Data[k0+(j0+p+q)*ldb : k0+(j0+p+q)*ldb+kcur]
-				for l, v := range src {
-					panel[l*microN+q] = v
+			// interleaved with stride nr, eight or four columns to a pass.
+			col := func(q int) []float64 { return b.Data[k0+(j0+p+q)*ldb : k0+(j0+p+q)*ldb+kcur] }
+			q := 0
+			for ; q+8 <= cols; q += 8 {
+				gather8(panel[q:], nr, col(q), col(q+1), col(q+2), col(q+3), col(q+4), col(q+5), col(q+6), col(q+7))
+			}
+			for ; q+4 <= cols; q += 4 {
+				gather4(panel[q:], nr, col(q), col(q+1), col(q+2), col(q+3))
+			}
+			for ; q < cols; q++ {
+				for l, v := range col(q) {
+					panel[l*nr+q] = v
 				}
 			}
-			for q := cols; q < microN; q++ {
+			for q := cols; q < nr; q++ {
 				for l := 0; l < kcur; l++ {
-					panel[l*microN+q] = 0
+					panel[l*nr+q] = 0
 				}
 			}
 			continue
 		}
 		// op(B) rows are B columns: row l of the panel is a contiguous
-		// 4-wide B row segment.
-		if cols == microN {
+		// nr-wide B row segment.
+		switch {
+		case cols == wideN && nr == wideN:
 			for l := 0; l < kcur; l++ {
-				src := b.Data[j0+p+(k0+l)*ldb : j0+p+(k0+l)*ldb+microN]
-				d := panel[l*microN : l*microN+microN]
+				copy8(panel[l*wideN:], b.Data[j0+p+(k0+l)*ldb:])
+			}
+		case cols == microN && nr == microN:
+			for l := 0; l < kcur; l++ {
+				src := b.Data[j0+p+(k0+l)*ldb:][:microN]
+				d := panel[l*microN:][:microN]
 				d[0], d[1], d[2], d[3] = src[0], src[1], src[2], src[3]
 			}
-		} else {
+		default:
 			for l := 0; l < kcur; l++ {
-				src := b.Data[j0+p+(k0+l)*ldb:]
-				d := panel[l*microN : l*microN+microN]
-				for q := 0; q < cols; q++ {
-					d[q] = src[q]
-				}
-				for q := cols; q < microN; q++ {
-					d[q] = 0
-				}
+				d := panel[l*nr : l*nr+nr]
+				copy(d, b.Data[j0+p+(k0+l)*ldb:][:cols])
+				clear(d[cols:])
 			}
 		}
 	}
 }
 
-// storeAcc adds alpha times the micro-kernel accumulator into C(i0:, j0:),
-// clipped to iw×jw for edge tiles.
-func storeAcc(c *Matrix, i0, j0, iw, jw int, alpha float64, acc *[microM * microN]float64) {
+// gather4 interleaves four equally long vectors into a packed panel:
+// dst[l*stride+q] = s_q[l] for q < 4.
+func gather4(dst []float64, stride int, s0, s1, s2, s3 []float64) {
+	n := len(s0)
+	s1, s2, s3 = s1[:n], s2[:n], s3[:n]
+	for l, v := range s0 {
+		d := dst[l*stride:][:4]
+		d[0], d[1], d[2], d[3] = v, s1[l], s2[l], s3[l]
+	}
+}
+
+// gather8 is gather4 for eight vectors.
+func gather8(dst []float64, stride int, s0, s1, s2, s3, s4, s5, s6, s7 []float64) {
+	n := len(s0)
+	s1, s2, s3, s4, s5, s6, s7 = s1[:n], s2[:n], s3[:n], s4[:n], s5[:n], s6[:n], s7[:n]
+	for l, v := range s0 {
+		d := dst[l*stride:][:8]
+		d[0], d[1], d[2], d[3] = v, s1[l], s2[l], s3[l]
+		d[4], d[5], d[6], d[7] = s4[l], s5[l], s6[l], s7[l]
+	}
+}
+
+// copy8 copies src[0:8] to d[0:8] without a call to memmove.
+func copy8(d, src []float64) {
+	d, src = d[:8], src[:8]
+	d[0], d[1], d[2], d[3] = src[0], src[1], src[2], src[3]
+	d[4], d[5], d[6], d[7] = src[4], src[5], src[6], src[7]
+}
+
+// storeAcc adds alpha times the micro-kernel accumulator (column-major,
+// LD ld) into C(i0:, j0:), clipped to iw×jw for edge tiles. The explicit
+// conversion keeps alpha·acc a rounded product, as the AVX-512 kernel's
+// own store computes it, even where the compiler may fuse a*b+c.
+func storeAcc(c *Matrix, i0, j0, iw, jw, ld int, alpha float64, acc []float64) {
 	for j := 0; j < jw; j++ {
 		cc := c.Data[i0+(j0+j)*c.LD : i0+(j0+j)*c.LD+iw]
-		av := acc[j*microM : j*microM+iw]
+		av := acc[j*ld : j*ld+iw]
 		if alpha == 1 {
 			for i := range cc {
 				cc[i] += av[i]
 			}
 		} else {
 			for i := range cc {
-				cc[i] += alpha * av[i]
+				cc[i] += float64(alpha * av[i])
 			}
 		}
 	}
 }
 
-// AsmKernels reports whether the AVX2+FMA assembly kernels are in use.
+// AsmKernels reports whether assembly kernels are in use (AVX2+FMA, with
+// or without the AVX-512 GEMM micro-kernel; the two give the same bits).
 // Their results differ in the last bits from the pure-Go fallbacks, so a
 // test that pins exact result bits has to know which path ran.
 func AsmKernels() bool { return useAVX2 }
 
-// microKernel computes acc = Ap·Bp for one packed 8×kc by kc×4 panel pair,
-// overwriting acc (column-major, LD 8).
-func microKernel(kc int, ap, bp []float64, acc *[microM * microN]float64) {
-	if useAVX2 {
-		dgemm8x4asm(kc, &ap[0], &bp[0], &acc[0])
-		return
-	}
-	dgemm8x4go(kc, ap, bp, acc)
-}
+// GemmKernel names the packed GEMM's micro-kernel in this process:
+// "avx512-16x8", "avx2-8x4" or "go-8x4". A recorded GEMM rate means
+// little without it.
+func GemmKernel() string { return activeGemm.String() }
 
 // dgemm8x4go is the portable micro-kernel: 32 scalar accumulators over the
 // packed panels, the exact structure the assembly kernel vectorizes.

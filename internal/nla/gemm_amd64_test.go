@@ -19,3 +19,20 @@ func TestNoASMEnvOverride(t *testing.T) {
 		t.Fatalf("BIDIAG_NOASM=0 must behave like unset: got %v, hardware %v", got, hw)
 	}
 }
+
+// The packed GEMM takes the AVX-512 kernel exactly where the hardware
+// has it, asm is allowed and the noavx512 harness tag is off.
+func TestGemmDispatch(t *testing.T) {
+	want := gemmGo
+	switch {
+	case !useAVX2:
+	case !forceAVX2Gemm && detectAVX512F():
+		want = gemmAVX512
+	default:
+		want = gemmAVX2
+	}
+	if activeGemm != want {
+		t.Fatalf("active GEMM kernel %s, want %s (avx2 %v, noavx512 tag %v)", activeGemm, want, useAVX2, forceAVX2Gemm)
+	}
+	t.Logf("GEMM kernel: %s", GemmKernel())
+}

@@ -8,6 +8,25 @@
 // Using the LAPACK convention keeps the tile kernels in internal/kernels
 // directly comparable with their PLASMA counterparts (CORE_dgeqrt,
 // CORE_dtsqrt, ...), which is what the reproduced paper builds on.
+//
+// # Kernels
+//
+// The hot loops have amd64 assembly forms, chosen once per process at
+// init so that every worker of a run takes the same path:
+//
+//   - the packed GEMM's micro-kernel (gemm.go): 16×8 on AVX-512F, adding
+//     full tiles into C itself; 8×4 on AVX2+FMA; 8×4 in portable Go
+//     otherwise or under BIDIAG_NOASM=1. The noavx512 build tag keeps
+//     the AVX2 kernel on AVX-512 hardware, for tests.
+//   - the apply primitives Dot4, Axpy4, Gaxpy4 and RotSeq, and the T
+//     multiplies TrmvApplyWS and TrmvApplyRight, which run as one
+//     assembly pass per call (apply.go), on AVX2+FMA.
+//
+// The two assembly GEMM kernels give the same bits (gemm.go says why),
+// and the fused T multiplies those of the Dot4 or Scal/Gaxpy4 calls they
+// replace. The Go kernels round every product and so differ from the
+// assembly in the last bits; a test that pins result bits asks
+// AsmKernels which arithmetic ran.
 package nla
 
 import (

@@ -23,11 +23,10 @@ import (
 // and T factors anew.
 func TestAgedTemplateMemoryRecycles(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	// Release every template pooled so far, then let the GC empty the pools.
+	// Release every template pooled so far, then let the GC have the pools.
 	age()
 	age()
-	runtime.GC()
-	runtime.GC()
+	nla.DropIdle()
 
 	const nb = 256
 	rng := rand.New(rand.NewSource(3))

@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"context"
-	"runtime"
 	"sync"
 
 	"github.com/tiled-la/bidiag/internal/band"
@@ -163,19 +162,15 @@ type chaseKey struct{ n, ku, window int }
 // templates holds each key's idle templates, newest last, where any
 // goroutine finds what another returned (a sync.Pool hands an object back
 // on the processor that put it there). Like a pool's, they are dropped
-// after two GC cycles idle, gcTick's finalizer ageing them every cycle.
+// after two GC cycles idle, age running once every cycle.
 var templates struct {
 	sync.Mutex
 	idle, old map[any][]*Plan
 }
 
-type gcTick struct{ _ [16]byte }
-
-func init() { ageTemplates(new(gcTick)) }
-
-func ageTemplates(t *gcTick) {
+func init() {
 	age()
-	runtime.SetFinalizer(t, ageTemplates)
+	nla.EveryGC(age)
 }
 
 // age releases the templates idle for two cycles to nla's pools, where

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"testing"
 
@@ -18,14 +17,11 @@ import (
 // shows in a result: a job whose chunks last held another job's tiles and
 // T factors computes, bit for bit, what it computes on fresh memory.
 
-// freshChunks empties the process-wide chunk pool (a sync.Pool drops what
-// it holds over two GC cycles), so the next job draws zeroed chunks. A
-// values job's templates age on a finalizer that may run later, so
-// TestTemplateReuse compares with graphs built for the call instead.
-func freshChunks() {
-	runtime.GC()
-	runtime.GC()
-}
+// freshChunks empties the process-wide chunk and buffer pools, so the
+// next job draws zeroed memory. A values job's templates age on a
+// finalizer that may run later, so TestTemplateReuse compares with
+// graphs built for the call instead.
+func freshChunks() { nla.DropIdle() }
 
 // reuseCall runs one entry point and flattens what it returns.
 type reuseCall func(a *Dense, o *Options) ([]float64, error)

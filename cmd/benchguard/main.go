@@ -15,6 +15,11 @@
 // aggregate rate, so one kernel or one dispatch case regressing cannot
 // hide behind the others improving.
 //
+// Both records' GEMM micro-kernels (gemm_kernel, nla.GemmKernel of the
+// measuring process) are printed beside the verdict. Where they differ,
+// or a record does not name one, the comparison is cross-class: the
+// gate applies all the same, but a rate change may be the kernel's.
+//
 // Improvements always pass; the checked-in record is only refreshed
 // deliberately, so the trajectory of committed numbers changes only on
 // purpose.
@@ -47,6 +52,7 @@ type record struct {
 	WallSeconds float64 `json:"wall_seconds"`
 	GFlops      float64 `json:"gflops"`
 	TasksPerSec float64 `json:"tasks_per_sec"`
+	GemmKernel  string  `json:"gemm_kernel"`
 
 	// Kernels carries the per-kernel rates of a -stage apply record,
 	// Sched the per-case dispatch costs of a -stage sched record. Each
@@ -124,6 +130,22 @@ func (r record) entries() []entry {
 		es = append(es, entry{c.Case, "tasks/µs", rate})
 	}
 	return es
+}
+
+// kernelLine names the GEMM micro-kernel of both records and says when
+// they are not the same measured class.
+func kernelLine(ref, got record) string {
+	name := func(k string) string {
+		if k == "" {
+			return "(not recorded)"
+		}
+		return k
+	}
+	line := fmt.Sprintf("gemm kernel: reference %s, new %s", name(ref.GemmKernel), name(got.GemmKernel))
+	if ref.GemmKernel == "" || ref.GemmKernel != got.GemmKernel {
+		line += " — cross-class comparison: the rates come from different kernels or one is unnamed"
+	}
+	return line
 }
 
 func load(path string) (record, error) {
@@ -268,6 +290,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	ratio := gotRate / refRate
 	fmt.Fprintf(stdout, "%s %dx%d: %.2f %s vs reference %.2f (%.0f%%)\n",
 		ref.Experiment, ref.M, ref.N, gotRate, unit, refRate, 100*ratio)
+	fmt.Fprintln(stdout, kernelLine(ref, got))
 	failed := false
 	if err := got.accurate(*newPath); err != nil {
 		fmt.Fprintln(stderr, "benchguard:", err)

@@ -7,6 +7,7 @@ import (
 	"log"
 	"net/http"
 	"net/http/pprof"
+	"runtime/metrics"
 	"sync"
 	"time"
 
@@ -74,6 +75,7 @@ func newMux(svc *bidiag.Service, m *mesh, start time.Time, maxBody int64) *http.
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	reg := obs.NewRegistry()
 	reg.Gauge("bidiagd_uptime_seconds", "Seconds since the daemon started.", func() float64 { return time.Since(s.start).Seconds() })
+	registerRuntime(reg)
 	if m := s.mesh; m != nil {
 		reg.Gauge("bidiagd_cluster_nodes", "Processes in the mesh.", func() float64 { return float64(m.cfg.Grid.Nodes()) })
 		registerLinkMetrics(reg, m.cfg.Transport)
@@ -82,6 +84,26 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		s.registerService(reg)
 	}
 	reg.ServeHTTP(w, r)
+}
+
+// registerRuntime adds the Go runtime's memory figures to a scrape, read
+// from runtime/metrics: the CPU time its garbage collector has spent and
+// the heap bytes the last GC found live.
+func registerRuntime(reg *obs.Registry) {
+	s := []metrics.Sample{{Name: "/cpu/classes/gc/total:cpu-seconds"}, {Name: "/gc/heap/live:bytes"}}
+	metrics.Read(s)
+	value := func(v metrics.Value) float64 {
+		switch v.Kind() {
+		case metrics.KindFloat64:
+			return v.Float64()
+		case metrics.KindUint64:
+			return float64(v.Uint64())
+		}
+		return 0 // a name this runtime does not know
+	}
+	gcCPU, live := value(s[0].Value), value(s[1].Value)
+	reg.Counter("bidiagd_go_gc_cpu_seconds_total", "CPU time spent by the Go garbage collector (/cpu/classes/gc/total:cpu-seconds).", func() float64 { return gcCPU })
+	reg.Gauge("bidiagd_go_heap_live_bytes", "Heap bytes live at the end of the last GC (/gc/heap/live:bytes).", func() float64 { return live })
 }
 
 // registerService adds the service's series to a scrape.
@@ -106,6 +128,7 @@ func (s *server) registerService(reg *obs.Registry) {
 			{Label: `result="done"`, Value: float64(st.JobsDone)},
 			{Label: `result="failed"`, Value: float64(st.JobsFailed)},
 			{Label: `result="cancelled"`, Value: float64(st.JobsCancelled)},
+			{Label: `result="numerical"`, Value: float64(st.JobsNumerical)},
 		}
 	})
 	counter("bidiagd_cache_hits_total", "Result-cache hits.", float64(st.CacheHits))
@@ -178,6 +201,7 @@ func (s *server) snapshot() map[string]any {
 		"jobs_done":       st.JobsDone,
 		"jobs_failed":     st.JobsFailed,
 		"jobs_cancelled":  st.JobsCancelled,
+		"jobs_numerical":  st.JobsNumerical,
 		"jobs_per_second": jobsPerSec,
 		"latency_p50_ms":  float64(st.P50) / float64(time.Millisecond),
 		"latency_p99_ms":  float64(st.P99) / float64(time.Millisecond),

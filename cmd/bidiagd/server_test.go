@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -214,6 +215,53 @@ func TestNonFiniteMatrixIs400(t *testing.T) {
 	}
 }
 
+// TestNumericalFailureIs500: a finite matrix near the overflow threshold
+// drives the reduction to NaN singular values. The result check fails the
+// job before it is published: 500 with an error body on either codec,
+// counted as numerical, and the identical request that follows is
+// computed again, not served from the cache.
+func TestNumericalFailureIs500(t *testing.T) {
+	ts, svc := testServer(t)
+	cl := client.New(ts.URL)
+	m := httpapi.Matrix{M: 8, N: 8, Data: make([]float64, 64)}
+	for i := range m.Data {
+		m.Data[i] = 1e308 * math.Sin(float64(i)+0.5)
+	}
+	job := httpapi.Job{Matrix: m, Options: &httpapi.Options{NB: 4}}
+	blob, err := json.Marshal(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		resp, err := http.Post(ts.URL+"/v1/singular-values", "", strings.NewReader(string(blob)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), "numerical") {
+			t.Fatalf("JSON post %d: %d %s, want 500 naming the numerical check", i, resp.StatusCode, body)
+		}
+		_, err = cl.PostValues(context.Background(), job, false)
+		var apiErr *client.APIError
+		if !errors.As(err, &apiErr) || apiErr.Status != http.StatusInternalServerError || !strings.Contains(apiErr.Message, "numerical") {
+			t.Fatalf("binary post %d: %v, want 500 naming the numerical check", i, err)
+		}
+	}
+	if st := svc.Stats(); st.JobsNumerical != 4 || st.CacheHits != 0 || st.CacheEntries != 0 {
+		t.Fatalf("stats after four posts: numerical %d, cache hits %d, entries %d; want 4, 0, 0", st.JobsNumerical, st.CacheHits, st.CacheEntries)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if !strings.Contains(string(text), `bidiagd_jobs_total{result="numerical"} 4`) {
+		t.Fatalf("metrics do not count the numerical failures:\n%s", text)
+	}
+}
+
 // TestWorkersCap: a request's workers field sizes the SVD back half's
 // pools, so the daemon takes it up to the larger of its pool size and
 // the CPU count and answers anything above with 400 before starting a
@@ -388,9 +436,34 @@ func TestPrometheusMetrics(t *testing.T) {
 		"# TYPE bidiagd_sched_wakeups_total counter",
 		"bidiagd_cache_misses_total 1",
 		"bidiagd_uptime_seconds",
+		"# TYPE bidiagd_go_gc_cpu_seconds_total counter",
+		"# TYPE bidiagd_go_heap_live_bytes gauge",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("metrics missing %q in:\n%s", want, text)
+		}
+	}
+	// The runtime figures are read, not stubbed: a process that has run
+	// a job has a live heap and has spent GC time after a forced cycle.
+	runtime.GC()
+	resp, err = http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	blob, err = io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"bidiagd_go_gc_cpu_seconds_total", "bidiagd_go_heap_live_bytes"} {
+		var v float64
+		for _, line := range strings.Split(string(blob), "\n") {
+			if f := strings.Fields(line); len(f) == 2 && f[0] == name {
+				v, _ = strconv.ParseFloat(f[1], 64)
+			}
+		}
+		if !(v > 0) {
+			t.Fatalf("%s = %v, want a positive reading", name, v)
 		}
 	}
 }

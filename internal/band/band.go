@@ -9,6 +9,10 @@
 // grouping of the same rounds into caravan tasks over ku-block column
 // windows, executed as a task graph on the internal/sched runtime (see
 // parallel.go for the decomposition and the ordering argument).
+// A round's reflector applications are nla's sweep passes
+// (nla.ReflectLeft, nla.GaxpyCols, nla.AxpyCols), shared with the
+// stage-1 factor kernels; the reflector log's MulQ and MulP apply theirs
+// with the same applyRight, so the SVD's vectors see the same bits.
 // BuildReduceGraph exposes the DAG for executors, simulators and
 // critical-path analysis — in production it runs behind the
 // internal/pipeline executor layer as the stage-2 plan; ReduceParallel

@@ -28,8 +28,9 @@ import "github.com/tiled-la/bidiag/internal/nla"
 // as fill (at most ku−1 sub- and 2·ku−1 superdiagonals) and is consumed
 // one row/column at a time by the following sweeps, whose blocks sit one
 // column further right. A full round is two left and two right reflector
-// applications on ku×ku blocks — 16·ku² flops on contiguous columns, the
-// shape the AVX2 Dot4/Axpy4/Gaxpy4 primitives were written for.
+// applications on ku×ku blocks — 16·ku² flops on contiguous columns, each
+// application one of nla's reflector sweeps (ReflectLeft; GaxpyCols then
+// AxpyCols), the assembly passes the stage-1 factor kernels run on.
 //
 // Ragged shapes need no second code path: a block column cut by the
 // matrix edge just has k < ku, which shortens the reflectors, and a
@@ -191,33 +192,15 @@ func (w *work) round(i, r int, scratch []float64) {
 }
 
 // applyLeft overwrites the block of rows [r0, r0+1+len(vt)) and columns
-// [c, c+k) with H·block, H = I − tau·v·vᵀ, v = [1; vt].
+// [c, c+k) with H·block, H = I − tau·v·vᵀ, v = [1; vt]: each column's
+// first entry is the unit row's and the rest lies right below it, so one
+// nla.ReflectLeft pass over the band layout does the whole block.
 func (w *work) applyLeft(tau float64, vt []float64, r0, c, k int) {
 	if tau == 0 {
 		return
 	}
-	a, m, stride := w.a, len(vt), w.ld-1
-	o := w.at(r0, c)
-	j := 0
-	for ; j+4 <= k; j, o = j+4, o+4*stride {
-		o1, o2, o3 := o+stride, o+2*stride, o+3*stride
-		x0, x1, x2, x3 := a[o+1:o+1+m], a[o1+1:o1+1+m], a[o2+1:o2+1+m], a[o3+1:o3+1+m]
-		s0, s1, s2, s3 := nla.Dot4(vt, x0, x1, x2, x3)
-		s0, s1, s2, s3 = tau*(a[o]+s0), tau*(a[o1]+s1), tau*(a[o2]+s2), tau*(a[o3]+s3)
-		a[o] -= s0
-		a[o1] -= s1
-		a[o2] -= s2
-		a[o3] -= s3
-		nla.Axpy4(-s0, -s1, -s2, -s3, vt, x0, x1, x2, x3)
-	}
-	for ; j < k; j, o = j+1, o+stride {
-		x := a[o+1 : o+1+m]
-		s := tau * (a[o] + nla.Dot(vt, x))
-		a[o] -= s
-		for l, v := range vt {
-			x[l] -= s * v
-		}
-	}
+	o, stride := w.at(r0, c), w.ld-1
+	nla.ReflectLeft(tau, vt, w.a[o:], stride, w.a[o+1:], stride, k, nla.TailSeq)
 }
 
 // applyRight overwrites the m×len(u) block whose columns start at a[o],
@@ -230,29 +213,11 @@ func applyRight(a []float64, o, stride, m int, tau float64, u, t []float64) {
 	}
 	k := len(u)
 	t = t[:m]
-	col := func(j int) []float64 { return a[o+j*stride : o+j*stride+m] }
-	copy(t, col(0))
-	j := 1
-	for ; j+4 <= k; j += 4 {
-		nla.Gaxpy4(u[j], u[j+1], u[j+2], u[j+3], col(j), col(j+1), col(j+2), col(j+3), t)
+	copy(t, a[o:o+m])
+	if k > 1 {
+		nla.GaxpyCols(u[1:], 1, a[o+stride:], stride, k-1, nla.Full, nla.TailSeq, t)
 	}
-	for ; j < k; j++ {
-		uj := u[j]
-		for l, v := range col(j) {
-			t[l] += uj * v
-		}
-	}
-	j = 0
-	for ; j+4 <= k; j += 4 {
-		nla.Axpy4(-tau*u[j], -tau*u[j+1], -tau*u[j+2], -tau*u[j+3], t, col(j), col(j+1), col(j+2), col(j+3))
-	}
-	for ; j < k; j++ {
-		s := tau * u[j]
-		x := col(j)
-		for l, v := range t {
-			x[l] -= s * v
-		}
-	}
+	nla.AxpyCols(tau, u, 1, t, a[o:], stride, k)
 }
 
 // roundFlops is the flop model of one round with m rows above a k-wide

@@ -84,6 +84,11 @@
 // scattered back. After that one Gaxpy4 sweep y = A₂·v over every row
 // plays the dot sweep's part — rows above i are T's column, rows below are
 // w — and the rank-1 update A₂ −= w·vᵀ is again Axpy4 along columns.
+// Each sweep is one nla call (DotCols, ReflectLeft, GaxpyCols,
+// AxpyCols) whose assembly pass walks the column groups itself; on QR's
+// trailing columns the dot, the w step and the update of a group run
+// back to back in one ReflectLeft pass, which columns being independent
+// leaves every bit as it was.
 //
 // GE, TS and TT differ only in which rows (columns) of the tile carry a
 // reflector's tail — below the diagonal of the factored tile, all of the
@@ -116,7 +121,8 @@
 // both paths use data-independent control flow (no skips on zero
 // coefficients), so sequential, parallel and distributed runs stay
 // bitwise identical to each other on either path. The factor kernels
-// sit on the same three primitives and the same dispatch. The T
+// sit on the same three primitives and the same dispatch, through nla's
+// reflector sweeps. The T
 // multiply of every UNM/TS/TT apply is one assembly call
 // (TrmvApplyWS/TrmvApplyRight) that repeats its Dot4 or Scal/Gaxpy4
 // composition element by element. The TS kernels' dense V2 half and the

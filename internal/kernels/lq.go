@@ -160,7 +160,7 @@ func TTMLQ(trans bool, k int, v2, t, c1, c2 *nla.Matrix, ws *nla.Workspace) {
 	w := ws.Scratch(m, k)
 	nla.CopyInto(w, c1.View(0, 0, m, k))
 	for trow := 0; trow < k; trow++ {
-		gaxpyCols(v2.Data[trow:], v2.LD, c2, 0, min(trow+1, n2), fullCols, w.Data[trow*w.LD:][:m])
+		nla.GaxpyCols(v2.Data[trow:], v2.LD, c2.Data, c2.LD, min(trow+1, n2), nla.Full, nla.TailLanes, w.Data[trow*w.LD:][:m])
 	}
 	nla.TrmvApplyRight(trans, t, w)
 	for trow := 0; trow < k; trow++ {
@@ -169,7 +169,7 @@ func TTMLQ(trans bool, k int, v2, t, c1, c2 *nla.Matrix, ws *nla.Workspace) {
 		for i, x := range wc {
 			cc[i] -= x
 		}
-		axpyCols(v2.Data[trow:], v2.LD, wc, c2, 0, 0, min(trow+1, n2))
+		nla.AxpyCols(1, v2.Data[trow:], v2.LD, wc, c2.Data, c2.LD, min(trow+1, n2))
 	}
 	ws.Release(mark)
 }

@@ -185,7 +185,7 @@ func TTMQR(trans bool, k int, v2, t, c1, c2 *nla.Matrix, ws *nla.Workspace) {
 	w := ws.Scratch(k, n)
 	for tcol := 0; tcol < k; tcol++ {
 		vc := v2.Data[tcol*v2.LD:][:min(tcol+1, m2)]
-		dotCols(vc, c2, 0, 0, n, fullCols, w.Data[tcol:], w.LD)
+		nla.DotCols(vc, c2.Data, c2.LD, n, nla.Full, w.Data[tcol:], w.LD)
 	}
 	for j := 0; j < n; j++ {
 		wc := w.Data[j*w.LD : j*w.LD+k]
@@ -202,7 +202,7 @@ func TTMQR(trans bool, k int, v2, t, c1, c2 *nla.Matrix, ws *nla.Workspace) {
 	}
 	for tcol := 0; tcol < k; tcol++ {
 		vc := v2.Data[tcol*v2.LD:][:min(tcol+1, m2)]
-		axpyCols(w.Data[tcol:], w.LD, vc, c2, 0, 0, n)
+		nla.AxpyCols(1, w.Data[tcol:], w.LD, vc, c2.Data, c2.LD, n)
 	}
 	ws.Release(mark)
 }

@@ -24,3 +24,15 @@ func trmvn4asm(k, n4 int, tt, w *float64, ldw int)
 
 //go:noescape
 func trmvrasm(trans bool, m, k int, t *float64, ldt int, w *float64, ldw int)
+
+//go:noescape
+func dotcolsasm(n, k int, x, b *float64, ldb int, s *float64, inc int, upper bool)
+
+//go:noescape
+func gaxpycolsasm(n, k int, a *float64, inc int, b *float64, ldb int, y *float64, mode int)
+
+//go:noescape
+func axpycolsasm(n, k int, alpha float64, a *float64, inc int, x, b *float64, ldb int)
+
+//go:noescape
+func reflectleftasm(n, k int, tau float64, v, top *float64, ldt int, b *float64, ldb int, seq bool)

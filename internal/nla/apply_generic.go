@@ -32,3 +32,19 @@ func trmvn4asm(k, n4 int, tt, w *float64, ldw int) {
 func trmvrasm(trans bool, m, k int, t *float64, ldt int, w *float64, ldw int) {
 	panic("nla: assembly micro-kernel not available on this architecture")
 }
+
+func dotcolsasm(n, k int, x, b *float64, ldb int, s *float64, inc int, upper bool) {
+	panic("nla: assembly micro-kernel not available on this architecture")
+}
+
+func gaxpycolsasm(n, k int, a *float64, inc int, b *float64, ldb int, y *float64, mode int) {
+	panic("nla: assembly micro-kernel not available on this architecture")
+}
+
+func axpycolsasm(n, k int, alpha float64, a *float64, inc int, x, b *float64, ldb int) {
+	panic("nla: assembly micro-kernel not available on this architecture")
+}
+
+func reflectleftasm(n, k int, tau float64, v, top *float64, ldt int, b *float64, ldb int, seq bool) {
+	panic("nla: assembly micro-kernel not available on this architecture")
+}

@@ -333,6 +333,18 @@ func TestApplyPrimitivesZeroAlloc(t *testing.T) {
 	if g := ws.Grows(); g != 0 {
 		t.Fatalf("warm workspace grew %d times; TrmvApplyScratch is undersized", g)
 	}
+
+	// The reflector sweeps, on w's first 47 columns (three left over).
+	s := randVec(rng, k)
+	if a := testing.AllocsPerRun(20, func() {
+		DotCols(x[:k], w.Data, w.LD, 47, Upper, s, 1)
+		GaxpyCols(s, 1, w.Data, w.LD, 47, Lower, TailLanes, y0[:k])
+		AxpyCols(0.5, s, 1, y1[:k], w.Data, w.LD, 47)
+		ReflectLeft(0.5, x[1:k], s, 1, w.Data[1:], w.LD, 47, TailSeq)
+		ReflectLeft(0.5, x[1:k], s, 1, w.Data[1:], w.LD, 47, TailLanes)
+	}); a != 0 {
+		t.Fatalf("reflector sweeps allocate: %v allocs/op", a)
+	}
 }
 
 func BenchmarkDot4(b *testing.B) {

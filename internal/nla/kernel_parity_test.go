@@ -10,12 +10,13 @@ import (
 )
 
 // The packed GEMM has three micro-kernels (AVX-512 16×8, AVX2 8×4, Go
-// 8×4) and the T multiply of the apply kernels a fused assembly form
-// beside its Go composition. The tests below pin them bit for bit: the
-// two assembly GEMM kernels against each other and against a scalar
-// model of the FMA chain, the Go kernel against the same model with
-// rounded products, and each fused T multiply against the composition
-// of Dot4 or Scal/Gaxpy4 calls it replaces.
+// 8×4), and the T multiply of the apply kernels and the reflector sweeps
+// an assembly pass each beside its Go composition. The tests below pin
+// them bit for bit: the two assembly GEMM kernels against each other and
+// against a scalar model of the FMA chain, the Go kernel against the
+// same model with rounded products, and each fused T multiply and sweep
+// pass against the composition of Dot4, Axpy4, Gaxpy4 or Scal calls it
+// replaces.
 
 // gemmLegs returns the GEMM micro-kernels this machine can run, logging
 // the ones it cannot.
@@ -285,6 +286,218 @@ func TestTrmvFusedParity(t *testing.T) {
 					checkFrame(t, "TrmvApplyRight", whole, m, k)
 					if i := sameBits(w.Clone().Data, ref.Data); i >= 0 {
 						t.Fatalf("TrmvApplyRight(trans=%v) m=%d k=%d: fused differs from Scal/Gaxpy4 composition at %d", trans, m, k, i)
+					}
+				}
+			}
+		}
+	}
+}
+
+// nanVec returns n normal random values inside a NaN on either side.
+func nanVec(rng *rand.Rand, n int) (view, whole []float64) {
+	whole = make([]float64, n+2)
+	whole[0], whole[n+1] = math.NaN(), math.NaN()
+	for i := 1; i <= n; i++ {
+		whole[i] = rng.NormFloat64()
+	}
+	return whole[1 : n+1], whole
+}
+
+// checkVecFrame fails if either NaN around a nanVec view was written.
+func checkVecFrame(t *testing.T, name string, whole []float64) {
+	t.Helper()
+	if !math.IsNaN(whole[0]) || !math.IsNaN(whole[len(whole)-1]) {
+		t.Fatalf("%s: wrote outside the vector", name)
+	}
+}
+
+// triFramed is nanFramed with the entries Tri excludes from each column
+// set back to NaN: a pass that reads one returns a NaN.
+func triFramed(rng *rand.Rand, r, c int, tri Tri) (view, whole *Matrix) {
+	view, whole = nanFramed(rng, r, c)
+	for j := 0; j < c; j++ {
+		for i := 0; i < r; i++ {
+			if (tri == Upper && i > j) || (tri == Lower && i < j) {
+				view.Set(i, j, math.NaN())
+			}
+		}
+	}
+	return view, whole
+}
+
+// reflectShapes returns the (rows, columns) pairs the sweep parity test
+// runs: every length 0–130 against counts of each remainder mod 4, and
+// every count 0–67 against short, odd and long vectors.
+func reflectShapes() [][2]int {
+	var sh [][2]int
+	for n := 0; n <= 130; n++ {
+		for _, k := range []int{1, 2, 3, 4, 5, 6, 7, n % 68} {
+			sh = append(sh, [2]int{n, k})
+		}
+	}
+	for k := 0; k <= 67; k++ {
+		for _, n := range []int{0, 1, 5, 8, 13, 64, 67, 130} {
+			sh = append(sh, [2]int{n, k})
+		}
+	}
+	return sh
+}
+
+// bandReflect lays k columns out as the band chase does: one array, the
+// top entry of column c at o+c·stride and its n body rows right below,
+// stride = 3n+3 (the chase's ld−1 for ku = n+1); every other entry NaN.
+func bandReflect(rng *rand.Rand, n, k int) (a []float64, o, stride int) {
+	stride, o = 3*n+3, 2
+	a = make([]float64, o+k*stride+n+3)
+	for i := range a {
+		a[i] = math.NaN()
+	}
+	for c := 0; c < k; c++ {
+		for i := 0; i <= n; i++ {
+			a[o+c*stride+i] = rng.NormFloat64()
+		}
+	}
+	return a, o, stride
+}
+
+// sameBitsNaN is sameBits that lets NaN match NaN (the untouched frame of
+// the band layout).
+func sameBitsNaN(x, y []float64) int {
+	for i := range x {
+		if math.IsNaN(x[i]) && math.IsNaN(y[i]) {
+			continue
+		}
+		if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+func TestReflectPassParity(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("no AVX2+FMA kernels in this process (hardware or BIDIAG_NOASM): the sweep passes do not run")
+	}
+	legs := []bool{false}
+	if detectAVX512F() {
+		legs = append(legs, true)
+	} else {
+		t.Logf("no AVX-512F with OS ZMM state: the 512-bit row loops are not run")
+	}
+	saved := zmmRows
+	defer func() { zmmRows = saved }()
+	for _, zmm := range legs {
+		zmmRows = zmm
+		t.Run(fmt.Sprintf("zmm=%v", zmm), reflectParity)
+	}
+}
+
+// reflectParity compares every sweep pass with its Go composition.
+func reflectParity(t *testing.T) {
+	// An empty vector reads no block at all, so the block may be empty.
+	s := []float64{1, 2, 3, 4, 5}
+	DotCols(nil, nil, 0, 5, Upper, s, 1)
+	if i := sameBits(s, make([]float64, 5)); i >= 0 {
+		t.Fatalf("DotCols of an empty vector: s[%d] = %v, want 0", i, s[i])
+	}
+	top, want := []float64{1, -2, 3, math.Copysign(0, -1), 5}, []float64{1, -2, 3, math.Copysign(0, -1), 5}
+	ReflectLeft(0.75, nil, top, 1, nil, 0, 5, TailLanes)
+	reflectLeftGo(0.75, nil, want, 1, nil, 0, 5, TailLanes)
+	if i := sameBits(top, want); i >= 0 {
+		t.Fatalf("ReflectLeft of an empty vector: top[%d] = %v, want %v", i, top[i], want[i])
+	}
+
+	rng := rand.New(rand.NewSource(48))
+	for _, sh := range reflectShapes() {
+		n, k := sh[0], sh[1]
+		name := fmt.Sprintf("n=%d/k=%d", n, k)
+
+		// DotCols, Full and Upper; the sums at stride 1 or, as TTMQR
+		// stores them into a row of W, at stride 3.
+		for _, tri := range []Tri{Full, Upper} {
+			inc := 1 + 2*(n&1)
+			x, _ := nanVec(rng, n)
+			b, bw := triFramed(rng, n, k, tri)
+			got, gw := nanVec(rng, max(k*inc, 1))
+			want := append([]float64(nil), got...)
+			DotCols(x, b.Data, b.LD, k, tri, got, inc)
+			dotColsGo(x, b.Data, b.LD, k, tri, want, inc)
+			checkFrame(t, name+"/DotCols", bw, n, k)
+			checkVecFrame(t, name+"/DotCols", gw)
+			if i := sameBits(got, want); i >= 0 {
+				t.Fatalf("%s/DotCols(tri=%d): pass differs from Dot4 composition at %d: %v vs %v", name, tri, i, got[i], want[i])
+			}
+		}
+
+		// GaxpyCols, every triangle with TailLanes and Full with TailSeq.
+		for _, m := range []struct {
+			tri  Tri
+			tail Tail
+		}{{Full, TailLanes}, {Upper, TailLanes}, {Lower, TailLanes}, {Full, TailSeq}} {
+			inc := 1 + 2*(k&1)
+			a, _ := nanVec(rng, k*inc)
+			b, bw := triFramed(rng, n, k, m.tri)
+			got, gw := nanVec(rng, n)
+			want := append([]float64(nil), got...)
+			GaxpyCols(a, inc, b.Data, b.LD, k, m.tri, m.tail, got)
+			gaxpyColsGo(a, inc, b.Data, b.LD, k, m.tri, m.tail, want)
+			checkFrame(t, name+"/GaxpyCols", bw, n, k)
+			checkVecFrame(t, name+"/GaxpyCols", gw)
+			if i := sameBits(got, want); i >= 0 {
+				t.Fatalf("%s/GaxpyCols(tri=%d, tail=%d): pass differs from Gaxpy4 composition at %d: %v vs %v", name, m.tri, m.tail, i, got[i], want[i])
+			}
+		}
+
+		// AxpyCols, with the factor kernels' alpha = 1 and the chase's tau.
+		for _, alpha := range []float64{1, rng.NormFloat64()} {
+			inc := 1 + 2*(n&1)
+			a, _ := nanVec(rng, k*inc)
+			x, _ := nanVec(rng, n)
+			got, gw := nanFramed(rng, n, k)
+			want := got.Clone()
+			AxpyCols(alpha, a, inc, x, got.Data, got.LD, k)
+			axpyColsGo(alpha, a, inc, x, want.Data, want.LD, k)
+			checkFrame(t, name+"/AxpyCols", gw, n, k)
+			if i := sameBits(got.Clone().Data, want.Data); i >= 0 {
+				t.Fatalf("%s/AxpyCols(alpha=%v): pass differs from Axpy4 composition at %d", name, alpha, i)
+			}
+		}
+
+		// ReflectLeft in both layouts, both tails, and tau = 0.
+		for _, tail := range []Tail{TailLanes, TailSeq} {
+			for _, tau := range []float64{1 + rng.Float64(), 0} {
+				v, _ := nanVec(rng, n)
+				// Tile: the top row is row 2 of a 5×k R, the body an n×k tile.
+				top, tw := nanFramed(rng, 5, k)
+				body, bw := nanFramed(rng, n, k)
+				topRef, bodyRef := top.Clone(), body.Clone()
+				if k > 0 {
+					ReflectLeft(tau, v, top.Data[2:], top.LD, body.Data, body.LD, k, tail)
+					reflectLeftGo(tau, v, topRef.Data[2:], topRef.LD, bodyRef.Data, bodyRef.LD, k, tail)
+				}
+				checkFrame(t, name+"/ReflectLeft", tw, 5, k)
+				checkFrame(t, name+"/ReflectLeft", bw, n, k)
+				if i := sameBits(top.Clone().Data, topRef.Data); i >= 0 {
+					t.Fatalf("%s/ReflectLeft(tail=%d, tau=%v): top row differs at %d", name, tail, tau, i)
+				}
+				if i := sameBits(body.Clone().Data, bodyRef.Data); i >= 0 {
+					t.Fatalf("%s/ReflectLeft(tail=%d, tau=%v): body differs at %d", name, tail, tau, i)
+				}
+
+				// Band: top and body in one array at stride ld−1.
+				a, o, stride := bandReflect(rng, n, k)
+				ref := append([]float64(nil), a...)
+				if k > 0 {
+					ReflectLeft(tau, v, a[o:], stride, a[o+1:], stride, k, tail)
+					reflectLeftGo(tau, v, ref[o:], stride, ref[o+1:], stride, k, tail)
+				}
+				if i := sameBitsNaN(a, ref); i >= 0 {
+					t.Fatalf("%s/ReflectLeft(band, tail=%d, tau=%v): differs at %d: %v vs %v", name, tail, tau, i, a[i], ref[i])
+				}
+				for i, x := range a {
+					c, r := (i-o)/stride, (i-o)%stride
+					if inside := i >= o && c < k && r <= n; !inside && !math.IsNaN(x) {
+						t.Fatalf("%s/ReflectLeft(band): wrote %d outside the block", name, i)
 					}
 				}
 			}

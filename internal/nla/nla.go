@@ -21,10 +21,14 @@
 //   - the apply primitives Dot4, Axpy4, Gaxpy4 and RotSeq, and the T
 //     multiplies TrmvApplyWS and TrmvApplyRight, which run as one
 //     assembly pass per call (apply.go), on AVX2+FMA.
+//   - the reflector sweeps DotCols, ReflectLeft, GaxpyCols and AxpyCols
+//     of the factor kernels and the band chase, one assembly pass over
+//     a block's column groups per call (reflect.go), on AVX2+FMA, with
+//     512-bit row loops where the GEMM runs its AVX-512 kernel.
 //
 // The two assembly GEMM kernels give the same bits (gemm.go says why),
-// and the fused T multiplies those of the Dot4 or Scal/Gaxpy4 calls they
-// replace. The Go kernels round every product and so differ from the
+// and the fused T multiplies and the sweep passes those of the Dot4,
+// Axpy4, Gaxpy4 or Scal calls they replace. The Go kernels round every product and so differ from the
 // assembly in the last bits; a test that pins result bits asks
 // AsmKernels which arithmetic ran.
 package nla

@@ -3,6 +3,9 @@ package bidiag
 import (
 	"container/list"
 	"context"
+	"errors"
+	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -142,7 +145,7 @@ func (s *Service) drain() {
 
 // fail ends a job with err, counting it as cancelled if its ctx is done.
 func (s *Service) fail(j *Job, err error) {
-	j.end(nil, err, func() { s.met.recordFail(j.ctx.Err() != nil) })
+	j.end(nil, err, func() { s.met.recordFail(j.ctx.Err() != nil, errors.Is(err, ErrNumerical)) })
 }
 
 func (s *Service) complete(j *Job, res *JobResult, queued time.Duration) {
@@ -217,7 +220,12 @@ func (s *Service) run(j *Job) {
 		return
 	}
 	res, err := w.finish(j.ctx, shared)
+	if err == nil {
+		err = checkResult(res)
+	}
 	if err != nil {
+		// The job's arena and template stay with the GC: after a
+		// numerical failure their working set is suspect.
 		s.fail(j, err)
 		return
 	}
@@ -244,6 +252,25 @@ func (s *Service) run(j *Job) {
 		s.cache.add(j.req.key, res, cacheOverhead+resultBytes(res))
 	}
 	s.complete(j, res, start.Sub(j.enqueued))
+}
+
+// checkResult is the check a finished result passes before it is
+// published: S finite, non-negative and non-increasing, and for an SVD
+// job U and V finite. A failure wraps ErrNumerical.
+func checkResult(res *JobResult) error {
+	prev := math.Inf(1)
+	for i, s := range res.Values {
+		if !(s >= 0 && s <= prev) || math.IsInf(s, 1) { // NaN fails s >= 0
+			return fmt.Errorf("%w: S[%d] = %v", ErrNumerical, i, s)
+		}
+		prev = s
+	}
+	if res.SVD != nil {
+		if res.SVD.U.CheckFinite() != nil || res.SVD.V.CheckFinite() != nil {
+			return fmt.Errorf("%w: a singular vector has a non-finite entry", ErrNumerical)
+		}
+	}
+	return nil
 }
 
 // cacheOverhead is the accounting charge per cache entry beyond the
@@ -335,6 +362,7 @@ type metrics struct {
 	mu sync.Mutex
 
 	jobsDone, jobsFailed, jobsCancelled uint64
+	jobsNumerical                       uint64
 	cacheHits, cacheMisses              uint64
 	traceDropped                        uint64
 	inflight                            int
@@ -353,11 +381,14 @@ func (m *metrics) recordDone(total, queued time.Duration) {
 	m.qwait.Observe(queued.Seconds())
 }
 
-func (m *metrics) recordFail(cancelled bool) {
+func (m *metrics) recordFail(cancelled, numerical bool) {
 	m.mu.Lock()
-	if cancelled {
+	switch {
+	case cancelled:
 		m.jobsCancelled++
-	} else {
+	case numerical:
+		m.jobsNumerical++
+	default:
 		m.jobsFailed++
 	}
 	m.mu.Unlock()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -95,6 +96,40 @@ func TestServiceDo(t *testing.T) {
 	st := s.Stats()
 	if st.JobsDone != 1 || st.InFlight != 0 {
 		t.Fatalf("stats after one job: %+v", st)
+	}
+}
+
+// TestNumericalResultIsNotPublished: a result whose S fails the check
+// made before publishing is an ErrNumerical failure, counted apart from
+// other failures and not cached, so the same request runs again.
+func TestNumericalResultIsNotPublished(t *testing.T) {
+	s := NewService(&ServiceConfig{Workers: 1})
+	defer s.Close()
+	for _, bad := range [][]float64{{math.NaN()}, {math.Inf(1)}, {1, -1}, {1, 2}} {
+		var builds atomic.Int32
+		req := sumRequest(0, &builds)
+		build := req.build
+		req.build = func() (job, error) {
+			w, err := build()
+			w.finish = func(context.Context, pipeline.Executor) (*JobResult, error) { return &JobResult{Values: bad}, nil }
+			return w, err
+		}
+		req.key = fmt.Sprint("bad", bad)
+		for i := 0; i < 2; i++ {
+			if _, err := doRequest(s, context.Background(), req); !errors.Is(err, ErrNumerical) {
+				t.Fatalf("S = %v: %v, want ErrNumerical", bad, err)
+			}
+		}
+		if n := builds.Load(); n != 2 {
+			t.Fatalf("S = %v: built %d times, want 2 (no cache entry)", bad, n)
+		}
+	}
+	if st := s.Stats(); st.JobsNumerical != 8 || st.JobsFailed != 0 || st.JobsDone != 0 || st.CacheHits != 0 {
+		t.Fatalf("stats: %+v", st)
+	}
+	// A good result with zeros and ties passes.
+	if err := checkResult(&JobResult{Values: []float64{3, 3, 0, 0}}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -35,6 +35,13 @@ var ErrServiceClosed = errors.New("bidiag: service closed")
 // (bidiagd answers 501).
 var ErrMeshValuesOnly = errors.New("bidiag: a mesh serves singular values only; full SVD needs a single-process service")
 
+// ErrNumerical is wrapped by the error of a service job whose result
+// failed the check made before it is published: singular values that are
+// not finite, negative or out of descending order, or non-finite
+// singular vectors. Such a result is neither cached nor answered, and
+// the job's working set is not recycled (bidiagd answers 500).
+var ErrNumerical = errors.New("bidiag: result failed its numerical check")
+
 // ServiceConfig sizes a Service. The zero value (or a nil pointer)
 // selects the defaults.
 type ServiceConfig struct {
@@ -85,9 +92,12 @@ type ServiceStats struct {
 	Workers, InFlight                   int
 	QueueLen, QueueCap                  int
 	JobsDone, JobsFailed, JobsCancelled uint64
-	CacheHits, CacheMisses              uint64
-	CacheEntries                        int
-	CacheBytes, CacheCap                int64
+	// JobsNumerical counts the jobs whose result failed the numerical
+	// check (ErrNumerical); JobsFailed does not include them.
+	JobsNumerical          uint64
+	CacheHits, CacheMisses uint64
+	CacheEntries           int
+	CacheBytes, CacheCap   int64
 	// WorkspaceBytes is the total scratch-arena footprint of the shared
 	// pool's workers.
 	WorkspaceBytes int64
@@ -337,7 +347,8 @@ func (s *Service) Stats() ServiceStats {
 		Workers: s.rt.Workers(), InFlight: s.met.inflight,
 		QueueLen: len(s.queue), QueueCap: s.cfg.QueueDepth,
 		JobsDone: s.met.jobsDone, JobsFailed: s.met.jobsFailed, JobsCancelled: s.met.jobsCancelled,
-		CacheHits: s.met.cacheHits, CacheMisses: s.met.cacheMisses,
+		JobsNumerical: s.met.jobsNumerical,
+		CacheHits:     s.met.cacheHits, CacheMisses: s.met.cacheMisses,
 		CacheEntries: entries, CacheBytes: bytes, CacheCap: capacity,
 		WorkspaceBytes:  s.rt.WorkspaceBytes(),
 		SchedReadyTasks: rs.Ready,

@@ -70,12 +70,10 @@ import (
 
 	"github.com/tiled-la/bidiag/internal/band"
 	"github.com/tiled-la/bidiag/internal/bdsqr"
-	"github.com/tiled-la/bidiag/internal/core"
 	"github.com/tiled-la/bidiag/internal/dist"
 	"github.com/tiled-la/bidiag/internal/nla"
 	"github.com/tiled-la/bidiag/internal/pipeline"
 	"github.com/tiled-la/bidiag/internal/sched"
-	"github.com/tiled-la/bidiag/internal/tile"
 	"github.com/tiled-la/bidiag/internal/trees"
 )
 
@@ -325,9 +323,10 @@ func (b *Band) SingularValues() ([]float64, error) {
 	return chaseValues(context.Background(), pipeline.BuildBND2BD(b.b, b.window), pipeline.Pool{Workers: max(b.workers, 1)}, nil)
 }
 
-// chaseValues runs the chase plan p on ex, then solves the bidiagonal. The
-// chase graph inherits stage1's tracer and meter when stage1 is given, so
-// a traced or metered job covers both stages.
+// chaseValues runs the chase plan p on ex, then solves the bidiagonal; p
+// is no longer read once it returns. The chase graph inherits stage1's
+// tracer and meter when stage1 is given, so a traced or metered job
+// covers both stages.
 func chaseValues(ctx context.Context, p *pipeline.Plan, ex pipeline.Executor, stage1 *sched.Graph) ([]float64, error) {
 	if stage1 != nil {
 		p.Graph.Tracer, p.Graph.Meter = stage1.Tracer, stage1.Meter
@@ -336,7 +335,6 @@ func chaseValues(ctx context.Context, p *pipeline.Plan, ex pipeline.Executor, st
 		return nil, err
 	}
 	d, e := p.Bidiagonal().Bidiagonal()
-	p.Return()
 	return bdsqr.SingularValues(d, e)
 }
 
@@ -368,7 +366,6 @@ func GE2BND(a *Dense, o *Options) (*Band, error) {
 		workers:       opts.Workers,
 		window:        opts.BND2BDWindow,
 	}
-	j.arena.Release()
 	j.plan.Return()
 	return b, nil
 }
@@ -456,84 +453,80 @@ func resolve(a *Dense, o *Options) (opts Options, src *nla.Matrix, treeKind tree
 // its GE2BND plan, and the finish that turns the executed plan into the
 // result, running any later graphs on the executor it is handed.
 type job struct {
-	// plan is a template for a values job on shared memory, else a fresh
-	// build on arena. Whoever runs the job releases both once it has
-	// succeeded — never on failure, when a task may still be in flight.
-	plan  *pipeline.Plan
-	arena *nla.Arena
+	// plan is the template of the job's key.
+	plan *pipeline.Plan
 	// stage1 runs the plan's graph when the caller's executor does not: a
 	// grid job's nodes, or a service's mesh.
 	stage1 pipeline.Executor
+	// grid is the grid job of Options.Distributed, which keys plan.
+	grid pipeline.GridJob
+	// finish checks the result (checkResult) and gives the job's templates
+	// back only if it passes: a failed job's stay with the GC, since a task
+	// may still be in flight, or their working set is suspect.
 	finish func(ctx context.Context, ex pipeline.Executor) (*JobResult, error)
 }
 
-// newJob builds a job: the GE2BND graph of src (m ≥ n, transposed when the
-// input was wide) with the shared-memory trees, or with a grid job
-// (Options.Distributed, resolved by gridJob) the distributed ones. A
-// values job's finish extracts the band and chases it; an SVD job records
-// its reflectors and its finish is finishSVD. The chase and the back half
-// record on the GE2BND graph's tracer, so a traced job's timeline holds
-// them too.
-func newJob(kind JobKind, src *nla.Matrix, opts Options, treeKind trees.Kind, transposed bool, gj *pipeline.GridJob) job {
-	j := job{arena: new(nla.Arena)}
-	var rec *core.Recorder
-	if kind == JobSVD {
-		rec = &core.Recorder{Blocking: nla.Blocking(opts.Gemm)}
+// newJob checks out the job's GE2BND template for src (m ≥ n, transposed
+// when the input was wide): keyed by the shared-memory trees, or with
+// Options.Distributed by the grid job gridJob resolves, and recording its
+// reflectors for an SVD job. A values job's finish extracts the band and
+// chases it; an SVD job's is finishSVD. The chase and the back half record
+// on the GE2BND graph's tracer, so a traced job's timeline holds them too.
+func newJob(kind JobKind, src *nla.Matrix, opts Options, treeKind trees.Kind, transposed bool) (job, error) {
+	var key pipeline.Job = pipeline.Local{
+		NB: opts.NB, RBidiag: useRBidiag(opts, src.Rows, src.Cols),
+		Tree: treeKind, Gamma: opts.Gamma, Cores: opts.Workers, Gemm: nla.Blocking(opts.Gemm),
 	}
-	m, n := src.Rows, src.Cols
-	spec := pipeline.Spec{
-		Shape:   core.ShapeOf(m, n, opts.NB),
-		Config:  core.Config{Tree: treeKind, Gamma: opts.Gamma, Cores: opts.Workers, Blocking: nla.Blocking(opts.Gemm)},
-		RBidiag: useRBidiag(opts, m, n),
-	}
-	switch {
-	case gj != nil:
-		spec = gj.SpecIn(j.arena, src)
+	var j job
+	if opts.Distributed != nil {
+		gj, err := gridJob(opts, src.Rows, src.Cols)
+		if err != nil {
+			return job{}, err
+		}
+		key, j.grid = gj, gj
 		j.stage1 = pipeline.OwnerCompute{Grid: gj.Grid, WorkersPerNode: gj.WPN}
-	case rec == nil:
-		j.plan = pipeline.Template(spec, src)
-	default:
-		spec.Data = tile.FromDenseIn(j.arena, src, opts.NB)
 	}
-	if j.plan == nil {
-		spec.Config.Recorder = rec
-		j.plan = pipeline.Build(spec)
-	}
-	p := j.plan
+	p := pipeline.Template(key, src, kind == JobSVD)
+	j.plan = p
 	j.finish = func(ctx context.Context, ex pipeline.Executor) (*JobResult, error) {
-		if rec != nil {
-			res, err := finishSVD(ctx, p, rec, ex, transposed)
+		if kind == JobSVD {
+			svd, err := finishSVD(ctx, p, ex, transposed)
 			if err != nil {
 				return nil, err
 			}
-			return &JobResult{Values: res.S, SVD: res}, nil
+			return checked(&JobResult{Values: svd.S, SVD: svd}, p)
 		}
 		chase := pipeline.Chase(min(p.Tiles.M, p.Tiles.N), p.Tiles.NB, opts.BND2BDWindow, p.Tiles.ExtractBandInto)
 		s, err := chaseValues(ctx, chase, ex, p.Graph)
 		if err != nil {
 			return nil, err
 		}
-		return &JobResult{Values: s}, nil
+		return checked(&JobResult{Values: s}, p, chase)
 	}
-	return j
+	return j, nil
+}
+
+// checked returns res if it passes checkResult, and only then gives the
+// job's templates back.
+func checked(res *JobResult, templates ...*pipeline.Plan) (*JobResult, error) {
+	if err := checkResult(res); err != nil {
+		return nil, err
+	}
+	for _, p := range templates {
+		p.Return()
+	}
+	return res, nil
 }
 
 // oneShot lowers a one-shot call to its job: the input check, resolve,
-// and the grid job of Options.Distributed.
+// and newJob.
 func oneShot(kind JobKind, a *Dense, o *Options) (job, Options, error) {
 	opts, src, treeKind, transposed, err := prepare(a, o)
 	if err != nil {
 		return job{}, opts, err
 	}
-	var gj *pipeline.GridJob
-	if opts.Distributed != nil {
-		g, err := gridJob(opts, src.Rows, src.Cols)
-		if err != nil {
-			return job{}, opts, err
-		}
-		gj = &g
-	}
-	return newJob(kind, src, opts, treeKind, transposed, gj), opts, nil
+	j, err := newJob(kind, src, opts, treeKind, transposed)
+	return j, opts, err
 }
 
 // runOnce runs a one-shot call: every graph of the job on one
@@ -563,8 +556,6 @@ func runOnce(ctx context.Context, kind JobKind, a *Dense, o *Options) (*JobResul
 	if err != nil {
 		return nil, nil, err
 	}
-	j.arena.Release()
-	j.plan.Return()
 	return res, rep, nil
 }
 

@@ -82,7 +82,6 @@ import (
 	"github.com/tiled-la/bidiag/internal/nla"
 	"github.com/tiled-la/bidiag/internal/pipeline"
 	"github.com/tiled-la/bidiag/internal/sched"
-	"github.com/tiled-la/bidiag/internal/tile"
 	"github.com/tiled-la/bidiag/internal/trees"
 )
 
@@ -632,7 +631,8 @@ func runPerfFull(m, n, nb, workers, reps int, jsonPath string) error {
 }
 
 // svdStages is the per-stage ledger of a -stage svd record, in seconds:
-// the recording GE2BND graph (tiling and graph build included), band
+// the recording GE2BND graph (its template's checkout and the copy of the
+// input included, a build on a key's first pass), band
 // extraction, the logged BND2BD chase, forming Q₂ and P₂ from the log,
 // the dqds call that gives S, the bidiagonal QR iteration with its
 // rotations applied, and the recorded stage-1 reflectors applied to both
@@ -672,12 +672,8 @@ func svdStagesOnce(a *nla.Matrix, nb, workers int) (svdStages, error) {
 			return err
 		}
 	}
-	rec := &core.Recorder{}
-	plan := pipeline.Build(pipeline.Spec{
-		Shape:  core.ShapeOf(a.Rows, a.Cols, nb),
-		Data:   tile.FromDense(a, nb),
-		Config: core.Config{Tree: trees.Auto, Gamma: 2, Cores: workers, Recorder: rec},
-	})
+	plan := pipeline.Template(pipeline.Local{NB: nb, Tree: trees.Auto, Gamma: 2, Cores: workers}, a, true)
+	rec := plan.Recorder
 	if err := run(plan.Graph); err != nil {
 		return st, err
 	}
@@ -707,6 +703,7 @@ func svdStagesOnce(a *nla.Matrix, nb, workers int) (svdStages, error) {
 		return st, err
 	}
 	lap(&st.BackApply, t)
+	plan.Return()
 	return st, nil
 }
 

@@ -10,7 +10,6 @@ import (
 	"mime"
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 
 	"github.com/tiled-la/bidiag/internal/nla"
@@ -328,14 +327,14 @@ func readPayload(r io.Reader, head, size, limit int64, alloc func(n int) []float
 }
 
 // staging recycles readFloats' chunk buffers from one body to the next.
-var staging = sync.Pool{New: func() any { return new([chunkBytes]byte) }}
+var staging = nla.FreeList[*[chunkBytes]byte]{New: func() *[chunkBytes]byte { return new([chunkBytes]byte) }}
 
 // readFloats reads n little-endian float64 words in bounded chunks into
 // data, which is either n long — allocated up front — or nil: then the
 // slice doubles as bytes arrive, so a forged count cannot allocate ahead
 // of its payload.
 func readFloats(r io.Reader, n int, data []float64) ([]float64, error) {
-	stage := staging.Get().(*[chunkBytes]byte)
+	stage := staging.Get()
 	defer staging.Put(stage)
 	buf := stage[:min(8*n, chunkBytes)]
 	if data == nil {

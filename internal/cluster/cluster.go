@@ -4,9 +4,9 @@
 // The model is SPMD with a head: rank 0 (the Head) hands out one Job per
 // reduction, a pipeline.Executor. Executing it ships the job — the
 // resolved pipeline.GridJob plus the full input matrix — to every peer as
-// an out-of-band control frame; every rank then builds the identical task
-// graph over its own replica (pipeline.GridJob.Spec, the same function
-// the head's caller built its graph with) and runs its owned share
+// an out-of-band control frame; every rank then fills the template of the
+// GridJob and the input's shape (pipeline.Template, which the head's
+// caller checked out too) with its own replica and runs its owned share
 // through dist.ExecuteNode. The end-of-job gather leaves rank 0 holding
 // the complete band result, bitwise-identical to a sequential run. What
 // happens to it next — the bulge chase, the bidiagonal iteration, the
@@ -181,9 +181,9 @@ func (h *Head) CommBytes() int64    { return h.commBytes.Load() }
 func (h *Head) TraceDropped() int64 { return h.traceDropped.Load() }
 
 // Job is one reduction on the mesh, a pipeline.Executor good for a
-// single Execute: the graph it is handed must be the one
-// pipeline.Build(plan.Spec(a)) emits, because that is what the announced
-// peers build.
+// single Execute: the graph it is handed must be that of
+// pipeline.Template(plan, a, false), because that is what the announced
+// peers check out.
 type Job struct {
 	h     *Head
 	a     *nla.Matrix
@@ -350,10 +350,6 @@ func ServePeer(cfg Config) error {
 		return fmt.Errorf("cluster: rank 0 is the head; use NewHead")
 	}
 	dx := newDemux(cfg.Transport, int32(cfg.Rank))
-	// Each job's tiles and T factors are carved from ar, released once the
-	// rank's share has succeeded so the next job reuses the chunks. A
-	// failed job returns below without releasing.
-	var ar nla.Arena
 	for {
 		msg, ok := <-dx.ctrl
 		if !ok {
@@ -373,7 +369,10 @@ func ServePeer(cfg Config) error {
 			return nil
 		}
 		wpn := spec.Plan.WPN
-		g := pipeline.Build(spec.Plan.SpecIn(&ar, a)).Graph
+		// The template goes back once the rank's share has succeeded; a
+		// failed job returns below without it.
+		p := pipeline.Template(spec.Plan, a, false)
+		g := p.Graph
 		var tr *obs.Tracer
 		if spec.Trace {
 			tr = cfg.tracerFor(g, wpn)
@@ -382,7 +381,7 @@ func ServePeer(cfg Config) error {
 		if _, err := cfg.execute(g, dx, wpn); err != nil {
 			return err
 		}
-		ar.Release()
+		p.Return()
 		payload, err := frameHeader(traceFrameOf(spec.Seq, cfg.Rank, wpn, tr, dx, mark), 0)
 		if err != nil {
 			return fmt.Errorf("cluster: rank %d encoding its end-of-job frame: %w", cfg.Rank, err)

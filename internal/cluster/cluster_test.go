@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -15,6 +16,7 @@ import (
 	"github.com/tiled-la/bidiag/internal/dist"
 	"github.com/tiled-la/bidiag/internal/nla"
 	"github.com/tiled-la/bidiag/internal/pipeline"
+	"github.com/tiled-la/bidiag/internal/tile"
 )
 
 // valuesOf finishes an executed plan the sequential way: band chase,
@@ -29,29 +31,39 @@ func valuesOf(t *testing.T, p *pipeline.Plan) []float64 {
 	return sv
 }
 
+// fresh builds gj's graph over a for the call alone, as the first job of
+// a template's key does.
+func fresh(gj pipeline.GridJob, a *nla.Matrix) *pipeline.Plan {
+	spec := gj.Spec(a.Rows, a.Cols)
+	spec.Data = tile.FromDense(a, gj.NB)
+	return pipeline.Build(spec)
+}
+
 // sequentialSV computes the reference singular values through the same
 // graph the cluster runs, on one address space.
 func sequentialSV(t *testing.T, a *nla.Matrix, gj pipeline.GridJob) []float64 {
 	t.Helper()
-	p := pipeline.Build(gj.Spec(a))
+	p := fresh(gj, a)
 	if err := p.Graph.RunSequential(); err != nil {
 		t.Fatal(err)
 	}
 	return valuesOf(t, p)
 }
 
-// runJob pushes one job through the head the way its callers do: build
-// the plan from the grid job, execute it on the mesh, finish on the
-// gathered band.
+// runJob pushes one job through the head the way its callers do: check
+// out the grid job's template, execute it on the mesh, finish on the
+// gathered band and give the template back.
 func runJob(t *testing.T, head *Head, a *nla.Matrix, gj pipeline.GridJob, trace bool) ([]float64, *pipeline.Report, *MergedTrace) {
 	t.Helper()
-	p := pipeline.Build(gj.Spec(a))
+	p := pipeline.Template(gj, a, false)
 	job := head.Job(a, gj, trace)
 	rep, err := pipeline.Run(p, job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return valuesOf(t, p), rep, job.Trace
+	sv := valuesOf(t, p)
+	p.Return()
+	return sv, rep, job.Trace
 }
 
 // TestClusterSingularValues boots a head plus peers on one in-process
@@ -113,7 +125,7 @@ func TestClusterSingularValues(t *testing.T) {
 	cancel()
 	a := nla.RandomMatrix(rng, 64, 64)
 	gj := jobs[0].gj
-	if _, err := head.Job(a, gj, false).Execute(ctx, pipeline.Build(gj.Spec(a)).Graph); !errors.Is(err, context.Canceled) {
+	if _, err := head.Job(a, gj, false).Execute(ctx, fresh(gj, a).Graph); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled job: %v, want context.Canceled", err)
 	}
 	if sv, _, _ := runJob(t, head, a, gj, false); sv[0] != sequentialSV(t, a, gj)[0] {
@@ -121,7 +133,7 @@ func TestClusterSingularValues(t *testing.T) {
 	}
 	// So is a job for some other grid.
 	other := pipeline.GridJob{NB: 16, Grid: dist.Grid{R: 4, C: 1}, WPN: 1}
-	if _, err := head.Job(a, other, false).Execute(context.Background(), pipeline.Build(other.Spec(a)).Graph); err == nil {
+	if _, err := head.Job(a, other, false).Execute(context.Background(), fresh(other, a).Graph); err == nil {
 		t.Fatal("job for a 4x1 grid ran on a 2x2 mesh")
 	}
 
@@ -320,7 +332,7 @@ func TestClusterBackToBackJobs(t *testing.T) {
 				a := nla.NewMatrix(3, 2)
 				a.Set(0, 0, float64(c+3))
 				a.Set(1, 1, 1)
-				p := pipeline.Build(gj.Spec(a))
+				p := pipeline.Template(gj, a, false)
 				if _, err := pipeline.Run(p, head.Job(a, gj, r%8 == 0)); err != nil {
 					t.Errorf("client %d job %d: %v", c, r, err)
 					return
@@ -329,6 +341,7 @@ func TestClusterBackToBackJobs(t *testing.T) {
 					t.Errorf("client %d job %d: band(0,0) = %v", c, r, got)
 					return
 				}
+				p.Return()
 			}
 		}(c)
 	}
@@ -354,4 +367,49 @@ func tcpPair(t *testing.T) []*dist.TCPTransport {
 		}
 	})
 	return trs
+}
+
+// TestTemplateReuseOnMesh runs jobs B, A, B on a two-rank loopback TCP
+// mesh, where the head and the peer each check out the template of the
+// job's key, fill it from the input and give it back after their share:
+// B must come back bitwise the same each time, and equal to the
+// in-process owner-compute run of a graph built for it alone.
+func TestTemplateReuseOnMesh(t *testing.T) {
+	grid := dist.Grid{R: 2, C: 1}
+	trs := tcpPair(t)
+	peerErr := make(chan error, 1)
+	go func() {
+		peerErr <- ServePeer(Config{Grid: grid, Transport: trs[1], Rank: 1, StallTimeout: 30 * time.Second})
+	}()
+	head, err := NewHead(Config{Grid: grid, Transport: trs[0], Rank: 0, StallTimeout: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(11))
+	for _, c := range []struct {
+		m, n int
+		gj   pipeline.GridJob
+	}{
+		{96, 96, pipeline.GridJob{NB: 16, Grid: grid, WPN: 2}},
+		{192, 48, pipeline.GridJob{NB: 16, RBidiag: true, Grid: grid, WPN: 2}},
+	} {
+		b, a := nla.RandomMatrix(rng, c.m, c.n), nla.RandomMatrix(rng, c.m, c.n)
+		p := fresh(c.gj, b)
+		if _, err := pipeline.Run(p, pipeline.OwnerCompute{Grid: grid, WorkersPerNode: c.gj.WPN}); err != nil {
+			t.Fatal(err)
+		}
+		want := valuesOf(t, p)
+		for i, in := range []*nla.Matrix{b, a, b} {
+			got, _, _ := runJob(t, head, in, c.gj, false)
+			if in == b && !slices.Equal(got, want) {
+				t.Fatalf("%dx%d: job %d, B on the mesh's templates, differs from B in process on a fresh graph", c.m, c.n, i)
+			}
+		}
+	}
+	if err := head.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-peerErr; err != nil {
+		t.Fatalf("peer: %v", err)
+	}
 }

@@ -7,46 +7,70 @@ import (
 	"testing"
 
 	"github.com/tiled-la/bidiag/internal/core"
+	"github.com/tiled-la/bidiag/internal/dist"
 	"github.com/tiled-la/bidiag/internal/pipeline"
 	"github.com/tiled-la/bidiag/internal/sched"
 	"github.com/tiled-la/bidiag/internal/trees"
 )
 
-// TestTemplateGraphGolden builds every shared-memory real-data row of
-// TestGraphGolden that a values job runs (BIDIAG and R-BIDIAG, each tree)
-// as a pipeline template, runs it and re-arms it three times, and checks
-// that its graph digest is still that of a fresh build of the row, the
-// digest the golden file pins: running and re-arming change no task,
-// handle or edge.
+// TestTemplateGraphGolden builds every real-data row of TestGraphGolden
+// that a job runs — BIDIAG and R-BIDIAG, each shared-memory tree and
+// each grid's AUTO trees, recording or not — as a pipeline template, runs
+// it and re-arms it three times, and checks that its graph digest is
+// still that of a fresh build of the row, the digest the golden file
+// pins: running and re-arming change no task, handle or edge.
 func TestTemplateGraphGolden(t *testing.T) {
 	shapes := [][3]int{
 		{1, 1, 4}, {5, 3, 4}, {17, 9, 4}, {16, 16, 4}, {40, 12, 4}, {64, 8, 4}, {33, 33, 8}, {9, 9, 16},
 	}
+	type keyed struct {
+		name string
+		job  func(nb int, rbidiag bool) pipeline.Job
+	}
+	var jobs []keyed
+	for _, tr := range []trees.Kind{trees.FlatTS, trees.FlatTT, trees.Greedy, trees.Auto} {
+		jobs = append(jobs, keyed{tr.String(), func(nb int, rbidiag bool) pipeline.Job {
+			return pipeline.Local{NB: nb, RBidiag: rbidiag, Tree: tr, Cores: 2}
+		}})
+	}
+	for _, g := range []dist.Grid{{R: 2, C: 2}, {R: 3, C: 1}, {R: 1, C: 2}} {
+		jobs = append(jobs, keyed{fmt.Sprintf("auto%dx%d", g.R, g.C), func(nb int, rbidiag bool) pipeline.Job {
+			return pipeline.GridJob{NB: nb, RBidiag: rbidiag, Grid: g, WPN: 2}
+		}})
+	}
+	configs := map[string]goldenConfig{}
+	for _, gc := range goldenConfigs() {
+		configs[gc.name] = gc
+	}
 	for _, s := range shapes {
 		sh := core.ShapeOf(s[0], s[1], s[2])
 		seed := int64(s[0]*100 + s[1])
-		for _, gc := range goldenConfigs()[:4] { // the trees; the rest are grid configurations
+		for _, k := range jobs {
 			for _, bname := range []string{"bidiag", "rbidiag"} {
-				name := fmt.Sprintf("%dx%d/nb%d/%s/%s/real", s[0], s[1], s[2], gc.name, bname)
-				cfg := gc.cfg(sh)
-				fresh := sha256.New()
-				goldenBuild(fresh, sha256.New(), sh, cfg, bname, "real", seed)
-				spec := pipeline.Spec{Shape: sh, Config: cfg, RBidiag: bname == "rbidiag"}
-				a := randomTiledMatrix(seed, sh.M, sh.N, sh.NB).ToDense()
-				p := pipeline.Template(spec, a)
-				for rearm := 0; rearm <= 3; rearm++ {
-					if rearm > 0 {
-						p.Return()
-						p = pipeline.Template(spec, a)
+				for _, mode := range []string{"real", "rec"} {
+					name := fmt.Sprintf("%dx%d/nb%d/%s/%s/%s", s[0], s[1], s[2], k.name, bname, mode)
+					fresh := sha256.New()
+					goldenBuild(fresh, sha256.New(), sh, configs[k.name].cfg(sh), bname, mode, seed)
+					job, records := k.job(sh.NB, bname == "rbidiag"), mode == "rec"
+					a := randomTiledMatrix(seed, sh.M, sh.N, sh.NB).ToDense()
+					p := pipeline.Template(job, a, records)
+					for rearm := 0; rearm <= 3; rearm++ {
+						if rearm > 0 {
+							p.Return()
+							p = pipeline.Template(job, a, records)
+						}
+						if _, err := pipeline.Run(p, pipeline.Pool{Workers: 2}); err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
 					}
-					if _, err := pipeline.Run(p, pipeline.Pool{Workers: 2}); err != nil {
-						t.Fatalf("%s: %v", name, err)
+					if records != (p.Recorder != nil) {
+						t.Fatalf("%s: template recorder %v, want one: %v", name, p.Recorder != nil, records)
 					}
-				}
-				got := sha256.New()
-				digestGraph(got, p.Graph)
-				if g, w := hex.EncodeToString(got.Sum(nil)), hex.EncodeToString(fresh.Sum(nil)); g != w {
-					t.Errorf("%s: re-armed template digest %s, fresh build %s", name, g, w)
+					got := sha256.New()
+					digestGraph(got, p.Graph)
+					if g, w := hex.EncodeToString(got.Sum(nil)), hex.EncodeToString(fresh.Sum(nil)); g != w {
+						t.Errorf("%s: re-armed template digest %s, fresh build %s", name, g, w)
+					}
 				}
 			}
 		}
@@ -82,13 +106,13 @@ func BenchmarkBuild(b *testing.B) {
 			}
 		})
 		b.Run("rearm/"+c.name, func(b *testing.B) {
-			spec := pipeline.Spec{Shape: sh, Config: cfg, RBidiag: c.rbidiag}
+			job := pipeline.Local{NB: 64, RBidiag: c.rbidiag, Tree: cfg.Tree, Cores: cfg.Cores}
 			a := d.ToDense()
-			pipeline.Template(spec, a).Return()
+			pipeline.Template(job, a, false).Return()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				pipeline.Template(spec, a).Return()
+				pipeline.Template(job, a, false).Return()
 			}
 		})
 	}

@@ -109,12 +109,14 @@ func CommCal(sc Scale) (*CommCalResult, *Table, error) {
 		a := nla.RandomMatrix(rng, s.m, s.n)
 		gj := pipeline.GridJob{NB: s.nb, Grid: grid, WPN: wpn}
 		jr := head.Job(a, gj, true)
-		rep, err := pipeline.Run(pipeline.Build(gj.Spec(a)), jr)
+		p := pipeline.Template(gj, a, false)
+		rep, err := pipeline.Run(p, jr)
 		if err != nil {
 			head.Close()
 			peerWG.Wait()
 			return nil, nil, fmt.Errorf("commcal: %dx%d nb %d: %w", s.m, s.n, s.nb, err)
 		}
+		p.Return()
 		job := CommCalJob{M: s.m, N: s.n, NB: s.nb, WallSeconds: rep.Dist.Wall.Seconds()}
 		for _, ev := range jr.Trace.Events {
 			if ev.Op != obs.OpSend || ev.Node == ev.Peer {

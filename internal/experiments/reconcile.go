@@ -3,18 +3,16 @@ package experiments
 import (
 	"math/rand"
 
-	"github.com/tiled-la/bidiag/internal/core"
 	"github.com/tiled-la/bidiag/internal/critpath"
 	"github.com/tiled-la/bidiag/internal/nla"
 	"github.com/tiled-la/bidiag/internal/obs"
 	"github.com/tiled-la/bidiag/internal/pipeline"
-	"github.com/tiled-la/bidiag/internal/tile"
 	"github.com/tiled-la/bidiag/internal/trees"
 )
 
 // ReconcileRun executes one REAL traced GE2BND run on
-// the goroutine pool and reconciles it against the flop model: it builds
-// the graph over a deterministic random m×n matrix, attaches an
+// the goroutine pool and reconciles it against the flop model: it runs
+// the graph's template over a deterministic random m×n matrix, attaches an
 // obs.Tracer sized for a complete trace, runs on `workers` workers, and
 // returns the critpath.Reconcile report next to the raw events (for
 // Chrome-trace export). Unlike the rest of this package, which replays
@@ -23,12 +21,7 @@ import (
 func ReconcileRun(tree trees.Kind, m, n, nb, workers int) (*critpath.ReconcileReport, []obs.Event, error) {
 	rng := rand.New(rand.NewSource(int64(m)*1_000_003 + int64(n)*1009 + int64(nb)))
 	src := nla.RandomMatrix(rng, m, n)
-	sh := core.ShapeOf(m, n, nb)
-	p := pipeline.Build(pipeline.Spec{
-		Shape:  sh,
-		Data:   tile.FromDense(src, nb),
-		Config: core.Config{Tree: tree, Gamma: 2, Cores: workers},
-	})
+	p := pipeline.Template(pipeline.Local{NB: nb, Tree: tree, Gamma: 2, Cores: workers}, src, false)
 	tr := obs.NewTracer(workers, len(p.Graph.Tasks))
 	p.Graph.Tracer = tr
 	if _, err := pipeline.Run(p, pipeline.Pool{Workers: workers}); err != nil {
@@ -39,6 +32,7 @@ func ReconcileRun(tree trees.Kind, m, n, nb, workers int) (*critpath.ReconcileRe
 	if err != nil {
 		return nil, nil, err
 	}
+	p.Return()
 	return rep, events, nil
 }
 

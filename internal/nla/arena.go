@@ -14,65 +14,74 @@ type chunk [arenaChunk]float64
 
 // chunkPool is the one process-wide pool every Arena draws its chunks from
 // and releases them to.
-var chunkPool freeList[*chunk]
+var chunkPool = FreeList[*chunk]{New: func() *chunk { return new(chunk) }}
 
 // bufferPools[k] holds the class-k buffers of Arena.Buffer, 2^k float64s
 // each. Like chunkPool, they are process-wide.
-var bufferPools [bits.UintSize]freeList[*[]float64]
+var bufferPools [bits.UintSize]FreeList[*[]float64]
 
-// freeList is a pool any goroutine takes from what any other put back,
-// newest first. A sync.Pool keeps one object per processor where only
-// that processor's Get finds it, so a served matrix buffer released by a
-// handler on one processor was missed, and made anew, by the next
-// request's handler on the other one now and then. Like a sync.Pool's,
-// what lies idle for two GC cycles is dropped.
-type freeList[T any] struct {
+// FreeList is the process's one way to recycle memory: a pool any
+// goroutine takes from what any other put back, newest first. A sync.Pool
+// hands an object back only on the processor that put it there, so a
+// served matrix buffer was made anew now and then, and under the race
+// detector it drops a random quarter of what is put back. What lies idle
+// for two GC cycles is dropped (EveryGC ages a list from its first Put).
+// The zero FreeList is ready; use it by pointer.
+type FreeList[T any] struct {
+	// New, when set, makes what Get finds no idle one of; without it
+	// such a Get returns the zero T.
+	New func() T
+
 	mu        sync.Mutex
+	aging     bool
 	idle, old []T
 }
 
-func (l *freeList[T]) get() (x T, ok bool) {
+// Get takes the newest idle object, or makes one with New.
+func (l *FreeList[T]) Get() (x T) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for _, s := range [2]*[]T{&l.idle, &l.old} {
 		if n := len(*s); n > 0 {
-			x, (*s)[n-1], *s = (*s)[n-1], *new(T), (*s)[:n-1]
-			return x, true
+			x, (*s)[n-1], *s = (*s)[n-1], x, (*s)[:n-1]
+			return x
 		}
 	}
-	return x, false
+	if l.New != nil {
+		x = l.New()
+	}
+	return x
 }
 
-func (l *freeList[T]) put(x T) {
+// Put makes x idle, for the next Get.
+func (l *FreeList[T]) Put(x T) {
 	l.mu.Lock()
+	defer l.mu.Unlock()
+	if !l.aging {
+		l.aging = true
+		EveryGC(l.age)
+	}
 	l.idle = append(l.idle, x)
-	l.mu.Unlock()
 }
 
 // age drops what was idle at the last tick and keeps what is idle now
 // for one more.
-func (l *freeList[T]) age() {
+func (l *FreeList[T]) age() {
 	l.mu.Lock()
 	clear(l.old)
 	l.idle, l.old = l.old[:0], l.idle
 	l.mu.Unlock()
 }
 
-func init() { EveryGC(agePools) }
-
-// agePools ages the chunk and buffer pools by one GC cycle.
-func agePools() {
-	chunkPool.age()
-	for i := range bufferPools {
-		bufferPools[i].age()
-	}
-}
-
 // DropIdle leaves every chunk and buffer the pools hold to the GC, as
 // two GC cycles would: the next checkouts get zeroed memory.
 func DropIdle() {
-	agePools()
-	agePools()
+	for range 2 {
+		chunkPool.age()
+		for i := range bufferPools {
+			bufferPools[i].age()
+		}
+	}
 }
 
 var gcHooks struct {
@@ -134,10 +143,7 @@ func (a *Arena) Vec(n int) []float64 {
 		return a.Buffer(n)
 	}
 	if len(a.used) == 0 || a.off+n > arenaChunk {
-		c, ok := chunkPool.get()
-		if !ok {
-			c = new(chunk)
-		}
+		c := chunkPool.Get()
 		a.used = append(a.used, c)
 		a.off = 0
 	}
@@ -158,8 +164,8 @@ func (a *Arena) Buffer(n int) []float64 {
 		return make([]float64, n)
 	}
 	k := bits.Len(uint(n - 1))
-	b, ok := bufferPools[k].get()
-	if !ok {
+	b := bufferPools[k].Get()
+	if b == nil {
 		s := make([]float64, 1<<k)
 		b = &s
 	}
@@ -183,11 +189,11 @@ func (a *Arena) Release() {
 	}
 	a.Poison()
 	for i, c := range a.used {
-		chunkPool.put(c)
+		chunkPool.Put(c)
 		a.used[i] = nil
 	}
 	for i, b := range a.bufs {
-		bufferPools[bits.TrailingZeros(uint(len(*b)))].put(b)
+		bufferPools[bits.TrailingZeros(uint(len(*b)))].Put(b)
 		a.bufs[i] = nil
 	}
 	a.used, a.off, a.bufs = a.used[:0], 0, a.bufs[:0]

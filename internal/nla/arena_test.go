@@ -142,7 +142,7 @@ func TestArenaReleaseRecycles(t *testing.T) {
 	// The pool hands the released chunks out again.
 	back := 0
 	for i := 0; i < 8; i++ {
-		if c, _ := chunkPool.get(); held[c] {
+		if held[chunkPool.Get()] {
 			back++
 		}
 	}

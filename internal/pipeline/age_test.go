@@ -11,7 +11,6 @@ import (
 	"runtime/debug"
 	"testing"
 
-	"github.com/tiled-la/bidiag/internal/core"
 	"github.com/tiled-la/bidiag/internal/nla"
 	"github.com/tiled-la/bidiag/internal/trees"
 )
@@ -30,15 +29,15 @@ func TestAgedTemplateMemoryRecycles(t *testing.T) {
 
 	const nb = 256
 	rng := rand.New(rand.NewSource(3))
-	cfg := core.Config{Tree: trees.Greedy, Cores: 1}
-	Template(Spec{Shape: core.ShapeOf(1024, 512, nb), Config: cfg}, nla.RandomMatrix(rng, 1024, 512)).Return()
+	job := Local{NB: nb, Tree: trees.Greedy, Cores: 1}
+	Template(job, nla.RandomMatrix(rng, 1024, 512), false).Return()
 	age()
 	age()
 
 	b := nla.RandomMatrix(rng, 1024, 256)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	p := Template(Spec{Shape: core.ShapeOf(1024, 256, nb), Config: cfg}, b)
+	p := Template(job, b, false)
 	runtime.ReadMemStats(&after)
 	tiles := uint64(8 * b.Rows * b.Cols)
 	got := after.TotalAlloc - before.TotalAlloc

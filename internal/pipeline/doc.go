@@ -52,9 +52,10 @@
 //
 // # Templates
 //
-// A values job's graphs depend on its shape and plan, not its values: a
-// job on shared memory runs templates (Template, Chase), plans kept with
-// the memory their tasks point at and re-armed by the next job of their
-// key, which copies its input in. A template goes back (Return) only
-// after its job succeeded.
+// A job's graphs depend on its shape and plan, not its values: every job
+// runs a template (Template) of its key — a Job (Local or GridJob), the
+// shape, and for an SVD the recording of its reflectors (Plan.Recorder) —
+// a plan kept with the memory its tasks point at and re-armed by the next
+// job, which copies its input in; a values job's chase runs one too
+// (Chase). A template goes back (Return) only after its job succeeded.
 package pipeline

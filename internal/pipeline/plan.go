@@ -34,12 +34,41 @@ type Spec struct {
 	Window int
 }
 
+// Job is what, besides its values, shapes an input's GE2BND graph: a
+// Local job's trees on shared memory, or a GridJob's on a node grid. Both
+// are comparable; with the input's shape and whether the graph records
+// its reflectors, a Job is the key of its templates (see Template).
+type Job interface {
+	// Spec describes the graph of an m×n (m ≥ n) input, without its data.
+	Spec(m, n int) Spec
+}
+
+// Local is everything besides the matrix that shapes a shared-memory
+// GE2BND graph.
+type Local struct {
+	NB      int
+	RBidiag bool
+	Tree    trees.Kind
+	// Gamma and Cores parameterize the AUTO tree.
+	Gamma, Cores int
+	Gemm         nla.Blocking
+}
+
+// Spec configures the shared-memory trees.
+func (j Local) Spec(m, n int) Spec {
+	return Spec{
+		Shape:   core.ShapeOf(m, n, j.NB),
+		Config:  core.Config{Tree: j.Tree, Gamma: j.Gamma, Cores: j.Cores, Blocking: j.Gemm},
+		RBidiag: j.RBidiag,
+	}
+}
+
 // GridJob is everything besides the matrix that shapes an owner-compute
 // GE2BND graph: the resolved options every rank of an SPMD run must
-// agree on. Its Spec method is the one place that graph is described —
-// the in-process Options.Distributed run, the cluster head and the
-// cluster's peers all build from it, so their graphs are identical by
-// construction. The JSON form travels in the cluster's job announcement.
+// agree on. The in-process Options.Distributed run, the cluster head and
+// the cluster's peers all check out its template, so their graphs are
+// identical by construction. The JSON form travels in the cluster's job
+// announcement.
 type GridJob struct {
 	NB      int  `json:"nb"`
 	RBidiag bool `json:"rbidiag,omitempty"`
@@ -52,19 +81,15 @@ type GridJob struct {
 	Gemm  nla.Blocking `json:"gemm"`
 }
 
-// Spec tiles a (m ≥ n) and configures the paper's hierarchical
-// distributed trees over the job's grid.
-func (j GridJob) Spec(a *nla.Matrix) Spec { return j.SpecIn(nil, a) }
-
-// SpecIn is Spec with the tiles, and so the whole build's working memory,
-// carved from ar (see tile.NewIn).
-func (j GridJob) SpecIn(ar *nla.Arena, a *nla.Matrix) Spec {
-	sh := core.ShapeOf(a.Rows, a.Cols, j.NB)
+// Spec configures the paper's hierarchical distributed trees over the
+// job's grid: the owner map and the trees derive from the job.
+func (j GridJob) Spec(m, n int) Spec {
+	sh := core.ShapeOf(m, n, j.NB)
 	tc := dist.AutoDefaults(sh, j.Grid, j.WPN)
 	tc.Gamma = j.Gamma
 	cfg := tc.Configure()
 	cfg.Blocking = j.Gemm
-	return Spec{Shape: sh, Data: tile.FromDenseIn(ar, a, j.NB), Config: cfg, RBidiag: j.RBidiag}
+	return Spec{Shape: sh, Config: cfg, RBidiag: j.RBidiag}
 }
 
 // Plan is a built task graph plus the bookkeeping needed to extract its
@@ -75,10 +100,11 @@ type Plan struct {
 	// (the square R-factor matrix under R-BIDIAG); nil in simulation-only
 	// builds or stage-2-only plans.
 	Tiles *tile.Matrix
-	// Shape is the geometry of Tiles.
-	Shape core.Shape
 	// UsedRBidiag reports whether the R-BIDIAG path was built.
 	UsedRBidiag bool
+	// Recorder holds the reflectors of a template that records them (see
+	// Template); its stages point at the template's tiles and T factors.
+	Recorder *core.Recorder
 
 	finish func() *band.Matrix
 
@@ -94,16 +120,15 @@ type Plan struct {
 // band from Tiles once it has run and chases it with BuildBND2BD.
 func Build(spec Spec) *Plan {
 	g := sched.NewGraph()
-	rsh, data := spec.Shape, spec.Data
+	data := spec.Data
 	if spec.RBidiag {
-		rsh, data = core.BuildRBidiag(g, spec.Shape, spec.Data, spec.Config)
+		_, data = core.BuildRBidiag(g, spec.Shape, spec.Data, spec.Config)
 	} else {
 		core.BuildBidiag(g, spec.Shape, spec.Data, spec.Config)
 	}
 	return &Plan{
 		Graph:       g,
 		Tiles:       data,
-		Shape:       rsh,
 		UsedRBidiag: spec.RBidiag,
 	}
 }
@@ -150,11 +175,9 @@ func (p *Plan) Bidiagonal() *band.Matrix {
 
 // The keys of the templates: what shapes a GE2BND graph and a BND2BD one.
 type geKey struct {
-	sh           core.Shape
-	rbidiag      bool
-	tree         trees.Kind
-	gamma, cores int
-	blocking     nla.Blocking
+	job     Job
+	m, n    int
+	records bool
 }
 
 type chaseKey struct{ n, ku, window int }
@@ -197,15 +220,19 @@ func (p *Plan) Return() {
 	}
 }
 
-// Template returns the GE2BND plan of spec on a copy of a (m ≥ n): a
-// pooled template, or a fresh build on memory of its own. spec.Config
-// must carry no tree override, owner map or recorder.
-func Template(spec Spec, a *nla.Matrix) *Plan {
-	c := spec.Config
-	return template(geKey{spec.Shape, spec.RBidiag, c.Tree, c.Gamma, c.Cores, c.Blocking}, func(ar *nla.Arena) *Plan {
-		spec.Data = tile.FromDenseIn(ar, a, spec.Shape.NB)
+// Template returns the GE2BND plan of job on a copy of a (m ≥ n): a
+// pooled template of the key (job, m, n, records), or a fresh build on
+// memory of its own. With records the plan's Recorder holds the
+// reflectors, which the back-transform of an SVD replays.
+func Template(job Job, a *nla.Matrix, records bool) *Plan {
+	return template(geKey{job, a.Rows, a.Cols, records}, func(ar *nla.Arena) *Plan {
+		spec := job.Spec(a.Rows, a.Cols)
+		spec.Data = tile.NewIn(ar, a.Rows, a.Cols, spec.Shape.NB).Fill(a)
+		if records {
+			spec.Config.Recorder = &core.Recorder{Blocking: spec.Config.Blocking}
+		}
 		p := Build(spec)
-		p.input = spec.Data
+		p.input, p.Recorder = spec.Data, spec.Config.Recorder
 		return p
 	}, func(p *Plan) { p.input.Fill(a) })
 }

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -36,26 +37,55 @@ func TestSharedExecutorParity(t *testing.T) {
 	}
 }
 
-// TestTemplateConcurrentJobs runs values jobs of one key from several
-// goroutines at once on a shared runtime, each through a GE2BND template
-// and a chase template, alternating two inputs: every job gets a template
-// of its own and computes its input's sequential reference bit for bit.
+// TestTemplateConcurrentJobs runs jobs of two keys, a values job's and
+// an SVD job's (the same graph recording its reflectors), from several
+// goroutines at once on a shared runtime, alternating two inputs: every
+// job gets a template of its own and computes its input's sequential
+// reference bit for bit. A values job chases its band through a chase
+// template; an SVD job applies its recorded reflectors to two fixed
+// matrices.
 func TestTemplateConcurrentJobs(t *testing.T) {
 	rt := sched.NewRuntime(2)
 	defer rt.Close()
-	const nb = 16
+	const m, n, nb = 112, 40, 16
 	rng := rand.New(rand.NewSource(7))
-	srcs := []*nla.Matrix{nla.RandomMatrix(rng, 112, 40), nla.RandomMatrix(rng, 112, 40)}
-	spec := Spec{Shape: core.ShapeOf(112, 40, nb), Config: core.Config{Tree: trees.Auto, Cores: 2}, RBidiag: true}
-	var refs []*band.Matrix
-	for _, src := range srcs {
-		fresh := spec
-		fresh.Data = tile.FromDense(src, nb)
-		p := Build(fresh)
-		if _, err := Run(p, Sequential{}); err != nil {
-			t.Fatal(err)
+	srcs := []*nla.Matrix{nla.RandomMatrix(rng, m, n), nla.RandomMatrix(rng, m, n)}
+	ub, vb := nla.RandomMatrix(rng, n, n), nla.RandomMatrix(rng, n, n)
+	job := Local{NB: nb, RBidiag: true, Tree: trees.Auto, Cores: 2}
+	shared := func(g *sched.Graph) error {
+		_, err := Shared{Runtime: rt}.Execute(context.Background(), g)
+		return err
+	}
+	// applied flattens the recorded products applied to ub and vb.
+	applied := func(rec *core.Recorder, run core.Run) ([]float64, error) {
+		u, v, err := rec.ApplyBoth(ub, vb, run, false)
+		if err != nil {
+			return nil, err
 		}
-		refs = append(refs, band.Reduce(p.Tiles.ExtractBand(nb)))
+		return slices.Concat(u.Data, v.Data), nil
+	}
+	var refs [2][2][]float64 // [input][records]
+	for k, src := range srcs {
+		for r, records := range []bool{false, true} {
+			spec := job.Spec(m, n)
+			spec.Data = tile.FromDense(src, nb)
+			if records {
+				spec.Config.Recorder = &core.Recorder{}
+			}
+			p := Build(spec)
+			if _, err := Run(p, Sequential{}); err != nil {
+				t.Fatal(err)
+			}
+			d, e := band.Reduce(p.Tiles.ExtractBand(nb)).Bidiagonal()
+			refs[k][r] = slices.Concat(d, e)
+			if records {
+				out, err := applied(spec.Config.Recorder, (*sched.Graph).RunSequential)
+				if err != nil {
+					t.Fatal(err)
+				}
+				refs[k][r] = append(refs[k][r], out...)
+			}
+		}
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -63,32 +93,37 @@ func TestTemplateConcurrentJobs(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 6; i++ {
-				k := (w + i) % 2
-				p := Template(spec, srcs[k])
+				k, r := (w+i)%2, (w/2+i)%2
+				p := Template(job, srcs[k], r == 1)
 				if _, err := Run(p, Shared{Runtime: rt}); err != nil {
 					t.Error(err)
 					return
 				}
-				chase := Chase(40, nb, 0, p.Tiles.ExtractBandInto)
-				if _, err := Run(chase, Shared{Runtime: rt}); err != nil {
-					t.Error(err)
-					return
+				var got []float64
+				if r == 0 {
+					chase := Chase(n, nb, 0, p.Tiles.ExtractBandInto)
+					if _, err := Run(chase, Shared{Runtime: rt}); err != nil {
+						t.Error(err)
+						return
+					}
+					d, e := chase.Bidiagonal().Bidiagonal()
+					got = slices.Concat(d, e)
+					chase.Return()
+				} else {
+					d, e := band.Reduce(p.Tiles.ExtractBand(nb)).Bidiagonal()
+					out, err := applied(p.Recorder, shared)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					got = slices.Concat(d, e, out)
 				}
-				got := chase.Bidiagonal()
-				chase.Return()
 				p.Return()
-				if !sameBidiagonal(got, refs[k]) {
-					t.Errorf("worker %d job %d differs from its reference", w, i)
+				if !slices.Equal(got, refs[k][r]) {
+					t.Errorf("worker %d job %d (records %v) differs from its reference", w, i, r == 1)
 				}
 			}
 		}()
 	}
 	wg.Wait()
-}
-
-// sameBidiagonal reports whether two bidiagonals are bitwise equal.
-func sameBidiagonal(a, b *band.Matrix) bool {
-	ad, ae := a.Bidiagonal()
-	bd, be := b.Bidiagonal()
-	return slices.Equal(ad, bd) && slices.Equal(ae, be)
 }

@@ -387,15 +387,15 @@ func (rt *Runtime) pickLocked(prev *JobHandle) *JobHandle {
 
 // workspaces recycles worker workspaces across runtimes: a one-shot call
 // starts a runtime of its own, whose workers would otherwise grow fresh
-// scratch on every call. The GC empties the pool when it sits idle.
-var workspaces = sync.Pool{New: func() any { return nla.NewWorkspace(0) }}
+// scratch on every call. The GC empties the list when it sits idle.
+var workspaces = nla.FreeList[*nla.Workspace]{New: func() *nla.Workspace { return nla.NewWorkspace(0) }}
 
 func (rt *Runtime) worker(id int) {
 	defer rt.wg.Done()
 	// The worker's arena grows lazily to the largest requirement among the
 	// jobs it serves; a steady mix of shapes reaches a high-water mark and
 	// stops allocating.
-	ws := workspaces.Get().(*nla.Workspace)
+	ws := workspaces.Get()
 	defer workspaces.Put(ws)
 	var last *JobHandle
 	for {

@@ -82,13 +82,7 @@ func (t *Matrix) Set(i, j int, v float64) {
 }
 
 // FromDense converts a dense matrix into tiled layout.
-func FromDense(d *nla.Matrix, nb int) *Matrix { return FromDenseIn(nil, d, nb) }
-
-// FromDenseIn converts a dense matrix into tiled layout carved from a
-// (see NewIn); the copy writes every element.
-func FromDenseIn(a *nla.Arena, d *nla.Matrix, nb int) *Matrix {
-	return NewIn(a, d.Rows, d.Cols, nb).Fill(d)
-}
+func FromDense(d *nla.Matrix, nb int) *Matrix { return New(d.Rows, d.Cols, nb).Fill(d) }
 
 // FromDenseRows returns the tiled m×d.Cols matrix [d; 0]: d in the top
 // rows, zeros below (m ≥ d.Rows).

@@ -220,17 +220,10 @@ func (s *Service) run(j *Job) {
 		return
 	}
 	res, err := w.finish(j.ctx, shared)
-	if err == nil {
-		err = checkResult(res)
-	}
 	if err != nil {
-		// The job's arena and template stay with the GC: after a
-		// numerical failure their working set is suspect.
 		s.fail(j, err)
 		return
 	}
-	w.arena.Release()
-	w.plan.Return()
 	if mesh, ok := ex.(*cluster.Job); ok {
 		res.Trace = mesh.Trace
 	} else if tr != nil {

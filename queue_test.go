@@ -100,7 +100,7 @@ func TestServiceDo(t *testing.T) {
 }
 
 // TestNumericalResultIsNotPublished: a result whose S fails the check
-// made before publishing is an ErrNumerical failure, counted apart from
+// its job's finish makes is an ErrNumerical failure, counted apart from
 // other failures and not cached, so the same request runs again.
 func TestNumericalResultIsNotPublished(t *testing.T) {
 	s := NewService(&ServiceConfig{Workers: 1})
@@ -111,7 +111,11 @@ func TestNumericalResultIsNotPublished(t *testing.T) {
 		build := req.build
 		req.build = func() (job, error) {
 			w, err := build()
-			w.finish = func(context.Context, pipeline.Executor) (*JobResult, error) { return &JobResult{Values: bad}, nil }
+			w.finish = func(context.Context, pipeline.Executor) (*JobResult, error) {
+				// A finish checks what it computed, as newJob's does.
+				res := &JobResult{Values: bad}
+				return res, checkResult(res)
+			}
 			return w, err
 		}
 		req.key = fmt.Sprint("bad", bad)

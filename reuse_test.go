@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -58,8 +59,12 @@ func jobBits(r *JobResult) []float64 {
 	return slices.Concat(r.SVD.U.inner.Data, r.Values, r.SVD.V.inner.Data)
 }
 
+// grid2x1 runs a one-shot call on two in-process nodes.
+var grid2x1 = &DistOptions{GridRows: 2, GridCols: 1}
+
 // TestReuseNeverShows computes B on fresh chunks, then A, then B again on
-// the chunks A left behind, for every entry point and algorithm shape.
+// the chunks A left behind, for every entry point and algorithm shape, on
+// shared memory and on a grid of nodes.
 func TestReuseNeverShows(t *testing.T) {
 	const nb = 16
 	for _, c := range []struct {
@@ -67,19 +72,25 @@ func TestReuseNeverShows(t *testing.T) {
 		m, n int
 		tree Tree
 		call reuseCall
+		grid *DistOptions
 	}{
-		{"values/tall", 320, 48, FlatTS, valuesCall}, // R-BIDIAG by Chan's rule
-		{"values/square", 96, 96, Auto, valuesCall},
-		{"values/wide", 48, 112, Auto, valuesCall},
-		{"values/ragged", 5*nb + 1, 60, Greedy, valuesCall}, // m = NB·p + 1
-		{"svd/square", 64, 64, Auto, svdCall},
-		{"svd/wide", 40, 72, FlatTT, svdCall},
-		{"ge2bnd/tall", 320, 48, FlatTT, bandCall},
-		{"ge2bnd/square", 80, 80, Auto, bandCall},
+		{"values/tall", 320, 48, FlatTS, valuesCall, nil}, // R-BIDIAG by Chan's rule
+		{"values/square", 96, 96, Auto, valuesCall, nil},
+		{"values/wide", 48, 112, Auto, valuesCall, nil},
+		{"values/ragged", 5*nb + 1, 60, Greedy, valuesCall, nil}, // m = NB·p + 1
+		{"svd/square", 64, 64, Auto, svdCall, nil},
+		{"svd/wide", 40, 72, FlatTT, svdCall, nil},
+		{"svd/tall", 160, 48, Greedy, svdCall, nil},
+		{"ge2bnd/tall", 320, 48, FlatTT, bandCall, nil},
+		{"ge2bnd/square", 80, 80, Auto, bandCall, nil},
+		{"grid/values/tall", 320, 48, Auto, valuesCall, grid2x1},
+		{"grid/values/square", 96, 96, Auto, valuesCall, grid2x1},
+		{"grid/svd/square", 64, 64, Auto, svdCall, grid2x1},
+		{"grid/svd/wide", 40, 72, Auto, svdCall, grid2x1},
 	} {
 		for _, workers := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s/workers=%d", c.name, workers), func(t *testing.T) {
-				o := &Options{NB: nb, Tree: c.tree, Workers: workers}
+				o := &Options{NB: nb, Tree: c.tree, Workers: workers, Distributed: c.grid}
 				b, a := randomDense(1, c.m, c.n), randomDense(2, c.m, c.n)
 				freshChunks()
 				want, err := c.call(b, o)
@@ -141,61 +152,86 @@ func TestReuseAcrossServiceJobs(t *testing.T) {
 	}
 }
 
-// TestReuseAfterFailedJob fails a service job in the middle of its graph —
-// its ctx cancelled, or its kernel panicking, right after a task wrote
-// its tiles — and checks that the jobs after it, on the service and one
-// shot, compute bitwise what they computed before it.
+// TestReuseAfterFailedJob fails a job in the middle of its graph — its
+// ctx cancelled, or its kernel panicking, right after a task wrote its
+// tiles — and checks that the jobs of its key after it compute bitwise
+// what they computed before it: values and SVD jobs on shared memory, on
+// the service and one shot, and the same on a grid of nodes, one shot.
+// The failing job runs through the service's dispatcher in every case.
 func TestReuseAfterFailedJob(t *testing.T) {
-	b := randomDense(1, 320, 48)
-	opts := &Options{NB: 16, Tree: FlatTS, Workers: 2}
-	want, err := SingularValues(b, opts)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name string
+		kind JobKind
+		m, n int
+		opts *Options
+	}{
+		{"values", JobSingularValues, 320, 48, &Options{NB: 16, Tree: FlatTS, Workers: 2}},
+		{"svd", JobSVD, 96, 64, &Options{NB: 16, Tree: FlatTS, Workers: 2}},
+		{"grid/values", JobSingularValues, 320, 48, &Options{NB: 16, Workers: 2, Distributed: grid2x1}},
+		{"grid/svd", JobSVD, 96, 64, &Options{NB: 16, Workers: 2, Distributed: grid2x1}},
 	}
 	for _, fail := range []string{"cancel", "panic"} {
 		t.Run(fail, func(t *testing.T) {
-			svc := NewService(&ServiceConfig{Workers: 2, CacheBytes: -1})
-			defer svc.Close()
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			req := request{build: func() (job, error) {
-				o, src, tree, transposed, err := resolve(randomDense(2, 320, 48), opts)
-				if err != nil {
-					return job{}, err
-				}
-				j := newJob(JobSingularValues, src, o, tree, transposed, nil)
-				tasks := j.plan.Graph.Tasks
-				task := tasks[len(tasks)/2]
-				run := task.Run
-				task.Run = func(ws *nla.Workspace) {
-					run(ws)
-					if fail == "cancel" {
-						cancel()
-					} else {
-						panic("injected kernel failure")
+			for _, c := range cases {
+				t.Run(c.name, func(t *testing.T) {
+					b := randomDense(1, c.m, c.n)
+					call := valuesCall
+					if c.kind == JobSVD {
+						call = svdCall
 					}
-				}
-				return j, nil
-			}}
-			_, err := doRequest(svc, ctx, req)
-			if err == nil || (fail == "cancel") != errors.Is(err, context.Canceled) {
-				t.Fatalf("the failing job returned %v", err)
-			}
-			for i := 0; i < 2; i++ {
-				res, err := svc.Do(context.Background(), JobRequest{A: b, Opts: opts})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bitwiseEqual(res.Values, want) {
-					t.Fatalf("service job %d after the failed one differs", i)
-				}
-				got, err := SingularValues(b, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bitwiseEqual(got, want) {
-					t.Fatalf("one-shot call %d after the failed job differs", i)
-				}
+					want, err := call(b, c.opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					svc := NewService(&ServiceConfig{Workers: 2, CacheBytes: -1})
+					defer svc.Close()
+					ctx, cancel := context.WithCancel(context.Background())
+					defer cancel()
+					req := request{build: func() (job, error) {
+						o, src, tree, transposed, err := resolve(randomDense(2, c.m, c.n), c.opts)
+						if err != nil {
+							return job{}, err
+						}
+						j, err := newJob(c.kind, src, o, tree, transposed)
+						if err != nil {
+							return job{}, err
+						}
+						tasks := j.plan.Graph.Tasks
+						task := tasks[len(tasks)/2]
+						run := task.Run
+						task.Run = func(ws *nla.Workspace) {
+							run(ws)
+							if fail == "cancel" {
+								cancel()
+							} else {
+								panic("injected kernel failure")
+							}
+						}
+						return j, nil
+					}}
+					_, err = doRequest(svc, ctx, req)
+					if err == nil || (fail == "cancel") != errors.Is(err, context.Canceled) {
+						t.Fatalf("the failing job returned %v", err)
+					}
+					for i := 0; i < 2; i++ {
+						if c.opts.Distributed == nil {
+							res, err := svc.Do(context.Background(), JobRequest{Kind: c.kind, A: b, Opts: c.opts})
+							if err != nil {
+								t.Fatal(err)
+							}
+							if !bitwiseEqual(jobBits(res), want) {
+								t.Fatalf("service job %d after the failed one differs", i)
+							}
+						}
+						got, err := call(b, c.opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !bitwiseEqual(got, want) {
+							t.Fatalf("one-shot call %d after the failed job differs", i)
+						}
+					}
+				})
 			}
 		})
 	}
@@ -204,17 +240,31 @@ func TestReuseAfterFailedJob(t *testing.T) {
 // TestTemplateReuse runs jobs B, A, B through the templates of their key,
 // GE2BND graph and chase graph, one shot and as service jobs with the
 // cache off: both B results must equal, bit for bit, B on graphs built
-// for it alone, for every algorithm shape and tree.
+// for it alone. It covers values and SVD jobs for every algorithm shape
+// and tree, and one-shot values and SVD jobs on a grid of nodes.
 func TestTemplateReuse(t *testing.T) {
 	const nb = 16
 	svc := NewService(&ServiceConfig{Workers: 2, MaxInFlight: 1, CacheBytes: -1})
 	defer svc.Close()
-	served := func(a *Dense, o *Options) ([]float64, error) {
-		res, err := svc.Do(context.Background(), JobRequest{A: a, Opts: o})
-		if err != nil {
-			return nil, err
+	served := func(kind JobKind) reuseCall {
+		return func(a *Dense, o *Options) ([]float64, error) {
+			res, err := svc.Do(context.Background(), JobRequest{Kind: kind, A: a, Opts: o})
+			if err != nil {
+				return nil, err
+			}
+			return jobBits(res), nil
 		}
-		return res.Values, nil
+	}
+	type entry struct {
+		name string
+		kind JobKind
+		call reuseCall
+	}
+	entries := []entry{
+		{"one-shot", JobSingularValues, valuesCall},
+		{"service", JobSingularValues, served(JobSingularValues)},
+		{"svd/one-shot", JobSVD, svdCall},
+		{"svd/service", JobSVD, served(JobSVD)},
 	}
 	for _, c := range []struct {
 		name string
@@ -225,50 +275,99 @@ func TestTemplateReuse(t *testing.T) {
 		{"wide", 48, 112},
 		{"ragged", 5*nb + 1, 60}, // m = NB·p + 1
 	} {
+		check := func(t *testing.T, e entry, o *Options) {
+			b, a := randomDense(1, c.m, c.n), randomDense(2, c.m, c.n)
+			want := freshJob(t, e.kind, b, o)
+			for i, in := range []*Dense{b, a, b} {
+				got, err := e.call(in, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if in == b && !bitwiseEqual(got, want) {
+					t.Fatalf("job %d, B on a template, differs from B on fresh graphs", i)
+				}
+			}
+		}
 		for _, tree := range []Tree{FlatTS, FlatTT, Greedy, Auto} {
-			for _, entry := range []struct {
-				name string
-				call reuseCall
-			}{{"one-shot", valuesCall}, {"service", served}} {
-				t.Run(fmt.Sprintf("%s/%v/%s", c.name, tree, entry.name), func(t *testing.T) {
-					o := &Options{NB: nb, Tree: tree, Workers: 2}
-					b, a := randomDense(1, c.m, c.n), randomDense(2, c.m, c.n)
-					want := freshValues(t, b, o)
-					for i, in := range []*Dense{b, a, b} {
-						got, err := entry.call(in, o)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if in == b && !bitwiseEqual(got, want) {
-							t.Fatalf("job %d, B on a template, differs from B on fresh graphs", i)
-						}
-					}
+			for _, e := range entries {
+				t.Run(fmt.Sprintf("%s/%v/%s", c.name, tree, e.name), func(t *testing.T) {
+					check(t, e, &Options{NB: nb, Tree: tree, Workers: 2})
 				})
 			}
+		}
+		for _, e := range []entry{entries[0], entries[2]} {
+			t.Run(fmt.Sprintf("%s/grid/%s", c.name, e.name), func(t *testing.T) {
+				check(t, e, &Options{NB: nb, Workers: 2, Distributed: grid2x1})
+			})
 		}
 	}
 }
 
-// freshValues computes a's singular values sequentially on graphs built
-// for the call alone, as a key's first job builds them.
-func freshValues(t *testing.T, a *Dense, o *Options) []float64 {
+// freshJob computes a's job of kind in order on graphs built for the call
+// alone, as a key's first job builds them, and flattens the result as
+// jobBits does.
+func freshJob(t *testing.T, kind JobKind, a *Dense, o *Options) []float64 {
 	t.Helper()
-	opts, src, tree, _, err := prepare(a, o)
+	opts, src, tree, transposed, err := prepare(a, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := pipeline.Build(pipeline.Spec{
-		Shape:   core.ShapeOf(src.Rows, src.Cols, opts.NB),
-		Data:    tile.FromDense(src, opts.NB),
-		Config:  core.Config{Tree: tree, Gamma: opts.Gamma, Cores: opts.Workers, Blocking: nla.Blocking(opts.Gemm)},
-		RBidiag: useRBidiag(opts, src.Rows, src.Cols),
-	})
+	var key pipeline.Job = pipeline.Local{
+		NB: opts.NB, RBidiag: useRBidiag(opts, src.Rows, src.Cols),
+		Tree: tree, Gamma: opts.Gamma, Cores: opts.Workers, Gemm: nla.Blocking(opts.Gemm),
+	}
+	if opts.Distributed != nil {
+		if key, err = gridJob(opts, src.Rows, src.Cols); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spec := key.Spec(src.Rows, src.Cols)
+	spec.Data = tile.FromDense(src, opts.NB)
+	if kind == JobSVD {
+		spec.Config.Recorder = &core.Recorder{Blocking: spec.Config.Blocking}
+	}
+	p := pipeline.Build(spec)
+	p.Recorder = spec.Config.Recorder
 	if _, err := pipeline.Run(p, pipeline.Sequential{}); err != nil {
 		t.Fatal(err)
+	}
+	if kind == JobSVD {
+		res, err := finishSVD(context.Background(), p, pipeline.Sequential{}, transposed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return slices.Concat(res.U.inner.Data, res.S, res.V.inner.Data)
 	}
 	s, err := (&Band{b: p.Tiles.ExtractBand(opts.NB), window: opts.BND2BDWindow}).SingularValues()
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// TestOneShotNumericalFailure: an 8×8 input of entries uniform in
+// ±1e308 is finite, but its reduction overflows to NaN singular values.
+// The one-shot call fails with ErrNumerical, as a service job does, and
+// gives no template back, so the next call of the same key computes,
+// bit for bit, what graphs built for it alone compute.
+func TestOneShotNumericalFailure(t *testing.T) {
+	o := &Options{NB: 4, Workers: 1}
+	rng := rand.New(rand.NewSource(1))
+	huge := NewDense(8, 8)
+	for j := 0; j < 8; j++ {
+		for i := 0; i < 8; i++ {
+			huge.Set(i, j, (2*rng.Float64()-1)*1e308)
+		}
+	}
+	if s, err := SingularValues(huge, o); !errors.Is(err, ErrNumerical) {
+		t.Fatalf("SingularValues returned %v, %v; want ErrNumerical", s, err)
+	}
+	b := randomDense(1, 8, 8)
+	got, err := SingularValues(b, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bitwiseEqual(got, freshJob(t, JobSingularValues, b, o)) {
+		t.Fatal("the call after the failed one differs from one on fresh graphs")
+	}
 }

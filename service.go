@@ -503,18 +503,13 @@ func (s *Service) request(req JobRequest) (request, error) {
 			if err != nil {
 				return job{}, err
 			}
-			if s.mesh == nil {
-				return newJob(req.Kind, src, run, treeKind, transposed, nil), nil
+			j, err := newJob(req.Kind, src, run, treeKind, transposed)
+			if err == nil && s.mesh != nil {
+				// The mesh announces this very matrix and grid job to its
+				// ranks, and the head chases the gathered band on the pool.
+				j.stage1 = s.mesh.Job(src, j.grid, req.Trace)
 			}
-			gj, err := gridJob(run, src.Rows, src.Cols)
-			if err != nil {
-				return job{}, err
-			}
-			// The mesh announces this very matrix and grid job to its ranks,
-			// and the head chases the gathered band on the pool.
-			j := newJob(req.Kind, src, run, treeKind, transposed, &gj)
-			j.stage1 = s.mesh.Job(src, gj, req.Trace)
-			return j, nil
+			return j, err
 		},
 		key:     key,
 		trace:   req.Trace,
@@ -548,7 +543,7 @@ func CacheKey(kind JobKind, a *Dense, opts *Options) string {
 }
 
 // keyColumns recycles cacheKey's column buffers.
-var keyColumns = sync.Pool{New: func() any { return new([]byte) }}
+var keyColumns = nla.FreeList[*[]byte]{New: func() *[]byte { return new([]byte) }}
 
 // cacheKey digests the matrix content and every result-affecting option
 // into the job's content-addressed identity. Workers is present because
@@ -567,7 +562,7 @@ func cacheKey(kind JobKind, a *Dense, opts Options) (string, error) {
 	w(uint64(a.Cols()))
 	// One bulk conversion and one hasher write per contiguous column.
 	m := a.inner
-	col := keyColumns.Get().(*[]byte)
+	col := keyColumns.Get()
 	defer keyColumns.Put(col)
 	*col = slices.Grow((*col)[:0], 8*m.Rows)[:8*m.Rows]
 	var bad error

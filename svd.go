@@ -63,7 +63,7 @@ func SVDCtx(ctx context.Context, a *Dense, o *Options) (*SVDResult, error) {
 	return res.SVD, nil
 }
 
-// finishSVD turns an executed recording GE2BND plan into the
+// finishSVD turns an executed recording GE2BND plan (Plan.Recorder) into the
 // decomposition: stages 2 and 3 on the band factor, then the recorded
 // reflectors. Every graph runs on ex under ctx and records on the GE2BND
 // graph's tracer, so a traced job's timeline holds the back half too; the
@@ -72,7 +72,7 @@ func SVDCtx(ctx context.Context, a *Dense, o *Options) (*SVDResult, error) {
 // also checked before the logged chase and the bidiagonal iteration,
 // which run on the calling goroutine, so a cancellation that lands
 // between graphs spares what is left.
-func finishSVD(ctx context.Context, plan *pipeline.Plan, rec *core.Recorder, ex pipeline.Executor, transposed bool) (*SVDResult, error) {
+func finishSVD(ctx context.Context, plan *pipeline.Plan, ex pipeline.Executor, transposed bool) (*SVDResult, error) {
 	run := func(g *sched.Graph) error {
 		g.Tracer = plan.Graph.Tracer
 		_, err := ex.Execute(ctx, g)
@@ -98,7 +98,7 @@ func finishSVD(ctx context.Context, plan *pipeline.Plan, rec *core.Recorder, ex 
 	// Map the band vectors back through the recorded reflectors:
 	// U = E₁ᵀ···E_Kᵀ·[U_b; 0] and V = F₁···F_L·V_b.
 	_, inOrder := ex.(pipeline.Sequential)
-	u, v, err := rec.ApplyBoth(ub, vb, run, inOrder)
+	u, v, err := plan.Recorder.ApplyBoth(ub, vb, run, inOrder)
 	if err != nil {
 		return nil, err
 	}

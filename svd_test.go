@@ -240,7 +240,10 @@ func TestFinishSVDHonoursContext(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			j := newJob(JobSVD, src, opts, treeKind, transposed, nil)
+			j, err := newJob(JobSVD, src, opts, treeKind, transposed)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if _, err := pipeline.RunCtx(context.Background(), j.plan, pipeline.Sequential{}); err != nil {
 				t.Fatal(err)
 			}

@@ -140,10 +140,10 @@ func (s *server) registerService(reg *obs.Registry) {
 	}
 	counter("bidiagd_trace_dropped_events_total", "Trace-ring events dropped by traced jobs whose rings overflowed (-trace-event-cap).", traceDropped)
 	reg.Histogram("bidiagd_job_latency_seconds", "Job latency, enqueue to completion (cache hits included).", func() obs.HistogramSnapshot {
-		return obs.HistogramSnapshot{Bounds: st.Latency.Bounds, Counts: st.Latency.Counts, Sum: st.Latency.Sum, Count: st.Latency.Count}
+		return st.Latency
 	})
 	reg.Histogram("bidiagd_job_queue_wait_seconds", "Job queue wait, enqueue to dispatch.", func() obs.HistogramSnapshot {
-		return obs.HistogramSnapshot{Bounds: st.QueueWait.Bounds, Counts: st.QueueWait.Counts, Sum: st.QueueWait.Sum, Count: st.QueueWait.Count}
+		return st.QueueWait
 	})
 	pc := s.svc.PlanCounters()
 	reg.LabeledCounter("bidiagd_plan_decisions_total", "Options.Auto plan decisions by source.", func() []obs.LabeledValue {

@@ -17,8 +17,9 @@
 // plan untouched. Each candidate's stage-1 cost
 // comes from building its real task DAG simulation-only (pipeline.Build
 // with nil data) and
-// list-scheduling it on `workers` virtual cores (sched.SimulateFixed)
-// under per-kernel rates:
+// list-scheduling it on `workers` virtual cores (sched.SimulateFixed,
+// the one-node case of the list scheduler that also draws the simulated
+// distributed figures) under per-kernel rates:
 // seconds(t) = flops(t) / (rate[kind] · nb/(nb+40)) + overhead.
 // The seed rates come from the calibrated machine model
 // (machine.Miriel: peak × per-kernel efficiency); the per-task overhead

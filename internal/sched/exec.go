@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 
@@ -124,70 +123,18 @@ type SimResult struct {
 // `workers` identical virtual cores: whenever a core is free, the ready
 // task with the greatest bottom-level priority starts. It returns the
 // makespan in the units of timeOf. With workers → ∞ the makespan equals
-// CriticalPath.
+// CriticalPath. It is SimulateDistributed on one node.
 func (g *Graph) SimulateFixed(workers int, timeOf func(*Task) float64) SimResult {
-	return g.simulate(workers, timeOf, nil)
+	return g.simulateFixed(workers, timeOf, nil)
 }
 
-// simulate is the list scheduler behind SimulateFixed and
-// SimulateFixedTrace. Completions pop in (time, ID) order; a finished
-// task's core goes back on a stack of free cores, core 0 first. start,
-// when non-nil, sees every task as it starts.
-func (g *Graph) simulate(workers int, timeOf func(*Task) float64, start func(t *Task, worker int, at, d float64)) SimResult {
-	workers = max(workers, 1)
-	g.resetExecState()
-	g.ComputeBottomLevels(timeOf)
-
-	var ready readyHeap
-	for _, t := range g.Tasks {
-		if t.npred == 0 {
-			ready = append(ready, t)
-		}
-	}
-	heap.Init(&ready)
-
-	var running eventHeap
-	free := make([]int, workers)
-	for i := range free {
-		free[i] = workers - 1 - i
-	}
-	now := 0.0
-	busy := 0.0
-	done := 0
-	for done < len(g.Tasks) {
-		for len(free) > 0 && len(ready) > 0 {
-			t := heap.Pop(&ready).(*Task)
-			w := free[len(free)-1]
-			free = free[:len(free)-1]
-			d := timeOf(t)
-			busy += d
-			if start != nil {
-				start(t, w, now, d)
-			}
-			heap.Push(&running, event{at: now + d, task: t, worker: w})
-		}
-		if len(running) == 0 {
-			break // defensive: no runnable work (should not happen on a DAG)
-		}
-		ev := heap.Pop(&running).(event)
-		now = ev.at
-		free = append(free, ev.worker)
-		done++
-		for _, s := range ev.task.succs {
-			s.npred--
-			if s.npred == 0 {
-				heap.Push(&ready, s)
-			}
-		}
-	}
-	util := 0.0
-	if now > 0 {
-		util = busy / (float64(workers) * now)
-	}
-	return SimResult{Makespan: now, BusyTime: busy, Utilization: util, Tasks: done}
+// simulateFixed runs the list scheduler on one node of `workers` cores.
+func (g *Graph) simulateFixed(workers int, timeOf func(*Task) float64, start func(t *Task, worker int, at, d float64)) SimResult {
+	res, done := g.listSchedule(DistConfig{Nodes: 1, WorkersPerNode: workers, TimeOf: timeOf}, start)
+	return SimResult{Makespan: res.Makespan, BusyTime: res.BusyTime, Utilization: res.Utilization, Tasks: done}
 }
 
-// readyHeap is the ready queue of the worker loop and of the simulators:
+// readyHeap is the ready queue of the worker loop and of the list scheduler:
 // a max-heap (container/heap) on (prio, -ID) — higher bottom level first,
 // earlier submission breaking ties for determinism.
 type readyHeap []*Task
@@ -208,30 +155,4 @@ func (h *readyHeap) Pop() any {
 	old[n-1] = nil
 	*h = old[:n-1]
 	return t
-}
-
-type event struct {
-	at     float64
-	task   *Task
-	worker int
-}
-
-// eventHeap is a min-heap on completion time, ties broken by task ID.
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].task.ID < h[j].task.ID
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
 }

@@ -10,17 +10,21 @@
 //     share across them. RunParallel is a Runtime with one job.
 //   - CriticalPath:  longest weighted path (unbounded resources), used to
 //     validate the paper's Section IV formulas.
-//   - SimulateFixed: event-driven list scheduling on P virtual cores.
-//   - SimulateDistributed: multi-node list scheduling with a bandwidth/
-//     latency communication model (see simdist.go).
+//   - SimulateDistributed: list scheduling in virtual time on a machine
+//     of nodes, with a bandwidth/latency communication model (simdist.go).
+//   - SimulateFixed: its one-node case, P virtual cores sharing memory;
+//     SimulateFixedTrace also returns the schedule as trace events.
 //
-// Runtime is the one worker loop, as the paper runs every variant on one
-// dataflow runtime: a rank of internal/dist runs its share of a graph as
-// an owned job (SubmitOwned), and the frames from its peers Release the
-// remote predecessors of its tasks.
+// Runtime is the one worker loop and listSchedule the one list
+// scheduler, as the paper runs every variant on one dataflow runtime and
+// prices every tree with one simulator. A job admitted to a Runtime is
+// one rank's share of a graph (SubmitOwned); Submit admits a whole graph
+// as rank 0 of 1. A rank of internal/dist runs its share on a Runtime of its
+// own, and the frames from its peers Release the remote predecessors of
+// its tasks.
 //
-// A graph may run again: Submit resets its dependence counters (a
-// re-armed template, internal/pipeline).
+// A graph may run again: each admission resets its dependence counters
+// (a re-armed template, internal/pipeline).
 //
 // Tasks are deliberately compact (a few pointers and scalars) so that
 // graphs with tens of millions of tasks — the paper's largest distributed
@@ -112,8 +116,7 @@ type Task struct {
 	succHandles [][]*Handle // handles whose data each edge carries (merged edges keep all)
 	npred       int32
 
-	prio      float64 // bottom level; larger = more critical
-	readyTime float64 // scratch used by the simulators
+	prio float64 // bottom level; larger = more critical
 }
 
 // Name returns a human-readable task label.
@@ -321,10 +324,9 @@ func (g *Graph) addEdge(from, to *Task, bytes int32, h *Handle) {
 }
 
 // resetExecState restores per-task predecessor counters so that a graph
-// may be executed or simulated multiple times.
+// may be simulated again.
 func (g *Graph) resetExecState() {
 	for _, t := range g.Tasks {
-		t.readyTime = 0
 		t.npred = 0
 	}
 	for _, t := range g.Tasks {

@@ -35,9 +35,11 @@ var ErrRuntimeClosed = errors.New("sched: runtime closed")
 //   - Cancelling a job's context stops dispatching its tasks promptly;
 //     in-flight tasks finish and Wait returns context.Cause(ctx).
 //
-// It is the repository's one worker loop: a rank of a distributed
-// execution (internal/dist) is an owned job (SubmitOwned) on a Runtime of
-// its own, fed the completions of remote predecessors through Release.
+// It is the repository's one worker loop, with one admission and one
+// completion path: a Submit is the owned job of rank 0 of 1, and a rank
+// of a distributed execution (internal/dist) is an owned job on a
+// Runtime of its own, fed the completions of remote predecessors through
+// Release.
 //
 // A Graph must be in at most one execution at a time, or in one owned job
 // per rank over disjoint owner sets (its dependency counters are live
@@ -66,9 +68,9 @@ type JobHandle struct {
 	rt    *Runtime
 	g     *Graph
 	tasks int // the job's size
-	// An owned job (SubmitOwned) runs the tasks with Node % nodes == rank
-	// and calls hook after each; hook is nil for a whole-graph job. lane
-	// is added to the worker index to name a task's trace ring.
+	// A job runs the tasks with Node % nodes == rank (a whole graph is
+	// rank 0 of 1) and calls hook, when set, after each. lane is added to
+	// the worker index to name a task's trace ring.
 	hook        func(*Task)
 	rank, nodes int32
 	lane        int
@@ -155,17 +157,11 @@ func (rt *Runtime) InFlight() int {
 
 // Submit admits a graph for execution and returns immediately. The job's
 // tasks interleave with every other in-flight job's on the shared
-// workers. A nil ctx means context.Background().
+// workers. A nil ctx means context.Background(). It is the whole graph
+// as one owned job: rank 0 of 1, with no hook.
 func (rt *Runtime) Submit(ctx context.Context, g *Graph) (*JobHandle, error) {
-	h := &JobHandle{rt: rt, g: g, tasks: len(g.Tasks), done: make(chan struct{})}
-	g.resetExecState()
 	g.ComputeBottomLevels(WeightTime)
-	for _, t := range g.Tasks {
-		if t.npred == 0 {
-			h.ready = append(h.ready, t)
-		}
-	}
-	return rt.admit(ctx, h)
+	return rt.SubmitOwned(ctx, g, 0, 1, 0, nil)
 }
 
 // SubmitOwned admits rank's share of g, the tasks with Node % nodes ==
@@ -176,8 +172,8 @@ func (rt *Runtime) Submit(ctx context.Context, g *Graph) (*JobHandle, error) {
 // bottom levels are the caller's to compute beforehand, so the shares of
 // one graph may run concurrently.
 //
-// hook, which must not be nil, runs after each owned task's kernel, on
-// its worker, outside the runtime's lock and before any successor of the
+// hook, when not nil, runs after each owned task's kernel, on its
+// worker, outside the runtime's lock and before any successor of the
 // task is released, so what it snapshots precedes every local writer;
 // Wait returns after the last hook has. Worker w records trace events on
 // lane+w.
@@ -203,7 +199,9 @@ func (rt *Runtime) SubmitOwned(ctx context.Context, g *Graph, rank, nodes, lane 
 	return rt.admit(ctx, h)
 }
 
-func (h *JobHandle) owns(t *Task) bool { return t.Node%h.nodes == h.rank }
+// owns reports whether t is in the job's share; a one-node job owns
+// every task.
+func (h *JobHandle) owns(t *Task) bool { return h.nodes == 1 || t.Node%h.nodes == h.rank }
 
 // admit queues a job whose initial ready tasks are collected.
 func (rt *Runtime) admit(ctx context.Context, h *JobHandle) (*JobHandle, error) {
@@ -437,41 +435,15 @@ func (rt *Runtime) worker(id int) {
 			// capacity across the jobs that follow.
 			ws.Reset()
 		}
-		if h.hook != nil {
-			rt.completeOwned(h, t, err)
-			continue
-		}
-
-		rt.mu.Lock()
-		h.inflight--
-		h.undone--
-		if err != nil {
-			h.stopLocked(err)
-		}
-		if !h.stopped {
-			for _, s := range t.succs {
-				s.npred--
-				if s.npred == 0 {
-					heap.Push(&h.ready, s)
-					rt.ready++
-				}
-			}
-		}
-		rt.finishIfDoneLocked(h)
-		// This worker takes one ready task itself on its next turn; sleepers
-		// are woken only for work beyond that. Waking one for a lone
-		// successor makes a chain-like graph hop between cores on every
-		// task.
-		rt.wakeLocked(rt.ready - 1)
-		rt.mu.Unlock()
+		rt.completeOwned(h, t, err)
 	}
 }
 
-// completeOwned is the worker's bookkeeping after a task of an owned job:
-// the hook first, outside rt.mu, then the release of the task's owned
-// successors.
+// completeOwned is the worker's bookkeeping after a task, the one
+// completion path: the job's hook first, outside rt.mu, then the release
+// of the task's owned successors.
 func (rt *Runtime) completeOwned(h *JobHandle, t *Task, err error) {
-	if err == nil {
+	if err == nil && h.hook != nil {
 		h.hook(t)
 	}
 	rt.mu.Lock()
@@ -484,6 +456,9 @@ func (rt *Runtime) completeOwned(h *JobHandle, t *Task, err error) {
 		h.releaseLocked(t)
 	}
 	rt.finishIfDoneLocked(h)
+	// This worker takes one ready task itself on its next turn; sleepers
+	// are woken only for work beyond that. Waking one for a lone
+	// successor makes a chain-like graph hop between cores on every task.
 	rt.wakeLocked(rt.ready - 1)
 	rt.mu.Unlock()
 }

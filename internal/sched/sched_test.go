@@ -211,19 +211,6 @@ func TestSimulateMonotoneInWorkers(t *testing.T) {
 	}
 }
 
-func TestSimulateDistributedSingleNodeMatchesFixed(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	g := randomGraph(rng, 200, 3)
-	fixed := g.SimulateFixed(4, WeightTime)
-	dist := g.SimulateDistributed(DistConfig{Nodes: 1, WorkersPerNode: 4, TimeOf: WeightTime, Latency: 1, BytesPerTime: 100})
-	if d := fixed.Makespan - dist.Makespan; d > 1e-9 || d < -1e-9 {
-		t.Fatalf("single-node dist %v != fixed %v", dist.Makespan, fixed.Makespan)
-	}
-	if dist.CommVolume != 0 || dist.CommCount != 0 {
-		t.Fatalf("single node should not communicate")
-	}
-}
-
 func TestSimulateDistributedCommCost(t *testing.T) {
 	// Producer on node 0, consumer on node 1: makespan = 1 + (lat + bytes/bw) + 1.
 	g := NewGraph()

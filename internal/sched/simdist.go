@@ -32,13 +32,6 @@ type DistResult struct {
 	NodeBusy    []float64 // per-node busy time
 }
 
-// SimulateDistributed performs event-driven list scheduling across a
-// multi-node machine. Each task runs on its owning node (owner-compute, as
-// in the paper's 2D block-cyclic mapping). A read-after-write edge whose
-// producer lives on a different node incurs a message delayed by latency
-// plus size/bandwidth, serialized through the producer node's NIC; repeated
-// transfers of the same datum to the same node are deduplicated, like the
-// runtime's data cache.
 // commKey packs a (producer task, destination node) pair into the
 // simulator's dedup map key: the task ID occupies the high 32 bits and
 // the node the low 32. Both values are int32, so the packing cannot
@@ -51,7 +44,61 @@ func commKey(task, node int32) int64 {
 	return int64(task)<<32 | int64(node)
 }
 
+// SimulateDistributed performs event-driven list scheduling across a
+// multi-node machine. Each task runs on its owning node (owner-compute, as
+// in the paper's 2D block-cyclic mapping). A read-after-write edge whose
+// producer lives on a different node incurs a message delayed by latency
+// plus size/bandwidth, serialized through the producer node's NIC; repeated
+// transfers of the same datum to the same node are deduplicated, like the
+// runtime's data cache. One node is SimulateFixed, bit for bit.
 func (g *Graph) SimulateDistributed(cfg DistConfig) DistResult {
+	res, _ := g.listSchedule(cfg, nil)
+	return res
+}
+
+// simEvent is an event of the list scheduler: the completion of task on
+// core worker of its node, or the arrival at task's node of a datum task
+// waits for.
+type simEvent struct {
+	at      float64
+	task    *Task
+	worker  int32
+	arrival bool
+}
+
+// simEvents is the scheduler's event queue, a min-heap on (time,
+// completion before arrival, task ID): a total order, so the schedule
+// does not depend on the order events were queued in.
+type simEvents []simEvent
+
+func (h simEvents) Len() int { return len(h) }
+func (h simEvents) Less(i, j int) bool {
+	a, b := &h[i], &h[j]
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	if a.arrival != b.arrival {
+		return b.arrival
+	}
+	return a.task.ID < b.task.ID
+}
+func (h simEvents) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *simEvents) Push(x any)   { *h = append(*h, x.(simEvent)) }
+func (h *simEvents) Pop() any {
+	old := *h
+	n := len(old)
+	e := old[n-1]
+	*h = old[:n-1]
+	return e
+}
+
+// listSchedule is the one list scheduler behind SimulateFixed,
+// SimulateFixedTrace and SimulateDistributed. A node's free core with
+// the lowest number takes the ready task of greatest bottom level. Events
+// pop in simEvents order, and after each one the nodes it touched fill
+// their free cores. start, when non-nil, sees every task as it starts.
+// It also returns the number of tasks that completed.
+func (g *Graph) listSchedule(cfg DistConfig, start func(t *Task, worker int, at, d float64)) (DistResult, int) {
 	if cfg.Nodes < 1 {
 		cfg.Nodes = 1
 	}
@@ -74,140 +121,88 @@ func (g *Graph) SimulateDistributed(cfg DistConfig) DistResult {
 
 	type nodeState struct {
 		ready   readyHeap
-		free    int
+		free    []int32 // idle cores, the lowest on top
 		busy    float64
 		nicFree float64
 	}
 	nodes := make([]nodeState, cfg.Nodes)
 	for i := range nodes {
-		nodes[i].free = cfg.WorkersPerNode
-	}
-
-	// Event kinds: task completion and message arrival. Arrival events
-	// carry the enabled successor.
-	type distEvent struct {
-		at     float64
-		task   *Task // completed task (arrival events: the successor to enable)
-		finish bool
-	}
-	var events []distEvent
-	push := func(e distEvent) {
-		events = append(events, e)
-		i := len(events) - 1
-		for i > 0 {
-			p := (i - 1) / 2
-			if events[p].at <= events[i].at {
-				break
-			}
-			events[p], events[i] = events[i], events[p]
-			i = p
+		nodes[i].free = make([]int32, cfg.WorkersPerNode)
+		for w := range nodes[i].free {
+			nodes[i].free[w] = int32(cfg.WorkersPerNode - 1 - w)
 		}
 	}
-	pop := func() distEvent {
-		top := events[0]
-		last := len(events) - 1
-		events[0] = events[last]
-		events = events[:last]
-		i := 0
-		for {
-			l, r := 2*i+1, 2*i+2
-			s := i
-			if l < len(events) && events[l].at < events[s].at {
-				s = l
-			}
-			if r < len(events) && events[r].at < events[s].at {
-				s = r
-			}
-			if s == i {
-				break
-			}
-			events[i], events[s] = events[s], events[i]
-			i = s
-		}
-		return top
-	}
-
-	var result DistResult
-	transferred := map[int64]float64{} // commKey(producer ID, destNode) → arrival
-
-	enable := func(t *Task, at float64) {
-		if at > t.readyTime {
-			t.readyTime = at
-		}
-		t.npred--
-		if t.npred == 0 {
-			n := &nodes[nodeOf(t)]
-			heap.Push(&n.ready, t)
-		}
-	}
-
-	schedule := func(nodeID int, now float64) {
-		n := &nodes[nodeID]
-		for n.free > 0 && len(n.ready) > 0 {
-			t := heap.Pop(&n.ready).(*Task)
-			start := now
-			if t.readyTime > start {
-				start = t.readyTime
-			}
-			d := timeOf(t)
-			n.busy += d
-			n.free--
-			push(distEvent{at: start + d, task: t, finish: true})
-		}
-	}
-
-	// Seed: all zero-predecessor tasks.
 	for _, t := range g.Tasks {
 		if t.npred == 0 {
 			heap.Push(&nodes[nodeOf(t)].ready, t)
 		}
 	}
-	now := 0.0
-	for i := range nodes {
-		schedule(i, now)
+
+	var events simEvents
+	schedule := func(id int32, now float64) {
+		n := &nodes[id]
+		for len(n.free) > 0 && len(n.ready) > 0 {
+			t := heap.Pop(&n.ready).(*Task)
+			w := n.free[len(n.free)-1]
+			n.free = n.free[:len(n.free)-1]
+			d := timeOf(t)
+			n.busy += d
+			if start != nil {
+				start(t, int(w), now, d)
+			}
+			heap.Push(&events, simEvent{at: now + d, task: t, worker: w})
+		}
+	}
+	enable := func(t *Task) {
+		if t.npred--; t.npred == 0 {
+			heap.Push(&nodes[nodeOf(t)].ready, t)
+		}
 	}
 
-	touched := make(map[int32]bool)
+	for i := range nodes {
+		schedule(int32(i), 0)
+	}
+	var result DistResult
+	transferred := map[int64]float64{} // commKey(producer ID, destNode) → arrival
+	now, done := 0.0, 0
+	var touched []int32
 	for len(events) > 0 {
-		ev := pop()
+		ev := heap.Pop(&events).(simEvent)
 		now = ev.at
-		if ev.finish {
-			t := ev.task
-			tNode := nodeOf(t)
-			src := &nodes[tNode]
-			src.free++
-			clear(touched)
-			touched[tNode] = true
-			for ei, s := range t.succs {
-				bytes := t.succBytes[ei]
-				sNode := nodeOf(s)
-				if sNode == tNode || bytes == 0 || cfg.BytesPerTime == 0 {
-					enable(s, now)
-					touched[sNode] = true
-					continue
-				}
-				key := commKey(t.ID, sNode)
-				arrival, ok := transferred[key]
-				if !ok {
-					start := now
-					if src.nicFree > start {
-						start = src.nicFree
-					}
-					dur := cfg.Latency + float64(bytes)/cfg.BytesPerTime
-					arrival = start + dur
-					src.nicFree = arrival
-					transferred[key] = arrival
-					result.CommVolume += float64(bytes)
-					result.CommCount++
-				}
-				push(distEvent{at: arrival, task: s, finish: false})
+		t := ev.task
+		tNode := nodeOf(t)
+		if ev.arrival {
+			enable(t)
+			schedule(tNode, now)
+			continue
+		}
+		done++
+		src := &nodes[tNode]
+		src.free = append(src.free, ev.worker)
+		touched = append(touched[:0], tNode)
+		for ei, s := range t.succs {
+			bytes := t.succBytes[ei]
+			sNode := nodeOf(s)
+			if sNode == tNode || bytes == 0 || cfg.BytesPerTime == 0 {
+				enable(s)
+				touched = append(touched, sNode)
+				continue
 			}
-			for n := range touched {
-				schedule(int(n), now)
+			key := commKey(t.ID, sNode)
+			arrival, ok := transferred[key]
+			if !ok {
+				arrival = max(now, src.nicFree) + (cfg.Latency + float64(bytes)/cfg.BytesPerTime)
+				src.nicFree = arrival
+				transferred[key] = arrival
+				result.CommVolume += float64(bytes)
+				result.CommCount++
 			}
-		} else {
-			enable(ev.task, now)
-			schedule(int(nodeOf(ev.task)), now)
+			heap.Push(&events, simEvent{at: arrival, task: s, arrival: true})
+		}
+		// A node fills its cores from its own queue alone, so the order
+		// the touched nodes are visited in does not change the schedule.
+		for _, n := range touched {
+			schedule(n, now)
 		}
 	}
 
@@ -220,5 +215,5 @@ func (g *Graph) SimulateDistributed(cfg DistConfig) DistResult {
 	if now > 0 {
 		result.Utilization = result.BusyTime / (float64(cfg.Nodes*cfg.WorkersPerNode) * now)
 	}
-	return result
+	return result, done
 }

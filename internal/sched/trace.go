@@ -14,7 +14,7 @@ import (
 func (g *Graph) SimulateFixedTrace(workers int, timeOf func(*Task) float64, unit time.Duration) (SimResult, []obs.Event) {
 	at := func(x float64) time.Duration { return time.Duration(x * float64(unit)) }
 	events := make([]obs.Event, 0, len(g.Tasks))
-	res := g.simulate(workers, timeOf, func(t *Task, worker int, start, d float64) {
+	res := g.simulateFixed(workers, timeOf, func(t *Task, worker int, start, d float64) {
 		ev := t.event(at(start), at(start+d))
 		ev.Worker = int32(worker)
 		events = append(events, ev)

@@ -123,23 +123,9 @@ type ServiceStats struct {
 // HistogramStats is a snapshot of a fixed-bucket histogram. Bucket i
 // counts observations in (Bounds[i-1], Bounds[i]]; Counts has one more
 // entry than Bounds for the overflow bucket. The layout maps directly
-// onto a Prometheus histogram's cumulative _bucket/_sum/_count series.
-type HistogramStats struct {
-	Bounds []float64
-	Counts []uint64
-	Sum    float64
-	Count  uint64
-}
-
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) from the buckets by
-// linear interpolation. It returns 0 for an empty histogram.
-func (h HistogramStats) Quantile(q float64) float64 {
-	return obs.HistogramSnapshot{Bounds: h.Bounds, Counts: h.Counts, Sum: h.Sum, Count: h.Count}.Quantile(q)
-}
-
-func toHistogramStats(s obs.HistogramSnapshot) HistogramStats {
-	return HistogramStats{Bounds: s.Bounds, Counts: s.Counts, Sum: s.Sum, Count: s.Count}
-}
+// onto a Prometheus histogram's cumulative _bucket/_sum/_count series,
+// and Quantile estimates a quantile from the buckets.
+type HistogramStats = obs.HistogramSnapshot
 
 // JobKind selects what a service job computes.
 type JobKind int
@@ -358,7 +344,7 @@ func (s *Service) Stats() ServiceStats {
 	}
 	s.met.mu.Unlock()
 	lat := s.met.lat.Snapshot()
-	st.Latency, st.QueueWait = toHistogramStats(lat), toHistogramStats(s.met.qwait.Snapshot())
+	st.Latency, st.QueueWait = lat, s.met.qwait.Snapshot()
 	st.P50 = time.Duration(lat.Quantile(0.50) * float64(time.Second))
 	st.P99 = time.Duration(lat.Quantile(0.99) * float64(time.Second))
 	return st
